@@ -20,7 +20,7 @@ from .errors import (
     ZeroSpinor,
 )
 from .forms import Endo, TwoForm, eta, eta_hat, spinc_form_untwisted
-from .linalg import Matrix, check_special_orthogonal, nullspace
+from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace, zeros
 from .scalars import GaussianRational, Rational, gr
 from .spinrep import FormTerm, SpinorVector, clifford_action
 from .twisted import (
@@ -28,9 +28,9 @@ from .twisted import (
     TwistedCoeffMap,
     _spin_generator,
     form_action_on_spin_slot,
+    norm2,
     twist_bivector_action,
     twisted_group_action,
-    twisted_hermitian,
 )
 
 Pair = Tuple[int, int]
@@ -125,49 +125,6 @@ class LieSubalgebra:
     structure: Optional[Dict[Pair, List[Fraction]]] = None
 
 
-class _SpanSolver:
-    """Row space with recorded combinations, for expressing new vectors in a
-    given spanning set (exact, over Q)."""
-
-    def __init__(self, rows: Sequence[Sequence[Fraction]]) -> None:
-        self.width = len(rows[0]) if rows else 0
-        self.pivots: Dict[int, Tuple[List[Fraction], List[Fraction]]] = {}
-        self.n_rows = len(rows)
-        for i, row in enumerate(rows):
-            combo = [Fraction(int(j == i)) for j in range(self.n_rows)]
-            self._insert(list(map(Fraction, row)), combo)
-
-    def _eliminate(self, vec: List[Fraction], combo: List[Fraction]):
-        for col in range(self.width):
-            if vec[col]:
-                piv = self.pivots.get(col)
-                if piv is None:
-                    return vec, combo, col
-                pv, pc = piv
-                f = vec[col] / pv[col]
-                vec = [x - f * y for x, y in zip(vec, pv)]
-                combo = [x - f * y for x, y in zip(combo, pc)]
-        return vec, combo, None
-
-    def _insert(self, vec: List[Fraction], combo: List[Fraction]) -> None:
-        vec, combo, col = self._eliminate(vec, combo)
-        if col is not None:
-            self.pivots[col] = (vec, combo)
-
-    def express(self, vec: Sequence[Fraction]) -> Optional[List[Fraction]]:
-        """Coefficients over the original rows, or None if outside the span."""
-        v = list(map(Fraction, vec))
-        combo = [Fraction(0)] * self.n_rows
-        v, combo, col = self._eliminate(v, combo)
-        if col is not None:
-            return None
-        return [-c for c in combo]
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-
 def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``; structure constants
     (over the given basis) are reported only when closed and independent."""
@@ -176,22 +133,28 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
+    # Rows [x_i | e_i | 0] record which combination of the basis a reduced
+    # row is; a bracket enters as [z | 0 | 1] and reduces to [0 | c | s]
+    # exactly when z = -sum (c_i / s) x_i lies in the span.
     rows = [x.flat() for x in basis]
-    solver = _SpanSolver(rows)
-    dim = solver.rank
-    independent = dim == len(basis)
+    size, width = len(rows), len(rows[0])
+    red = RowReducer(width + size + 1)
+    for i, row in enumerate(rows):
+        red.add(row + [Fraction(int(j == i)) for j in range(size + 1)])
+    dim = sum(1 for col in red.pivots if col < width)
+    independent = dim == size
     closed = True
     structure: Dict[Pair, List[Fraction]] = {}
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            z = bracket(basis[i], basis[j])
-            coeffs = solver.express(z.flat())
-            if coeffs is None:
+    for i in range(size):
+        for j in range(i + 1, size):
+            z = bracket(basis[i], basis[j]).flat() + [Fraction(0)] * size + [Fraction(1)]
+            row = red.reduce(z)
+            if any(row[:width]):
                 closed = False
                 structure = {}
                 break
             if independent:
-                structure[(i, j)] = coeffs
+                structure[(i, j)] = [Fraction(-c, row[-1]) for c in row[width:-1]]
         if not closed:
             break
     return LieSubalgebra(
@@ -223,17 +186,64 @@ class ReducingReport:
     per_pair: Dict[Pair, PairVerdict]
 
 
-def _defect(phi: ScaledSpinor, form: TwoForm, k: int, l: int,
-            coefficient: int) -> ScaledSpinor:
-    """(form + coefficient * kappa(f_kl)) . phi"""
-    return form_action_on_spin_slot(form.form_terms(), phi) + \
-        twist_bivector_action(k, l, phi).scale(gr(coefficient))
+_DEFECT_COEFFICIENT = {"pure": 2, "reducing": 1}
 
 
-def _defect_norm2(d: ScaledSpinor) -> Fraction:
-    v = twisted_hermitian(d, d)
-    assert v.im == 0
-    return v.re
+def _check_kind(kind: str) -> None:
+    if kind not in _DEFECT_COEFFICIENT:
+        raise ValueError(f"kind must be 'pure' or 'reducing', got {kind!r}")
+
+
+def _rotated_bivector_coeffs(a: Matrix, k: int, l: int, r: int) -> Dict[Pair, Fraction]:
+    """f'_k f'_l = sum_(s<t) (a_ks a_lt - a_kt a_ls) f_s f_t for rows of A."""
+    out: Dict[Pair, Fraction] = {}
+    for (s, t) in pairs(r):
+        c = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
+        if c:
+            out[(s, t)] = c
+    return out
+
+
+def _certify(phi: ScaledSpinor, kind: str,
+             frames: Sequence[Optional[Matrix]] = (None,)
+             ) -> List[Tuple[bool, Dict[Pair, PairVerdict]]]:
+    """Verdict and per-pair witnesses of ``kind`` in each frame (the rows of
+    an SO(r) matrix; None is the standard frame).
+
+    One pair table (eta_st, D_st) with D_st = (eta_st + c kappa(f_st)) . phi,
+    c = 2 for "pure" and 1 for "reducing", serves every frame: both entries
+    are linear in the bivector, so a rotated pair is sum c_st (eta_st, D_st)
+    and costs no generator application."""
+    _check_kind(kind)
+    c = gr(_DEFECT_COEFFICIENT[kind])
+    table: Dict[Pair, Tuple[TwoForm, ScaledSpinor]] = {}
+    for (s, t) in pairs(phi.r):
+        form = eta(phi, s, t)
+        table[(s, t)] = (form, form_action_on_spin_slot(form.form_terms(), phi)
+                         + twist_bivector_action(s, t, phi).scale(c))
+    out = []
+    for a in frames:
+        per: Dict[Pair, PairVerdict] = {}
+        ok = True
+        for (k, l) in pairs(phi.r):
+            if a is None:
+                form, defect = table[(k, l)]
+            else:
+                form, defect = TwoForm(phi.n, zeros(phi.n)), phi.with_coeffs({})
+                for p, cst in sorted(_rotated_bivector_coeffs(a, k, l, phi.r).items()):
+                    form = form + table[p][0].scale(cst)
+                    defect = defect + table[p][1].scale(gr(cst))
+            dn2 = norm2(defect)
+            if kind == "pure":
+                h = eta_hat(form)
+                flag = h.compose(h).is_minus_identity()
+                per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
+            else:
+                flag = not form.is_zero()
+                per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=flag)
+            ok = ok and flag and dn2 == 0
+        out.append((ok, per))
+    return out
 
 
 def check_pure(phi: ScaledSpinor) -> PurityReport:
@@ -242,15 +252,7 @@ def check_pure(phi: ScaledSpinor) -> PurityReport:
         raise ZeroSpinor("purity is defined for nonzero spinors")
     if phi.r < 3:
         raise RankTooSmall("purity needs twisting rank r >= 3")
-    per: Dict[Pair, PairVerdict] = {}
-    ok = True
-    for (k, l) in pairs(phi.r):
-        form = eta(phi, k, l)
-        dn2 = _defect_norm2(_defect(phi, form, k, l, 2))
-        h = eta_hat(form)
-        sq = h.compose(h).is_minus_identity()
-        per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=sq)
-        ok = ok and sq and dn2 == 0
+    [(ok, per)] = _certify(phi, "pure")
     return PurityReport(is_pure=ok, per_pair=per)
 
 
@@ -263,14 +265,7 @@ def check_reducing(phi: ScaledSpinor) -> ReducingReport:
         raise ZeroSpinor("the reducing property is defined for nonzero spinors")
     if phi.r < 2:
         raise RankTooSmall("reducing needs twisting rank r >= 2")
-    per: Dict[Pair, PairVerdict] = {}
-    ok = True
-    for (k, l) in pairs(phi.r):
-        form = eta(phi, k, l)
-        dn2 = _defect_norm2(_defect(phi, form, k, l, 1))
-        nz = not form.is_zero()
-        per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=nz)
-        ok = ok and nz and dn2 == 0
+    [(ok, per)] = _certify(phi, "reducing")
     return ReducingReport(is_reducing=ok, per_pair=per)
 
 
@@ -463,53 +458,13 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
 
 # -- frame independence and equivariance ---------------------------------------
 
-def _rotated_bivector_coeffs(a: Matrix, k: int, l: int, r: int) -> Dict[Pair, Fraction]:
-    """f'_k f'_l = sum_(s<t) (a_ks a_lt - a_kt a_ls) f_s f_t for rows of A."""
-    out: Dict[Pair, Fraction] = {}
-    for (s, t) in pairs(r):
-        c = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
-        if c:
-            out[(s, t)] = c
-    return out
-
-
-def _verdict_in_frame(phi: ScaledSpinor, a: Optional[Matrix], kind: str) -> bool:
-    """Pure/reducing verdict computed in the frame rotated by A (A = None
-    means the standard frame)."""
-    r = phi.r
-    coefficient = 2 if kind == "pure" else 1
-    etas = {(s, t): eta(phi, s, t) for (s, t) in pairs(r)}
-    ok = True
-    for (k, l) in pairs(r):
-        if a is None:
-            coeffs = {(k, l): Fraction(1)}
-        else:
-            coeffs = _rotated_bivector_coeffs(a, k, l, r)
-        form = TwoForm(phi.n, [[Fraction(0)] * phi.n for _ in range(phi.n)])
-        twist = phi.with_coeffs({})
-        for (s, t), c in sorted(coeffs.items()):
-            form = form + etas[(s, t)].scale(c)
-            twist = twist + twist_bivector_action(s, t, phi).scale(gr(c))
-        defect = form_action_on_spin_slot(form.form_terms(), phi) + \
-            twist.scale(gr(coefficient))
-        if not defect.is_zero():
-            ok = False
-        if kind == "pure":
-            h = eta_hat(form)
-            ok = ok and h.compose(h).is_minus_identity()
-        else:
-            ok = ok and not form.is_zero()
-    return ok
-
-
 def frame_rotation_check(phi: ScaledSpinor, a: Matrix, kind: str = "pure") -> bool:
     """Does the pure (or reducing) verdict survive replacing the twist frame
     by the rows of the exact special-orthogonal matrix A?"""
     if len(a) != phi.r:
         raise NotOrthogonal(f"need an SO({phi.r}) matrix")
     check_special_orthogonal(a)
-    base = _verdict_in_frame(phi, None, kind)
-    rotated = _verdict_in_frame(phi, a, kind)
+    (base, _), (rotated, _) = _certify(phi, kind, (None, a))
     return base == rotated
 
 
@@ -520,6 +475,7 @@ def equivariance_check(
     kind: str = "pure",
 ) -> bool:
     """Does the verdict survive the twisted group action [g, h]?"""
+    _check_kind(kind)
     moved = twisted_group_action(g_vectors, h_vectors, phi)
     if kind == "pure":
         return check_pure(moved).is_pure == check_pure(phi).is_pure

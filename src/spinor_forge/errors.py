@@ -10,6 +10,10 @@ class SpinorForgeError(Exception):
     """Base class for all library errors."""
 
 
+class InexactScalar(SpinorForgeError):
+    """A float or bool was given where an exact rational is required."""
+
+
 class ShapeMismatch(SpinorForgeError):
     """Operands live in different spinor spaces (n, r or m disagree)."""
 

@@ -56,9 +56,15 @@ class RowReducer:
             row = [a * x - b * y for x, y in zip(row, piv)]
         return row
 
+    def reduce(self, row: Sequence[Fraction]) -> IntRow:
+        """Clear ``row`` to integers and reduce it by the pivot rows.  The
+        result is a positive multiple of ``row`` minus an integer combination
+        of the pivot rows; it is zero iff ``row`` lies in the row space."""
+        return self._reduce(_to_int_row(row))
+
     def add(self, row: Sequence[Fraction]) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
-        r = self._reduce(_to_int_row(row))
+        r = self.reduce(row)
         for col in range(self.width):
             if r[col]:
                 g = 0
@@ -73,7 +79,7 @@ class RowReducer:
         return False
 
     def contains(self, row: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(_to_int_row(row)))
+        return not any(self.reduce(row))
 
     @property
     def rank(self) -> int:
@@ -165,20 +171,8 @@ def mat_sub(a: Matrix, b: Matrix) -> Matrix:
     return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_scale(a: Matrix, c: Fraction) -> Matrix:
-    return [[x * c for x in row] for row in a]
-
-
-def mat_neg(a: Matrix) -> Matrix:
-    return [[-x for x in row] for row in a]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def mat_inv(a: Matrix) -> Matrix:

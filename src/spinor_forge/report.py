@@ -8,11 +8,10 @@ the acceptance test suite both consume these rows.
 
 from __future__ import annotations
 
-import os
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List
 
 from . import catalog
 from .analysis import (
@@ -403,16 +402,6 @@ CRITERIA: List[Callable[[], CriterionRow]] = [
 ]
 
 
-def report_all(max_workers: Optional[int] = None) -> List[CriterionRow]:
-    """Run every criterion; row order is fixed regardless of execution order.
-
-    Parallelism is capped by ``max_workers`` (default: the
-    SPINOR_FORGE_THREADS environment variable, else serial)."""
-    if max_workers is None:
-        max_workers = int(os.environ.get("SPINOR_FORGE_THREADS", "1"))
-    if max_workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            return list(pool.map(lambda f: f(), CRITERIA))
+def report_all() -> List[CriterionRow]:
+    """Run every criterion serially, in the fixed row order."""
     return [f() for f in CRITERIA]

@@ -11,9 +11,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
+from .errors import InexactScalar
+
 Rational = Fraction
 
 RationalLike = Union[Fraction, int]
+
+
+def exact_rational(x: Union[RationalLike, str]) -> Fraction:
+    """Fraction(x) for ints, Fractions and 'p/q' strings.  Floats are refused
+    rather than expanded into their binary value, and bools are refused
+    rather than read as 0 or 1."""
+    if isinstance(x, (float, bool)):
+        raise InexactScalar(f"{x!r} is not an exact rational")
+    return Fraction(x)
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,9 +36,9 @@ class GaussianRational:
 
     def __post_init__(self) -> None:
         if not isinstance(self.re, Fraction):
-            object.__setattr__(self, "re", Fraction(self.re))
+            object.__setattr__(self, "re", exact_rational(self.re))
         if not isinstance(self.im, Fraction):
-            object.__setattr__(self, "im", Fraction(self.im))
+            object.__setattr__(self, "im", exact_rational(self.im))
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
@@ -84,19 +95,8 @@ class GaussianRational:
 GR_ZERO = GaussianRational()
 GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
-GR_MINUS_ONE = GaussianRational(Fraction(-1))
-GR_MINUS_I = GaussianRational(Fraction(0), Fraction(-1))
 
 
 def gr(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
     """Convenience constructor accepting ints, Fractions or 'p/q' strings."""
-    return GaussianRational(Fraction(re), Fraction(im))
-
-
-def format_rational(x: Fraction) -> str:
-    """Render as 'p/q', omitting '/q' when the denominator is 1."""
-    return str(x)
-
-
-def parse_rational(s: str) -> Fraction:
-    return Fraction(s)
+    return GaussianRational(re, im)

@@ -8,17 +8,13 @@ shape and raise ValueError with a diagnostic on malformed input.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from .analysis import AmbientElement, LieSubalgebra
 from .forms import TwoForm, two_form_from_terms
 from .scalars import GaussianRational
 from .spinrep import SpinorVector
 from .twisted import ScaledSpinor, TwistedCoeffMap
-
-
-def rational_to_json(x: Fraction) -> str:
-    return str(x)
 
 
 def rational_from_json(s: Any) -> Fraction:
@@ -40,8 +36,29 @@ def gaussian_from_json(obj: Any) -> GaussianRational:
     return GaussianRational(rational_from_json(obj["re"]), rational_from_json(obj["im"]))
 
 
+def _int_from_json(v: Any, what: str) -> int:
+    if type(v) is not int:  # bools and floats are not wire integers
+        raise ValueError(f"{what} must be an integer, got {v!r}")
+    return v
+
+
+def _list_from_json(v: Any, what: str) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{what} must be a list, got {type(v).__name__}")
+    return v
+
+
+def _object_from_json(v: Any, fields: Tuple[str, ...], what: str) -> Dict[str, Any]:
+    if not isinstance(v, dict):
+        raise ValueError(f"{what} must be an object, got {type(v).__name__}")
+    for f in fields:
+        if f not in v:
+            raise ValueError(f"{what} needs field {f!r}")
+    return v
+
+
 def _eps_from_json(v: Any, what: str) -> tuple:
-    if not isinstance(v, list) or any(s not in (1, -1) for s in v):
+    if not isinstance(v, list) or any(type(s) is not int or s not in (1, -1) for s in v):
         raise ValueError(f"{what} must be a list of +-1, got {v!r}")
     return tuple(v)
 
@@ -57,13 +74,12 @@ def spinor_to_json(psi: SpinorVector) -> Dict[str, Any]:
 
 
 def spinor_from_json(obj: Any) -> SpinorVector:
-    if not isinstance(obj, dict) or "n" not in obj or "coeffs" not in obj:
-        raise ValueError("spinor JSON needs fields 'n' and 'coeffs'")
+    obj = _object_from_json(obj, ("n", "coeffs"), "spinor JSON")
     coeffs = {}
-    for entry in obj["coeffs"]:
-        eps = _eps_from_json(entry.get("eps"), "eps")
-        coeffs[eps] = gaussian_from_json(entry)
-    return SpinorVector(int(obj["n"]), coeffs)
+    for entry in _list_from_json(obj["coeffs"], "coeffs"):
+        entry = _object_from_json(entry, ("eps",), "coefficient entry")
+        coeffs[_eps_from_json(entry["eps"], "eps")] = gaussian_from_json(entry)
+    return SpinorVector(_int_from_json(obj["n"], "n"), coeffs)
 
 
 def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
@@ -84,20 +100,17 @@ def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
 
 
 def scaled_spinor_from_json(obj: Any) -> ScaledSpinor:
-    for fieldname in ("n", "r", "m", "scale2", "coeffs"):
-        if not isinstance(obj, dict) or fieldname not in obj:
-            raise ValueError(f"twisted spinor JSON needs field {fieldname!r}")
+    obj = _object_from_json(obj, ("n", "r", "m", "scale2", "coeffs"), "twisted spinor JSON")
     coeffs: TwistedCoeffMap = {}
-    for entry in obj["coeffs"]:
-        spin = _eps_from_json(entry.get("spin"), "spin")
-        twist_raw = entry.get("twist")
-        if not isinstance(twist_raw, list):
-            raise ValueError(f"twist must be a list of index lists, got {twist_raw!r}")
-        twist = tuple(_eps_from_json(t, "twist slot") for t in twist_raw)
+    for entry in _list_from_json(obj["coeffs"], "coeffs"):
+        entry = _object_from_json(entry, ("spin", "twist"), "coefficient entry")
+        spin = _eps_from_json(entry["spin"], "spin")
+        twist = tuple(_eps_from_json(t, "twist slot")
+                      for t in _list_from_json(entry["twist"], "twist"))
         coeffs[(spin, twist)] = gaussian_from_json(entry)
     return ScaledSpinor(
-        int(obj["n"]), int(obj["r"]), int(obj["m"]),
-        coeffs, rational_from_json(obj["scale2"]),
+        _int_from_json(obj["n"], "n"), _int_from_json(obj["r"], "r"),
+        _int_from_json(obj["m"], "m"), coeffs, rational_from_json(obj["scale2"]),
     )
 
 
@@ -111,12 +124,13 @@ def two_form_to_json(omega: TwoForm) -> Dict[str, Any]:
 
 
 def two_form_from_json(obj: Any) -> TwoForm:
-    if not isinstance(obj, dict) or "n" not in obj or "terms" not in obj:
-        raise ValueError("2-form JSON needs fields 'n' and 'terms'")
+    obj = _object_from_json(obj, ("n", "terms"), "2-form JSON")
     terms = {}
-    for t in obj["terms"]:
-        terms[(int(t["a"]), int(t["b"]))] = rational_from_json(t["coeff"])
-    return two_form_from_terms(int(obj["n"]), terms)
+    for t in _list_from_json(obj["terms"], "terms"):
+        t = _object_from_json(t, ("a", "b", "coeff"), "2-form term")
+        key = (_int_from_json(t["a"], "a"), _int_from_json(t["b"], "b"))
+        terms[key] = rational_from_json(t["coeff"])
+    return two_form_from_terms(_int_from_json(obj["n"], "n"), terms)
 
 
 def ambient_to_json(x: AmbientElement) -> Dict[str, Any]:
@@ -124,12 +138,6 @@ def ambient_to_json(x: AmbientElement) -> Dict[str, Any]:
         "a": [{"i": i, "j": j, "coeff": str(c)} for (i, j), c in sorted(x.a.items())],
         "b": [{"k": k, "l": l, "coeff": str(c)} for (k, l), c in sorted(x.b.items())],
     }
-
-
-def ambient_from_json(n: int, r: int, obj: Any) -> AmbientElement:
-    a = {(int(t["i"]), int(t["j"])): rational_from_json(t["coeff"]) for t in obj.get("a", [])}
-    b = {(int(t["k"]), int(t["l"])): rational_from_json(t["coeff"]) for t in obj.get("b", [])}
-    return AmbientElement(n, r, a, b)
 
 
 def subalgebra_to_json(alg: LieSubalgebra) -> Dict[str, Any]:

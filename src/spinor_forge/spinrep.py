@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch
-from .scalars import GR_ZERO, GaussianRational, Rational
+from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
 
 BasisIndex = Tuple[int, ...]
 CoeffMap = Dict[BasisIndex, GaussianRational]
@@ -40,10 +40,6 @@ def all_basis_indices(n: int) -> List[BasisIndex]:
     for _ in range(k):
         out = [eps + (s,) for eps in out for s in (1, -1)]
     return out
-
-
-def _clean(coeffs: CoeffMap) -> CoeffMap:
-    return {idx: c for idx, c in coeffs.items() if c}
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ class FormTerm:
 
     def __post_init__(self) -> None:
         if not isinstance(self.coeff, Fraction):
-            object.__setattr__(self, "coeff", Fraction(self.coeff))
+            object.__setattr__(self, "coeff", exact_rational(self.coeff))
         if list(self.factors) != sorted(set(self.factors)):
             raise IndexOutOfRange(f"factors {self.factors} not strictly increasing")
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
-from .scalars import GR_ZERO, GaussianRational, Rational
+from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
 from .spinrep import (
     FormTerm,
     SpinorVector,
@@ -41,7 +41,7 @@ class ScaledSpinor:
 
     def __post_init__(self) -> None:
         if not isinstance(self.scale2, Fraction):
-            object.__setattr__(self, "scale2", Fraction(self.scale2))
+            object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:
             raise ShapeMismatch("scale2 must be a positive rational")
         ks, kt = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r)

@@ -90,8 +90,8 @@ def test_criterion_12_qk_ladder_recursion():
 
 
 def test_report_plumbing(monkeypatch):
-    """report_all preserves row order and honors the thread cap; the real
-    criteria are exercised one by one above."""
+    """report_all preserves row order; the real criteria are exercised one
+    by one above."""
     calls = []
 
     def make(name):
@@ -102,9 +102,6 @@ def test_report_plumbing(monkeypatch):
 
     fakes = [make(f"row{i}") for i in range(5)]
     monkeypatch.setattr(report, "CRITERIA", fakes)
-    rows = report.report_all()
-    assert [r.name for r in rows] == [f"row{i}" for i in range(5)]
-    monkeypatch.setenv("SPINOR_FORGE_THREADS", "3")
     rows = report.report_all()
     assert [r.name for r in rows] == [f"row{i}" for i in range(5)]
 

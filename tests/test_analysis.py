@@ -5,6 +5,7 @@ import pytest
 
 from spinor_forge.analysis import (
     AmbientElement,
+    _certify,
     ambient_annihilates,
     annihilator,
     bracket,
@@ -32,11 +33,16 @@ from spinor_forge.errors import (
     RankTooSmall,
     ZeroSpinor,
 )
-from spinor_forge.forms import eta, eta_hat, two_form_from_terms
+from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
 from spinor_forge.linalg import givens, random_so_matrix, random_unit_vector, spans_equal
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
-from spinor_forge.twisted import ScaledSpinor
+from spinor_forge.twisted import (
+    ScaledSpinor,
+    form_action_on_spin_slot,
+    twist_bivector_action,
+    twisted_hermitian,
+)
 
 from .test_twisted import random_scaled
 
@@ -190,6 +196,20 @@ def test_lie_closure_so3():
     assert rep.structure[(0, 1)] == [F(0), F(0), F(2)]
 
 
+def test_lie_closure_rescaled_and_dependent_bases():
+    def e(terms):
+        return AmbientElement(3, 3, terms, {})
+
+    # [e1e2, e1e3] = 2 e2e3 = (1/2) (4 e2e3)
+    rep = lie_closure_report([e({(1, 2): F(1)}), e({(1, 3): F(1)}), e({(2, 3): F(4)})])
+    assert rep.closed and rep.dim == 3
+    assert rep.structure[(0, 1)] == [F(0), F(0), F(1, 2)]
+    dependent = [e({(1, 2): F(1)}), e({(1, 3): F(1)}), e({(2, 3): F(1)}),
+                 e({(1, 2): F(1), (2, 3): F(1)})]
+    rep = lie_closure_report(dependent)
+    assert rep.dim == 3 and rep.closed and rep.structure is None
+
+
 def test_lie_closure_abelian_and_open():
     single = [AmbientElement(3, 3, {(1, 2): F(1)}, {})]
     rep = lie_closure_report(single)
@@ -295,6 +315,66 @@ def test_frame_rotation_reducing_mode():
     rng = random.Random(3)
     a = random_so_matrix(7, rng, bound=1)
     assert frame_rotation_check(build_spin7_reducing().spinor, a, "reducing")
+
+
+def _direct_rotated_verdicts(phi, a, kind):
+    """Per-pair (defect_norm2, flag) in the frame of the rows of A, acting
+    with sum c eta_st and sum c kappa(f_st) on phi directly."""
+    coefficient = 2 if kind == "pure" else 1
+    out = {}
+    for (k, l) in pairs(phi.r):
+        c = {(s, t): a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
+             for (s, t) in pairs(phi.r)}
+        form = phi_extend(phi, c)
+        twist = phi.with_coeffs({})
+        for (s, t), cst in c.items():
+            twist = twist + twist_bivector_action(s, t, phi).scale(gr(cst))
+        defect = form_action_on_spin_slot(form.form_terms(), phi) + \
+            twist.scale(gr(coefficient))
+        if kind == "pure":
+            h = eta_hat(form)
+            flag = h.compose(h).is_minus_identity()
+        else:
+            flag = not form.is_zero()
+        out[(k, l)] = (twisted_hermitian(defect, defect).re, flag)
+    return out
+
+
+@pytest.mark.parametrize("label,kind", [
+    ("spin7_reducing", "pure"), ("random", "pure"), ("random", "reducing")])
+def test_rotated_pair_table_matches_direct_action(label, kind):
+    rng = random.Random(6)
+    if label == "spin7_reducing":
+        phi = build_spin7_reducing().spinor
+        a = random_so_matrix(7, rng, bound=1)
+    else:
+        phi = random_scaled(4, 3, 1, rng, terms=6)
+        a = random_so_matrix(3, rng)
+    (_, base), (_, rotated) = _certify(phi, kind, (None, a))
+    flag = "square_ok" if kind == "pure" else "eta_nonzero"
+    got = {p: (v.defect_norm2, getattr(v, flag)) for p, v in rotated.items()}
+    assert got == _direct_rotated_verdicts(phi, a, kind)
+    if label == "random":  # the rotation really moves the witnesses
+        assert got != {p: (v.defect_norm2, getattr(v, flag)) for p, v in base.items()}
+
+
+def test_frame_rotation_on_non_pure_spinor():
+    phi = build_spin7_reducing().spinor
+    assert not check_pure(phi).is_pure
+    a = random_so_matrix(7, random.Random(8), bound=1)
+    (base, _), (rotated, _) = _certify(phi, "pure", (None, a))
+    assert base is False and rotated is False
+    assert frame_rotation_check(phi, a, "pure")
+
+
+def test_frame_and_equivariance_reject_unknown_kind():
+    from spinor_forge.linalg import identity
+
+    phi = build_qk_pure(1).spinor
+    with pytest.raises(ValueError):
+        frame_rotation_check(phi, identity(3), "purest")
+    with pytest.raises(ValueError):
+        equivariance_check(phi, [], [], "purest")
 
 
 def test_frame_rotation_rejects_non_orthogonal():

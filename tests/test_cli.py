@@ -101,6 +101,13 @@ def test_malformed_json_rejected(tmp_path, capsys):
     assert code == 2 and "malformed" in err
 
 
+def test_malformed_wire_object_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad_coeffs.json"
+    bad.write_text(json.dumps({"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [1]}))
+    code, _, err = run(capsys, "verify", "pure", "--in", str(bad))
+    assert code == 2 and err.startswith("error:") and "Traceback" not in err
+
+
 def test_unknown_catalog_name(capsys):
     code, _, err = run(capsys, "verify", "pure", "--catalog", "nope")
     assert code == 2 and "unknown catalog name" in err

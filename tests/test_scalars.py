@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from spinor_forge.errors import InexactScalar
 from spinor_forge.scalars import GR_I, GR_ONE, GaussianRational, gr
 
 rationals = st.fractions(
@@ -63,3 +64,19 @@ def test_string_forms():
     assert str(gr(F(1, 2))) == "1/2"
     assert str(gr(0, -1)) == "-1i"
     assert str(gr(1, F(3, 4))) == "1+3/4i"
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+def test_gr_rejects_floats_and_bools(bad):
+    with pytest.raises(InexactScalar):
+        gr(bad)
+    with pytest.raises(InexactScalar):
+        gr(1, bad)
+
+
+@pytest.mark.parametrize("bad", [0.5, False])
+def test_gaussian_rational_rejects_floats_and_bools(bad):
+    with pytest.raises(InexactScalar):
+        GaussianRational(bad)
+    with pytest.raises(InexactScalar):
+        GaussianRational(F(1), bad)

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
+from spinor_forge.errors import SpinorForgeError
 from spinor_forge.forms import eta, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import (
@@ -66,6 +67,31 @@ def test_bad_inputs_rejected():
         spinor_from_json({"n": 2, "coeffs": [{"eps": [2], "re": "1", "im": "0"}]})
     with pytest.raises(ValueError):
         scaled_spinor_from_json({"n": 2, "r": 3, "m": 1, "coeffs": []})
+
+
+_ENTRY = {"spin": [1, 1], "twist": [[1]], "re": "1", "im": "0"}
+_TWISTED = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [_ENTRY]}
+
+
+@pytest.mark.parametrize("decode,obj", [
+    (scaled_spinor_from_json, {**_TWISTED, "coeffs": [1]}),
+    (scaled_spinor_from_json, {**_TWISTED, "coeffs": {"a": 1}}),
+    (scaled_spinor_from_json, {**_TWISTED, "n": None}),
+    (scaled_spinor_from_json, {**_TWISTED, "coeffs": None}),
+    (scaled_spinor_from_json, {**_TWISTED, "n": 4.7}),
+    (scaled_spinor_from_json, {**_TWISTED, "coeffs": [{**_ENTRY, "spin": [True, 1]}]}),
+    (spinor_from_json, {"n": 4, "coeffs": [1]}),
+    (spinor_from_json, {"n": 4, "coeffs": {"a": 1}}),
+    (spinor_from_json, {"n": None, "coeffs": []}),
+    (spinor_from_json, {"n": 4, "coeffs": None}),
+    (spinor_from_json, {"n": 4.7, "coeffs": []}),
+    (spinor_from_json, {"n": 4, "coeffs": [{"eps": [True, 1], "re": "1", "im": "0"}]}),
+    (two_form_from_json, {"n": 4, "terms": [{"a": 1}]}),
+    (two_form_from_json, {"n": 4, "terms": [1]}),
+])
+def test_malformed_wire_objects_raise_typed_errors(decode, obj):
+    with pytest.raises((ValueError, SpinorForgeError)):
+        decode(obj)
 
 
 def test_render_two_form():

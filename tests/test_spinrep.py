@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from spinor_forge.errors import IndexOutOfRange, NotUnitVector, OddLength
+from spinor_forge.errors import IndexOutOfRange, InexactScalar, NotUnitVector, OddLength
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -154,6 +154,12 @@ def test_clifford_action_examples():
     for g in (4, 3, 2, 1):
         byhand = kappa_generator(4, g, byhand)
     assert quad.coeffs == byhand.coeffs
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_form_term_coeff_rejects_floats_and_bools(bad):
+    with pytest.raises(InexactScalar):
+        FormTerm((1, 2), bad)
 
 
 def test_hermitian_orthonormal_basis():

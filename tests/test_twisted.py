@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinor_forge.errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
+from spinor_forge.errors import IndexOutOfRange, InexactScalar, ScaleMismatch, ShapeMismatch
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import FormTerm, all_basis_indices, spin_action_on_vector
@@ -208,6 +208,12 @@ def test_zero_twist_slots_permitted():
 
     # with no twist slots every eta vanishes, so the spinor never reduces
     assert not check_reducing(phi).is_reducing
+
+
+@pytest.mark.parametrize("bad", [0.5, True])
+def test_scale2_rejects_floats_and_bools(bad):
+    with pytest.raises(InexactScalar):
+        ScaledSpinor(2, 2, 1, {}, bad)
 
 
 def test_odd_dimension_never_pure():

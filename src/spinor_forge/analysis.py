@@ -21,7 +21,7 @@ from .errors import (
 )
 from .forms import Endo, TwoForm, eta, eta_hat, spinc_form_untwisted
 from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace, zeros
-from .scalars import GaussianRational, Rational, gr
+from .scalars import GaussianRational, Rational, exact_rational, gr
 from .spinrep import FormTerm, SpinorVector, clifford_action
 from .twisted import (
     ScaledSpinor,
@@ -59,8 +59,9 @@ class AmbientElement:
         for (k, l) in self.b:
             if not 1 <= k < l <= self.r:
                 raise ShapeMismatch(f"b-part index ({k},{l}) outside 1..{self.r}")
-        object.__setattr__(self, "a", {p: Fraction(c) for p, c in self.a.items() if c})
-        object.__setattr__(self, "b", {p: Fraction(c) for p, c in self.b.items() if c})
+        for part in ("a", "b"):
+            exact = {p: exact_rational(c) for p, c in getattr(self, part).items()}
+            object.__setattr__(self, part, {p: c for p, c in exact.items() if c})
 
     def flat(self) -> List[Fraction]:
         pn, pr = pairs(self.n), pairs(self.r)

@@ -5,9 +5,15 @@ R^n is
 
     eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . v, v >
 
-with v the coefficient vector of phi.  The dual endomorphism follows the
-contraction convention  eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its
-operator matrix is the transpose of the 2-form's coefficient matrix.
+with v the coefficient vector of phi.  Clifford generators are skew-adjoint,
+so with w = kappa(f_kl) . v the entry for a < b is
+
+    eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
+
+and all pairs need only the 2n vectors e_a . v and e_b . w.  The dual
+endomorphism follows the contraction convention
+eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its operator matrix is the
+transpose of the 2-form's coefficient matrix.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, mat_mul, transpose, zeros
-from .scalars import GaussianRational, Rational
+from .scalars import Rational, exact_rational
 from .spinrep import FormTerm, SpinorVector, clifford_action, hermitian
 from .twisted import ScaledSpinor, _spin_generator, twist_bivector_action
 
@@ -63,7 +69,7 @@ class TwoForm:
                                 for ra, rb in zip(self.mat, other.mat)])
 
     def scale(self, c: Rational) -> TwoForm:
-        c = Fraction(c)
+        c = exact_rational(c)
         return TwoForm(self.n, [[x * c for x in row] for row in self.mat])
 
     def __neg__(self) -> TwoForm:
@@ -95,7 +101,7 @@ class Endo:
                    for i in range(self.n) for j in range(self.n))
 
     def scale(self, c: Rational) -> Endo:
-        c = Fraction(c)
+        c = exact_rational(c)
         return Endo(self.n, [[x * c for x in row] for row in self.mat])
 
     def __neg__(self) -> Endo:
@@ -108,31 +114,33 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     for (a, b), c in terms.items():
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise IndexOutOfRange(f"bad 2-form term indices ({a},{b})")
-        c = Fraction(c)
+        c = exact_rational(c)
         mat[a - 1][b - 1] += c
         mat[b - 1][a - 1] -= c
     return TwoForm(n, mat)
 
 
 def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
-    """The induced 2-form for the twist bivector f_k f_l."""
+    """The induced 2-form for the twist bivector f_k f_l, by the skew-adjoint
+    identity eta_ab = -scale2 * Re< e_b . w, e_a . phi >, w = kappa(f_kl) . phi."""
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
     n = phi.n
     mat = zeros(n)
     if k == l:
         return TwoForm(n, mat)
-    w = twist_bivector_action(k, l, phi)
-    for b in range(1, n + 1):
-        wb = _spin_generator(phi, b, w.coeffs)
+    w = twist_bivector_action(k, l, phi).coeffs
+    e_phi = [_spin_generator(phi, a, phi.coeffs) for a in range(1, n)]
+    for b in range(2, n + 1):
+        e_w = _spin_generator(phi, b, w)
         for a in range(1, b):
-            wab = _spin_generator(phi, a, wb)
-            val = GaussianRational()
-            for idx, c in wab.items():
-                o = phi.coeffs.get(idx)
+            ea = e_phi[a - 1]
+            acc = Fraction(0)
+            for idx, c in e_w.items():
+                o = ea.get(idx)
                 if o is not None:
-                    val = val + c * o.conj()
-            entry = phi.scale2 * val.re
+                    acc += c.re * o.re + c.im * o.im
+            entry = -phi.scale2 * acc
             mat[a - 1][b - 1] = entry
             mat[b - 1][a - 1] = -entry
     return TwoForm(n, mat)
@@ -147,7 +155,7 @@ def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoF
     """Linear extension over twist bivectors: sum c_kl eta(phi, k, l)."""
     out = TwoForm(phi.n, zeros(phi.n))
     for (k, l), c in beta.items():
-        c = Fraction(c)
+        c = exact_rational(c)
         if not c or k == l:
             continue
         out = out + eta(phi, k, l).scale(c)

@@ -11,6 +11,7 @@ tests.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -156,11 +157,19 @@ def zeros(n: int, m: Optional[int] = None) -> Matrix:
     return [[Fraction(0)] * m for _ in range(n)]
 
 
+def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
+    """(A', d) with A' = d * A an integer matrix, d the lcm of A's denominators."""
+    d = math.lcm(*(x.denominator for row in a for x in row))
+    return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    bt = list(zip(*b))
-    return [[sum((a[i][k] * bt[j][k] for k in range(inner)), Fraction(0))
-             for j in range(cols)] for i in range(rows)]
+    """Exact product, multiplied out in integers: one Fraction per entry."""
+    ia, da = _clear_denominators(a)
+    ib, db = _clear_denominators(b)
+    d = da * db
+    cols = list(zip(*ib))
+    return [[Fraction(sum(map(operator.mul, row, col)), d) for col in cols] for row in ia]
 
 
 def mat_add(a: Matrix, b: Matrix) -> Matrix:

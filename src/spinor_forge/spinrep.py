@@ -11,9 +11,12 @@ blocks act by
     g1. u_eps = i   . u_(-eps)      g2. u_eps = eps . u_(-eps)
     T . u_eps = -eps. u_eps
 
-so a generator application is a single walk over the sparse coefficient map:
-flip one tuple entry, multiply by a unit of Q(i).  Nothing of size 2^k x 2^k
-is ever materialized.
+so every generator is a signed permutation up to a factor of i: it sends each
+basis vector to +-1 or +-i times another.  A generator application is a
+single walk over the sparse coefficient map that flips one tuple entry and
+moves the coefficient a+bi to +-(a+bi) or +-(-b+ai) by swapping and negating
+its parts; no multiplication happens.  Nothing of size 2^k x 2^k is ever
+materialized.
 """
 
 from __future__ import annotations
@@ -50,6 +53,8 @@ class SpinorVector:
     coeffs: CoeffMap = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ShapeMismatch(f"n must be >= 0, got {self.n}")
         k = spinor_dim_exponent(self.n)
         cleaned = {}
         for idx, c in self.coeffs.items():
@@ -88,36 +93,38 @@ def basis_spinor(n: int, eps: Sequence[int]) -> SpinorVector:
 
 
 def _generator_on_map(n: int, i: int, coeffs: CoeffMap) -> CoeffMap:
-    """Apply the i-th Clifford generator to a raw coefficient map."""
+    """Apply the i-th Clifford generator to a raw coefficient map.
+
+    With tail parity p (the number of +1 entries right of the generator's
+    factor, mod 2) the unit is (-1)^p * i for g1 and (-1)^p * eps for g2;
+    the odd-n generator i * (T x ... x T) has unit (-1)^#(+1) * i.  A unit
+    multiple of a nonzero coefficient is nonzero, so nothing is dropped."""
     if not 1 <= i <= n:
         raise IndexOutOfRange(f"generator index {i} outside 1..{n}")
     k = spinor_dim_exponent(n)
     out: CoeffMap = {}
     if n % 2 == 1 and i == n:
-        # i * (T x ... x T): diagonal.
         for eps, c in coeffs.items():
-            sign = 1
-            for s in eps:
-                sign = -sign if s == 1 else sign
-            # coefficient i * prod(-eps_t)
-            val = GaussianRational(-sign * c.im, sign * c.re)
-            if val:
-                out[eps] = val
+            if eps.count(1) & 1:
+                out[eps] = GaussianRational(c.im, -c.re)
+            else:
+                out[eps] = GaussianRational(-c.im, c.re)
         return out
-    j = (i + 1) // 2
-    pos = k - j  # 0-indexed tensor factor carrying g1/g2
-    for eps, c in coeffs.items():
-        tail_sign = 1
-        for t in range(pos + 1, k):
-            tail_sign = -tail_sign if eps[t] == 1 else tail_sign
-        if i % 2 == 1:  # g1: coefficient i, flip
-            val = GaussianRational(-tail_sign * c.im, tail_sign * c.re)
-        else:  # g2: coefficient eps[pos] (pre-flip), flip
-            f = tail_sign * eps[pos]
-            val = GaussianRational(f * c.re, f * c.im)
-        new = eps[:pos] + (-eps[pos],) + eps[pos + 1 :]
-        if val:
-            out[new] = val
+    pos = k - (i + 1) // 2  # 0-indexed tensor factor carrying g1/g2
+    if i % 2 == 1:  # g1: times (-1)^p * i
+        for eps, c in coeffs.items():
+            new = eps[:pos] + (-eps[pos],) + eps[pos + 1:]
+            if eps[pos + 1:].count(1) & 1:
+                out[new] = GaussianRational(c.im, -c.re)
+            else:
+                out[new] = GaussianRational(-c.im, c.re)
+    else:  # g2: times (-1)^p * eps[pos], eps read before the flip
+        for eps, c in coeffs.items():
+            new = eps[:pos] + (-eps[pos],) + eps[pos + 1:]
+            if (eps[pos + 1:].count(1) & 1) == (eps[pos] == 1):
+                out[new] = GaussianRational(-c.re, -c.im)
+            else:
+                out[new] = c
     return out
 
 
@@ -210,7 +217,7 @@ def _check_unit_vectors(n: int, vectors: Sequence[Sequence[Rational]]) -> List[R
         raise OddLength("group elements are even products of unit vectors")
     clean: List[RationalVector] = []
     for x in vectors:
-        v = [Fraction(c) for c in x]
+        v = [exact_rational(c) for c in x]
         if len(v) != n:
             raise ShapeMismatch(f"vector of length {len(v)} in R^{n}")
         if sum(c * c for c in v) != 1:
@@ -223,7 +230,7 @@ def vector_action(n: int, x: Sequence[Rational], psi: SpinorVector) -> SpinorVec
     """Clifford action of an arbitrary vector sum(x_j e_j)."""
     acc: CoeffMap = {}
     for j, c in enumerate(x, start=1):
-        cf = Fraction(c)
+        cf = exact_rational(c)
         if not cf:
             continue
         for idx, val in _generator_on_map(n, j, psi.coeffs).items():
@@ -257,7 +264,7 @@ def spin_action_on_vector(
     """The SO(n) image of v under the covering of x_1 ... x_2l: the
     composition of the 2l reflections, rightmost first."""
     clean = _check_unit_vectors(n, vectors)
-    out = [Fraction(c) for c in v]
+    out = [exact_rational(c) for c in v]
     if len(out) != n:
         raise ShapeMismatch(f"vector of length {len(out)} in R^{n}")
     for x in reversed(clean):

@@ -40,6 +40,9 @@ class ScaledSpinor:
     scale2: Rational = Fraction(1)
 
     def __post_init__(self) -> None:
+        for name, value in (("n", self.n), ("r", self.r), ("m", self.m)):
+            if value < 0:
+                raise ShapeMismatch(f"{name} must be >= 0, got {value}")
         if not isinstance(self.scale2, Fraction):
             object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:
@@ -117,14 +120,22 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int,
 
 
 def _merge(acc: TwistedCoeffMap, inc: TwistedCoeffMap,
-           factor: Optional[GaussianRational] = None) -> None:
+           factor: Fraction = Fraction(1)) -> None:
+    """acc += factor * inc for a real factor: two multiplies per entry, none
+    when factor is 1."""
+    scaled = factor != 1
     for idx, c in inc.items():
-        v = c if factor is None else c * factor
-        s = acc.get(idx, GR_ZERO) + v
+        if scaled:
+            c = c * factor
+        s = acc.get(idx)
+        if s is None:
+            acc[idx] = c
+            continue
+        s = s + c
         if s:
             acc[idx] = s
         else:
-            acc.pop(idx, None)
+            del acc[idx]
 
 
 def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:
@@ -133,10 +144,10 @@ def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:
         raise ShapeMismatch(f"vector of length {len(X)} in R^{phi.n}")
     acc: TwistedCoeffMap = {}
     for j, c in enumerate(X, start=1):
-        cf = Fraction(c)
+        cf = exact_rational(c)
         if not cf:
             continue
-        _merge(acc, _spin_generator(phi, j, phi.coeffs), GaussianRational(cf))
+        _merge(acc, _spin_generator(phi, j, phi.coeffs), cf)
     return phi.with_coeffs(acc)
 
 
@@ -149,7 +160,7 @@ def form_action_on_spin_slot(terms: Iterable[FormTerm], phi: ScaledSpinor) -> Sc
         cur = phi.coeffs
         for gen in reversed(term.factors):
             cur = _spin_generator(phi, gen, cur)
-        _merge(acc, cur, GaussianRational(term.coeff))
+        _merge(acc, cur, term.coeff)
     return phi.with_coeffs(acc)
 
 
@@ -164,7 +175,7 @@ def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpino
         cur = phi.coeffs
         for gen in reversed(term.factors):
             cur = _twist_generator(phi, a, gen, cur)
-        _merge(acc, cur, GaussianRational(term.coeff))
+        _merge(acc, cur, term.coeff)
     return phi.with_coeffs(acc)
 
 
@@ -197,7 +208,7 @@ def twisted_group_action(
             for j, c in enumerate(y, start=1):
                 if not c:
                     continue
-                _merge(acc, _twist_generator(out, a, j, out.coeffs), GaussianRational(c))
+                _merge(acc, _twist_generator(out, a, j, out.coeffs), c)
             out = out.with_coeffs(acc)
     return out
 

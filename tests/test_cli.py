@@ -108,6 +108,14 @@ def test_malformed_wire_object_exits_2(tmp_path, capsys):
     assert code == 2 and err.startswith("error:") and "Traceback" not in err
 
 
+def test_negative_dimension_exits_2(tmp_path, capsys):
+    bad = tmp_path / "negative.json"
+    bad.write_text(json.dumps({"n": -4, "r": -1, "m": 2, "scale2": "1", "coeffs": []}))
+    code, _, err = run(capsys, "eta", "--in", str(bad))
+    assert code == 2 and "n must be >= 0" in err
+    assert "Traceback" not in err and "wrong shape" not in err
+
+
 def test_unknown_catalog_name(capsys):
     code, _, err = run(capsys, "verify", "pure", "--catalog", "nope")
     assert code == 2 and "unknown catalog name" in err

@@ -3,8 +3,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinor_forge.errors import IndexOutOfRange, WrongRank
+from spinor_forge.analysis import AmbientElement
+from spinor_forge.errors import IndexOutOfRange, InexactScalar, WrongRank
 from spinor_forge.forms import (
+    Endo,
     TwoForm,
     eta,
     eta_hat,
@@ -15,9 +17,18 @@ from spinor_forge.forms import (
 )
 from spinor_forge.linalg import random_so_matrix
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import basis_spinor
-from spinor_forge.twisted import from_untwisted
+from spinor_forge.spinrep import (
+    all_basis_indices,
+    basis_spinor,
+    spin_action_on_spinor,
+    spin_action_on_vector,
+    spinor_dim_exponent,
+    vector_action,
+)
+from spinor_forge.twisted import ScaledSpinor, from_untwisted, tangent_action
 
+from .test_linalg import naive_mat_mul, random_matrix
+from .test_spinrep import dense_generator, kron, random_gaussian, u_raw_correct
 from .test_twisted import random_scaled
 
 
@@ -37,6 +48,68 @@ def test_eta_antisymmetric_in_pair_and_matrix():
     for i in range(4):
         for j in range(4):
             assert a.mat[i][j] == -a.mat[j][i]
+
+
+def _slot_operator(dims, slot, mat):
+    """mat on tensor factor ``slot`` of C^dims[0] (x) C^dims[1] (x) ..., as a
+    dense Kronecker product, stored as the nonzero entries of each row."""
+    out = [[gr(1)]]
+    for s, d in enumerate(dims):
+        out = kron(out, mat if s == slot else
+                   [[gr(int(i == j)) for j in range(d)] for i in range(d)])
+    return [[(j, x) for j, x in enumerate(row) if x] for row in out]
+
+
+def _apply(rows, vec):
+    return [sum((x * vec[j] for j, x in row), gr(0)) for row in rows]
+
+
+def dense_etas(phi):
+    """{(k, l): scale2 * Re< e_a e_b kappa(f_kl) phi, phi >} for k < l, with
+    every operator a dense Kronecker product of 2x2 blocks on
+    Delta_n (x) Delta_r^(x m)."""
+    n, r, m = phi.shape()
+    kn, kr = spinor_dim_exponent(n), spinor_dim_exponent(r)
+    dims = [2 ** kn] + [2 ** kr] * m
+    vec = [gr(0)] * (2 ** (kn + m * kr))
+    for (spin, twist), c in phi.coeffs.items():
+        u = u_raw_correct(spin)
+        for t in twist:
+            u = [x * y for x in u for y in u_raw_correct(t)]
+        vec = [v + c * x for v, x in zip(vec, u)]
+    gens = [_slot_operator(dims, 0, dense_generator(n, a)) for a in range(1, n + 1)]
+    twists = {(slot, i): _slot_operator(dims, slot, dense_generator(r, i))
+              for slot in range(1, m + 1) for i in range(1, r + 1)}
+    out = {}
+    for k in range(1, r + 1):
+        for l in range(k + 1, r + 1):
+            w = [gr(0)] * len(vec)
+            for slot in range(1, m + 1):
+                fkl = _apply(twists[(slot, k)], _apply(twists[(slot, l)], vec))
+                w = [x + y for x, y in zip(w, fkl)]
+            mat = [[F(0)] * n for _ in range(n)]
+            for a in range(1, n + 1):
+                for b in range(a + 1, n + 1):
+                    x = _apply(gens[a - 1], _apply(gens[b - 1], w))
+                    val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
+                    # the raw basis vectors have squared norm 2^(kn + m kr)
+                    entry = phi.scale2 * val.re / 2 ** (kn + m * kr)
+                    mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
+            out[(k, l)] = mat
+    return out
+
+
+@pytest.mark.parametrize("n,r", [(5, 3), (4, 4)])
+def test_eta_matches_dense_oracle(n, r):
+    rng = random.Random(n * 10 + r)
+    spin_idx, twist_idx = all_basis_indices(n), all_basis_indices(r)
+    coeffs = {(rng.choice(spin_idx), (rng.choice(twist_idx), rng.choice(twist_idx))):
+              random_gaussian(rng) for _ in range(8)}
+    phi = ScaledSpinor(n, r, 2, coeffs, F(3, 5))
+    want = dense_etas(phi)
+    assert any(x for mat in want.values() for row in mat for x in row)
+    for (k, l), mat in want.items():
+        assert eta(phi, k, l).mat == mat, (k, l)
 
 
 def test_eta_index_range():
@@ -70,6 +143,37 @@ def test_eta_hat_catalog_square():
     ent = build_spin7_pure()
     h = eta_hat(ent.expected_etas[(1, 2)])
     assert h.compose(h).is_minus_identity()
+
+
+def test_endo_compose_and_commutator_match_naive_products():
+    rng = random.Random(8)
+    for n in (1, 3, 5):
+        a = Endo(n, random_matrix(n, n, rng))
+        b = Endo(n, [[F(rng.randint(-9, 9), rng.choice((1, 4, 6, 35))) for _ in range(n)]
+                     for _ in range(n)])
+        ab, ba = naive_mat_mul(a.mat, b.mat), naive_mat_mul(b.mat, a.mat)
+        assert a.compose(b).mat == ab
+        assert a.commutator(b).mat == [[x - y for x, y in zip(r1, r2)]
+                                       for r1, r2 in zip(ab, ba)]
+
+
+@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("call", [
+    lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3)),
+    lambda x: vector_action(4, [x, 0, 0, 0], basis_spinor(4, (1, 1))),
+    lambda x: spin_action_on_spinor(4, [[x, 0, 0, 0], [1, 0, 0, 0]], basis_spinor(4, (1, 1))),
+    lambda x: spin_action_on_vector(4, [[1, 0, 0, 0], [1, 0, 0, 0]], [x, 0, 0, 0]),
+    lambda x: two_form_from_terms(4, {(1, 2): x}),
+    lambda x: two_form_from_terms(4, {(1, 2): 1}).scale(x),
+    lambda x: Endo(2, [[F(1), F(0)], [F(0), F(1)]]).scale(x),
+    lambda x: phi_extend(random_scaled(4, 3, 1, random.Random(0)), {(1, 2): x}),
+    lambda x: AmbientElement(4, 3, {(1, 2): x}, {}),
+], ids=["tangent_action", "vector_action", "unit_vectors", "spin_action_on_vector",
+        "two_form_from_terms", "TwoForm.scale", "Endo.scale", "phi_extend",
+        "AmbientElement"])
+def test_entry_points_refuse_floats_and_bools(call, bad):
+    with pytest.raises(InexactScalar):
+        call(bad)
 
 
 def test_phi_extend_basis_and_cancellation():

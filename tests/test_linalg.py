@@ -94,6 +94,28 @@ def test_row_reducer_incremental():
     assert red.rank == 2
 
 
+def naive_mat_mul(a, b):
+    """Independent product oracle: the plain Fraction triple loop."""
+    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
+             for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def test_mat_mul_matches_naive_triple_loop():
+    rng = random.Random(6)
+    cases = [([[F(-7, 3)]], [[F(5, 14)]])]
+    for rows, inner, cols in ((2, 3, 4), (4, 1, 3), (3, 5, 2), (1, 4, 1)):
+        a = random_matrix(rows, inner, rng)
+        b = [[F(rng.randint(-9, 9), rng.choice((1, 2, 7, 12))) for _ in range(cols)]
+             for _ in range(inner)]
+        a[0] = [F(0)] * inner  # an all-zero row
+        cases.append((a, b))
+    cases.append(([[F(0)] * 3] * 2, [[F(0)] * 2] * 3))
+    for a, b in cases:
+        got = mat_mul(a, b)
+        assert got == naive_mat_mul(a, b)
+        assert all(isinstance(x, F) for row in got for x in row)
+
+
 def test_mat_inv_and_det():
     rng = random.Random(2)
     for _ in range(10):

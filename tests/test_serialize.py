@@ -5,7 +5,7 @@ from fractions import Fraction as F
 import pytest
 
 from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
-from spinor_forge.errors import SpinorForgeError
+from spinor_forge.errors import ShapeMismatch, SpinorForgeError
 from spinor_forge.forms import eta, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import (
@@ -91,6 +91,17 @@ _TWISTED = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [_ENTRY]}
 ])
 def test_malformed_wire_objects_raise_typed_errors(decode, obj):
     with pytest.raises((ValueError, SpinorForgeError)):
+        decode(obj)
+
+
+@pytest.mark.parametrize("decode,obj,field", [
+    (scaled_spinor_from_json, {"n": -4, "r": -1, "m": 2, "scale2": "1", "coeffs": []}, "n"),
+    (scaled_spinor_from_json, {"n": 4, "r": -1, "m": 1, "scale2": "1", "coeffs": []}, "r"),
+    (scaled_spinor_from_json, {"n": 4, "r": 3, "m": -2, "scale2": "1", "coeffs": []}, "m"),
+    (spinor_from_json, {"n": -1, "coeffs": []}, "n"),
+])
+def test_negative_dimensions_refused(decode, obj, field):
+    with pytest.raises(ShapeMismatch, match=f"^{field} must be >= 0"):
         decode(obj)
 
 

@@ -92,14 +92,35 @@ def dense_to_sparse(n, vec):
     return coeffs
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def dense_from_sparse(n, coeffs):
+    """sqrt(2)^k times the spinor with these coefficients, in standard
+    coordinates; dense_to_sparse inverts it."""
+    vec = [gr(0)] * 2 ** spinor_dim_exponent(n)
+    for eps, c in coeffs.items():
+        vec = [v + c * u for v, u in zip(vec, u_raw_correct(eps))]
+    return vec
+
+
+def random_gaussian(rng):
+    """p/q + (p'/q')i; a general coefficient tells every unit of Z[i] and
+    every swap of real and imaginary part apart, which coefficient 1 cannot."""
+    return gr(F(rng.randint(-5, 5), rng.randint(1, 6)),
+              F(rng.randint(-5, 5), rng.randint(1, 6)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
 def test_lazy_generator_matches_dense_oracle(n):
+    rng = random.Random(n)
+    basis = all_basis_indices(n)
+    spinors = [basis_spinor(n, eps) for eps in basis]
+    spinors += [SpinorVector(n, {eps: random_gaussian(rng) for eps in basis})
+                for _ in range(3)]
     for i in range(1, n + 1):
         mat = dense_generator(n, i)
-        for eps in all_basis_indices(n):
-            got = kappa_generator(n, i, basis_spinor(n, eps)).coeffs
-            want = dense_to_sparse(n, dense_apply(mat, u_raw_correct(eps)))
-            assert got == want, (n, i, eps)
+        for psi in spinors:
+            got = kappa_generator(n, i, psi).coeffs
+            want = dense_to_sparse(n, dense_apply(mat, dense_from_sparse(n, psi.coeffs)))
+            assert got == want, (n, i, psi)
 
 
 # ---------------------------------------------------------------------------

@@ -37,23 +37,20 @@ from .catalog import (
     g2_generators,
     maps_G_H,
 )
-from .forms import Endo, TwoForm, eta, eta_hat, phi_extend, spinc_form, spinc_form_untwisted
+from .forms import Endo, TwoForm, eta, eta_hat, phi_extend, spinc_form
 from .scalars import GaussianRational, Rational, gr
 from .spinrep import (
     BasisIndex,
     FormTerm,
+    ScaledSpinor,
     SpinorVector,
+    TwistedIndex,
     basis_spinor,
-    clifford_action,
     gamma_apply,
-    hermitian,
     kappa_generator,
-    spin_action_on_spinor,
     spin_action_on_vector,
 )
 from .twisted import (
-    ScaledSpinor,
-    TwistedIndex,
     mu_slot,
     norm2,
     tangent_action,
@@ -91,7 +88,6 @@ __all__ = [
     "check_reducing",
     "check_spinc_pure",
     "cl_dims",
-    "clifford_action",
     "commutant",
     "equivariance_check",
     "eta",
@@ -102,17 +98,14 @@ __all__ = [
     "g2_generators",
     "gamma_apply",
     "gr",
-    "hermitian",
     "kappa_generator",
     "lie_closure_report",
     "maps_G_H",
     "mu_slot",
     "norm2",
     "phi_extend",
-    "spin_action_on_spinor",
     "spin_action_on_vector",
     "spinc_form",
-    "spinc_form_untwisted",
     "tangent_action",
     "twist_bivector_action",
     "twisted_group_action",

@@ -19,10 +19,10 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, TwoForm, eta, eta_hat, spinc_form_untwisted
+from .forms import Endo, TwoForm, eta, eta_hat, spinc_form
 from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace, zeros
 from .scalars import GaussianRational, Rational, exact_rational, gr
-from .spinrep import FormTerm, SpinorVector, clifford_action
+from .spinrep import FormTerm
 from .twisted import (
     ScaledSpinor,
     TwistedCoeffMap,
@@ -270,16 +270,18 @@ def check_reducing(phi: ScaledSpinor) -> ReducingReport:
     return ReducingReport(is_reducing=ok, per_pair=per)
 
 
-def check_spinc_pure(psi: SpinorVector) -> bool:
-    """Rank-2 analogue for an untwisted spinor in Delta_(2n): the induced
-    form must satisfy (eta + n*sqrt(-1)) . psi = 0 and square to -Id."""
+def check_spinc_pure(psi: ScaledSpinor) -> bool:
+    """Rank-2 analogue for an untwisted (m = 0) spinor in Delta_(2n): the
+    induced form must satisfy (eta + n*sqrt(-1)) . psi = 0 and square to -Id."""
+    if psi.m:
+        raise ShapeMismatch(f"spinc purity needs an untwisted (m = 0) spinor, got m = {psi.m}")
     if psi.is_zero():
         raise ZeroSpinor("zero spinor")
     if psi.n % 2 != 0:
         raise ShapeMismatch("need an even-dimensional spinor space")
     half = psi.n // 2
-    form = spinc_form_untwisted(psi)
-    d = clifford_action(psi.n, form.form_terms(), psi) + psi.scale(gr(0, half))
+    form = spinc_form(psi)
+    d = form_action_on_spin_slot(form.form_terms(), psi) + psi.scale(gr(0, half))
     h = eta_hat(form)
     return d.is_zero() and h.compose(h).is_minus_identity()
 

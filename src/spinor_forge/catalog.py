@@ -15,8 +15,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import UnsupportedDimension
 from .forms import TwoForm, two_form_from_terms
 from .scalars import gr
-from .spinrep import SpinorVector, all_basis_indices, clifford_action, gamma_apply
-from .twisted import ScaledSpinor, TwistedCoeffMap
+from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, gamma_apply
+from .twisted import form_action_on_spin_slot
 
 Pair = Tuple[int, int]
 
@@ -55,9 +55,9 @@ def sign_tuples(m: int, minus_count: Optional[int] = None) -> List[Tuple[int, ..
     return [t for t in out if t.count(-1) == minus_count]
 
 
-def psi_level(m: int, j: int) -> SpinorVector:
+def psi_level(m: int, j: int) -> ScaledSpinor:
     """Sum of u_G(eps) over eps with exactly j entries -1; an element of
-    Delta_{4m}.  Zero outside 0 <= j <= m."""
+    Delta_{4m} (an m = 0 spinor).  Zero outside 0 <= j <= m."""
     if j < 0 or j > m:
         return SpinorVector(4 * m, {})
     coeffs = {maps_G_H(eps)[0]: gr(1) for eps in sign_tuples(m, j)}
@@ -207,8 +207,8 @@ def build_generic_reducing(n: int) -> CatalogEntry:
     k = n // 2
     coeffs: TwistedCoeffMap = {}
     for eps in all_basis_indices(n):
-        g = gamma_apply(n, SpinorVector(n, {eps: gr(1)}))
-        ((target, c),) = g.coeffs.items()
+        g = gamma_apply(SpinorVector(n, {eps: gr(1)}))
+        (((target, _), c),) = g.coeffs.items()
         coeffs[(eps, (target,))] = c
     phi = ScaledSpinor(n, n, 1, coeffs, Fraction(1, 2 ** k))
     expected = {
@@ -307,10 +307,9 @@ def qk_eta13_form(m: int) -> TwoForm:
 def eta13_recursion_check(m: int) -> bool:
     """Verify the ladder action of the (1,3) 2-form on the graded sums
     psi_j:  eta13 . psi_j = -2 [ (j+1) psi_(j+1) + (j-1-m) psi_(j-1) ]."""
-    n = 4 * m
     terms = qk_eta13_form(m).form_terms()
     for j in range(m + 1):
-        lhs = clifford_action(n, terms, psi_level(m, j))
+        lhs = form_action_on_spin_slot(terms, psi_level(m, j))
         rhs = psi_level(m, j + 1).scale(gr(-2 * (j + 1))) + \
             psi_level(m, j - 1).scale(gr(-2 * (j - 1 - m)))
         if lhs.coeffs != rhs.coeffs:

@@ -19,6 +19,7 @@ from .forms import eta, eta_hat
 from .linalg import random_so_matrix
 from .report import report_all
 from .serialize import (
+    render_ambient,
     render_two_form,
     scaled_spinor_from_json,
     scaled_spinor_to_json,
@@ -81,8 +82,11 @@ def cmd_catalog(args: argparse.Namespace) -> int:
     payload = scaled_spinor_to_json(ent.spinor)
     out = json.dumps(payload, indent=2)
     if args.outfile:
-        with open(args.outfile, "w", encoding="utf-8") as fh:
-            fh.write(out + "\n")
+        try:
+            with open(args.outfile, "w", encoding="utf-8") as fh:
+                fh.write(out + "\n")
+        except OSError as exc:
+            raise UsageError(f"cannot write {args.outfile}: {exc}") from None
     else:
         print(out)
     return 0
@@ -166,8 +170,6 @@ def cmd_annihilator(args: argparse.Namespace) -> int:
     if args.json:
         print(json.dumps(subalgebra_to_json(alg), indent=2))
     else:
-        from .serialize import render_ambient
-
         print(f"dim = {alg.dim}")
         print(f"closed = {str(alg.closed).lower()}")
         for x in alg.basis:

@@ -10,7 +10,8 @@ so with w = kappa(f_kl) . v the entry for a < b is
 
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
 
-and all pairs need only the 2n vectors e_a . v and e_b . w.  The dual
+and all pairs need only the 2n vectors e_a . v and e_b . w.  The rank-2
+(spin^c) form of an untwisted spinor is the same kernel with w = i . v.  The dual
 endomorphism follows the contraction convention
 eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its operator matrix is the
 transpose of the 2-form's coefficient matrix.
@@ -24,9 +25,9 @@ from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, mat_mul, transpose, zeros
-from .scalars import Rational, exact_rational
-from .spinrep import FormTerm, SpinorVector, clifford_action, hermitian
-from .twisted import ScaledSpinor, _spin_generator, twist_bivector_action
+from .scalars import GaussianRational, Rational, exact_rational
+from .spinrep import FormTerm, ScaledSpinor, TwistedCoeffMap, _spin_generator
+from .twisted import twist_bivector_action
 
 
 @dataclass(frozen=True)
@@ -120,16 +121,11 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return TwoForm(n, mat)
 
 
-def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
-    """The induced 2-form for the twist bivector f_k f_l, by the skew-adjoint
-    identity eta_ab = -scale2 * Re< e_b . w, e_a . phi >, w = kappa(f_kl) . phi."""
-    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
-        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
+def _induced_form(phi: ScaledSpinor, w: TwistedCoeffMap) -> TwoForm:
+    """The 2-form scale2 * Re< e_a e_b . w, phi > by the skew-adjoint identity
+    -scale2 * Re< e_b . w, e_a . phi >, for w a coefficient map of phi's shape."""
     n = phi.n
     mat = zeros(n)
-    if k == l:
-        return TwoForm(n, mat)
-    w = twist_bivector_action(k, l, phi).coeffs
     e_phi = [_spin_generator(phi, a, phi.coeffs) for a in range(1, n)]
     for b in range(2, n + 1):
         e_w = _spin_generator(phi, b, w)
@@ -144,6 +140,16 @@ def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
             mat[a - 1][b - 1] = entry
             mat[b - 1][a - 1] = -entry
     return TwoForm(n, mat)
+
+
+def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
+    """The induced 2-form for the twist bivector f_k f_l: the induced form
+    of w = kappa(f_kl) . phi."""
+    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
+        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
+    if k == l:
+        return TwoForm(phi.n, zeros(phi.n))
+    return _induced_form(phi, twist_bivector_action(k, l, phi).coeffs)
 
 
 def eta_hat(omega: TwoForm) -> Endo:
@@ -163,25 +169,16 @@ def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoF
 
 
 def spinc_form(phi: ScaledSpinor) -> TwoForm:
-    """The single induced 2-form of a rank-2 twisted spinor."""
+    """The single induced 2-form of a rank-2 twisted spinor, (r, m) = (2, 1),
+    or of an untwisted (m = 0) spinor in even dimension, where it is
+    Re( i * <e_a e_b . phi, phi> ): the induced form of w = i * phi."""
+    if phi.m == 0:
+        if phi.n % 2 != 0:
+            raise ShapeMismatch("untwisted rank-2 form needs even dimension")
+        if phi.is_zero():
+            raise ZeroSpinor("zero spinor")
+        return _induced_form(phi, {idx: GaussianRational(-c.im, c.re)
+                                   for idx, c in phi.coeffs.items()})
     if phi.r != 2 or phi.m != 1:
-        raise WrongRank(f"rank-2 form needs (r, m) = (2, 1), got ({phi.r}, {phi.m})")
+        raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)
-
-
-def spinc_form_untwisted(psi: SpinorVector) -> TwoForm:
-    """For an untwisted spinor in an even-dimensional space:
-    entries Re( i * <e_a e_b . psi, psi> )."""
-    if psi.n % 2 != 0:
-        raise ShapeMismatch("untwisted rank-2 form needs even dimension")
-    if psi.is_zero():
-        raise ZeroSpinor("zero spinor")
-    n = psi.n
-    mat = zeros(n)
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            val = hermitian(clifford_action(n, [FormTerm((a, b))], psi), psi)
-            entry = -val.im  # Re(i * val)
-            mat[a - 1][b - 1] = entry
-            mat[b - 1][a - 1] = -entry
-    return TwoForm(n, mat)

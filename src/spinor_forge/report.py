@@ -28,7 +28,7 @@ from .analysis import (
     frame_rotation_check,
     pairs,
 )
-from .forms import eta, eta_hat, spinc_form_untwisted
+from .forms import eta, eta_hat, spinc_form
 from .linalg import random_so_matrix, random_unit_vector, span_contains, spans_equal
 from .scalars import gr
 from .spinrep import FormTerm, all_basis_indices, basis_spinor
@@ -326,7 +326,7 @@ def criterion_spinc_case() -> CriterionRow:
         n = 2 * half
         psi = basis_spinor(n, (1,) * (n // 2))
         verdict = check_spinc_pure(psi)
-        form = spinc_form_untwisted(psi)
+        form = spinc_form(psi)
         hat = eta_hat(form)
         minus_j0 = [[Fraction(0)] * n for _ in range(n)]
         for a in range(half):

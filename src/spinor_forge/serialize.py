@@ -3,18 +3,22 @@
 Rationals travel as decimal strings "p/q" ("/q" omitted when q = 1);
 Gaussian rationals as {"re": "p/q", "im": "p/q"}.  All decoders validate
 shape and raise ValueError with a diagnostic on malformed input.
+
+There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
+twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
+"im"}]} and the untwisted one {"n", "coeffs": [{"eps", "re", "im"}]}, which
+decodes to an m = 0 spinor with scale2 = 1 and can encode nothing else.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Dict, List, Tuple
+from typing import Any, Dict, Iterable, List, Tuple
 
 from .analysis import AmbientElement, LieSubalgebra
 from .forms import TwoForm, two_form_from_terms
 from .scalars import GaussianRational
-from .spinrep import SpinorVector
-from .twisted import ScaledSpinor, TwistedCoeffMap
+from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap
 
 
 def rational_from_json(s: Any) -> Fraction:
@@ -63,17 +67,20 @@ def _eps_from_json(v: Any, what: str) -> tuple:
     return tuple(v)
 
 
-def spinor_to_json(psi: SpinorVector) -> Dict[str, Any]:
+def spinor_to_json(psi: ScaledSpinor) -> Dict[str, Any]:
+    if psi.m or psi.scale2 != 1:
+        raise ValueError("the untwisted wire format holds only m = 0 spinors with "
+                         f"scale2 = 1, got m = {psi.m}, scale2 = {psi.scale2}")
     return {
         "n": psi.n,
         "coeffs": [
             {"eps": list(eps), **gaussian_to_json(c)}
-            for eps, c in sorted(psi.coeffs.items())
+            for (eps, _), c in sorted(psi.coeffs.items())
         ],
     }
 
 
-def spinor_from_json(obj: Any) -> SpinorVector:
+def spinor_from_json(obj: Any) -> ScaledSpinor:
     obj = _object_from_json(obj, ("n", "coeffs"), "spinor JSON")
     coeffs = {}
     for entry in _list_from_json(obj["coeffs"], "coeffs"):
@@ -148,34 +155,27 @@ def subalgebra_to_json(alg: LieSubalgebra) -> Dict[str, Any]:
     }
 
 
-def render_two_form(omega: TwoForm) -> str:
-    """Deterministic text rendering: "c * ea^eb" terms, a < b ascending,
-    joined by " + " / " - "; unit coefficients drop the "c * "."""
+def _render_terms(terms: Iterable[Tuple[str, Fraction]]) -> str:
+    """Deterministic text rendering of (label, coeff) terms: "c * label" joined
+    by " + " / " - "; unit coefficients drop the "c * "."""
     parts: List[str] = []
-    for a, b, c in omega.terms():
+    for label, c in terms:
         mag = abs(c)
-        body = f"e{a}^e{b}" if mag == 1 else f"{mag} * e{a}^e{b}"
+        body = label if mag == 1 else f"{mag} * {label}"
         if not parts:
             parts.append(body if c > 0 else f"-{body}")
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts) if parts else "0"
+
+
+def render_two_form(omega: TwoForm) -> str:
+    """Deterministic text rendering: terms "c * ea^eb", a < b ascending."""
+    return _render_terms((f"e{a}^e{b}", c) for a, b, c in omega.terms())
 
 
 def render_ambient(x: AmbientElement) -> str:
-    parts: List[str] = []
-    for (i, j), c in sorted(x.a.items()):
-        mag = abs(c)
-        body = f"e{i}^e{j}" if mag == 1 else f"{mag} * e{i}^e{j}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    for (k, l), c in sorted(x.b.items()):
-        mag = abs(c)
-        body = f"f{k}^f{l}" if mag == 1 else f"{mag} * f{k}^f{l}"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts) if parts else "0"
+    """The so(n) part "c * ei^ej", then the so(r) part "c * fk^fl", each in
+    ascending index order."""
+    return _render_terms([(f"e{i}^e{j}", c) for (i, j), c in sorted(x.a.items())]
+                         + [(f"f{k}^f{l}", c) for (k, l), c in sorted(x.b.items())])

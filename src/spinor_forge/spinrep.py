@@ -1,4 +1,9 @@
-"""The untwisted spin representation on Delta_n = C^(2^k), k = floor(n/2).
+"""The spin representation on Delta_n = C^(2^k), k = floor(n/2), and the
+one spinor type.
+
+``ScaledSpinor`` is an element of Delta_n (x) Delta_r^(x m) (see ``twisted``
+for the twist slots and scale2).  An untwisted spinor of Delta_n is its m = 0
+case; ``SpinorVector(n, {eps: c})`` builds one.
 
 Basis vectors are indexed by sign tuples eps in {+1,-1}^k; the tuple entry
 order matches the tensor-factor order of the underlying (C^2)^(x k), leftmost
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch
 from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
@@ -45,31 +50,53 @@ def all_basis_indices(n: int) -> List[BasisIndex]:
     return out
 
 
+TwistedIndex = Tuple[BasisIndex, Tuple[BasisIndex, ...]]
+TwistedCoeffMap = Dict[TwistedIndex, GaussianRational]
+
+
 @dataclass(frozen=True)
-class SpinorVector:
-    """Sparse element of Delta_n; absent indices are zero."""
+class ScaledSpinor:
+    """Element of Delta_n (x) Delta_r^(x m) as coefficients plus scale2 > 0.
+
+    The one spinor type: an untwisted spinor of Delta_n is the m = 0 case,
+    whose basis indices are (eps, ())."""
 
     n: int
-    coeffs: CoeffMap = field(default_factory=dict)
+    r: int
+    m: int
+    coeffs: TwistedCoeffMap = field(default_factory=dict)
+    scale2: Rational = Fraction(1)
 
     def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ShapeMismatch(f"n must be >= 0, got {self.n}")
-        k = spinor_dim_exponent(self.n)
-        cleaned = {}
-        for idx, c in self.coeffs.items():
-            if len(idx) != k or any(s not in (1, -1) for s in idx):
-                raise ShapeMismatch(f"index {idx} invalid for Delta_{self.n}")
+        for name, value in (("n", self.n), ("r", self.r), ("m", self.m)):
+            if value < 0:
+                raise ShapeMismatch(f"{name} must be >= 0, got {value}")
+        if not isinstance(self.scale2, Fraction):
+            object.__setattr__(self, "scale2", exact_rational(self.scale2))
+        if self.scale2 <= 0:
+            raise ShapeMismatch("scale2 must be a positive rational")
+        ks, kt = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r)
+        cleaned: TwistedCoeffMap = {}
+        for (spin, twist), c in self.coeffs.items():
+            if len(spin) != ks or len(twist) != self.m or any(len(t) != kt for t in twist):
+                raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
+                                    f"(n={self.n}, r={self.r}, m={self.m})")
             if c:
-                cleaned[idx] = c
+                cleaned[(spin, twist)] = c
         object.__setattr__(self, "coeffs", cleaned)
+
+    def shape(self) -> Tuple[int, int, int]:
+        return (self.n, self.r, self.m)
 
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def __add__(self, other: SpinorVector) -> SpinorVector:
-        if self.n != other.n:
-            raise ShapeMismatch("adding spinors of different dimension")
+    def with_coeffs(self, coeffs: TwistedCoeffMap) -> ScaledSpinor:
+        return ScaledSpinor(self.n, self.r, self.m, coeffs, self.scale2)
+
+    def __add__(self, other: ScaledSpinor) -> ScaledSpinor:
+        if self.shape() != other.shape() or self.scale2 != other.scale2:
+            raise ShapeMismatch("adding spinors of different shape or scale")
         out = dict(self.coeffs)
         for idx, c in other.coeffs.items():
             s = out.get(idx, GR_ZERO) + c
@@ -77,18 +104,27 @@ class SpinorVector:
                 out[idx] = s
             else:
                 out.pop(idx, None)
-        return SpinorVector(self.n, out)
+        return self.with_coeffs(out)
 
-    def __sub__(self, other: SpinorVector) -> SpinorVector:
+    def __sub__(self, other: ScaledSpinor) -> ScaledSpinor:
         return self + other.scale(GaussianRational(Fraction(-1)))
 
-    def scale(self, c: GaussianRational) -> SpinorVector:
+    def scale(self, c: GaussianRational) -> ScaledSpinor:
         if not c:
-            return SpinorVector(self.n, {})
-        return SpinorVector(self.n, {idx: v * c for idx, v in self.coeffs.items()})
+            return self.with_coeffs({})
+        return self.with_coeffs({idx: v * c for idx, v in self.coeffs.items()})
 
 
-def basis_spinor(n: int, eps: Sequence[int]) -> SpinorVector:
+def SpinorVector(n: int, coeffs: CoeffMap) -> ScaledSpinor:
+    """The untwisted spinor sum c_eps u_eps of Delta_n, from {eps: c}: an
+    m = 0 ``ScaledSpinor`` with scale2 = 1."""
+    for eps in coeffs:
+        if n >= 0 and (len(eps) != n // 2 or any(s not in (1, -1) for s in eps)):
+            raise ShapeMismatch(f"index {eps} invalid for Delta_{n}")
+    return ScaledSpinor(n, 0, 0, {(eps, ()): c for eps, c in coeffs.items()})
+
+
+def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
     return SpinorVector(n, {tuple(eps): GaussianRational(Fraction(1))})
 
 
@@ -128,11 +164,25 @@ def _generator_on_map(n: int, i: int, coeffs: CoeffMap) -> CoeffMap:
     return out
 
 
-def kappa_generator(n: int, i: int, psi: SpinorVector) -> SpinorVector:
-    """Clifford action of the i-th orthonormal generator on Delta_n."""
+def _spin_generator(phi: ScaledSpinor, i: int, coeffs: TwistedCoeffMap) -> TwistedCoeffMap:
+    """kappa(e_i) on the Delta_n slot of a raw coefficient map."""
+    grouped: Dict[Tuple[Tuple[int, ...], ...], Dict[Tuple[int, ...], GaussianRational]] = {}
+    for (spin, twist), c in coeffs.items():
+        grouped.setdefault(twist, {})[spin] = c
+    out: TwistedCoeffMap = {}
+    for twist, sub in grouped.items():
+        for spin, c in _generator_on_map(phi.n, i, sub).items():
+            out[(spin, twist)] = c
+    return out
+
+
+def kappa_generator(n: int, i: int, psi: ScaledSpinor) -> ScaledSpinor:
+    """Clifford action of the i-th orthonormal generator on the Delta_n slot."""
     if psi.n != n:
         raise ShapeMismatch(f"spinor lives in Delta_{psi.n}, not Delta_{n}")
-    return SpinorVector(n, _generator_on_map(n, i, psi.coeffs))
+    if not 1 <= i <= n:  # checked here too: a zero spinor never reaches the kernel
+        raise IndexOutOfRange(f"generator index {i} outside 1..{n}")
+    return psi.with_coeffs(_spin_generator(psi, i, psi.coeffs))
 
 
 @dataclass(frozen=True)
@@ -150,45 +200,8 @@ class FormTerm:
             raise IndexOutOfRange(f"factors {self.factors} not strictly increasing")
 
 
-def clifford_action(n: int, omega: Iterable[FormTerm], psi: SpinorVector) -> SpinorVector:
-    """Apply a sum of basis Clifford products; rightmost factor acts first."""
-    acc: CoeffMap = {}
-    for term in omega:
-        if term.factors and not 1 <= term.factors[0] <= term.factors[-1] <= n:
-            raise IndexOutOfRange(f"factors {term.factors} outside 1..{n}")
-        cur = psi.coeffs
-        for gen in reversed(term.factors):
-            cur = _generator_on_map(n, gen, cur)
-        for idx, c in cur.items():
-            s = acc.get(idx, GR_ZERO) + c * term.coeff
-            if s:
-                acc[idx] = s
-            else:
-                acc.pop(idx, None)
-    return SpinorVector(n, acc)
-
-
-def hermitian(psi1: SpinorVector, psi2: SpinorVector) -> GaussianRational:
-    """<psi1, psi2>: linear in the first slot, conjugate-linear in the second."""
-    if psi1.n != psi2.n:
-        raise ShapeMismatch("Hermitian product across different dimensions")
-    acc = GR_ZERO
-    small, big = psi1.coeffs, psi2.coeffs
-    if len(big) < len(small):
-        for idx, c in big.items():
-            o = small.get(idx)
-            if o is not None:
-                acc = acc + o * c.conj()
-        return acc
-    for idx, c in small.items():
-        o = big.get(idx)
-        if o is not None:
-            acc = acc + c * o.conj()
-    return acc
-
-
-def gamma_apply(n: int, psi: SpinorVector) -> SpinorVector:
-    """The real/quaternionic structure on Delta_n.
+def gamma_apply(psi: ScaledSpinor) -> ScaledSpinor:
+    """The real/quaternionic structure on Delta_n, for an m = 0 spinor.
 
     Built as the tensor product of the antilinear 2x2 blocks
     alpha(z1,z2) = (-conj(z2), conj(z1)) and beta(z1,z2) = (conj(z1), conj(z2)),
@@ -198,15 +211,16 @@ def gamma_apply(n: int, psi: SpinorVector) -> SpinorVector:
     a unit from the odd (alpha) positions.  gamma^2 = +Id for
     n = 0,1,6,7 (mod 8) and -Id for n = 2,3,4,5 (mod 8).
     """
-    k = spinor_dim_exponent(n)
-    out: CoeffMap = {}
-    for eps, c in psi.coeffs.items():
+    if psi.m:
+        raise ShapeMismatch(f"gamma acts on Delta_n alone, got m = {psi.m}")
+    out: TwistedCoeffMap = {}
+    for (eps, _), c in psi.coeffs.items():
         val = c.conj()
-        for t in range(0, k, 2):  # alpha positions
+        for t in range(0, spinor_dim_exponent(psi.n), 2):  # alpha positions
             s = -eps[t]
             val = GaussianRational(-s * val.im, s * val.re)  # multiply by s*i
-        out[tuple(-s for s in eps)] = val
-    return SpinorVector(n, out)
+        out[(tuple(-s for s in eps), ())] = val
+    return psi.with_coeffs(out)
 
 
 RationalVector = List[Fraction]
@@ -224,33 +238,6 @@ def _check_unit_vectors(n: int, vectors: Sequence[Sequence[Rational]]) -> List[R
             raise NotUnitVector(f"vector {v} has squared norm != 1")
         clean.append(v)
     return clean
-
-
-def vector_action(n: int, x: Sequence[Rational], psi: SpinorVector) -> SpinorVector:
-    """Clifford action of an arbitrary vector sum(x_j e_j)."""
-    acc: CoeffMap = {}
-    for j, c in enumerate(x, start=1):
-        cf = exact_rational(c)
-        if not cf:
-            continue
-        for idx, val in _generator_on_map(n, j, psi.coeffs).items():
-            s = acc.get(idx, GR_ZERO) + val * cf
-            if s:
-                acc[idx] = s
-            else:
-                acc.pop(idx, None)
-    return SpinorVector(n, acc)
-
-
-def spin_action_on_spinor(
-    n: int, vectors: Sequence[Sequence[Rational]], psi: SpinorVector
-) -> SpinorVector:
-    """Action of the group element x_1 x_2 ... x_2l; rightmost factor first."""
-    clean = _check_unit_vectors(n, vectors)
-    out = psi
-    for x in reversed(clean):
-        out = vector_action(n, x, out)
-    return out
 
 
 def reflect(v: RationalVector, x: RationalVector) -> RationalVector:

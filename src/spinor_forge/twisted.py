@@ -1,7 +1,8 @@
 """Twisted spinors: sparse elements of Delta_n (x) Delta_r^(x m).
 
 A basis index is a pair (spin tuple, m twist tuples); the spin slot comes
-first, then twist slots 1..m.  ``ScaledSpinor`` carries an extra positive
+first, then twist slots 1..m.  ``ScaledSpinor`` (defined in ``spinrep``, the
+one spinor type; m = 0 is an untwisted spinor) carries an extra positive
 rational ``scale2``: the represented spinor is sqrt(scale2) times the stored
 coefficient vector, which keeps all arithmetic inside Q(i) while representing
 irrational global normalizations exactly.  Every sesquilinear quantity is
@@ -11,7 +12,6 @@ multiplied by scale2; purely linear operations leave it untouched.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
@@ -19,89 +19,17 @@ from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
 from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
 from .spinrep import (
     FormTerm,
-    SpinorVector,
+    ScaledSpinor,
+    TwistedCoeffMap,
     _check_unit_vectors,
     _generator_on_map,
-    spinor_dim_exponent,
+    _spin_generator,
 )
-
-TwistedIndex = Tuple[Tuple[int, ...], Tuple[Tuple[int, ...], ...]]
-TwistedCoeffMap = Dict[TwistedIndex, GaussianRational]
-
-
-@dataclass(frozen=True)
-class ScaledSpinor:
-    """Element of Delta_n (x) Delta_r^(x m) as coefficients plus scale2 > 0."""
-
-    n: int
-    r: int
-    m: int
-    coeffs: TwistedCoeffMap = field(default_factory=dict)
-    scale2: Rational = Fraction(1)
-
-    def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("r", self.r), ("m", self.m)):
-            if value < 0:
-                raise ShapeMismatch(f"{name} must be >= 0, got {value}")
-        if not isinstance(self.scale2, Fraction):
-            object.__setattr__(self, "scale2", exact_rational(self.scale2))
-        if self.scale2 <= 0:
-            raise ShapeMismatch("scale2 must be a positive rational")
-        ks, kt = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r)
-        cleaned: TwistedCoeffMap = {}
-        for (spin, twist), c in self.coeffs.items():
-            if len(spin) != ks or len(twist) != self.m or any(len(t) != kt for t in twist):
-                raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
-                                    f"(n={self.n}, r={self.r}, m={self.m})")
-            if c:
-                cleaned[(spin, twist)] = c
-        object.__setattr__(self, "coeffs", cleaned)
-
-    def shape(self) -> Tuple[int, int, int]:
-        return (self.n, self.r, self.m)
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def with_coeffs(self, coeffs: TwistedCoeffMap) -> ScaledSpinor:
-        return ScaledSpinor(self.n, self.r, self.m, coeffs, self.scale2)
-
-    def __add__(self, other: ScaledSpinor) -> ScaledSpinor:
-        if self.shape() != other.shape() or self.scale2 != other.scale2:
-            raise ShapeMismatch("adding spinors of different shape or scale")
-        out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx, GR_ZERO) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
-        return self.with_coeffs(out)
-
-    def __sub__(self, other: ScaledSpinor) -> ScaledSpinor:
-        return self + other.scale(GaussianRational(Fraction(-1)))
-
-    def scale(self, c: GaussianRational) -> ScaledSpinor:
-        if not c:
-            return self.with_coeffs({})
-        return self.with_coeffs({idx: v * c for idx, v in self.coeffs.items()})
 
 
 def _check_shapes(a: ScaledSpinor, b: ScaledSpinor) -> None:
     if a.shape() != b.shape():
         raise ShapeMismatch(f"shapes {a.shape()} and {b.shape()} differ")
-
-
-def _spin_generator(phi: ScaledSpinor, i: int, coeffs: TwistedCoeffMap) -> TwistedCoeffMap:
-    """kappa(e_i) on the Delta_n slot of a raw coefficient map."""
-    grouped: Dict[Tuple[Tuple[int, ...], ...], Dict[Tuple[int, ...], GaussianRational]] = {}
-    for (spin, twist), c in coeffs.items():
-        grouped.setdefault(twist, {})[spin] = c
-    out: TwistedCoeffMap = {}
-    for twist, sub in grouped.items():
-        for spin, c in _generator_on_map(phi.n, i, sub).items():
-            out[(spin, twist)] = c
-    return out
 
 
 def _twist_generator(phi: ScaledSpinor, slot: int, i: int,
@@ -253,11 +181,13 @@ def norm2(phi: ScaledSpinor) -> Fraction:
     return phi.scale2 * sum((c.norm2() for c in phi.coeffs.values()), Fraction(0))
 
 
-def from_untwisted(psi: SpinorVector, r: int, m: int = 0,
+def from_untwisted(psi: ScaledSpinor, r: int, m: int = 0,
                    twist: Tuple[Tuple[int, ...], ...] = ()) -> ScaledSpinor:
-    """Embed an untwisted spinor, optionally tensored with fixed twist basis
-    vectors (one tuple per slot)."""
+    """Embed an untwisted (m = 0) spinor, optionally tensored with fixed twist
+    basis vectors (one tuple per slot); scale2 is kept."""
+    if psi.m:
+        raise ShapeMismatch(f"need an untwisted (m = 0) spinor, got m = {psi.m}")
     if len(twist) != m:
         raise ShapeMismatch("need one twist index per slot")
-    return ScaledSpinor(psi.n, r, m,
-                        {(eps, twist): c for eps, c in psi.coeffs.items()})
+    return ScaledSpinor(psi.n, r, m, {(eps, twist): c for (eps, _), c in psi.coeffs.items()},
+                        psi.scale2)

@@ -31,6 +31,7 @@ from spinor_forge.errors import (
     EmptyInput,
     NotOrthogonal,
     RankTooSmall,
+    ShapeMismatch,
     ZeroSpinor,
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
@@ -106,6 +107,11 @@ def test_spinc_prototype_and_variants():
     assert not check_spinc_pure(mixed)
     with pytest.raises(ZeroSpinor):
         check_spinc_pure(SpinorVector(4, {}))
+
+
+def test_spinc_purity_refuses_twisted_spinors():
+    with pytest.raises(ShapeMismatch):
+        check_spinc_pure(ScaledSpinor(4, 2, 1, {((1, 1), ((1,),)): gr(1)}))
 
 
 # -- even-Clifford relation verification ----------------------------------------

@@ -19,8 +19,8 @@ from spinor_forge.catalog import (
 from spinor_forge.errors import UnsupportedDimension
 from spinor_forge.forms import eta
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import all_basis_indices, clifford_action
-from spinor_forge.twisted import ScaledSpinor, norm2, twist_bivector_action
+from spinor_forge.spinrep import all_basis_indices
+from spinor_forge.twisted import ScaledSpinor, form_action_on_spin_slot, norm2, twist_bivector_action
 
 
 def test_maps_G_H():
@@ -174,9 +174,9 @@ def test_eta13_hand_cases_m1():
     # j=0: eta13 . psi_0 = -2 psi_1 ; j=1: eta13 . psi_1 = +2 psi_0
     ent = build_qk_pure(1)
     terms = ent.expected_etas[(1, 3)].form_terms()
-    out0 = clifford_action(4, terms, psi_level(1, 0))
+    out0 = form_action_on_spin_slot(terms, psi_level(1, 0))
     assert out0.coeffs == psi_level(1, 1).scale(gr(-2)).coeffs
-    out1 = clifford_action(4, terms, psi_level(1, 1))
+    out1 = form_action_on_spin_slot(terms, psi_level(1, 1))
     assert out1.coeffs == psi_level(1, 0).scale(gr(2)).coeffs
 
 

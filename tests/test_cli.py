@@ -169,3 +169,10 @@ def test_report_text_banner_and_plain(capsys, monkeypatch):
     assert code == 0 and out.startswith("spinor-forge ")
     code, out, _ = run(capsys, "report", "--plain")
     assert code == 0 and out.startswith("PASS")
+
+
+def test_catalog_emit_to_unwritable_path_exits_2(tmp_path, capsys):
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "1",
+                           "-o", str(target))
+        assert code == 2 and err.startswith("error: cannot write") and "Traceback" not in err

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from spinor_forge.analysis import AmbientElement
-from spinor_forge.errors import IndexOutOfRange, InexactScalar, WrongRank
+from spinor_forge.errors import IndexOutOfRange, InexactScalar, ShapeMismatch, WrongRank, ZeroSpinor
 from spinor_forge.forms import (
     Endo,
     TwoForm,
@@ -12,20 +12,24 @@ from spinor_forge.forms import (
     eta_hat,
     phi_extend,
     spinc_form,
-    spinc_form_untwisted,
     two_form_from_terms,
 )
 from spinor_forge.linalg import random_so_matrix
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
+    SpinorVector,
     all_basis_indices,
     basis_spinor,
-    spin_action_on_spinor,
     spin_action_on_vector,
     spinor_dim_exponent,
-    vector_action,
 )
-from spinor_forge.twisted import ScaledSpinor, from_untwisted, tangent_action
+from spinor_forge.twisted import (
+    ScaledSpinor,
+    form_action_on_spin_slot,
+    from_untwisted,
+    tangent_action,
+    twisted_group_action,
+)
 
 from .test_linalg import naive_mat_mul, random_matrix
 from .test_spinrep import dense_generator, kron, random_gaussian, u_raw_correct
@@ -159,9 +163,9 @@ def test_endo_compose_and_commutator_match_naive_products():
 
 @pytest.mark.parametrize("bad", [0.1, True])
 @pytest.mark.parametrize("call", [
-    lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3)),
-    lambda x: vector_action(4, [x, 0, 0, 0], basis_spinor(4, (1, 1))),
-    lambda x: spin_action_on_spinor(4, [[x, 0, 0, 0], [1, 0, 0, 0]], basis_spinor(4, (1, 1))),
+    lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3, 1, ((1,),))),
+    lambda x: tangent_action([x, 0, 0, 0], basis_spinor(4, (1, 1))),
+    lambda x: twisted_group_action([[x, 0, 0, 0], [1, 0, 0, 0]], [], basis_spinor(4, (1, 1))),
     lambda x: spin_action_on_vector(4, [[1, 0, 0, 0], [1, 0, 0, 0]], [x, 0, 0, 0]),
     lambda x: two_form_from_terms(4, {(1, 2): x}),
     lambda x: two_form_from_terms(4, {(1, 2): 1}).scale(x),
@@ -207,7 +211,7 @@ def test_phi_extend_rotated_frame_identity():
 def test_spinc_prototype_form_and_annihilation():
     # u_(1,1) in Delta_4
     psi = basis_spinor(4, (1, 1))
-    form = spinc_form_untwisted(psi)
+    form = spinc_form(psi)
     assert form.terms() == [(1, 2, F(-1)), (3, 4, F(-1))]
     h = eta_hat(form)
     # -J0 has blocks [[0,1],[-1,0]] in operator convention
@@ -216,15 +220,11 @@ def test_spinc_prototype_form_and_annihilation():
     expect[2][3], expect[3][2] = F(1), F(-1)
     assert h.mat == expect
     # (eta + 2i) psi = 0
-    from spinor_forge.spinrep import clifford_action
-
-    d = clifford_action(4, form.form_terms(), psi) + psi.scale(gr(0, 2))
+    d = form_action_on_spin_slot(form.form_terms(), psi) + psi.scale(gr(0, 2))
     assert d.is_zero()
 
 
 def test_spinc_twisted_route_agrees_with_untwisted():
-    from spinor_forge.spinrep import SpinorVector
-
     rng = random.Random(6)
     samples = [basis_spinor(4, (1, 1))]  # the prototype itself, then random
     for _ in range(5):
@@ -237,7 +237,7 @@ def test_spinc_twisted_route_agrees_with_untwisted():
             samples.append(psi)
     for psi in samples:
         twisted = from_untwisted(psi, r=2, m=1, twist=((1,),))
-        assert spinc_form(twisted).mat == spinc_form_untwisted(psi).mat
+        assert spinc_form(twisted).mat == spinc_form(psi).mat
 
 
 def test_spinc_form_wrong_rank():
@@ -245,3 +245,44 @@ def test_spinc_form_wrong_rank():
     phi = random_scaled(4, 3, 1, rng)
     with pytest.raises(WrongRank):
         spinc_form(phi)
+
+
+def dense_spinc_form(psi):
+    """Re( i * <e_a e_b psi, psi> ) for an untwisted spinor, with every
+    generator a dense Kronecker product of 2x2 blocks on Delta_n."""
+    n, k = psi.n, spinor_dim_exponent(psi.n)
+    vec = [gr(0)] * 2 ** k
+    for (spin, _), c in psi.coeffs.items():
+        vec = [v + c * x for v, x in zip(vec, u_raw_correct(spin))]
+    gens = [_slot_operator([2 ** k], 0, dense_generator(n, a)) for a in range(1, n + 1)]
+    mat = [[F(0)] * n for _ in range(n)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            x = _apply(gens[a - 1], _apply(gens[b - 1], vec))
+            val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
+            # Re(i * val) = -Im(val); the raw basis vectors have squared norm 2^k
+            entry = -psi.scale2 * val.im / 2 ** k
+            mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
+    return mat
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_untwisted_spinc_form_matches_dense_oracle(n):
+    rng = random.Random(100 + n)
+    basis = all_basis_indices(n)
+    samples = [basis_spinor(n, basis[0])]
+    for size in (1, 3, len(basis)):
+        picks = rng.sample(basis, min(size, len(basis)))
+        samples.append(SpinorVector(n, {eps: random_gaussian(rng) for eps in picks}))
+    samples.append(ScaledSpinor(n, 0, 0, samples[-1].coeffs, F(3, 5)))
+    for psi in samples:
+        want = dense_spinc_form(psi)
+        assert any(x for row in want for x in row)
+        assert spinc_form(psi).mat == want
+
+
+def test_untwisted_spinc_form_needs_even_dimension_and_nonzero_spinor():
+    with pytest.raises(ShapeMismatch):
+        spinc_form(basis_spinor(3, (1,)))
+    with pytest.raises(ZeroSpinor):
+        spinc_form(SpinorVector(4, {}))

@@ -8,9 +8,11 @@ from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch, SpinorForgeError
 from spinor_forge.forms import eta, two_form_from_terms
 from spinor_forge.scalars import gr
+from spinor_forge.analysis import AmbientElement
 from spinor_forge.serialize import (
     gaussian_from_json,
     gaussian_to_json,
+    render_ambient,
     render_two_form,
     scaled_spinor_from_json,
     scaled_spinor_to_json,
@@ -19,7 +21,7 @@ from spinor_forge.serialize import (
     two_form_from_json,
     two_form_to_json,
 )
-from spinor_forge.spinrep import basis_spinor
+from spinor_forge.spinrep import ScaledSpinor, basis_spinor
 
 from .test_twisted import random_scaled
 
@@ -35,6 +37,23 @@ def test_spinor_round_trip():
     obj = spinor_to_json(psi)
     assert json.loads(json.dumps(obj)) == obj
     assert spinor_from_json(obj).coeffs == psi.coeffs
+
+
+def test_untwisted_wire_format_is_an_m0_spinor():
+    obj = {"n": 4, "coeffs": [{"eps": [-1, 1], "re": "3/7", "im": "-2"},
+                              {"eps": [1, -1], "re": "1/2", "im": "0"}]}
+    psi = spinor_from_json(obj)
+    assert (psi.m, psi.scale2) == (0, 1)
+    assert json.dumps(spinor_to_json(psi)) == json.dumps(obj)
+
+
+@pytest.mark.parametrize("psi", [
+    ScaledSpinor(4, 2, 1, {((1, 1), ((1,),)): gr(1)}),
+    ScaledSpinor(4, 0, 0, {((1, 1), ()): gr(1)}, F(1, 2)),
+], ids=["m=1", "scale2=1/2"])
+def test_untwisted_wire_format_refuses_what_it_cannot_hold(psi):
+    with pytest.raises(ValueError):
+        spinor_to_json(psi)
 
 
 def test_scaled_spinor_round_trip():
@@ -113,3 +132,10 @@ def test_render_two_form():
     assert render_two_form(form2) == "-3/2 * e1^e2 + 1/2 * e1^e3"
     zero = two_form_from_terms(4, {})
     assert render_two_form(zero) == "0"
+
+
+def test_render_ambient():
+    x = AmbientElement(4, 3, {(1, 2): 1, (3, 4): F(-1, 2)}, {(1, 2): 2})
+    assert render_ambient(x) == "e1^e2 - 1/2 * e3^e4 + 2 * f1^f2"
+    assert render_ambient(AmbientElement(4, 3, {}, {(1, 3): -1})) == "-f1^f3"
+    assert render_ambient(AmbientElement(4, 3)) == "0"

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
-from spinor_forge.errors import IndexOutOfRange, InexactScalar, NotUnitVector, OddLength
+from spinor_forge.errors import (
+    IndexOutOfRange, InexactScalar, NotUnitVector, OddLength, ShapeMismatch,
+)
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -12,14 +14,24 @@ from spinor_forge.spinrep import (
     SpinorVector,
     all_basis_indices,
     basis_spinor,
-    clifford_action,
     gamma_apply,
-    hermitian,
     kappa_generator,
-    spin_action_on_spinor,
     spin_action_on_vector,
     spinor_dim_exponent,
 )
+from spinor_forge.twisted import (
+    ScaledSpinor,
+    form_action_on_spin_slot,
+    twisted_group_action,
+    twisted_hermitian,
+)
+
+
+def spin_coeffs(psi):
+    """{eps: c} of an untwisted (m = 0) spinor, whose indices are (eps, ())."""
+    assert psi.m == 0
+    return {eps: c for (eps, _), c in psi.coeffs.items()}
+
 
 # ---------------------------------------------------------------------------
 # Dense Kronecker oracle.  Independent of the lazy walker: materializes the
@@ -118,8 +130,8 @@ def test_lazy_generator_matches_dense_oracle(n):
     for i in range(1, n + 1):
         mat = dense_generator(n, i)
         for psi in spinors:
-            got = kappa_generator(n, i, psi).coeffs
-            want = dense_to_sparse(n, dense_apply(mat, dense_from_sparse(n, psi.coeffs)))
+            got = spin_coeffs(kappa_generator(n, i, psi))
+            want = dense_to_sparse(n, dense_apply(mat, dense_from_sparse(n, spin_coeffs(psi))))
             assert got == want, (n, i, psi)
 
 
@@ -128,17 +140,18 @@ def test_lazy_generator_matches_dense_oracle(n):
 
 def test_generator_examples():
     # g1 against (1, -i)/sqrt(2) gives i * (1, i)/sqrt(2)
-    assert kappa_generator(2, 1, basis_spinor(2, (1,))).coeffs == {(-1,): gr(0, 1)}
+    assert spin_coeffs(kappa_generator(2, 1, basis_spinor(2, (1,)))) == {(-1,): gr(0, 1)}
     # e1(e1 u) = -u
     twice = kappa_generator(2, 1, kappa_generator(2, 1, basis_spinor(2, (1,))))
-    assert twice.coeffs == {(1,): gr(-1)}
+    assert spin_coeffs(twice) == {(1,): gr(-1)}
     # i*T = [[0,1],[-1,0]] against (1,-i)/sqrt(2) gives (-i,-1)/sqrt(2) = -i u_+
-    assert kappa_generator(3, 3, basis_spinor(3, (1,))).coeffs == {(1,): gr(0, -1)}
+    assert spin_coeffs(kappa_generator(3, 3, basis_spinor(3, (1,)))) == {(1,): gr(0, -1)}
 
 
 def test_generator_index_range():
-    with pytest.raises(IndexOutOfRange):
-        kappa_generator(4, 5, basis_spinor(4, (1, 1)))
+    for psi in (basis_spinor(4, (1, 1)), SpinorVector(4, {})):
+        with pytest.raises(IndexOutOfRange):
+            kappa_generator(4, 5, psi)
 
 
 def test_clifford_relations_all_basis_spinors():
@@ -162,15 +175,13 @@ def test_clifford_action_examples():
         for eps in all_basis_indices(4)
     })
     # e_i e_j + e_j e_i kills everything for i != j
-    out = clifford_action(4, [FormTerm((1, 3)), ], psi) + \
-        clifford_action(4, [FormTerm((1, 3))], psi).scale(gr(0))
-    anti = clifford_action(4, [FormTerm((1, 3))], psi)
+    anti = form_action_on_spin_slot([FormTerm((1, 3))], psi)
     swapped = kappa_generator(4, 3, kappa_generator(4, 1, psi))
     assert (anti + swapped).is_zero()
     # empty product = identity
-    assert clifford_action(4, [FormTerm(())], psi).coeffs == psi.coeffs
+    assert form_action_on_spin_slot([FormTerm(())], psi).coeffs == psi.coeffs
     # composite product equals composed generator calls
-    quad = clifford_action(4, [FormTerm((1, 2, 3, 4))], psi)
+    quad = form_action_on_spin_slot([FormTerm((1, 2, 3, 4))], psi)
     byhand = psi
     for g in (4, 3, 2, 1):
         byhand = kappa_generator(4, g, byhand)
@@ -184,14 +195,14 @@ def test_form_term_coeff_rejects_floats_and_bools(bad):
 
 
 def test_hermitian_orthonormal_basis():
-    assert hermitian(basis_spinor(2, (1,)), basis_spinor(2, (1,))) == gr(1)
-    assert hermitian(basis_spinor(2, (1,)), basis_spinor(2, (-1,))) == gr(0)
+    assert twisted_hermitian(basis_spinor(2, (1,)), basis_spinor(2, (1,))) == gr(1)
+    assert twisted_hermitian(basis_spinor(2, (1,)), basis_spinor(2, (-1,))) == gr(0)
 
 
 def test_hermitian_skew_symmetry_example():
     up, dn = basis_spinor(2, (1,)), basis_spinor(2, (-1,))
-    lhs = hermitian(kappa_generator(2, 1, up), dn)
-    rhs = hermitian(up, kappa_generator(2, 1, dn))
+    lhs = twisted_hermitian(kappa_generator(2, 1, up), dn)
+    rhs = twisted_hermitian(up, kappa_generator(2, 1, dn))
     assert lhs == gr(0, 1)
     assert rhs == -lhs
 
@@ -208,8 +219,8 @@ def test_hermitian_skew_symmetry_random():
             for eps in rng.sample(all_basis_indices(n), min(3, 2 ** (n // 2)))
         })
         for x in range(1, n + 1):
-            lhs = hermitian(kappa_generator(n, x, psi1), psi2)
-            rhs = hermitian(psi1, kappa_generator(n, x, psi2))
+            lhs = twisted_hermitian(kappa_generator(n, x, psi1), psi2)
+            rhs = twisted_hermitian(psi1, kappa_generator(n, x, psi2))
             assert lhs + rhs == gr(0)
 
 
@@ -229,9 +240,9 @@ def spinors(draw, n=4):
 @given(spinors(), spinors())
 def test_hermitian_sesquilinear(psi1, psi2):
     c = gr(F(2, 3), F(-1, 2))
-    assert hermitian(psi1.scale(c), psi2) == c * hermitian(psi1, psi2)
-    assert hermitian(psi1, psi2.scale(c)) == hermitian(psi1, psi2) * c.conj()
-    assert hermitian(psi1, psi2) == hermitian(psi2, psi1).conj()
+    assert twisted_hermitian(psi1.scale(c), psi2) == c * twisted_hermitian(psi1, psi2)
+    assert twisted_hermitian(psi1, psi2.scale(c)) == twisted_hermitian(psi1, psi2) * c.conj()
+    assert twisted_hermitian(psi1, psi2) == twisted_hermitian(psi2, psi1).conj()
 
 
 @given(spinors(), st.integers(min_value=1, max_value=4))
@@ -239,18 +250,18 @@ def test_generator_skew_and_square(psi, i):
     # kappa(e_i)^2 = -Id and <e_i psi, psi> is purely imaginary
     assert kappa_generator(4, i, kappa_generator(4, i, psi)).coeffs == \
         psi.scale(gr(-1)).coeffs
-    assert hermitian(kappa_generator(4, i, psi), psi).re == 0
+    assert twisted_hermitian(kappa_generator(4, i, psi), psi).re == 0
 
 
 def test_gamma_small_case():
-    assert gamma_apply(2, basis_spinor(2, (1,))).coeffs == {(-1,): gr(0, -1)}
+    assert spin_coeffs(gamma_apply(basis_spinor(2, (1,)))) == {(-1,): gr(0, -1)}
 
 
 def test_gamma_antilinear():
     c = gr(F(2, 3), F(-1, 5))
     psi = basis_spinor(4, (1, -1)).scale(c)
-    assert gamma_apply(4, psi).coeffs == \
-        gamma_apply(4, basis_spinor(4, (1, -1))).scale(c.conj()).coeffs
+    assert gamma_apply(psi).coeffs == \
+        gamma_apply(basis_spinor(4, (1, -1))).scale(c.conj()).coeffs
 
 
 @pytest.mark.parametrize("n,sign", [
@@ -260,20 +271,20 @@ def test_gamma_antilinear():
 def test_gamma_square_signs(n, sign):
     for eps in all_basis_indices(n):
         b = basis_spinor(n, eps)
-        assert gamma_apply(n, gamma_apply(n, b)).coeffs == b.scale(gr(sign)).coeffs
+        assert gamma_apply(gamma_apply(b)).coeffs == b.scale(gr(sign)).coeffs
 
 
 def test_spin_action_repeated_vector_is_minus_one():
     rng = random.Random(9)
     x = random_unit_vector(4, rng)
     psi = basis_spinor(4, (1, -1))
-    assert spin_action_on_spinor(4, [x, x], psi).coeffs == psi.scale(gr(-1)).coeffs
+    assert twisted_group_action([x, x], [], psi).coeffs == psi.scale(gr(-1)).coeffs
 
 
 def test_spin_action_g1g2_eigenvector():
     # g1 g2 = [[0,-1],[1,0]] sends u_+ to i u_+
-    out = spin_action_on_spinor(2, [[1, 0], [0, 1]], basis_spinor(2, (1,)))
-    assert out.coeffs == {(1,): gr(0, 1)}
+    out = twisted_group_action([[1, 0], [0, 1]], [], basis_spinor(2, (1,)))
+    assert spin_coeffs(out) == {(1,): gr(0, 1)}
 
 
 def test_spin_action_norm_preservation():
@@ -284,16 +295,16 @@ def test_spin_action_norm_preservation():
             eps: gr(rng.randint(-2, 2), rng.randint(-2, 2))
             for eps in rng.sample(all_basis_indices(n), min(3, 2 ** (n // 2)))
         })
-        moved = spin_action_on_spinor(n, vectors, psi)
-        assert hermitian(moved, moved) == hermitian(psi, psi)
+        moved = twisted_group_action(vectors, [], psi)
+        assert twisted_hermitian(moved, moved) == twisted_hermitian(psi, psi)
 
 
 def test_spin_action_validation():
     psi = basis_spinor(4, (1, 1))
     with pytest.raises(NotUnitVector):
-        spin_action_on_spinor(4, [[1, 1, 0, 0], [1, 0, 0, 0]], psi)
+        twisted_group_action([[1, 1, 0, 0], [1, 0, 0, 0]], [], psi)
     with pytest.raises(OddLength):
-        spin_action_on_spinor(4, [[1, 0, 0, 0]], psi)
+        twisted_group_action([[1, 0, 0, 0]], [], psi)
 
 
 def test_vector_action_identity_rotation():
@@ -322,9 +333,19 @@ def test_equivariance_of_clifford_multiplication():
             eps: gr(rng.randint(-2, 2), rng.randint(-2, 2))
             for eps in rng.sample(all_basis_indices(n), min(2, 2 ** (n // 2)))
         })
-        x_psi = clifford_action(n, [FormTerm((j,), c) for j, c in enumerate(x, 1) if c], psi)
-        lhs = spin_action_on_spinor(n, vectors, x_psi)
+        x_psi = form_action_on_spin_slot([FormTerm((j,), c) for j, c in enumerate(x, 1) if c], psi)
+        lhs = twisted_group_action(vectors, [], x_psi)
         gx = spin_action_on_vector(n, vectors, x)
-        g_psi = spin_action_on_spinor(n, vectors, psi)
-        rhs = clifford_action(n, [FormTerm((j,), c) for j, c in enumerate(gx, 1) if c], g_psi)
+        g_psi = twisted_group_action(vectors, [], psi)
+        rhs = form_action_on_spin_slot([FormTerm((j,), c) for j, c in enumerate(gx, 1) if c], g_psi)
         assert lhs.coeffs == rhs.coeffs
+
+
+def test_untwisted_spinor_is_the_m0_scaled_spinor():
+    c = gr(F(2, 3), F(-1, 5))
+    assert SpinorVector(4, {(1, -1): c}) == ScaledSpinor(4, 0, 0, {((1, -1), ()): c})
+    for bad in ({(2,): c}, {(1, 1): c}):
+        with pytest.raises(ShapeMismatch):
+            SpinorVector(2, bad)
+    with pytest.raises(ShapeMismatch):
+        gamma_apply(ScaledSpinor(2, 2, 1, {((1,), ((1,),)): c}))

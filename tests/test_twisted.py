@@ -10,6 +10,7 @@ from spinor_forge.spinrep import FormTerm, all_basis_indices, spin_action_on_vec
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
+    from_untwisted,
     mu_slot,
     norm2,
     tangent_action,
@@ -257,3 +258,11 @@ def test_vanishing_identity_suite_small(shape):
                 for quad in rng.sample(quads, k=min(2, len(quads))):
                     e4 = form_action_on_spin_slot([FormTerm(quad)], fphi)
                     assert twisted_hermitian(e4, phi).re == 0
+
+
+def test_from_untwisted_keeps_scale2_and_refuses_twisted_input():
+    psi = ScaledSpinor(4, 0, 0, {((1, -1), ()): gr(1, 2)}, F(3, 5))
+    phi = from_untwisted(psi, 3, 1, ((-1,),))
+    assert phi.coeffs == {((1, -1), ((-1,),)): gr(1, 2)} and phi.scale2 == F(3, 5)
+    with pytest.raises(ShapeMismatch):
+        from_untwisted(phi, 3, 1, ((1,),))

@@ -19,16 +19,16 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, TwoForm, eta, eta_hat, spinc_form
-from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace, zeros
+from .forms import Endo, ImageTable, eta_hat, spinc_form, two_form_from_terms
+from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace
 from .scalars import GaussianRational, Rational, exact_rational, gr
 from .spinrep import FormTerm
 from .twisted import (
     ScaledSpinor,
     TwistedCoeffMap,
+    _merge,
     _spin_generator,
     form_action_on_spin_slot,
-    norm2,
     twist_bivector_action,
     twisted_group_action,
 )
@@ -195,52 +195,51 @@ def _check_kind(kind: str) -> None:
         raise ValueError(f"kind must be 'pure' or 'reducing', got {kind!r}")
 
 
-def _rotated_bivector_coeffs(a: Matrix, k: int, l: int, r: int) -> Dict[Pair, Fraction]:
-    """f'_k f'_l = sum_(s<t) (a_ks a_lt - a_kt a_ls) f_s f_t for rows of A."""
-    out: Dict[Pair, Fraction] = {}
-    for (s, t) in pairs(r):
-        c = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
-        if c:
-            out[(s, t)] = c
-    return out
-
-
 def _certify(phi: ScaledSpinor, kind: str,
              frames: Sequence[Optional[Matrix]] = (None,)
              ) -> List[Tuple[bool, Dict[Pair, PairVerdict]]]:
     """Verdict and per-pair witnesses of ``kind`` in each frame (the rows of
     an SO(r) matrix; None is the standard frame).
 
-    One pair table (eta_st, D_st) with D_st = (eta_st + c kappa(f_st)) . phi,
-    c = 2 for "pure" and 1 for "reducing", serves every frame: both entries
-    are linear in the bivector, so a rotated pair is sum c_st (eta_st, D_st)
-    and costs no generator application."""
+    One ``forms.ImageTable`` of phi serves every pair.  With
+    w_st = kappa(f_st) . phi it gives eta_st by integer inner sums, and the
+    defect D_st = eta_st . phi + c w_st (c = 2 "pure", 1 "reducing") at one
+    generator application per column of eta_st.  Both are linear in the
+    bivector f'_k f'_l = sum_(s<t) (a_ks a_lt - a_kt a_ls) f_s f_t, so a
+    rotated pair is the sparse sum of c_st (eta_st, D_st), with no generator
+    application."""
     _check_kind(kind)
-    c = gr(_DEFECT_COEFFICIENT[kind])
-    table: Dict[Pair, Tuple[TwoForm, ScaledSpinor]] = {}
+    c = Fraction(_DEFECT_COEFFICIENT[kind])
+    images = ImageTable(phi)
+    table: Dict[Pair, Tuple[Dict[Pair, Fraction], TwistedCoeffMap]] = {}
     for (s, t) in pairs(phi.r):
-        form = eta(phi, s, t)
-        table[(s, t)] = (form, form_action_on_spin_slot(form.form_terms(), phi)
-                         + twist_bivector_action(s, t, phi).scale(c))
+        w = twist_bivector_action(s, t, phi).coeffs
+        terms = images.induced_terms(w)
+        defect = images.form_action(terms)
+        _merge(defect, w, c)
+        table[(s, t)] = (terms, defect)
     out = []
     for a in frames:
         per: Dict[Pair, PairVerdict] = {}
         ok = True
         for (k, l) in pairs(phi.r):
             if a is None:
-                form, defect = table[(k, l)]
+                terms, defect = table[(k, l)]
             else:
-                form, defect = TwoForm(phi.n, zeros(phi.n)), phi.with_coeffs({})
-                for p, cst in sorted(_rotated_bivector_coeffs(a, k, l, phi.r).items()):
-                    form = form + table[p][0].scale(cst)
-                    defect = defect + table[p][1].scale(gr(cst))
-            dn2 = norm2(defect)
+                terms, defect = {}, {}
+                for (s, t), (eta_st, d_st) in table.items():
+                    cst = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
+                    if cst:
+                        for ab, x in eta_st.items():
+                            terms[ab] = terms.get(ab, 0) + cst * x
+                        _merge(defect, d_st, cst)
+            dn2 = phi.scale2 * sum((v.norm2() for v in defect.values()), Fraction(0))
             if kind == "pure":
-                h = eta_hat(form)
+                h = eta_hat(two_form_from_terms(phi.n, terms))
                 flag = h.compose(h).is_minus_identity()
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
             else:
-                flag = not form.is_zero()
+                flag = any(terms.values())
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=flag)
             ok = ok and flag and dn2 == 0
         out.append((ok, per))

@@ -10,15 +10,23 @@ so with w = kappa(f_kl) . v the entry for a < b is
 
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
 
-and all pairs need only the 2n vectors e_a . v and e_b . w.  The rank-2
-(spin^c) form of an untwisted spinor is the same kernel with w = i . v.  The dual
-endomorphism follows the contraction convention
+and all pairs need only the 2n vectors e_a . v and e_b . w.  ``ImageTable``
+builds the images e_a . v once per spinor, for every twist pair.  Each
+image, and each e_b . w, is cleared to integer (re, im) pairs over the lcm
+of its denominators, so an entry is one integer sum and one Fraction.  The
+same images give a 2-form's action at one generator application per column:
+
+    eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v).
+
+The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
+w = i . v.  The dual endomorphism follows the contraction convention
 eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its operator matrix is the
 transpose of the 2-form's coefficient matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Tuple
@@ -26,8 +34,8 @@ from typing import Dict, List, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, mat_mul, transpose, zeros
 from .scalars import GaussianRational, Rational, exact_rational
-from .spinrep import FormTerm, ScaledSpinor, TwistedCoeffMap, _spin_generator
-from .twisted import twist_bivector_action
+from .spinrep import FormTerm, ScaledSpinor, TwistedCoeffMap, TwistedIndex, _spin_generator
+from .twisted import _merge, twist_bivector_action
 
 
 @dataclass(frozen=True)
@@ -121,25 +129,55 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return TwoForm(n, mat)
 
 
-def _induced_form(phi: ScaledSpinor, w: TwistedCoeffMap) -> TwoForm:
-    """The 2-form scale2 * Re< e_a e_b . w, phi > by the skew-adjoint identity
-    -scale2 * Re< e_b . w, e_a . phi >, for w a coefficient map of phi's shape."""
-    n = phi.n
-    mat = zeros(n)
-    e_phi = [_spin_generator(phi, a, phi.coeffs) for a in range(1, n)]
-    for b in range(2, n + 1):
-        e_w = _spin_generator(phi, b, w)
-        for a in range(1, b):
-            ea = e_phi[a - 1]
-            acc = Fraction(0)
-            for idx, c in e_w.items():
-                o = ea.get(idx)
-                if o is not None:
-                    acc += c.re * o.re + c.im * o.im
-            entry = -phi.scale2 * acc
-            mat[a - 1][b - 1] = entry
-            mat[b - 1][a - 1] = -entry
-    return TwoForm(n, mat)
+def _cleared(coeffs: TwistedCoeffMap) -> Tuple[int, Dict[TwistedIndex, Tuple[int, int]]]:
+    """(D, D * coeffs as integer (re, im) pairs), D the lcm of all denominators."""
+    den = 1
+    for c in coeffs.values():
+        for d in (c.re.denominator, c.im.denominator):
+            if den % d:
+                den = math.lcm(den, d)
+    return den, {idx: (c.re.numerator * (den // c.re.denominator),
+                       c.im.numerator * (den // c.im.denominator))
+                 for idx, c in coeffs.items()}
+
+
+class ImageTable:
+    """The images e_a . phi, a = 1..n-1, of one spinor, as coefficient maps
+    and cleared to integers, shared by its induced forms and 2-form actions."""
+
+    def __init__(self, phi: ScaledSpinor) -> None:
+        self.phi = phi
+        self.maps = [_spin_generator(phi, a, phi.coeffs) for a in range(1, phi.n)]
+        self.ints = [_cleared(img) for img in self.maps]
+
+    def induced_terms(self, w: TwistedCoeffMap) -> Dict[Tuple[int, int], Fraction]:
+        """The nonzero entries {(a, b): eta_ab}, 1-based a < b, of
+        -scale2 * Re< e_b . w, e_a . phi >, for w a coefficient map of phi's shape."""
+        s2 = self.phi.scale2
+        out: Dict[Tuple[int, int], Fraction] = {}
+        for b in range(2, self.phi.n + 1):
+            den_w, e_w = _cleared(_spin_generator(self.phi, b, w))
+            for a in range(1, b):
+                den_a, ea = self.ints[a - 1]
+                acc = 0
+                for idx, (cr, ci) in e_w.items():
+                    o = ea.get(idx)
+                    if o is not None:
+                        acc += cr * o[0] + ci * o[1]
+                if acc:
+                    out[(a, b)] = Fraction(-s2.numerator * acc, s2.denominator * den_a * den_w)
+        return out
+
+    def form_action(self, terms: Dict[Tuple[int, int], Fraction]) -> TwistedCoeffMap:
+        """sum eta_ab e_a e_b . phi (1-based a < b) as
+        -sum_b e_b . (sum_(a<b) eta_ab e_a . phi)."""
+        inner: Dict[int, TwistedCoeffMap] = {}
+        for (a, b), x in terms.items():
+            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x)
+        acc: TwistedCoeffMap = {}
+        for b, col in inner.items():
+            _merge(acc, _spin_generator(self.phi, b, col))
+        return acc
 
 
 def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
@@ -149,7 +187,8 @@ def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
         raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
     if k == l:
         return TwoForm(phi.n, zeros(phi.n))
-    return _induced_form(phi, twist_bivector_action(k, l, phi).coeffs)
+    w = twist_bivector_action(k, l, phi).coeffs
+    return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(w))
 
 
 def eta_hat(omega: TwoForm) -> Endo:
@@ -177,8 +216,8 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        return _induced_form(phi, {idx: GaussianRational(-c.im, c.re)
-                                   for idx, c in phi.coeffs.items()})
+        w = {idx: GaussianRational(-c.im, c.re) for idx, c in phi.coeffs.items()}
+        return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(w))
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

@@ -23,7 +23,6 @@ from .analysis import (
     check_spinc_pure,
     cl_dims,
     commutant,
-    equivariance_check,
     even_clifford_verify,
     frame_rotation_check,
     pairs,
@@ -35,7 +34,9 @@ from .spinrep import FormTerm, all_basis_indices, basis_spinor
 from .twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
+    tangent_action,
     twist_bivector_action,
+    twisted_group_action,
     twisted_hermitian,
 )
 
@@ -215,14 +216,10 @@ def criterion_vanishing_identities() -> CriterionRow:
             x = _random_vector(n, rng)
             y = _random_vector(n, rng)
             xy_dot = sum(a * b for a, b in zip(x, y))
-            x_phi = form_action_on_spin_slot(
-                [FormTerm((j,), c) for j, c in enumerate(x, 1) if c], phi)
-            y_phi = form_action_on_spin_slot(
-                [FormTerm((j,), c) for j, c in enumerate(y, 1) if c], phi)
+            x_phi = tangent_action(x, phi)
+            y_phi = tangent_action(y, phi)
             # X ^ Y acts as X.Y + <X,Y>
-            xy_phi = form_action_on_spin_slot(
-                [FormTerm((j,), c) for j, c in enumerate(x, 1) if c], y_phi) + \
-                phi.scale(gr(xy_dot))
+            xy_phi = tangent_action(x, y_phi) + phi.scale(gr(xy_dot))
             norm = twisted_hermitian(phi, phi).re
             # (2) Re<X^Y phi, phi> = 0 ; (4) Re<X phi, Y phi> = <X,Y>|phi|^2
             if twisted_hermitian(xy_phi, phi).re != 0:
@@ -236,11 +233,8 @@ def criterion_vanishing_identities() -> CriterionRow:
                 if twisted_hermitian(fphi_s, phi).re != 0:
                     failures += 1
                 # (3) Im<X^Y kappa(f_kl) phi, phi> = 0
-                xy_f_phi = form_action_on_spin_slot(
-                    [FormTerm((j,), c) for j, c in enumerate(x, 1) if c],
-                    form_action_on_spin_slot(
-                        [FormTerm((j,), c) for j, c in enumerate(y, 1) if c], fphi_s),
-                ) + fphi_s.scale(gr(xy_dot))
+                xy_f_phi = tangent_action(x, tangent_action(y, fphi_s)) + \
+                    fphi_s.scale(gr(xy_dot))
                 if twisted_hermitian(xy_f_phi, phi).im != 0:
                     failures += 1
                 # (5) Re<e_abcd kappa(f_kl) phi, phi> = 0 on sampled quadruples
@@ -305,10 +299,11 @@ def criterion_frame_equivariance() -> CriterionRow:
             if not frame_rotation_check(phi, a, "pure"):
                 ok = False
             rot_count += 1
+        base = check_pure(phi).is_pure
         for _ in range(5):
             g = [random_unit_vector(phi.n, rng) for _ in range(2)]
             h = [random_unit_vector(phi.r, rng) for _ in range(2)]
-            if not equivariance_check(phi, g, h, "pure"):
+            if check_pure(twisted_group_action(g, h, phi)).is_pure != base:
                 ok = False
             equi_count += 1
     return _row(
@@ -343,25 +338,22 @@ def criterion_spinc_case() -> CriterionRow:
     )
 
 
-_TABLE2 = {
-    1: (lambda r: 2 ** (r // 2), 1),
-    2: (lambda r: 2 ** (r // 2), 1),
-    3: (lambda r: 2 ** (r // 2 + 1), 1),
-    4: (lambda r: 2 ** (r // 2), 2),
-    5: (lambda r: 2 ** (r // 2 + 1), 1),
-    6: (lambda r: 2 ** (r // 2), 1),
-    7: (lambda r: 2 ** (r // 2), 1),
-    8: (lambda r: 2 ** (r // 2 - 1), 2),
+# The even Clifford algebra Cl0_r is M_k(K) or M_k(K) + M_k(K) with
+# K in {R, C, H}, by r mod 8 (Lawson-Michelsohn, Spin Geometry, I.4): here
+# residue -> (dim_R K, v_r).  Counting dimensions, 2^(r-1) = v_r d_r^2 / dim_R K
+# for the irreducible module dimension d_r = k dim_R K.
+_EVEN_CLIFFORD_TYPE = {
+    1: (1, 1), 2: (2, 1), 3: (4, 1), 4: (4, 2),
+    5: (4, 1), 6: (2, 1), 7: (1, 1), 8: (1, 2),
 }
 
 
 def criterion_rep_constants() -> CriterionRow:
     table_ok = True
     for r in range(1, 17):
-        residue = ((r - 1) % 8) + 1
-        d_fn, v = _TABLE2[residue]
         got = cl_dims(r)
-        if got.d_r != d_fn(r) or got.v_r != v:
+        dim_k, v = _EVEN_CLIFFORD_TYPE[((r - 1) % 8) + 1]
+        if got.v_r != v or got.v_r * got.d_r ** 2 != 2 ** (r - 1) * dim_k:
             table_ok = False
     phi1 = catalog.build_spin7_pure().spinor
     d1, _ = commutant([eta_hat(eta(phi1, k, l)) for (k, l) in pairs(7)], True)

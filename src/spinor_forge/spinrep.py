@@ -52,6 +52,7 @@ def all_basis_indices(n: int) -> List[BasisIndex]:
 
 TwistedIndex = Tuple[BasisIndex, Tuple[BasisIndex, ...]]
 TwistedCoeffMap = Dict[TwistedIndex, GaussianRational]
+_SIGNS = frozenset((1, -1))
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,8 @@ class ScaledSpinor:
         ks, kt = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r)
         cleaned: TwistedCoeffMap = {}
         for (spin, twist), c in self.coeffs.items():
-            if len(spin) != ks or len(twist) != self.m or any(len(t) != kt for t in twist):
+            if (len(spin) != ks or not _SIGNS.issuperset(spin) or len(twist) != self.m
+                    or any(len(t) != kt or not _SIGNS.issuperset(t) for t in twist)):
                 raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
                                     f"(n={self.n}, r={self.r}, m={self.m})")
             if c:
@@ -118,9 +120,6 @@ class ScaledSpinor:
 def SpinorVector(n: int, coeffs: CoeffMap) -> ScaledSpinor:
     """The untwisted spinor sum c_eps u_eps of Delta_n, from {eps: c}: an
     m = 0 ``ScaledSpinor`` with scale2 = 1."""
-    for eps in coeffs:
-        if n >= 0 and (len(eps) != n // 2 or any(s not in (1, -1) for s in eps)):
-            raise ShapeMismatch(f"index {eps} invalid for Delta_{n}")
     return ScaledSpinor(n, 0, 0, {(eps, ()): c for eps, c in coeffs.items()})
 
 

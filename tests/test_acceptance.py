@@ -9,6 +9,7 @@ import time
 
 import spinor_forge.catalog as catalog
 from spinor_forge import report
+from spinor_forge.analysis import ClDims
 from spinor_forge.report import (
     criterion_frame_equivariance,
     criterion_g2_recovery,
@@ -83,6 +84,20 @@ def test_criterion_10_spinc_special_case():
 
 def test_criterion_11_representation_constants():
     _check(criterion_rep_constants())
+
+
+def test_rep_constants_row_catches_a_wrong_module_dimension(monkeypatch):
+    """The row checks cl_dims against the dimension count of Cl0_r, not
+    against a restatement of cl_dims."""
+    real = report.cl_dims
+
+    def doubled_at(residue):
+        return lambda r: (ClDims(r, 2 * real(r).d_r, real(r).v_r)
+                          if r % 8 == residue else real(r))
+
+    for residue in (3, 0):  # a quaternionic row and a v_r = 2 row
+        monkeypatch.setattr(report, "cl_dims", doubled_at(residue))
+        assert "table=False" in criterion_rep_constants().computed
 
 
 def test_criterion_12_qk_ladder_recursion():

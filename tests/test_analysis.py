@@ -45,6 +45,8 @@ from spinor_forge.twisted import (
     twisted_hermitian,
 )
 
+from .test_forms import _apply, dense_operators
+from .test_linalg import naive_mat_mul
 from .test_twisted import random_scaled
 
 
@@ -362,6 +364,86 @@ def test_rotated_pair_table_matches_direct_action(label, kind):
     assert got == _direct_rotated_verdicts(phi, a, kind)
     if label == "random":  # the rotation really moves the witnesses
         assert got != {p: (v.defect_norm2, getattr(v, flag)) for p, v in base.items()}
+
+
+def _dense_certificates(phi, frames):
+    """For each frame (the rows of an SO(r) matrix A), {kind: {(k, l):
+    (defect_norm2, square_ok or eta_nonzero)}} from dense Kronecker
+    operators: f'_k = sum_s a_ks f_s on each twist slot, w = sum over slots
+    f'_k f'_l phi, eta_ab = scale2 Re<e_a e_b w, phi>, and the defect
+    sum_(a<b) eta_ab e_a e_b phi + c w with c = 2 (pure) or 1 (reducing)."""
+    n, r, m = phi.shape()
+    vec, gens, twists, norm = dense_operators(phi)
+    zero = [gr(0)] * len(vec)
+
+    def add(u, v, c=1):
+        return [x + c * y for x, y in zip(u, v)]
+
+    def frame_vector(a, slot, k, v):
+        out = zero
+        for s in range(1, r + 1):
+            if a[k - 1][s - 1]:
+                out = add(out, _apply(twists[(slot, s)], v), a[k - 1][s - 1])
+        return out
+
+    pair_images = {(x, y): _apply(gens[x - 1], _apply(gens[y - 1], vec)) for (x, y) in pairs(n)}
+    results = []
+    for a in frames:
+        out = {"pure": {}, "reducing": {}}
+        for (k, l) in pairs(r):
+            w = zero
+            for slot in range(1, m + 1):
+                w = add(w, frame_vector(a, slot, k, frame_vector(a, slot, l, vec)))
+            mat = [[F(0)] * n for _ in range(n)]
+            eta_phi = zero
+            for (x, y) in pairs(n):
+                xy_w = _apply(gens[x - 1], _apply(gens[y - 1], w))
+                val = sum((p * q.conj() for p, q in zip(xy_w, vec)), gr(0))
+                entry = phi.scale2 * val.re / norm
+                mat[x - 1][y - 1], mat[y - 1][x - 1] = entry, -entry
+                eta_phi = add(eta_phi, pair_images[(x, y)], entry)
+            sq = naive_mat_mul(mat, mat)
+            square_ok = all(sq[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
+            for kind, c, flag in (("pure", 2, square_ok),
+                                  ("reducing", 1, any(x for row in mat for x in row))):
+                defect = add(eta_phi, w, c)
+                dn2 = phi.scale2 * sum((v.norm2() for v in defect), F(0)) / norm
+                out[kind][(k, l)] = (dn2, flag)
+        results.append(out)
+    return results
+
+
+@pytest.mark.parametrize("label", ["n5r3", "n4r4", "qk1"])
+def test_certificates_match_dense_oracle(label):
+    """Per-pair witnesses of the image-table certificate against dense
+    operators, in the standard frame (through check_pure / check_reducing)
+    and in a rotated one.  Real and imaginary parts carry different, coprime
+    denominators, so a common denominator taken from one part alone is
+    wrong."""
+    rng = random.Random(label)
+    if label == "qk1":
+        phi = build_qk_pure(1).spinor
+    else:
+        n, r = int(label[1]), int(label[3])
+        spin_idx, twist_idx = all_basis_indices(n), all_basis_indices(r)
+        coeffs = {(rng.choice(spin_idx), (rng.choice(twist_idx), rng.choice(twist_idx))):
+                  gr(F(rng.randint(-9, 9), rng.choice((3, 7))),
+                     F(rng.randint(-9, 9), rng.choice((4, 5))))
+                  for _ in range(12)}
+        phi = ScaledSpinor(n, r, 2, coeffs, F(3, 5))
+    identity = [[F(int(i == j)) for j in range(phi.r)] for i in range(phi.r)]
+    rotation = random_so_matrix(phi.r, rng, bound=2)
+    want_standard, want_rotated = _dense_certificates(phi, (identity, rotation))
+    for kind, check in (("pure", check_pure), ("reducing", check_reducing)):
+        flag = "square_ok" if kind == "pure" else "eta_nonzero"
+        [(_, rotated)] = _certify(phi, kind, (rotation,))
+        for per, want in ((check(phi).per_pair, want_standard[kind]),
+                          (rotated, want_rotated[kind])):
+            assert {p: (v.defect_norm2, getattr(v, flag)) for p, v in per.items()} == want
+            if label != "qk1":
+                assert all(dn2 for dn2, _ in want.values())
+    if label == "qk1":
+        assert want_rotated["pure"] == {p: (F(0), True) for p in pairs(3)}
 
 
 def test_frame_rotation_on_non_pure_spinor():

@@ -68,10 +68,11 @@ def _apply(rows, vec):
     return [sum((x * vec[j] for j, x in row), gr(0)) for row in rows]
 
 
-def dense_etas(phi):
-    """{(k, l): scale2 * Re< e_a e_b kappa(f_kl) phi, phi >} for k < l, with
-    every operator a dense Kronecker product of 2x2 blocks on
-    Delta_n (x) Delta_r^(x m)."""
+def dense_operators(phi):
+    """phi's coefficient vector, the spin generators [e_1 .. e_n] and the
+    twist generators {(slot, i): f_i on that slot}, each a dense Kronecker
+    product of 2x2 blocks on Delta_n (x) Delta_r^(x m), and the squared
+    norm 2^(kn + m kr) of a raw basis vector."""
     n, r, m = phi.shape()
     kn, kr = spinor_dim_exponent(n), spinor_dim_exponent(r)
     dims = [2 ** kn] + [2 ** kr] * m
@@ -84,6 +85,15 @@ def dense_etas(phi):
     gens = [_slot_operator(dims, 0, dense_generator(n, a)) for a in range(1, n + 1)]
     twists = {(slot, i): _slot_operator(dims, slot, dense_generator(r, i))
               for slot in range(1, m + 1) for i in range(1, r + 1)}
+    return vec, gens, twists, 2 ** (kn + m * kr)
+
+
+def dense_etas(phi):
+    """{(k, l): scale2 * Re< e_a e_b kappa(f_kl) phi, phi >} for k < l, with
+    every operator a dense Kronecker product of 2x2 blocks on
+    Delta_n (x) Delta_r^(x m)."""
+    n, r, m = phi.shape()
+    vec, gens, twists, norm = dense_operators(phi)
     out = {}
     for k in range(1, r + 1):
         for l in range(k + 1, r + 1):
@@ -96,8 +106,7 @@ def dense_etas(phi):
                 for b in range(a + 1, n + 1):
                     x = _apply(gens[a - 1], _apply(gens[b - 1], w))
                     val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
-                    # the raw basis vectors have squared norm 2^(kn + m kr)
-                    entry = phi.scale2 * val.re / 2 ** (kn + m * kr)
+                    entry = phi.scale2 * val.re / norm
                     mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
             out[(k, l)] = mat
     return out
@@ -250,18 +259,14 @@ def test_spinc_form_wrong_rank():
 def dense_spinc_form(psi):
     """Re( i * <e_a e_b psi, psi> ) for an untwisted spinor, with every
     generator a dense Kronecker product of 2x2 blocks on Delta_n."""
-    n, k = psi.n, spinor_dim_exponent(psi.n)
-    vec = [gr(0)] * 2 ** k
-    for (spin, _), c in psi.coeffs.items():
-        vec = [v + c * x for v, x in zip(vec, u_raw_correct(spin))]
-    gens = [_slot_operator([2 ** k], 0, dense_generator(n, a)) for a in range(1, n + 1)]
+    n = psi.n
+    vec, gens, _, norm = dense_operators(psi)
     mat = [[F(0)] * n for _ in range(n)]
     for a in range(1, n + 1):
         for b in range(a + 1, n + 1):
             x = _apply(gens[a - 1], _apply(gens[b - 1], vec))
             val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
-            # Re(i * val) = -Im(val); the raw basis vectors have squared norm 2^k
-            entry = -psi.scale2 * val.im / 2 ** k
+            entry = -psi.scale2 * val.im / norm  # Re(i * val) = -Im(val)
             mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
     return mat
 

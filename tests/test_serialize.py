@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch, SpinorForgeError
@@ -111,6 +112,57 @@ _TWISTED = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [_ENTRY]}
 def test_malformed_wire_objects_raise_typed_errors(decode, obj):
     with pytest.raises((ValueError, SpinorForgeError)):
         decode(obj)
+
+
+# Arbitrary JSON trees, and objects whose fields are usually well typed so
+# that the decoders get past their first checks.  Integers stay small: a
+# dimension cap is not in place yet, and a 2-form with a huge n would
+# allocate its n x n matrix.
+_RATIONALS = st.sampled_from(("1", "-2/3", "1/0", "0", "1.5", "", "x", "3/4")) | st.text(max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | _RATIONALS)
+_ANY = st.recursive(
+    _LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=4),
+    max_leaves=20)
+
+
+def _field(good):
+    """Usually a well-typed value, sometimes any JSON."""
+    return st.one_of(good, good, good, _ANY)
+
+
+def _object(required, **optional):
+    """Usually an object with every required field, sometimes any JSON."""
+    return _field(st.fixed_dictionaries(required, optional=optional))
+
+
+_SIGN_LIST = st.lists(st.sampled_from((1, -1)), max_size=3)
+_GAUSSIAN = {"re": _field(_RATIONALS), "im": _field(_RATIONALS)}
+_TWISTED_ENTRY = _object({"spin": _field(_SIGN_LIST),
+                          "twist": _field(st.lists(_SIGN_LIST, max_size=2))}, **_GAUSSIAN)
+_UNTWISTED_ENTRY = _object({"eps": _field(_SIGN_LIST)}, **_GAUSSIAN)
+_TERM = _object({"a": _field(st.integers(-1, 7)), "b": _field(st.integers(-1, 7)),
+                 "coeff": _field(_RATIONALS)})
+_DIM = _field(st.integers(-2, 7))
+_TWISTED = _object({"n": _DIM, "r": _field(st.integers(-1, 5)), "m": _field(st.integers(-1, 2)),
+                    "scale2": _field(_RATIONALS),
+                    "coeffs": _field(st.lists(_TWISTED_ENTRY, max_size=4))})
+_UNTWISTED = _object({"n": _DIM, "coeffs": _field(st.lists(_UNTWISTED_ENTRY, max_size=4))})
+_TWO_FORM = _object({"n": _DIM, "terms": _field(st.lists(_TERM, max_size=4))})
+
+
+@pytest.mark.parametrize("decode,own", [(scaled_spinor_from_json, _TWISTED),
+                                        (spinor_from_json, _UNTWISTED),
+                                        (two_form_from_json, _TWO_FORM)])
+@settings(derandomize=True, max_examples=150, database=None, deadline=None)
+@given(data=st.data())
+def test_decoders_raise_only_typed_errors_on_arbitrary_json(decode, own, data):
+    obj = data.draw(own)
+    try:
+        decode(obj)
+    except (ValueError, SpinorForgeError):
+        pass
 
 
 @pytest.mark.parametrize("decode,obj,field", [

@@ -349,3 +349,14 @@ def test_untwisted_spinor_is_the_m0_scaled_spinor():
             SpinorVector(2, bad)
     with pytest.raises(ShapeMismatch):
         gamma_apply(ScaledSpinor(2, 2, 1, {((1,), ((1,),)): c}))
+
+
+def test_index_entries_must_be_signs():
+    c = gr(1)
+    for coeffs in ({((2,), ()): c}, {((0, 1), ()): c}):
+        with pytest.raises(ShapeMismatch):
+            ScaledSpinor(2 * len(next(iter(coeffs))[0]), 0, 0, coeffs)
+    for twist in (((0,),), ((1,), (-2,))):
+        with pytest.raises(ShapeMismatch):
+            ScaledSpinor(2, 3, len(twist), {((1,), twist): c})
+    assert ScaledSpinor(2, 3, 2, {((1,), ((1,), (-1,))): c}).coeffs

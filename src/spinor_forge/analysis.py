@@ -21,8 +21,8 @@ from .errors import (
 )
 from .forms import Endo, ImageTable, eta_hat, spinc_form, two_form_from_terms
 from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace
-from .scalars import GaussianRational, Rational, exact_rational, gr
-from .spinrep import FormTerm
+from .scalars import Rational, exact_rational, gr
+from .spinrep import FormTerm, TwistedIndex
 from .twisted import (
     ScaledSpinor,
     TwistedCoeffMap,
@@ -137,25 +137,44 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     # Rows [x_i | e_i | 0] record which combination of the basis a reduced
     # row is; a bracket enters as [z | 0 | 1] and reduces to [0 | c | s]
     # exactly when z = -sum (c_i / s) x_i lies in the span.
-    rows = [x.flat() for x in basis]
-    size, width = len(rows), len(rows[0])
-    red = RowReducer(width + size + 1)
-    for i, row in enumerate(rows):
-        red.add(row + [Fraction(int(j == i)) for j in range(size + 1)])
-    dim = sum(1 for col in red.pivots if col < width)
+    n, r = shape
+    a_col = {p: i for i, p in enumerate(pairs(n))}
+    b_col = {p: len(a_col) + i for i, p in enumerate(pairs(r))}
+    offset = len(a_col) + len(b_col)
+
+    def sparse_row(a: Dict[Pair, Fraction], b: Dict[Pair, Fraction]) -> Dict[int, Fraction]:
+        row = {a_col[p]: c for p, c in a.items()}
+        row.update({b_col[p]: c for p, c in b.items()})
+        return row
+
+    size = len(basis)
+    last = offset + size
+    red = RowReducer(last + 1)
+    for i, x in enumerate(basis):
+        row = sparse_row(x.a, x.b)
+        row[offset + i] = Fraction(1)
+        red.add(row)
+    dim = sum(1 for c in red.pivots if c < offset)
     independent = dim == size
     closed = True
+    zero = Fraction(0)
     structure: Dict[Pair, List[Fraction]] = {}
     for i in range(size):
         for j in range(i + 1, size):
-            z = bracket(basis[i], basis[j]).flat() + [Fraction(0)] * size + [Fraction(1)]
+            x, y = basis[i], basis[j]
+            z = sparse_row(_bivector_bracket(x.a, y.a), _bivector_bracket(x.b, y.b))
+            z[last] = Fraction(1)
             row = red.reduce(z)
-            if any(row[:width]):
+            if min(row) < offset:
                 closed = False
                 structure = {}
                 break
             if independent:
-                structure[(i, j)] = [Fraction(-c, row[-1]) for c in row[width:-1]]
+                consts = [zero] * size
+                for c, v in row.items():
+                    if c < last:
+                        consts[c - offset] = Fraction(-v, row[last])
+                structure[(i, j)] = consts
         if not closed:
             break
     return LieSubalgebra(
@@ -363,11 +382,8 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
 def _annihilator_columns(phi: ScaledSpinor) -> List[TwistedCoeffMap]:
     """Action of each unknown generator on phi: all e_ie_j on the spin slot,
     then all kappa(f_kf_l) on the twist slots."""
-    cols: List[TwistedCoeffMap] = []
-    for (i, j) in pairs(phi.n):
-        cur = _spin_generator(phi, j, phi.coeffs)
-        cur = _spin_generator(phi, i, cur)
-        cols.append(cur)
+    images = {j: _spin_generator(phi, j, phi.coeffs) for j in range(2, phi.n + 1)}
+    cols = [_spin_generator(phi, i, images[j]) for (i, j) in pairs(phi.n)]
     for (k, l) in pairs(phi.r):
         cols.append(twist_bivector_action(k, l, phi).coeffs)
     return cols
@@ -375,8 +391,10 @@ def _annihilator_columns(phi: ScaledSpinor) -> List[TwistedCoeffMap]:
 
 def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     """The subalgebra of spin(n) + spin(r) annihilating every given spinor,
-    solved as one exact rational linear system over the bivector
-    coefficients (a_ij; b_kl)."""
+    solved as one exact linear system over the bivector coefficients
+    (a_ij; b_kl).  The real and the imaginary part of each basis coefficient
+    of the action give one sparse row each, gathered in one walk over each
+    column's coefficient map."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
@@ -384,17 +402,20 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
     width = len(pairs(n)) + len(pairs(r))
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     for phi in spinors:
-        cols = _annihilator_columns(phi)
-        touched = sorted({idx for col in cols for idx in col})
-        for idx in touched:
-            re_row = [col.get(idx, GaussianRational()).re for col in cols]
-            im_row = [col.get(idx, GaussianRational()).im for col in cols]
-            if any(re_row):
-                rows.append(re_row)
-            if any(im_row):
-                rows.append(im_row)
+        re_rows: Dict[TwistedIndex, Dict[int, Fraction]] = {}
+        im_rows: Dict[TwistedIndex, Dict[int, Fraction]] = {}
+        for j, col in enumerate(_annihilator_columns(phi)):
+            for idx, c in col.items():
+                if c.re:
+                    re_rows.setdefault(idx, {})[j] = c.re
+                if c.im:
+                    im_rows.setdefault(idx, {})[j] = c.im
+        for idx in sorted(re_rows.keys() | im_rows.keys()):
+            for part in (re_rows, im_rows):
+                if idx in part:
+                    rows.append(part[idx])
     basis_vecs = nullspace(rows, width)
     basis = [AmbientElement.from_flat(n, r, v) for v in basis_vecs]
     if not basis:
@@ -417,7 +438,8 @@ def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
 
 def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo]]:
     """All X with [X, h] = 0 for every h in the family (optionally skew X),
-    as an exact nullspace over the n^2 matrix entries."""
+    as an exact nullspace over the n^2 matrix entries: one sparse row per
+    nonzero entry of [X, h], built from the nonzero entries of h."""
     if not etas:
         raise EmptyInput("empty family")
     n = etas[0].n
@@ -428,30 +450,29 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
     def var(p: int, q: int) -> int:
         return p * n + q
 
-    rows: List[List[Fraction]] = []
+    rows: List[Dict[int, Fraction]] = []
     for h in etas:
         m = h.mat
+        # (X M - M X)[a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b]
+        in_col = [[(c, m[c][b]) for c in range(n) if m[c][b]] for b in range(n)]
+        in_row = [[(c, x) for c, x in enumerate(m[a]) if x] for a in range(n)]
         for a in range(n):
             for b in range(n):
-                row = [Fraction(0)] * width
-                # (X M - M X)[a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b]
-                for c in range(n):
-                    if m[c][b]:
-                        row[var(a, c)] += m[c][b]
-                    if m[a][c]:
-                        row[var(c, b)] -= m[a][c]
-                if any(row):
+                row = {var(a, c): x for c, x in in_col[b]}
+                for c, x in in_row[a]:
+                    k = var(c, b)
+                    v = row.get(k, 0) - x
+                    if v:
+                        row[k] = v
+                    else:
+                        row.pop(k, None)
+                if row:
                     rows.append(row)
     if restrict_skew:
         for p in range(n):
-            row = [Fraction(0)] * width
-            row[var(p, p)] = Fraction(1)
-            rows.append(row)
+            rows.append({var(p, p): Fraction(1)})
             for q in range(p + 1, n):
-                row = [Fraction(0)] * width
-                row[var(p, q)] = Fraction(1)
-                row[var(q, p)] = Fraction(1)
-                rows.append(row)
+                rows.append({var(p, q): Fraction(1), var(q, p): Fraction(1)})
     vecs = nullspace(rows, width)
     basis = [Endo(n, [[v[var(p, q)] for q in range(n)] for p in range(n)])
              for v in vecs]

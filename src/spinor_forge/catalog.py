@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import UnsupportedDimension
 from .forms import TwoForm, two_form_from_terms
 from .scalars import gr
-from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, gamma_apply
+from .spinrep import MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, gamma_apply
 from .twisted import form_action_on_spin_slot
 
 Pair = Tuple[int, int]
@@ -68,6 +68,8 @@ def build_qk_pure(m: int) -> CatalogEntry:
     """The n = 4m, r = 3 pure spinor of the quaternion-Kaehler family."""
     if m < 1:
         raise UnsupportedDimension("need m >= 1")
+    if m > MAX_M:
+        raise UnsupportedDimension(f"need m <= {MAX_M}, got {m}")
     n = 4 * m
     coeffs: TwistedCoeffMap = {}
     for j in range(m + 1):

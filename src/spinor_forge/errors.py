@@ -60,4 +60,5 @@ class MissingPair(SpinorForgeError):
 
 
 class UnsupportedDimension(SpinorForgeError):
-    """Catalog constructor called outside its supported dimension range."""
+    """A dimension outside the supported range: a catalog constructor's, or
+    the caps on n, r and m of ``spinrep.check_dimensions``."""

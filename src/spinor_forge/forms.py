@@ -34,7 +34,8 @@ from typing import Dict, List, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, mat_mul, transpose, zeros
 from .scalars import GaussianRational, Rational, exact_rational
-from .spinrep import FormTerm, ScaledSpinor, TwistedCoeffMap, TwistedIndex, _spin_generator
+from .spinrep import (FormTerm, ScaledSpinor, TwistedCoeffMap, TwistedIndex, _spin_generator,
+                      check_dimensions)
 from .twisted import _merge, twist_bivector_action
 
 
@@ -118,7 +119,9 @@ class Endo:
 
 
 def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoForm:
-    """Build from {(a, b): coeff} with 1-based a != b; (b, a) entries negate."""
+    """Build from {(a, b): coeff} with 1-based a != b; (b, a) entries negate.
+    n is checked against the cap MAX_N before the n x n matrix exists."""
+    check_dimensions(n)
     mat = zeros(n)
     for (a, b), c in terms.items():
         if not (1 <= a <= n and 1 <= b <= n) or a == b:

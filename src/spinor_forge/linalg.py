@@ -1,8 +1,12 @@
 """Exact rational linear algebra.
 
-Row reduction is fraction-free: each row is cleared to integers and stripped
-by its gcd, and elimination uses integer cross-multiples only, so no rational
-reconstruction happens until a nullspace vector is read off.  Also houses the
+Row reduction is fraction-free and sparse.  A row, dense or a ``{col: value}``
+map, is cleared to a ``{col: int}`` map over its nonzero entries and stripped
+by its gcd; elimination uses integer cross-multiples only, so no rational
+reconstruction happens until a nullspace vector is read off.  ``nullspace``
+drops rows equal up to scale before eliminating and back-substitutes in
+integers; its basis is read from the canonical reduced row echelon form, so
+it does not depend on the order or the scale of the rows.  Also houses the
 exact generators of rational orthogonal matrices (Cayley transforms, Givens
 rotations from Pythagorean pairs) and rational unit vectors used by the group
 tests.
@@ -14,80 +18,100 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .errors import NotOrthogonal
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
 IntRow = List[int]
+SparseRow = Dict[int, int]
+# A row as a dense sequence or as a {col: value} map of its nonzero entries.
+Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
 
 
-def _to_int_row(row: Sequence[Fraction]) -> IntRow:
+def _sparse_int_row(row: Row) -> SparseRow:
+    """The nonzero entries of ``row`` times the lcm of their denominators,
+    divided by the gcd of the results: a primitive integer row."""
+    items = row.items() if isinstance(row, Mapping) else enumerate(row)
+    nz = [(col, x) for col, x in items if x]
     den = 1
-    for x in row:
-        den = den * x.denominator // math.gcd(den, x.denominator)
-    ints = [int(x * den) for x in row]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    for _, x in nz:
+        if den % x.denominator:
+            den = math.lcm(den, x.denominator)
+    out = {col: x.numerator * (den // x.denominator) for col, x in nz}
+    g = math.gcd(*out.values())
     if g > 1:
-        ints = [v // g for v in ints]
-    return ints
+        out = {col: v // g for col, v in out.items()}
+    return out
+
+
+def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
+    """a * row - b * piv, with a > 0 when piv[col] > 0, cancelling the entry at ``col``."""
+    v, p = row[col], piv[col]
+    g = math.gcd(v, p)
+    a, b = p // g, v // g
+    out = {c: a * x for c, x in row.items()} if a != 1 else dict(row)
+    for c, y in piv.items():
+        s = out.get(c, 0) - b * y
+        if s:
+            out[c] = s
+        else:
+            del out[c]
+    return out
 
 
 class RowReducer:
-    """Incremental integer row echelon with recorded pivot columns."""
+    """Incremental integer row echelon form on sparse rows of ``width``
+    columns.  Each pivot row is primitive with a positive leading entry, and
+    its pivot column is its smallest key."""
 
     def __init__(self, width: int) -> None:
         self.width = width
-        self.pivots: Dict[int, IntRow] = {}  # pivot column -> reduced row
+        self.pivots: Dict[int, SparseRow] = {}  # pivot column -> reduced row
 
-    def _reduce(self, row: IntRow) -> IntRow:
-        for col in range(self.width):
-            v = row[col]
-            if not v:
-                continue
+    def _reduce(self, row: SparseRow) -> SparseRow:
+        while row:
+            col = min(row)
             piv = self.pivots.get(col)
             if piv is None:
-                return row
-            p = piv[col]
-            g = math.gcd(abs(v), abs(p))
-            a, b = p // g, v // g
-            row = [a * x - b * y for x, y in zip(row, piv)]
+                break
+            row = _eliminate(row, piv, col)
         return row
 
-    def reduce(self, row: Sequence[Fraction]) -> IntRow:
+    def _add(self, row: SparseRow) -> bool:
+        r = self._reduce(row)
+        if not r:
+            return False
+        g = math.gcd(*r.values())
+        col = min(r)
+        if r[col] < 0:
+            g = -g
+        if g != 1:
+            r = {c: v // g for c, v in r.items()}
+        self.pivots[col] = r
+        return True
+
+    def reduce(self, row: Row) -> SparseRow:
         """Clear ``row`` to integers and reduce it by the pivot rows.  The
         result is a positive multiple of ``row`` minus an integer combination
-        of the pivot rows; it is zero iff ``row`` lies in the row space."""
-        return self._reduce(_to_int_row(row))
+        of the pivot rows, as a {col: int} map; it is empty iff ``row`` lies
+        in the row space."""
+        return self._reduce(_sparse_int_row(row))
 
-    def add(self, row: Sequence[Fraction]) -> bool:
+    def add(self, row: Row) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
-        r = self.reduce(row)
-        for col in range(self.width):
-            if r[col]:
-                g = 0
-                for v in r:
-                    g = math.gcd(g, v)
-                if g > 1:
-                    r = [v // g for v in r]
-                if r[col] < 0:
-                    r = [-v for v in r]
-                self.pivots[col] = r
-                return True
-        return False
+        return self._add(_sparse_int_row(row))
 
-    def contains(self, row: Sequence[Fraction]) -> bool:
-        return not any(self.reduce(row))
+    def contains(self, row: Row) -> bool:
+        return not self.reduce(row)
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
 
-def rank(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> int:
+def rank(rows: Sequence[Row], width: Optional[int] = None) -> int:
     if not rows:
         return 0
     red = RowReducer(width if width is not None else len(rows[0]))
@@ -96,14 +120,14 @@ def rank(rows: Sequence[Sequence[Fraction]], width: Optional[int] = None) -> int
     return red.rank
 
 
-def span_contains(basis: Sequence[Sequence[Fraction]], vec: Sequence[Fraction]) -> bool:
+def span_contains(basis: Sequence[Row], vec: Row) -> bool:
     red = RowReducer(len(vec))
     for row in basis:
         red.add(row)
     return red.contains(vec)
 
 
-def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]) -> bool:
+def spans_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
     if not a and not b:
         return True
     width = len(a[0]) if a else len(b[0])
@@ -118,32 +142,47 @@ def spans_equal(a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
     return all(ra.contains(row) for row in b)
 
 
-def nullspace(rows: Sequence[Sequence[Fraction]], width: int) -> List[Vector]:
-    """Basis of {x : A x = 0} for the matrix with the given rows."""
+def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
+    """Basis of {x : A x = 0} for the matrix with the given rows, dense or
+    {col: value} maps: one vector per free column f, with x_f = 1, zero on
+    the other free columns, read off the reduced row echelon form."""
     red = RowReducer(width)
+    seen = set()
     for row in rows:
-        red.add(row)
-    # Reduced row echelon over Q from the integer pivot rows.
-    pivot_cols = sorted(red.pivots)
-    rref: Dict[int, Vector] = {
-        col: [Fraction(v, red.pivots[col][col]) for v in red.pivots[col]]
-        for col in pivot_cols
-    }
-    for idx, col in enumerate(pivot_cols):
-        row = rref[col]
-        for above in pivot_cols[:idx]:
-            f = rref[above][col]
-            if f:
-                rref[above] = [x - f * y for x, y in zip(rref[above], row)]
-    free_cols = [c for c in range(width) if c not in red.pivots]
-    basis: List[Vector] = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * width
-        vec[fc] = Fraction(1)
-        for col in pivot_cols:
-            vec[col] = -rref[col][fc]
-        basis.append(vec)
-    return basis
+        r = _sparse_int_row(row)
+        if not r:
+            continue
+        if r[min(r)] < 0:
+            r = {c: -v for c, v in r.items()}
+        key = frozenset(r.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        if min(r) < 0 or max(r) >= width:
+            raise ValueError(f"row has a column outside 0..{width - 1}")
+        red._add(r)
+    # Integer back-substitution: clear every later pivot column from each
+    # pivot row, last pivot first, so that reduced[col] is a positive
+    # multiple of the RREF row of col.
+    reduced: Dict[int, SparseRow] = {}
+    for col in sorted(red.pivots, reverse=True):
+        row = red.pivots[col]
+        for k in [k for k in row if k != col and k in reduced]:
+            row = _eliminate(row, reduced[k], k)
+        g = math.gcd(*row.values())
+        reduced[col] = {c: v // g for c, v in row.items()} if g > 1 else row
+    basis: Dict[int, Vector] = {}
+    for fc in range(width):
+        if fc not in reduced:
+            vec = [Fraction(0)] * width
+            vec[fc] = Fraction(1)
+            basis[fc] = vec
+    for col, row in reduced.items():
+        lead = row[col]
+        for c, v in row.items():
+            if c != col:
+                basis[c][col] = Fraction(-v, lead)
+    return list(basis.values())
 
 
 # -- dense Fraction matrices ------------------------------------------------

@@ -1,8 +1,11 @@
 """JSON wire formats.
 
 Rationals travel as decimal strings "p/q" ("/q" omitted when q = 1);
-Gaussian rationals as {"re": "p/q", "im": "p/q"}.  All decoders validate
-shape and raise ValueError with a diagnostic on malformed input.
+exponent notation is refused.  Gaussian rationals travel as
+{"re": "p/q", "im": "p/q"}.  All decoders validate shape and raise
+ValueError with a diagnostic on malformed input; dimensions are checked
+against the caps of ``spinrep.check_dimensions`` before the coefficients
+are read.
 
 There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
 twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
@@ -18,12 +21,16 @@ from typing import Any, Dict, Iterable, List, Tuple
 from .analysis import AmbientElement, LieSubalgebra
 from .forms import TwoForm, two_form_from_terms
 from .scalars import GaussianRational
-from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap
+from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, check_dimensions
 
 
 def rational_from_json(s: Any) -> Fraction:
     if not isinstance(s, str):
         raise ValueError(f"expected a rational string, got {s!r}")
+    # Fraction expands "1e999999999" into a billion-digit integer; the wire
+    # format writes only "p" and "p/q".
+    if "e" in s or "E" in s:
+        raise ValueError(f"bad rational {s!r}: exponent notation is not allowed")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
@@ -82,11 +89,13 @@ def spinor_to_json(psi: ScaledSpinor) -> Dict[str, Any]:
 
 def spinor_from_json(obj: Any) -> ScaledSpinor:
     obj = _object_from_json(obj, ("n", "coeffs"), "spinor JSON")
+    n = _int_from_json(obj["n"], "n")
+    check_dimensions(n)
     coeffs = {}
     for entry in _list_from_json(obj["coeffs"], "coeffs"):
         entry = _object_from_json(entry, ("eps",), "coefficient entry")
         coeffs[_eps_from_json(entry["eps"], "eps")] = gaussian_from_json(entry)
-    return SpinorVector(_int_from_json(obj["n"], "n"), coeffs)
+    return SpinorVector(n, coeffs)
 
 
 def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
@@ -108,6 +117,8 @@ def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
 
 def scaled_spinor_from_json(obj: Any) -> ScaledSpinor:
     obj = _object_from_json(obj, ("n", "r", "m", "scale2", "coeffs"), "twisted spinor JSON")
+    n, r, m = (_int_from_json(obj[f], f) for f in ("n", "r", "m"))
+    check_dimensions(n, r, m)
     coeffs: TwistedCoeffMap = {}
     for entry in _list_from_json(obj["coeffs"], "coeffs"):
         entry = _object_from_json(entry, ("spin", "twist"), "coefficient entry")
@@ -115,10 +126,7 @@ def scaled_spinor_from_json(obj: Any) -> ScaledSpinor:
         twist = tuple(_eps_from_json(t, "twist slot")
                       for t in _list_from_json(entry["twist"], "twist"))
         coeffs[(spin, twist)] = gaussian_from_json(entry)
-    return ScaledSpinor(
-        _int_from_json(obj["n"], "n"), _int_from_json(obj["r"], "r"),
-        _int_from_json(obj["m"], "m"), coeffs, rational_from_json(obj["scale2"]),
-    )
+    return ScaledSpinor(n, r, m, coeffs, rational_from_json(obj["scale2"]))
 
 
 def two_form_to_json(omega: TwoForm) -> Dict[str, Any]:
@@ -132,12 +140,14 @@ def two_form_to_json(omega: TwoForm) -> Dict[str, Any]:
 
 def two_form_from_json(obj: Any) -> TwoForm:
     obj = _object_from_json(obj, ("n", "terms"), "2-form JSON")
+    n = _int_from_json(obj["n"], "n")
+    check_dimensions(n)
     terms = {}
     for t in _list_from_json(obj["terms"], "terms"):
         t = _object_from_json(t, ("a", "b", "coeff"), "2-form term")
         key = (_int_from_json(t["a"], "a"), _int_from_json(t["b"], "b"))
         terms[key] = rational_from_json(t["coeff"])
-    return two_form_from_terms(_int_from_json(obj["n"], "n"), terms)
+    return two_form_from_terms(n, terms)
 
 
 def ambient_to_json(x: AmbientElement) -> Dict[str, Any]:

@@ -30,11 +30,33 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
-from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch
+from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension
 from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
 
 BasisIndex = Tuple[int, ...]
 CoeffMap = Dict[BasisIndex, GaussianRational]
+
+
+# Caps on the dimensions of a spinor space Delta_n (x) Delta_r^(x m).  They
+# admit every catalog entry (qk(m) for m <= 8 at (4m, 3, m), spin7 at
+# (8, 7, 1), generic(n) for n <= 8) and refuse a hostile wire dimension
+# before anything of its size is built, such as eta's n x n matrix or the
+# n^2-wide rows of a commutant.
+MAX_N = 32
+MAX_R = 16
+MAX_M = 8
+
+
+def check_dimensions(n: int, r: int = 0, m: int = 0) -> None:
+    """Refuse negative dimensions (ShapeMismatch) and dimensions above the
+    caps MAX_N, MAX_R, MAX_M (UnsupportedDimension)."""
+    if 0 <= n <= MAX_N and 0 <= r <= MAX_R and 0 <= m <= MAX_M:
+        return
+    for name, value, cap in (("n", n, MAX_N), ("r", r, MAX_R), ("m", m, MAX_M)):
+        if value < 0:
+            raise ShapeMismatch(f"{name} must be >= 0, got {value}")
+        if value > cap:
+            raise UnsupportedDimension(f"{name} must be <= {cap}, got {value}")
 
 
 def spinor_dim_exponent(n: int) -> int:
@@ -69,9 +91,7 @@ class ScaledSpinor:
     scale2: Rational = Fraction(1)
 
     def __post_init__(self) -> None:
-        for name, value in (("n", self.n), ("r", self.r), ("m", self.m)):
-            if value < 0:
-                raise ShapeMismatch(f"{name} must be >= 0, got {value}")
+        check_dimensions(self.n, self.r, self.m)
         if not isinstance(self.scale2, Fraction):
             object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:

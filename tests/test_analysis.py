@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -255,6 +256,17 @@ def test_annihilator_g2_span():
 def test_annihilator_qk_m1():
     alg = annihilator([build_qk_pure(1).spinor])
     assert alg.dim == 6 and alg.closed
+
+
+def test_annihilator_qk_m5_within_budget():
+    """n = 20: sp(5) + sp(1), dim m(2m+1)+3 = 58, closed, in at most 6 s
+    (system build, elimination and bracket closure)."""
+    phi = build_qk_pure(5).spinor
+    t0 = time.monotonic()
+    alg = annihilator([phi])
+    elapsed = time.monotonic() - t0
+    assert (alg.dim, alg.closed, len(alg.basis)) == (58, True, 58)
+    assert elapsed < 6.0, f"qk(5) annihilator took {elapsed:.2f}s, budget 6s"
 
 
 def test_annihilator_validates_input():

@@ -176,3 +176,21 @@ def test_catalog_emit_to_unwritable_path_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "1",
                            "-o", str(target))
         assert code == 2 and err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_exponent_rational_exits_2(tmp_path, capsys):
+    bad = tmp_path / "exponent.json"
+    bad.write_text(json.dumps({"n": 4, "r": 3, "m": 1, "scale2": "1e999999999", "coeffs": []}))
+    code, _, err = run(capsys, "verify", "pure", "--in", str(bad))
+    assert code == 2 and "exponent" in err and "Traceback" not in err
+
+
+def test_dimension_cap_exits_2(tmp_path, capsys):
+    # m = 9 twist slots of Delta_0 over Delta_2: tiny, but above the cap on m.
+    bad = tmp_path / "too_many_slots.json"
+    entry = {"spin": [1], "twist": [[]] * 9, "re": "1", "im": "0"}
+    bad.write_text(json.dumps({"n": 2, "r": 0, "m": 9, "scale2": "1", "coeffs": [entry]}))
+    code, _, err = run(capsys, "annihilator", "--in", str(bad))
+    assert code == 2 and "m must be <= 8" in err and "Traceback" not in err
+    code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "9")
+    assert code == 2 and "m <= 8" in err

@@ -4,7 +4,9 @@ from fractions import Fraction as F
 import pytest
 
 from spinor_forge.analysis import AmbientElement
-from spinor_forge.errors import IndexOutOfRange, InexactScalar, ShapeMismatch, WrongRank, ZeroSpinor
+from spinor_forge.errors import (
+    IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
+)
 from spinor_forge.forms import (
     Endo,
     TwoForm,
@@ -291,3 +293,10 @@ def test_untwisted_spinc_form_needs_even_dimension_and_nonzero_spinor():
         spinc_form(basis_spinor(3, (1,)))
     with pytest.raises(ZeroSpinor):
         spinc_form(SpinorVector(4, {}))
+
+
+def test_two_form_dimension_cap():
+    assert two_form_from_terms(32, {(1, 32): 1}).n == 32
+    for n in (33, 2000):
+        with pytest.raises(UnsupportedDimension, match="^n must be <= 32"):
+            two_form_from_terms(n, {})

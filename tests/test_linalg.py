@@ -30,14 +30,17 @@ def random_matrix(rows, cols, rng, bound=4):
             for _ in range(rows)]
 
 
-def plain_gauss_rank(rows):
-    """Independent rank oracle: straightforward elimination over Fraction."""
+def plain_rref(rows, n_cols):
+    """Independent oracle: straightforward Gauss-Jordan over Fraction.
+    Returns the nonzero rows of the reduced row echelon form and their
+    pivot columns."""
     m = [list(r) for r in rows]
-    if not m:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
+    n_rows = len(m)
+    pivots = []
     r = 0
     for c in range(n_cols):
+        if r == n_rows:
+            break
         piv = next((i for i in range(r, n_rows) if m[i][c]), None)
         if piv is None:
             continue
@@ -48,10 +51,30 @@ def plain_gauss_rank(rows):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
         r += 1
-        if r == n_rows:
-            break
-    return r
+    return m[:r], pivots
+
+
+def plain_gauss_rank(rows):
+    """Independent rank oracle."""
+    return len(plain_rref(rows, len(rows[0]) if rows else 0)[1])
+
+
+def plain_nullspace(rows, n_cols):
+    """The canonical kernel basis: for each free column f, the vector with
+    x_f = 1, zero on the other free columns, from the oracle's RREF."""
+    rref, pivots = plain_rref(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        vec = [F(0)] * n_cols
+        vec[f] = F(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def test_rank_matches_plain_gauss_oracle():
@@ -77,6 +100,46 @@ def test_nullspace_vectors_are_exact_kernel_elements():
         assert rank(basis) == len(basis)
 
 
+def _mixed_system(rng, n_rows, n_cols):
+    """Seeded sparse-ish rows with zero rows, repeats and rescaled copies
+    (negative scales included) mixed in, in shuffled order."""
+    rows = [[F(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.6 else F(0)
+             for _ in range(n_cols)] for _ in range(n_rows)]
+    extra = [[F(0)] * n_cols]
+    for _ in range(rng.randint(1, 4) if rows else 0):
+        src = rng.choice(rows)
+        scale = rng.choice((F(1), F(-1), F(3), F(-2, 7), F(5, 3)))
+        extra.append([scale * x for x in src])
+    rows += extra
+    rng.shuffle(rows)
+    return rows
+
+
+def test_nullspace_is_the_canonical_basis_of_a_plain_rref_oracle():
+    rng = random.Random(7)
+    for _ in range(60):
+        n_cols = rng.randint(1, 9)
+        rows = _mixed_system(rng, rng.randint(0, 8), n_cols)
+        want = plain_nullspace(rows, n_cols)
+        assert nullspace(rows, n_cols) == want
+        # The same rows as {col: value} maps, some with explicit zero entries.
+        maps = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.2} for row in rows]
+        assert nullspace(maps, n_cols) == want
+        assert nullspace(maps[::-1], n_cols) == want
+
+
+def test_nullspace_of_structured_systems():
+    # No rows: the standard basis.  A full-rank system: nothing.
+    assert nullspace([], 3) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert nullspace([{0: F(1)}, {1: F(2)}], 2) == []
+    # x0 + 2 x2 = 0 and x1 - x2/3 = 0, given as rescaled and duplicated rows.
+    rows = [{0: F(-3), 2: F(-6)}, {1: F(3), 2: F(-1)}, {1: F(-1, 2), 2: F(1, 6)},
+            {0: F(1, 5), 2: F(2, 5)}, {}]
+    assert nullspace(rows, 4) == [[F(-2), F(1, 3), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
+    with pytest.raises(ValueError):
+        nullspace([{5: F(1)}], 4)
+
+
 def test_span_membership_and_equality():
     a = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     b = [[F(1), F(1), F(2)], [F(1), F(-1), F(0)]]
@@ -92,6 +155,19 @@ def test_row_reducer_incremental():
     assert not red.add([F(2), F(4), F(6)])
     assert red.add([F(0), F(1), F(0)])
     assert red.rank == 2
+
+
+def test_row_reducer_pivots_away_from_column_zero():
+    red = RowReducer(4)
+    assert red.add([F(0), F(0), F(3), F(-6)])
+    assert red.add({1: F(2, 3), 2: F(1, 3)})
+    assert sorted(red.pivots) == [1, 2]
+    assert not red.add({2: F(-1, 2), 3: F(1)})           # -1/6 of the first row
+    assert red.contains([F(0), F(4), F(5), F(-6)])       # 2 * second + first, cleared
+    assert not red.contains([F(1), F(0), F(0), F(0)])
+    assert not red.contains({3: F(7)})
+    assert red.add({3: F(7)}) and red.rank == 3
+    assert red.contains([F(0), F(0), F(0), F(-1, 9)])
 
 
 def naive_mat_mul(a, b):

@@ -1,12 +1,13 @@
 import json
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
-from spinor_forge.errors import ShapeMismatch, SpinorForgeError
+from spinor_forge.errors import ShapeMismatch, SpinorForgeError, UnsupportedDimension
 from spinor_forge.forms import eta, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.analysis import AmbientElement
@@ -115,11 +116,13 @@ def test_malformed_wire_objects_raise_typed_errors(decode, obj):
 
 
 # Arbitrary JSON trees, and objects whose fields are usually well typed so
-# that the decoders get past their first checks.  Integers stay small: a
-# dimension cap is not in place yet, and a 2-form with a huge n would
-# allocate its n x n matrix.
-_RATIONALS = st.sampled_from(("1", "-2/3", "1/0", "0", "1.5", "", "x", "3/4")) | st.text(max_size=4)
-_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12) | st.floats() | _RATIONALS)
+# that the decoders get past their first checks.  Dimensions range past the
+# caps (a 2-form with a huge n is refused before its n x n matrix exists),
+# and rationals include an exponent string that Fraction would expand.
+_RATIONALS = st.sampled_from(("1", "-2/3", "1/0", "0", "1.5", "", "x", "3/4",
+                              "1e999999999")) | st.text(max_size=4)
+_LEAVES = (st.none() | st.booleans() | st.integers(-3, 12) | st.integers(-2 ** 40, 2 ** 40)
+           | st.floats() | _RATIONALS)
 _ANY = st.recursive(
     _LEAVES,
     lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
@@ -144,8 +147,9 @@ _TWISTED_ENTRY = _object({"spin": _field(_SIGN_LIST),
 _UNTWISTED_ENTRY = _object({"eps": _field(_SIGN_LIST)}, **_GAUSSIAN)
 _TERM = _object({"a": _field(st.integers(-1, 7)), "b": _field(st.integers(-1, 7)),
                  "coeff": _field(_RATIONALS)})
-_DIM = _field(st.integers(-2, 7))
-_TWISTED = _object({"n": _DIM, "r": _field(st.integers(-1, 5)), "m": _field(st.integers(-1, 2)),
+_DIM = _field(st.integers(-2, 7) | st.integers(30, 10 ** 12))
+_TWISTED = _object({"n": _DIM, "r": _field(st.integers(-1, 5) | st.integers(15, 10 ** 12)),
+                    "m": _field(st.integers(-1, 2) | st.integers(7, 10 ** 12)),
                     "scale2": _field(_RATIONALS),
                     "coeffs": _field(st.lists(_TWISTED_ENTRY, max_size=4))})
 _UNTWISTED = _object({"n": _DIM, "coeffs": _field(st.lists(_UNTWISTED_ENTRY, max_size=4))})
@@ -174,6 +178,37 @@ def test_decoders_raise_only_typed_errors_on_arbitrary_json(decode, own, data):
 def test_negative_dimensions_refused(decode, obj, field):
     with pytest.raises(ShapeMismatch, match=f"^{field} must be >= 0"):
         decode(obj)
+
+
+_HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize("decode,obj", [
+    (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": _HUGE, "coeffs": []}),
+    (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [
+        {"spin": [1, 1], "twist": [[1]], "re": _HUGE, "im": "0"}]}),
+    (spinor_from_json, {"n": 4, "coeffs": [{"eps": [1, 1], "re": "1", "im": "-2E9"}]}),
+    (two_form_from_json, {"n": 4, "terms": [{"a": 1, "b": 2, "coeff": _HUGE}]}),
+])
+def test_exponent_strings_refused_promptly(decode, obj):
+    t0 = time.monotonic()
+    with pytest.raises(ValueError, match="exponent"):
+        decode(obj)
+    assert time.monotonic() - t0 < 1.0
+
+
+@pytest.mark.parametrize("decode,obj,field", [
+    (scaled_spinor_from_json, {"n": 10 ** 12, "r": 3, "m": 1, "scale2": "1", "coeffs": [1]}, "n"),
+    (scaled_spinor_from_json, {"n": 4, "r": 17, "m": 1, "scale2": "1", "coeffs": []}, "r"),
+    (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 9, "scale2": "1", "coeffs": []}, "m"),
+    (spinor_from_json, {"n": 33, "coeffs": []}, "n"),
+    (two_form_from_json, {"n": 2000, "terms": []}, "n"),
+])
+def test_decoders_refuse_dimensions_above_the_caps(decode, obj, field):
+    t0 = time.monotonic()
+    with pytest.raises(UnsupportedDimension, match=f"^{field} must be <= "):
+        decode(obj)
+    assert time.monotonic() - t0 < 1.0
 
 
 def test_render_two_form():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, NotUnitVector, OddLength, ShapeMismatch,
+    UnsupportedDimension,
 )
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
@@ -360,3 +361,22 @@ def test_index_entries_must_be_signs():
         with pytest.raises(ShapeMismatch):
             ScaledSpinor(2, 3, len(twist), {((1,), twist): c})
     assert ScaledSpinor(2, 3, 2, {((1,), ((1,), (-1,))): c}).coeffs
+
+
+@pytest.mark.parametrize("shape,field", [((33, 0, 0), "n"), ((4, 17, 1), "r"),
+                                         ((4, 3, 9), "m"), ((10 ** 12, 0, 0), "n")])
+def test_dimension_caps_refuse_larger_spaces(shape, field):
+    with pytest.raises(UnsupportedDimension, match=f"^{field} must be <= "):
+        ScaledSpinor(*shape, {})
+
+
+def test_dimension_caps_admit_the_catalog():
+    from spinor_forge.catalog import build_qk_pure
+    from spinor_forge.spinrep import MAX_M, MAX_N, MAX_R
+
+    # qk(5) at (20, 3, 5), spin7 at r = 7, generic(n) up to n = 8, and the
+    # largest qk(m) whose (4m, 3, m) fits.
+    assert (MAX_N, MAX_R, MAX_M) >= (20, 7, 5) and 4 * MAX_M <= MAX_N
+    assert ScaledSpinor(MAX_N, MAX_R, MAX_M, {}).shape() == (MAX_N, MAX_R, MAX_M)
+    with pytest.raises(UnsupportedDimension):
+        build_qk_pure(MAX_M + 1)

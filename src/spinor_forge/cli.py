@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Exit codes: 0 = success / claim verified, 1 = a mathematical claim failed
-verification, 2 = usage or input error.  Output is deterministic for a
-given input; JSON mode never includes timestamps.
+verification, 2 = usage or input error.  Any unreadable, malformed, too
+deeply nested or out-of-range input file exits 2 with one ``error:`` line on
+stderr; ``main`` is the one place that prints it.  Output is deterministic
+for a given input; JSON mode never includes timestamps.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from typing import Any, List, Optional
 
 from . import __version__, catalog
 from .analysis import annihilator, check_pure, check_reducing, check_spinc_pure, commutant, frame_rotation_check, pairs
-from .errors import SpinorForgeError, UnsupportedDimension
+from .errors import SpinorForgeError
 from .forms import eta, eta_hat
 from .linalg import random_so_matrix
 from .report import report_all
@@ -33,35 +35,31 @@ class UsageError(Exception):
     """Raised for exit-code-2 conditions."""
 
 
-def _load_json(path: str) -> Any:
+def _load(path: str) -> Any:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise UsageError(f"malformed JSON in {path}: {exc}") from None
+    except ValueError as exc:  # non-UTF-8 bytes, integers past the digit limit
+        raise UsageError(str(exc)) from None
 
 
 def _catalog_entry(args: argparse.Namespace) -> catalog.CatalogEntry:
     try:
-        return catalog.build(args.catalog, m=getattr(args, "m", None),
-                             n=getattr(args, "n", None))
+        return catalog.build(args.catalog, m=args.m, n=args.n)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    except UnsupportedDimension as exc:
-        raise UsageError(str(exc)) from None
 
 
 def _spinor_arg(args: argparse.Namespace):
     """Resolve (--catalog NAME | --in FILE) to a twisted spinor."""
-    if getattr(args, "catalog", None):
+    if args.catalog:
         return _catalog_entry(args).spinor
-    if getattr(args, "infile", None):
-        try:
-            return scaled_spinor_from_json(_load_json(args.infile))
-        except (ValueError, SpinorForgeError) as exc:
-            raise UsageError(str(exc)) from None
+    if args.infile:
+        return scaled_spinor_from_json(_load(args.infile))
     raise UsageError("need --catalog NAME or --in FILE")
 
 
@@ -95,44 +93,27 @@ def cmd_catalog(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     kind = args.kind
     if kind == "spinc":
-        if getattr(args, "catalog", None):
+        if args.catalog:
             raise UsageError(
                 "catalog entries are twisted; spinc verification needs an "
                 "untwisted spinor JSON via --in")
         if not args.infile:
             raise UsageError("verify spinc needs --in FILE")
-        try:
-            psi = spinor_from_json(_load_json(args.infile))
-            verdict = check_spinc_pure(psi)
-        except (ValueError, SpinorForgeError) as exc:
-            raise UsageError(str(exc)) from None
+        verdict = check_spinc_pure(spinor_from_json(_load(args.infile)))
         _emit(args, {"kind": "spinc", "verified": verdict},
               f"spinc pure: {str(verdict).lower()}")
         return 0 if verdict else 1
     phi = _spinor_arg(args)
-    try:
-        if kind == "pure":
-            rep = check_pure(phi)
-            verdict = rep.is_pure
-            detail = {
-                f"{k},{l}": {
-                    "defect_norm2": str(v.defect_norm2),
-                    "square_ok": v.square_ok,
-                }
-                for (k, l), v in sorted(rep.per_pair.items())
-            }
-        else:
-            rep = check_reducing(phi)
-            verdict = rep.is_reducing
-            detail = {
-                f"{k},{l}": {
-                    "defect_norm2": str(v.defect_norm2),
-                    "eta_nonzero": v.eta_nonzero,
-                }
-                for (k, l), v in sorted(rep.per_pair.items())
-            }
-    except SpinorForgeError as exc:
-        raise UsageError(str(exc)) from None
+    if kind == "pure":
+        rep, flag = check_pure(phi), "square_ok"
+        verdict = rep.is_pure
+    else:
+        rep, flag = check_reducing(phi), "eta_nonzero"
+        verdict = rep.is_reducing
+    detail = {
+        f"{k},{l}": {"defect_norm2": str(v.defect_norm2), flag: getattr(v, flag)}
+        for (k, l), v in sorted(rep.per_pair.items())
+    }
     _emit(args, {"kind": kind, "verified": verdict, "pairs": detail},
           f"{kind}: {str(verdict).lower()}")
     return 0 if verdict else 1
@@ -140,33 +121,26 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_eta(args: argparse.Namespace) -> int:
     phi = _spinor_arg(args)
-    try:
-        if args.pair:
-            try:
-                k, l = (int(x) for x in args.pair.split(","))
-            except ValueError:
-                raise UsageError(f"bad --pair {args.pair!r}; expected k,l") from None
-            form = eta(phi, k, l)
-            _emit(args, two_form_to_json(form), render_two_form(form))
-        else:
-            forms = {(k, l): eta(phi, k, l) for (k, l) in pairs(phi.r)}
-            payload = {f"{k},{l}": two_form_to_json(f) for (k, l), f in sorted(forms.items())}
-            text = "\n".join(f"eta[{k},{l}] = {render_two_form(f)}"
-                             for (k, l), f in sorted(forms.items()))
-            _emit(args, payload, text)
-    except SpinorForgeError as exc:
-        raise UsageError(str(exc)) from None
+    if args.pair:
+        try:
+            k, l = (int(x) for x in args.pair.split(","))
+        except ValueError:
+            raise UsageError(f"bad --pair {args.pair!r}; expected k,l") from None
+        form = eta(phi, k, l)
+        _emit(args, two_form_to_json(form), render_two_form(form))
+    else:
+        forms = {(k, l): eta(phi, k, l) for (k, l) in pairs(phi.r)}
+        payload = {f"{k},{l}": two_form_to_json(f) for (k, l), f in sorted(forms.items())}
+        text = "\n".join(f"eta[{k},{l}] = {render_two_form(f)}"
+                         for (k, l), f in sorted(forms.items()))
+        _emit(args, payload, text)
     return 0
 
 
 def cmd_annihilator(args: argparse.Namespace) -> int:
     if not args.infiles:
         raise UsageError("need at least one --in FILE")
-    try:
-        spinors = [scaled_spinor_from_json(_load_json(p)) for p in args.infiles]
-        alg = annihilator(spinors)
-    except (ValueError, SpinorForgeError) as exc:
-        raise UsageError(str(exc)) from None
+    alg = annihilator([scaled_spinor_from_json(_load(p)) for p in args.infiles])
     if args.json:
         print(json.dumps(subalgebra_to_json(alg), indent=2))
     else:
@@ -179,11 +153,8 @@ def cmd_annihilator(args: argparse.Namespace) -> int:
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     phi = _spinor_arg(args)
-    try:
-        fam = [eta_hat(eta(phi, k, l)) for (k, l) in pairs(phi.r)]
-        dim, basis = commutant(fam, restrict_skew=args.skew)
-    except SpinorForgeError as exc:
-        raise UsageError(str(exc)) from None
+    fam = [eta_hat(eta(phi, k, l)) for (k, l) in pairs(phi.r)]
+    dim, basis = commutant(fam, restrict_skew=args.skew)
     if args.json:
         payload = {
             "dim": dim,
@@ -248,20 +219,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_emit.add_argument("-o", "--out", dest="outfile")
     p_cat.set_defaults(func=cmd_catalog)
 
-    p_verify = sub.add_parser("verify", help="certify pure / reducing / spinc")
+    # --catalog NAME [--m M] [--n N] | --in FILE, shared by the one-spinor verbs
+    spinor_source = argparse.ArgumentParser(add_help=False)
+    spinor_source.add_argument("--catalog")
+    spinor_source.add_argument("--m", type=int)
+    spinor_source.add_argument("--n", type=int)
+    spinor_source.add_argument("--in", dest="infile")
+
+    p_verify = sub.add_parser("verify", parents=[spinor_source],
+                              help="certify pure / reducing / spinc")
     p_verify.add_argument("kind", choices=("pure", "reducing", "spinc"))
-    p_verify.add_argument("--catalog")
-    p_verify.add_argument("--m", type=int)
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--in", dest="infile")
     p_verify.add_argument("--format", choices=("text", "json"), default="text")
     p_verify.set_defaults(func=cmd_verify)
 
-    p_eta = sub.add_parser("eta", help="emit induced 2-forms")
-    p_eta.add_argument("--catalog")
-    p_eta.add_argument("--m", type=int)
-    p_eta.add_argument("--n", type=int)
-    p_eta.add_argument("--in", dest="infile")
+    p_eta = sub.add_parser("eta", parents=[spinor_source], help="emit induced 2-forms")
     p_eta.add_argument("--pair", help="k,l (default: all pairs)")
     p_eta.add_argument("--format", choices=("text", "json"), default="text")
     p_eta.set_defaults(func=cmd_eta)
@@ -271,11 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ann.add_argument("--json", action="store_true")
     p_ann.set_defaults(func=cmd_annihilator)
 
-    p_comm = sub.add_parser("commutant", help="commutant of the induced family")
-    p_comm.add_argument("--catalog")
-    p_comm.add_argument("--m", type=int)
-    p_comm.add_argument("--n", type=int)
-    p_comm.add_argument("--in", dest="infile")
+    p_comm = sub.add_parser("commutant", parents=[spinor_source],
+                            help="commutant of the induced family")
     p_comm.add_argument("--skew", action="store_true")
     p_comm.add_argument("--json", action="store_true")
     p_comm.set_defaults(func=cmd_commutant)
@@ -305,7 +273,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2 if exc.code not in (0,) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, SpinorForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

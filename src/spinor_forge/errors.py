@@ -62,3 +62,8 @@ class MissingPair(SpinorForgeError):
 class UnsupportedDimension(SpinorForgeError):
     """A dimension outside the supported range: a catalog constructor's, or
     the caps on n, r and m of ``spinrep.check_dimensions``."""
+
+
+class MalformedInput(SpinorForgeError, ValueError):
+    """A wire object that does not decode: a wrong JSON type, a missing
+    field or a bad rational string.  Still a ``ValueError``."""

@@ -3,9 +3,9 @@
 Rationals travel as decimal strings "p/q" ("/q" omitted when q = 1);
 exponent notation is refused.  Gaussian rationals travel as
 {"re": "p/q", "im": "p/q"}.  All decoders validate shape and raise
-ValueError with a diagnostic on malformed input; dimensions are checked
-against the caps of ``spinrep.check_dimensions`` before the coefficients
-are read.
+``errors.MalformedInput`` (a ``SpinorForgeError`` and a ``ValueError``) with a
+diagnostic on malformed input; dimensions are checked against the caps of
+``spinrep.check_dimensions`` before the coefficients are read.
 
 There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
 twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Tuple
 
 from .analysis import AmbientElement, LieSubalgebra
+from .errors import MalformedInput
 from .forms import TwoForm, two_form_from_terms
 from .scalars import GaussianRational
 from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, check_dimensions
@@ -26,15 +27,15 @@ from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, check_dimensio
 
 def rational_from_json(s: Any) -> Fraction:
     if not isinstance(s, str):
-        raise ValueError(f"expected a rational string, got {s!r}")
+        raise MalformedInput(f"expected a rational string, got {s!r}")
     # Fraction expands "1e999999999" into a billion-digit integer; the wire
     # format writes only "p" and "p/q".
     if "e" in s or "E" in s:
-        raise ValueError(f"bad rational {s!r}: exponent notation is not allowed")
+        raise MalformedInput(f"bad rational {s!r}: exponent notation is not allowed")
     try:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad rational {s!r}: {exc}") from None
+        raise MalformedInput(f"bad rational {s!r}: {exc}") from None
 
 
 def gaussian_to_json(c: GaussianRational) -> Dict[str, str]:
@@ -43,40 +44,40 @@ def gaussian_to_json(c: GaussianRational) -> Dict[str, str]:
 
 def gaussian_from_json(obj: Any) -> GaussianRational:
     if not isinstance(obj, dict) or "re" not in obj or "im" not in obj:
-        raise ValueError(f"expected {{'re','im'}}, got {obj!r}")
+        raise MalformedInput(f"expected {{'re','im'}}, got {obj!r}")
     return GaussianRational(rational_from_json(obj["re"]), rational_from_json(obj["im"]))
 
 
 def _int_from_json(v: Any, what: str) -> int:
     if type(v) is not int:  # bools and floats are not wire integers
-        raise ValueError(f"{what} must be an integer, got {v!r}")
+        raise MalformedInput(f"{what} must be an integer, got {v!r}")
     return v
 
 
 def _list_from_json(v: Any, what: str) -> list:
     if not isinstance(v, list):
-        raise ValueError(f"{what} must be a list, got {type(v).__name__}")
+        raise MalformedInput(f"{what} must be a list, got {type(v).__name__}")
     return v
 
 
 def _object_from_json(v: Any, fields: Tuple[str, ...], what: str) -> Dict[str, Any]:
     if not isinstance(v, dict):
-        raise ValueError(f"{what} must be an object, got {type(v).__name__}")
+        raise MalformedInput(f"{what} must be an object, got {type(v).__name__}")
     for f in fields:
         if f not in v:
-            raise ValueError(f"{what} needs field {f!r}")
+            raise MalformedInput(f"{what} needs field {f!r}")
     return v
 
 
 def _eps_from_json(v: Any, what: str) -> tuple:
     if not isinstance(v, list) or any(type(s) is not int or s not in (1, -1) for s in v):
-        raise ValueError(f"{what} must be a list of +-1, got {v!r}")
+        raise MalformedInput(f"{what} must be a list of +-1, got {v!r}")
     return tuple(v)
 
 
 def spinor_to_json(psi: ScaledSpinor) -> Dict[str, Any]:
     if psi.m or psi.scale2 != 1:
-        raise ValueError("the untwisted wire format holds only m = 0 spinors with "
+        raise MalformedInput("the untwisted wire format holds only m = 0 spinors with "
                          f"scale2 = 1, got m = {psi.m}, scale2 = {psi.scale2}")
     return {
         "n": psi.n,

@@ -31,7 +31,7 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension
-from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
+from .scalars import GaussianRational, Rational, exact_rational
 
 BasisIndex = Tuple[int, ...]
 CoeffMap = Dict[BasisIndex, GaussianRational]
@@ -77,6 +77,25 @@ TwistedCoeffMap = Dict[TwistedIndex, GaussianRational]
 _SIGNS = frozenset((1, -1))
 
 
+def _merge(acc: TwistedCoeffMap, inc: TwistedCoeffMap,
+           factor: Fraction = Fraction(1)) -> None:
+    """acc += factor * inc for a real factor: two multiplies per entry, none
+    when factor is 1."""
+    scaled = factor != 1
+    for idx, c in inc.items():
+        if scaled:
+            c = c * factor
+        s = acc.get(idx)
+        if s is None:
+            acc[idx] = c
+            continue
+        s = s + c
+        if s:
+            acc[idx] = s
+        else:
+            del acc[idx]
+
+
 @dataclass(frozen=True)
 class ScaledSpinor:
     """Element of Delta_n (x) Delta_r^(x m) as coefficients plus scale2 > 0.
@@ -117,19 +136,17 @@ class ScaledSpinor:
         return ScaledSpinor(self.n, self.r, self.m, coeffs, self.scale2)
 
     def __add__(self, other: ScaledSpinor) -> ScaledSpinor:
+        return self._plus(other, Fraction(1))
+
+    def __sub__(self, other: ScaledSpinor) -> ScaledSpinor:
+        return self._plus(other, Fraction(-1))
+
+    def _plus(self, other: ScaledSpinor, factor: Fraction) -> ScaledSpinor:
         if self.shape() != other.shape() or self.scale2 != other.scale2:
             raise ShapeMismatch("adding spinors of different shape or scale")
         out = dict(self.coeffs)
-        for idx, c in other.coeffs.items():
-            s = out.get(idx, GR_ZERO) + c
-            if s:
-                out[idx] = s
-            else:
-                out.pop(idx, None)
+        _merge(out, other.coeffs, factor)
         return self.with_coeffs(out)
-
-    def __sub__(self, other: ScaledSpinor) -> ScaledSpinor:
-        return self + other.scale(GaussianRational(Fraction(-1)))
 
     def scale(self, c: GaussianRational) -> ScaledSpinor:
         if not c:

@@ -23,6 +23,7 @@ from .spinrep import (
     TwistedCoeffMap,
     _check_unit_vectors,
     _generator_on_map,
+    _merge,
     _spin_generator,
 )
 
@@ -45,25 +46,6 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int,
         for t, c in _generator_on_map(phi.r, i, sub).items():
             out[(spin, head + (t,) + tail)] = c
     return out
-
-
-def _merge(acc: TwistedCoeffMap, inc: TwistedCoeffMap,
-           factor: Fraction = Fraction(1)) -> None:
-    """acc += factor * inc for a real factor: two multiplies per entry, none
-    when factor is 1."""
-    scaled = factor != 1
-    for idx, c in inc.items():
-        if scaled:
-            c = c * factor
-        s = acc.get(idx)
-        if s is None:
-            acc[idx] = c
-            continue
-        s = s + c
-        if s:
-            acc[idx] = s
-        else:
-            del acc[idx]
 
 
 def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:

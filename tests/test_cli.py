@@ -194,3 +194,15 @@ def test_dimension_cap_exits_2(tmp_path, capsys):
     assert code == 2 and "m must be <= 8" in err and "Traceback" not in err
     code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "9")
     assert code == 2 and "m <= 8" in err
+
+
+def test_deeply_nested_json_exits_2(tmp_path, capsys):
+    # json raises RecursionError at this depth on CPython 3.10 to 3.13; at
+    # depth 2000 it does not on 3.13.
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    for verb in (["verify", "pure"], ["verify", "reducing"], ["verify", "spinc"],
+                 ["eta"], ["commutant"], ["annihilator"]):
+        code, _, err = run(capsys, *verb, "--in", str(deep))
+        assert code == 2 and err.startswith("error: malformed JSON"), verb
+        assert "Traceback" not in err

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinor_forge.catalog import build_qk_pure, build_spin7_reducing
-from spinor_forge.errors import ShapeMismatch, SpinorForgeError, UnsupportedDimension
+from spinor_forge.errors import MalformedInput, ShapeMismatch, SpinorForgeError, UnsupportedDimension
 from spinor_forge.forms import eta, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.analysis import AmbientElement
@@ -111,8 +111,9 @@ _TWISTED = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [_ENTRY]}
     (two_form_from_json, {"n": 4, "terms": [1]}),
 ])
 def test_malformed_wire_objects_raise_typed_errors(decode, obj):
-    with pytest.raises((ValueError, SpinorForgeError)):
+    with pytest.raises(MalformedInput) as info:
         decode(obj)
+    assert isinstance(info.value, ValueError)  # callers catching ValueError still do
 
 
 # Arbitrary JSON trees, and objects whose fields are usually well typed so
@@ -165,7 +166,7 @@ def test_decoders_raise_only_typed_errors_on_arbitrary_json(decode, own, data):
     obj = data.draw(own)
     try:
         decode(obj)
-    except (ValueError, SpinorForgeError):
+    except SpinorForgeError:
         pass
 
 

@@ -37,7 +37,7 @@ from .catalog import (
     g2_generators,
     maps_G_H,
 )
-from .forms import Endo, TwoForm, eta, eta_hat, phi_extend, spinc_form
+from .forms import Endo, TwoForm, eta, eta_hat, etas, phi_extend, spinc_form
 from .scalars import GaussianRational, Rational, gr
 from .spinrep import (
     BasisIndex,
@@ -93,6 +93,7 @@ __all__ = [
     "eta",
     "eta13_recursion_check",
     "eta_hat",
+    "etas",
     "even_clifford_verify",
     "frame_rotation_check",
     "g2_generators",

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, permutations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -22,11 +23,11 @@ from .errors import (
 from .forms import Endo, ImageTable, eta_hat, spinc_form, two_form_from_terms
 from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace
 from .scalars import Rational, exact_rational, gr
-from .spinrep import FormTerm, TwistedIndex
+from .spinrep import IntCoeffMap, _lincomb
 from .twisted import (
     ScaledSpinor,
-    TwistedCoeffMap,
-    _merge,
+    _bivector_map,
+    _norm2,
     _spin_generator,
     form_action_on_spin_slot,
     twist_bivector_action,
@@ -37,7 +38,7 @@ Pair = Tuple[int, int]
 
 
 def pairs(upper: int) -> List[Pair]:
-    return [(i, j) for i in range(1, upper + 1) for j in range(i + 1, upper + 1)]
+    return list(combinations(range(1, upper + 1), 2))
 
 
 # -- ambient Lie algebra elements ---------------------------------------------
@@ -228,31 +229,31 @@ def _certify(phi: ScaledSpinor, kind: str,
     rotated pair is the sparse sum of c_st (eta_st, D_st), with no generator
     application."""
     _check_kind(kind)
-    c = Fraction(_DEFECT_COEFFICIENT[kind])
+    c = _DEFECT_COEFFICIENT[kind]
     images = ImageTable(phi)
-    table: Dict[Pair, Tuple[Dict[Pair, Fraction], TwistedCoeffMap]] = {}
+    table: Dict[Pair, Tuple[Dict[Pair, Fraction], int, IntCoeffMap]] = {}
     for (s, t) in pairs(phi.r):
-        w = twist_bivector_action(s, t, phi).coeffs
+        w = twist_bivector_action(s, t, phi)
         terms = images.induced_terms(w)
-        defect = images.form_action(terms)
-        _merge(defect, w, c)
-        table[(s, t)] = (terms, defect)
+        table[(s, t)] = (terms, *_lincomb([(1, *images.form_action(terms)),
+                                           (c, w._den, w._data)]))
     out = []
     for a in frames:
         per: Dict[Pair, PairVerdict] = {}
         ok = True
         for (k, l) in pairs(phi.r):
             if a is None:
-                terms, defect = table[(k, l)]
+                terms, den, defect = table[(k, l)]
             else:
-                terms, defect = {}, {}
-                for (s, t), (eta_st, d_st) in table.items():
+                terms, parts = {}, []
+                for (s, t), (eta_st, den_st, d_st) in table.items():
                     cst = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
                     if cst:
                         for ab, x in eta_st.items():
                             terms[ab] = terms.get(ab, 0) + cst * x
-                        _merge(defect, d_st, cst)
-            dn2 = phi.scale2 * sum((v.norm2() for v in defect.values()), Fraction(0))
+                        parts.append((cst, den_st, d_st))
+                den, defect = _lincomb(parts)
+            dn2 = _norm2(phi.scale2, den, defect)
             if kind == "pure":
                 h = eta_hat(two_form_from_terms(phi.n, terms))
                 flag = h.compose(h).is_minus_identity()
@@ -344,24 +345,15 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
             if a.compose(b).mat != b.compose(a).mat:
                 return RelationReport(False, f"disjoint ({i},{j}),({k},{l}) do not commute")
 
-    for i in range(1, r + 1):
-        for j in range(1, r + 1):
-            for k in range(1, r + 1):
-                if len({i, j, k}) != 3:
-                    continue
-                ab = full[(i, j)].compose(full[(j, k)])
-                ba = full[(j, k)].compose(full[(i, j)])
-                if ab.mat != [[-x for x in row] for row in ba.mat]:
-                    return RelationReport(
-                        False, f"chained ({i},{j}),({j},{k}) do not anticommute")
-                if ab.mat != (-full[(i, k)]).mat:
-                    return RelationReport(
-                        False, f"product ({i},{j})({j},{k}) != -({i},{k})")
+    for i, j, k in permutations(range(1, r + 1), 3):
+        ab = full[(i, j)].compose(full[(j, k)])
+        ba = full[(j, k)].compose(full[(i, j)])
+        if ab.mat != [[-x for x in row] for row in ba.mat]:
+            return RelationReport(False, f"chained ({i},{j}),({j},{k}) do not anticommute")
+        if ab.mat != (-full[(i, k)]).mat:
+            return RelationReport(False, f"product ({i},{j})({j},{k}) != -({i},{k})")
 
-    for (i, j, k, l) in ((i, j, k, l) for i in range(1, r + 1)
-                         for j in range(i + 1, r + 1)
-                         for k in range(j + 1, r + 1)
-                         for l in range(k + 1, r + 1)):
+    for (i, j, k, l) in combinations(range(1, r + 1), 4):
         lhs = full[(i, j)].compose(full[(k, l)]).mat
         chain = [
             ((-full[(i, k)].compose(full[(j, l)])).mat, f"-({i},{k})({j},{l})"),
@@ -379,13 +371,13 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
 
 # -- annihilator and commutant -------------------------------------------------
 
-def _annihilator_columns(phi: ScaledSpinor) -> List[TwistedCoeffMap]:
+def _annihilator_columns(phi: ScaledSpinor) -> List[IntCoeffMap]:
     """Action of each unknown generator on phi: all e_ie_j on the spin slot,
-    then all kappa(f_kf_l) on the twist slots."""
-    images = {j: _spin_generator(phi, j, phi.coeffs) for j in range(2, phi.n + 1)}
+    then all kappa(f_kf_l) on the twist slots, as integer maps over phi's
+    one denominator."""
+    images = {j: _spin_generator(phi, j, phi._data) for j in range(2, phi.n + 1)}
     cols = [_spin_generator(phi, i, images[j]) for (i, j) in pairs(phi.n)]
-    for (k, l) in pairs(phi.r):
-        cols.append(twist_bivector_action(k, l, phi).coeffs)
+    cols += [_bivector_map(phi, k, l, phi._data) for (k, l) in pairs(phi.r)]
     return cols
 
 
@@ -393,8 +385,8 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     """The subalgebra of spin(n) + spin(r) annihilating every given spinor,
     solved as one exact linear system over the bivector coefficients
     (a_ij; b_kl).  The real and the imaginary part of each basis coefficient
-    of the action give one sparse row each, gathered in one walk over each
-    column's coefficient map."""
+    of the action give one sparse integer row each (every column is over
+    phi's one denominator), gathered in one walk over each column's map."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
@@ -402,16 +394,16 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
     width = len(pairs(n)) + len(pairs(r))
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
     for phi in spinors:
-        re_rows: Dict[TwistedIndex, Dict[int, Fraction]] = {}
-        im_rows: Dict[TwistedIndex, Dict[int, Fraction]] = {}
+        re_rows: Dict[int, Dict[int, int]] = {}
+        im_rows: Dict[int, Dict[int, int]] = {}
         for j, col in enumerate(_annihilator_columns(phi)):
-            for idx, c in col.items():
-                if c.re:
-                    re_rows.setdefault(idx, {})[j] = c.re
-                if c.im:
-                    im_rows.setdefault(idx, {})[j] = c.im
+            for idx, (re, im) in col.items():
+                if re:
+                    re_rows.setdefault(idx, {})[j] = re
+                if im:
+                    im_rows.setdefault(idx, {})[j] = im
         for idx in sorted(re_rows.keys() | im_rows.keys()):
             for part in (re_rows, im_rows):
                 if idx in part:
@@ -427,13 +419,11 @@ def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
     """Does sum a_ij e_ie_j + sum b_kl kappa(f_kl) kill phi?"""
     if (x.n, x.r) != (phi.n, phi.r):
         raise ShapeMismatch("ambient element and spinor shapes differ")
-    acc = phi.with_coeffs({})
-    if x.a:
-        acc = acc + form_action_on_spin_slot(
-            [FormTerm((i, j), c) for (i, j), c in sorted(x.a.items())], phi)
-    for (k, l), c in sorted(x.b.items()):
-        acc = acc + twist_bivector_action(k, l, phi).scale(gr(c))
-    return acc.is_zero()
+    data = phi._data  # every part is over phi's one denominator, left out here
+    parts = [(c, 1, _spin_generator(phi, i, _spin_generator(phi, j, data)))
+             for (i, j), c in x.a.items()]
+    parts += [(c, 1, _bivector_map(phi, k, l, data)) for (k, l), c in x.b.items()]
+    return not _lincomb(parts)[1]
 
 
 def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo]]:
@@ -520,15 +510,5 @@ def cl_dims(r: int) -> ClDims:
     if r < 1:
         raise ShapeMismatch("rank must be >= 1")
     residue = ((r - 1) % 8) + 1
-    k = r // 2
-    if residue in (1, 7):
-        d, v = 2 ** k, 1
-    elif residue in (2, 6):
-        d, v = 2 ** (r // 2), 1
-    elif residue in (3, 5):
-        d, v = 2 ** (k + 1), 1
-    elif residue == 4:
-        d, v = 2 ** (r // 2), 2
-    else:  # residue == 8
-        d, v = 2 ** (r // 2 - 1), 2
-    return ClDims(r=r, d_r=d, v_r=v)
+    shift = {3: 1, 5: 1, 8: -1}.get(residue, 0)  # d_r = 2^(floor(r/2) + shift)
+    return ClDims(r=r, d_r=2 ** (r // 2 + shift), v_r=2 if residue in (4, 8) else 1)

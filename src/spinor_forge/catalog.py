@@ -15,7 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .errors import UnsupportedDimension
 from .forms import TwoForm, two_form_from_terms
 from .scalars import gr
-from .spinrep import MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, gamma_apply
+from .spinrep import MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices
 from .twisted import form_action_on_spin_slot
 
 Pair = Tuple[int, int]
@@ -34,25 +34,16 @@ class CatalogEntry:
 def maps_G_H(eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     """Entry doubling G(eps) = (e1, e1, ..., em, em) and the count H(eps) of
     -1 entries."""
-    doubled: List[int] = []
-    count = 0
     for e in eps:
         if e not in (1, -1):
             raise ValueError(f"entries must be +-1, got {e}")
-        doubled.extend((e, e))
-        if e == -1:
-            count += 1
-    return tuple(doubled), count
+    return tuple(e for e in eps for _ in (0, 1)), sum(1 for e in eps if e == -1)
 
 
 def sign_tuples(m: int, minus_count: Optional[int] = None) -> List[Tuple[int, ...]]:
     """All {+1,-1}^m tuples, optionally restricted to a given -1 count."""
-    out: List[Tuple[int, ...]] = [()]
-    for _ in range(m):
-        out = [t + (s,) for t in out for s in (1, -1)]
-    if minus_count is None:
-        return out
-    return [t for t in out if t.count(-1) == minus_count]
+    out = all_basis_indices(2 * m)
+    return out if minus_count is None else [t for t in out if t.count(-1) == minus_count]
 
 
 def psi_level(m: int, j: int) -> ScaledSpinor:
@@ -81,22 +72,12 @@ def build_qk_pure(m: int) -> CatalogEntry:
                 coeffs[(spin, twist)] = c
     scale2 = Fraction(3, (m + 2) * (m + 1))
     phi = ScaledSpinor(n, 3, m, coeffs, scale2)
-    e12: Dict[Pair, Fraction] = {}
-    e13: Dict[Pair, Fraction] = {}
-    e23: Dict[Pair, Fraction] = {}
-    for j in range(1, m + 1):
-        b = 4 * j - 4
-        e12[(b + 1, b + 2)] = Fraction(1)
-        e12[(b + 3, b + 4)] = Fraction(1)
-        e13[(b + 1, b + 3)] = Fraction(-1)
-        e13[(b + 2, b + 4)] = Fraction(1)
-        e23[(b + 1, b + 4)] = Fraction(-1)
-        e23[(b + 2, b + 3)] = Fraction(-1)
-    expected = {
-        (1, 2): two_form_from_terms(n, e12),
-        (1, 3): two_form_from_terms(n, e13),
-        (2, 3): two_form_from_terms(n, e23),
-    }
+    # every 4-block of R^(4m) carries the same two terms (a, b, sign) of each form
+    blocks = {(1, 2): ((1, 2, 1), (3, 4, 1)), (1, 3): ((1, 3, -1), (2, 4, 1)),
+              (2, 3): ((1, 4, -1), (2, 3, -1))}
+    expected = {pair: two_form_from_terms(n, {(b + x, b + y): Fraction(s) for b in range(0, n, 4)
+                                              for x, y, s in rows})
+                for pair, rows in blocks.items()}
     return CatalogEntry(
         name=f"qk(m={m})",
         kind="pure",
@@ -209,9 +190,12 @@ def build_generic_reducing(n: int) -> CatalogEntry:
     k = n // 2
     coeffs: TwistedCoeffMap = {}
     for eps in all_basis_indices(n):
-        g = gamma_apply(SpinorVector(n, {eps: gr(1)}))
-        (((target, _), c),) = g.coeffs.items()
-        coeffs[(eps, (target,))] = c
+        # gamma(u_eps) = c u_(-eps), c the product of -eps_t * i over the
+        # alpha positions t = 0, 2, 4, ... (see spinrep.gamma_apply)
+        c = gr(1)
+        for t in range(0, k, 2):
+            c = c * gr(0, -eps[t])
+        coeffs[(eps, (tuple(-s for s in eps),))] = c
     phi = ScaledSpinor(n, n, 1, coeffs, Fraction(1, 2 ** k))
     expected = {
         (p, q): two_form_from_terms(n, {(p, q): Fraction(1)})
@@ -294,27 +278,20 @@ def beta_forms(m: int) -> List[TwoForm]:
                     [(p + 1, q + 4, 1), (p + 2, q + 3, -1),
                      (p + 3, q + 2, 1), (p + 4, q + 1, -1)],
                 ]
-            for rows in variants:
-                terms: Dict[Pair, Fraction] = {}
-                for a, b, s in rows:
-                    terms[(a, b)] = terms.get((a, b), Fraction(0)) + s
-                out.append(two_form_from_terms(n, terms))
+            out += [two_form_from_terms(n, {(a, b): Fraction(s) for a, b, s in rows})
+                    for rows in variants]
     return out
-
-
-def qk_eta13_form(m: int) -> TwoForm:
-    return build_qk_pure(m).expected_etas[(1, 3)]
 
 
 def eta13_recursion_check(m: int) -> bool:
     """Verify the ladder action of the (1,3) 2-form on the graded sums
     psi_j:  eta13 . psi_j = -2 [ (j+1) psi_(j+1) + (j-1-m) psi_(j-1) ]."""
-    terms = qk_eta13_form(m).form_terms()
+    terms = build_qk_pure(m).expected_etas[(1, 3)].form_terms()
     for j in range(m + 1):
         lhs = form_action_on_spin_slot(terms, psi_level(m, j))
         rhs = psi_level(m, j + 1).scale(gr(-2 * (j + 1))) + \
             psi_level(m, j - 1).scale(gr(-2 * (j - 1 - m)))
-        if lhs.coeffs != rhs.coeffs:
+        if lhs != rhs:
             return False
     return True
 

@@ -15,9 +15,9 @@ import sys
 from typing import Any, List, Optional
 
 from . import __version__, catalog
-from .analysis import annihilator, check_pure, check_reducing, check_spinc_pure, commutant, frame_rotation_check, pairs
+from .analysis import annihilator, check_pure, check_reducing, check_spinc_pure, commutant, frame_rotation_check
 from .errors import SpinorForgeError
-from .forms import eta, eta_hat
+from .forms import eta, eta_hat, etas
 from .linalg import random_so_matrix
 from .report import report_all
 from .serialize import (
@@ -129,10 +129,9 @@ def cmd_eta(args: argparse.Namespace) -> int:
         form = eta(phi, k, l)
         _emit(args, two_form_to_json(form), render_two_form(form))
     else:
-        forms = {(k, l): eta(phi, k, l) for (k, l) in pairs(phi.r)}
-        payload = {f"{k},{l}": two_form_to_json(f) for (k, l), f in sorted(forms.items())}
-        text = "\n".join(f"eta[{k},{l}] = {render_two_form(f)}"
-                         for (k, l), f in sorted(forms.items()))
+        forms = etas(phi)
+        payload = {f"{k},{l}": two_form_to_json(f) for (k, l), f in forms.items()}
+        text = "\n".join(f"eta[{k},{l}] = {render_two_form(f)}" for (k, l), f in forms.items())
         _emit(args, payload, text)
     return 0
 
@@ -153,7 +152,7 @@ def cmd_annihilator(args: argparse.Namespace) -> int:
 
 def cmd_commutant(args: argparse.Namespace) -> int:
     phi = _spinor_arg(args)
-    fam = [eta_hat(eta(phi, k, l)) for (k, l) in pairs(phi.r)]
+    fam = [eta_hat(form) for form in etas(phi).values()]
     dim, basis = commutant(fam, restrict_skew=args.skew)
     if args.json:
         payload = {
@@ -169,6 +168,8 @@ def cmd_commutant(args: argparse.Namespace) -> int:
 def cmd_frame_test(args: argparse.Namespace) -> int:
     import random
 
+    if args.trials < 1:
+        raise UsageError(f"--trials must be at least 1, got {args.trials}")
     ent = _catalog_entry(args)
     rng = random.Random(args.seed)
     ok = True

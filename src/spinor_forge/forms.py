@@ -11,10 +11,13 @@ so with w = kappa(f_kl) . v the entry for a < b is
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
 
 and all pairs need only the 2n vectors e_a . v and e_b . w.  ``ImageTable``
-builds the images e_a . v once per spinor, for every twist pair.  Each
-image, and each e_b . w, is cleared to integer (re, im) pairs over the lcm
-of its denominators, so an entry is one integer sum and one Fraction.  The
-same images give a 2-form's action at one generator application per column:
+builds the images e_a . v once per spinor, for every twist pair, and
+``etas`` reads every pair of one spinor from one table.  The images are the
+kernel's maps (``spinrep``): int index, spin bits lowest and a set bit +1;
+e_a flips one bit, signed by the parity of the bits below it; (re, im)
+numerators over the spinor's one denominator D.  So an entry is one int sum
+over D_v * D_w and one Fraction, and a 2-form acts at one generator
+application per column:
 
     eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v).
 
@@ -32,11 +35,10 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
-from .linalg import Matrix, mat_mul, transpose, zeros
-from .scalars import GaussianRational, Rational, exact_rational
-from .spinrep import (FormTerm, ScaledSpinor, TwistedCoeffMap, TwistedIndex, _spin_generator,
-                      check_dimensions)
-from .twisted import _merge, twist_bivector_action
+from .linalg import Matrix, mat_add, mat_mul, mat_sub, transpose, zeros
+from .scalars import GR_I, Rational, exact_rational
+from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _merge, _spin_generator, check_dimensions
+from .twisted import twist_bivector_action
 
 
 @dataclass(frozen=True)
@@ -75,8 +77,7 @@ class TwoForm:
     def __add__(self, other: TwoForm) -> TwoForm:
         if self.n != other.n:
             raise ShapeMismatch("adding 2-forms of different dimension")
-        return TwoForm(self.n, [[x + y for x, y in zip(ra, rb)]
-                                for ra, rb in zip(self.mat, other.mat)])
+        return TwoForm(self.n, mat_add(self.mat, other.mat))
 
     def scale(self, c: Rational) -> TwoForm:
         c = exact_rational(c)
@@ -101,10 +102,7 @@ class Endo:
         return Endo(self.n, mat_mul(self.mat, other.mat))
 
     def commutator(self, other: Endo) -> Endo:
-        return Endo(self.n, [[x - y for x, y in
-                              zip(ra, rb)] for ra, rb in
-                             zip(mat_mul(self.mat, other.mat),
-                                 mat_mul(other.mat, self.mat))])
+        return Endo(self.n, mat_sub(mat_mul(self.mat, other.mat), mat_mul(other.mat, self.mat)))
 
     def is_minus_identity(self) -> bool:
         return all(self.mat[i][j] == (-1 if i == j else 0)
@@ -132,66 +130,67 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return TwoForm(n, mat)
 
 
-def _cleared(coeffs: TwistedCoeffMap) -> Tuple[int, Dict[TwistedIndex, Tuple[int, int]]]:
-    """(D, D * coeffs as integer (re, im) pairs), D the lcm of all denominators."""
-    den = 1
-    for c in coeffs.values():
-        for d in (c.re.denominator, c.im.denominator):
-            if den % d:
-                den = math.lcm(den, d)
-    return den, {idx: (c.re.numerator * (den // c.re.denominator),
-                       c.im.numerator * (den // c.im.denominator))
-                 for idx, c in coeffs.items()}
-
-
 class ImageTable:
-    """The images e_a . phi, a = 1..n-1, of one spinor, as coefficient maps
-    and cleared to integers, shared by its induced forms and 2-form actions."""
+    """The images e_a . phi, a = 1..n-1, of one spinor as integer maps over
+    phi's denominator, shared by its induced forms and 2-form actions."""
 
     def __init__(self, phi: ScaledSpinor) -> None:
         self.phi = phi
-        self.maps = [_spin_generator(phi, a, phi.coeffs) for a in range(1, phi.n)]
-        self.ints = [_cleared(img) for img in self.maps]
+        self.maps = [_spin_generator(phi, a, phi._data) for a in range(1, phi.n)]
 
-    def induced_terms(self, w: TwistedCoeffMap) -> Dict[Tuple[int, int], Fraction]:
+    def induced_terms(self, w: ScaledSpinor) -> Dict[Tuple[int, int], Fraction]:
         """The nonzero entries {(a, b): eta_ab}, 1-based a < b, of
-        -scale2 * Re< e_b . w, e_a . phi >, for w a coefficient map of phi's shape."""
+        -scale2 * Re< e_b . w, e_a . phi >, for w of phi's shape."""
         s2 = self.phi.scale2
+        num, den = -s2.numerator, s2.denominator * self.phi._den * w._den
         out: Dict[Tuple[int, int], Fraction] = {}
         for b in range(2, self.phi.n + 1):
-            den_w, e_w = _cleared(_spin_generator(self.phi, b, w))
+            e_w = _spin_generator(self.phi, b, w._data)
             for a in range(1, b):
-                den_a, ea = self.ints[a - 1]
+                ea = self.maps[a - 1]
                 acc = 0
                 for idx, (cr, ci) in e_w.items():
                     o = ea.get(idx)
                     if o is not None:
                         acc += cr * o[0] + ci * o[1]
                 if acc:
-                    out[(a, b)] = Fraction(-s2.numerator * acc, s2.denominator * den_a * den_w)
+                    out[(a, b)] = Fraction(num * acc, den)
         return out
 
-    def form_action(self, terms: Dict[Tuple[int, int], Fraction]) -> TwistedCoeffMap:
+    def form_action(self, terms: Dict[Tuple[int, int], Fraction]) -> Tuple[int, IntCoeffMap]:
         """sum eta_ab e_a e_b . phi (1-based a < b) as
-        -sum_b e_b . (sum_(a<b) eta_ab e_a . phi)."""
-        inner: Dict[int, TwistedCoeffMap] = {}
+        -sum_b e_b . (sum_(a<b) eta_ab e_a . phi): (D, an integer map over D)."""
+        lcm = math.lcm(*(x.denominator for x in terms.values()))
+        inner: Dict[int, IntCoeffMap] = {}
         for (a, b), x in terms.items():
-            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x)
-        acc: TwistedCoeffMap = {}
+            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x.numerator * (lcm // x.denominator))
+        acc: IntCoeffMap = {}
         for b, col in inner.items():
             _merge(acc, _spin_generator(self.phi, b, col))
-        return acc
+        return self.phi._den * lcm, acc
+
+
+def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:
+    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
+        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
 
 
 def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
     """The induced 2-form for the twist bivector f_k f_l: the induced form
     of w = kappa(f_kl) . phi."""
-    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
-        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
+    _check_pair(phi, k, l)
     if k == l:
         return TwoForm(phi.n, zeros(phi.n))
-    w = twist_bivector_action(k, l, phi).coeffs
+    w = twist_bivector_action(k, l, phi)
     return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(w))
+
+
+def etas(phi: ScaledSpinor) -> Dict[Tuple[int, int], TwoForm]:
+    """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``ImageTable``."""
+    images = ImageTable(phi)
+    return {(k, l): two_form_from_terms(
+                phi.n, images.induced_terms(twist_bivector_action(k, l, phi)))
+            for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)}
 
 
 def eta_hat(omega: TwoForm) -> Endo:
@@ -202,11 +201,14 @@ def eta_hat(omega: TwoForm) -> Endo:
 def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoForm:
     """Linear extension over twist bivectors: sum c_kl eta(phi, k, l)."""
     out = TwoForm(phi.n, zeros(phi.n))
+    table: Dict[Tuple[int, int], TwoForm] = {}
     for (k, l), c in beta.items():
         c = exact_rational(c)
         if not c or k == l:
             continue
-        out = out + eta(phi, k, l).scale(c)
+        _check_pair(phi, k, l)
+        table = table or etas(phi)
+        out = out + (table[(k, l)].scale(c) if k < l else table[(l, k)].scale(-c))
     return out
 
 
@@ -219,8 +221,7 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        w = {idx: GaussianRational(-c.im, c.re) for idx, c in phi.coeffs.items()}
-        return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(w))
+        return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(phi.scale(GR_I)))
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

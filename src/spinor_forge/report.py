@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 from typing import Callable, Dict, List
 
 from . import catalog
@@ -27,7 +28,7 @@ from .analysis import (
     frame_rotation_check,
     pairs,
 )
-from .forms import eta, eta_hat, spinc_form
+from .forms import eta_hat, etas, spinc_form
 from .linalg import random_so_matrix, random_unit_vector, span_contains, spans_equal
 from .scalars import gr
 from .spinrep import FormTerm, all_basis_indices, basis_spinor
@@ -55,10 +56,8 @@ def _row(name: str, expected: str, computed: str, passed: bool) -> CriterionRow:
 
 def criterion_spin7_eta_table() -> CriterionRow:
     ent = catalog.build_spin7_pure()
-    good = sum(
-        1 for pair, expect in ent.expected_etas.items()
-        if eta(ent.spinor, *pair).mat == expect.mat
-    )
+    forms = etas(ent.spinor)
+    good = sum(1 for pair, expect in ent.expected_etas.items() if forms[pair].mat == expect.mat)
     return _row(
         "spin7_eta_table",
         "21/21 rows exactly equal",
@@ -121,23 +120,13 @@ def criterion_qk_stabilizer() -> CriterionRow:
         alg = annihilator([phi])
         rows = [x.flat() for x in alg.basis]
         want = m * (2 * m + 1) + 3
-        betas_ok = True
-        for tf in catalog.beta_forms(m):
-            amb = AmbientElement(phi.n, 3, {(a, b): c for a, b, c in tf.terms()}, {})
-            if amb.is_zero():
-                continue
-            if not (ambient_annihilates(amb, phi) and span_contains(rows, amb.flat())):
-                betas_ok = False
-        etas_ok = True
-        for (k, l) in pairs(3):
-            form = eta(phi, k, l)
-            amb = AmbientElement(
-                phi.n, 3,
-                {(a, b): c for a, b, c in form.terms()},
-                {(k, l): Fraction(2)},
-            )
-            if not (ambient_annihilates(amb, phi) and span_contains(rows, amb.flat())):
-                etas_ok = False
+
+        def member(form, twist_part) -> bool:  # annihilates phi and lies in the algebra
+            amb = AmbientElement(phi.n, 3, {(a, b): c for a, b, c in form.terms()}, twist_part)
+            return amb.is_zero() or (ambient_annihilates(amb, phi)
+                                     and span_contains(rows, amb.flat()))
+        betas_ok = all([member(tf, {}) for tf in catalog.beta_forms(m)])
+        etas_ok = all([member(form, {pair: Fraction(2)}) for pair, form in etas(phi).items()])
         ok = ok and alg.dim == want and alg.closed and betas_ok and etas_ok
         parts.append(f"m={m}: dim={alg.dim}/{want} closed={alg.closed} "
                      f"betas={betas_ok} eta+2f={etas_ok}")
@@ -155,18 +144,12 @@ def criterion_generic_reducing() -> CriterionRow:
     for n in range(2, 9):
         ent = catalog.build_generic_reducing(n)
         phi = ent.spinor
-        raw = ScaledSpinor(phi.n, phi.r, phi.m, phi.coeffs, Fraction(1))
-        factor = Fraction(2 ** (n // 2))
-        eta_ok = True
-        eq_ok = True
-        for (p, q) in pairs(n):
-            form = eta(raw, p, q)
-            if form.terms() != [(p, q, factor)]:
-                eta_ok = False
-            defect = form_action_on_spin_slot([FormTerm((p, q))], phi) + \
-                twist_bivector_action(p, q, phi)
-            if not defect.is_zero():
-                eq_ok = False
+        # eta is scale2 times the raw coefficient vector's form
+        want = Fraction(2 ** (n // 2)) * phi.scale2
+        forms = etas(phi)
+        eta_ok = all([form.terms() == [(p, q, want)] for (p, q), form in forms.items()])
+        eq_ok = all([(form_action_on_spin_slot([FormTerm(pair)], phi)
+                      + twist_bivector_action(*pair, phi)).is_zero() for pair in forms])
         ok = ok and eta_ok and eq_ok
         notes.append(f"n={n}:{'ok' if (eta_ok and eq_ok) else 'FAIL'}")
     return _row(
@@ -212,7 +195,6 @@ def criterion_vanishing_identities() -> CriterionRow:
                  for c in range(b + 1, n + 1) for d in range(c + 1, n + 1)]
         for _ in range(per_shape):
             phi = _random_spinor(n, r, m, rng)
-            s2 = phi.scale2
             x = _random_vector(n, rng)
             y = _random_vector(n, rng)
             xy_dot = sum(a * b for a, b in zip(x, y))
@@ -228,18 +210,17 @@ def criterion_vanishing_identities() -> CriterionRow:
                 failures += 1
             for (k, l) in pairs(r):
                 fphi = twist_bivector_action(k, l, phi)
-                fphi_s = ScaledSpinor(n, r, m, fphi.coeffs, s2)
                 # (1) Re<kappa(f_kl) phi, phi> = 0
-                if twisted_hermitian(fphi_s, phi).re != 0:
+                if twisted_hermitian(fphi, phi).re != 0:
                     failures += 1
                 # (3) Im<X^Y kappa(f_kl) phi, phi> = 0
-                xy_f_phi = tangent_action(x, tangent_action(y, fphi_s)) + \
-                    fphi_s.scale(gr(xy_dot))
+                xy_f_phi = tangent_action(x, tangent_action(y, fphi)) + \
+                    fphi.scale(gr(xy_dot))
                 if twisted_hermitian(xy_f_phi, phi).im != 0:
                     failures += 1
                 # (5) Re<e_abcd kappa(f_kl) phi, phi> = 0 on sampled quadruples
                 for quad in rng.sample(quads, k=min(3, len(quads))):
-                    e4 = form_action_on_spin_slot([FormTerm(quad)], fphi_s)
+                    e4 = form_action_on_spin_slot([FormTerm(quad)], fphi)
                     if twisted_hermitian(e4, phi).re != 0:
                         failures += 1
             checked += 1
@@ -251,10 +232,6 @@ def criterion_vanishing_identities() -> CriterionRow:
     )
 
 
-def _hat_family(phi: ScaledSpinor) -> Dict[tuple, "object"]:
-    return {(k, l): eta_hat(eta(phi, k, l)) for (k, l) in pairs(phi.r)}
-
-
 def criterion_hat_commutators() -> CriterionRow:
     ok = True
     notes: List[str] = []
@@ -262,21 +239,14 @@ def criterion_hat_commutators() -> CriterionRow:
              ("qk m=1", catalog.build_qk_pure(1).spinor),
              ("qk m=2", catalog.build_qk_pure(2).spinor)]
     for label, phi in cases:
-        fam = _hat_family(phi)
+        fam = {pair: eta_hat(form) for pair, form in etas(phi).items()}
         rel = even_clifford_verify(fam)
         comm_ok = True
-        full = dict(fam)
-        for (k, l), h in list(fam.items()):
-            full[(l, k)] = -h
-        r = phi.r
-        for i in range(1, r + 1):
-            for j in range(1, r + 1):
-                for k in range(1, r + 1):
-                    if len({i, j, k}) != 3:
-                        continue
-                    lhs = full[(i, j)].commutator(full[(j, k)])
-                    if lhs.mat != full[(i, k)].scale(Fraction(-2)).mat:
-                        comm_ok = False
+        full = {**fam, **{(l, k): -h for (k, l), h in fam.items()}}
+        for i, j, k in permutations(range(1, phi.r + 1), 3):
+            lhs = full[(i, j)].commutator(full[(j, k)])
+            if lhs.mat != full[(i, k)].scale(Fraction(-2)).mat:
+                comm_ok = False
         ok = ok and rel.ok and comm_ok
         notes.append(f"{label}: relations={rel.ok} commutators={comm_ok}")
     return _row(
@@ -356,9 +326,9 @@ def criterion_rep_constants() -> CriterionRow:
         if got.v_r != v or got.v_r * got.d_r ** 2 != 2 ** (r - 1) * dim_k:
             table_ok = False
     phi1 = catalog.build_spin7_pure().spinor
-    d1, _ = commutant([eta_hat(eta(phi1, k, l)) for (k, l) in pairs(7)], True)
+    d1, _ = commutant([eta_hat(form) for form in etas(phi1).values()], True)
     qk = catalog.build_qk_pure(1).spinor
-    d2, _ = commutant([eta_hat(eta(qk, k, l)) for (k, l) in pairs(3)], True)
+    d2, _ = commutant([eta_hat(form) for form in etas(qk).values()], True)
     ok = table_ok and d1 == 0 and d2 == 3
     return _row(
         "representation_constants",

@@ -1,34 +1,39 @@
 """The spin representation on Delta_n = C^(2^k), k = floor(n/2), and the
-one spinor type.
+one spinor type, ``ScaledSpinor``: an element of Delta_n (x) Delta_r^(x m)
+(see ``twisted``); an untwisted spinor is its m = 0 case.
 
-``ScaledSpinor`` is an element of Delta_n (x) Delta_r^(x m) (see ``twisted``
-for the twist slots and scale2).  An untwisted spinor of Delta_n is its m = 0
-case; ``SpinorVector(n, {eps: c})`` builds one.
+Basis vectors are indexed by sign tuples eps in {+1,-1}^k, leftmost entry =
+leftmost tensor factor of (C^2)^(x k).  Generator e_(2j-1) (resp. e_(2j))
+is g1 (resp. g2) in factor k-j+1 with T's to its right, and for odd n the
+last generator is i*(T x ... x T), where
 
-Basis vectors are indexed by sign tuples eps in {+1,-1}^k; the tuple entry
-order matches the tensor-factor order of the underlying (C^2)^(x k), leftmost
-entry = leftmost factor.  The n Clifford generators act as Kronecker products
-of the 2x2 blocks Id, g1, g2, T; generator e_(2j-1) (resp. e_(2j)) carries g1
-(resp. g2) in factor k-j+1 with T's to its right and identities to its left,
-and for odd n the last generator is i*(T x ... x T).  On the chosen basis the
-blocks act by
+    g1. u_eps = i . u_(-eps)    g2. u_eps = eps . u_(-eps)    T . u_eps = -eps . u_eps
 
-    g1. u_eps = i   . u_(-eps)      g2. u_eps = eps . u_(-eps)
-    T . u_eps = -eps. u_eps
+Kernel layout.  A basis index (spin, twist_1, ..., twist_m) is one int: the
+spin slot's bits lowest, then each twist slot's bits in slot order; within
+a slot the tuple's last entry is the lowest bit, and a set bit means +1.
+So e_(2j-1) and e_(2j) of any slot flip the slot's bit j-1, with the sign
+from the parity p (``int.bit_count``) of the in-slot tail mask, the slot's
+bits below j-1:
 
-so every generator is a signed permutation up to a factor of i: it sends each
-basis vector to +-1 or +-i times another.  A generator application is a
-single walk over the sparse coefficient map that flips one tuple entry and
-moves the coefficient a+bi to +-(a+bi) or +-(-b+ai) by swapping and negating
-its parts; no multiplication happens.  Nothing of size 2^k x 2^k is ever
-materialized.
+    e_(2j-1): c -> (-1)^p i c        e_(2j): c -> -(-1)^(p + bit j-1) c
+
+and the odd-dimension generator flips nothing and gives (-1)^p i c with p
+the parity of the whole slot.  One walk serves every slot, and nothing of
+size 2^k x 2^k is built.  Coefficients are (int re, int im) pairs over one
+positive integer denominator per spinor, reduced by the content gcd after
+every public operation, so equal spinors have equal layouts; sums run in
+ints and a Fraction appears only in an output.  ``coeffs`` is the
+tuple-keyed ``GaussianRational`` view, built on demand.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension
 from .scalars import GaussianRational, Rational, exact_rational
@@ -74,34 +79,66 @@ def all_basis_indices(n: int) -> List[BasisIndex]:
 
 TwistedIndex = Tuple[BasisIndex, Tuple[BasisIndex, ...]]
 TwistedCoeffMap = Dict[TwistedIndex, GaussianRational]
-_SIGNS = frozenset((1, -1))
+# The kernel's coefficients: bit index -> (re, im) numerators.
+IntCoeffMap = Dict[int, Tuple[int, int]]
+
+# Sign tuples of up to _CHUNK entries and their bit patterns.  A slot has at
+# most MAX_N // 2 = 2 * _CHUNK entries, so a longer one is two lookups.  A
+# failed lookup is an invalid tuple: a wrong length or an entry other than +-1.
+_CHUNK = 8
+_TUPLE_OF = [all_basis_indices(2 * k)[::-1] for k in range(_CHUNK + 1)]
+_BITS_OF = [{t: v for v, t in enumerate(table)} for table in _TUPLE_OF]
 
 
-def _merge(acc: TwistedCoeffMap, inc: TwistedCoeffMap,
-           factor: Fraction = Fraction(1)) -> None:
-    """acc += factor * inc for a real factor: two multiplies per entry, none
-    when factor is 1."""
-    scaled = factor != 1
-    for idx, c in inc.items():
-        if scaled:
-            c = c * factor
-        s = acc.get(idx)
+def _slot_bits(t: BasisIndex, k: int) -> int:
+    if k <= _CHUNK:
+        return _BITS_OF[k][t]
+    return _BITS_OF[k - _CHUNK][t[:k - _CHUNK]] << _CHUNK | _BITS_OF[_CHUNK][t[k - _CHUNK:]]
+
+
+def _slot_tuple(v: int, k: int) -> BasisIndex:
+    if k <= _CHUNK:
+        return _TUPLE_OF[k][v]
+    return _TUPLE_OF[k - _CHUNK][v >> _CHUNK] + _TUPLE_OF[_CHUNK][v & 0xFF]
+
+
+def _merge(acc: IntCoeffMap, inc: IntCoeffMap, factor: int = 1) -> None:
+    """acc += factor * inc, in integers; entries that cancel are dropped."""
+    get = acc.get
+    for idx, (re, im) in inc.items():
+        if factor != 1:
+            re, im = factor * re, factor * im
+        s = get(idx)
         if s is None:
-            acc[idx] = c
+            acc[idx] = (re, im)
             continue
-        s = s + c
-        if s:
-            acc[idx] = s
+        re, im = re + s[0], im + s[1]
+        if re or im:
+            acc[idx] = (re, im)
         else:
             del acc[idx]
 
 
-@dataclass(frozen=True)
+def _lincomb(terms: Iterable[Tuple[Union[int, Fraction], int, IntCoeffMap]]
+             ) -> Tuple[int, IntCoeffMap]:
+    """sum x * data / den over the (x, den, data) terms, as (D, an integer
+    map over D), D the lcm of the x.denominator * den; not reduced."""
+    terms = [(x, d, data) for x, d, data in terms if x]
+    den = math.lcm(*(x.denominator * d for x, d, _ in terms))
+    acc: IntCoeffMap = {}
+    for x, d, data in terms:
+        _merge(acc, data, x.numerator * (den // (x.denominator * d)))
+    return den, acc
+
+
+@dataclass(frozen=True, eq=False)
 class ScaledSpinor:
     """Element of Delta_n (x) Delta_r^(x m) as coefficients plus scale2 > 0.
 
-    The one spinor type: an untwisted spinor of Delta_n is the m = 0 case,
-    whose basis indices are (eps, ())."""
+    The constructor takes tuple-keyed coefficients {(spin, twist): c}; the
+    kernel keeps ``_data``, integer (re, im) pairs by bit index over the
+    denominator ``_den`` (see the module docstring).  ``coeffs`` reads back
+    a read-only view of them."""
 
     n: int
     r: int
@@ -115,43 +152,92 @@ class ScaledSpinor:
             object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:
             raise ShapeMismatch("scale2 must be a positive rational")
-        ks, kt = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r)
-        cleaned: TwistedCoeffMap = {}
-        for (spin, twist), c in self.coeffs.items():
-            if (len(spin) != ks or not _SIGNS.issuperset(spin) or len(twist) != self.m
-                    or any(len(t) != kt or not _SIGNS.issuperset(t) for t in twist)):
-                raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
-                                    f"(n={self.n}, r={self.r}, m={self.m})")
+        view, entries = {}, []
+        for key, c in self.coeffs.items():
+            idx = self._index(*key)
             if c:
-                cleaned[(spin, twist)] = c
-        object.__setattr__(self, "coeffs", cleaned)
+                view[key] = c
+                entries.append((idx, c.re, c.im))
+        den = math.lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
+        # over the lcm of the reduced denominators the content is already 1
+        vars(self).update(coeffs=MappingProxyType(view), _den=den, _data={
+            idx: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
+            for idx, re, im in entries})
+
+    def _index(self, spin: BasisIndex, twist: Tuple[BasisIndex, ...]) -> int:
+        ks, kt = self.n // 2, self.r // 2
+        twist_bits = _BITS_OF[kt]  # r <= MAX_R, so kt <= _CHUNK
+        try:
+            if len(twist) != self.m:
+                raise KeyError(twist)
+            idx, off = _slot_bits(spin, ks), ks
+            for t in twist:
+                idx |= twist_bits[t] << off
+                off += kt
+            return idx
+        except KeyError:
+            raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
+                                f"(n={self.n}, r={self.r}, m={self.m})") from None
+
+    def __getattr__(self, name: str) -> Mapping[TwistedIndex, GaussianRational]:
+        if name != "coeffs":  # the one lazy field: the read-only tuple-keyed view
+            raise AttributeError(name)
+        ks, kt, den = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r), self._den
+        offsets = [ks + a * kt for a in range(self.m)]
+        view = vars(self)["coeffs"] = MappingProxyType({
+            (_slot_tuple(idx & ((1 << ks) - 1), ks),
+             tuple(_slot_tuple(idx >> o & ((1 << kt) - 1), kt) for o in offsets)):
+            GaussianRational(Fraction(re, den), Fraction(im, den))
+            for idx, (re, im) in self._data.items()})
+        return view
+
+    def _with(self, den: int, data: IntCoeffMap) -> ScaledSpinor:
+        """This shape and scale2 with coefficients data / den, reduced by the
+        content gcd."""
+        g = den
+        for re, im in data.values():
+            if g == 1:
+                break
+            g = math.gcd(g, re, im)
+        if g != 1:
+            den //= g
+            data = {idx: (re // g, im // g) for idx, (re, im) in data.items()}
+        out = object.__new__(ScaledSpinor)
+        vars(out).update(n=self.n, r=self.r, m=self.m, scale2=self.scale2, _den=den, _data=data)
+        return out
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ScaledSpinor):
+            return NotImplemented
+        return ((self.shape(), self.scale2, self._den, self._data)
+                == (other.shape(), other.scale2, other._den, other._data))
 
     def shape(self) -> Tuple[int, int, int]:
         return (self.n, self.r, self.m)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._data
 
     def with_coeffs(self, coeffs: TwistedCoeffMap) -> ScaledSpinor:
         return ScaledSpinor(self.n, self.r, self.m, coeffs, self.scale2)
 
     def __add__(self, other: ScaledSpinor) -> ScaledSpinor:
-        return self._plus(other, Fraction(1))
+        return self._plus(other, 1)
 
     def __sub__(self, other: ScaledSpinor) -> ScaledSpinor:
-        return self._plus(other, Fraction(-1))
+        return self._plus(other, -1)
 
-    def _plus(self, other: ScaledSpinor, factor: Fraction) -> ScaledSpinor:
+    def _plus(self, other: ScaledSpinor, factor: int) -> ScaledSpinor:
         if self.shape() != other.shape() or self.scale2 != other.scale2:
             raise ShapeMismatch("adding spinors of different shape or scale")
-        out = dict(self.coeffs)
-        _merge(out, other.coeffs, factor)
-        return self.with_coeffs(out)
+        return self._with(*_lincomb([(1, self._den, self._data),
+                                     (factor, other._den, other._data)]))
 
     def scale(self, c: GaussianRational) -> ScaledSpinor:
-        if not c:
-            return self.with_coeffs({})
-        return self.with_coeffs({idx: v * c for idx, v in self.coeffs.items()})
+        den = math.lcm(c.re.denominator, c.im.denominator)
+        p, q = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+        return self._with(self._den * den, {idx: (re * p - im * q, re * q + im * p)
+                                            for idx, (re, im) in self._data.items() if p or q})
 
 
 def SpinorVector(n: int, coeffs: CoeffMap) -> ScaledSpinor:
@@ -164,61 +250,45 @@ def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
     return SpinorVector(n, {tuple(eps): GaussianRational(Fraction(1))})
 
 
-def _generator_on_map(n: int, i: int, coeffs: CoeffMap) -> CoeffMap:
-    """Apply the i-th Clifford generator to a raw coefficient map.
+def _slot_unit(offset: int, dim: int, i: int) -> Tuple[int, int, bool]:
+    """(flip, mask, imaginary) of generator i of a Delta_dim slot whose bits
+    start at ``offset``, for ``_generator_on_map``."""
+    if not 1 <= i <= dim:
+        raise IndexOutOfRange(f"generator index {i} outside 1..{dim}")
+    k = spinor_dim_exponent(dim)
+    if dim % 2 == 1 and i == dim:  # i * (T x ... x T): parity of the whole slot
+        return 0, ((1 << k) - 1) << offset, True
+    bit = 1 << (offset + (i + 1) // 2 - 1)
+    tail = bit - (1 << offset)  # the slot's bits below the flipped one
+    return (bit, tail, True) if i % 2 == 1 else (bit, tail | bit, False)
 
-    With tail parity p (the number of +1 entries right of the generator's
-    factor, mod 2) the unit is (-1)^p * i for g1 and (-1)^p * eps for g2;
-    the odd-n generator i * (T x ... x T) has unit (-1)^#(+1) * i.  A unit
-    multiple of a nonzero coefficient is nonzero, so nothing is dropped."""
-    if not 1 <= i <= n:
-        raise IndexOutOfRange(f"generator index {i} outside 1..{n}")
-    k = spinor_dim_exponent(n)
-    out: CoeffMap = {}
-    if n % 2 == 1 and i == n:
-        for eps, c in coeffs.items():
-            if eps.count(1) & 1:
-                out[eps] = GaussianRational(c.im, -c.re)
-            else:
-                out[eps] = GaussianRational(-c.im, c.re)
-        return out
-    pos = k - (i + 1) // 2  # 0-indexed tensor factor carrying g1/g2
-    if i % 2 == 1:  # g1: times (-1)^p * i
-        for eps, c in coeffs.items():
-            new = eps[:pos] + (-eps[pos],) + eps[pos + 1:]
-            if eps[pos + 1:].count(1) & 1:
-                out[new] = GaussianRational(c.im, -c.re)
-            else:
-                out[new] = GaussianRational(-c.im, c.re)
-    else:  # g2: times (-1)^p * eps[pos], eps read before the flip
-        for eps, c in coeffs.items():
-            new = eps[:pos] + (-eps[pos],) + eps[pos + 1:]
-            if (eps[pos + 1:].count(1) & 1) == (eps[pos] == 1):
-                out[new] = GaussianRational(-c.re, -c.im)
-            else:
-                out[new] = c
+
+def _generator_on_map(data: IntCoeffMap, flip: int, mask: int, imaginary: bool) -> IntCoeffMap:
+    """One slot generator on an integer coefficient map: index idx goes to
+    idx ^ flip, with p the parity of idx & mask, and the coefficient is
+    multiplied by (-1)^p i (imaginary, g1 and the odd-n generator) or by
+    -(-1)^p (g2, whose mask includes the flipped bit).  A unit multiple of
+    a nonzero coefficient is nonzero, so nothing is dropped."""
+    out: IntCoeffMap = {}
+    if imaginary:
+        for idx, (re, im) in data.items():
+            out[idx ^ flip] = (im, -re) if (idx & mask).bit_count() & 1 else (-im, re)
+    else:
+        for idx, (re, im) in data.items():
+            out[idx ^ flip] = (re, im) if (idx & mask).bit_count() & 1 else (-re, -im)
     return out
 
 
-def _spin_generator(phi: ScaledSpinor, i: int, coeffs: TwistedCoeffMap) -> TwistedCoeffMap:
-    """kappa(e_i) on the Delta_n slot of a raw coefficient map."""
-    grouped: Dict[Tuple[Tuple[int, ...], ...], Dict[Tuple[int, ...], GaussianRational]] = {}
-    for (spin, twist), c in coeffs.items():
-        grouped.setdefault(twist, {})[spin] = c
-    out: TwistedCoeffMap = {}
-    for twist, sub in grouped.items():
-        for spin, c in _generator_on_map(phi.n, i, sub).items():
-            out[(spin, twist)] = c
-    return out
+def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:
+    """kappa(e_i) on the Delta_n slot of an integer coefficient map of phi's shape."""
+    return _generator_on_map(data, *_slot_unit(0, phi.n, i))
 
 
 def kappa_generator(n: int, i: int, psi: ScaledSpinor) -> ScaledSpinor:
     """Clifford action of the i-th orthonormal generator on the Delta_n slot."""
     if psi.n != n:
         raise ShapeMismatch(f"spinor lives in Delta_{psi.n}, not Delta_{n}")
-    if not 1 <= i <= n:  # checked here too: a zero spinor never reaches the kernel
-        raise IndexOutOfRange(f"generator index {i} outside 1..{n}")
-    return psi.with_coeffs(_spin_generator(psi, i, psi.coeffs))
+    return psi._with(psi._den, _spin_generator(psi, i, psi._data))
 
 
 @dataclass(frozen=True)
@@ -243,20 +313,25 @@ def gamma_apply(psi: ScaledSpinor) -> ScaledSpinor:
     alpha(z1,z2) = (-conj(z2), conj(z1)) and beta(z1,z2) = (conj(z1), conj(z2)),
     alternating alpha, beta, alpha, ... from the leftmost factor.  On basis
     vectors: alpha.u_eps = -eps*i*u_(-eps), beta.u_eps = u_(-eps), so the whole
-    map flips every tuple entry, conjugates the coefficient and multiplies by
-    a unit from the odd (alpha) positions.  gamma^2 = +Id for
-    n = 0,1,6,7 (mod 8) and -Id for n = 2,3,4,5 (mod 8).
+    map flips every tuple entry (every bit), conjugates the coefficient and
+    multiplies by i^A (-1)^p, A the number of alpha positions and p the
+    parity of the +1 entries at them.  gamma^2 = +Id for n = 0,1,6,7 (mod 8)
+    and -Id for n = 2,3,4,5 (mod 8).
     """
     if psi.m:
         raise ShapeMismatch(f"gamma acts on Delta_n alone, got m = {psi.m}")
-    out: TwistedCoeffMap = {}
-    for (eps, _), c in psi.coeffs.items():
-        val = c.conj()
-        for t in range(0, spinor_dim_exponent(psi.n), 2):  # alpha positions
-            s = -eps[t]
-            val = GaussianRational(-s * val.im, s * val.re)  # multiply by s*i
-        out[(tuple(-s for s in eps), ())] = val
-    return psi.with_coeffs(out)
+    k = spinor_dim_exponent(psi.n)
+    alpha = sum(1 << (k - 1 - t) for t in range(0, k, 2))
+    turns = ((k + 1) // 2) % 4
+    out: IntCoeffMap = {}
+    for idx, (re, im) in psi._data.items():
+        im = -im
+        for _ in range(turns):  # times i
+            re, im = -im, re
+        if (idx & alpha).bit_count() & 1:
+            re, im = -re, -im
+        out[idx ^ ((1 << k) - 1)] = (re, im)
+    return psi._with(psi._den, out)
 
 
 RationalVector = List[Fraction]

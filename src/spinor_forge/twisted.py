@@ -7,98 +7,94 @@ rational ``scale2``: the represented spinor is sqrt(scale2) times the stored
 coefficient vector, which keeps all arithmetic inside Q(i) while representing
 irrational global normalizations exactly.  Every sesquilinear quantity is
 multiplied by scale2; purely linear operations leave it untouched.
+
+Everything here runs on the kernel layout of ``spinrep``: an int index per
+basis vector (spin bits lowest, then each twist slot's, a set bit meaning
++1) and int (re, im) pairs over one denominator D per spinor.  A twist
+generator flips one bit of its slot, signed by the parity of the slot's
+bits below it; a sesquilinear sum is an int sum over D1 * D2.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
-from .scalars import GR_ZERO, GaussianRational, Rational, exact_rational
+from .scalars import GaussianRational, Rational, exact_rational
 from .spinrep import (
     FormTerm,
+    IntCoeffMap,
     ScaledSpinor,
-    TwistedCoeffMap,
     _check_unit_vectors,
     _generator_on_map,
+    _lincomb,
     _merge,
+    _slot_unit,
     _spin_generator,
+    spinor_dim_exponent,
 )
 
 
-def _check_shapes(a: ScaledSpinor, b: ScaledSpinor) -> None:
-    if a.shape() != b.shape():
-        raise ShapeMismatch(f"shapes {a.shape()} and {b.shape()} differ")
+def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) -> IntCoeffMap:
+    """kappa(f_i) on twist slot ``slot`` (1-based) of an integer coefficient
+    map of phi's shape."""
+    ks, kt = spinor_dim_exponent(phi.n), spinor_dim_exponent(phi.r)
+    return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
 
 
-def _twist_generator(phi: ScaledSpinor, slot: int, i: int,
-                     coeffs: TwistedCoeffMap) -> TwistedCoeffMap:
-    """kappa(f_i) on twist slot ``slot`` (1-based) of a raw coefficient map."""
-    a = slot - 1
-    grouped: Dict[Tuple, Dict[Tuple[int, ...], GaussianRational]] = {}
-    for (spin, twist), c in coeffs.items():
-        key = (spin, twist[:a], twist[a + 1 :])
-        grouped.setdefault(key, {})[twist[a]] = c
-    out: TwistedCoeffMap = {}
-    for (spin, head, tail), sub in grouped.items():
-        for t, c in _generator_on_map(phi.r, i, sub).items():
-            out[(spin, head + (t,) + tail)] = c
-    return out
+def _bivector_map(phi: ScaledSpinor, k: int, l: int, data: IntCoeffMap) -> IntCoeffMap:
+    """sum over the m slots of f_k f_l on an integer map, over the same denominator."""
+    acc: IntCoeffMap = {}
+    for a in range(1, phi.m + 1):
+        _merge(acc, _twist_generator(phi, a, k, _twist_generator(phi, a, l, data)))
+    return acc
+
+
+def _on_slot(phi: ScaledSpinor, slot: int,
+             terms: Iterable[Tuple[Tuple[int, ...], Rational]]) -> ScaledSpinor:
+    """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot`` (0 = Delta_n)."""
+    dim = phi.r if slot else phi.n
+    parts = []
+    for factors, c in terms:
+        if factors and not 1 <= factors[0] <= factors[-1] <= dim:
+            raise IndexOutOfRange(f"factors {factors} outside 1..{dim}")
+        cur = phi._data
+        for gen in reversed(factors):
+            cur = _twist_generator(phi, slot, gen, cur) if slot else _spin_generator(phi, gen, cur)
+        parts.append((c, phi._den, cur))
+    return phi._with(*_lincomb(parts))
+
+
+def _vector_terms(X: Sequence[Rational]) -> list:
+    return [((j,), c) for j, c in enumerate(map(exact_rational, X), start=1) if c]
 
 
 def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:
     """Clifford action of the tangent vector sum(X_j e_j) on the Delta_n slot."""
     if len(X) != phi.n:
         raise ShapeMismatch(f"vector of length {len(X)} in R^{phi.n}")
-    acc: TwistedCoeffMap = {}
-    for j, c in enumerate(X, start=1):
-        cf = exact_rational(c)
-        if not cf:
-            continue
-        _merge(acc, _spin_generator(phi, j, phi.coeffs), cf)
-    return phi.with_coeffs(acc)
+    return _on_slot(phi, 0, _vector_terms(X))
 
 
 def form_action_on_spin_slot(terms: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpinor:
     """A sum of basis Clifford products over R^n acting on the Delta_n slot."""
-    acc: TwistedCoeffMap = {}
-    for term in terms:
-        if term.factors and not 1 <= term.factors[0] <= term.factors[-1] <= phi.n:
-            raise IndexOutOfRange(f"factors {term.factors} outside 1..{phi.n}")
-        cur = phi.coeffs
-        for gen in reversed(term.factors):
-            cur = _spin_generator(phi, gen, cur)
-        _merge(acc, cur, term.coeff)
-    return phi.with_coeffs(acc)
+    return _on_slot(phi, 0, ((t.factors, t.coeff) for t in terms))
 
 
 def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpinor:
     """Clifford multiplication by omega in twist slot a only."""
     if not 1 <= a <= phi.m:
         raise IndexOutOfRange(f"twist slot {a} outside 1..{phi.m}")
-    acc: TwistedCoeffMap = {}
-    for term in omega:
-        if term.factors and not 1 <= term.factors[0] <= term.factors[-1] <= phi.r:
-            raise IndexOutOfRange(f"factors {term.factors} outside 1..{phi.r}")
-        cur = phi.coeffs
-        for gen in reversed(term.factors):
-            cur = _twist_generator(phi, a, gen, cur)
-        _merge(acc, cur, term.coeff)
-    return phi.with_coeffs(acc)
+    return _on_slot(phi, a, ((t.factors, t.coeff) for t in omega))
 
 
 def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
     """The bivector f_k f_l acting as the sum of its m slot actions."""
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
-    acc: TwistedCoeffMap = {}
-    for a in range(1, phi.m + 1):
-        cur = _twist_generator(phi, a, l, phi.coeffs)
-        cur = _twist_generator(phi, a, k, cur)
-        _merge(acc, cur)
-    return phi.with_coeffs(acc)
+    return phi._with(phi._den, _bivector_map(phi, k, l, phi._data))
 
 
 def twisted_group_action(
@@ -114,12 +110,7 @@ def twisted_group_action(
         out = tangent_action(x, out)
     for a in range(1, phi.m + 1):
         for y in reversed(h_clean):
-            acc: TwistedCoeffMap = {}
-            for j, c in enumerate(y, start=1):
-                if not c:
-                    continue
-                _merge(acc, _twist_generator(out, a, j, out.coeffs), c)
-            out = out.with_coeffs(acc)
+            out = _on_slot(out, a, _vector_terms(y))
     return out
 
 
@@ -135,7 +126,8 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
 def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRational:
     """<phi1, phi2> including the sqrt(scale2_1 * scale2_2) prefactor, which
     must be rational (always true for equal scales)."""
-    _check_shapes(phi1, phi2)
+    if phi1.shape() != phi2.shape():
+        raise ShapeMismatch(f"shapes {phi1.shape()} and {phi2.shape()} differ")
     if phi1.scale2 == phi2.scale2:
         pref = phi1.scale2
     else:
@@ -143,24 +135,26 @@ def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRationa
         if pref is None:
             raise ScaleMismatch(
                 f"sqrt({phi1.scale2} * {phi2.scale2}) is irrational")
-    acc = GR_ZERO
-    small, big = phi1.coeffs, phi2.coeffs
-    if len(big) < len(small):
-        for idx, c in big.items():
-            o = small.get(idx)
-            if o is not None:
-                acc = acc + o * c.conj()
-    else:
-        for idx, c in small.items():
-            o = big.get(idx)
-            if o is not None:
-                acc = acc + c * o.conj()
-    return acc * pref
+    # sum c1 * conj(c2) = sum (a1 a2 + b1 b2) + i (b1 a2 - a1 b2)
+    re = im = 0
+    other = phi2._data
+    for idx, (a1, b1) in phi1._data.items():
+        o = other.get(idx)
+        if o is not None:
+            re += a1 * o[0] + b1 * o[1]
+            im += b1 * o[0] - a1 * o[1]
+    den = pref.denominator * phi1._den * phi2._den
+    return GaussianRational(Fraction(pref.numerator * re, den), Fraction(pref.numerator * im, den))
 
 
 def norm2(phi: ScaledSpinor) -> Fraction:
     """|phi|^2 = scale2 * sum |coeff|^2."""
-    return phi.scale2 * sum((c.norm2() for c in phi.coeffs.values()), Fraction(0))
+    return _norm2(phi.scale2, phi._den, phi._data)
+
+
+def _norm2(scale2: Fraction, den: int, data: IntCoeffMap) -> Fraction:
+    return Fraction(scale2.numerator * sum(re * re + im * im for re, im in data.values()),
+                    scale2.denominator * den * den)
 
 
 def from_untwisted(psi: ScaledSpinor, r: int, m: int = 0,
@@ -169,7 +163,8 @@ def from_untwisted(psi: ScaledSpinor, r: int, m: int = 0,
     basis vectors (one tuple per slot); scale2 is kept."""
     if psi.m:
         raise ShapeMismatch(f"need an untwisted (m = 0) spinor, got m = {psi.m}")
-    if len(twist) != m:
-        raise ShapeMismatch("need one twist index per slot")
-    return ScaledSpinor(psi.n, r, m, {(eps, twist): c for (eps, _), c in psi.coeffs.items()},
-                        psi.scale2)
+    out = ScaledSpinor(psi.n, r, m, {}, psi.scale2)
+    # the all -1 spin tuple has no bits set, so this index is the twist's bits
+    # alone; _index refuses a twist of the wrong length or entries
+    shift = out._index((-1,) * spinor_dim_exponent(psi.n), twist)
+    return out._with(psi._den, {idx | shift: c for idx, c in psi._data.items()})

@@ -19,7 +19,7 @@ from spinor_forge.catalog import (
 from spinor_forge.errors import UnsupportedDimension
 from spinor_forge.forms import eta
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import all_basis_indices
+from spinor_forge.spinrep import all_basis_indices, basis_spinor, gamma_apply
 from spinor_forge.twisted import ScaledSpinor, form_action_on_spin_slot, norm2, twist_bivector_action
 
 
@@ -130,6 +130,16 @@ def test_generic_reducing_matches_printed_table_up_to_phase(n):
     for eps in all_basis_indices(n):
         got = ent.spinor.coeffs[(eps, (tuple(-s for s in eps),))]
         assert got * phase == _printed_coefficient(n, eps)
+
+
+@pytest.mark.parametrize("n", list(range(2, 9)))
+def test_generic_reducing_is_the_gamma_sum(n):
+    """sum_eps u_eps (x) gamma(u_eps), with gamma from spinrep.gamma_apply."""
+    want = {}
+    for eps in all_basis_indices(n):
+        ((target, _), c), = gamma_apply(basis_spinor(n, eps)).coeffs.items()
+        want[(eps, (target,))] = c
+    assert build_generic_reducing(n).spinor.coeffs == want
 
 
 def test_generic_reducing_rejects_out_of_range():

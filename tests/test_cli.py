@@ -133,6 +133,15 @@ def test_frame_test_verb(capsys):
     assert out.count("trial") == 2 and "all invariant" in out
 
 
+def test_frame_test_refuses_fewer_than_one_trial(capsys):
+    # no trial is no evidence: refused instead of reporting "all invariant"
+    for trials in ("0", "-3"):
+        code, out, err = run(capsys, "frame-test", "--catalog", "qk", "--m", "1",
+                             "--trials", trials)
+        assert code == 2 and out == ""
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
 def test_eta_output_deterministic(capsys):
     _, out1, _ = run(capsys, "eta", "--catalog", "spin7_pure", "--format", "json")
     _, out2, _ = run(capsys, "eta", "--catalog", "spin7_pure", "--format", "json")

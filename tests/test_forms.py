@@ -12,6 +12,7 @@ from spinor_forge.forms import (
     TwoForm,
     eta,
     eta_hat,
+    etas,
     phi_extend,
     spinc_form,
     two_form_from_terms,
@@ -189,6 +190,23 @@ def test_endo_compose_and_commutator_match_naive_products():
 def test_entry_points_refuse_floats_and_bools(call, bad):
     with pytest.raises(InexactScalar):
         call(bad)
+
+
+def test_etas_equals_eta_per_pair():
+    rng = random.Random(7)
+    for shape in ((4, 3, 1), (5, 4, 2), (6, 2, 1), (4, 1, 1)):
+        phi = random_scaled(*shape, rng)
+        table = etas(phi)
+        assert list(table) == [(k, l) for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)]
+        assert all(form.mat == eta(phi, *pair).mat for pair, form in table.items())
+
+
+def test_phi_extend_range_checks_nonzero_terms_only():
+    phi = random_scaled(4, 3, 1, random.Random(8))
+    assert phi_extend(phi, {(1, 4): F(0), (5, 5): F(1)}).is_zero()
+    with pytest.raises(IndexOutOfRange):
+        phi_extend(phi, {(1, 4): F(1)})
+    assert phi_extend(phi, {(3, 1): F(2)}).mat == eta(phi, 1, 3).scale(-2).mat
 
 
 def test_phi_extend_basis_and_cancellation():

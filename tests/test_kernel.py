@@ -1,0 +1,214 @@
+"""The bitmask kernel against a dense Kronecker oracle, and its canonical form.
+
+The oracle holds a spinor of Delta_n (x) Delta_r^(x m) as a dense vector in
+standard coordinates and applies each generator as its 2x2-block Kronecker
+matrix (``test_spinrep.dense_generator``) on one tensor factor.  It knows
+nothing of bit indices, tail masks or denominators, so a wrong bit offset or
+sign rule in any slot changes a result.
+"""
+
+import json
+import math
+import random
+from dataclasses import replace
+from fractions import Fraction as F
+
+import pytest
+
+from spinor_forge.scalars import gr
+from spinor_forge.serialize import scaled_spinor_from_json, scaled_spinor_to_json
+from spinor_forge.spinrep import FormTerm, all_basis_indices, spinor_dim_exponent
+from spinor_forge.twisted import (
+    ScaledSpinor,
+    mu_slot,
+    tangent_action,
+    twist_bivector_action,
+    twisted_hermitian,
+)
+
+from .test_spinrep import dense_generator, u_raw_correct
+
+# (n, r, m): odd n, odd r with one and with two twist bits, even r.
+SHAPES = [(5, 3, 3), (3, 5, 3), (3, 4, 3)]
+
+
+def dims(phi):
+    return [2 ** spinor_dim_exponent(phi.n)] + [2 ** spinor_dim_exponent(phi.r)] * phi.m
+
+
+def apply_factor(mat, vec, dims, slot):
+    """mat on tensor factor ``slot`` of a dense vector over the factors
+    ``dims``, leftmost factor most significant (the Kronecker order)."""
+    inner = 1
+    for d in dims[slot + 1:]:
+        inner *= d
+    d = dims[slot]
+    out = [gr(0)] * len(vec)
+    for base in range(len(vec)):
+        i = base // inner % d
+        if i:
+            continue
+        for row in range(d):
+            acc = gr(0)
+            for col in range(d):
+                if mat[row][col]:
+                    acc = acc + mat[row][col] * vec[base + col * inner]
+            out[base + row * inner] = acc
+    return out
+
+
+def dense(phi):
+    """sqrt(2)^K times phi in standard coordinates, K the number of tensor
+    factors C^2: the coefficient array with each slot mapped through the
+    matrix whose columns are the raw basis vectors u_eps."""
+    ds = dims(phi)
+    slots = [all_basis_indices(phi.n)] + [all_basis_indices(phi.r)] * phi.m
+    pos = [{eps: j for j, eps in enumerate(s)} for s in slots]
+    vec = [gr(0)] * math.prod(ds)
+    for (spin, twist), c in phi.coeffs.items():
+        flat = 0
+        for p, t in zip(pos, (spin, *twist)):
+            flat = flat * len(p) + p[t]
+        vec[flat] = c
+    for slot, s in enumerate(slots):
+        basis = [u_raw_correct(eps) for eps in s]
+        mat = [[basis[j][i] for j in range(len(s))] for i in range(len(s))]
+        vec = apply_factor(mat, vec, ds, slot)
+    return vec
+
+
+def add(*vecs):
+    return [sum(xs, gr(0)) for xs in zip(*vecs)]
+
+
+def scaled(c, vec):
+    return [gr(c) * x for x in vec]
+
+
+def product(vec, ds, slot, dim, factors):
+    """e_(i1) ... e_(is) on tensor factor ``slot`` of Delta_dim."""
+    for i in reversed(factors):
+        vec = apply_factor(dense_generator(dim, i), vec, ds, slot)
+    return vec
+
+
+def coprime_gaussian(rng):
+    """p/q + (p'/q')i with coprime denominators q and q'."""
+    q, q2 = rng.choice([(3, 4), (5, 7), (2, 9), (7, 10), (1, 3)])
+    return gr(F(rng.choice([-5, -4, -2, -1, 1, 3, 4]), q), F(rng.choice([-3, -1, 1, 2, 5]), q2))
+
+
+def random_spinor(n, r, m, rng, terms=9):
+    spins, twists = all_basis_indices(n), all_basis_indices(r)
+    coeffs = {(rng.choice(spins), tuple(rng.choice(twists) for _ in range(m))):
+              coprime_gaussian(rng) for _ in range(terms)}
+    return ScaledSpinor(n, r, m, coeffs, F(rng.randint(1, 7), rng.randint(1, 7)))
+
+
+def spinors(shape, seed):
+    rng = random.Random(seed)
+    return [random_spinor(*shape, rng) for _ in range(2)], rng
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_tangent_action_matches_dense_oracle(shape):
+    (phi, _), rng = spinors(shape, 1)
+    n = phi.n
+    ds, v = dims(phi), dense(phi)
+    for j in range(1, n + 1):  # every spin generator alone
+        x = [F(0)] * n
+        x[j - 1] = F(1)
+        assert dense(tangent_action(x, phi)) == product(v, ds, 0, n, (j,)), (shape, j)
+    x = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
+    want = add(*(scaled(c, product(v, ds, 0, n, (j,))) for j, c in enumerate(x, 1)))
+    got = tangent_action(x, phi)
+    assert any(want) and dense(got) == want and got.scale2 == phi.scale2
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_mu_slot_matches_dense_oracle_on_every_slot(shape):
+    (phi, _), rng = spinors(shape, 2)
+    r = phi.r
+    ds, v = dims(phi), dense(phi)
+    for a in range(1, phi.m + 1):
+        for i in range(1, r + 1):
+            got = dense(mu_slot(a, [FormTerm((i,))], phi))
+            assert got == product(v, ds, a, r, (i,)), (shape, a, i)
+        # a two-factor product with a rational coefficient, plus the identity
+        i, j = sorted(rng.sample(range(1, r + 1), 2))
+        c = F(rng.randint(1, 4), rng.randint(2, 5))
+        got = dense(mu_slot(a, [FormTerm((i, j), c), FormTerm((), F(-1, 3))], phi))
+        want = add(scaled(c, product(v, ds, a, r, (i, j))), scaled(F(-1, 3), v))
+        assert got == want, (shape, a, i, j)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_twist_bivector_action_matches_dense_oracle(shape):
+    (phi, _), _ = spinors(shape, 3)
+    r = phi.r
+    ds, v = dims(phi), dense(phi)
+    for k in range(1, r + 1):
+        for l in range(1, r + 1):
+            if k == l:
+                continue
+            want = add(*(product(v, ds, a, r, (k, l)) for a in range(1, phi.m + 1)))
+            assert dense(twist_bivector_action(k, l, phi)) == want, (shape, k, l)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_twisted_hermitian_matches_dense_oracle(shape):
+    (phi, psi), _ = spinors(shape, 4)
+    norm = 2 ** sum(spinor_dim_exponent(d) for d in [phi.n] + [phi.r] * phi.m)
+    # overlapping phi, with its own denominators: phi moved by f_1 f_2 on
+    # the last slot, plus psi at phi's scale
+    other = mu_slot(phi.m, [FormTerm((1, 2))], phi) + replace(psi, scale2=phi.scale2)
+    far = replace(other, scale2=4 * phi.scale2)  # prefactor sqrt(s * 4s) = 2s
+    for a, b, pref in ((phi, phi, 1), (phi, other, 1), (other, phi, 1), (other, other, 1),
+                       (phi, far, 2), (far, phi, 2)):
+        va, vb = dense(a), dense(b)
+        want = sum((x * y.conj() for x, y in zip(va, vb)), gr(0)) * (pref * phi.scale2 / norm)
+        assert twisted_hermitian(a, b) == want
+    assert twisted_hermitian(phi, other).im != 0
+
+
+# -- canonical form ---------------------------------------------------------------
+
+def test_equal_spinors_have_one_layout():
+    rng = random.Random(5)
+    for shape in SHAPES + [(4, 0, 0), (8, 7, 1)]:
+        phi = random_spinor(*shape, rng)
+        items = list(phi.coeffs.items())
+        rng.shuffle(items)
+        b = replace(random_spinor(*shape, rng), scale2=phi.scale2)
+        same = [
+            ScaledSpinor(*shape, dict(items), phi.scale2),  # another entry order
+            phi.scale(gr(6)).scale(gr(F(1, 6))),  # rescaled numerators
+            phi.scale(gr(F(2, 3), F(1, 3))).scale(gr(F(6, 5), F(-3, 5))),  # (2+i)/3 * 3(2-i)/5
+            phi + phi - phi,
+            phi + b - b,
+        ]
+        for psi in same:
+            assert psi == phi and (psi._den, psi._data) == (phi._den, phi._data), shape
+        assert (phi - phi).is_zero() and (phi - phi)._den == 1
+        assert phi.scale(gr(2)) != phi and replace(phi, scale2=2 * phi.scale2) != phi
+
+
+def test_kernel_results_round_trip_through_the_coeffs_view():
+    rng = random.Random(6)
+    for shape in SHAPES:
+        phi = random_spinor(*shape, rng)
+        moved = tangent_action([F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(phi.n)],
+                               twist_bivector_action(1, 2, phi))
+        # the view of a kernel result is built from its integers
+        assert "coeffs" not in vars(moved)
+        again = ScaledSpinor(*shape, moved.coeffs, moved.scale2)
+        assert again == moved and again.coeffs == moved.coeffs
+        wire = json.dumps(scaled_spinor_to_json(moved))
+        assert json.dumps(scaled_spinor_to_json(scaled_spinor_from_json(json.loads(wire)))) == wire
+        assert replace(moved, scale2=F(2)).coeffs == moved.coeffs
+        assert replace(moved, scale2=F(2)) != moved
+        # the view is read-only: it cannot drift from the kernel's integers
+        for spinor in (phi, moved):
+            key = next(iter(spinor.coeffs))
+            with pytest.raises(TypeError):
+                spinor.coeffs[key] = gr(1)

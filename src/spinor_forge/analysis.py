@@ -7,6 +7,7 @@ witnesses (defect norms, violated relations), never a tolerance call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -20,8 +21,8 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, ImageTable, eta_hat, spinc_form, two_form_from_terms
-from .linalg import Matrix, RowReducer, check_special_orthogonal, nullspace
+from .forms import Endo, ImageTable, _hat, eta_hat, spinc_form
+from .linalg import Matrix, RowReducer, _clear_denominators, check_special_orthogonal, nullspace
 from .scalars import Rational, exact_rational, gr
 from .spinrep import IntCoeffMap, _lincomb
 from .twisted import (
@@ -222,44 +223,51 @@ def _certify(phi: ScaledSpinor, kind: str,
     an SO(r) matrix; None is the standard frame).
 
     One ``forms.ImageTable`` of phi serves every pair.  With
-    w_st = kappa(f_st) . phi it gives eta_st by integer inner sums, and the
-    defect D_st = eta_st . phi + c w_st (c = 2 "pure", 1 "reducing") at one
-    generator application per column of eta_st.  Both are linear in the
-    bivector f'_k f'_l = sum_(s<t) (a_ks a_lt - a_kt a_ls) f_s f_t, so a
-    rotated pair is the sparse sum of c_st (eta_st, D_st), with no generator
-    application."""
+    w_st = kappa(f_st) . phi it gives eta_st as integer terms over its own
+    denominator, and the defect D_st = eta_st . phi + c w_st (c = 2 "pure",
+    1 "reducing") at one generator application per column of eta_st.  Both
+    are linear in the bivector f'_k f'_l = sum_(s<t) c_st f_s f_t, and
+    c_st = a_ks a_lt - a_kt a_ls is an integer over d^2 once A is an integer
+    matrix over d: a rotated pair is an integer sum of c_st (eta_st, D_st).
+    The pure flag squares eta_hat built from the integer terms."""
     _check_kind(kind)
     c = _DEFECT_COEFFICIENT[kind]
     images = ImageTable(phi)
-    table: Dict[Pair, Tuple[Dict[Pair, Fraction], int, IntCoeffMap]] = {}
+    table: Dict[Pair, Tuple[int, Dict[Pair, int], int, IntCoeffMap]] = {}
     for (s, t) in pairs(phi.r):
         w = twist_bivector_action(s, t, phi)
-        terms = images.induced_terms(w)
-        table[(s, t)] = (terms, *_lincomb([(1, *images.form_action(terms)),
-                                           (c, w._den, w._data)]))
+        e_den, e_st = images.induced_terms(w)
+        table[(s, t)] = (e_den, e_st, *_lincomb([(1, *images.form_action(e_den, e_st)),
+                                                  (c, w._den, w._data)]))
+    lcm = math.lcm(*(entry[0] for entry in table.values()))
     out = []
     for a in frames:
+        if a is not None:
+            ia, d = _clear_denominators(a)
         per: Dict[Pair, PairVerdict] = {}
         ok = True
         for (k, l) in pairs(phi.r):
             if a is None:
-                terms, den, defect = table[(k, l)]
+                e_den, terms, den, defect = table[(k, l)]
             else:
-                terms, parts = {}, []
-                for (s, t), (eta_st, den_st, d_st) in table.items():
-                    cst = a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
+                acc, parts = {}, []
+                ak, al = ia[k - 1], ia[l - 1]
+                for (s, t), (den_st, e_st, d_den, d_st) in table.items():
+                    cst = ak[s - 1] * al[t - 1] - ak[t - 1] * al[s - 1]
                     if cst:
-                        for ab, x in eta_st.items():
-                            terms[ab] = terms.get(ab, 0) + cst * x
-                        parts.append((cst, den_st, d_st))
+                        x = cst * (lcm // den_st)
+                        for ab, v in e_st.items():
+                            acc[ab] = acc.get(ab, 0) + x * v
+                        parts.append((cst, d_den * d * d, d_st))
+                e_den, terms = lcm * d * d, {ab: v for ab, v in acc.items() if v}
                 den, defect = _lincomb(parts)
             dn2 = _norm2(phi.scale2, den, defect)
             if kind == "pure":
-                h = eta_hat(two_form_from_terms(phi.n, terms))
+                h = _hat(phi.n, e_den, terms)
                 flag = h.compose(h).is_minus_identity()
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
             else:
-                flag = any(terms.values())
+                flag = bool(terms)
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=flag)
             ok = ok and flag and dn2 == 0
         out.append((ok, per))
@@ -342,30 +350,29 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
             if {i, j} & {k, l}:
                 continue
             a, b = full[(i, j)], full[(k, l)]
-            if a.compose(b).mat != b.compose(a).mat:
+            if a.compose(b) != b.compose(a):
                 return RelationReport(False, f"disjoint ({i},{j}),({k},{l}) do not commute")
 
     for i, j, k in permutations(range(1, r + 1), 3):
         ab = full[(i, j)].compose(full[(j, k)])
         ba = full[(j, k)].compose(full[(i, j)])
-        if ab.mat != [[-x for x in row] for row in ba.mat]:
+        if ab != -ba:
             return RelationReport(False, f"chained ({i},{j}),({j},{k}) do not anticommute")
-        if ab.mat != (-full[(i, k)]).mat:
+        if ab != -full[(i, k)]:
             return RelationReport(False, f"product ({i},{j})({j},{k}) != -({i},{k})")
 
     for (i, j, k, l) in combinations(range(1, r + 1), 4):
-        lhs = full[(i, j)].compose(full[(k, l)]).mat
+        lhs = full[(i, j)].compose(full[(k, l)])
         chain = [
-            ((-full[(i, k)].compose(full[(j, l)])).mat, f"-({i},{k})({j},{l})"),
-            ((-full[(j, l)].compose(full[(i, k)])).mat, f"-({j},{l})({i},{k})"),
-            (full[(k, l)].compose(full[(i, j)]).mat, f"({k},{l})({i},{j})"),
-            (full[(j, k)].compose(full[(i, l)]).mat, f"({j},{k})({i},{l})"),
-            (full[(i, l)].compose(full[(j, k)]).mat, f"({i},{l})({j},{k})"),
+            (-full[(i, k)].compose(full[(j, l)]), f"-({i},{k})({j},{l})"),
+            (-full[(j, l)].compose(full[(i, k)]), f"-({j},{l})({i},{k})"),
+            (full[(k, l)].compose(full[(i, j)]), f"({k},{l})({i},{j})"),
+            (full[(j, k)].compose(full[(i, l)]), f"({j},{k})({i},{l})"),
+            (full[(i, l)].compose(full[(j, k)]), f"({i},{l})({j},{k})"),
         ]
-        for mat, label in chain:
-            if lhs != mat:
-                return RelationReport(
-                    False, f"product chain ({i},{j})({k},{l}) != {label}")
+        for rhs, label in chain:
+            if lhs != rhs:
+                return RelationReport(False, f"product chain ({i},{j})({k},{l}) != {label}")
     return RelationReport(True)
 
 
@@ -440,16 +447,15 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
     def var(p: int, q: int) -> int:
         return p * n + q
 
-    rows: List[Dict[int, Fraction]] = []
+    rows: List[Dict[int, int]] = []
     for h in etas:
-        m = h.mat
-        # (X M - M X)[a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b]
-        in_col = [[(c, m[c][b]) for c in range(n) if m[c][b]] for b in range(n)]
-        in_row = [[(c, x) for c, x in enumerate(m[a]) if x] for a in range(n)]
-        for a in range(n):
+        # (X M - M X)[a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b], with
+        # M = h's integer rows (its denominator scales every row alike)
+        in_col = [[(c, row[b]) for c, row in enumerate(h._rows) if b in row] for b in range(n)]
+        for a, in_row in enumerate(h._rows):
             for b in range(n):
                 row = {var(a, c): x for c, x in in_col[b]}
-                for c, x in in_row[a]:
+                for c, x in in_row.items():
                     k = var(c, b)
                     v = row.get(k, 0) - x
                     if v:
@@ -460,9 +466,9 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
                     rows.append(row)
     if restrict_skew:
         for p in range(n):
-            rows.append({var(p, p): Fraction(1)})
+            rows.append({var(p, p): 1})
             for q in range(p + 1, n):
-                rows.append({var(p, q): Fraction(1), var(q, p): Fraction(1)})
+                rows.append({var(p, q): 1, var(q, p): 1})
     vecs = nullspace(rows, width)
     basis = [Endo(n, [[v[var(p, q)] for q in range(n)] for p in range(n)])
              for v in vecs]

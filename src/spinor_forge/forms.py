@@ -16,15 +16,17 @@ builds the images e_a . v once per spinor, for every twist pair, and
 kernel's maps (``spinrep``): int index, spin bits lowest and a set bit +1;
 e_a flips one bit, signed by the parity of the bits below it; (re, im)
 numerators over the spinor's one denominator D.  So an entry is one int sum
-over D_v * D_w and one Fraction, and a 2-form acts at one generator
-application per column:
+over D_v * D_w (``induced_terms`` keeps all of them as ints over one
+denominator), and a 2-form acts at one generator application per column:
 
     eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v).
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . v.  The dual endomorphism follows the contraction convention
 eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its operator matrix is the
-transpose of the 2-form's coefficient matrix.
+transpose of the 2-form's coefficient matrix.  An ``Endo`` is sparse integer
+rows over one positive denominator, reduced by the content gcd, so products,
+commutators and equality run in ints; its dense ``mat`` is a view.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
-from .linalg import Matrix, mat_add, mat_mul, mat_sub, transpose, zeros
+from .linalg import Matrix, SparseRow, mat_add, transpose, zeros
 from .scalars import GR_I, Rational, exact_rational
 from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _merge, _spin_generator, check_dimensions
 from .twisted import twist_bivector_action
@@ -87,9 +89,15 @@ class TwoForm:
         return self.scale(Fraction(-1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Endo:
-    """An endomorphism of R^n: mat[i][j] = <e_i, T(e_j)> (column convention)."""
+    """An endomorphism of R^n: mat[i][j] = <e_i, T(e_j)> (column convention).
+
+    Held as sparse integer rows over one positive denominator: ``_rows[i]``
+    maps j to the nonzero entries of ``_den * mat[i]``, reduced by the
+    content gcd, so equal endomorphisms have one layout and ``==`` compares
+    it.  ``mat`` reads back a dense Fraction view, built on first read for
+    kernel results; treat it as read-only."""
 
     n: int
     mat: Matrix
@@ -97,23 +105,74 @@ class Endo:
     def __post_init__(self) -> None:
         if len(self.mat) != self.n or any(len(row) != self.n for row in self.mat):
             raise ShapeMismatch("endomorphism matrix has wrong shape")
+        view = [[x if type(x) is Fraction else exact_rational(x) for x in row] for row in self.mat]
+        den = math.lcm(*(x.denominator for row in view for x in row))
+        # over the lcm of the reduced denominators the content is already 1
+        vars(self).update(mat=view, _den=den, _rows=[
+            {j: x.numerator * (den // x.denominator) for j, x in enumerate(row) if x}
+            for row in view])
+
+    def __getattr__(self, name: str) -> Matrix:
+        if name != "mat":  # the one lazy field: the dense Fraction view
+            raise AttributeError(name)
+        view = vars(self)["mat"] = [[Fraction(row.get(j, 0), self._den) for j in range(self.n)]
+                                    for row in self._rows]
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Endo):
+            return NotImplemented
+        return (self.n, self._den, self._rows) == (other.n, other._den, other._rows)
 
     def compose(self, other: Endo) -> Endo:
-        return Endo(self.n, mat_mul(self.mat, other.mat))
+        return _endo(self.n, self._den * other._den, _mul_rows(self._rows, other._rows))
 
     def commutator(self, other: Endo) -> Endo:
-        return Endo(self.n, mat_sub(mat_mul(self.mat, other.mat), mat_mul(other.mat, self.mat)))
+        ab, ba = _mul_rows(self._rows, other._rows), _mul_rows(other._rows, self._rows)
+        rows = [{k: x.get(k, 0) - y.get(k, 0) for k in x.keys() | y.keys()} for x, y in zip(ab, ba)]
+        return _endo(self.n, self._den * other._den, rows)
 
     def is_minus_identity(self) -> bool:
-        return all(self.mat[i][j] == (-1 if i == j else 0)
-                   for i in range(self.n) for j in range(self.n))
+        return self._den == 1 and all(row == {i: -1} for i, row in enumerate(self._rows))
 
     def scale(self, c: Rational) -> Endo:
         c = exact_rational(c)
-        return Endo(self.n, [[x * c for x in row] for row in self.mat])
+        return _endo(self.n, self._den * c.denominator,
+                     [{j: v * c.numerator for j, v in row.items()} for row in self._rows])
 
     def __neg__(self) -> Endo:
-        return self.scale(Fraction(-1))
+        return _endo(self.n, self._den, [{j: -v for j, v in row.items()} for row in self._rows])
+
+
+def _mul_rows(a: List[SparseRow], b: List[SparseRow]) -> List[SparseRow]:
+    """The product a b of sparse integer rows; cancelled entries stay as 0."""
+    out: List[SparseRow] = []
+    for row in a:
+        acc: SparseRow = {}
+        for j, x in row.items():
+            for k, y in b[j].items():
+                acc[k] = acc.get(k, 0) + x * y
+        out.append(acc)
+    return out
+
+
+def _endo(n: int, den: int, rows: List[SparseRow]) -> Endo:
+    """The endomorphism rows / den (den > 0): zero entries dropped, reduced
+    by the content gcd.  Every integer operation on ``Endo`` ends here."""
+    g = math.gcd(den, *(v for row in rows for v in row.values()))
+    out = object.__new__(Endo)
+    vars(out).update(n=n, _den=den // g,
+                     _rows=[{j: v // g for j, v in row.items() if v} for row in rows])
+    return out
+
+
+def _hat(n: int, den: int, terms: Dict[Tuple[int, int], int]) -> Endo:
+    """eta_hat of sum (terms[a, b] / den) e_a ^ e_b, 1-based a < b, from the integers."""
+    rows: List[SparseRow] = [{} for _ in range(n)]
+    for (a, b), v in terms.items():
+        rows[b - 1][a - 1] = v
+        rows[a - 1][b - 1] = -v
+    return _endo(n, den, rows)
 
 
 def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoForm:
@@ -138,12 +197,13 @@ class ImageTable:
         self.phi = phi
         self.maps = [_spin_generator(phi, a, phi._data) for a in range(1, phi.n)]
 
-    def induced_terms(self, w: ScaledSpinor) -> Dict[Tuple[int, int], Fraction]:
+    def induced_terms(self, w: ScaledSpinor) -> Tuple[int, Dict[Tuple[int, int], int]]:
         """The nonzero entries {(a, b): eta_ab}, 1-based a < b, of
-        -scale2 * Re< e_b . w, e_a . phi >, for w of phi's shape."""
+        -scale2 * Re< e_b . w, e_a . phi >, for w of phi's shape, as
+        (D, integer terms over D) reduced by the content gcd."""
         s2 = self.phi.scale2
         num, den = -s2.numerator, s2.denominator * self.phi._den * w._den
-        out: Dict[Tuple[int, int], Fraction] = {}
+        out: Dict[Tuple[int, int], int] = {}
         for b in range(2, self.phi.n + 1):
             e_w = _spin_generator(self.phi, b, w._data)
             for a in range(1, b):
@@ -154,20 +214,25 @@ class ImageTable:
                     if o is not None:
                         acc += cr * o[0] + ci * o[1]
                 if acc:
-                    out[(a, b)] = Fraction(num * acc, den)
-        return out
+                    out[(a, b)] = num * acc
+        g = math.gcd(den, *out.values())
+        return den // g, {ab: v // g for ab, v in out.items()}
 
-    def form_action(self, terms: Dict[Tuple[int, int], Fraction]) -> Tuple[int, IntCoeffMap]:
-        """sum eta_ab e_a e_b . phi (1-based a < b) as
+    def form_action(self, den: int, terms: Dict[Tuple[int, int], int]) -> Tuple[int, IntCoeffMap]:
+        """sum eta_ab e_a e_b . phi, eta_ab = terms[a, b] / den (1-based a < b), as
         -sum_b e_b . (sum_(a<b) eta_ab e_a . phi): (D, an integer map over D)."""
-        lcm = math.lcm(*(x.denominator for x in terms.values()))
         inner: Dict[int, IntCoeffMap] = {}
         for (a, b), x in terms.items():
-            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x.numerator * (lcm // x.denominator))
+            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x)
         acc: IntCoeffMap = {}
         for b, col in inner.items():
             _merge(acc, _spin_generator(self.phi, b, col))
-        return self.phi._den * lcm, acc
+        return self.phi._den * den, acc
+
+    def two_form(self, w: ScaledSpinor) -> TwoForm:
+        """The induced form of w (see ``induced_terms``) as a ``TwoForm``."""
+        den, terms = self.induced_terms(w)
+        return two_form_from_terms(self.phi.n, {ab: Fraction(v, den) for ab, v in terms.items()})
 
 
 def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:
@@ -182,14 +247,13 @@ def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
     if k == l:
         return TwoForm(phi.n, zeros(phi.n))
     w = twist_bivector_action(k, l, phi)
-    return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(w))
+    return ImageTable(phi).two_form(w)
 
 
 def etas(phi: ScaledSpinor) -> Dict[Tuple[int, int], TwoForm]:
     """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``ImageTable``."""
     images = ImageTable(phi)
-    return {(k, l): two_form_from_terms(
-                phi.n, images.induced_terms(twist_bivector_action(k, l, phi)))
+    return {(k, l): images.two_form(twist_bivector_action(k, l, phi))
             for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)}
 
 
@@ -221,7 +285,7 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        return two_form_from_terms(phi.n, ImageTable(phi).induced_terms(phi.scale(GR_I)))
+        return ImageTable(phi).two_form(phi.scale(GR_I))
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

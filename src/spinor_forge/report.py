@@ -241,12 +241,9 @@ def criterion_hat_commutators() -> CriterionRow:
     for label, phi in cases:
         fam = {pair: eta_hat(form) for pair, form in etas(phi).items()}
         rel = even_clifford_verify(fam)
-        comm_ok = True
         full = {**fam, **{(l, k): -h for (k, l), h in fam.items()}}
-        for i, j, k in permutations(range(1, phi.r + 1), 3):
-            lhs = full[(i, j)].commutator(full[(j, k)])
-            if lhs.mat != full[(i, k)].scale(Fraction(-2)).mat:
-                comm_ok = False
+        comm_ok = all(full[(i, j)].commutator(full[(j, k)]) == full[(i, k)].scale(Fraction(-2))
+                      for i, j, k in permutations(range(1, phi.r + 1), 3))
         ok = ok and rel.ok and comm_ok
         notes.append(f"{label}: relations={rel.ok} commutators={comm_ok}")
     return _row(

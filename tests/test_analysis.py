@@ -36,13 +36,16 @@ from spinor_forge.errors import (
     ZeroSpinor,
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
-from spinor_forge.linalg import givens, random_so_matrix, random_unit_vector, spans_equal
+from spinor_forge.linalg import (
+    givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
+)
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
     twist_bivector_action,
+    twisted_group_action,
     twisted_hermitian,
 )
 
@@ -134,6 +137,57 @@ def test_even_clifford_detects_corruption():
     bad[(1, 2)] = -bad[(1, 2)]  # one sign flip must violate some relation
     rep = even_clifford_verify(bad)
     assert not rep.ok and rep.violation is not None
+
+
+# The first violation each corrupted family gives, as recorded while the
+# relations were still compared as dense Fraction matrices.
+_SPIN7_FLIP_VIOLATION = {
+    (1, 2): "product (1,2)(2,3) != -(1,3)",
+    (1, 3): "product (1,2)(2,3) != -(1,3)",
+    (1, 4): "product (1,2)(2,4) != -(1,4)",
+    (1, 5): "product (1,2)(2,5) != -(1,5)",
+    (1, 6): "product (1,2)(2,6) != -(1,6)",
+    (1, 7): "product (1,2)(2,7) != -(1,7)",
+    (2, 3): "product (1,2)(2,3) != -(1,3)",
+    (2, 4): "product (1,2)(2,4) != -(1,4)",
+    (2, 5): "product (1,2)(2,5) != -(1,5)",
+    (2, 6): "product (1,2)(2,6) != -(1,6)",
+    (2, 7): "product (1,2)(2,7) != -(1,7)",
+    (3, 4): "product (1,3)(3,4) != -(1,4)",
+    (3, 5): "product (1,3)(3,5) != -(1,5)",
+    (3, 6): "product (1,3)(3,6) != -(1,6)",
+    (3, 7): "product (1,3)(3,7) != -(1,7)",
+    (4, 5): "product (1,4)(4,5) != -(1,5)",
+    (4, 6): "product (1,4)(4,6) != -(1,6)",
+    (4, 7): "product (1,4)(4,7) != -(1,7)",
+    (5, 6): "product (1,5)(5,6) != -(1,6)",
+    (5, 7): "product (1,5)(5,7) != -(1,7)",
+    (6, 7): "product (1,6)(6,7) != -(1,7)",
+}
+
+
+def test_even_clifford_names_the_first_violation():
+    """Each corruption must be caught with the recorded message, so an
+    equality that wrongly says True cannot pass a broken family: a sign flip
+    of each spin7 member, swapped qk(2) members, a spin7 member replaced by
+    another (disjoint pairs then anticommute) and a qk(1) member replaced by
+    a complex structure from its commutant (chained pairs then commute)."""
+    fam = _hat_family(build_spin7_pure().spinor)
+    assert set(_SPIN7_FLIP_VIOLATION) == set(fam)
+    for pair, want in _SPIN7_FLIP_VIOLATION.items():
+        rep = even_clifford_verify({**fam, pair: -fam[pair]})
+        assert (rep.ok, rep.violation) == (False, want), pair
+    rep = even_clifford_verify({**fam, (1, 2): fam[(1, 3)]})
+    assert (rep.ok, rep.violation) == (False, "disjoint (1,2),(3,4) do not commute")
+    qk2 = _hat_family(build_qk_pure(2).spinor)
+    for p, q in (((1, 2), (1, 3)), ((1, 2), (2, 3)), ((1, 3), (2, 3))):
+        rep = even_clifford_verify({**qk2, p: qk2[q], q: qk2[p]})
+        assert (rep.ok, rep.violation) == (False, "product (1,2)(2,3) != -(1,3)"), (p, q)
+    qk1 = _hat_family(build_qk_pure(1).spinor)
+    _, right = commutant(list(qk1.values()), True)
+    assert right[0].compose(right[0]).is_minus_identity()
+    rep = even_clifford_verify({**qk1, (1, 2): right[0]})
+    assert (rep.ok, rep.violation) == (False, "chained (1,2),(2,3) do not anticommute")
 
 
 def test_even_clifford_rejects_rank2_blocks():
@@ -425,16 +479,22 @@ def _dense_certificates(phi, frames):
     return results
 
 
-@pytest.mark.parametrize("label", ["n5r3", "n4r4", "qk1"])
+@pytest.mark.parametrize("label", ["n5r3", "n4r4", "qk1", "qk1_moved"])
 def test_certificates_match_dense_oracle(label):
     """Per-pair witnesses of the image-table certificate against dense
     operators, in the standard frame (through check_pure / check_reducing)
-    and in a rotated one.  Real and imaginary parts carry different, coprime
-    denominators, so a common denominator taken from one part alone is
-    wrong."""
+    and in two rotated ones: a random one and a product of Givens rotations
+    over the coprime denominators 5 and 13, so A clears to an integer matrix
+    over 65 and each c_st to an integer over 65^2.  Real and imaginary parts
+    carry different, coprime denominators, so a common denominator taken
+    from one part alone is wrong.  qk1_moved is qk(1) moved by a twist
+    rotation: still pure, with eta_st over the denominators 25, 1 and 25."""
     rng = random.Random(label)
     if label == "qk1":
         phi = build_qk_pure(1).spinor
+    elif label == "qk1_moved":
+        h = [[F(1), F(0), F(0)], [F(3, 5), F(0), F(4, 5)]]
+        phi = twisted_group_action([], h, build_qk_pure(1).spinor)
     else:
         n, r = int(label[1]), int(label[3])
         spin_idx, twist_idx = all_basis_indices(n), all_basis_indices(r)
@@ -445,17 +505,20 @@ def test_certificates_match_dense_oracle(label):
         phi = ScaledSpinor(n, r, 2, coeffs, F(3, 5))
     identity = [[F(int(i == j)) for j in range(phi.r)] for i in range(phi.r)]
     rotation = random_so_matrix(phi.r, rng, bound=2)
-    want_standard, want_rotated = _dense_certificates(phi, (identity, rotation))
+    (c1, s1), (c2, s2) = rational_cos_sin(F(1, 2)), rational_cos_sin(F(2, 3))
+    coprime = naive_mat_mul(givens(phi.r, 1, 2, c1, s1), givens(phi.r, 2, phi.r, c2, s2))
+    assert {x.denominator for row in coprime for x in row} == {1, 5, 13, 65}
+    frames = (rotation, coprime)
+    want_standard, *want_rotated = _dense_certificates(phi, (identity, *frames))
     for kind, check in (("pure", check_pure), ("reducing", check_reducing)):
         flag = "square_ok" if kind == "pure" else "eta_nonzero"
-        [(_, rotated)] = _certify(phi, kind, (rotation,))
-        for per, want in ((check(phi).per_pair, want_standard[kind]),
-                          (rotated, want_rotated[kind])):
-            assert {p: (v.defect_norm2, getattr(v, flag)) for p, v in per.items()} == want
-            if label != "qk1":
-                assert all(dn2 for dn2, _ in want.values())
-    if label == "qk1":
-        assert want_rotated["pure"] == {p: (F(0), True) for p in pairs(3)}
+        got = [check(phi).per_pair] + [per for _, per in _certify(phi, kind, frames)]
+        for per, want in zip(got, [want_standard] + want_rotated):
+            assert {p: (v.defect_norm2, getattr(v, flag)) for p, v in per.items()} == want[kind]
+            if not label.startswith("qk1"):
+                assert all(dn2 for dn2, _ in want[kind].values())
+    if label.startswith("qk1"):
+        assert all(want["pure"] == {p: (F(0), True) for p in pairs(3)} for want in want_rotated)
 
 
 def test_frame_rotation_on_non_pure_spinor():

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from spinor_forge.errors import (
 from spinor_forge.forms import (
     Endo,
     TwoForm,
+    _endo,
     eta,
     eta_hat,
     etas,
@@ -173,6 +175,73 @@ def test_endo_compose_and_commutator_match_naive_products():
                                        for r1, r2 in zip(ab, ba)]
 
 
+def _sparse_matrix(n, rng):
+    """Mostly zero, mixed denominators, so rows differ in support and scale."""
+    return [[F(rng.randint(-9, 9), rng.choice((1, 2, 3, 10, 21))) if rng.random() < 0.4 else F(0)
+             for _ in range(n)] for _ in range(n)]
+
+
+def _endo_cases():
+    rng = random.Random(19)
+    zero = [[F(0)] * 3 for _ in range(3)]
+    minus_id = [[F(-int(i == j)) for j in range(3)] for i in range(3)]
+    out = [(zero, zero), (zero, minus_id), (minus_id, minus_id), (minus_id, zero)]
+    for n in (1, 2, 4, 6):
+        for _ in range(4):
+            out.append((_sparse_matrix(n, rng), _sparse_matrix(n, rng)))
+    return out
+
+
+def test_endo_layout_is_one_per_endomorphism():
+    rng = random.Random(20)
+    for n in (1, 3, 5):
+        mat = _sparse_matrix(n, rng)
+        a = Endo(n, mat)
+        assert a.mat == mat and a.mat is not mat
+        assert a._den > 0 and all(v for row in a._rows for v in row.values())
+        assert math.gcd(a._den, *(v for row in a._rows for v in row.values())) == 1
+        # rescaled numerators over a rescaled denominator: the same layout
+        assert _endo(n, 6 * a._den, [{j: 6 * v for j, v in row.items()} for row in a._rows]) == a
+        assert a.scale(F(1, 2)).scale(2) == a == Endo(n, [[x / 2 for x in row] for row in mat]).scale(2)
+        assert a.scale(F(1, 2)).scale(2)._rows == a._rows
+        for i in range(n):
+            for j in range(n):
+                changed = [list(row) for row in mat]
+                changed[i][j] += F(1, 7)
+                assert Endo(n, changed) != a
+    # the same numerators over another denominator are another endomorphism
+    half = Endo(2, [[F(1, 2), F(0)], [F(0), F(1, 2)]])
+    assert half._rows == Endo(2, [[F(1), F(0)], [F(0), F(1)]])._rows
+    assert half != Endo(2, [[F(1), F(0)], [F(0), F(1)]])
+    assert Endo(3, [[F(0)] * 3 for _ in range(3)]) != Endo(2, [[F(0)] * 2 for _ in range(2)])
+
+
+def test_endo_operations_match_fraction_oracle():
+    """compose, commutator, scale, negation and the -Id test on the integer
+    rows against the plain Fraction triple loop, on the dense view and on
+    the layout (the oracle's matrix, rebuilt as an Endo, compares equal)."""
+    for ma, mb in _endo_cases():
+        n = len(ma)
+        a, b = Endo(n, ma), Endo(n, mb)
+        ab, ba = naive_mat_mul(ma, mb), naive_mat_mul(mb, ma)
+        comm = [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+        for got, want in ((a.compose(b), ab), (b.compose(a), ba), (a.commutator(b), comm),
+                          (-a, [[-x for x in row] for row in ma])):
+            assert got.mat == want and got == Endo(n, want)
+        for c in (F(0), F(-3, 4), F(5), F(1, 6)):
+            want = [[c * x for x in row] for row in ma]
+            assert a.scale(c).mat == want and a.scale(c) == Endo(n, want)
+        for e, m in ((a, ma), (a.compose(b), ab)):
+            want = all(m[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
+            assert e.is_minus_identity() is want
+    j = Endo(4, [[F(0), F(-1), F(0), F(0)], [F(1), F(0), F(0), F(0)],
+                 [F(0), F(0), F(0), F(1)], [F(0), F(0), F(-1), F(0)]])
+    assert j.compose(j).is_minus_identity()
+    assert j.scale(F(1, 3)).compose(j.scale(3)).is_minus_identity()
+    assert not j.scale(2).compose(j).is_minus_identity()
+    assert not j.scale(F(1, 2)).compose(j).is_minus_identity()
+
+
 @pytest.mark.parametrize("bad", [0.1, True])
 @pytest.mark.parametrize("call", [
     lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3, 1, ((1,),))),
@@ -182,10 +251,11 @@ def test_endo_compose_and_commutator_match_naive_products():
     lambda x: two_form_from_terms(4, {(1, 2): x}),
     lambda x: two_form_from_terms(4, {(1, 2): 1}).scale(x),
     lambda x: Endo(2, [[F(1), F(0)], [F(0), F(1)]]).scale(x),
+    lambda x: Endo(2, [[x, F(0)], [F(0), F(1)]]),
     lambda x: phi_extend(random_scaled(4, 3, 1, random.Random(0)), {(1, 2): x}),
     lambda x: AmbientElement(4, 3, {(1, 2): x}, {}),
 ], ids=["tangent_action", "vector_action", "unit_vectors", "spin_action_on_vector",
-        "two_form_from_terms", "TwoForm.scale", "Endo.scale", "phi_extend",
+        "two_form_from_terms", "TwoForm.scale", "Endo.scale", "Endo", "phi_extend",
         "AmbientElement"])
 def test_entry_points_refuse_floats_and_bools(call, bad):
     with pytest.raises(InexactScalar):

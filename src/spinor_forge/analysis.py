@@ -7,7 +7,6 @@ witnesses (defect norms, violated relations), never a tolerance call.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -21,7 +20,7 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, ImageTable, _hat, eta_hat, spinc_form
+from .forms import Endo, ImageTable, TwoForm, eta_hat, form_lincomb, spinc_form
 from .linalg import Matrix, RowReducer, _clear_denominators, check_special_orthogonal, nullspace
 from .scalars import Rational, exact_rational, gr
 from .spinrep import IntCoeffMap, _lincomb
@@ -222,24 +221,22 @@ def _certify(phi: ScaledSpinor, kind: str,
     """Verdict and per-pair witnesses of ``kind`` in each frame (the rows of
     an SO(r) matrix; None is the standard frame).
 
-    One ``forms.ImageTable`` of phi serves every pair.  With
-    w_st = kappa(f_st) . phi it gives eta_st as integer terms over its own
-    denominator, and the defect D_st = eta_st . phi + c w_st (c = 2 "pure",
-    1 "reducing") at one generator application per column of eta_st.  Both
-    are linear in the bivector f'_k f'_l = sum_(s<t) c_st f_s f_t, and
-    c_st = a_ks a_lt - a_kt a_ls is an integer over d^2 once A is an integer
-    matrix over d: a rotated pair is an integer sum of c_st (eta_st, D_st).
-    The pure flag squares eta_hat built from the integer terms."""
+    One ``forms.ImageTable`` of phi serves every pair: with w_st = kappa(f_st) . phi
+    it gives eta_st, and D_st = eta_st . phi + c w_st (c = 2 "pure", 1 "reducing")
+    at one generator application per column of eta_st.  Both are linear in
+    f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st = a_ks a_lt - a_kt a_ls is an
+    integer over d^2 once A is an integer matrix over d: a rotated pair is one
+    ``forms.form_lincomb`` sum of the eta_st and one ``_lincomb`` of the D_st."""
     _check_kind(kind)
     c = _DEFECT_COEFFICIENT[kind]
     images = ImageTable(phi)
-    table: Dict[Pair, Tuple[int, Dict[Pair, int], int, IntCoeffMap]] = {}
+    table: Dict[Pair, Tuple[TwoForm, int, IntCoeffMap]] = {}
     for (s, t) in pairs(phi.r):
         w = twist_bivector_action(s, t, phi)
-        e_den, e_st = images.induced_terms(w)
-        table[(s, t)] = (e_den, e_st, *_lincomb([(1, *images.form_action(e_den, e_st)),
-                                                  (c, w._den, w._data)]))
-    lcm = math.lcm(*(entry[0] for entry in table.values()))
+        form = images.induced_form(w)
+        table[(s, t)] = (form, *_lincomb([(1, *images.form_action(form)), (c, w._den, w._data)]))
+    forms, d_dens, d_maps = zip(*table.values()) if table else ((), (), ())
+    combine = form_lincomb(phi.n, forms)
     out = []
     for a in frames:
         if a is not None:
@@ -248,26 +245,20 @@ def _certify(phi: ScaledSpinor, kind: str,
         ok = True
         for (k, l) in pairs(phi.r):
             if a is None:
-                e_den, terms, den, defect = table[(k, l)]
+                form, den, defect = table[(k, l)]
             else:
-                acc, parts = {}, []
                 ak, al = ia[k - 1], ia[l - 1]
-                for (s, t), (den_st, e_st, d_den, d_st) in table.items():
-                    cst = ak[s - 1] * al[t - 1] - ak[t - 1] * al[s - 1]
-                    if cst:
-                        x = cst * (lcm // den_st)
-                        for ab, v in e_st.items():
-                            acc[ab] = acc.get(ab, 0) + x * v
-                        parts.append((cst, d_den * d * d, d_st))
-                e_den, terms = lcm * d * d, {ab: v for ab, v in acc.items() if v}
-                den, defect = _lincomb(parts)
+                cs = [ak[s - 1] * al[t - 1] - ak[t - 1] * al[s - 1] for (s, t) in table]
+                form = combine(cs, d * d)
+                den, defect = _lincomb(zip(cs, d_dens, d_maps))
+                den *= d * d
             dn2 = _norm2(phi.scale2, den, defect)
             if kind == "pure":
-                h = _hat(phi.n, e_den, terms)
+                h = eta_hat(form)
                 flag = h.compose(h).is_minus_identity()
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
             else:
-                flag = bool(terms)
+                flag = not form.is_zero()
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=flag)
             ok = ok and flag and dn2 == 0
         out.append((ok, per))
@@ -482,8 +473,7 @@ def frame_rotation_check(phi: ScaledSpinor, a: Matrix, kind: str = "pure") -> bo
     by the rows of the exact special-orthogonal matrix A?"""
     if len(a) != phi.r:
         raise NotOrthogonal(f"need an SO({phi.r}) matrix")
-    check_special_orthogonal(a)
-    (base, _), (rotated, _) = _certify(phi, kind, (None, a))
+    (base, _), (rotated, _) = _certify(phi, kind, (None, check_special_orthogonal(a)))
     return base == rotated
 
 

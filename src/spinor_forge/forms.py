@@ -1,12 +1,9 @@
 """The spinor-to-geometry transfer: induced real 2-forms and endomorphisms.
 
 For a twisted spinor phi and a twist bivector f_k f_l, the induced 2-form on
-R^n is
-
-    eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . v, v >
-
-with v the coefficient vector of phi.  Clifford generators are skew-adjoint,
-so with w = kappa(f_kl) . v the entry for a < b is
+R^n is eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . v, v >, with v the
+coefficient vector of phi.  Clifford generators are skew-adjoint, so with
+w = kappa(f_kl) . v the entry for a < b is
 
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
 
@@ -16,17 +13,16 @@ builds the images e_a . v once per spinor, for every twist pair, and
 kernel's maps (``spinrep``): int index, spin bits lowest and a set bit +1;
 e_a flips one bit, signed by the parity of the bits below it; (re, im)
 numerators over the spinor's one denominator D.  So an entry is one int sum
-over D_v * D_w (``induced_terms`` keeps all of them as ints over one
-denominator), and a 2-form acts at one generator application per column:
+over D_v * D_w, and a 2-form acts at one generator application per column:
 
     eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v).
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
-w = i . v.  The dual endomorphism follows the contraction convention
-eta_hat(e_a) = sum_b eta(e_a, e_b) e_b, i.e. its operator matrix is the
-transpose of the 2-form's coefficient matrix.  An ``Endo`` is sparse integer
-rows over one positive denominator, reduced by the content gcd, so products,
-commutators and equality run in ints; its dense ``mat`` is a view.
+w = i . v.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
+the transpose of the 2-form's matrix.  Both types hold integers over one
+positive denominator, reduced by the content gcd: a ``TwoForm`` its upper
+triangle {(a, b): int}, an ``Endo`` sparse rows.  So sums (``form_lincomb``),
+products, commutators and equality run in ints; each dense ``mat`` is a view.
 """
 
 from __future__ import annotations
@@ -34,19 +30,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
-from .linalg import Matrix, SparseRow, mat_add, transpose, zeros
+from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
 from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _merge, _spin_generator, check_dimensions
 from .twisted import twist_bivector_action
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TwoForm:
-    """Exactly antisymmetric n x n rational matrix; entry (a, b) is the
-    coefficient of e_a ^ e_b (0-indexed rows/columns)."""
+    """A 2-form on R^n: mat[a][b] is the coefficient of e_a ^ e_b (0-indexed),
+    an exactly antisymmetric rational matrix.  Held as integer upper-triangle
+    terms over one positive denominator, reduced by the content gcd:
+    ``_terms[(a, b)]``, 1-based a < b, is a nonzero ``_den * mat[a-1][b-1]``.
+    ``==`` compares that layout; ``mat`` is a read-only dense Fraction view."""
 
     n: int
     mat: Matrix
@@ -54,23 +53,29 @@ class TwoForm:
     def __post_init__(self) -> None:
         if len(self.mat) != self.n or any(len(row) != self.n for row in self.mat):
             raise ShapeMismatch("2-form matrix has wrong shape")
-        for a in range(self.n):
-            for b in range(a, self.n):
-                if self.mat[a][b] != -self.mat[b][a]:
-                    raise ShapeMismatch("2-form matrix is not antisymmetric")
+        view = [[x if type(x) is Fraction else exact_rational(x) for x in row] for row in self.mat]
+        if any(view[a][b] != -view[b][a] for a in range(self.n) for b in range(a, self.n)):
+            raise ShapeMismatch("2-form matrix is not antisymmetric")
+        upper = {(a + 1, b + 1): row[b] for a, row in enumerate(view) for b in range(a + 1, self.n)}
+        vars(self).update(vars(two_form_from_terms(self.n, upper)), mat=view)
 
-    def entry(self, a: int, b: int) -> Fraction:
-        """Coefficient of e_a ^ e_b, 1-based."""
-        return self.mat[a - 1][b - 1]
+    def __getattr__(self, name: str) -> Matrix:
+        if name != "mat":  # the one lazy field: the dense Fraction view
+            raise AttributeError(name)
+        view = vars(self)["mat"] = transpose(eta_hat(self).mat)
+        return view
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, TwoForm):
+            return NotImplemented
+        return (self.n, self._den, self._terms) == (other.n, other._den, other._terms)
 
     def is_zero(self) -> bool:
-        return all(not x for row in self.mat for x in row)
+        return not self._terms
 
     def terms(self) -> List[Tuple[int, int, Fraction]]:
         """Nonzero (a, b, coeff) with a < b, 1-based, ascending."""
-        return [(a + 1, b + 1, self.mat[a][b])
-                for a in range(self.n) for b in range(a + 1, self.n)
-                if self.mat[a][b]]
+        return [(a, b, Fraction(v, self._den)) for (a, b), v in sorted(self._terms.items())]
 
     def form_terms(self) -> List[FormTerm]:
         """As Clifford products e_a e_b, ready for spinor action."""
@@ -79,14 +84,39 @@ class TwoForm:
     def __add__(self, other: TwoForm) -> TwoForm:
         if self.n != other.n:
             raise ShapeMismatch("adding 2-forms of different dimension")
-        return TwoForm(self.n, mat_add(self.mat, other.mat))
+        return form_lincomb(self.n, (self, other))((1, 1))
 
     def scale(self, c: Rational) -> TwoForm:
         c = exact_rational(c)
-        return TwoForm(self.n, [[x * c for x in row] for row in self.mat])
+        return form_lincomb(self.n, (self,))((c.numerator,), c.denominator)
 
     def __neg__(self) -> TwoForm:
-        return self.scale(Fraction(-1))
+        return form_lincomb(self.n, (self,))((-1,))
+
+
+def _two_form(n: int, den: int, terms: Dict[Tuple[int, int], int]) -> TwoForm:
+    """The 2-form terms / den (den > 0), reduced; every integer 2-form ends here."""
+    g = math.gcd(den, *terms.values())
+    out = object.__new__(TwoForm)
+    vars(out).update(n=n, _den=den // g, _terms={ab: v // g for ab, v in terms.items() if v})
+    return out
+
+
+def form_lincomb(n: int, forms: Sequence[TwoForm]) -> Callable[[Sequence[int], int], TwoForm]:
+    """The map (xs, den) -> sum xs[i] * forms[i] / den for int xs, in ints over den
+    times the forms' lcm, reduced once; the lcm is taken once, here."""
+    lcm = math.lcm(*(omega._den for omega in forms))
+    scaled = [(lcm // omega._den, omega._terms) for omega in forms]
+
+    def combine(xs: Sequence[int], den: int = 1) -> TwoForm:
+        acc: Dict[Tuple[int, int], int] = {}
+        for x, (q, terms) in zip(xs, scaled):
+            if x:
+                x *= q
+                for ab, v in terms.items():
+                    acc[ab] = acc.get(ab, 0) + x * v
+        return _two_form(n, lcm * den, acc)
+    return combine
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,27 +196,18 @@ def _endo(n: int, den: int, rows: List[SparseRow]) -> Endo:
     return out
 
 
-def _hat(n: int, den: int, terms: Dict[Tuple[int, int], int]) -> Endo:
-    """eta_hat of sum (terms[a, b] / den) e_a ^ e_b, 1-based a < b, from the integers."""
-    rows: List[SparseRow] = [{} for _ in range(n)]
-    for (a, b), v in terms.items():
-        rows[b - 1][a - 1] = v
-        rows[a - 1][b - 1] = -v
-    return _endo(n, den, rows)
-
-
 def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoForm:
     """Build from {(a, b): coeff} with 1-based a != b; (b, a) entries negate.
-    n is checked against the cap MAX_N before the n x n matrix exists."""
+    n is checked against the cap MAX_N; only the upper triangle is stored."""
     check_dimensions(n)
-    mat = zeros(n)
+    upper: Dict[Tuple[int, int], Fraction] = {}
     for (a, b), c in terms.items():
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise IndexOutOfRange(f"bad 2-form term indices ({a},{b})")
-        c = exact_rational(c)
-        mat[a - 1][b - 1] += c
-        mat[b - 1][a - 1] -= c
-    return TwoForm(n, mat)
+        key, c = ((a, b), exact_rational(c)) if a < b else ((b, a), -exact_rational(c))
+        upper[key] = upper.get(key, 0) + c
+    den = math.lcm(*(c.denominator for c in upper.values()))
+    return _two_form(n, den, {ab: c.numerator * (den // c.denominator) for ab, c in upper.items()})
 
 
 class ImageTable:
@@ -197,10 +218,9 @@ class ImageTable:
         self.phi = phi
         self.maps = [_spin_generator(phi, a, phi._data) for a in range(1, phi.n)]
 
-    def induced_terms(self, w: ScaledSpinor) -> Tuple[int, Dict[Tuple[int, int], int]]:
-        """The nonzero entries {(a, b): eta_ab}, 1-based a < b, of
-        -scale2 * Re< e_b . w, e_a . phi >, for w of phi's shape, as
-        (D, integer terms over D) reduced by the content gcd."""
+    def induced_form(self, w: ScaledSpinor) -> TwoForm:
+        """The 2-form with entries -scale2 * Re< e_b . w, e_a . phi >, a < b,
+        for w of phi's shape, summed in ints over D_phi * D_w."""
         s2 = self.phi.scale2
         num, den = -s2.numerator, s2.denominator * self.phi._den * w._den
         out: Dict[Tuple[int, int], int] = {}
@@ -215,24 +235,18 @@ class ImageTable:
                         acc += cr * o[0] + ci * o[1]
                 if acc:
                     out[(a, b)] = num * acc
-        g = math.gcd(den, *out.values())
-        return den // g, {ab: v // g for ab, v in out.items()}
+        return _two_form(self.phi.n, den, out)
 
-    def form_action(self, den: int, terms: Dict[Tuple[int, int], int]) -> Tuple[int, IntCoeffMap]:
-        """sum eta_ab e_a e_b . phi, eta_ab = terms[a, b] / den (1-based a < b), as
-        -sum_b e_b . (sum_(a<b) eta_ab e_a . phi): (D, an integer map over D)."""
+    def form_action(self, omega: TwoForm) -> Tuple[int, IntCoeffMap]:
+        """omega . phi = sum omega_ab e_a e_b . phi (a < b) as
+        -sum_b e_b . (sum_(a<b) omega_ab e_a . phi): (D, an integer map over D)."""
         inner: Dict[int, IntCoeffMap] = {}
-        for (a, b), x in terms.items():
+        for (a, b), x in omega._terms.items():
             _merge(inner.setdefault(b, {}), self.maps[a - 1], -x)
         acc: IntCoeffMap = {}
         for b, col in inner.items():
             _merge(acc, _spin_generator(self.phi, b, col))
-        return self.phi._den * den, acc
-
-    def two_form(self, w: ScaledSpinor) -> TwoForm:
-        """The induced form of w (see ``induced_terms``) as a ``TwoForm``."""
-        den, terms = self.induced_terms(w)
-        return two_form_from_terms(self.phi.n, {ab: Fraction(v, den) for ab, v in terms.items()})
+        return self.phi._den * omega._den, acc
 
 
 def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:
@@ -245,35 +259,40 @@ def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
     of w = kappa(f_kl) . phi."""
     _check_pair(phi, k, l)
     if k == l:
-        return TwoForm(phi.n, zeros(phi.n))
-    w = twist_bivector_action(k, l, phi)
-    return ImageTable(phi).two_form(w)
+        return _two_form(phi.n, 1, {})
+    return ImageTable(phi).induced_form(twist_bivector_action(k, l, phi))
 
 
 def etas(phi: ScaledSpinor) -> Dict[Tuple[int, int], TwoForm]:
     """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``ImageTable``."""
     images = ImageTable(phi)
-    return {(k, l): images.two_form(twist_bivector_action(k, l, phi))
+    return {(k, l): images.induced_form(twist_bivector_action(k, l, phi))
             for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)}
 
 
 def eta_hat(omega: TwoForm) -> Endo:
-    """Metric-dual endomorphism: eta_hat(e_a) = sum_b omega(e_a, e_b) e_b."""
-    return Endo(omega.n, transpose(omega.mat))
+    """Metric dual eta_hat(e_a) = sum_b omega(e_a, e_b) e_b: the transpose of omega's matrix."""
+    rows: List[SparseRow] = [{} for _ in range(omega.n)]
+    for (a, b), v in omega._terms.items():
+        rows[b - 1][a - 1] = v
+        rows[a - 1][b - 1] = -v
+    out = object.__new__(Endo)  # omega's layout is reduced, so this one is too
+    vars(out).update(n=omega.n, _den=omega._den, _rows=rows)
+    return out
 
 
 def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoForm:
     """Linear extension over twist bivectors: sum c_kl eta(phi, k, l)."""
-    out = TwoForm(phi.n, zeros(phi.n))
-    table: Dict[Tuple[int, int], TwoForm] = {}
+    parts: List[Tuple[Tuple[int, int], Fraction]] = []
     for (k, l), c in beta.items():
         c = exact_rational(c)
-        if not c or k == l:
-            continue
-        _check_pair(phi, k, l)
-        table = table or etas(phi)
-        out = out + (table[(k, l)].scale(c) if k < l else table[(l, k)].scale(-c))
-    return out
+        if c and k != l:
+            _check_pair(phi, k, l)
+            parts.append(((k, l), c) if k < l else ((l, k), -c))
+    table = etas(phi) if parts else {}
+    q = math.lcm(*(c.denominator for _, c in parts))
+    return form_lincomb(phi.n, [table[kl] for kl, _ in parts])(
+        [c.numerator * (q // c.denominator) for _, c in parts], q)
 
 
 def spinc_form(phi: ScaledSpinor) -> TwoForm:
@@ -285,7 +304,7 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        return ImageTable(phi).two_form(phi.scale(GR_I))
+        return ImageTable(phi).induced_form(phi.scale(GR_I))
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

@@ -20,7 +20,8 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from .errors import NotOrthogonal
+from .errors import NotOrthogonal, NotUnitVector
+from .scalars import exact_rational
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -191,9 +192,8 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int, m: Optional[int] = None) -> Matrix:
-    m = n if m is None else m
-    return [[Fraction(0)] * m for _ in range(n)]
+def zeros(n: int) -> Matrix:
+    return [[Fraction(0)] * n for _ in range(n)]
 
 
 def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
@@ -209,14 +209,6 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     d = da * db
     cols = list(zip(*ib))
     return [[Fraction(sum(map(operator.mul, row, col)), d) for col in cols] for row in ia]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def transpose(a: Matrix) -> Matrix:
@@ -261,23 +253,25 @@ def det(a: Matrix) -> Fraction:
     return out
 
 
-def check_special_orthogonal(a: Matrix) -> None:
+def check_special_orthogonal(a: Matrix) -> Matrix:
+    """A as an exact Fraction matrix, after checking it lies in SO(n)."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise NotOrthogonal("matrix is not square")
+    a = [[exact_rational(x) for x in row] for row in a]
     if mat_mul(transpose(a), a) != identity(n):
         raise NotOrthogonal("A^T A != Id")
     if det(a) != 1:
         raise NotOrthogonal("det A != 1")
+    return a
 
 
 # -- exact orthogonal generators ---------------------------------------------
 
 def cayley_so(skew: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1) for skew S: always in SO(n), rational in S."""
-    n = len(skew)
-    eye = identity(n)
-    return mat_mul(mat_sub(eye, skew), mat_inv(mat_add(eye, skew)))
+    minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(skew)]
+    return mat_mul(minus, mat_inv(transpose(minus)))  # I + S = (I - S)^T for skew S
 
 
 def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
@@ -323,5 +317,6 @@ def random_unit_vector(n: int, rng: random.Random, support: int = 3) -> Vector:
         c, s = rational_cos_sin(t)
         a, b = v[coords[0]], v[j]
         v[coords[0]], v[j] = c * a - s * b, s * a + c * b
-    assert sum(x * x for x in v) == 1
+    if sum(x * x for x in v) != 1:
+        raise NotUnitVector("plane rotations left a vector of norm != 1")
     return v

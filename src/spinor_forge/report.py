@@ -28,7 +28,7 @@ from .analysis import (
     frame_rotation_check,
     pairs,
 )
-from .forms import eta_hat, etas, spinc_form
+from .forms import eta_hat, etas, spinc_form, two_form_from_terms
 from .linalg import random_so_matrix, random_unit_vector, span_contains, spans_equal
 from .scalars import gr
 from .spinrep import FormTerm, all_basis_indices, basis_spinor
@@ -57,7 +57,7 @@ def _row(name: str, expected: str, computed: str, passed: bool) -> CriterionRow:
 def criterion_spin7_eta_table() -> CriterionRow:
     ent = catalog.build_spin7_pure()
     forms = etas(ent.spinor)
-    good = sum(1 for pair, expect in ent.expected_etas.items() if forms[pair].mat == expect.mat)
+    good = sum(1 for pair, expect in ent.expected_etas.items() if forms[pair] == expect)
     return _row(
         "spin7_eta_table",
         "21/21 rows exactly equal",
@@ -213,9 +213,8 @@ def criterion_vanishing_identities() -> CriterionRow:
                 # (1) Re<kappa(f_kl) phi, phi> = 0
                 if twisted_hermitian(fphi, phi).re != 0:
                     failures += 1
-                # (3) Im<X^Y kappa(f_kl) phi, phi> = 0
-                xy_f_phi = tangent_action(x, tangent_action(y, fphi)) + \
-                    fphi.scale(gr(xy_dot))
+                # (3) Im<X^Y kappa(f_kl) phi, phi> = 0; X^Y (spin slot) commutes with kappa(f_kl)
+                xy_f_phi = twist_bivector_action(k, l, xy_phi)
                 if twisted_hermitian(xy_f_phi, phi).im != 0:
                     failures += 1
                 # (5) Re<e_abcd kappa(f_kl) phi, phi> = 0 on sampled quadruples
@@ -289,12 +288,8 @@ def criterion_spinc_case() -> CriterionRow:
         psi = basis_spinor(n, (1,) * (n // 2))
         verdict = check_spinc_pure(psi)
         form = spinc_form(psi)
-        hat = eta_hat(form)
-        minus_j0 = [[Fraction(0)] * n for _ in range(n)]
-        for a in range(half):
-            minus_j0[2 * a][2 * a + 1] = Fraction(1)
-            minus_j0[2 * a + 1][2 * a] = Fraction(-1)
-        j0_ok = hat.mat == minus_j0
+        j0_ok = eta_hat(form) == eta_hat(two_form_from_terms(
+            n, {(2 * a + 1, 2 * a + 2): -1 for a in range(half)}))
         ok = ok and verdict and j0_ok
         notes.append(f"n={half}: check={verdict} hat=-J0:{j0_ok}")
     return _row(

@@ -530,6 +530,13 @@ def test_frame_rotation_on_non_pure_spinor():
     assert frame_rotation_check(phi, a, "pure")
 
 
+def test_frame_rotation_without_twist_pairs():
+    """r = 1 has no pair k < l: every frame gives the empty, passing verdict."""
+    phi = random_scaled(4, 1, 1, random.Random(9))
+    assert _certify(phi, "reducing", (None, [[F(1)]])) == [(True, {}), (True, {})]
+    assert frame_rotation_check(phi, [[1]], "reducing")
+
+
 def test_frame_and_equivariance_reject_unknown_kind():
     from spinor_forge.linalg import identity
 

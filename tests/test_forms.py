@@ -4,7 +4,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinor_forge.analysis import AmbientElement
+from spinor_forge import catalog
+from spinor_forge.analysis import AmbientElement, frame_rotation_check
 from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
 )
@@ -12,14 +13,16 @@ from spinor_forge.forms import (
     Endo,
     TwoForm,
     _endo,
+    _two_form,
     eta,
     eta_hat,
     etas,
+    form_lincomb,
     phi_extend,
     spinc_form,
     two_form_from_terms,
 )
-from spinor_forge.linalg import random_so_matrix
+from spinor_forge.linalg import random_so_matrix, transpose
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     SpinorVector,
@@ -242,6 +245,74 @@ def test_endo_operations_match_fraction_oracle():
     assert not j.scale(F(1, 2)).compose(j).is_minus_identity()
 
 
+def _random_form(n, rng):
+    """An antisymmetric matrix, about half zero above the diagonal, with
+    denominators 1, 2, 3, 10 and 21."""
+    mat = [[F(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.5:
+                mat[a][b] = F(rng.randint(-9, 9), rng.choice((1, 2, 3, 10, 21)))
+                mat[b][a] = -mat[a][b]
+    return mat
+
+
+def test_two_form_layout_is_one_per_form():
+    rng = random.Random(21)
+    for n in (2, 3, 5, 8):
+        mat, other = _random_form(n, rng), _random_form(n, rng)
+        a, b = TwoForm(n, mat), TwoForm(n, other)
+        assert a.mat == mat and a.mat is not mat
+        assert a._den > 0 and all(a._terms.values()) and all(x < y for x, y in a._terms)
+        assert math.gcd(a._den, *a._terms.values()) == 1
+        # rescaled numerators over a rescaled denominator: the same layout
+        assert _two_form(n, 6 * a._den, {ab: 6 * v for ab, v in a._terms.items()}) == a
+        assert a.scale(F(1, 2)).scale(2) == a
+        assert a + b + -b == a
+        upper = {(x + 1, y + 1): mat[x][y] for x in range(n) for y in range(x + 1, n)}
+        assert two_form_from_terms(n, upper) == a
+        assert two_form_from_terms(n, {(y, x): -c for (x, y), c in upper.items()}) == a
+        for (x, y), c in upper.items():
+            assert two_form_from_terms(n, {**upper, (x, y): c + F(1, 7)}) != a
+    # the same numerators over another denominator are another form
+    half, one = two_form_from_terms(2, {(1, 2): F(1, 2)}), two_form_from_terms(2, {(1, 2): 1})
+    assert half._terms == one._terms and half != one
+    assert two_form_from_terms(3, {}) != two_form_from_terms(2, {})
+    # (a, b) and (b, a) terms that cancel leave the zero form
+    gone = two_form_from_terms(4, {(1, 3): F(2, 3), (3, 1): F(2, 3), (2, 4): 1, (4, 2): 1})
+    assert gone.is_zero() and gone == two_form_from_terms(4, {})
+    assert gone.terms() == [] and gone.mat == [[F(0)] * 4 for _ in range(4)]
+    with pytest.raises(ShapeMismatch):
+        TwoForm(2, [[F(0), F(1)], [F(1), F(0)]])
+    with pytest.raises(ShapeMismatch):
+        TwoForm(2, [[F(1), F(0)], [F(0), F(-1)]])
+
+
+def test_two_form_operations_match_fraction_oracle():
+    """+, scale, negation and form_lincomb on the integer terms against plain
+    Fraction matrix arithmetic, on the dense view and on the layout; eta_hat
+    against the transpose."""
+    rng = random.Random(22)
+    for n in (1, 2, 4, 7):
+        for _ in range(4):
+            ma, mb = _random_form(n, rng), _random_form(n, rng)
+            a, b = TwoForm(n, ma), TwoForm(n, mb)
+            assert a.terms() == [(x + 1, y + 1, ma[x][y]) for x in range(n)
+                                 for y in range(x + 1, n) if ma[x][y]]
+            assert a.is_zero() is not any(x for row in ma for x in row)
+            cases = [(a + b, [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(ma, mb)]),
+                     (-a, [[-x for x in row] for row in ma])]
+            cases += [(a.scale(c), [[c * x for x in row] for row in ma]) for c in (F(0), F(-3, 4), F(5))]
+            xs, den = [rng.randint(-5, 5) for _ in range(3)], rng.choice((1, 4, 9))
+            cases.append((form_lincomb(n, [a, b, a])(xs, den),
+                          [[(xs[0] * p + xs[1] * q + xs[2] * p) / den for p, q in zip(r1, r2)]
+                           for r1, r2 in zip(ma, mb)]))
+            for got, want in cases:
+                assert got.mat == want and got == TwoForm(n, want)
+            assert eta_hat(a).mat == transpose(ma) and eta_hat(a) == Endo(n, transpose(ma))
+    assert form_lincomb(3, [])([], 7) == two_form_from_terms(3, {})
+
+
 @pytest.mark.parametrize("bad", [0.1, True])
 @pytest.mark.parametrize("call", [
     lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3, 1, ((1,),))),
@@ -254,9 +325,12 @@ def test_endo_operations_match_fraction_oracle():
     lambda x: Endo(2, [[x, F(0)], [F(0), F(1)]]),
     lambda x: phi_extend(random_scaled(4, 3, 1, random.Random(0)), {(1, 2): x}),
     lambda x: AmbientElement(4, 3, {(1, 2): x}, {}),
+    lambda x: TwoForm(2, [[0, x], [-x, 0]]),
+    lambda x: frame_rotation_check(catalog.build_qk_pure(1).spinor,
+                                   [[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
 ], ids=["tangent_action", "vector_action", "unit_vectors", "spin_action_on_vector",
         "two_form_from_terms", "TwoForm.scale", "Endo.scale", "Endo", "phi_extend",
-        "AmbientElement"])
+        "AmbientElement", "TwoForm", "frame_rotation_check"])
 def test_entry_points_refuse_floats_and_bools(call, bad):
     with pytest.raises(InexactScalar):
         call(bad)
@@ -388,3 +462,6 @@ def test_two_form_dimension_cap():
     for n in (33, 2000):
         with pytest.raises(UnsupportedDimension, match="^n must be <= 32"):
             two_form_from_terms(n, {})
+    # the dense constructor stores its terms through two_form_from_terms, cap included
+    with pytest.raises(UnsupportedDimension, match="^n must be <= 32"):
+        TwoForm(33, [[F(0)] * 33 for _ in range(33)])

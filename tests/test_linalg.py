@@ -3,7 +3,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from spinor_forge.errors import NotOrthogonal
+from spinor_forge import linalg
+from spinor_forge.errors import NotOrthogonal, NotUnitVector
 from spinor_forge.linalg import (
     RowReducer,
     cayley_so,
@@ -232,6 +233,13 @@ def test_random_unit_vectors_are_exact():
         for _ in range(5):
             v = random_unit_vector(n, rng)
             assert sum(x * x for x in v) == 1
+
+
+def test_random_unit_vector_refuses_a_non_unit_result(monkeypatch):
+    """The norm check is a raise, not an assert, so it holds under python -O."""
+    monkeypatch.setattr(linalg, "rational_cos_sin", lambda t: (F(1), F(1)))
+    with pytest.raises(NotUnitVector):
+        random_unit_vector(4, random.Random(0))
 
 
 def test_random_so_matrix_orthogonal():

@@ -34,13 +34,11 @@ Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
 def _sparse_int_row(row: Row) -> SparseRow:
     """The nonzero entries of ``row`` times the lcm of their denominators,
     divided by the gcd of the results: a primitive integer row."""
-    items = row.items() if isinstance(row, Mapping) else enumerate(row)
-    nz = [(col, x) for col, x in items if x]
-    den = 1
-    for _, x in nz:
-        if den % x.denominator:
-            den = math.lcm(den, x.denominator)
-    out = {col: x.numerator * (den // x.denominator) for col, x in nz}
+    items = row.items() if type(row) is dict or isinstance(row, Mapping) else enumerate(row)
+    out = {col: x for col, x in items if x}
+    if any(type(x) is not int for x in out.values()):
+        den = math.lcm(*(x.denominator for x in out.values()))
+        out = {col: x.numerator * (den // x.denominator) for col, x in out.items()}
     g = math.gcd(*out.values())
     if g > 1:
         out = {col: v // g for col, v in out.items()}

@@ -1,8 +1,9 @@
 """Exact scalar arithmetic: rationals and Gaussian rationals.
 
 Rationals are ``fractions.Fraction`` (arbitrary precision, always reduced,
-so equality is structural).  ``GaussianRational`` is the only scalar type
-used by the spinor kernel: an element a+bi of Q(i) stored componentwise.
+so equality is structural).  ``GaussianRational`` (a+bi in Q(i)) is a boundary
+type: ``ScaledSpinor`` input and ``coeffs`` view, ``scale`` factor and
+``twisted_hermitian`` result; the kernel computes on integer pairs.
 """
 
 from __future__ import annotations
@@ -62,17 +63,6 @@ class GaussianRational:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other: Union[GaussianRational, RationalLike]) -> GaussianRational:
-        if not isinstance(other, GaussianRational):
-            other = GaussianRational(Fraction(other))
-        n2 = other.re * other.re + other.im * other.im
-        if n2 == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
-
     def conj(self) -> GaussianRational:
         return GaussianRational(self.re, -self.im)
 
@@ -92,8 +82,6 @@ class GaussianRational:
         return f"{self.re}{sign}{abs(self.im)}i"
 
 
-GR_ZERO = GaussianRational()
-GR_ONE = GaussianRational(Fraction(1))
 GR_I = GaussianRational(Fraction(0), Fraction(1))
 
 

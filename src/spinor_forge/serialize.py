@@ -11,10 +11,13 @@ There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
 twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
 "im"}]} and the untwisted one {"n", "coeffs": [{"eps", "re", "im"}]}, which
 decodes to an m = 0 spinor with scale2 = 1 and can encode nothing else.
+Both encoders write ``ScaledSpinor._entries()``: keys in tuple order, each
+part as "p/q" over the spinor's one denominator, one string per numerator.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Any, Dict, Iterable, List, Tuple
 
@@ -22,7 +25,7 @@ from .analysis import AmbientElement, LieSubalgebra
 from .errors import MalformedInput
 from .forms import TwoForm, two_form_from_terms
 from .scalars import GaussianRational
-from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, check_dimensions
+from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, TwistedIndex, check_dimensions
 
 
 def rational_from_json(s: Any) -> Fraction:
@@ -36,10 +39,6 @@ def rational_from_json(s: Any) -> Fraction:
         return Fraction(s)
     except (ValueError, ZeroDivisionError) as exc:
         raise MalformedInput(f"bad rational {s!r}: {exc}") from None
-
-
-def gaussian_to_json(c: GaussianRational) -> Dict[str, str]:
-    return {"re": str(c.re), "im": str(c.im)}
 
 
 def gaussian_from_json(obj: Any) -> GaussianRational:
@@ -75,16 +74,23 @@ def _eps_from_json(v: Any, what: str) -> tuple:
     return tuple(v)
 
 
+def _coeff_strings(phi: ScaledSpinor) -> List[Tuple[TwistedIndex, str, str]]:
+    """phi's coefficients as (key, re, im) strings, in wire order: x / den in
+    lowest terms, as str(Fraction(x, den)) writes it, one gcd per distinct x."""
+    entries, den = phi._entries(), phi._den
+    gcds = {x: math.gcd(x, den) for x in {v for _, re, im in entries for v in (re, im)}}
+    text = {x: f"{x // g}/{den // g}" if g != den else str(x // g) for x, g in gcds.items()}
+    return [(key, text[re], text[im]) for key, re, im in entries]
+
+
 def spinor_to_json(psi: ScaledSpinor) -> Dict[str, Any]:
     if psi.m or psi.scale2 != 1:
         raise MalformedInput("the untwisted wire format holds only m = 0 spinors with "
                          f"scale2 = 1, got m = {psi.m}, scale2 = {psi.scale2}")
     return {
         "n": psi.n,
-        "coeffs": [
-            {"eps": list(eps), **gaussian_to_json(c)}
-            for (eps, _), c in sorted(psi.coeffs.items())
-        ],
+        "coeffs": [{"eps": list(eps), "re": re, "im": im}
+                   for (eps, _), re, im in _coeff_strings(psi)],
     }
 
 
@@ -105,14 +111,8 @@ def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
         "r": phi.r,
         "m": phi.m,
         "scale2": str(phi.scale2),
-        "coeffs": [
-            {
-                "spin": list(spin),
-                "twist": [list(t) for t in twist],
-                **gaussian_to_json(c),
-            }
-            for (spin, twist), c in sorted(phi.coeffs.items())
-        ],
+        "coeffs": [{"spin": list(spin), "twist": [list(t) for t in twist], "re": re, "im": im}
+                   for (spin, twist), re, im in _coeff_strings(phi)],
     }
 
 

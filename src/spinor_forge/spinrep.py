@@ -23,8 +23,9 @@ the parity of the whole slot.  One walk serves every slot, and nothing of
 size 2^k x 2^k is built.  Coefficients are (int re, int im) pairs over one
 positive integer denominator per spinor, reduced by the content gcd after
 every public operation, so equal spinors have equal layouts; sums run in
-ints and a Fraction appears only in an output.  ``coeffs`` is the
-tuple-keyed ``GaussianRational`` view, built on demand.
+ints and a Fraction appears only in an output.  ``_entries()`` reads the
+layout back in wire order; the tuple-keyed ``coeffs`` view is built from it
+on demand, and the wire encoders read it directly.
 """
 
 from __future__ import annotations
@@ -137,8 +138,8 @@ class ScaledSpinor:
 
     The constructor takes tuple-keyed coefficients {(spin, twist): c}; the
     kernel keeps ``_data``, integer (re, im) pairs by bit index over the
-    denominator ``_den`` (see the module docstring).  ``coeffs`` reads back
-    a read-only view of them."""
+    denominator ``_den`` (see the module docstring).  ``_entries()`` reads
+    them back in wire order, and ``coeffs`` is a read-only view of that."""
 
     n: int
     r: int
@@ -152,15 +153,12 @@ class ScaledSpinor:
             object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:
             raise ShapeMismatch("scale2 must be a positive rational")
-        view, entries = {}, []
-        for key, c in self.coeffs.items():
-            idx = self._index(*key)
-            if c:
-                view[key] = c
-                entries.append((idx, c.re, c.im))
+        coeffs = vars(self).pop("coeffs")  # the view is built from _data when read
+        indices = [self._index(*key) for key in coeffs]  # every key, zero or not
+        entries = [(idx, c.re, c.im) for idx, c in zip(indices, coeffs.values()) if c]
         den = math.lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
         # over the lcm of the reduced denominators the content is already 1
-        vars(self).update(coeffs=MappingProxyType(view), _den=den, _data={
+        vars(self).update(_den=den, _data={
             idx: (re.numerator * (den // re.denominator), im.numerator * (den // im.denominator))
             for idx, re, im in entries})
 
@@ -179,16 +177,29 @@ class ScaledSpinor:
             raise ShapeMismatch(f"index {(spin, twist)} invalid for shape "
                                 f"(n={self.n}, r={self.r}, m={self.m})") from None
 
+    def _entries(self) -> List[Tuple[TwistedIndex, int, int]]:
+        """Every coefficient as ((spin, twist), re, im) over ``_den``, in wire
+        order: by spin tuple, then twist slot 1, ..., m.  ``_TUPLE_OF[k]`` is
+        ascending, so that is the order of (spin bits, slot 1 bits, ...,
+        slot m bits), not of the raw index, whose lowest bits are the spin's."""
+        ks, kt, m = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r), self.m
+        twists: Dict[int, Tuple[Tuple[int, ...], Tuple[BasisIndex, ...]]] = {}  # by bits above spin
+        rows = []
+        for idx, (re, im) in self._data.items():
+            if (t := twists.get(idx >> ks)) is None:
+                slots = tuple([idx >> (ks + a * kt) & ((1 << kt) - 1) for a in range(m)])
+                t = twists[idx >> ks] = (slots, tuple([_TUPLE_OF[kt][v] for v in slots]))
+            rows.append((idx & ((1 << ks) - 1), t[0], t[1], re, im))
+        rows.sort()
+        return [((_slot_tuple(spin, ks), twist), re, im) for spin, _, twist, re, im in rows]
+
     def __getattr__(self, name: str) -> Mapping[TwistedIndex, GaussianRational]:
         if name != "coeffs":  # the one lazy field: the read-only tuple-keyed view
             raise AttributeError(name)
-        ks, kt, den = spinor_dim_exponent(self.n), spinor_dim_exponent(self.r), self._den
-        offsets = [ks + a * kt for a in range(self.m)]
+        entries, den = self._entries(), self._den
+        frac = {x: Fraction(x, den) for x in {v for _, re, im in entries for v in (re, im)}}
         view = vars(self)["coeffs"] = MappingProxyType({
-            (_slot_tuple(idx & ((1 << ks) - 1), ks),
-             tuple(_slot_tuple(idx >> o & ((1 << kt) - 1), kt) for o in offsets)):
-            GaussianRational(Fraction(re, den), Fraction(im, den))
-            for idx, (re, im) in self._data.items()})
+            key: GaussianRational(frac[re], frac[im]) for key, re, im in entries})
         return view
 
     def _with(self, den: int, data: IntCoeffMap) -> ScaledSpinor:

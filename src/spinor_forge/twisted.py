@@ -68,7 +68,8 @@ def _on_slot(phi: ScaledSpinor, slot: int,
 
 
 def _vector_terms(X: Sequence[Rational]) -> list:
-    return [((j,), c) for j, c in enumerate(map(exact_rational, X), start=1) if c]
+    return [((j,), c) for j, x in enumerate(X, start=1)
+            if (c := x if type(x) is Fraction else exact_rational(x))]
 
 
 def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from spinor_forge.cli import main
 from spinor_forge.serialize import spinor_to_json
@@ -215,3 +218,51 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, *verb, "--in", str(deep))
         assert code == 2 and err.startswith("error: malformed JSON"), verb
         assert "Traceback" not in err
+
+
+# sha256 and length of `catalog emit` stdout for every catalog entry, from
+# the tuple-keyed encoder that sorted the coefficient view.
+EMIT_DIGESTS = [
+    (["qk", "--m", "1"], 373,
+     "ea23abccf3f74759c62edf9f85ff171e790764324a7461d7760dc72e0cd255a8"),
+    (["qk", "--m", "2"], 1326,
+     "f8902a33992ca417a559e95077a471f5bf0456ea9ee003a0f5bc4de22f375fd4"),
+    (["qk", "--m", "3"], 5398,
+     "d7ddbbb1ba1b3a2fbeded6e0c3b4156e28e8339577c8bca2073761ba5011eec2"),
+    (["qk", "--m", "4"], 22678,
+     "d5517920482f1b833de9d0298a65108c7a71b8095b499abfc9990d17f4fa97d5"),
+    (["qk", "--m", "5"], 95902,
+     "814738edf2f96c5df610139f7954f578bf8f533fa020126cc2680dbef994dcb1"),
+    (["qk", "--m", "6"], 403782,
+     "e328c4bca59fb1f47d356e33aa2e0fc5f0c18a7f47484e4851ad8f4251493672"),
+    (["qk", "--m", "7"], 1693660,
+     "137c570382c358e720f0e25870bec0e3cca78cc531c3f8c78ebe1ee82c93014c"),
+    (["qk", "--m", "8"], 7078438,
+     "6461ffb59badcc6eac5bb8aa09f6e0e61b3284d3c69218cfb8759d776945960d"),
+    (["spin7_pure"], 1700,
+     "9587ab8ffbdf8a70de7cd79c5121d1aaae55d8ef4e67a355f4f28c48589d175f"),
+    (["spin7_reducing"], 1686,
+     "036e77932c53cdeae998790906b63c2874a3c0d2f7e7fbe47d7f5ce5e3e1ecbe"),
+    (["generic", "--n", "2"], 351,
+     "49094829d0f818b2ec05b38fb75fb85e3b0336ddccbe60be17f3656d9d102998"),
+    (["generic", "--n", "3"], 351,
+     "40177d19bd9ee0d4e504ec428c695b5e048dc761e2209eeb8b8378a6005fa85c"),
+    (["generic", "--n", "4"], 732,
+     "a455932a79cafa07fef8ff96c24f4ebbc7fec80c081b769594bb585add95e9bb"),
+    (["generic", "--n", "5"], 732,
+     "8d3b6c08f37988f220c5c6802d59f7eee7bab2a384339a0178c8bb083a94d458"),
+    (["generic", "--n", "6"], 1594,
+     "905442f805753e900ff84ad4b94db9ca06ef47e000163b1d5f14b9c9d652479f"),
+    (["generic", "--n", "7"], 1594,
+     "d0b0d3c61c831c0eb88617b1f9b86529f2aac302a5f1fb2dc76b2d655574ca0e"),
+    (["generic", "--n", "8"], 3519,
+     "75e86fd6fea3cca2721f7cf90f81d33dfb688d96d5038e0ae3fa1239dae4815b"),
+]
+
+
+@pytest.mark.parametrize("args,size,digest", EMIT_DIGESTS,
+                         ids=["_".join(a for a in e[0] if a[0] != "-") for e in EMIT_DIGESTS])
+def test_catalog_emit_bytes_are_pinned(capsys, args, size, digest):
+    code, out, _ = run(capsys, "catalog", "emit", "--name", *args)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest()) == (0, size, digest)

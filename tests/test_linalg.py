@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction as F
+from types import MappingProxyType
 
 import pytest
 
@@ -127,12 +129,20 @@ def test_nullspace_is_the_canonical_basis_of_a_plain_rref_oracle():
         maps = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.2} for row in rows]
         assert nullspace(maps, n_cols) == want
         assert nullspace(maps[::-1], n_cols) == want
+        # As int maps (each row times the lcm of its denominators), and as
+        # read-only mappings that are not dicts.
+        ints = [{c: int(x * math.lcm(*(y.denominator for y in row))) for c, x in m.items()}
+                for m, row in zip(maps, rows)]
+        assert nullspace(ints, n_cols) == want
+        assert nullspace([MappingProxyType(m) for m in maps], n_cols) == want
 
 
 def test_nullspace_of_structured_systems():
     # No rows: the standard basis.  A full-rank system: nothing.
     assert nullspace([], 3) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
     assert nullspace([{0: F(1)}, {1: F(2)}], 2) == []
+    # A row mixing ints and Fractions: 2 x0 + 4/3 x1 = 0.
+    assert nullspace([{0: 2, 1: F(4, 3)}], 2) == [[F(-2, 3), F(1)]]
     # x0 + 2 x2 = 0 and x1 - x2/3 = 0, given as rescaled and duplicated rows.
     rows = [{0: F(-3), 2: F(-6)}, {1: F(3), 2: F(-1)}, {1: F(-1, 2), 2: F(1, 6)},
             {0: F(1, 5), 2: F(2, 5)}, {}]

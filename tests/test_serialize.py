@@ -1,6 +1,7 @@
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +14,6 @@ from spinor_forge.scalars import gr
 from spinor_forge.analysis import AmbientElement
 from spinor_forge.serialize import (
     gaussian_from_json,
-    gaussian_to_json,
     render_ambient,
     render_two_form,
     scaled_spinor_from_json,
@@ -23,15 +23,17 @@ from spinor_forge.serialize import (
     two_form_from_json,
     two_form_to_json,
 )
-from spinor_forge.spinrep import ScaledSpinor, basis_spinor
+from spinor_forge.spinrep import ScaledSpinor, all_basis_indices, basis_spinor
+from spinor_forge.twisted import tangent_action, twist_bivector_action
 
 from .test_twisted import random_scaled
 
 
 def test_gaussian_round_trip():
     c = gr(F(-3, 7), F(22, 5))
-    assert gaussian_from_json(gaussian_to_json(c)) == c
-    assert gaussian_to_json(c) == {"re": "-3/7", "im": "22/5"}
+    entry, = scaled_spinor_to_json(ScaledSpinor(2, 0, 0, {((1,), ()): c}))["coeffs"]
+    assert (entry["re"], entry["im"]) == ("-3/7", "22/5")
+    assert gaussian_from_json(entry) == c
 
 
 def test_spinor_round_trip():
@@ -66,6 +68,57 @@ def test_scaled_spinor_round_trip():
     assert back.coeffs == phi.coeffs
     assert back.scale2 == phi.scale2
     assert back.shape() == phi.shape()
+
+
+def _oracle_coeffs(phi):
+    """The coefficient entries of the wire formats, written from the
+    tuple-keyed view: sorted by key, each part as str(Fraction)."""
+    return [({"spin": list(spin), "twist": [list(t) for t in twist]}, str(c.re), str(c.im))
+            for (spin, twist), c in sorted(phi.coeffs.items())]
+
+
+def _pooled_spinor(n, r, m, rng):
+    """A spinor over a few spin and twist tuples, so that entries tie on the
+    spin slot and on leading twist slots, with denominators > 1."""
+    spins = rng.sample(all_basis_indices(n), 3) if n >= 4 else all_basis_indices(n)
+    twists = [rng.sample(all_basis_indices(r), min(3, 2 ** (r // 2))) for _ in range(m)]
+    coeffs = {}
+    for _ in range(12):
+        key = (rng.choice(spins), tuple(rng.choice(pool) for pool in twists))
+        coeffs[key] = gr(F(rng.randint(-4, 4), rng.randint(1, 6)),
+                         F(rng.randint(-4, 4), rng.randint(1, 6)))
+    items = list(coeffs.items())
+    rng.shuffle(items)
+    return dict(items), ScaledSpinor(n, r, m, dict(items), F(rng.randint(1, 5), rng.randint(1, 5)))
+
+
+# (n, r, m): two-chunk spin slots (n = 32, 18), r = 16, m = 3, odd n and r,
+# r = 1 (empty twist tuples) and the untwisted m = 0 case.
+ENCODER_SHAPES = [(32, 16, 3), (18, 15, 2), (7, 5, 2), (5, 3, 3), (3, 4, 1), (31, 1, 2),
+                  (9, 0, 0), (32, 0, 0), (4, 0, 0)]
+
+
+@pytest.mark.parametrize("shape", ENCODER_SHAPES, ids=lambda s: "n%d_r%d_m%d" % s)
+def test_encoders_match_sorted_coeffs_oracle(shape):
+    n, r, m = shape
+    rng = random.Random(sum(shape))
+    for _ in range(3):
+        given_coeffs, phi = _pooled_spinor(n, r, m, rng)
+        assert phi.coeffs == {k: c for k, c in given_coeffs.items() if c}
+        x = [F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)]
+        moved = tangent_action(x, phi)
+        if r >= 2:
+            moved = moved + twist_bivector_action(1, 2, phi).scale(gr(F(1, 7)))
+        for psi in (phi, moved, moved.scale(gr(F(3, 2), F(-1, 5)))):
+            assert psi._den > 1 or psi.is_zero(), shape
+            want = {"n": n, "r": r, "m": m, "scale2": str(psi.scale2),
+                    "coeffs": [{**key, "re": re, "im": im} for key, re, im in _oracle_coeffs(psi)]}
+            assert json.dumps(scaled_spinor_to_json(psi)) == json.dumps(want)
+            if m == 0:
+                flat = replace(psi, scale2=F(1))
+                want = {"n": n, "coeffs": [{"eps": key["spin"], "re": re, "im": im}
+                                           for key, re, im in _oracle_coeffs(flat)]}
+                assert json.dumps(spinor_to_json(flat)) == json.dumps(want)
 
 
 def test_two_form_round_trip():

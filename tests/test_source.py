@@ -15,3 +15,31 @@ def test_library_has_no_assert_statements():
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
              if isinstance(node, ast.Assert)]
     assert not found, found
+
+
+# The kernel's bit layout: the coefficient map, the tuple-to-bits index and
+# the per-slot conversions.  Only the kernel modules read it.
+LAYOUT_NAMES = {"_data", "_index", "_slot_bits", "_slot_tuple"}
+BOUNDARY_MODULES = ("serialize", "catalog", "report", "cli")
+
+
+def _identifier(node):
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value  # getattr(phi, "_data")
+    return None
+
+
+def test_boundary_modules_do_not_name_the_bit_layout():
+    """``serialize``, ``catalog``, ``report`` and ``cli`` see a spinor through
+    its constructor, ``coeffs`` and ``_entries()``, never through the bit
+    layout, so that layout can change inside the kernel modules alone."""
+    found = [f"{name}.py:{node.lineno}:{_identifier(node)}" for name in BOUNDARY_MODULES
+             for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+             if _identifier(node) in LAYOUT_NAMES]
+    assert not found, found

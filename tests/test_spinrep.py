@@ -361,6 +361,10 @@ def test_index_entries_must_be_signs():
         with pytest.raises(ShapeMismatch):
             ScaledSpinor(2, 3, len(twist), {((1,), twist): c})
     assert ScaledSpinor(2, 3, 2, {((1,), ((1,), (-1,))): c}).coeffs
+    # a zero coefficient does not excuse its key
+    with pytest.raises(ShapeMismatch, match=r"^index \(\(2,\), \(\)\) invalid for shape "
+                                            r"\(n=2, r=0, m=0\)$"):
+        ScaledSpinor(2, 0, 0, {((1,), ()): c, ((2,), ()): gr(0)})
 
 
 @pytest.mark.parametrize("shape,field", [((33, 0, 0), "n"), ((4, 17, 1), "r"),

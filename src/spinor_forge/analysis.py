@@ -7,6 +7,7 @@ witnesses (defect norms, violated relations), never a tolerance call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -21,8 +22,10 @@ from .errors import (
     ZeroSpinor,
 )
 from .forms import Endo, ImageTable, TwoForm, eta_hat, form_lincomb, spinc_form
-from .linalg import Matrix, RowReducer, _clear_denominators, check_special_orthogonal, nullspace
-from .scalars import Rational, exact_rational, gr
+from .linalg import (
+    Matrix, RowReducer, _back_substitute, _clear_denominators, check_special_orthogonal, nullspace,
+)
+from .scalars import Rational, RationalLike, exact_rational, gr
 from .spinrep import IntCoeffMap, _lincomb
 from .twisted import (
     ScaledSpinor,
@@ -80,20 +83,21 @@ class AmbientElement:
         return not self.a and not self.b
 
 
-def _bivector_bracket(x: Dict[Pair, Fraction], y: Dict[Pair, Fraction]) -> Dict[Pair, Fraction]:
+def _bivector_bracket(x: Dict[Pair, RationalLike],
+                      y: Dict[Pair, RationalLike]) -> Dict[Pair, RationalLike]:
     """[sum x e_ie_j, sum y e_ke_l] inside the bivector space, using
 
         [e_ie_j, e_ke_l] = 2( d_ik e_je_l + d_jl e_ie_k
                               - d_jk e_ie_l - d_il e_je_k ).
     """
-    out: Dict[Pair, Fraction] = {}
+    out: Dict[Pair, RationalLike] = {}
 
-    def put(p: int, q: int, c: Fraction) -> None:
+    def put(p: int, q: int, c: RationalLike) -> None:
         if p == q or not c:
             return
         if p > q:
             p, q, c = q, p, -c
-        out[(p, q)] = out.get((p, q), Fraction(0)) + c
+        out[(p, q)] = out.get((p, q), 0) + c
 
     for (i, j), ci in x.items():
         for (k, l), cj in y.items():
@@ -123,67 +127,78 @@ class LieSubalgebra:
     basis: List[AmbientElement]
     dim: int
     closed: bool
-    # structure constants [x_i, x_j] = sum_k c[(i, j)][k] x_k, present iff closed
+    # structure constants [x_i, x_j] = sum_k c[(i, j)][k] x_k, present iff the
+    # span is closed and the basis independent ({} for the zero algebra)
     structure: Optional[Dict[Pair, List[Fraction]]] = None
+    # the first (i, j) whose bracket leaves the span; None when closed
+    open_pair: Optional[Pair] = None
 
 
 def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``; structure constants
-    (over the given basis) are reported only when closed and independent."""
+    (over the given basis) are reported only when closed and independent.
+
+    Each x_i is cleared to an integer row X_i = d_i x_i, and the rows
+    [X_i | e_i] are brought once to reduced echelon form: a row with pivot
+    q_k in the X part is R_k = sum_i t_ki X_i, equal to lead_k on q_k and 0
+    on the other pivots.  So z = [X_i, X_j] = d_i d_j [x_i, x_j] lies in the
+    span iff L z = sum_k z[q_k] (L / lead_k) R_k, with L the lcm of the
+    leads, and the same sum over the t_ki d_i gives its coordinates: each
+    bracket is read off in integers, with no elimination."""
     if not basis:
         raise EmptyInput("empty basis")
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
-    # Rows [x_i | e_i | 0] record which combination of the basis a reduced
-    # row is; a bracket enters as [z | 0 | 1] and reduces to [0 | c | s]
-    # exactly when z = -sum (c_i / s) x_i lies in the span.
+    # spin(n) + spin(r) is block-diagonal in spin(n + r), with f_k = e_(n+k),
+    # so one _bivector_bracket brackets both parts; the pairs in order are
+    # the flat columns.
     n, r = shape
-    a_col = {p: i for i, p in enumerate(pairs(n))}
-    b_col = {p: len(a_col) + i for i, p in enumerate(pairs(r))}
-    offset = len(a_col) + len(b_col)
-
-    def sparse_row(a: Dict[Pair, Fraction], b: Dict[Pair, Fraction]) -> Dict[int, Fraction]:
-        row = {a_col[p]: c for p, c in a.items()}
-        row.update({b_col[p]: c for p, c in b.items()})
-        return row
-
-    size = len(basis)
-    last = offset + size
-    red = RowReducer(last + 1)
+    keys = pairs(n) + [(n + k, n + l) for (k, l) in pairs(r)]
+    col = {p: c for c, p in enumerate(keys)}
+    offset, size = len(keys), len(basis)
+    ints: List[Dict[Pair, int]] = []
+    dens: List[int] = []
+    red = RowReducer(offset + size)
     for i, x in enumerate(basis):
-        row = sparse_row(x.a, x.b)
-        row[offset + i] = Fraction(1)
-        red.add(row)
-    dim = sum(1 for c in red.pivots if c < offset)
+        terms = [*x.a.items(), *(((n + k, n + l), c) for (k, l), c in x.b.items())]
+        d = math.lcm(*(c.denominator for _, c in terms))
+        row = {p: c.numerator * (d // c.denominator) for p, c in terms}
+        ints.append(row)
+        dens.append(d)
+        red.add({**{col[p]: v for p, v in row.items()}, offset + i: 1})
+    span = {q: row for q, row in _back_substitute(red.pivots).items() if q < offset}
+    dim = len(span)
     independent = dim == size
-    closed = True
+    lcm = math.lcm(*(row[q] for q, row in span.items()))
+    # (L / lead_k) R_k, and its coordinates (L / lead_k) t_km d_m over the x_m
+    read = {keys[q]: ({keys[c]: v * (lcm // row[q]) for c, v in row.items() if c < offset},
+                      {c - offset: v * (lcm // row[q]) * dens[c - offset]
+                       for c, v in row.items() if c >= offset})
+            for q, row in span.items()}
     zero = Fraction(0)
     structure: Dict[Pair, List[Fraction]] = {}
-    for i in range(size):
-        for j in range(i + 1, size):
-            x, y = basis[i], basis[j]
-            z = sparse_row(_bivector_bracket(x.a, y.a), _bivector_bracket(x.b, y.b))
-            z[last] = Fraction(1)
-            row = red.reduce(z)
-            if min(row) < offset:
-                closed = False
-                structure = {}
-                break
-            if independent:
-                consts = [zero] * size
-                for c, v in row.items():
-                    if c < last:
-                        consts[c - offset] = Fraction(-v, row[last])
-                structure[(i, j)] = consts
-        if not closed:
-            break
-    return LieSubalgebra(
-        basis=list(basis),
-        dim=dim,
-        closed=closed,
-        structure=structure if (closed and independent) else None,
-    )
+    for i, j in combinations(range(size), 2):
+        z = _bivector_bracket(ints[i], ints[j])
+        rest = {p: -lcm * v for p, v in z.items()}
+        coords: Dict[int, int] = {}
+        for q in z.keys() & read.keys():
+            v = z[q]
+            part, coord = read[q]
+            for p, w in part.items():
+                rest[p] = rest.get(p, 0) + v * w
+            for m, w in coord.items():
+                coords[m] = coords.get(m, 0) + v * w
+        if any(rest.values()):
+            return LieSubalgebra(list(basis), dim, closed=False, open_pair=(i, j))
+        if independent:
+            consts = [zero] * size
+            for m, v in coords.items():
+                if v:
+                    consts[m] = Fraction(v, lcm * dens[i] * dens[j])
+            structure[(i, j)] = consts
+    return LieSubalgebra(list(basis), dim, closed=True,
+                         structure=structure if independent else None)
 
 
 # -- purity / reducing certificates -------------------------------------------

@@ -110,6 +110,20 @@ class RowReducer:
         return len(self.pivots)
 
 
+def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, SparseRow]:
+    """Integer back-substitution of an echelon form: clear every later pivot
+    column from each pivot row, last pivot first, so that reduced[col] is a
+    primitive positive multiple of the RREF row of col."""
+    reduced: Dict[int, SparseRow] = {}
+    for col in sorted(pivots, reverse=True):
+        row = pivots[col]
+        for k in [k for k in row if k != col and k in reduced]:
+            row = _eliminate(row, reduced[k], k)
+        g = math.gcd(*row.values())
+        reduced[col] = {c: v // g for c, v in row.items()} if g > 1 else row
+    return reduced
+
+
 def rank(rows: Sequence[Row], width: Optional[int] = None) -> int:
     if not rows:
         return 0
@@ -160,16 +174,7 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
         if min(r) < 0 or max(r) >= width:
             raise ValueError(f"row has a column outside 0..{width - 1}")
         red._add(r)
-    # Integer back-substitution: clear every later pivot column from each
-    # pivot row, last pivot first, so that reduced[col] is a positive
-    # multiple of the RREF row of col.
-    reduced: Dict[int, SparseRow] = {}
-    for col in sorted(red.pivots, reverse=True):
-        row = red.pivots[col]
-        for k in [k for k in row if k != col and k in reduced]:
-            row = _eliminate(row, reduced[k], k)
-        g = math.gcd(*row.values())
-        reduced[col] = {c: v // g for c, v in row.items()} if g > 1 else row
+    reduced = _back_substitute(red.pivots)
     basis: Dict[int, Vector] = {}
     for fc in range(width):
         if fc not in reduced:

@@ -1,6 +1,7 @@
 import random
 import time
 from fractions import Fraction as F
+from itertools import combinations
 
 import pytest
 
@@ -37,7 +38,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
-    givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
+    RowReducer, givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
@@ -283,6 +284,160 @@ def test_lie_closure_abelian_and_open():
     assert not rep2.closed and rep2.dim == 2
     with pytest.raises(EmptyInput):
         lie_closure_report([])
+
+
+def test_lie_closure_names_the_first_open_pair():
+    def e(i, j):
+        return AmbientElement(6, 3, {(i, j): F(1)}, {})
+
+    # e56 commutes with e12 and e13, whose bracket 2 e23 leaves the span
+    rep = lie_closure_report([e(5, 6), e(1, 2), e(1, 3)])
+    assert (rep.closed, rep.dim, rep.structure, rep.open_pair) == (False, 3, None, (1, 2))
+    rep = lie_closure_report([e(5, 6), e(1, 2), e(1, 3), e(2, 3)])
+    assert rep.closed and rep.open_pair is None
+    assert annihilator([build_qk_pure(1).spinor]).open_pair is None
+
+
+def _closure_oracle(basis):
+    """The eliminating closure check: rows [x_i | e_i | 0]; a bracket enters
+    as [z | 0 | 1] and reduces to [0 | c | s] exactly when
+    z = -sum (c_i / s) x_i lies in the span.  Returns (dim, closed,
+    structure, first open pair)."""
+    n, r = basis[0].n, basis[0].r
+    a_col = {p: i for i, p in enumerate(pairs(n))}
+    b_col = {p: len(a_col) + i for i, p in enumerate(pairs(r))}
+    offset = len(a_col) + len(b_col)
+
+    def sparse_row(x):
+        row = {a_col[p]: c for p, c in x.a.items()}
+        row.update({b_col[p]: c for p, c in x.b.items()})
+        return row
+
+    size = len(basis)
+    last = offset + size
+    red = RowReducer(last + 1)
+    for i, x in enumerate(basis):
+        row = sparse_row(x)
+        row[offset + i] = F(1)
+        red.add(row)
+    dim = sum(1 for c in red.pivots if c < offset)
+    independent = dim == size
+    structure = {}
+    for i, j in combinations(range(size), 2):
+        z = sparse_row(bracket(basis[i], basis[j]))
+        z[last] = F(1)
+        row = red.reduce(z)
+        if min(row) < offset:
+            return dim, False, None, (i, j)
+        if independent:
+            consts = [F(0)] * size
+            for c, v in row.items():
+                if c < last:
+                    consts[c - offset] = F(-v, row[last])
+            structure[(i, j)] = consts
+    return dim, True, structure if independent else None, None
+
+
+_VALUES = (F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2, 3))
+
+
+def _random_span(rng):
+    """A small basis of spin(n) + spin(r), n <= 6 and r <= 4, with entries in
+    _VALUES.  Each block of units (a unit is e_p, f_p or e_p + f_p) spans a
+    subalgebra, and distinct blocks commute: random pairs (mostly open), the
+    diagonal so(3), a torus, so(T) on the b-part alone, or so(T) then so(S).
+    A block gives independent combinations of its units, sometimes one too
+    few; then come zeros, duplicates, rescaled and dependent elements."""
+    n, r = rng.randint(3, 6), rng.randint(1, 4)
+    kind = rng.choice(["random", "diagonal", "torus", "b_only", "sum", "sum"])
+    if kind == "diagonal" and r < 3:
+        kind = "torus"
+    if kind in ("b_only", "sum") and r < 2:
+        kind = "random"
+    if kind == "random":
+        units = [((p, 0),) for p in pairs(n)] + [((p, 1),) for p in pairs(r)]
+        blocks = [rng.sample(units, rng.randint(1, min(4, len(units))))]
+    elif kind == "diagonal":
+        s, t = rng.sample(range(1, n + 1), 3), rng.sample(range(1, r + 1), 3)
+        blocks = [[((tuple(sorted((s[u], s[v]))), 0), (tuple(sorted((t[u], t[v]))), 1))
+                   for u, v in combinations(range(3), 2)]]
+    elif kind == "torus":
+        blocks = [[(((i, i + 1), 0),) for i in range(1, n, 2)]
+                  + [(((k, k + 1), 1),) for k in range(1, r, 2)]]
+    else:
+        t = sorted(rng.sample(range(1, r + 1), rng.randint(2, r)))
+        blocks = [[((p, 1),) for p in combinations(t, 2)]]
+        if kind == "sum":
+            s = sorted(rng.sample(range(1, n + 1), rng.randint(2, min(n, 4))))
+            blocks.append([((p, 0),) for p in combinations(s, 2)])
+    short = rng.random() < 0.4
+    basis = []
+    for b, units in enumerate(blocks):
+        rng.shuffle(units)
+        for k in range(len(units) - (short and b == len(blocks) - 1 and len(units) > 1)):
+            parts = ({}, {})  # unit k plus a random tail: independent in the block
+            for u, unit in enumerate(units[k:]):
+                c = rng.choice(_VALUES[1:] if u == 0 else _VALUES)
+                for p, side in unit:
+                    parts[side][p] = c
+            basis.append(AmbientElement(n, r, *parts))
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        edit = rng.choice(["zero", "duplicate", "rescale", "dependent"])
+        x, y = rng.choice(basis), rng.choice(basis)
+        c = rng.choice([F(2), F(-1, 2), F(2, 3), F(3)])
+        new = {"zero": AmbientElement(n, r),
+               "duplicate": x,
+               "rescale": AmbientElement(n, r, {p: c * v for p, v in x.a.items()},
+                                         {p: c * v for p, v in x.b.items()}),
+               "dependent": AmbientElement(n, r, {p: x.a.get(p, 0) + c * y.a.get(p, 0)
+                                                  for p in x.a.keys() | y.a.keys()},
+                                           {p: x.b.get(p, 0) + c * y.b.get(p, 0)
+                                            for p in x.b.keys() | y.b.keys()})}[edit]
+        basis.insert(rng.randint(0, len(basis)), new)
+    if rng.random() < 0.2:
+        rng.shuffle(basis)
+    return basis
+
+
+def test_lie_closure_matches_the_eliminating_oracle():
+    """dim, closed, structure (Fraction for Fraction) and the first open pair
+    agree with one elimination per bracket on seeded random small bases."""
+    rng = random.Random(20261018)
+    seen = {"structure": 0, "closed_dependent": 0, "open_later": 0, "b_only": 0}
+    for _ in range(600):
+        basis = _random_span(rng)
+        rep = lie_closure_report(basis)
+        dim, closed, structure, open_pair = _closure_oracle(basis)
+        assert (rep.dim, rep.closed, rep.open_pair) == (dim, closed, open_pair), basis
+        assert rep.structure == structure, basis
+        if structure:
+            assert all(type(c) is F for consts in rep.structure.values() for c in consts)
+            seen["structure"] += any(any(cs) for cs in structure.values())
+        seen["closed_dependent"] += closed and structure is None
+        seen["open_later"] += not closed and open_pair[0] > 0
+        seen["b_only"] += closed and all(not x.a for x in basis) and dim > 1
+    assert min(seen.values()) >= 10, seen
+
+
+@pytest.mark.parametrize("label", ["qk(2)", "qk(3)", "spin7_pure", "spin7_pair", "generic(5)"])
+def test_structure_constants_rebuild_every_bracket(label):
+    """[x_i, x_j] from the public bracket equals sum_k c_ij[k] x_k, summed
+    as Fraction maps, for every i < j of the annihilator basis."""
+    spinors = {"qk(2)": [build_qk_pure(2).spinor], "qk(3)": [build_qk_pure(3).spinor],
+               "spin7_pure": [build_spin7_pure().spinor],
+               "spin7_pair": [build_spin7_pure().spinor, build_spin7_reducing().spinor],
+               "generic(5)": [build_generic_reducing(5).spinor]}[label]
+    alg = annihilator(spinors)
+    basis = alg.basis
+    assert alg.closed and alg.open_pair is None
+    assert sorted(alg.structure) == list(combinations(range(len(basis)), 2))
+    for (i, j), consts in alg.structure.items():
+        a, b = {}, {}
+        for c, x in zip(consts, basis):
+            for part, terms in ((a, x.a), (b, x.b)):
+                for p, v in terms.items():
+                    part[p] = part.get(p, F(0)) + c * v
+        assert bracket(basis[i], basis[j]) == AmbientElement(basis[0].n, basis[0].r, a, b), (i, j)
 
 
 # -- annihilators ----------------------------------------------------------------

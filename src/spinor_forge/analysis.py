@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
+    IndexOutOfRange,
     MissingPair,
     NotOrthogonal,
     RankTooSmall,
@@ -159,7 +160,7 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     offset, size = len(keys), len(basis)
     ints: List[Dict[Pair, int]] = []
     dens: List[int] = []
-    red = RowReducer(offset + size)
+    red = RowReducer()
     for i, x in enumerate(basis):
         terms = [*x.a.items(), *(((n + k, n + l), c) for (k, l), c in x.b.items())]
         d = math.lcm(*(c.denominator for _, c in terms))
@@ -334,6 +335,9 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
     alternating four-index product chain holds."""
     if not etas:
         raise EmptyInput("empty family")
+    bad = [(k, l) for (k, l) in etas if not 1 <= k < l]
+    if bad:
+        raise IndexOutOfRange(f"pair {bad[0]} is not 1 <= k < l")
     r = max(max(p) for p in etas)
     n = next(iter(etas.values())).n
     full: Dict[Pair, Endo] = {}

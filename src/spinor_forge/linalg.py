@@ -1,15 +1,19 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra on one eliminator, ``RowReducer``.
 
-Row reduction is fraction-free and sparse.  A row, dense or a ``{col: value}``
-map, is cleared to a ``{col: int}`` map over its nonzero entries and stripped
-by its gcd; elimination uses integer cross-multiples only, so no rational
-reconstruction happens until a nullspace vector is read off.  ``nullspace``
-drops rows equal up to scale before eliminating and back-substitutes in
-integers; its basis is read from the canonical reduced row echelon form, so
-it does not depend on the order or the scale of the rows.  Also houses the
-exact generators of rational orthogonal matrices (Cayley transforms, Givens
-rotations from Pythagorean pairs) and rational unit vectors used by the group
-tests.
+Rank, span tests, the nullspace, the Cayley transform and the SO(n) check
+all run on it.  A row, dense or a ``{col: value}`` map, is cleared to a
+primitive ``{col: int}`` map over its nonzero entries, and elimination uses
+integer cross-multiples only, so no rational is built until a result is
+read off.  ``nullspace`` drops rows equal up to scale, back-substitutes in
+integers and reads its basis from the canonical reduced row echelon form,
+so it does not depend on the order or the scale of the rows.
+
+Rational SO(n) comes from Givens rotations of Pythagorean pairs and from
+Cayley transforms: for skew S, (I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I, read
+off the reduced rows [I + S | I].  A = A'/d passes the SO(n) check when
+A'^T A' = d^2 I in integers; an orthogonal A is normal, so then
+det A = (-1)^dim ker(A + I), read off the rank of A' + d I.  Also houses the
+exact unit vectors used by the group tests.
 """
 
 from __future__ import annotations
@@ -18,9 +22,9 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .errors import NotOrthogonal, NotUnitVector
+from .errors import IndexOutOfRange, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
 
 Vector = List[Fraction]
@@ -61,12 +65,11 @@ def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
 
 
 class RowReducer:
-    """Incremental integer row echelon form on sparse rows of ``width``
-    columns.  Each pivot row is primitive with a positive leading entry, and
-    its pivot column is its smallest key."""
+    """Incremental integer row echelon form on sparse rows.  Each pivot row
+    is primitive with a positive leading entry, and its pivot column is its
+    smallest key."""
 
-    def __init__(self, width: int) -> None:
-        self.width = width
+    def __init__(self) -> None:
         self.pivots: Dict[int, SparseRow] = {}  # pivot column -> reduced row
 
     def _reduce(self, row: SparseRow) -> SparseRow:
@@ -124,42 +127,31 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, SparseRow]:
     return reduced
 
 
-def rank(rows: Sequence[Row], width: Optional[int] = None) -> int:
-    if not rows:
-        return 0
-    red = RowReducer(width if width is not None else len(rows[0]))
+def _reduced(rows: Sequence[Row]) -> RowReducer:
+    red = RowReducer()
     for row in rows:
         red.add(row)
-    return red.rank
+    return red
+
+
+def rank(rows: Sequence[Row]) -> int:
+    return _reduced(rows).rank
 
 
 def span_contains(basis: Sequence[Row], vec: Row) -> bool:
-    red = RowReducer(len(vec))
-    for row in basis:
-        red.add(row)
-    return red.contains(vec)
+    return _reduced(basis).contains(vec)
 
 
 def spans_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
-    if not a and not b:
-        return True
-    width = len(a[0]) if a else len(b[0])
-    ra = RowReducer(width)
-    for row in a:
-        ra.add(row)
-    rb = RowReducer(width)
-    for row in b:
-        rb.add(row)
-    if ra.rank != rb.rank:
-        return False
-    return all(ra.contains(row) for row in b)
+    ra = _reduced(a)
+    return ra.rank == _reduced(b).rank and all(ra.contains(row) for row in b)
 
 
 def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
     """Basis of {x : A x = 0} for the matrix with the given rows, dense or
     {col: value} maps: one vector per free column f, with x_f = 1, zero on
     the other free columns, read off the reduced row echelon form."""
-    red = RowReducer(width)
+    red = RowReducer()
     seen = set()
     for row in rows:
         r = _sparse_int_row(row)
@@ -195,65 +187,14 @@ def identity(n: int) -> Matrix:
     return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
 
 
-def zeros(n: int) -> Matrix:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
 def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
     """(A', d) with A' = d * A an integer matrix, d the lcm of A's denominators."""
     d = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    """Exact product, multiplied out in integers: one Fraction per entry."""
-    ia, da = _clear_denominators(a)
-    ib, db = _clear_denominators(b)
-    d = da * db
-    cols = list(zip(*ib))
-    return [[Fraction(sum(map(operator.mul, row, col)), d) for col in cols] for row in ia]
-
-
 def transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)]
-
-
-def mat_inv(a: Matrix) -> Matrix:
-    """Exact inverse by Gauss-Jordan; raises ZeroDivisionError if singular."""
-    n = len(a)
-    aug = [list(row) + ident for row, ident in zip(a, identity(n))]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col]), None)
-        if piv is None:
-            raise ZeroDivisionError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = 1 / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [row[n:] for row in aug]
-
-
-def det(a: Matrix) -> Fraction:
-    n = len(a)
-    m = [list(row) for row in a]
-    out = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if m[r][col]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            m[col], m[piv] = m[piv], m[col]
-            out = -out
-        out *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col]:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return out
 
 
 def check_special_orthogonal(a: Matrix) -> Matrix:
@@ -262,9 +203,13 @@ def check_special_orthogonal(a: Matrix) -> Matrix:
     if any(len(row) != n for row in a):
         raise NotOrthogonal("matrix is not square")
     a = [[exact_rational(x) for x in row] for row in a]
-    if mat_mul(transpose(a), a) != identity(n):
+    ia, d = _clear_denominators(a)
+    cols = list(zip(*ia))
+    if any(sum(map(operator.mul, ci, cj)) != d * d * (i == j)
+           for i, ci in enumerate(cols) for j, cj in enumerate(cols[i:], i)):
         raise NotOrthogonal("A^T A != Id")
-    if det(a) != 1:
+    # A is orthogonal, hence normal: det A = (-1)^dim ker(A + I).
+    if (n - rank([[x + d * (i == j) for j, x in enumerate(row)] for i, row in enumerate(ia)])) % 2:
         raise NotOrthogonal("det A != 1")
     return a
 
@@ -272,13 +217,27 @@ def check_special_orthogonal(a: Matrix) -> Matrix:
 # -- exact orthogonal generators ---------------------------------------------
 
 def cayley_so(skew: Matrix) -> Matrix:
-    """(I - S)(I + S)^(-1) for skew S: always in SO(n), rational in S."""
-    minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(skew)]
-    return mat_mul(minus, mat_inv(transpose(minus)))  # I + S = (I - S)^T for skew S
+    """(I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I for skew S: always in SO(n),
+    rational in S.  Row k of the reduced [I + S | I] is lead_k [e_k | row k
+    of (I + S)^(-1)]."""
+    n = len(skew)
+    red = RowReducer()
+    for i, row in enumerate(skew):
+        red.add({**{j: int(i == j) + x for j, x in enumerate(row)}, n + i: 1})
+    reduced = _back_substitute(red.pivots)
+    if any(k not in reduced for k in range(n)):
+        raise ZeroDivisionError("I + S is singular")
+    out: Matrix = []
+    for k in range(n):
+        row, lead = reduced[k], reduced[k][k]
+        out.append([Fraction(2 * row.get(n + j, 0) - lead * (j == k), lead) for j in range(n)])
+    return out
 
 
 def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
     """Rotation by (c, s) with c^2 + s^2 = 1 in the (i, j) plane, 1-based."""
+    if not (1 <= i <= n and 1 <= j <= n) or i == j:
+        raise IndexOutOfRange(f"rotation plane ({i},{j}) is not two distinct indices in 1..{n}")
     if c * c + s * s != 1:
         raise NotOrthogonal(f"({c}, {s}) is not on the unit circle")
     g = identity(n)
@@ -296,7 +255,7 @@ def rational_cos_sin(t: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def random_skew(n: int, rng: random.Random, bound: int = 3) -> Matrix:
-    s = zeros(n)
+    s = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             v = Fraction(rng.randint(-bound, bound), rng.randint(1, bound))

@@ -212,6 +212,22 @@ def test_even_clifford_missing_pair():
         even_clifford_verify(fam)
 
 
+def test_even_clifford_refuses_pairs_it_cannot_index():
+    """A key outside 1 <= k < l is refused, not read as a smaller rank or
+    silently dropped."""
+    from spinor_forge.errors import IndexOutOfRange
+    from spinor_forge.forms import Endo
+    from spinor_forge.linalg import identity
+
+    ident = Endo(4, identity(4))
+    j = _hat_family(build_qk_pure(1).spinor)[(1, 2)]
+    assert even_clifford_verify({(1, 2): j}).ok
+    for fam in ({(0, 1): ident}, {(1, 1): ident},
+                {(1, 2): j, (0, 2): ident, (2, 2): ident}):
+        with pytest.raises(IndexOutOfRange):
+            even_clifford_verify(fam)
+
+
 def test_pure_hat_commutator_identities():
     # [h_ij, h_jk] = -2 h_ik for the rank-7 pure spinor
     fam = _hat_family(build_spin7_pure().spinor)
@@ -315,7 +331,7 @@ def _closure_oracle(basis):
 
     size = len(basis)
     last = offset + size
-    red = RowReducer(last + 1)
+    red = RowReducer()
     for i, x in enumerate(basis):
         row = sparse_row(x)
         row[offset + i] = F(1)

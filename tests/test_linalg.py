@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -6,16 +7,13 @@ from types import MappingProxyType
 import pytest
 
 from spinor_forge import linalg
-from spinor_forge.errors import NotOrthogonal, NotUnitVector
+from spinor_forge.errors import IndexOutOfRange, NotOrthogonal, NotUnitVector
 from spinor_forge.linalg import (
     RowReducer,
     cayley_so,
     check_special_orthogonal,
-    det,
     givens,
     identity,
-    mat_inv,
-    mat_mul,
     nullspace,
     random_skew,
     random_so_matrix,
@@ -161,7 +159,7 @@ def test_span_membership_and_equality():
 
 
 def test_row_reducer_incremental():
-    red = RowReducer(3)
+    red = RowReducer()
     assert red.add([F(1), F(2), F(3)])
     assert not red.add([F(2), F(4), F(6)])
     assert red.add([F(0), F(1), F(0)])
@@ -169,7 +167,7 @@ def test_row_reducer_incremental():
 
 
 def test_row_reducer_pivots_away_from_column_zero():
-    red = RowReducer(4)
+    red = RowReducer()
     assert red.add([F(0), F(0), F(3), F(-6)])
     assert red.add({1: F(2, 3), 2: F(1, 3)})
     assert sorted(red.pivots) == [1, 2]
@@ -187,32 +185,23 @@ def naive_mat_mul(a, b):
              for j in range(len(b[0]))] for i in range(len(a))]
 
 
-def test_mat_mul_matches_naive_triple_loop():
-    rng = random.Random(6)
-    cases = [([[F(-7, 3)]], [[F(5, 14)]])]
-    for rows, inner, cols in ((2, 3, 4), (4, 1, 3), (3, 5, 2), (1, 4, 1)):
-        a = random_matrix(rows, inner, rng)
-        b = [[F(rng.randint(-9, 9), rng.choice((1, 2, 7, 12))) for _ in range(cols)]
-             for _ in range(inner)]
-        a[0] = [F(0)] * inner  # an all-zero row
-        cases.append((a, b))
-    cases.append(([[F(0)] * 3] * 2, [[F(0)] * 2] * 3))
-    for a, b in cases:
-        got = mat_mul(a, b)
-        assert got == naive_mat_mul(a, b)
-        assert all(isinstance(x, F) for row in got for x in row)
-
-
-def test_mat_inv_and_det():
-    rng = random.Random(2)
-    for _ in range(10):
-        n = rng.randint(1, 5)
-        a = random_matrix(n, n, rng, bound=3)
-        if det(a) == 0:
-            continue
-        assert mat_mul(a, mat_inv(a)) == identity(n)
-    assert det([[F(2), F(0)], [F(0), F(3)]]) == 6
-    assert det([[F(0), F(1)], [F(1), F(0)]]) == -1
+def plain_det(a):
+    """Independent determinant oracle: Fraction Gaussian elimination with
+    row swaps."""
+    m = [list(row) for row in a]
+    out = F(1)
+    for c in range(len(m)):
+        piv = next((r for r in range(c, len(m)) if m[r][c]), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            m[c], m[piv] = m[piv], m[c]
+            out = -out
+        out *= m[c][c]
+        for r in range(c + 1, len(m)):
+            f = m[r][c] / m[c][c]
+            m[r] = [x - f * y for x, y in zip(m[r], m[c])]
+    return out
 
 
 def test_cayley_transform_lands_in_so():
@@ -255,5 +244,67 @@ def test_random_unit_vector_refuses_a_non_unit_result(monkeypatch):
 def test_random_so_matrix_orthogonal():
     rng = random.Random(5)
     a = random_so_matrix(4, rng)
-    assert mat_mul(transpose(a), a) == identity(4)
-    assert det(a) == 1
+    assert naive_mat_mul(transpose(a), a) == identity(4)
+    assert plain_det(a) == 1
+
+
+def test_cayley_so_solves_the_defining_equation():
+    """A (I + S) = I - S, multiplied out by the plain triple loop."""
+    rng = random.Random(8)
+    for n in (1, 2, 3, 5, 8, 16):
+        for _ in range(3 if n < 16 else 1):
+            s = random_skew(n, rng)
+            a = cayley_so(s)
+            plus = [[int(i == j) + x for j, x in enumerate(row)] for i, row in enumerate(s)]
+            minus = [[int(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(s)]
+            assert naive_mat_mul(a, plus) == minus
+            assert all(isinstance(x, F) for row in a for x in row)
+
+
+def _orthogonal_cases():
+    """Orthogonal matrices of both determinants: permutation matrices,
+    -I, Cayley matrices with one row negated, Cayley matrices times a
+    rotation by pi."""
+    rng = random.Random(9)
+    for n in range(1, 5):
+        for perm in itertools.permutations(range(n)):
+            yield [[F(int(perm[i] == j)) for j in range(n)] for i in range(n)]
+    for n in range(1, 7):
+        yield [[F(-int(i == j)) for j in range(n)] for i in range(n)]
+    for n in (1, 2, 3, 5, 7, 8):
+        a = cayley_so(random_skew(n, rng))
+        k = rng.randrange(n)
+        yield [[-x for x in row] if i == k else row for i, row in enumerate(a)]
+        if n >= 2:
+            yield naive_mat_mul(a, givens(n, 1, 2, F(-1), F(0)))
+
+
+def test_check_special_orthogonal_matches_the_determinant_oracle():
+    dets = set()
+    for a in _orthogonal_cases():
+        assert naive_mat_mul(transpose(a), a) == identity(len(a))
+        want = plain_det(a)
+        dets.add(want)
+        if want == 1:
+            assert check_special_orthogonal(a) == a
+        else:
+            with pytest.raises(NotOrthogonal, match=r"^det A != 1$"):
+                check_special_orthogonal(a)
+    assert dets == {F(1), F(-1)}
+
+
+def test_check_special_orthogonal_refuses_a_shear_of_determinant_one():
+    """A shear, and a stretch whose columns are orthogonal but not unit."""
+    for a in ([[F(1), F(1, 2)], [F(0), F(1)]], [[F(2), F(0)], [F(0), F(1, 2)]]):
+        assert plain_det(a) == 1
+        with pytest.raises(NotOrthogonal, match=r"^A\^T A != Id$"):
+            check_special_orthogonal(a)
+
+
+def test_givens_refuses_bad_planes():
+    with pytest.raises(IndexOutOfRange):
+        givens(3, 0, 2, F(3, 5), F(4, 5))
+    with pytest.raises(IndexOutOfRange):
+        givens(3, 1, 1, F(3, 5), F(4, 5))
+    with pytest.raises(IndexOutOfRange):
+        givens(3, 2, 4, F(3, 5), F(4, 5))

@@ -5,17 +5,23 @@ R^n is eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . v, v >, with v the
 coefficient vector of phi.  Clifford generators are skew-adjoint, so with
 w = kappa(f_kl) . v the entry for a < b is
 
-    eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >
+    eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >.
 
-and all pairs need only the 2n vectors e_a . v and e_b . w.  ``ImageTable``
-builds the images e_a . v once per spinor, for every twist pair, and
-``etas`` reads every pair of one spinor from one table.  The images are the
-kernel's maps (``spinrep``): int index, spin bits lowest and a set bit +1;
-e_a flips one bit, signed by the parity of the bits below it; (re, im)
-numerators over the spinor's one denominator D.  So an entry is one int sum
-over D_v * D_w, and a 2-form acts at one generator application per column:
+In the kernel's layout (``spinrep``: int index, spin bits lowest and a set
+bit +1; (re, im) numerators over the spinor's one denominator D) e_a flips
+one bit f_a and multiplies by a unit signed by a parity, so that pairing
+only meets w at u with v at u ^ f_a ^ f_b.  The pairs a < b therefore fall
+into XOR patterns d = f_a ^ f_b: d = 0 holds the k = n // 2 pairs
+(2j-1, 2j), each two-bit d four pairs, and for odd n each one-bit d the two
+pairs with the last generator, which flips nothing.  ``ImageTable`` looks v
+up once per (u in supp w, pattern) and adds the signed real or imaginary
+part of w_u conj(v_(u^d)) to every pair of the pattern: an entry is one int
+sum over D_v * D_w, and no spin generator is applied.  A 2-form acts on phi
+at one generator application per column,
 
-    eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v).
+    eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v),
+
+from the images e_a . v, which the table builds when a 2-form first acts.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . v.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
@@ -29,13 +35,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache, cached_property
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _merge, _spin_generator, check_dimensions
+from .spinrep import (
+    FormTerm, IntCoeffMap, ScaledSpinor, _merge, _slot_unit, _spin_generator, check_dimensions,
+)
 from .twisted import twist_bivector_action
 
 
@@ -210,32 +219,71 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return _two_form(n, den, {ab: c.numerator * (den // c.denominator) for ab, c in upper.items()})
 
 
+@cache  # a constant of n <= MAX_N; building it costs about one induced form at n = 8
+def _pair_patterns(n: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int, bool], ...]], ...]:
+    """The pairs a < b of Delta_n's generators grouped by the XOR pattern
+    d = flip_a ^ flip_b, each pair as (slot, mask, sign, imaginary part),
+    slots counting the pairs in ``_pairs_b_major`` order.
+
+    <e_b . w, e_a . phi> pairs w at u with phi at v = u ^ d.  ``_slot_unit``
+    gives generator x the unit i (-1)^p or -(-1)^p, p the parity of its
+    source index & mask_x.  With z = w_u conj(phi_v), the term's real part
+    is (-1)^(parity(u & mask) + sign) times Re z if a and b are of one kind,
+    else times Im z: mask = mask_a ^ mask_b, as v & mask_a =
+    (u & mask_a) ^ (d & mask_a), and sign = parity(d & mask_a), plus 1 when
+    only a is imaginary, as Re(-(-1)^q conj(i (-1)^p) z) = -(-1)^(p+q) Im z."""
+    units = [_slot_unit(0, n, a) for a in range(1, n + 1)]
+    patterns: Dict[int, List[Tuple[int, int, int, bool]]] = {}
+    for slot, (a, b) in enumerate(_pairs_b_major(n)):
+        (fa, ma, ia), (fb, mb, ib) = units[a - 1], units[b - 1]
+        sign = ((fa ^ fb) & ma).bit_count() + (ia and not ib)
+        patterns.setdefault(fa ^ fb, []).append((slot, ma ^ mb, sign & 1, ia != ib))
+    return tuple((d, tuple(group)) for d, group in patterns.items())
+
+
+@cache
+def _pairs_b_major(n: int) -> Tuple[Tuple[int, int], ...]:
+    """The pairs a < b of 1..n, b-major: the order of an induced form's terms."""
+    return tuple((a, b) for b in range(2, n + 1) for a in range(1, b))
+
+
 class ImageTable:
-    """The images e_a . phi, a = 1..n-1, of one spinor as integer maps over
-    phi's denominator, shared by its induced forms and 2-form actions."""
+    """One spinor's side of its induced forms and 2-form actions.
+
+    ``induced_form`` pairs w with phi through the XOR patterns of
+    ``_pair_patterns``: one lookup in phi per (u in supp w, pattern), shared
+    by every pair of that pattern, and no spin generator applied.  The
+    images e_a . phi, a = 1..n-1, as integer maps over phi's denominator,
+    are built when ``form_action`` first needs them."""
 
     def __init__(self, phi: ScaledSpinor) -> None:
         self.phi = phi
-        self.maps = [_spin_generator(phi, a, phi._data) for a in range(1, phi.n)]
+        self.patterns = _pair_patterns(phi.n)
+
+    @cached_property
+    def maps(self) -> List[IntCoeffMap]:
+        return [_spin_generator(self.phi, a, self.phi._data) for a in range(1, self.phi.n)]
 
     def induced_form(self, w: ScaledSpinor) -> TwoForm:
         """The 2-form with entries -scale2 * Re< e_b . w, e_a . phi >, a < b,
         for w of phi's shape, summed in ints over D_phi * D_w."""
-        s2 = self.phi.scale2
-        num, den = -s2.numerator, s2.denominator * self.phi._den * w._den
-        out: Dict[Tuple[int, int], int] = {}
-        for b in range(2, self.phi.n + 1):
-            e_w = _spin_generator(self.phi, b, w._data)
-            for a in range(1, b):
-                ea = self.maps[a - 1]
-                acc = 0
-                for idx, (cr, ci) in e_w.items():
-                    o = ea.get(idx)
-                    if o is not None:
-                        acc += cr * o[0] + ci * o[1]
-                if acc:
-                    out[(a, b)] = num * acc
-        return _two_form(self.phi.n, den, out)
+        n, s2 = self.phi.n, self.phi.scale2
+        acc = [0] * (n * (n - 1) // 2)
+        get = self.phi._data.get
+        for u, (wr, wi) in w._data.items():
+            for d, group in self.patterns:
+                o = get(u ^ d)
+                if o is None:
+                    continue
+                re_im = (wr * o[0] + wi * o[1], wi * o[0] - wr * o[1])  # w_u conj(phi_v)
+                for slot, mask, sign, imag in group:
+                    if ((u & mask).bit_count() + sign) & 1:
+                        acc[slot] -= re_im[imag]
+                    else:
+                        acc[slot] += re_im[imag]
+        num = -s2.numerator
+        out = {(a, b): num * x for (a, b), x in zip(_pairs_b_major(n), acc) if x}
+        return _two_form(n, s2.denominator * self.phi._den * w._den, out)
 
     def form_action(self, omega: TwoForm) -> Tuple[int, IntCoeffMap]:
         """omega . phi = sum omega_ab e_a e_b . phi (a < b) as

@@ -152,8 +152,13 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
     {col: value} maps: one vector per free column f, with x_f = 1, zero on
     the other free columns, read off the reduced row echelon form."""
     red = RowReducer()
-    seen = set()
+    raw_seen, seen = set(), set()
     for row in rows:
+        if type(row) is dict:  # a repeated map needs no clearing
+            raw = tuple(row.items())
+            if raw in raw_seen:
+                continue
+            raw_seen.add(raw)
         r = _sparse_int_row(row)
         if not r:
             continue

@@ -1,7 +1,9 @@
+import json
 import random
 import time
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +25,7 @@ from spinor_forge.analysis import (
     pairs,
 )
 from spinor_forge.catalog import (
+    build,
     build_generic_reducing,
     build_qk_pure,
     build_spin7_pure,
@@ -61,6 +64,27 @@ def test_check_pure_catalog_verdicts():
     assert check_pure(build_spin7_pure().spinor).is_pure
     assert check_pure(build_qk_pure(1).spinor).is_pure
     assert check_pure(build_qk_pure(2).spinor).is_pure
+
+
+PINNED_CERTIFICATES = json.loads((Path(__file__).parent / "data" / "certificates.json").read_text())
+
+
+@pytest.mark.parametrize("label", list(PINNED_CERTIFICATES))
+def test_catalog_certificates_are_pinned(label):
+    """Verdict and per-pair witnesses (defect norm^2 and the square or
+    nonzero flag) of every catalog entry, in both modes where r allows."""
+    want = PINNED_CERTIFICATES[label]
+    name, _, arg = label.rstrip(")").partition("(")
+    phi = build(name, **({{"qk": "m", "generic": "n"}[name]: int(arg)} if arg else {})).spinor
+    for kind, rep in (("pure", check_pure), ("reducing", check_reducing)):
+        if kind not in want:
+            assert kind == "pure" and phi.r < 3
+            continue
+        got = rep(phi)
+        flag = "square_ok" if kind == "pure" else "eta_nonzero"
+        assert getattr(got, "is_" + kind) == want[kind]["verdict"]
+        assert {f"{k},{l}": [str(v.defect_norm2), getattr(v, flag)]
+                for (k, l), v in got.per_pair.items()} == want[kind]["pairs"]
 
 
 def test_phi2_is_not_pure_but_reducing():

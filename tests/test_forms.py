@@ -1,18 +1,22 @@
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations, product
 
 import pytest
 
-from spinor_forge import catalog
+from spinor_forge import catalog, forms
 from spinor_forge.analysis import AmbientElement, frame_rotation_check
 from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
 )
 from spinor_forge.forms import (
     Endo,
+    ImageTable,
     TwoForm,
     _endo,
+    _pair_patterns,
+    _pairs_b_major,
     _two_form,
     eta,
     eta_hat,
@@ -27,7 +31,9 @@ from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     SpinorVector,
     all_basis_indices,
+    _slot_unit,
     basis_spinor,
+    kappa_generator,
     spin_action_on_vector,
     spinor_dim_exponent,
 )
@@ -36,11 +42,13 @@ from spinor_forge.twisted import (
     form_action_on_spin_slot,
     from_untwisted,
     tangent_action,
+    twist_bivector_action,
     twisted_group_action,
+    twisted_hermitian,
 )
 
 from .test_linalg import naive_mat_mul, random_matrix
-from .test_spinrep import dense_generator, kron, random_gaussian, u_raw_correct
+from .test_spinrep import dense_generator, random_gaussian, u_raw_correct
 from .test_twisted import random_scaled
 
 
@@ -63,13 +71,16 @@ def test_eta_antisymmetric_in_pair_and_matrix():
 
 
 def _slot_operator(dims, slot, mat):
-    """mat on tensor factor ``slot`` of C^dims[0] (x) C^dims[1] (x) ..., as a
-    dense Kronecker product, stored as the nonzero entries of each row."""
-    out = [[gr(1)]]
+    """mat on tensor factor ``slot`` of C^dims[0] (x) C^dims[1] (x) ..., as the
+    Kronecker product of mat and identities, stored as the nonzero entries
+    of each row and taken factor by factor on those entries."""
+    out = [[(0, gr(1))]]
     for s, d in enumerate(dims):
-        out = kron(out, mat if s == slot else
-                   [[gr(int(i == j)) for j in range(d)] for i in range(d)])
-    return [[(j, x) for j, x in enumerate(row) if x] for row in out]
+        block = ([[(j, x) for j, x in enumerate(row) if x] for row in mat] if s == slot
+                 else [[(i, gr(1))] for i in range(d)])
+        out = [[(j * d + jj, x * y) for j, x in row for jj, y in brow]
+               for row in out for brow in block]
+    return out
 
 
 def _apply(rows, vec):
@@ -120,6 +131,15 @@ def dense_etas(phi):
     return out
 
 
+def _sparse_and_full(n, r, m, rng):
+    """A spinor of shape (n, r, m) on three random basis vectors and one on
+    every basis vector, with general Gaussian rational coefficients."""
+    spin_idx, twist_idx = all_basis_indices(n), all_basis_indices(r)
+    keys = [(s, t) for s in spin_idx for t in product(twist_idx, repeat=m)]
+    return [ScaledSpinor(n, r, m, {key: random_gaussian(rng) for key in picks}, F(3, 5))
+            for picks in (rng.sample(keys, min(3, len(keys))), keys)]
+
+
 @pytest.mark.parametrize("n,r", [(5, 3), (4, 4)])
 def test_eta_matches_dense_oracle(n, r):
     rng = random.Random(n * 10 + r)
@@ -131,6 +151,78 @@ def test_eta_matches_dense_oracle(n, r):
     assert any(x for mat in want.values() for row in mat for x in row)
     for (k, l), mat in want.items():
         assert eta(phi, k, l).mat == mat, (k, l)
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("m", range(4))
+def test_eta_matches_dense_oracle_for_every_small_n(n, m):
+    """Both parities of n (odd n pairs through the last generator, which
+    flips no bit) and every twist count up to 3, in a dense space of
+    dimension 2^(n//2 + m); r = 2 at m = 3 keeps the oracle's operators few."""
+    r = 2 if m == 3 else 3
+    rng = random.Random(n * 10 + m)
+    for sample, phi in enumerate(_sparse_and_full(n, r, m, rng)):
+        want = dense_etas(phi)
+        if sample and m and n > 1:
+            assert any(x for mat in want.values() for row in mat for x in row)
+        for (k, l), mat in want.items():
+            assert eta(phi, k, l).mat == mat, (k, l)
+        if m == 0:  # eta vanishes untwisted; the rank-2 form pairs i . phi instead
+            assert ImageTable(phi).induced_form(phi.scale(gr(0, 1))).mat == dense_spinc_form(phi)
+
+
+def _definition_form(w, phi):
+    """-scale2 Re< e_b . w, e_a . phi >, a < b, from the generators one by one."""
+    n = phi.n
+    return two_form_from_terms(n, {
+        (a, b): -twisted_hermitian(kappa_generator(n, b, w), kappa_generator(n, a, phi)).re
+        for a in range(1, n + 1) for b in range(a + 1, n + 1)})
+
+
+def test_induced_forms_match_definition():
+    rng = random.Random(15)
+    for n in range(1, 17):
+        for r, m in ((2, 1), (3, 2), (5, 1)):
+            phi = random_scaled(n, r, m, rng, terms=rng.choice((1, 6, 40)))
+            for k, l in combinations(range(1, r + 1), 2):
+                want = _definition_form(twist_bivector_action(k, l, phi), phi)
+                got = eta(phi, k, l)
+                assert (got._den, got._terms) == (want._den, want._terms), (n, r, m, k, l)
+        if n % 2 == 0:
+            psi = random_scaled(n, 0, 0, rng, terms=rng.choice((1, 6, 40)))
+            assert spinc_form(psi) == _definition_form(psi.scale(gr(0, 1)), psi)
+
+
+def test_pair_patterns_partition_the_pairs():
+    """Every pair a < b sits in the one pattern flip_a ^ flip_b: k pairs at
+    d = 0, four at each two-bit d and, for odd n, two at each one-bit d."""
+    for n in range(1, 33):
+        k = n // 2
+        patterns = _pair_patterns(n)
+        found = {slot: d for d, group in patterns for slot, *_ in group}
+        assert sorted(found) == list(range(n * (n - 1) // 2))
+        for slot, (a, b) in enumerate(_pairs_b_major(n)):
+            assert found[slot] == _slot_unit(0, n, a)[0] ^ _slot_unit(0, n, b)[0]
+        sizes = {d: len(group) for d, group in patterns}
+        assert len(sizes) == (1 + k * (k - 1) // 2 + k * (n % 2) if n > 1 else 0)
+        assert all(size == {0: k, 1: 2, 2: 4}[d.bit_count()] for d, size in sizes.items())
+
+
+def test_induced_forms_apply_no_spin_generator(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("spin generator applied")
+
+    rng = random.Random(16)
+    phi, psi = random_scaled(6, 4, 2, rng, terms=8), random_scaled(6, 0, 0, rng, terms=8)
+    rank2 = random_scaled(5, 2, 1, rng, terms=8)
+    expected = (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2))
+    monkeypatch.setattr(forms, "_spin_generator", refuse)
+    assert (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2)) == expected
+    table = expected[0]
+    assert phi_extend(phi, {(1, 2): F(1, 2), (3, 4): F(-2)}) == \
+        table[(1, 2)].scale(F(1, 2)) + table[(3, 4)].scale(-2)
+    with pytest.raises(AssertionError, match="spin generator"):  # the images are built on demand
+        ImageTable(phi).form_action(expected[1])
 
 
 def test_eta_index_range():

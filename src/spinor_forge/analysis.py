@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import (
     EmptyInput,
@@ -22,11 +23,12 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, ImageTable, TwoForm, eta_hat, form_lincomb, spinc_form
+from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_lincomb, spinc_form
 from .linalg import (
-    Matrix, RowReducer, _back_substitute, _clear_denominators, check_special_orthogonal, nullspace,
+    Matrix, RowReducer, SparseRow, _back_substitute, _clear_denominators, check_special_orthogonal,
+    nullspace,
 )
-from .scalars import Rational, RationalLike, exact_rational, gr
+from .scalars import Rational, exact_rational, gr
 from .spinrep import IntCoeffMap, _lincomb
 from .twisted import (
     ScaledSpinor,
@@ -47,53 +49,85 @@ def pairs(upper: int) -> List[Pair]:
 
 # -- ambient Lie algebra elements ---------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AmbientElement:
     """Element of spin(n) + spin(r) as bivector coefficient maps: ``a`` over
-    pairs i < j of e_i e_j, ``b`` over pairs k < l of f_k f_l."""
+    pairs i < j of e_i e_j, ``b`` over pairs k < l of f_k f_l.
+
+    spin(n) + spin(r) is block-diagonal in spin(n + r), with f_k = e_(n+k):
+    ``_terms`` maps each pair of spin(n + r), the b-pair (k, l) as
+    (n + k, n + l), to a nonzero integer over one positive denominator
+    ``_den``, reduced by the content gcd, and ``==`` compares that layout.
+    ``a`` and ``b`` are read-only Fraction views, built on first read."""
 
     n: int
     r: int
-    a: Dict[Pair, Fraction] = field(default_factory=dict)
-    b: Dict[Pair, Fraction] = field(default_factory=dict)
+    a: Mapping[Pair, Fraction] = field(default_factory=dict)
+    b: Mapping[Pair, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        for (i, j) in self.a:
-            if not 1 <= i < j <= self.n:
-                raise ShapeMismatch(f"a-part index ({i},{j}) outside 1..{self.n}")
-        for (k, l) in self.b:
+        n, a, b = self.n, vars(self).pop("a"), vars(self).pop("b")
+        for (i, j) in a:
+            if not 1 <= i < j <= n:
+                raise ShapeMismatch(f"a-part index ({i},{j}) outside 1..{n}")
+        for (k, l) in b:
             if not 1 <= k < l <= self.r:
                 raise ShapeMismatch(f"b-part index ({k},{l}) outside 1..{self.r}")
-        for part in ("a", "b"):
-            exact = {p: exact_rational(c) for p, c in getattr(self, part).items()}
-            object.__setattr__(self, part, {p: c for p, c in exact.items() if c})
+        exact = [(p, exact_rational(c)) for p, c in a.items()]
+        exact += [((n + k, n + l), exact_rational(c)) for (k, l), c in b.items()]
+        den = math.lcm(*(c.denominator for _, c in exact))
+        vars(self).update(vars(_ambient(n, self.r, den, {
+            p: c.numerator * (den // c.denominator) for p, c in exact})))
+
+    def __getattr__(self, name: str) -> Mapping[Pair, Fraction]:
+        if name not in ("a", "b"):  # the lazy fields: the read-only Fraction views
+            raise AttributeError(name)
+        n, a, b = self.n, {}, {}
+        for (i, j), v in sorted(self._terms.items()):
+            if j <= n:
+                a[(i, j)] = Fraction(v, self._den)
+            else:
+                b[(i - n, j - n)] = Fraction(v, self._den)
+        vars(self).update(a=MappingProxyType(a), b=MappingProxyType(b))
+        return vars(self)[name]
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, AmbientElement):
+            return NotImplemented
+        return (self.n, self.r, self._den, self._terms) == (other.n, other.r, other._den, other._terms)
 
     def flat(self) -> List[Fraction]:
-        pn, pr = pairs(self.n), pairs(self.r)
-        return [self.a.get(p, Fraction(0)) for p in pn] + \
-               [self.b.get(p, Fraction(0)) for p in pr]
-
-    @staticmethod
-    def from_flat(n: int, r: int, vec: Sequence[Fraction]) -> "AmbientElement":
-        pn, pr = pairs(n), pairs(r)
-        a = {p: vec[i] for i, p in enumerate(pn) if vec[i]}
-        b = {p: vec[len(pn) + i] for i, p in enumerate(pr) if vec[len(pn) + i]}
-        return AmbientElement(n, r, a, b)
+        """The coefficients in the order of ``_ambient_pairs``."""
+        zero, terms = Fraction(0), self._terms
+        return [Fraction(terms[p], self._den) if p in terms else zero
+                for p in _ambient_pairs(self.n, self.r)]
 
     def is_zero(self) -> bool:
-        return not self.a and not self.b
+        return not self._terms
 
 
-def _bivector_bracket(x: Dict[Pair, RationalLike],
-                      y: Dict[Pair, RationalLike]) -> Dict[Pair, RationalLike]:
+def _ambient(n: int, r: int, den: int, terms: Dict[Pair, int]) -> AmbientElement:
+    """The element terms / den (den > 0), reduced; every integer element ends here."""
+    g = math.gcd(den, *terms.values())
+    out = object.__new__(AmbientElement)
+    vars(out).update(n=n, r=r, _den=den // g, _terms={p: v // g for p, v in terms.items() if v})
+    return out
+
+
+def _ambient_pairs(n: int, r: int) -> List[Pair]:
+    """The pairs of spin(n) then of spin(r), as keys of ``_terms``: the flat columns."""
+    return pairs(n) + [(n + k, n + l) for (k, l) in pairs(r)]
+
+
+def _bivector_bracket(x: Dict[Pair, int], y: Dict[Pair, int]) -> Dict[Pair, int]:
     """[sum x e_ie_j, sum y e_ke_l] inside the bivector space, using
 
         [e_ie_j, e_ke_l] = 2( d_ik e_je_l + d_jl e_ie_k
                               - d_jk e_ie_l - d_il e_je_k ).
     """
-    out: Dict[Pair, RationalLike] = {}
+    out: Dict[Pair, int] = {}
 
-    def put(p: int, q: int, c: RationalLike) -> None:
+    def put(p: int, q: int, c: int) -> None:
         if p == q or not c:
             return
         if p > q:
@@ -115,12 +149,11 @@ def _bivector_bracket(x: Dict[Pair, RationalLike],
 
 
 def bracket(x: AmbientElement, y: AmbientElement) -> AmbientElement:
-    """Componentwise bracket in the direct sum spin(n) + spin(r)."""
+    """Componentwise bracket in the direct sum spin(n) + spin(r): one bracket
+    in spin(n + r), where the two blocks commute."""
     if (x.n, x.r) != (y.n, y.r):
         raise ShapeMismatch("bracket across different ambient shapes")
-    return AmbientElement(x.n, x.r,
-                          _bivector_bracket(x.a, y.a),
-                          _bivector_bracket(x.b, y.b))
+    return _ambient(x.n, x.r, x._den * y._den, _bivector_bracket(x._terms, y._terms))
 
 
 @dataclass(frozen=True)
@@ -139,7 +172,7 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``; structure constants
     (over the given basis) are reported only when closed and independent.
 
-    Each x_i is cleared to an integer row X_i = d_i x_i, and the rows
+    Each x_i is the integer row X_i = d_i x_i of its layout, and the rows
     [X_i | e_i] are brought once to reduced echelon form: a row with pivot
     q_k in the X part is R_k = sum_i t_ki X_i, equal to lead_k on q_k and 0
     on the other pivots.  So z = [X_i, X_j] = d_i d_j [x_i, x_j] lies in the
@@ -151,23 +184,16 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
-    # spin(n) + spin(r) is block-diagonal in spin(n + r), with f_k = e_(n+k),
-    # so one _bivector_bracket brackets both parts; the pairs in order are
-    # the flat columns.
+    # the brackets are taken in spin(n + r), whose pairs in order are the flat columns
     n, r = shape
-    keys = pairs(n) + [(n + k, n + l) for (k, l) in pairs(r)]
+    keys = _ambient_pairs(n, r)
     col = {p: c for c, p in enumerate(keys)}
     offset, size = len(keys), len(basis)
-    ints: List[Dict[Pair, int]] = []
-    dens: List[int] = []
+    ints = [x._terms for x in basis]
+    dens = [x._den for x in basis]
     red = RowReducer()
-    for i, x in enumerate(basis):
-        terms = [*x.a.items(), *(((n + k, n + l), c) for (k, l), c in x.b.items())]
-        d = math.lcm(*(c.denominator for _, c in terms))
-        row = {p: c.numerator * (d // c.denominator) for p, c in terms}
-        ints.append(row)
-        dens.append(d)
-        red.add({**{col[p]: v for p, v in row.items()}, offset + i: 1})
+    for i, x in enumerate(ints):
+        red.add({**{col[p]: v for p, v in x.items()}, offset + i: 1})
     span = {q: row for q, row in _back_substitute(red.pivots).items() if q < offset}
     dim = len(span)
     independent = dim == size
@@ -412,7 +438,6 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     if any(s.shape() != shape for s in spinors):
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
-    width = len(pairs(n)) + len(pairs(r))
     rows: List[Dict[int, int]] = []
     for phi in spinors:
         re_rows: Dict[int, Dict[int, int]] = {}
@@ -427,8 +452,9 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
             for part in (re_rows, im_rows):
                 if idx in part:
                     rows.append(part[idx])
-    basis_vecs = nullspace(rows, width)
-    basis = [AmbientElement.from_flat(n, r, v) for v in basis_vecs]
+    keys = _ambient_pairs(n, r)
+    basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
+             for den, vec in nullspace(rows, len(keys))]
     if not basis:
         return LieSubalgebra(basis=[], dim=0, closed=True, structure={})
     return lie_closure_report(basis)
@@ -438,10 +464,9 @@ def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
     """Does sum a_ij e_ie_j + sum b_kl kappa(f_kl) kill phi?"""
     if (x.n, x.r) != (phi.n, phi.r):
         raise ShapeMismatch("ambient element and spinor shapes differ")
-    data = phi._data  # every part is over phi's one denominator, left out here
-    parts = [(c, 1, _spin_generator(phi, i, _spin_generator(phi, j, data)))
-             for (i, j), c in x.a.items()]
-    parts += [(c, 1, _bivector_map(phi, k, l, data)) for (k, l), c in x.b.items()]
+    n, data = x.n, phi._data  # every part is over phi's one denominator, left out here
+    parts = [(v, 1, _spin_generator(phi, i, _spin_generator(phi, j, data)) if j <= n
+              else _bivector_map(phi, i - n, j - n, data)) for (i, j), v in x._terms.items()]
     return not _lincomb(parts)[1]
 
 
@@ -481,9 +506,12 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
             rows.append({var(p, p): 1})
             for q in range(p + 1, n):
                 rows.append({var(p, q): 1, var(q, p): 1})
-    vecs = nullspace(rows, width)
-    basis = [Endo(n, [[v[var(p, q)] for q in range(n)] for p in range(n)])
-             for v in vecs]
+    basis = []
+    for den, vec in nullspace(rows, width):
+        entries: List[SparseRow] = [{} for _ in range(n)]
+        for k, v in vec.items():
+            entries[k // n][k % n] = v
+        basis.append(_endo(n, den, entries))
     return len(basis), basis
 
 

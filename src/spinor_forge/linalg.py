@@ -6,7 +6,8 @@ primitive ``{col: int}`` map over its nonzero entries, and elimination uses
 integer cross-multiples only, so no rational is built until a result is
 read off.  ``nullspace`` drops rows equal up to scale, back-substitutes in
 integers and reads its basis from the canonical reduced row echelon form,
-so it does not depend on the order or the scale of the rows.
+so it does not depend on the order or the scale of the rows; each basis
+vector comes out as integers over one denominator, with no rational built.
 
 Rational SO(n) comes from Givens rotations of Pythagorean pairs and from
 Cayley transforms: for skew S, (I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I, read
@@ -147,10 +148,12 @@ def spans_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
     return ra.rank == _reduced(b).rank and all(ra.contains(row) for row in b)
 
 
-def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
+def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
     """Basis of {x : A x = 0} for the matrix with the given rows, dense or
-    {col: value} maps: one vector per free column f, with x_f = 1, zero on
-    the other free columns, read off the reduced row echelon form."""
+    {col: value} maps: one vector per free column f, ascending, with x_f = 1,
+    zero on the other free columns, read off the reduced row echelon form.
+    Each is an integer form (den, {col: int}) with x = vec / den, den > 0
+    the lcm of the pivot leads, so vec[f] = den; it is not reduced."""
     red = RowReducer()
     raw_seen, seen = set(), set()
     for row in rows:
@@ -172,18 +175,14 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Vector]:
             raise ValueError(f"row has a column outside 0..{width - 1}")
         red._add(r)
     reduced = _back_substitute(red.pivots)
-    basis: Dict[int, Vector] = {}
-    for fc in range(width):
-        if fc not in reduced:
-            vec = [Fraction(0)] * width
-            vec[fc] = Fraction(1)
-            basis[fc] = vec
+    den = math.lcm(*(row[col] for col, row in reduced.items()))
+    basis = {f: {f: den} for f in range(width) if f not in reduced}
     for col, row in reduced.items():
-        lead = row[col]
+        q = den // row[col]
         for c, v in row.items():
             if c != col:
-                basis[c][col] = Fraction(-v, lead)
-    return list(basis.values())
+                basis[c][col] = -v * q
+    return [(den, vec) for vec in basis.values()]
 
 
 # -- dense Fraction matrices ------------------------------------------------

@@ -29,7 +29,7 @@ from .analysis import (
     pairs,
 )
 from .forms import eta_hat, etas, spinc_form, two_form_from_terms
-from .linalg import random_so_matrix, random_unit_vector, span_contains, spans_equal
+from .linalg import RowReducer, random_so_matrix, random_unit_vector, spans_equal
 from .scalars import gr
 from .spinrep import FormTerm, all_basis_indices, basis_spinor
 from .twisted import (
@@ -118,13 +118,15 @@ def criterion_qk_stabilizer() -> CriterionRow:
         ent = catalog.build_qk_pure(m)
         phi = ent.spinor
         alg = annihilator([phi])
-        rows = [x.flat() for x in alg.basis]
+        span = RowReducer()
+        for x in alg.basis:
+            span.add(x.flat())
         want = m * (2 * m + 1) + 3
 
         def member(form, twist_part) -> bool:  # annihilates phi and lies in the algebra
             amb = AmbientElement(phi.n, 3, {(a, b): c for a, b, c in form.terms()}, twist_part)
             return amb.is_zero() or (ambient_annihilates(amb, phi)
-                                     and span_contains(rows, amb.flat()))
+                                     and span.contains(amb.flat()))
         betas_ok = all([member(tf, {}) for tf in catalog.beta_forms(m)])
         etas_ok = all([member(form, {pair: Fraction(2)}) for pair, form in etas(phi).items()])
         ok = ok and alg.dim == want and alg.closed and betas_ok and etas_ok

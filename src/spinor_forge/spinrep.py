@@ -37,7 +37,7 @@ from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension
-from .scalars import GaussianRational, Rational, exact_rational
+from .scalars import GaussianRational, Rational, exact_rational, gr
 
 BasisIndex = Tuple[int, ...]
 CoeffMap = Dict[BasisIndex, GaussianRational]
@@ -136,9 +136,10 @@ def _lincomb(terms: Iterable[Tuple[Union[int, Fraction], int, IntCoeffMap]]
 class ScaledSpinor:
     """Element of Delta_n (x) Delta_r^(x m) as coefficients plus scale2 > 0.
 
-    The constructor takes tuple-keyed coefficients {(spin, twist): c}; the
-    kernel keeps ``_data``, integer (re, im) pairs by bit index over the
-    denominator ``_den`` (see the module docstring).  ``_entries()`` reads
+    The constructor takes tuple-keyed coefficients {(spin, twist): c}, c a
+    ``GaussianRational`` or a real int or Fraction (floats and bools are
+    refused); the kernel keeps ``_data``, integer (re, im) pairs by bit
+    index over the denominator ``_den`` (see the module docstring).  ``_entries()`` reads
     them back in wire order, and ``coeffs`` is a read-only view of that."""
 
     n: int
@@ -155,7 +156,8 @@ class ScaledSpinor:
             raise ShapeMismatch("scale2 must be a positive rational")
         coeffs = vars(self).pop("coeffs")  # the view is built from _data when read
         indices = [self._index(*key) for key in coeffs]  # every key, zero or not
-        entries = [(idx, c.re, c.im) for idx, c in zip(indices, coeffs.values()) if c]
+        values = [c if isinstance(c, GaussianRational) else gr(c) for c in coeffs.values()]
+        entries = [(idx, c.re, c.im) for idx, c in zip(indices, values) if c]
         den = math.lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
         # over the lcm of the reduced denominators the content is already 1
         vars(self).update(_den=den, _data={

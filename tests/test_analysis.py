@@ -9,6 +9,7 @@ import pytest
 
 from spinor_forge.analysis import (
     AmbientElement,
+    _ambient,
     _certify,
     ambient_annihilates,
     annihilator,
@@ -48,6 +49,7 @@ from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, 
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
+    tangent_action,
     twist_bivector_action,
     twisted_group_action,
     twisted_hermitian,
@@ -270,7 +272,8 @@ def test_pure_hat_commutator_identities():
 
 def test_bracket_matches_operator_commutator():
     """Independent oracle: the bivector bracket must agree with the
-    commutator of the spinor actions kappa(e_i e_j) on every basis spinor."""
+    commutator of the spinor actions kappa(e_i e_j) on every basis spinor,
+    and, for elements of spin(n) + spin(r), on twisted spinors."""
     n = 5
     rng = random.Random(1)
     prs = pairs(n)
@@ -290,6 +293,49 @@ def test_bracket_matches_operator_commutator():
             for (i, j), c in z.a.items():
                 rhs = rhs + act((i, j), b).scale(gr(c))
             assert lhs.coeffs == rhs.coeffs, (p1, p2)
+    # Elements with both parts and rational coefficients, on twisted spinors:
+    # [x, y] . phi = x . (y . phi) - y . (x . phi), every action taken with
+    # tangent_action and twist_bivector_action.
+    values = (F(1), F(-1), F(1, 2), F(-2, 3), F(3), F(5, 4))
+    for case in range(30):
+        n, r, m = rng.randint(3, 6), rng.randint(2, 5), case % 3 + 1
+        phi = random_scaled(n, r, m, rng)
+        x, y = (AmbientElement(n, r, {p: rng.choice(values) for p in rng.sample(pairs(n), 2)},
+                               {p: rng.choice(values) for p in rng.sample(pairs(r), 1)})
+                for _ in range(2))
+        e = {i: [F(int(a == i)) for a in range(1, n + 1)] for i in range(1, n + 1)}
+
+        def act(z, v):
+            out = v.scale(gr(0))
+            for (i, j), c in z.a.items():
+                out = out + tangent_action(e[i], tangent_action(e[j], v)).scale(gr(c))
+            for (k, l), c in z.b.items():
+                out = out + twist_bivector_action(k, l, v).scale(gr(c))
+            return out
+
+        assert act(bracket(x, y), phi) == act(x, act(y, phi)) - act(y, act(x, phi)), (n, r, m, x, y)
+
+
+def test_ambient_element_layout():
+    """Integer terms over one positive denominator, reduced by the content
+    gcd, keyed by the pairs of spin(n + r) with f_k = e_(n+k); ``==``
+    compares that layout and ``a``, ``b`` and ``flat()`` read it back."""
+    x = AmbientElement(4, 3, {(1, 2): F(2, 3), (3, 4): 0}, {(1, 3): F(-4, 9)})
+    assert (x._den, x._terms) == (9, {(1, 2): 6, (5, 7): -4})
+    assert x.a == {(1, 2): F(2, 3)} and x.b == {(1, 3): F(-4, 9)}
+    assert x.flat() == [F(2, 3)] + [F(0)] * 6 + [F(-4, 9), F(0)]
+    with pytest.raises(TypeError):
+        x.a[(1, 2)] = F(1)
+    y = _ambient(4, 3, 6, {(1, 2): 4, (5, 7): -2, (2, 3): 0})
+    assert (y._den, y._terms) == (3, {(1, 2): 2, (5, 7): -1})
+    assert y == AmbientElement(4, 3, {(1, 2): F(2, 3)}, {(1, 3): F(-1, 3)}) != x
+    assert AmbientElement(4, 3, {(1, 2): 0}) == _ambient(4, 3, 5, {}) == AmbientElement(4, 3)
+    assert (AmbientElement(4, 3)._den, AmbientElement(4, 3)._terms) == (1, {})
+    # the two blocks commute
+    assert bracket(AmbientElement(4, 3, {(3, 4): 1}), AmbientElement(4, 3, {}, {(1, 2): 1})).is_zero()
+    for alg in (annihilator([build_qk_pure(2).spinor]), annihilator([build_spin7_reducing().spinor])):
+        for x in alg.basis:
+            assert x == AmbientElement(x.n, x.r, x.a, x.b) and x._den > 0
 
 
 def test_lie_closure_so3():

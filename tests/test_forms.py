@@ -417,15 +417,26 @@ def test_two_form_operations_match_fraction_oracle():
     lambda x: Endo(2, [[x, F(0)], [F(0), F(1)]]),
     lambda x: phi_extend(random_scaled(4, 3, 1, random.Random(0)), {(1, 2): x}),
     lambda x: AmbientElement(4, 3, {(1, 2): x}, {}),
+    lambda x: AmbientElement(4, 3, {}, {(1, 2): x}),
     lambda x: TwoForm(2, [[0, x], [-x, 0]]),
     lambda x: frame_rotation_check(catalog.build_qk_pure(1).spinor,
                                    [[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    lambda x: ScaledSpinor(2, 0, 0, {((1,), ()): x}),
+    lambda x: SpinorVector(2, {(1,): x}),
 ], ids=["tangent_action", "vector_action", "unit_vectors", "spin_action_on_vector",
         "two_form_from_terms", "TwoForm.scale", "Endo.scale", "Endo", "phi_extend",
-        "AmbientElement", "TwoForm", "frame_rotation_check"])
+        "AmbientElement", "AmbientElement.b", "TwoForm", "frame_rotation_check",
+        "ScaledSpinor", "SpinorVector"])
 def test_entry_points_refuse_floats_and_bools(call, bad):
     with pytest.raises(InexactScalar):
         call(bad)
+
+
+def test_spinor_constructors_read_ints_and_fractions_as_real_coefficients():
+    half = ScaledSpinor(2, 1, 1, {((1,), ((),)): F(1, 2), ((-1,), ((),)): gr(0, 1)})
+    assert half.coeffs == {((-1,), ((),)): gr(0, 1), ((1,), ((),)): gr(F(1, 2))}
+    assert SpinorVector(2, {(1,): 1, (-1,): 0}) == basis_spinor(2, (1,))
+    assert SpinorVector(2, {(1,): F(-3, 4)}) == basis_spinor(2, (1,)).scale(gr(F(-3, 4)))
 
 
 def test_etas_equals_eta_per_pair():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections.abc import Mapping
 from fractions import Fraction as F
 from types import MappingProxyType
 
@@ -78,6 +79,23 @@ def plain_nullspace(rows, n_cols):
     return basis
 
 
+def dense_nullspace(rows, n_cols):
+    """``nullspace`` read back as dense Fraction vectors, after checking each
+    integer form (den, vec): int den > 0, nonzero int entries in range, and
+    vec[f] = den on its free column f, the oracle's free columns ascending."""
+    dense_rows = [[F(row.get(c, 0)) for c in range(n_cols)] if isinstance(row, Mapping) else row
+                  for row in rows]
+    free = [c for c in range(n_cols) if c not in plain_rref(dense_rows, n_cols)[1]]
+    basis = nullspace(rows, n_cols)
+    assert len(basis) == len(free)
+    out = []
+    for f, (den, vec) in zip(free, basis):
+        assert type(den) is int and den > 0 and vec[f] == den
+        assert all(type(v) is int and v and 0 <= c < n_cols for c, v in vec.items())
+        out.append([F(vec.get(c, 0), den) for c in range(n_cols)])
+    return out
+
+
 def test_rank_matches_plain_gauss_oracle():
     rng = random.Random(0)
     for _ in range(30):
@@ -93,7 +111,7 @@ def test_nullspace_vectors_are_exact_kernel_elements():
     for _ in range(30):
         n_rows, n_cols = rng.randint(1, 7), rng.randint(1, 7)
         rows = random_matrix(n_rows, n_cols, rng, bound=3)
-        basis = nullspace(rows, n_cols)
+        basis = dense_nullspace(rows, n_cols)
         assert len(basis) == n_cols - plain_gauss_rank(rows)
         for vec in basis:
             for row in rows:
@@ -122,29 +140,29 @@ def test_nullspace_is_the_canonical_basis_of_a_plain_rref_oracle():
         n_cols = rng.randint(1, 9)
         rows = _mixed_system(rng, rng.randint(0, 8), n_cols)
         want = plain_nullspace(rows, n_cols)
-        assert nullspace(rows, n_cols) == want
+        assert dense_nullspace(rows, n_cols) == want
         # The same rows as {col: value} maps, some with explicit zero entries.
         maps = [{c: x for c, x in enumerate(row) if x or rng.random() < 0.2} for row in rows]
-        assert nullspace(maps, n_cols) == want
-        assert nullspace(maps[::-1], n_cols) == want
+        assert dense_nullspace(maps, n_cols) == want
+        assert dense_nullspace(maps[::-1], n_cols) == want
         # As int maps (each row times the lcm of its denominators), and as
         # read-only mappings that are not dicts.
         ints = [{c: int(x * math.lcm(*(y.denominator for y in row))) for c, x in m.items()}
                 for m, row in zip(maps, rows)]
-        assert nullspace(ints, n_cols) == want
-        assert nullspace([MappingProxyType(m) for m in maps], n_cols) == want
+        assert dense_nullspace(ints, n_cols) == want
+        assert dense_nullspace([MappingProxyType(m) for m in maps], n_cols) == want
 
 
 def test_nullspace_of_structured_systems():
     # No rows: the standard basis.  A full-rank system: nothing.
-    assert nullspace([], 3) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
-    assert nullspace([{0: F(1)}, {1: F(2)}], 2) == []
+    assert dense_nullspace([], 3) == [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
+    assert dense_nullspace([{0: F(1)}, {1: F(2)}], 2) == []
     # A row mixing ints and Fractions: 2 x0 + 4/3 x1 = 0.
-    assert nullspace([{0: 2, 1: F(4, 3)}], 2) == [[F(-2, 3), F(1)]]
+    assert dense_nullspace([{0: 2, 1: F(4, 3)}], 2) == [[F(-2, 3), F(1)]]
     # x0 + 2 x2 = 0 and x1 - x2/3 = 0, given as rescaled and duplicated rows.
     rows = [{0: F(-3), 2: F(-6)}, {1: F(3), 2: F(-1)}, {1: F(-1, 2), 2: F(1, 6)},
             {0: F(1, 5), 2: F(2, 5)}, {}]
-    assert nullspace(rows, 4) == [[F(-2), F(1, 3), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
+    assert dense_nullspace(rows, 4) == [[F(-2), F(1, 3), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
     with pytest.raises(ValueError):
         nullspace([{5: F(1)}], 4)
 

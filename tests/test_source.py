@@ -35,11 +35,24 @@ def _identifier(node):
     return None
 
 
+def _boundary_uses(names):
+    return [f"{name}.py:{node.lineno}:{_identifier(node)}" for name in BOUNDARY_MODULES
+            for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
+            if _identifier(node) in names]
+
+
 def test_boundary_modules_do_not_name_the_bit_layout():
     """``serialize``, ``catalog``, ``report`` and ``cli`` see a spinor through
     its constructor, ``coeffs`` and ``_entries()``, never through the bit
     layout, so that layout can change inside the kernel modules alone."""
-    found = [f"{name}.py:{node.lineno}:{_identifier(node)}" for name in BOUNDARY_MODULES
-             for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
-             if _identifier(node) in LAYOUT_NAMES]
+    found = _boundary_uses(LAYOUT_NAMES)
+    assert not found, found
+
+
+def test_boundary_modules_do_not_name_the_lie_element_layout():
+    """The boundary modules see a Lie-algebra element (``AmbientElement``)
+    through its constructor, the ``a`` and ``b`` views and ``flat()``, never
+    through its integer ``_terms``, so that layout can change inside
+    ``analysis`` alone."""
+    found = _boundary_uses({"_terms"})
     assert not found, found

@@ -264,10 +264,10 @@ def _certify(phi: ScaledSpinor, kind: str,
     an SO(r) matrix; None is the standard frame).
 
     One ``forms.ImageTable`` of phi serves every pair: with w_st = kappa(f_st) . phi
-    it gives eta_st by XOR-pattern pairing, with no spin generator applied,
-    and D_st = eta_st . phi + c w_st (c = 2 "pure", 1 "reducing") at one
-    generator application per column of eta_st, from the images e_a . phi
-    it builds for the first such action.  Both are linear in
+    it gives eta_st by XOR-pattern pairing, and D_st = eta_st . phi + c w_st
+    (c = 2 "pure", 1 "reducing") in one walk over supp phi.  w_st, eta_st
+    and eta_st . phi all read the one sign table ``spinrep._pair_patterns``,
+    so no generator is applied.  Both are linear in
     f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st = a_ks a_lt - a_kt a_ls is an
     integer over d^2 once A is an integer matrix over d: a rotated pair is one
     ``forms.form_lincomb`` sum of the eta_st and one ``_lincomb`` of the D_st."""

@@ -11,7 +11,8 @@ class SpinorForgeError(Exception):
 
 
 class InexactScalar(SpinorForgeError):
-    """A float or bool was given where an exact rational is required."""
+    """A value that is not an exact rational (a float, a bool, a complex
+    number, None or a bad rational string) was given where one is required."""
 
 
 class ShapeMismatch(SpinorForgeError):

@@ -1,30 +1,30 @@
 """The spinor-to-geometry transfer: induced real 2-forms and endomorphisms.
 
 For a twisted spinor phi and a twist bivector f_k f_l, the induced 2-form on
-R^n is eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . v, v >, with v the
-coefficient vector of phi.  Clifford generators are skew-adjoint, so with
-w = kappa(f_kl) . v the entry for a < b is
+R^n is eta_kl(X, Y) = scale2 * Re< X ^ Y . kappa(f_kl) . phi, phi >, phi read
+as its coefficient vector.  Clifford generators are skew-adjoint, so with
+w = kappa(f_kl) . phi the entry for a < b is
 
-    eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, v > = -scale2 * Re< e_b . w, e_a . v >.
+    eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, phi > = -scale2 * Re< w, e_a e_b . phi >.
 
 In the kernel's layout (``spinrep``: int index, spin bits lowest and a set
-bit +1; (re, im) numerators over the spinor's one denominator D) e_a flips
-one bit f_a and multiplies by a unit signed by a parity, so that pairing
-only meets w at u with v at u ^ f_a ^ f_b.  The pairs a < b therefore fall
-into XOR patterns d = f_a ^ f_b: d = 0 holds the k = n // 2 pairs
-(2j-1, 2j), each two-bit d four pairs, and for odd n each one-bit d the two
-pairs with the last generator, which flips nothing.  ``ImageTable`` looks v
-up once per (u in supp w, pattern) and adds the signed real or imaginary
-part of w_u conj(v_(u^d)) to every pair of the pattern: an entry is one int
-sum over D_v * D_w, and no spin generator is applied.  A 2-form acts on phi
-at one generator application per column,
-
-    eta . v = sum_(a<b) eta_ab e_a e_b . v = -sum_b e_b . (sum_(a<b) eta_ab e_a . v),
-
-from the images e_a . v, which the table builds when a 2-form first acts.
+bit +1; (re, im) numerators over the spinor's one denominator D) e_a e_b
+sends phi_v to v ^ d, d = f_a ^ f_b, times a unit signed by a parity of v:
+the one sign table ``spinrep._pair_patterns`` groups the pairs a < b by d
+(d = 0 holds the k = n // 2 pairs (2j-1, 2j), each two-bit d four pairs,
+and for odd n each one-bit d the two pairs with the last generator, which
+flips nothing), and eta_ab = -scale2 * Re< w, e_a e_b . phi > pairs w at u
+only with phi at v = u ^ d.  A pattern flips spin bits only, so
+``ImageTable`` groups supp phi by the bits above the spin slot; for each u
+in supp w it walks u's group, and each v whose u ^ v is a pattern adds
+the signed real or imaginary part of w_u conj(phi_v) to every pair of that
+pattern.  A 2-form acts in one walk over supp phi: per v and per pattern
+that omega uses, the signed omega_ab of the pattern's pairs sum to one
+Gaussian integer, which multiplies phi_v into v ^ d.  Neither applies a
+generator.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
-w = i . v.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
+w = i . phi.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
 the transpose of the 2-form's matrix.  Both types hold integers over one
 positive denominator, reduced by the content gcd: a ``TwoForm`` its upper
 triangle {(a, b): int}, an ``Endo`` sparse rows.  So sums (``form_lincomb``),
@@ -35,16 +35,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import (
-    FormTerm, IntCoeffMap, ScaledSpinor, _merge, _slot_unit, _spin_generator, check_dimensions,
-)
+from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _pair_index, _pair_patterns, check_dimensions
 from .twisted import twist_bivector_action
 
 
@@ -219,81 +217,91 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return _two_form(n, den, {ab: c.numerator * (den // c.denominator) for ab, c in upper.items()})
 
 
-@cache  # a constant of n <= MAX_N; building it costs about one induced form at n = 8
-def _pair_patterns(n: int) -> Tuple[Tuple[int, Tuple[Tuple[int, int, int, bool], ...]], ...]:
-    """The pairs a < b of Delta_n's generators grouped by the XOR pattern
-    d = flip_a ^ flip_b, each pair as (slot, mask, sign, imaginary part),
-    slots counting the pairs in ``_pairs_b_major`` order.
-
-    <e_b . w, e_a . phi> pairs w at u with phi at v = u ^ d.  ``_slot_unit``
-    gives generator x the unit i (-1)^p or -(-1)^p, p the parity of its
-    source index & mask_x.  With z = w_u conj(phi_v), the term's real part
-    is (-1)^(parity(u & mask) + sign) times Re z if a and b are of one kind,
-    else times Im z: mask = mask_a ^ mask_b, as v & mask_a =
-    (u & mask_a) ^ (d & mask_a), and sign = parity(d & mask_a), plus 1 when
-    only a is imaginary, as Re(-(-1)^q conj(i (-1)^p) z) = -(-1)^(p+q) Im z."""
-    units = [_slot_unit(0, n, a) for a in range(1, n + 1)]
-    patterns: Dict[int, List[Tuple[int, int, int, bool]]] = {}
-    for slot, (a, b) in enumerate(_pairs_b_major(n)):
-        (fa, ma, ia), (fb, mb, ib) = units[a - 1], units[b - 1]
-        sign = ((fa ^ fb) & ma).bit_count() + (ia and not ib)
-        patterns.setdefault(fa ^ fb, []).append((slot, ma ^ mb, sign & 1, ia != ib))
-    return tuple((d, tuple(group)) for d, group in patterns.items())
-
-
 @cache
 def _pairs_b_major(n: int) -> Tuple[Tuple[int, int], ...]:
     """The pairs a < b of 1..n, b-major: the order of an induced form's terms."""
     return tuple((a, b) for b in range(2, n + 1) for a in range(1, b))
 
 
-class ImageTable:
-    """One spinor's side of its induced forms and 2-form actions.
+@cache
+def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, int, bool], ...]]:
+    """``spinrep._pair_patterns(n)`` as {d: ((slot, mask, sign, mixed), ...)},
+    slot the place of (a, b) in ``_pairs_b_major`` order."""
+    return {d: tuple(((b - 1) * (b - 2) // 2 + a - 1, mask, sign, mixed)
+                     for (a, b), mask, sign, mixed in group)
+            for d, group in _pair_patterns(n)}
 
-    ``induced_form`` pairs w with phi through the XOR patterns of
-    ``_pair_patterns``: one lookup in phi per (u in supp w, pattern), shared
-    by every pair of that pattern, and no spin generator applied.  The
-    images e_a . phi, a = 1..n-1, as integer maps over phi's denominator,
-    are built when ``form_action`` first needs them."""
+
+class ImageTable:
+    """One spinor's side of its induced forms and 2-form actions, read off
+    the one sign table ``spinrep._pair_patterns``; no generator is applied.
+
+    A pattern flips only spin bits, so phi is grouped once by the bits
+    above the spin slot (``idx >> (n // 2)``): ``induced_form`` walks, for
+    each u in supp w, only the v of u's group, and looks u ^ v up among the
+    patterns.  ``form_action`` walks supp phi once."""
 
     def __init__(self, phi: ScaledSpinor) -> None:
         self.phi = phi
-        self.patterns = _pair_patterns(phi.n)
-
-    @cached_property
-    def maps(self) -> List[IntCoeffMap]:
-        return [_spin_generator(self.phi, a, self.phi._data) for a in range(1, self.phi.n)]
+        self.groups: Dict[int, List[Tuple[int, int, int]]] = {}
+        k = phi.n // 2
+        for v, (re, im) in phi._data.items():
+            self.groups.setdefault(v >> k, []).append((v, re, im))
 
     def induced_form(self, w: ScaledSpinor) -> TwoForm:
-        """The 2-form with entries -scale2 * Re< e_b . w, e_a . phi >, a < b,
+        """The 2-form with entries -scale2 * Re< w, e_a e_b . phi >, a < b,
         for w of phi's shape, summed in ints over D_phi * D_w."""
-        n, s2 = self.phi.n, self.phi.scale2
+        n, s2, k = self.phi.n, self.phi.scale2, self.phi.n // 2
         acc = [0] * (n * (n - 1) // 2)
-        get = self.phi._data.get
+        pattern, group = _pattern_slots(n).get, self.groups.get
         for u, (wr, wi) in w._data.items():
-            for d, group in self.patterns:
-                o = get(u ^ d)
-                if o is None:
+            for v, pr, pi in group(u >> k, ()):
+                entries = pattern(u ^ v)
+                if entries is None:
                     continue
-                re_im = (wr * o[0] + wi * o[1], wi * o[0] - wr * o[1])  # w_u conj(phi_v)
-                for slot, mask, sign, imag in group:
-                    if ((u & mask).bit_count() + sign) & 1:
-                        acc[slot] -= re_im[imag]
+                z = (wr * pr + wi * pi, wi * pr - wr * pi)  # w_u conj(phi_v)
+                for slot, mask, sign, mixed in entries:  # Re of conj(i) z is Im z
+                    if ((v & mask).bit_count() + sign) & 1:
+                        acc[slot] -= z[mixed]
                     else:
-                        acc[slot] += re_im[imag]
+                        acc[slot] += z[mixed]
         num = -s2.numerator
         out = {(a, b): num * x for (a, b), x in zip(_pairs_b_major(n), acc) if x}
         return _two_form(n, s2.denominator * self.phi._den * w._den, out)
 
     def form_action(self, omega: TwoForm) -> Tuple[int, IntCoeffMap]:
-        """omega . phi = sum omega_ab e_a e_b . phi (a < b) as
-        -sum_b e_b . (sum_(a<b) omega_ab e_a . phi): (D, an integer map over D)."""
-        inner: Dict[int, IntCoeffMap] = {}
-        for (a, b), x in omega._terms.items():
-            _merge(inner.setdefault(b, {}), self.maps[a - 1], -x)
+        """omega . phi = sum omega_ab e_a e_b . phi (a < b), (D, an integer
+        map over D): per v in supp phi and per pattern d that omega uses, the
+        signed omega_ab of its pairs sum to cr + i ci, and (cr + i ci) phi_v
+        goes to v ^ d."""
+        index = _pair_index(self.phi.n)
+        by_d: Dict[int, List[Tuple[int, int, bool]]] = {}
+        for ab, x in omega._terms.items():
+            d, mask, sign, mixed = index[ab]
+            by_d.setdefault(d, []).append((-x if sign else x, mask, mixed))
+        acts = list(by_d.items())
         acc: IntCoeffMap = {}
-        for b, col in inner.items():
-            _merge(acc, _spin_generator(self.phi, b, col))
+        get = acc.get
+        for v, (pr, pi) in self.phi._data.items():
+            for d, entries in acts:
+                cr = ci = 0
+                for x, mask, mixed in entries:
+                    if (v & mask).bit_count() & 1:
+                        x = -x
+                    if mixed:
+                        ci += x
+                    else:
+                        cr += x
+                if not (cr or ci):
+                    continue
+                u, re, im = v ^ d, cr * pr - ci * pi, cr * pi + ci * pr
+                s = get(u)
+                if s is not None:
+                    re, im = re + s[0], im + s[1]
+                    if not (re or im):
+                        del acc[u]
+                        continue
+                acc[u] = (re, im)
         return self.phi._den * omega._den, acc
 
 

@@ -22,10 +22,15 @@ RationalLike = Union[Fraction, int]
 def exact_rational(x: Union[RationalLike, str]) -> Fraction:
     """Fraction(x) for ints, Fractions and 'p/q' strings.  Floats are refused
     rather than expanded into their binary value, and bools are refused
-    rather than read as 0 or 1."""
+    rather than read as 0 or 1; any other value that is not a rational
+    (a complex number, None, a string that does not parse or has a zero
+    denominator) is refused too, each with ``InexactScalar``."""
     if isinstance(x, (float, bool)):
         raise InexactScalar(f"{x!r} is not an exact rational")
-    return Fraction(x)
+    try:
+        return Fraction(x)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise InexactScalar(f"{x!r} is not an exact rational") from None
 
 
 @dataclass(frozen=True, slots=True)

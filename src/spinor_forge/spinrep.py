@@ -33,6 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -290,6 +291,43 @@ def _generator_on_map(data: IntCoeffMap, flip: int, mask: int, imaginary: bool) 
         for idx, (re, im) in data.items():
             out[idx ^ flip] = (re, im) if (idx & mask).bit_count() & 1 else (-re, -im)
     return out
+
+
+PairEntry = Tuple[Tuple[int, int], int, int, bool]
+
+
+@cache  # a constant of dim <= MAX_N
+def _pair_patterns(dim: int) -> Tuple[Tuple[int, Tuple[PairEntry, ...]], ...]:
+    """The products e_a e_b (a < b) on a Delta_dim slot whose bits start at
+    0, grouped by the XOR pattern d = flip_a ^ flip_b.  An entry
+    ((a, b), mask, sign, mixed) reads
+
+        (e_a e_b . phi)[v ^ d] = (-1)^(parity(v & mask) + sign) (i if mixed else 1) phi_v.
+
+    From ``_slot_unit``: e_b takes v to v ^ f_b with the unit i (-1)^p or
+    -(-1)^p, p = parity(v & m_b), and e_a reads its parity at v ^ f_b, which
+    adds parity(f_b & m_a); so mask = m_a ^ m_b, mixed says a and b are of
+    different kinds, and sign = parity(f_b & m_a) + [both imaginary] +
+    [mixed], as i i = -1 and i (-1) = -i.  d = 0 holds the k = dim // 2
+    pairs (2j-1, 2j), each two-bit d four pairs, and for odd dim each
+    one-bit d the two pairs with the last generator, which flips nothing.
+    A slot whose bits start at offset o shifts d and mask left by o."""
+    units = [_slot_unit(0, dim, a) for a in range(1, dim + 1)]
+    patterns: Dict[int, List[PairEntry]] = {}
+    for b in range(2, dim + 1):
+        fb, mb, ib = units[b - 1]
+        for a in range(1, b):
+            fa, ma, ia = units[a - 1]
+            sign = (fb & ma).bit_count() + (ia and ib) + (ia != ib)
+            patterns.setdefault(fa ^ fb, []).append(((a, b), ma ^ mb, sign & 1, ia != ib))
+    return tuple((d, tuple(group)) for d, group in patterns.items())
+
+
+@cache
+def _pair_index(dim: int) -> Dict[Tuple[int, int], Tuple[int, int, int, bool]]:
+    """{(a, b): (d, mask, sign, mixed)} over the entries of ``_pair_patterns(dim)``."""
+    return {ab: (d, mask, sign, mixed)
+            for d, group in _pair_patterns(dim) for ab, mask, sign, mixed in group}
 
 
 def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:

@@ -12,7 +12,10 @@ Everything here runs on the kernel layout of ``spinrep``: an int index per
 basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 +1) and int (re, im) pairs over one denominator D per spinor.  A twist
 generator flips one bit of its slot, signed by the parity of the slot's
-bits below it; a sesquilinear sum is an int sum over D1 * D2.
+bits below it.  A twist bivector f_k f_l reads its entry of the sign table
+``spinrep._pair_patterns`` for dim = r, shifted to each slot's bits, and
+acts on all m slots in one walk over the data.  A sesquilinear sum is an
+int sum over D1 * D2.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from .spinrep import (
     _check_unit_vectors,
     _generator_on_map,
     _lincomb,
-    _merge,
+    _pair_index,
     _slot_unit,
     _spin_generator,
     spinor_dim_exponent,
@@ -45,10 +48,35 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) ->
 
 
 def _bivector_map(phi: ScaledSpinor, k: int, l: int, data: IntCoeffMap) -> IntCoeffMap:
-    """sum over the m slots of f_k f_l on an integer map, over the same denominator."""
+    """sum over the m slots of f_k f_l on an integer map, over the same
+    denominator, in one walk over data: the entry of (k, l) in
+    ``_pair_index(r)``, shifted to each slot's bits.  f_k f_l = -f_l f_k,
+    and f_k f_k = -1 on every slot."""
+    if k == l:
+        m = phi.m
+        return {idx: (-m * re, -m * im) for idx, (re, im) in data.items()} if m else {}
+    if k > l:
+        return {idx: (-re, -im) for idx, (re, im) in _bivector_map(phi, l, k, data).items()}
+    d, mask, sign, mixed = _pair_index(phi.r)[(k, l)]
+    ks, kt = spinor_dim_exponent(phi.n), spinor_dim_exponent(phi.r)
+    slots = [(d << off, mask << off) for off in range(ks, ks + phi.m * kt, kt)]
     acc: IntCoeffMap = {}
-    for a in range(1, phi.m + 1):
-        _merge(acc, _twist_generator(phi, a, k, _twist_generator(phi, a, l, data)))
+    get = acc.get
+    for v, (re, im) in data.items():
+        if mixed:  # times i
+            re, im = -im, re
+        if sign:
+            re, im = -re, -im
+        for flip, slot_mask in slots:
+            x, y = (-re, -im) if (v & slot_mask).bit_count() & 1 else (re, im)
+            u = v ^ flip
+            s = get(u)
+            if s is not None:
+                x, y = x + s[0], y + s[1]
+                if not (x or y):
+                    del acc[u]
+                    continue
+            acc[u] = (x, y)
     return acc
 
 

@@ -32,6 +32,18 @@ def test_verify_pure_fails_on_reducing_spinor(capsys):
     assert out.strip() == "pure: false"
 
 
+@pytest.mark.parametrize("m", [6, 7])
+def test_verify_pure_qk_near_the_cap(capsys, m):
+    """qk(m) at n = 4m = 24 and 28: every pair certified pure through the CLI."""
+    code, out, _ = run(capsys, "verify", "pure", "--catalog", "qk", "--m", str(m),
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["verified"] is True
+    assert payload["pairs"] == {pair: {"defect_norm2": "0", "square_ok": True}
+                                for pair in ("1,2", "1,3", "2,3")}
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "reducing", "--catalog", "generic",
                        "--n", "3", "--format", "json")

@@ -1,12 +1,15 @@
 import math
 import random
+import re
 from fractions import Fraction as F
 from itertools import combinations, product
 
 import pytest
 
-from spinor_forge import catalog, forms
-from spinor_forge.analysis import AmbientElement, frame_rotation_check
+from spinor_forge import catalog, spinrep, twisted
+from spinor_forge.analysis import (
+    AmbientElement, check_pure, check_reducing, frame_rotation_check,
+)
 from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
 )
@@ -15,7 +18,6 @@ from spinor_forge.forms import (
     ImageTable,
     TwoForm,
     _endo,
-    _pair_patterns,
     _pairs_b_major,
     _two_form,
     eta,
@@ -30,8 +32,9 @@ from spinor_forge.linalg import random_so_matrix, transpose
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     SpinorVector,
-    all_basis_indices,
+    _pair_patterns,
     _slot_unit,
+    all_basis_indices,
     basis_spinor,
     kappa_generator,
     spin_action_on_vector,
@@ -199,30 +202,41 @@ def test_pair_patterns_partition_the_pairs():
     for n in range(1, 33):
         k = n // 2
         patterns = _pair_patterns(n)
-        found = {slot: d for d, group in patterns for slot, *_ in group}
-        assert sorted(found) == list(range(n * (n - 1) // 2))
-        for slot, (a, b) in enumerate(_pairs_b_major(n)):
-            assert found[slot] == _slot_unit(0, n, a)[0] ^ _slot_unit(0, n, b)[0]
+        found = {ab: d for d, group in patterns for ab, *_ in group}
+        assert len(found) == sum(len(group) for _, group in patterns)
+        assert sorted(found) == sorted(_pairs_b_major(n))
+        for (a, b), d in found.items():
+            assert d == _slot_unit(0, n, a)[0] ^ _slot_unit(0, n, b)[0]
         sizes = {d: len(group) for d, group in patterns}
         assert len(sizes) == (1 + k * (k - 1) // 2 + k * (n % 2) if n > 1 else 0)
         assert all(size == {0: k, 1: 2, 2: 4}[d.bit_count()] for d, size in sizes.items())
 
 
 def test_induced_forms_apply_no_spin_generator(monkeypatch):
+    """Induced forms, 2-form actions and the certificates read the pair
+    table: with every generator application refused they give the same
+    results."""
     def refuse(*args):
-        raise AssertionError("spin generator applied")
+        raise AssertionError("generator applied")
 
     rng = random.Random(16)
     phi, psi = random_scaled(6, 4, 2, rng, terms=8), random_scaled(6, 0, 0, rng, terms=8)
     rank2 = random_scaled(5, 2, 1, rng, terms=8)
+    qk = catalog.build_qk_pure(2).spinor
     expected = (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2))
-    monkeypatch.setattr(forms, "_spin_generator", refuse)
+    actions = [ImageTable(phi).form_action(form) for form in expected[0].values()]
+    verdicts = (check_pure(phi), check_pure(qk), check_reducing(phi))
+    for module in (spinrep, twisted):
+        monkeypatch.setattr(module, "_generator_on_map", refuse)
+    with pytest.raises(AssertionError, match="generator applied"):  # the patch holds
+        kappa_generator(6, 1, phi)
     assert (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2)) == expected
+    assert [ImageTable(phi).form_action(form) for form in expected[0].values()] == actions
+    assert (check_pure(phi), check_pure(qk), check_reducing(phi)) == verdicts
+    assert verdicts[1].is_pure
     table = expected[0]
     assert phi_extend(phi, {(1, 2): F(1, 2), (3, 4): F(-2)}) == \
         table[(1, 2)].scale(F(1, 2)) + table[(3, 4)].scale(-2)
-    with pytest.raises(AssertionError, match="spin generator"):  # the images are built on demand
-        ImageTable(phi).form_action(expected[1])
 
 
 def test_eta_index_range():
@@ -405,7 +419,7 @@ def test_two_form_operations_match_fraction_oracle():
     assert form_lincomb(3, [])([], 7) == two_form_from_terms(3, {})
 
 
-@pytest.mark.parametrize("bad", [0.1, True])
+@pytest.mark.parametrize("bad", [0.1, True, 1j, None, "x", "1/0"])
 @pytest.mark.parametrize("call", [
     lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3, 1, ((1,),))),
     lambda x: tangent_action([x, 0, 0, 0], basis_spinor(4, (1, 1))),
@@ -418,7 +432,7 @@ def test_two_form_operations_match_fraction_oracle():
     lambda x: phi_extend(random_scaled(4, 3, 1, random.Random(0)), {(1, 2): x}),
     lambda x: AmbientElement(4, 3, {(1, 2): x}, {}),
     lambda x: AmbientElement(4, 3, {}, {(1, 2): x}),
-    lambda x: TwoForm(2, [[0, x], [-x, 0]]),
+    lambda x: TwoForm(2, [[0, x], [x, 0]]),  # x is refused before the antisymmetry check
     lambda x: frame_rotation_check(catalog.build_qk_pure(1).spinor,
                                    [[x, 0, 0], [0, 1, 0], [0, 0, 1]]),
     lambda x: ScaledSpinor(2, 0, 0, {((1,), ()): x}),
@@ -428,7 +442,10 @@ def test_two_form_operations_match_fraction_oracle():
         "AmbientElement", "AmbientElement.b", "TwoForm", "frame_rotation_check",
         "ScaledSpinor", "SpinorVector"])
 def test_entry_points_refuse_floats_and_bools(call, bad):
-    with pytest.raises(InexactScalar):
+    """Floats, bools and every other value that is not a rational (complex,
+    None, a string that does not parse, a zero denominator) raise the typed
+    error, which names the value."""
+    with pytest.raises(InexactScalar, match=re.escape(repr(bad))):
         call(bad)
 
 

@@ -17,13 +17,14 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .errors import (
     EmptyInput,
     IndexOutOfRange,
+    InvalidValue,
     MissingPair,
     NotOrthogonal,
     RankTooSmall,
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_lincomb, spinc_form
+from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_action, form_lincomb, spinc_form
 from .linalg import (
     Matrix, RowReducer, SparseRow, _back_substitute, _clear_denominators, check_special_orthogonal,
     nullspace,
@@ -35,7 +36,6 @@ from .twisted import (
     _bivector_map,
     _norm2,
     _spin_generator,
-    form_action_on_spin_slot,
     twist_bivector_action,
     twisted_group_action,
 )
@@ -254,7 +254,7 @@ _DEFECT_COEFFICIENT = {"pure": 2, "reducing": 1}
 
 def _check_kind(kind: str) -> None:
     if kind not in _DEFECT_COEFFICIENT:
-        raise ValueError(f"kind must be 'pure' or 'reducing', got {kind!r}")
+        raise InvalidValue(f"kind must be 'pure' or 'reducing', got {kind!r}")
 
 
 def _certify(phi: ScaledSpinor, kind: str,
@@ -265,9 +265,10 @@ def _certify(phi: ScaledSpinor, kind: str,
 
     One ``forms.ImageTable`` of phi serves every pair: with w_st = kappa(f_st) . phi
     it gives eta_st by XOR-pattern pairing, and D_st = eta_st . phi + c w_st
-    (c = 2 "pure", 1 "reducing") in one walk over supp phi.  w_st, eta_st
-    and eta_st . phi all read the one sign table ``spinrep._pair_patterns``,
-    so no generator is applied.  Both are linear in
+    (c = 2 "pure", 1 "reducing").  w_st and eta_st . phi are the one bivector
+    action ``twisted._bivector_map``, on f_s f_t and on eta_st's integer
+    terms over phi's denominator times eta_st's; all three read the one sign
+    table ``spinrep._pair_patterns``, so no generator is applied.  Both are linear in
     f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st = a_ks a_lt - a_kt a_ls is an
     integer over d^2 once A is an integer matrix over d: a rotated pair is one
     ``forms.form_lincomb`` sum of the eta_st and one ``_lincomb`` of the D_st."""
@@ -278,7 +279,8 @@ def _certify(phi: ScaledSpinor, kind: str,
     for (s, t) in pairs(phi.r):
         w = twist_bivector_action(s, t, phi)
         form = images.induced_form(w)
-        table[(s, t)] = (form, *_lincomb([(1, *images.form_action(form)), (c, w._den, w._data)]))
+        action = (phi._den * form._den, _bivector_map(phi, form._terms, phi._data))
+        table[(s, t)] = (form, *_lincomb([(1, *action), (c, w._den, w._data)]))
     forms, d_dens, d_maps = zip(*table.values()) if table else ((), (), ())
     combine = form_lincomb(phi.n, forms)
     out = []
@@ -343,7 +345,7 @@ def check_spinc_pure(psi: ScaledSpinor) -> bool:
         raise ShapeMismatch("need an even-dimensional spinor space")
     half = psi.n // 2
     form = spinc_form(psi)
-    d = form_action_on_spin_slot(form.form_terms(), psi) + psi.scale(gr(0, half))
+    d = form_action(form, psi) + psi.scale(gr(0, half))
     h = eta_hat(form)
     return d.is_zero() and h.compose(h).is_minus_identity()
 
@@ -419,10 +421,13 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
 def _annihilator_columns(phi: ScaledSpinor) -> List[IntCoeffMap]:
     """Action of each unknown generator on phi: all e_ie_j on the spin slot,
     then all kappa(f_kf_l) on the twist slots, as integer maps over phi's
-    one denominator."""
+    one denominator.  The spin columns reuse the n - 1 images e_j . phi, which
+    is cheaper than one bivector walk per pair; each twist column is the
+    one bivector action ``_bivector_map`` of f_k f_l."""
     images = {j: _spin_generator(phi, j, phi._data) for j in range(2, phi.n + 1)}
     cols = [_spin_generator(phi, i, images[j]) for (i, j) in pairs(phi.n)]
-    cols += [_bivector_map(phi, k, l, phi._data) for (k, l) in pairs(phi.r)]
+    n = phi.n
+    cols += [_bivector_map(phi, {(n + k, n + l): 1}, phi._data) for (k, l) in pairs(phi.r)]
     return cols
 
 
@@ -461,13 +466,13 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
 
 
 def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
-    """Does sum a_ij e_ie_j + sum b_kl kappa(f_kl) kill phi?"""
+    """Does sum a_ij e_ie_j + sum b_kl kappa(f_kl) kill phi?  x's integer
+    terms, keyed by the pairs of spin(n + r), go to the one bivector action
+    ``twisted._bivector_map`` as they are: one walk over supp phi per XOR
+    pattern, and no generator.  Its denominator does not change the answer."""
     if (x.n, x.r) != (phi.n, phi.r):
         raise ShapeMismatch("ambient element and spinor shapes differ")
-    n, data = x.n, phi._data  # every part is over phi's one denominator, left out here
-    parts = [(v, 1, _spin_generator(phi, i, _spin_generator(phi, j, data)) if j <= n
-              else _bivector_map(phi, i - n, j - n, data)) for (i, j), v in x._terms.items()]
-    return not _lincomb(parts)[1]
+    return not _bivector_map(phi, x._terms, phi._data)
 
 
 def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo]]:

@@ -12,11 +12,10 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .errors import UnsupportedDimension
-from .forms import TwoForm, two_form_from_terms
+from .errors import InvalidValue, UnsupportedDimension
+from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
 from .spinrep import MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices
-from .twisted import form_action_on_spin_slot
 
 Pair = Tuple[int, int]
 
@@ -36,7 +35,7 @@ def maps_G_H(eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     -1 entries."""
     for e in eps:
         if e not in (1, -1):
-            raise ValueError(f"entries must be +-1, got {e}")
+            raise InvalidValue(f"entries must be +-1, got {e}")
     return tuple(e for e in eps for _ in (0, 1)), sum(1 for e in eps if e == -1)
 
 
@@ -286,9 +285,9 @@ def beta_forms(m: int) -> List[TwoForm]:
 def eta13_recursion_check(m: int) -> bool:
     """Verify the ladder action of the (1,3) 2-form on the graded sums
     psi_j:  eta13 . psi_j = -2 [ (j+1) psi_(j+1) + (j-1-m) psi_(j-1) ]."""
-    terms = build_qk_pure(m).expected_etas[(1, 3)].form_terms()
+    form = build_qk_pure(m).expected_etas[(1, 3)]
     for j in range(m + 1):
-        lhs = form_action_on_spin_slot(terms, psi_level(m, j))
+        lhs = form_action(form, psi_level(m, j))
         rhs = psi_level(m, j + 1).scale(gr(-2 * (j + 1))) + \
             psi_level(m, j - 1).scale(gr(-2 * (j - 1 - m)))
         if lhs != rhs:

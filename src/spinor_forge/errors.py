@@ -68,3 +68,9 @@ class UnsupportedDimension(SpinorForgeError):
 class MalformedInput(SpinorForgeError, ValueError):
     """A wire object that does not decode: a wrong JSON type, a missing
     field or a bad rational string.  Still a ``ValueError``."""
+
+
+class InvalidValue(SpinorForgeError, ValueError):
+    """An argument outside its finite set of allowed values: a certificate
+    kind other than 'pure' or 'reducing', a sign entry other than +-1.
+    Still a ``ValueError``."""

@@ -18,10 +18,11 @@ only with phi at v = u ^ d.  A pattern flips spin bits only, so
 ``ImageTable`` groups supp phi by the bits above the spin slot; for each u
 in supp w it walks u's group, and each v whose u ^ v is a pattern adds
 the signed real or imaginary part of w_u conj(phi_v) to every pair of that
-pattern.  A 2-form acts in one walk over supp phi: per v and per pattern
-that omega uses, the signed omega_ab of the pattern's pairs sum to one
-Gaussian integer, which multiplies phi_v into v ^ d.  Neither applies a
-generator.
+pattern.  A 2-form acts (``form_action``) through the one bivector action
+of spin(n) + spin(r), ``twisted._bivector_map``, on its integer terms:
+per pattern d that omega uses, one walk over supp phi, in which the signed
+omega_ab of the pattern's pairs sum to one Gaussian integer that
+multiplies phi_v into v ^ d.  Neither applies a generator.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . phi.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
@@ -42,8 +43,8 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import FormTerm, IntCoeffMap, ScaledSpinor, _pair_index, _pair_patterns, check_dimensions
-from .twisted import twist_bivector_action
+from .spinrep import ScaledSpinor, _pair_patterns, check_dimensions
+from .twisted import _bivector_map, twist_bivector_action
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,10 +84,6 @@ class TwoForm:
     def terms(self) -> List[Tuple[int, int, Fraction]]:
         """Nonzero (a, b, coeff) with a < b, 1-based, ascending."""
         return [(a, b, Fraction(v, self._den)) for (a, b), v in sorted(self._terms.items())]
-
-    def form_terms(self) -> List[FormTerm]:
-        """As Clifford products e_a e_b, ready for spinor action."""
-        return [FormTerm((a, b), c) for a, b, c in self.terms()]
 
     def __add__(self, other: TwoForm) -> TwoForm:
         if self.n != other.n:
@@ -233,13 +230,13 @@ def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, int, bool], ...]]:
 
 
 class ImageTable:
-    """One spinor's side of its induced forms and 2-form actions, read off
-    the one sign table ``spinrep._pair_patterns``; no generator is applied.
+    """One spinor's side of its induced forms, read off the one sign table
+    ``spinrep._pair_patterns``; no generator is applied.
 
     A pattern flips only spin bits, so phi is grouped once by the bits
     above the spin slot (``idx >> (n // 2)``): ``induced_form`` walks, for
     each u in supp w, only the v of u's group, and looks u ^ v up among the
-    patterns.  ``form_action`` walks supp phi once."""
+    patterns.  A 2-form acts on phi through ``form_action``, not here."""
 
     def __init__(self, phi: ScaledSpinor) -> None:
         self.phi = phi
@@ -269,40 +266,14 @@ class ImageTable:
         out = {(a, b): num * x for (a, b), x in zip(_pairs_b_major(n), acc) if x}
         return _two_form(n, s2.denominator * self.phi._den * w._den, out)
 
-    def form_action(self, omega: TwoForm) -> Tuple[int, IntCoeffMap]:
-        """omega . phi = sum omega_ab e_a e_b . phi (a < b), (D, an integer
-        map over D): per v in supp phi and per pattern d that omega uses, the
-        signed omega_ab of its pairs sum to cr + i ci, and (cr + i ci) phi_v
-        goes to v ^ d."""
-        index = _pair_index(self.phi.n)
-        by_d: Dict[int, List[Tuple[int, int, bool]]] = {}
-        for ab, x in omega._terms.items():
-            d, mask, sign, mixed = index[ab]
-            by_d.setdefault(d, []).append((-x if sign else x, mask, mixed))
-        acts = list(by_d.items())
-        acc: IntCoeffMap = {}
-        get = acc.get
-        for v, (pr, pi) in self.phi._data.items():
-            for d, entries in acts:
-                cr = ci = 0
-                for x, mask, mixed in entries:
-                    if (v & mask).bit_count() & 1:
-                        x = -x
-                    if mixed:
-                        ci += x
-                    else:
-                        cr += x
-                if not (cr or ci):
-                    continue
-                u, re, im = v ^ d, cr * pr - ci * pi, cr * pi + ci * pr
-                s = get(u)
-                if s is not None:
-                    re, im = re + s[0], im + s[1]
-                    if not (re or im):
-                        del acc[u]
-                        continue
-                acc[u] = (re, im)
-        return self.phi._den * omega._den, acc
+
+def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
+    """omega . phi = sum omega_ab e_a e_b . phi (a < b) on the Delta_n slot:
+    omega's integer terms through the one bivector action
+    ``twisted._bivector_map``, in one walk over supp phi per pattern."""
+    if omega.n != phi.n:
+        raise ShapeMismatch(f"2-form on R^{omega.n} acting on a spinor of Delta_{phi.n}")
+    return phi._with(phi._den * omega._den, _bivector_map(phi, omega._terms, phi._data))
 
 
 def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:

@@ -232,9 +232,6 @@ class ScaledSpinor:
     def is_zero(self) -> bool:
         return not self._data
 
-    def with_coeffs(self, coeffs: TwistedCoeffMap) -> ScaledSpinor:
-        return ScaledSpinor(self.n, self.r, self.m, coeffs, self.scale2)
-
     def __add__(self, other: ScaledSpinor) -> ScaledSpinor:
         return self._plus(other, 1)
 

@@ -12,20 +12,25 @@ Everything here runs on the kernel layout of ``spinrep``: an int index per
 basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 +1) and int (re, im) pairs over one denominator D per spinor.  A twist
 generator flips one bit of its slot, signed by the parity of the slot's
-bits below it.  A twist bivector f_k f_l reads its entry of the sign table
-``spinrep._pair_patterns`` for dim = r, shifted to each slot's bits, and
-acts on all m slots in one walk over the data.  A sesquilinear sum is an
-int sum over D1 * D2.
+bits below it.  ``_bivector_map`` is the one bivector action of
+spin(n) + spin(r) inside spin(n + r), f_k = e_(n+k): it takes integer
+terms {(i, j): x} over pairs i < j, reads a spin pair's entry of the sign
+table ``spinrep._pair_patterns`` for dim = n and a twist pair's for
+dim = r, shifted to each slot's bits, and walks the data once per XOR
+pattern.  A twist bivector f_k f_l (``twist_bivector_action``), a 2-form
+(``forms.form_action``) and a Lie-algebra element
+(``analysis.ambient_annihilates``) all act through it.  A sesquilinear sum
+is an int sum over D1 * D2.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
-from .scalars import GaussianRational, Rational, exact_rational
+from .scalars import GaussianRational, Rational, exact_rational, gr
 from .spinrep import (
     FormTerm,
     IntCoeffMap,
@@ -47,36 +52,57 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) ->
     return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
 
 
-def _bivector_map(phi: ScaledSpinor, k: int, l: int, data: IntCoeffMap) -> IntCoeffMap:
-    """sum over the m slots of f_k f_l on an integer map, over the same
-    denominator, in one walk over data: the entry of (k, l) in
-    ``_pair_index(r)``, shifted to each slot's bits.  f_k f_l = -f_l f_k,
-    and f_k f_k = -1 on every slot."""
-    if k == l:
-        m = phi.m
-        return {idx: (-m * re, -m * im) for idx, (re, im) in data.items()} if m else {}
-    if k > l:
-        return {idx: (-re, -im) for idx, (re, im) in _bivector_map(phi, l, k, data).items()}
-    d, mask, sign, mixed = _pair_index(phi.r)[(k, l)]
-    ks, kt = spinor_dim_exponent(phi.n), spinor_dim_exponent(phi.r)
-    slots = [(d << off, mask << off) for off in range(ks, ks + phi.m * kt, kt)]
+def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
+                  data: IntCoeffMap) -> IntCoeffMap:
+    """sum x e_i e_j over the integer terms {(i, j): x}, i < j pairs of
+    spin(n + r) with f_k = e_(n+k), on an integer map of phi's shape, over
+    the same denominator; the layout of ``AmbientElement._terms``.
+
+    A spin pair (j <= n) reads its entry of ``_pair_index(n)``; a twist
+    pair (n + k, n + l) reads the entry of (k, l) in ``_pair_index(r)``,
+    its d and mask shifted to each of the m slots, so it acts on all of
+    them.  The sign of each entry is folded into x once, and the entries
+    are grouped by d.  Then one walk over data per d: the x of the
+    pattern's entries, signed by the parity of v & mask, sum to cr + i ci,
+    and (cr + i ci) data_v goes to v ^ d.  No generator is applied."""
+    n, acts = phi.n, {}
+    spin = twist = None
+    for (i, j), x in terms.items():
+        if j <= n:
+            if spin is None:
+                spin = _pair_index(n)
+            d, mask, sign, mixed = spin[(i, j)]
+            acts.setdefault(d, []).append((-x if sign else x, mask, mixed))
+        else:
+            if twist is None:
+                twist = _pair_index(phi.r)
+                ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(phi.r)
+                offsets = range(ks, ks + phi.m * kt, kt)
+            d, mask, sign, mixed = twist[(i - n, j - n)]
+            for off in offsets:
+                acts.setdefault(d << off, []).append((-x if sign else x, mask << off, mixed))
     acc: IntCoeffMap = {}
     get = acc.get
-    for v, (re, im) in data.items():
-        if mixed:  # times i
-            re, im = -im, re
-        if sign:
-            re, im = -re, -im
-        for flip, slot_mask in slots:
-            x, y = (-re, -im) if (v & slot_mask).bit_count() & 1 else (re, im)
-            u = v ^ flip
+    for d, entries in acts.items():
+        for v, (pr, pi) in data.items():
+            cr = ci = 0
+            for x, mask, mixed in entries:
+                if (v & mask).bit_count() & 1:
+                    x = -x
+                if mixed:
+                    ci += x
+                else:
+                    cr += x
+            if not (cr or ci):
+                continue
+            u, re, im = v ^ d, cr * pr - ci * pi, cr * pi + ci * pr
             s = get(u)
             if s is not None:
-                x, y = x + s[0], y + s[1]
-                if not (x or y):
+                re, im = re + s[0], im + s[1]
+                if not (re or im):
                     del acc[u]
                     continue
-            acc[u] = (x, y)
+            acc[u] = (re, im)
     return acc
 
 
@@ -120,10 +146,15 @@ def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpino
 
 
 def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
-    """The bivector f_k f_l acting as the sum of its m slot actions."""
+    """The bivector f_k f_l acting as the sum of its m slot actions:
+    f_k f_l = -f_l f_k, and f_k f_k = -1 on every slot."""
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
-    return phi._with(phi._den, _bivector_map(phi, k, l, phi._data))
+    if k == l:
+        return phi.scale(gr(-phi.m))
+    n = phi.n
+    terms = {(n + k, n + l): 1} if k < l else {(n + l, n + k): -1}
+    return phi._with(phi._den, _bivector_map(phi, terms, phi._data))
 
 
 def twisted_group_action(
@@ -185,15 +216,3 @@ def _norm2(scale2: Fraction, den: int, data: IntCoeffMap) -> Fraction:
     return Fraction(scale2.numerator * sum(re * re + im * im for re, im in data.values()),
                     scale2.denominator * den * den)
 
-
-def from_untwisted(psi: ScaledSpinor, r: int, m: int = 0,
-                   twist: Tuple[Tuple[int, ...], ...] = ()) -> ScaledSpinor:
-    """Embed an untwisted (m = 0) spinor, optionally tensored with fixed twist
-    basis vectors (one tuple per slot); scale2 is kept."""
-    if psi.m:
-        raise ShapeMismatch(f"need an untwisted (m = 0) spinor, got m = {psi.m}")
-    out = ScaledSpinor(psi.n, r, m, {}, psi.scale2)
-    # the all -1 spin tuple has no bits set, so this index is the twist's bits
-    # alone; _index refuses a twist of the wrong length or entries
-    shift = out._index((-1,) * spinor_dim_exponent(psi.n), twist)
-    return out._with(psi._den, {idx | shift: c for idx, c in psi._data.items()})

@@ -35,9 +35,11 @@ from spinor_forge.catalog import (
 )
 from spinor_forge.errors import (
     EmptyInput,
+    InvalidValue,
     NotOrthogonal,
     RankTooSmall,
     ShapeMismatch,
+    SpinorForgeError,
     ZeroSpinor,
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
@@ -45,7 +47,7 @@ from spinor_forge.linalg import (
     RowReducer, givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
+from spinor_forge.spinrep import FormTerm, SpinorVector, all_basis_indices, basis_spinor, kappa_generator
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
@@ -641,10 +643,11 @@ def _direct_rotated_verdicts(phi, a, kind):
         c = {(s, t): a[k - 1][s - 1] * a[l - 1][t - 1] - a[k - 1][t - 1] * a[l - 1][s - 1]
              for (s, t) in pairs(phi.r)}
         form = phi_extend(phi, c)
-        twist = phi.with_coeffs({})
+        twist = ScaledSpinor(phi.n, phi.r, phi.m, {}, phi.scale2)
         for (s, t), cst in c.items():
             twist = twist + twist_bivector_action(s, t, phi).scale(gr(cst))
-        defect = form_action_on_spin_slot(form.form_terms(), phi) + \
+        terms = [FormTerm((a, b), c) for a, b, c in form.terms()]
+        defect = form_action_on_spin_slot(terms, phi) + \
             twist.scale(gr(coefficient))
         if kind == "pure":
             h = eta_hat(form)
@@ -782,10 +785,11 @@ def test_frame_and_equivariance_reject_unknown_kind():
     from spinor_forge.linalg import identity
 
     phi = build_qk_pure(1).spinor
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue, match="purest"):
         frame_rotation_check(phi, identity(3), "purest")
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue, match="purest"):
         equivariance_check(phi, [], [], "purest")
+    assert issubclass(InvalidValue, SpinorForgeError) and issubclass(InvalidValue, ValueError)
 
 
 def test_frame_rotation_rejects_non_orthogonal():

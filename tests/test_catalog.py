@@ -16,16 +16,19 @@ from spinor_forge.catalog import (
     psi_level,
     sign_tuples,
 )
-from spinor_forge.errors import UnsupportedDimension
+from spinor_forge.errors import InvalidValue, UnsupportedDimension
 from spinor_forge.forms import eta
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import all_basis_indices, basis_spinor, gamma_apply
+from spinor_forge.spinrep import FormTerm, all_basis_indices, basis_spinor, gamma_apply
 from spinor_forge.twisted import ScaledSpinor, form_action_on_spin_slot, norm2, twist_bivector_action
 
 
 def test_maps_G_H():
     assert maps_G_H((1, -1)) == ((1, 1, -1, -1), 1)
     assert maps_G_H((1, 1, 1)) == ((1, 1, 1, 1, 1, 1), 0)
+    for bad in ((0,), (1, 2), (1, -1, 3)):
+        with pytest.raises(InvalidValue, match="entries must be"):
+            maps_G_H(bad)
     # level sizes follow binomials; total 2^m
     assert sum(len(sign_tuples(4, j)) for j in range(5)) == 16
     from math import comb
@@ -183,7 +186,7 @@ def test_eta13_recursion(m):
 def test_eta13_hand_cases_m1():
     # j=0: eta13 . psi_0 = -2 psi_1 ; j=1: eta13 . psi_1 = +2 psi_0
     ent = build_qk_pure(1)
-    terms = ent.expected_etas[(1, 3)].form_terms()
+    terms = [FormTerm((a, b), c) for a, b, c in ent.expected_etas[(1, 3)].terms()]
     out0 = form_action_on_spin_slot(terms, psi_level(1, 0))
     assert out0.coeffs == psi_level(1, 1).scale(gr(-2)).coeffs
     out1 = form_action_on_spin_slot(terms, psi_level(1, 1))

@@ -8,7 +8,8 @@ import pytest
 
 from spinor_forge import catalog, spinrep, twisted
 from spinor_forge.analysis import (
-    AmbientElement, check_pure, check_reducing, frame_rotation_check,
+    AmbientElement, ambient_annihilates, annihilator, check_pure, check_reducing,
+    check_spinc_pure, frame_rotation_check,
 )
 from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
@@ -23,6 +24,7 @@ from spinor_forge.forms import (
     eta,
     eta_hat,
     etas,
+    form_action,
     form_lincomb,
     phi_extend,
     spinc_form,
@@ -31,6 +33,7 @@ from spinor_forge.forms import (
 from spinor_forge.linalg import random_so_matrix, transpose
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
+    FormTerm,
     SpinorVector,
     _pair_patterns,
     _slot_unit,
@@ -43,7 +46,6 @@ from spinor_forge.spinrep import (
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
-    from_untwisted,
     tangent_action,
     twist_bivector_action,
     twisted_group_action,
@@ -213,9 +215,9 @@ def test_pair_patterns_partition_the_pairs():
 
 
 def test_induced_forms_apply_no_spin_generator(monkeypatch):
-    """Induced forms, 2-form actions and the certificates read the pair
-    table: with every generator application refused they give the same
-    results."""
+    """Induced forms, 2-form actions, Lie-algebra element actions and the
+    certificates read the pair table: with every generator application
+    refused they give the same results."""
     def refuse(*args):
         raise AssertionError("generator applied")
 
@@ -223,16 +225,26 @@ def test_induced_forms_apply_no_spin_generator(monkeypatch):
     phi, psi = random_scaled(6, 4, 2, rng, terms=8), random_scaled(6, 0, 0, rng, terms=8)
     rank2 = random_scaled(5, 2, 1, rng, terms=8)
     qk = catalog.build_qk_pure(2).spinor
+    spinc_pure = basis_spinor(4, (1, 1))
     expected = (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2))
-    actions = [ImageTable(phi).form_action(form) for form in expected[0].values()]
+    actions = [form_action(form, phi) for form in expected[0].values()]
     verdicts = (check_pure(phi), check_pure(qk), check_reducing(phi))
+    spinc_verdicts = (check_spinc_pure(psi), check_spinc_pure(spinc_pure))
+    assert spinc_verdicts == (False, True)
+    stabilizer = annihilator([qk]).basis  # its spin columns apply generators
+    moved = [AmbientElement(x.n, x.r, a={**x.a, (1, 2): x.a.get((1, 2), 0) + 1}, b=x.b)
+             for x in stabilizer]
     for module in (spinrep, twisted):
         monkeypatch.setattr(module, "_generator_on_map", refuse)
     with pytest.raises(AssertionError, match="generator applied"):  # the patch holds
         kappa_generator(6, 1, phi)
     assert (etas(phi), eta(phi, 1, 3), spinc_form(psi), spinc_form(rank2)) == expected
-    assert [ImageTable(phi).form_action(form) for form in expected[0].values()] == actions
+    assert [form_action(form, phi) for form in expected[0].values()] == actions
     assert (check_pure(phi), check_pure(qk), check_reducing(phi)) == verdicts
+    assert (check_spinc_pure(psi), check_spinc_pure(spinc_pure)) == spinc_verdicts
+    assert all(ambient_annihilates(x, qk) for x in stabilizer) and len(stabilizer) == 13
+    assert not any(ambient_annihilates(x, qk) for x in moved)
+    assert catalog.eta13_recursion_check(2)
     assert verdicts[1].is_pure
     table = expected[0]
     assert phi_extend(phi, {(1, 2): F(1, 2), (3, 4): F(-2)}) == \
@@ -421,7 +433,7 @@ def test_two_form_operations_match_fraction_oracle():
 
 @pytest.mark.parametrize("bad", [0.1, True, 1j, None, "x", "1/0"])
 @pytest.mark.parametrize("call", [
-    lambda x: tangent_action([x, 0, 0, 0], from_untwisted(basis_spinor(4, (1, 1)), 3, 1, ((1,),))),
+    lambda x: tangent_action([x, 0, 0, 0], ScaledSpinor(4, 3, 1, {((1, 1), ((1,),)): gr(1)})),
     lambda x: tangent_action([x, 0, 0, 0], basis_spinor(4, (1, 1))),
     lambda x: twisted_group_action([[x, 0, 0, 0], [1, 0, 0, 0]], [], basis_spinor(4, (1, 1))),
     lambda x: spin_action_on_vector(4, [[1, 0, 0, 0], [1, 0, 0, 0]], [x, 0, 0, 0]),
@@ -513,7 +525,8 @@ def test_spinc_prototype_form_and_annihilation():
     expect[2][3], expect[3][2] = F(1), F(-1)
     assert h.mat == expect
     # (eta + 2i) psi = 0
-    d = form_action_on_spin_slot(form.form_terms(), psi) + psi.scale(gr(0, 2))
+    terms = [FormTerm((a, b), c) for a, b, c in form.terms()]
+    d = form_action_on_spin_slot(terms, psi) + psi.scale(gr(0, 2))
     assert d.is_zero()
 
 
@@ -529,7 +542,8 @@ def test_spinc_twisted_route_agrees_with_untwisted():
         if not psi.is_zero():
             samples.append(psi)
     for psi in samples:
-        twisted = from_untwisted(psi, r=2, m=1, twist=((1,),))
+        twisted = ScaledSpinor(4, 2, 1, {(eps, ((1,),)): c for (eps, _), c in psi.coeffs.items()},
+                               psi.scale2)
         assert spinc_form(twisted).mat == spinc_form(psi).mat
 
 

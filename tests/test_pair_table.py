@@ -1,12 +1,14 @@
-"""The one sign table for e_a e_b, and the three kernels that read it,
+"""The one sign table for e_a e_b, and the two kernels that read it,
 against the generator path.
 
-``spinrep._pair_patterns`` serves induced forms (``ImageTable.induced_form``),
-2-form actions (``ImageTable.form_action``) and twist-bivector actions
-(``twisted._bivector_map``).  The oracles here apply single generators one
-after the other (``_generator_on_map``, ``form_action_on_spin_slot``,
-``mu_slot``, ``kappa_generator``) and pair with ``twisted_hermitian``; none
-of them reads the table.
+``spinrep._pair_patterns`` serves induced forms (``ImageTable.induced_form``)
+and the one bivector action of spin(n) + spin(r) (``twisted._bivector_map``),
+through which 2-forms (``forms.form_action``), twist bivectors
+(``twist_bivector_action``) and Lie-algebra elements (``ambient_annihilates``)
+act.  The oracles here apply single generators one after the other
+(``_generator_on_map``, ``form_action_on_spin_slot``, ``mu_slot``,
+``kappa_generator``) and pair with ``twisted_hermitian``; none of them reads
+the table.
 """
 
 import random
@@ -15,7 +17,10 @@ from itertools import combinations
 
 import pytest
 
-from spinor_forge.forms import ImageTable, two_form_from_terms
+from spinor_forge.analysis import AmbientElement, _ambient_pairs, ambient_annihilates, annihilator
+from spinor_forge.catalog import build_qk_pure, build_spin7_pure, build_spin7_reducing
+from spinor_forge.errors import ShapeMismatch
+from spinor_forge.forms import ImageTable, form_action, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
@@ -27,6 +32,7 @@ from spinor_forge.spinrep import (
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
+    _bivector_map,
     form_action_on_spin_slot,
     mu_slot,
     twist_bivector_action,
@@ -87,11 +93,13 @@ def test_form_action_matches_generator_path(n, r, m):
     rng = random.Random(100 * n + 10 * r + m)
     for terms, density in ((3, 0.3), (40, 1.0)):
         phi = rational_spinor(n, r, m, rng, terms)
-        table = ImageTable(phi)
         for omega in (rational_form(n, rng, density), rational_form(n, rng, 0.1)):
-            den, data = table.form_action(omega)
-            assert all(re or im for re, im in data.values())
-            assert phi._with(den, data) == form_action_on_spin_slot(omega.form_terms(), phi)
+            got = form_action(omega, phi)
+            assert all(re or im for re, im in got._data.values())
+            terms = [FormTerm((a, b), c) for a, b, c in omega.terms()]
+            assert got == form_action_on_spin_slot(terms, phi)
+    with pytest.raises(ShapeMismatch):  # a 2-form on R^(n+1)
+        form_action(rational_form(n + 1, rng, 1.0), phi)
 
 
 def generator_form(w, phi):
@@ -160,3 +168,72 @@ def test_twist_bivector_action_matches_generator_path(n, r, m):
                                                         mu_slot(a, [FormTerm((l,))], phi)))
                 assert got == after, (k, l)
             assert twist_bivector_action(k, k, phi) == phi.scale(gr(-m))
+
+
+def random_element_terms(n, r, rng, density):
+    """Seeded integer terms {(i, j): x} over the pairs i < j of spin(n + r)
+    that ``_bivector_map`` reads: spin pairs (j <= n) and twist pairs
+    (n + k, n + l), each kept with probability ``density``."""
+    pairs = list(combinations(range(1, n + 1), 2))
+    pairs += [(n + k, n + l) for k, l in combinations(range(1, r + 1), 2)]
+    return {p: x for p in pairs if rng.random() < density and (x := rng.randint(-9, 9))}
+
+
+def slot_oracle(terms, phi):
+    """The spin part by ``form_action_on_spin_slot`` plus the twist part by
+    ``mu_slot`` on every slot; neither reads the pair table."""
+    n = phi.n
+    spin = [FormTerm((i, j), x) for (i, j), x in terms.items() if j <= n]
+    twist = [FormTerm((i - n, j - n), x) for (i, j), x in terms.items() if j > n]
+    out = form_action_on_spin_slot(spin, phi)
+    for a in range(1, phi.m + 1):
+        out = out + mu_slot(a, twist, phi)
+    return out
+
+
+@pytest.mark.parametrize("n,r,m", SHAPES)
+def test_bivector_map_matches_slot_oracles(n, r, m):
+    """The one action on elements with a spin part, a twist part or both,
+    against the slot oracles; cancelled entries are dropped."""
+    rng = random.Random(400 * n + 10 * r + m)
+    for terms, density in ((3, 0.3), (40, 1.0)):
+        phi = rational_spinor(n, r, m, rng, terms)
+        for _ in range(3):
+            x = random_element_terms(n, r, rng, density)
+            for part in (x, {p: v for p, v in x.items() if p[1] <= n},
+                         {p: v for p, v in x.items() if p[1] > n}):
+                got = _bivector_map(phi, part, phi._data)
+                assert all(re or im for re, im in got.values())
+                assert phi._with(phi._den, got) == slot_oracle(part, phi), (n, r, m, part)
+    assert _bivector_map(phi, {}, phi._data) == {}
+
+
+def perturbed(x, p):
+    """x with the coefficient of the pair p of spin(n + r) raised by 1."""
+    flat = dict(zip(_ambient_pairs(x.n, x.r), x.flat()))
+    flat[p] += 1
+    n = x.n
+    return AmbientElement(x.n, x.r, a={q: c for q, c in flat.items() if q[1] <= n},
+                          b={(i - n, j - n): c for (i, j), c in flat.items() if j > n})
+
+
+ANNIHILATOR_CASES = [(f"qk({m})", lambda m=m: [build_qk_pure(m).spinor]) for m in range(1, 6)]
+ANNIHILATOR_CASES.append(("spin7 pair", lambda: [build_spin7_pure().spinor,
+                                                 build_spin7_reducing().spinor]))
+
+
+@pytest.mark.parametrize("label,spinors", ANNIHILATOR_CASES, ids=[c[0] for c in ANNIHILATOR_CASES])
+def test_annihilator_basis_kills_its_spinors(label, spinors):
+    """Every annihilator basis element kills its spinors under the one
+    action; at qk(2) and the spin7 pair no basis element with one
+    coefficient raised by 1 does, since (x + e_p) . phi = e_p . phi != 0."""
+    phis = spinors()
+    alg = annihilator(phis)
+    assert alg.dim and alg.closed
+    for x in alg.basis:
+        assert all(ambient_annihilates(x, phi) for phi in phis), label
+    if label in ("qk(2)", "spin7 pair"):
+        for x in alg.basis:
+            for p in _ambient_pairs(x.n, x.r):
+                y = perturbed(x, p)
+                assert not any(ambient_annihilates(y, phi) for phi in phis), (label, p)

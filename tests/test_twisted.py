@@ -10,7 +10,6 @@ from spinor_forge.spinrep import FormTerm, all_basis_indices, spin_action_on_vec
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
-    from_untwisted,
     mu_slot,
     norm2,
     tangent_action,
@@ -178,7 +177,7 @@ def test_twisted_hermitian_zero_and_unit_norm():
     phi = ScaledSpinor(2, 3, 1,
                        {((s,), ((t,),)): gr(1) for s in (1, -1) for t in (1, -1)},
                        F(1, 4))
-    zero = phi.with_coeffs({})
+    zero = ScaledSpinor(2, 3, 1, {}, F(1, 4))
     assert twisted_hermitian(phi, zero) == gr(0)
     assert norm2(phi) == 1
 
@@ -260,9 +259,3 @@ def test_vanishing_identity_suite_small(shape):
                     assert twisted_hermitian(e4, phi).re == 0
 
 
-def test_from_untwisted_keeps_scale2_and_refuses_twisted_input():
-    psi = ScaledSpinor(4, 0, 0, {((1, -1), ()): gr(1, 2)}, F(3, 5))
-    phi = from_untwisted(psi, 3, 1, ((-1,),))
-    assert phi.coeffs == {((1, -1), ((-1,),)): gr(1, 2)} and phi.scale2 == F(3, 5)
-    with pytest.raises(ShapeMismatch):
-        from_untwisted(phi, 3, 1, ((1,),))

@@ -36,6 +36,8 @@ from .twisted import (
     _bivector_map,
     _norm2,
     _spin_generator,
+    _twist_acts,
+    _walk,
     twist_bivector_action,
     twisted_group_action,
 )
@@ -265,10 +267,13 @@ def _certify(phi: ScaledSpinor, kind: str,
 
     One ``forms.ImageTable`` of phi serves every pair: with w_st = kappa(f_st) . phi
     it gives eta_st by XOR-pattern pairing, and D_st = eta_st . phi + c w_st
-    (c = 2 "pure", 1 "reducing").  w_st and eta_st . phi are the one bivector
-    action ``twisted._bivector_map``, on f_s f_t and on eta_st's integer
-    terms over phi's denominator times eta_st's; all three read the one sign
-    table ``spinrep._pair_patterns``, so no generator is applied.  Both are linear in
+    (c = 2 "pure", 1 "reducing").  w_st is one walk of the cached acts of
+    f_s f_t and eta_st . phi the one bivector action
+    ``twisted._bivector_map`` on eta_st's integer terms, over phi's
+    denominator times eta_st's; all three read the signed flips of
+    ``spinrep._monomial``, so no generator is applied.  eta_hat^2 = -Id is
+    checked row by row (``Endo.squares_to_minus_identity``), stopping at
+    the first failing row.  Both are linear in
     f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st = a_ks a_lt - a_kt a_ls is an
     integer over d^2 once A is an integer matrix over d: a rotated pair is one
     ``forms.form_lincomb`` sum of the eta_st and one ``_lincomb`` of the D_st."""
@@ -301,7 +306,7 @@ def _certify(phi: ScaledSpinor, kind: str,
             dn2 = _norm2(phi.scale2, den, defect)
             if kind == "pure":
                 h = eta_hat(form)
-                flag = h.compose(h).is_minus_identity()
+                flag = h.squares_to_minus_identity()
                 per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
             else:
                 flag = not form.is_zero()
@@ -347,7 +352,7 @@ def check_spinc_pure(psi: ScaledSpinor) -> bool:
     form = spinc_form(psi)
     d = form_action(form, psi) + psi.scale(gr(0, half))
     h = eta_hat(form)
-    return d.is_zero() and h.compose(h).is_minus_identity()
+    return d.is_zero() and h.squares_to_minus_identity()
 
 
 # -- even Clifford relation verification --------------------------------------
@@ -382,7 +387,7 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
 
     for (k, l) in pairs(r):
         h = full[(k, l)]
-        if not h.compose(h).is_minus_identity():
+        if not h.squares_to_minus_identity():
             return RelationReport(False, f"square(({k},{l})) != -Id")
 
     for (i, j) in pairs(r):
@@ -422,12 +427,12 @@ def _annihilator_columns(phi: ScaledSpinor) -> List[IntCoeffMap]:
     """Action of each unknown generator on phi: all e_ie_j on the spin slot,
     then all kappa(f_kf_l) on the twist slots, as integer maps over phi's
     one denominator.  The spin columns reuse the n - 1 images e_j . phi, which
-    is cheaper than one bivector walk per pair; each twist column is the
-    one bivector action ``_bivector_map`` of f_k f_l."""
+    is cheaper than one bivector walk per pair; each twist column is one
+    ``_walk`` of the cached acts of f_k f_l (``twisted._twist_acts``)."""
     images = {j: _spin_generator(phi, j, phi._data) for j in range(2, phi.n + 1)}
     cols = [_spin_generator(phi, i, images[j]) for (i, j) in pairs(phi.n)]
-    n = phi.n
-    cols += [_bivector_map(phi, {(n + k, n + l): 1}, phi._data) for (k, l) in pairs(phi.r)]
+    n, r, m = phi.shape()
+    cols += [_walk(_twist_acts(n, r, m, k, l), phi._data) for (k, l) in pairs(r)]
     return cols
 
 

@@ -169,6 +169,22 @@ class Endo:
     def is_minus_identity(self) -> bool:
         return self._den == 1 and all(row == {i: -1} for i, row in enumerate(self._rows))
 
+    def squares_to_minus_identity(self) -> bool:
+        """self^2 == -Id, as ``self.compose(self).is_minus_identity()`` but
+        row by row: row i of the integer product is sum_j rows[i][j] rows[j],
+        and it must be -den^2 at i and 0 elsewhere.  Stops at the first row
+        that fails, and builds no product ``Endo``."""
+        rows, target = self._rows, -self._den * self._den
+        for i, row in enumerate(rows):
+            acc: SparseRow = {}
+            get = acc.get
+            for j, x in row.items():
+                for k, y in rows[j].items():
+                    acc[k] = get(k, 0) + x * y
+            if acc.pop(i, 0) != target or any(acc.values()):
+                return False
+        return True
+
     def scale(self, c: Rational) -> Endo:
         c = exact_rational(c)
         return _endo(self.n, self._den * c.denominator,

@@ -4,7 +4,8 @@ Rationals travel as decimal strings "p/q" ("/q" omitted when q = 1);
 exponent notation is refused.  Gaussian rationals travel as
 {"re": "p/q", "im": "p/q"}.  All decoders validate shape and raise
 ``errors.MalformedInput`` (a ``SpinorForgeError`` and a ``ValueError``) with a
-diagnostic on malformed input; dimensions are checked against the caps of
+diagnostic on malformed input, a repeated basis index or 2-form term
+included; dimensions are checked against the caps of
 ``spinrep.check_dimensions`` before the coefficients are read.
 
 There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
@@ -74,6 +75,13 @@ def _eps_from_json(v: Any, what: str) -> tuple:
     return tuple(v)
 
 
+def _check_new(seen: Dict[Any, Any], key: Any, what: str) -> None:
+    """A key may appear once on the wire: a repeat would silently replace
+    the earlier entry, so it is refused."""
+    if key in seen:
+        raise MalformedInput(f"repeated {what} {key!r}")
+
+
 def _coeff_strings(phi: ScaledSpinor) -> List[Tuple[TwistedIndex, str, str]]:
     """phi's coefficients as (key, re, im) strings, in wire order: x / den in
     lowest terms, as str(Fraction(x, den)) writes it, one gcd per distinct x."""
@@ -101,7 +109,9 @@ def spinor_from_json(obj: Any) -> ScaledSpinor:
     coeffs = {}
     for entry in _list_from_json(obj["coeffs"], "coeffs"):
         entry = _object_from_json(entry, ("eps",), "coefficient entry")
-        coeffs[_eps_from_json(entry["eps"], "eps")] = gaussian_from_json(entry)
+        eps = _eps_from_json(entry["eps"], "eps")
+        _check_new(coeffs, eps, "basis index")
+        coeffs[eps] = gaussian_from_json(entry)
     return SpinorVector(n, coeffs)
 
 
@@ -126,6 +136,7 @@ def scaled_spinor_from_json(obj: Any) -> ScaledSpinor:
         spin = _eps_from_json(entry["spin"], "spin")
         twist = tuple(_eps_from_json(t, "twist slot")
                       for t in _list_from_json(entry["twist"], "twist"))
+        _check_new(coeffs, (spin, twist), "basis index")
         coeffs[(spin, twist)] = gaussian_from_json(entry)
     return ScaledSpinor(n, r, m, coeffs, rational_from_json(obj["scale2"]))
 
@@ -147,6 +158,7 @@ def two_form_from_json(obj: Any) -> TwoForm:
     for t in _list_from_json(obj["terms"], "terms"):
         t = _object_from_json(t, ("a", "b", "coeff"), "2-form term")
         key = (_int_from_json(t["a"], "a"), _int_from_json(t["b"], "b"))
+        _check_new(terms, key, "2-form term")
         terms[key] = rational_from_json(t["coeff"])
     return two_form_from_terms(n, terms)
 

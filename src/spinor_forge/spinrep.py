@@ -19,13 +19,20 @@ bits below j-1:
     e_(2j-1): c -> (-1)^p i c        e_(2j): c -> -(-1)^(p + bit j-1) c
 
 and the odd-dimension generator flips nothing and gives (-1)^p i c with p
-the parity of the whole slot.  One walk serves every slot, and nothing of
-size 2^k x 2^k is built.  Coefficients are (int re, int im) pairs over one
-positive integer denominator per spinor, reduced by the content gcd after
-every public operation, so equal spinors have equal layouts; sums run in
-ints and a Fraction appears only in an output.  ``_entries()`` reads the
-layout back in wire order; the tuple-keyed ``coeffs`` view is built from it
-on demand, and the wire encoders read it directly.
+the parity of the whole slot.  So every Clifford monomial e_(i1)...e_(is)
+on a slot is one signed flip (``_monomial``): phi_v goes to v ^ d times
+(-1)^parity(v & mask) i^phase.  Composition rule: the factors act right
+to left, and a generator (f, m) applied after (d, mask, phase) reads its
+parity at v ^ d, so d ^= f, mask ^= m and phase += 2 parity(d & m) + 1
+(g1, odd generator) or + 2 (g2), the parity taken before d moves.  A
+slot action (``twisted._walk``) walks phi once per distinct flip d, and
+nothing of size 2^k x 2^k is built.  Coefficients are (int re, int im)
+pairs over one positive integer denominator per spinor, reduced by the
+content gcd after every public operation, so equal spinors have equal
+layouts; sums run in ints and a Fraction appears only in an output.
+``_entries()`` reads the layout back in wire order; the tuple-keyed
+``coeffs`` view is built from it on demand, and the wire encoders read it
+directly.
 """
 
 from __future__ import annotations
@@ -33,7 +40,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
@@ -290,6 +297,31 @@ def _generator_on_map(data: IntCoeffMap, flip: int, mask: int, imaginary: bool) 
     return out
 
 
+@lru_cache(maxsize=1 << 14)  # bounded: a caller may pass any of 2^dim products
+def _monomial(dim: int, factors: Tuple[int, ...]) -> Tuple[int, int, int]:
+    """(d, mask, phase) of the Clifford product e_(i1)...e_(is) of
+    ``factors`` (any order, repeats allowed) on a Delta_dim slot whose bits
+    start at 0: one signed flip,
+
+        (e_(i1)...e_(is) . phi)[v ^ d] = (-1)^parity(v & mask) i^phase phi_v.
+
+    Composition rule: the factors act right to left, each the signed flip
+    (f, m, imaginary) of ``_slot_unit``.  A generator applied after (d,
+    mask, phase) reads its parity at v ^ d, and parity((v ^ d) & m) =
+    parity(v & m) + parity(d & m); so phase += 2 parity(d & m) + (1 if
+    imaginary else 2), with d taken before the flip (i for g1 and the odd
+    generator, -1 = i^2 for g2), then d ^= f and mask ^= m.  The empty
+    product is (0, 0, 0), and e_j e_j gives (0, 0, 2) = -1.  A slot whose
+    bits start at offset o shifts d and mask left by o."""
+    d = mask = phase = 0
+    for i in reversed(factors):
+        f, m, imaginary = _slot_unit(0, dim, i)
+        phase += 2 * ((d & m).bit_count() & 1) + (1 if imaginary else 2)
+        d ^= f
+        mask ^= m
+    return d, mask, phase & 3
+
+
 PairEntry = Tuple[Tuple[int, int], int, int, bool]
 
 
@@ -299,32 +331,19 @@ def _pair_patterns(dim: int) -> Tuple[Tuple[int, Tuple[PairEntry, ...]], ...]:
     0, grouped by the XOR pattern d = flip_a ^ flip_b.  An entry
     ((a, b), mask, sign, mixed) reads
 
-        (e_a e_b . phi)[v ^ d] = (-1)^(parity(v & mask) + sign) (i if mixed else 1) phi_v.
+        (e_a e_b . phi)[v ^ d] = (-1)^(parity(v & mask) + sign) (i if mixed else 1) phi_v,
 
-    From ``_slot_unit``: e_b takes v to v ^ f_b with the unit i (-1)^p or
-    -(-1)^p, p = parity(v & m_b), and e_a reads its parity at v ^ f_b, which
-    adds parity(f_b & m_a); so mask = m_a ^ m_b, mixed says a and b are of
-    different kinds, and sign = parity(f_b & m_a) + [both imaginary] +
-    [mixed], as i i = -1 and i (-1) = -i.  d = 0 holds the k = dim // 2
-    pairs (2j-1, 2j), each two-bit d four pairs, and for odd dim each
-    one-bit d the two pairs with the last generator, which flips nothing.
-    A slot whose bits start at offset o shifts d and mask left by o."""
-    units = [_slot_unit(0, dim, a) for a in range(1, dim + 1)]
+    which is ``_monomial(dim, (a, b))`` = (d, mask, 2 sign + mixed): mixed
+    says a and b are of different kinds (one unit i, one -1).  d = 0 holds
+    the k = dim // 2 pairs (2j-1, 2j), each two-bit d four pairs, and for
+    odd dim each one-bit d the two pairs with the last generator, which
+    flips nothing."""
     patterns: Dict[int, List[PairEntry]] = {}
     for b in range(2, dim + 1):
-        fb, mb, ib = units[b - 1]
         for a in range(1, b):
-            fa, ma, ia = units[a - 1]
-            sign = (fb & ma).bit_count() + (ia and ib) + (ia != ib)
-            patterns.setdefault(fa ^ fb, []).append(((a, b), ma ^ mb, sign & 1, ia != ib))
+            d, mask, phase = _monomial(dim, (a, b))
+            patterns.setdefault(d, []).append(((a, b), mask, phase >> 1, bool(phase & 1)))
     return tuple((d, tuple(group)) for d, group in patterns.items())
-
-
-@cache
-def _pair_index(dim: int) -> Dict[Tuple[int, int], Tuple[int, int, int, bool]]:
-    """{(a, b): (d, mask, sign, mixed)} over the entries of ``_pair_patterns(dim)``."""
-    return {ab: (d, mask, sign, mixed)
-            for d, group in _pair_patterns(dim) for ab, mask, sign, mixed in group}
 
 
 def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:

@@ -10,35 +10,41 @@ multiplied by scale2; purely linear operations leave it untouched.
 
 Everything here runs on the kernel layout of ``spinrep``: an int index per
 basis vector (spin bits lowest, then each twist slot's, a set bit meaning
-+1) and int (re, im) pairs over one denominator D per spinor.  A twist
-generator flips one bit of its slot, signed by the parity of the slot's
-bits below it.  ``_bivector_map`` is the one bivector action of
-spin(n) + spin(r) inside spin(n + r), f_k = e_(n+k): it takes integer
-terms {(i, j): x} over pairs i < j, reads a spin pair's entry of the sign
-table ``spinrep._pair_patterns`` for dim = n and a twist pair's for
-dim = r, shifted to each slot's bits, and walks the data once per XOR
-pattern.  A twist bivector f_k f_l (``twist_bivector_action``), a 2-form
-(``forms.form_action``) and a Lie-algebra element
-(``analysis.ambient_annihilates``) all act through it.  A sesquilinear sum
-is an int sum over D1 * D2.
++1) and int (re, im) pairs over one denominator D per spinor.  Every
+Clifford monomial on a slot is one signed flip, ``spinrep._monomial``:
+(d, mask, phase), folded right to left from the generators' flips, with
+phi_v going to v ^ d times (-1)^parity(v & mask) i^phase; a twist slot
+shifts d and mask to its bits.  ``_walk`` is the one kernel: it takes the
+flips grouped by d, each sign folded into an integer coefficient, and
+walks phi once per distinct d.  A slot action (``tangent_action``,
+``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``)
+clears its rational coefficients to integers and makes one walk per
+distinct flip; a twist bivector f_k f_l reads its acts on all m slots
+from a cache per (n, r, m, k, l) (``_twist_acts``); and
+``_bivector_map`` is the one bivector action of spin(n) + spin(r) inside
+spin(n + r), f_k = e_(n+k), on integer terms {(i, j): x} over pairs
+i < j, through which a 2-form (``forms.form_action``) and a Lie-algebra
+element (``analysis.ambient_annihilates``) act.  None applies a
+generator.  A sesquilinear sum is an int sum over D1 * D2.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
-from .scalars import GaussianRational, Rational, exact_rational, gr
+from .scalars import GaussianRational, Rational, exact_rational
 from .spinrep import (
     FormTerm,
     IntCoeffMap,
     ScaledSpinor,
     _check_unit_vectors,
     _generator_on_map,
-    _lincomb,
-    _pair_index,
+    _merge,
+    _monomial,
     _slot_unit,
     _spin_generator,
     spinor_dim_exponent,
@@ -47,9 +53,76 @@ from .spinrep import (
 
 def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) -> IntCoeffMap:
     """kappa(f_i) on twist slot ``slot`` (1-based) of an integer coefficient
-    map of phi's shape."""
+    map of phi's shape.  Nothing in ``src/`` calls it: every twist-slot
+    action is a signed-flip walk (``_walk``).  It stays because
+    ``bench/tracing.py`` counts it among the slot actions."""
     ks, kt = spinor_dim_exponent(phi.n), spinor_dim_exponent(phi.r)
     return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
+
+
+# One signed flip in a walk: (x, mask, mixed) sends phi_v to v ^ d times
+# (-1)^parity(v & mask) x, times i if mixed; x is an int with the sign of
+# i^phase folded in.  Acts are grouped by d, as (d, acts) pairs.
+Act = Tuple[int, int, int]
+Acts = Iterable[Tuple[int, Sequence[Act]]]
+
+
+def _add_act(acts: Dict[int, List[Act]], flip: Tuple[int, int, int], x: int, off: int = 0) -> None:
+    """Add x times the signed flip (d, mask, phase) of ``_monomial``, on a
+    slot whose bits start at ``off``, to acts."""
+    d, mask, phase = flip
+    acts.setdefault(d << off, []).append((-x if phase & 2 else x, mask << off, phase & 1))
+
+
+def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
+    """The one kernel: sum over the acts (d, [(x, mask, mixed), ...]) on an
+    integer map, over the same denominator.  One walk over data per d: the
+    signed x of d's acts sum to cr + i ci, and (cr + i ci) data_v goes to
+    v ^ d (a lone act is a unit multiple of x, so nothing cancels in it).
+    v -> v ^ d is one-to-one, so the first d's image is the sum so far, and
+    each later one is merged in; cancelled entries are dropped.  No
+    generator is applied."""
+    acc: IntCoeffMap = {}
+    for d, entries in acts:
+        if len(entries) == 1:
+            [(x, mask, mixed)] = entries
+            neg = -x
+            if mixed:  # i x (pr + i pi) = (-x pi, x pr)
+                img = {v ^ d: (x * pi, neg * pr) if (v & mask).bit_count() & 1
+                       else (neg * pi, x * pr) for v, (pr, pi) in data.items()}
+            else:
+                img = {v ^ d: (neg * pr, neg * pi) if (v & mask).bit_count() & 1
+                       else (x * pr, x * pi) for v, (pr, pi) in data.items()}
+        else:
+            img = {}
+            for v, (pr, pi) in data.items():
+                cr = ci = 0
+                for x, mask, mixed in entries:
+                    if (v & mask).bit_count() & 1:
+                        x = -x
+                    if mixed:
+                        ci += x
+                    else:
+                        cr += x
+                if cr or ci:
+                    img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
+        if acc:
+            _merge(acc, img)
+        else:
+            acc = img
+    return acc
+
+
+@lru_cache(maxsize=1 << 12)  # per shape and pair; f_k f_k = -1 on every slot
+def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Tuple[int, Tuple[Act, ...]], ...]:
+    """The acts of f_k f_l (any k, l in 1..r) on all m twist slots of shape
+    (n, r, m): ``_monomial(r, (k, l))`` with d and mask shifted to each
+    slot's bits, its sign folded into x = +-1."""
+    ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
+    acts: Dict[int, List[Act]] = {}
+    for a in range(m):
+        _add_act(acts, _monomial(r, (k, l)), 1, ks + a * kt)
+    return tuple((d, tuple(entries)) for d, entries in acts.items())
 
 
 def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
@@ -58,67 +131,41 @@ def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
     spin(n + r) with f_k = e_(n+k), on an integer map of phi's shape, over
     the same denominator; the layout of ``AmbientElement._terms``.
 
-    A spin pair (j <= n) reads its entry of ``_pair_index(n)``; a twist
-    pair (n + k, n + l) reads the entry of (k, l) in ``_pair_index(r)``,
-    its d and mask shifted to each of the m slots, so it acts on all of
-    them.  The sign of each entry is folded into x once, and the entries
-    are grouped by d.  Then one walk over data per d: the x of the
-    pattern's entries, signed by the parity of v & mask, sum to cr + i ci,
-    and (cr + i ci) data_v goes to v ^ d.  No generator is applied."""
+    A spin pair (j <= n) is the flip ``_monomial(n, (i, j))``; a twist pair
+    (n + k, n + l) reads the acts of f_k f_l on all m slots
+    (``_twist_acts``).  The sign of each act is folded into x once, and
+    the acts are grouped by d for one ``_walk``."""
     n, acts = phi.n, {}
-    spin = twist = None
     for (i, j), x in terms.items():
+        if not x:
+            continue
         if j <= n:
-            if spin is None:
-                spin = _pair_index(n)
-            d, mask, sign, mixed = spin[(i, j)]
-            acts.setdefault(d, []).append((-x if sign else x, mask, mixed))
+            _add_act(acts, _monomial(n, (i, j)), x)
         else:
-            if twist is None:
-                twist = _pair_index(phi.r)
-                ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(phi.r)
-                offsets = range(ks, ks + phi.m * kt, kt)
-            d, mask, sign, mixed = twist[(i - n, j - n)]
-            for off in offsets:
-                acts.setdefault(d << off, []).append((-x if sign else x, mask << off, mixed))
-    acc: IntCoeffMap = {}
-    get = acc.get
-    for d, entries in acts.items():
-        for v, (pr, pi) in data.items():
-            cr = ci = 0
-            for x, mask, mixed in entries:
-                if (v & mask).bit_count() & 1:
-                    x = -x
-                if mixed:
-                    ci += x
-                else:
-                    cr += x
-            if not (cr or ci):
-                continue
-            u, re, im = v ^ d, cr * pr - ci * pi, cr * pi + ci * pr
-            s = get(u)
-            if s is not None:
-                re, im = re + s[0], im + s[1]
-                if not (re or im):
-                    del acc[u]
-                    continue
-            acc[u] = (re, im)
-    return acc
+            for d, entries in _twist_acts(n, phi.r, phi.m, i - n, j - n):
+                acts.setdefault(d, []).extend([(s * x, mask, mixed) for s, mask, mixed in entries])
+    return _walk(acts.items(), data)
 
 
 def _on_slot(phi: ScaledSpinor, slot: int,
              terms: Iterable[Tuple[Tuple[int, ...], Rational]]) -> ScaledSpinor:
-    """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot`` (0 = Delta_n)."""
+    """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
+    (0 = Delta_n): each product is the signed flip ``_monomial``, shifted
+    to the slot's bits, and the coefficients are cleared to integers over
+    their lcm; then one ``_walk`` over phi per distinct flip d."""
     dim = phi.r if slot else phi.n
+    off = spinor_dim_exponent(phi.n) + (slot - 1) * spinor_dim_exponent(phi.r) if slot else 0
     parts = []
     for factors, c in terms:
         if factors and not 1 <= factors[0] <= factors[-1] <= dim:
             raise IndexOutOfRange(f"factors {factors} outside 1..{dim}")
-        cur = phi._data
-        for gen in reversed(factors):
-            cur = _twist_generator(phi, slot, gen, cur) if slot else _spin_generator(phi, gen, cur)
-        parts.append((c, phi._den, cur))
-    return phi._with(*_lincomb(parts))
+        if c:
+            parts.append((factors, c))
+    den = math.lcm(*(c.denominator for _, c in parts))
+    acts: Dict[int, List[Act]] = {}
+    for factors, c in parts:
+        _add_act(acts, _monomial(dim, tuple(factors)), c.numerator * (den // c.denominator), off)
+    return phi._with(phi._den * den, _walk(acts.items(), phi._data))
 
 
 def _vector_terms(X: Sequence[Rational]) -> list:
@@ -146,15 +193,12 @@ def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpino
 
 
 def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
-    """The bivector f_k f_l acting as the sum of its m slot actions:
-    f_k f_l = -f_l f_k, and f_k f_k = -1 on every slot."""
+    """The bivector f_k f_l acting as the sum of its m slot actions, from
+    the cached acts ``_twist_acts``: f_k f_l = -f_l f_k, and f_k f_k = -1
+    on every slot."""
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
-    if k == l:
-        return phi.scale(gr(-phi.m))
-    n = phi.n
-    terms = {(n + k, n + l): 1} if k < l else {(n + l, n + k): -1}
-    return phi._with(phi._den, _bivector_map(phi, terms, phi._data))
+    return phi._with(phi._den, _walk(_twist_acts(phi.n, phi.r, phi.m, k, l), phi._data))
 
 
 def twisted_group_action(
@@ -183,6 +227,9 @@ def _rational_sqrt(x: Fraction) -> Optional[Fraction]:
     return None
 
 
+_ZERO = Fraction(0)
+
+
 def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRational:
     """<phi1, phi2> including the sqrt(scale2_1 * scale2_2) prefactor, which
     must be rational (always true for equal scales)."""
@@ -204,7 +251,8 @@ def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRationa
             re += a1 * o[0] + b1 * o[1]
             im += b1 * o[0] - a1 * o[1]
     den = pref.denominator * phi1._den * phi2._den
-    return GaussianRational(Fraction(pref.numerator * re, den), Fraction(pref.numerator * im, den))
+    return GaussianRational(Fraction(pref.numerator * re, den) if re else _ZERO,
+                            Fraction(pref.numerator * im, den) if im else _ZERO)
 
 
 def norm2(phi: ScaledSpinor) -> Fraction:

@@ -47,10 +47,9 @@ from spinor_forge.linalg import (
     RowReducer, givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import FormTerm, SpinorVector, all_basis_indices, basis_spinor, kappa_generator
+from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
 from spinor_forge.twisted import (
     ScaledSpinor,
-    form_action_on_spin_slot,
     tangent_action,
     twist_bivector_action,
     twisted_group_action,
@@ -59,6 +58,7 @@ from spinor_forge.twisted import (
 
 from .test_forms import _apply, dense_operators
 from .test_linalg import naive_mat_mul
+from .test_pair_table import chain
 from .test_twisted import random_scaled
 
 
@@ -636,7 +636,8 @@ def test_frame_rotation_reducing_mode():
 
 def _direct_rotated_verdicts(phi, a, kind):
     """Per-pair (defect_norm2, flag) in the frame of the rows of A, acting
-    with sum c eta_st and sum c kappa(f_st) on phi directly."""
+    with sum c eta_st and sum c kappa(f_st) on phi directly, both by the
+    generator chain (no sign table)."""
     coefficient = 2 if kind == "pure" else 1
     out = {}
     for (k, l) in pairs(phi.r):
@@ -644,10 +645,9 @@ def _direct_rotated_verdicts(phi, a, kind):
              for (s, t) in pairs(phi.r)}
         form = phi_extend(phi, c)
         twist = ScaledSpinor(phi.n, phi.r, phi.m, {}, phi.scale2)
-        for (s, t), cst in c.items():
-            twist = twist + twist_bivector_action(s, t, phi).scale(gr(cst))
-        terms = [FormTerm((a, b), c) for a, b, c in form.terms()]
-        defect = form_action_on_spin_slot(terms, phi) + \
+        for slot in range(1, phi.m + 1):
+            twist = twist + chain(phi, slot, c.items())
+        defect = chain(phi, 0, [((a, b), c) for a, b, c in form.terms()]) + \
             twist.scale(gr(coefficient))
         if kind == "pure":
             h = eta_hat(form)

@@ -99,6 +99,18 @@ def test_zero_spinor_rejected(tmp_path, capsys):
     assert code == 2 and "zero" in err.lower()
 
 
+def test_repeated_basis_index_exits_2(tmp_path, capsys):
+    """A wire that repeats a (spin, twist) index is refused (exit 2), not
+    decoded as the last entry's spinor and judged (exit 1)."""
+    entry = {"spin": [1, 1], "twist": [[1]], "re": "1", "im": "0"}
+    wire = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [entry, {**entry, "re": "-1"}]}
+    path = tmp_path / "repeated.json"
+    path.write_text(json.dumps(wire))
+    code, out, err = run(capsys, "verify", "reducing", "--in", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "repeated basis index" in err
+
+
 def test_zero_twisted_spinor_rejected(tmp_path, capsys):
     from spinor_forge.serialize import scaled_spinor_to_json
     from spinor_forge.twisted import ScaledSpinor

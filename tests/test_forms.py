@@ -363,6 +363,76 @@ def test_endo_operations_match_fraction_oracle():
     assert not j.scale(F(1, 2)).compose(j).is_minus_identity()
 
 
+def _conjugated(h, p, p_inv):
+    return naive_mat_mul(naive_mat_mul(p, h), p_inv)
+
+
+def _complex_structures(rng):
+    """Seeded matrices with h^2 = -Id, from J0 (blocks [[0, -1], [1, 0]]):
+    Q J0 Q^T for a rational rotation Q (skew, den != 1), P J0 P^T for a
+    signed permutation P (skew, den 1), U J0 U^-1 for an integer
+    unimodular U (not skew, den 1) and D U J0 U^-1 D^-1 for a diagonal D
+    (not skew, den != 1)."""
+    out = []
+    for n in (2, 4, 6, 8):
+        j0 = [[F(0)] * n for _ in range(n)]
+        for a in range(0, n, 2):
+            j0[a][a + 1], j0[a + 1][a] = F(-1), F(1)
+        q = random_so_matrix(n, rng, bound=2)
+        out.append(_conjugated(j0, q, transpose(q)))
+        perm, signs = rng.sample(range(n), n), [rng.choice((1, -1)) for _ in range(n)]
+        p = [[F(signs[i] * (perm[i] == j)) for j in range(n)] for i in range(n)]
+        out.append(_conjugated(j0, p, transpose(p)))
+        h = j0
+        for _ in range(3):  # elementary row operations E and their inverses
+            i, j = rng.sample(range(n), 2)
+            c = rng.choice((-2, -1, 1, 2))
+            e = [[F(int(a == b)) for b in range(n)] for a in range(n)]
+            e_inv = [list(row) for row in e]
+            e[i][j], e_inv[i][j] = F(c), F(-c)
+            h = _conjugated(h, e, e_inv)
+        out.append(h)
+        d = [F(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(n)]
+        out.append([[d[i] * x / d[j] for j, x in enumerate(row)] for i, row in enumerate(h)])
+    return out
+
+
+def test_square_check_row_by_row_matches_compose():
+    """``squares_to_minus_identity`` agrees with ``compose`` and
+    ``is_minus_identity`` on every eta_hat of qk(1..3), spin7_pure and
+    spin7_reducing, on seeded complex structures (skew and not, den 1 and
+    not) and on seeded skew and non-skew matrices; and again on each with
+    one entry of its last row changed, so a check that stops early cannot
+    pass a case that is -Id up to its last row."""
+    rng = random.Random(1904)
+    phis = [catalog.build_qk_pure(m).spinor for m in (1, 2, 3)]
+    phis += [catalog.build_spin7_pure().spinor, catalog.build_spin7_reducing().spinor]
+    cases = [eta_hat(form) for phi in phis for form in etas(phi).values()]
+    cases += [Endo(len(m), m) for m in _complex_structures(rng)]
+    for n in (1, 2, 3, 4, 6):
+        for scale in (1, 6):
+            skew = [[F(0)] * n for _ in range(n)]
+            for a, b in combinations(range(n), 2):
+                skew[a][b] = F(rng.randint(-3, 3), scale)
+                skew[b][a] = -skew[a][b]
+            cases.append(Endo(n, skew))
+            cases.append(Endo(n, [[F(rng.randint(-3, 3), scale) for _ in range(n)] for _ in range(n)]))
+    squares = 0
+    for h in cases:
+        want = h.compose(h).is_minus_identity()
+        assert h.squares_to_minus_identity() is want
+        changed = [list(row) for row in h.mat]
+        changed[-1][rng.randrange(h.n)] += F(1, rng.choice((1, 2, 3)))
+        g = Endo(h.n, changed)
+        want_g = g.compose(g).is_minus_identity()
+        assert g.squares_to_minus_identity() is want_g
+        if want:
+            squares += 1
+            assert not want_g
+    # qk(1..3) and spin7_pure give 3 * 3 + 21 squares, the structures 16
+    assert squares == 3 * 3 + 21 + 16
+
+
 def _random_form(n, rng):
     """An antisymmetric matrix, about half zero above the diagonal, with
     denominators 1, 2, 3, 10 and 21."""

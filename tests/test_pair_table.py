@@ -1,30 +1,36 @@
-"""The one sign table for e_a e_b, and the two kernels that read it,
-against the generator path.
+"""The one sign table for e_a e_b, the signed flip of a Clifford monomial,
+and the kernels that read them, against a generator chain.
 
-``spinrep._pair_patterns`` serves induced forms (``ImageTable.induced_form``)
-and the one bivector action of spin(n) + spin(r) (``twisted._bivector_map``),
-through which 2-forms (``forms.form_action``), twist bivectors
-(``twist_bivector_action``) and Lie-algebra elements (``ambient_annihilates``)
-act.  The oracles here apply single generators one after the other
-(``_generator_on_map``, ``form_action_on_spin_slot``, ``mu_slot``,
-``kappa_generator``) and pair with ``twisted_hermitian``; none of them reads
-the table.
+``spinrep._monomial`` folds a product of generators into one signed flip;
+``spinrep._pair_patterns`` is its table for the pairs a < b.  They serve
+induced forms (``ImageTable.induced_form``) and the one walk
+``twisted._walk``, through which 2-forms (``forms.form_action``), twist
+bivectors (``twist_bivector_action``), Lie-algebra elements
+(``ambient_annihilates``) and every slot action (``tangent_action``,
+``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``) act.
+So none of those can serve as an oracle here.  The oracles apply single
+generators one after the other (``chain``: ``_generator_on_map`` with
+``_slot_unit``, and ``kappa_generator``) and pair with
+``twisted_hermitian``; none of them reads the table.
 """
 
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
+from spinor_forge import spinrep, twisted
 from spinor_forge.analysis import AmbientElement, _ambient_pairs, ambient_annihilates, annihilator
 from spinor_forge.catalog import build_qk_pure, build_spin7_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch
 from spinor_forge.forms import ImageTable, form_action, two_form_from_terms
+from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
     _generator_on_map,
+    _monomial,
     _pair_patterns,
     _slot_unit,
     all_basis_indices,
@@ -35,7 +41,9 @@ from spinor_forge.twisted import (
     _bivector_map,
     form_action_on_spin_slot,
     mu_slot,
+    tangent_action,
     twist_bivector_action,
+    twisted_group_action,
     twisted_hermitian,
 )
 
@@ -63,6 +71,116 @@ def rational_form(n, rng, density):
     return two_form_from_terms(n, {
         (a, b): F(rng.randint(-7, 7), rng.randint(1, 5))
         for a, b in combinations(range(1, n + 1), 2) if rng.random() < density})
+
+
+def chain(phi, slot, terms):
+    """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
+    (0 = Delta_n, a = twist slot a), one generator at a time by
+    ``_generator_on_map``, rightmost first; reads no table."""
+    dim = phi.r if slot else phi.n
+    offset = phi.n // 2 + (slot - 1) * (phi.r // 2) if slot else 0
+    out = phi.scale(gr(0))
+    for factors, c in terms:
+        data = phi._data
+        for i in reversed(factors):
+            data = _generator_on_map(data, *_slot_unit(offset, dim, i))
+        out = out + phi._with(phi._den, data).scale(gr(c))
+    return out
+
+
+def vector_terms(x):
+    return [((j,), c) for j, c in enumerate(x, start=1) if c]
+
+
+def test_monomial_matches_generator_chain():
+    """(d, mask, phase) of every factor tuple of length <= 4 for dim <= 9
+    (any order, repeats included) and of seeded tuples up to dim 32,
+    against the generator chain on one basis vector with coefficient
+    3 + 5i, on a slot at offset 0 and at offset 3 with bits set below and
+    above the slot."""
+    rng = random.Random(1902)
+    cases = [(dim, f) for dim in range(1, 10) for s in range(5)
+             for f in product(range(1, dim + 1), repeat=s)]
+    cases += [(dim, tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 7))))
+              for dim in range(10, 33) for _ in range(40)]
+    for dim, factors in cases:
+        k = dim // 2
+        d, mask, phase = _monomial(dim, factors)
+        assert 0 <= phase < 4 and d < 2 ** k and mask < 2 ** k, (dim, factors)
+        v = rng.randrange(2 ** k)
+        re, im = 3, 5
+        for _ in range(phase):  # times i
+            re, im = -im, re
+        if (v & mask).bit_count() & 1:
+            re, im = -re, -im
+        for offset in (0, 3):
+            outside = 0b101 | (0b11 << (offset + k)) if offset else 0
+            idx = v << offset | outside
+            got = {idx: (3, 5)}
+            for i in reversed(factors):
+                got = _generator_on_map(got, *_slot_unit(offset, dim, i))
+            assert got == {idx ^ d << offset: (re, im)}, (dim, factors, offset, v)
+
+
+def test_pair_patterns_are_the_monomials_of_pairs():
+    """Each entry ((a, b), mask, sign, mixed) at pattern d is
+    ``_monomial(dim, (a, b))`` = (d, mask, 2 sign + mixed), and every pair
+    a < b has one entry, for dim 1..32."""
+    for dim in range(1, 33):
+        found = []
+        for d, group in _pair_patterns(dim):
+            for (a, b), mask, sign, mixed in group:
+                assert type(mixed) is bool and sign in (0, 1)
+                assert _monomial(dim, (a, b)) == (d, mask, 2 * sign + mixed), (dim, a, b)
+                found.append((a, b))
+        assert sorted(found) == list(combinations(range(1, dim + 1), 2))
+
+
+def test_slot_actions_apply_no_generator(monkeypatch):
+    """With every generator application refused, the slot actions give the
+    generator chain's results: a vector, a sum of monomials up to 4-forms,
+    twist-slot forms on each slot, a group element [g, h] and every twist
+    bivector."""
+    def refuse(*args):
+        raise AssertionError("generator applied")
+
+    rng = random.Random(1903)
+    cases = []
+    for n, r, m in ((6, 4, 2), (5, 3, 3), (8, 7, 1), (7, 5, 2), (4, 2, 1)):
+        phi = rational_spinor(n, r, m, rng, 20)
+        x = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+        products = [list(combinations(range(1, n + 1), s)) for s in range(5)]
+        spin_terms = [FormTerm(f, F(rng.randint(-5, 5), rng.randint(1, 3)))  # up to two per length
+                      for fs in products for f in rng.sample(fs, min(2, len(fs)))]
+        twist_terms = [FormTerm(f, F(rng.randint(1, 5), rng.randint(1, 3)))
+                       for s in range(4) for f in combinations(range(1, r + 1), s)]
+        g = [random_unit_vector(n, rng) for _ in range(2)]
+        h = [random_unit_vector(r, rng) for _ in range(2)]
+        group = phi
+        for y in reversed(g):
+            group = chain(group, 0, vector_terms(y))
+        for a in range(1, m + 1):
+            for y in reversed(h):
+                group = chain(group, a, vector_terms(y))
+        want = (chain(phi, 0, vector_terms(x)),
+                chain(phi, 0, [(t.factors, t.coeff) for t in spin_terms]),
+                [chain(phi, a, [(t.factors, t.coeff) for t in twist_terms]) for a in range(1, m + 1)],
+                group,
+                [slot_sum(phi, lambda a, k=k, l=l: chain(phi, a, [((k, l), 1)]))
+                 for k in range(1, r + 1) for l in range(1, r + 1)])
+        cases.append((phi, x, spin_terms, twist_terms, g, h, want))
+    for module in (spinrep, twisted):
+        monkeypatch.setattr(module, "_generator_on_map", refuse)
+    with pytest.raises(AssertionError, match="generator applied"):  # the patch holds
+        kappa_generator(4, 1, cases[-1][0])
+    for phi, x, spin_terms, twist_terms, g, h, want in cases:
+        r = phi.r
+        got = (tangent_action(x, phi),
+               form_action_on_spin_slot(spin_terms, phi),
+               [mu_slot(a, twist_terms, phi) for a in range(1, phi.m + 1)],
+               twisted_group_action(g, h, phi),
+               [twist_bivector_action(k, l, phi) for k in range(1, r + 1) for l in range(1, r + 1)])
+        assert got == want, phi.shape()
 
 
 def test_table_entries_match_two_generators():
@@ -96,8 +214,7 @@ def test_form_action_matches_generator_path(n, r, m):
         for omega in (rational_form(n, rng, density), rational_form(n, rng, 0.1)):
             got = form_action(omega, phi)
             assert all(re or im for re, im in got._data.values())
-            terms = [FormTerm((a, b), c) for a, b, c in omega.terms()]
-            assert got == form_action_on_spin_slot(terms, phi)
+            assert got == chain(phi, 0, [((a, b), c) for a, b, c in omega.terms()])
     with pytest.raises(ShapeMismatch):  # a 2-form on R^(n+1)
         form_action(rational_form(n + 1, rng, 1.0), phi)
 
@@ -152,9 +269,8 @@ def slot_sum(phi, apply):
 
 @pytest.mark.parametrize("n,r,m", SHAPES)
 def test_twist_bivector_action_matches_generator_path(n, r, m):
-    """k < l against mu_slot of f_k f_l; every k, l (k > l and k == l
-    included) against f_k applied after f_l on each slot, and k == l
-    against -m phi."""
+    """Every k, l (k > l and k == l included) against f_k applied after f_l
+    on each slot by the generator chain, and k == l against -m phi."""
     rng = random.Random(300 * n + 10 * r + m)
     for terms in (3, 40):
         phi = rational_spinor(n, r, m, rng, terms)
@@ -162,11 +278,7 @@ def test_twist_bivector_action_matches_generator_path(n, r, m):
             for l in range(1, r + 1):
                 got = twist_bivector_action(k, l, phi)
                 assert all(re or im for re, im in got._data.values())
-                if k < l:
-                    assert got == slot_sum(phi, lambda a: mu_slot(a, [FormTerm((k, l))], phi))
-                after = slot_sum(phi, lambda a: mu_slot(a, [FormTerm((k,))],
-                                                        mu_slot(a, [FormTerm((l,))], phi)))
-                assert got == after, (k, l)
+                assert got == slot_sum(phi, lambda a: chain(phi, a, [((k, l), 1)])), (k, l)
             assert twist_bivector_action(k, k, phi) == phi.scale(gr(-m))
 
 
@@ -180,14 +292,14 @@ def random_element_terms(n, r, rng, density):
 
 
 def slot_oracle(terms, phi):
-    """The spin part by ``form_action_on_spin_slot`` plus the twist part by
-    ``mu_slot`` on every slot; neither reads the pair table."""
+    """The spin part on the Delta_n slot plus the twist part on every twist
+    slot, each by the generator chain; reads no table."""
     n = phi.n
-    spin = [FormTerm((i, j), x) for (i, j), x in terms.items() if j <= n]
-    twist = [FormTerm((i - n, j - n), x) for (i, j), x in terms.items() if j > n]
-    out = form_action_on_spin_slot(spin, phi)
+    spin = [((i, j), x) for (i, j), x in terms.items() if j <= n]
+    twist = [((i - n, j - n), x) for (i, j), x in terms.items() if j > n]
+    out = chain(phi, 0, spin)
     for a in range(1, phi.m + 1):
-        out = out + mu_slot(a, twist, phi)
+        out = out + chain(phi, a, twist)
     return out
 
 

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import time
 from dataclasses import replace
 from fractions import Fraction as F
@@ -167,6 +168,28 @@ def test_malformed_wire_objects_raise_typed_errors(decode, obj):
     with pytest.raises(MalformedInput) as info:
         decode(obj)
     assert isinstance(info.value, ValueError)  # callers catching ValueError still do
+
+
+def test_repeated_index_on_the_wire_is_refused():
+    """A repeated basis index or 2-form term would silently replace the
+    earlier entry; each decoder refuses it and names the index.  The same
+    entries without the repeat decode."""
+    entry = {"spin": [1, 1], "twist": [[1]], "re": "1", "im": "0"}
+    twisted = [entry, {**entry, "spin": [1, -1]}, {**entry, "re": "-1"}]
+    untwisted = [{"eps": [1, -1], "re": "1", "im": "0"}, {"eps": [1, 1], "re": "2", "im": "0"},
+                 {"eps": [1, -1], "re": "0", "im": "3"}]
+    form = [{"a": 1, "b": 2, "coeff": "1"}, {"a": 2, "b": 3, "coeff": "1"},
+            {"a": 1, "b": 2, "coeff": "-1"}]
+    for decode, obj, field, index in (
+            (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": "1"}, "coeffs",
+             "((1, 1), ((1,),))"),
+            (spinor_from_json, {"n": 4}, "coeffs", "(1, -1)"),
+            (two_form_from_json, {"n": 4}, "terms", "(1, 2)")):
+        entries = {"coeffs": twisted if decode is scaled_spinor_from_json else untwisted,
+                   "terms": form}[field]
+        decode({**obj, field: entries[:2]})
+        with pytest.raises(MalformedInput, match="repeated .*" + re.escape(index)):
+            decode({**obj, field: entries})
 
 
 # Arbitrary JSON trees, and objects whose fields are usually well typed so

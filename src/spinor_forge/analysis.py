@@ -22,6 +22,7 @@ from .errors import (
     NotOrthogonal,
     RankTooSmall,
     ShapeMismatch,
+    UnsupportedDimension,
     ZeroSpinor,
 )
 from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_action, form_lincomb, spinc_form
@@ -30,17 +31,8 @@ from .linalg import (
     nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import IntCoeffMap, _lincomb
-from .twisted import (
-    ScaledSpinor,
-    _bivector_map,
-    _norm2,
-    _spin_generator,
-    _twist_acts,
-    _walk,
-    twist_bivector_action,
-    twisted_group_action,
-)
+from .spinrep import MAX_R, IntCoeffMap, _lincomb
+from .twisted import ScaledSpinor, _bivector_map, _norm2, twist_bivector_action, twisted_group_action
 
 Pair = Tuple[int, int]
 
@@ -423,37 +415,29 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
 
 # -- annihilator and commutant -------------------------------------------------
 
-def _annihilator_columns(phi: ScaledSpinor) -> List[IntCoeffMap]:
-    """Action of each unknown generator on phi: all e_ie_j on the spin slot,
-    then all kappa(f_kf_l) on the twist slots, as integer maps over phi's
-    one denominator.  The spin columns reuse the n - 1 images e_j . phi, which
-    is cheaper than one bivector walk per pair; each twist column is one
-    ``_walk`` of the cached acts of f_k f_l (``twisted._twist_acts``)."""
-    images = {j: _spin_generator(phi, j, phi._data) for j in range(2, phi.n + 1)}
-    cols = [_spin_generator(phi, i, images[j]) for (i, j) in pairs(phi.n)]
-    n, r, m = phi.shape()
-    cols += [_walk(_twist_acts(n, r, m, k, l), phi._data) for (k, l) in pairs(r)]
-    return cols
-
-
 def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     """The subalgebra of spin(n) + spin(r) annihilating every given spinor,
     solved as one exact linear system over the bivector coefficients
-    (a_ij; b_kl).  The real and the imaginary part of each basis coefficient
-    of the action give one sparse integer row each (every column is over
-    phi's one denominator), gathered in one walk over each column's map."""
+    (a_ij; b_kl).  Column j is the pair keys[j] of ``_ambient_pairs``
+    acting on phi through the one bivector action ``twisted._bivector_map``
+    (a spin pair one read of the pair table, a twist pair the cached acts
+    of f_k f_l), over phi's one denominator; no generator is applied.  The
+    real and the imaginary part of each basis coefficient of the action
+    give one sparse integer row each, gathered in one walk over each
+    column's map."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
     if any(s.shape() != shape for s in spinors):
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
+    keys = _ambient_pairs(n, r)  # a-major: the columns are labelled in this order
     rows: List[Dict[int, int]] = []
     for phi in spinors:
         re_rows: Dict[int, Dict[int, int]] = {}
         im_rows: Dict[int, Dict[int, int]] = {}
-        for j, col in enumerate(_annihilator_columns(phi)):
-            for idx, (re, im) in col.items():
+        for j, p in enumerate(keys):
+            for idx, (re, im) in _bivector_map(phi, {p: 1}, phi._data).items():
                 if re:
                     re_rows.setdefault(idx, {})[j] = re
                 if im:
@@ -462,7 +446,6 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
             for part in (re_rows, im_rows):
                 if idx in part:
                     rows.append(part[idx])
-    keys = _ambient_pairs(n, r)
     basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
              for den, vec in nullspace(rows, len(keys))]
     if not basis:
@@ -561,9 +544,14 @@ class ClDims:
 
 def cl_dims(r: int) -> ClDims:
     """Dimension of an irreducible real module of the even Clifford algebra
-    of rank r, and the number of distinct irreducibles, by r mod 8."""
+    of rank r, and the number of distinct irreducibles, by r mod 8.  r is
+    an int in 1..MAX_R, checked before any power is taken."""
+    if type(r) is not int:  # a bool, a float or a Fraction is no rank
+        raise InvalidValue(f"rank must be an int, got {r!r}")
     if r < 1:
         raise ShapeMismatch("rank must be >= 1")
+    if r > MAX_R:
+        raise UnsupportedDimension(f"r must be <= {MAX_R}, got {r}")
     residue = ((r - 1) % 8) + 1
     shift = {3: 1, 5: 1, 8: -1}.get(residue, 0)  # d_r = 2^(floor(r/2) + shift)
     return ClDims(r=r, d_r=2 ** (r // 2 + shift), v_r=2 if residue in (4, 8) else 1)

@@ -10,10 +10,10 @@ w = kappa(f_kl) . phi the entry for a < b is
 In the kernel's layout (``spinrep``: int index, spin bits lowest and a set
 bit +1; (re, im) numerators over the spinor's one denominator D) e_a e_b
 sends phi_v to v ^ d, d = f_a ^ f_b, times a unit signed by a parity of v:
-the one sign table ``spinrep._pair_patterns`` groups the pairs a < b by d
-(d = 0 holds the k = n // 2 pairs (2j-1, 2j), each two-bit d four pairs,
-and for odd n each one-bit d the two pairs with the last generator, which
-flips nothing), and eta_ab = -scale2 * Re< w, e_a e_b . phi > pairs w at u
+the one pair table ``spinrep._pair_acts``, grouped by d (d = 0 holds the
+k = n // 2 pairs (2j-1, 2j), each two-bit d four pairs, and for odd n
+each one-bit d the two pairs with the last generator, which flips
+nothing), and eta_ab = -scale2 * Re< w, e_a e_b . phi > pairs w at u
 only with phi at v = u ^ d.  A pattern flips spin bits only, so
 ``ImageTable`` groups supp phi by the bits above the spin slot; for each u
 in supp w it walks u's group, and each v whose u ^ v is a pattern adds
@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import ScaledSpinor, _pair_patterns, check_dimensions
+from .spinrep import ScaledSpinor, _pair_acts, check_dimensions
 from .twisted import _bivector_map, twist_bivector_action
 
 
@@ -231,23 +231,19 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
 
 
 @cache
-def _pairs_b_major(n: int) -> Tuple[Tuple[int, int], ...]:
-    """The pairs a < b of 1..n, b-major: the order of an induced form's terms."""
-    return tuple((a, b) for b in range(2, n + 1) for a in range(1, b))
-
-
-@cache
-def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, int, bool], ...]]:
-    """``spinrep._pair_patterns(n)`` as {d: ((slot, mask, sign, mixed), ...)},
-    slot the place of (a, b) in ``_pairs_b_major`` order."""
-    return {d: tuple(((b - 1) * (b - 2) // 2 + a - 1, mask, sign, mixed)
-                     for (a, b), mask, sign, mixed in group)
-            for d, group in _pair_patterns(n)}
+def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, bool, int], ...]]:
+    """``spinrep._pair_acts(n)`` grouped by d, as {d: ((slot, mask, neg,
+    mixed), ...)}: slot the place of (a, b) in the table's b-major order,
+    and neg says x = -1."""
+    groups: Dict[int, List[Tuple[int, int, bool, int]]] = {}
+    for slot, (d, x, mask, mixed) in enumerate(_pair_acts(n).values()):
+        groups.setdefault(d, []).append((slot, mask, x < 0, mixed))
+    return {d: tuple(group) for d, group in groups.items()}
 
 
 class ImageTable:
-    """One spinor's side of its induced forms, read off the one sign table
-    ``spinrep._pair_patterns``; no generator is applied.
+    """One spinor's side of its induced forms, read off the one pair table
+    ``spinrep._pair_acts`` grouped by d; no generator is applied.
 
     A pattern flips only spin bits, so phi is grouped once by the bits
     above the spin slot (``idx >> (n // 2)``): ``induced_form`` walks, for
@@ -273,13 +269,13 @@ class ImageTable:
                 if entries is None:
                     continue
                 z = (wr * pr + wi * pi, wi * pr - wr * pi)  # w_u conj(phi_v)
-                for slot, mask, sign, mixed in entries:  # Re of conj(i) z is Im z
-                    if ((v & mask).bit_count() + sign) & 1:
+                for slot, mask, neg, mixed in entries:  # Re of conj(i) z is Im z
+                    if ((v & mask).bit_count() + neg) & 1:
                         acc[slot] -= z[mixed]
                     else:
                         acc[slot] += z[mixed]
         num = -s2.numerator
-        out = {(a, b): num * x for (a, b), x in zip(_pairs_b_major(n), acc) if x}
+        out = {ab: num * x for ab, x in zip(_pair_acts(n), acc) if x}
         return _two_form(n, s2.denominator * self.phi._den * w._den, out)
 
 

@@ -4,9 +4,10 @@ Rationals travel as decimal strings "p/q" ("/q" omitted when q = 1);
 exponent notation is refused.  Gaussian rationals travel as
 {"re": "p/q", "im": "p/q"}.  All decoders validate shape and raise
 ``errors.MalformedInput`` (a ``SpinorForgeError`` and a ``ValueError``) with a
-diagnostic on malformed input, a repeated basis index or 2-form term
-included; dimensions are checked against the caps of
-``spinrep.check_dimensions`` before the coefficients are read.
+diagnostic on malformed input, a repeated basis index included;
+dimensions are checked against the caps of ``spinrep.check_dimensions``
+before the coefficients are read.  2-forms, Lie algebras and their text
+renderings are only encoded: nothing reads them back.
 
 There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
 twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
@@ -24,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Tuple
 
 from .analysis import AmbientElement, LieSubalgebra
 from .errors import MalformedInput
-from .forms import TwoForm, two_form_from_terms
+from .forms import TwoForm
 from .scalars import GaussianRational
 from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, TwistedIndex, check_dimensions
 
@@ -148,19 +149,6 @@ def two_form_to_json(omega: TwoForm) -> Dict[str, Any]:
             {"a": a, "b": b, "coeff": str(c)} for a, b, c in omega.terms()
         ],
     }
-
-
-def two_form_from_json(obj: Any) -> TwoForm:
-    obj = _object_from_json(obj, ("n", "terms"), "2-form JSON")
-    n = _int_from_json(obj["n"], "n")
-    check_dimensions(n)
-    terms = {}
-    for t in _list_from_json(obj["terms"], "terms"):
-        t = _object_from_json(t, ("a", "b", "coeff"), "2-form term")
-        key = (_int_from_json(t["a"], "a"), _int_from_json(t["b"], "b"))
-        _check_new(terms, key, "2-form term")
-        terms[key] = rational_from_json(t["coeff"])
-    return two_form_from_terms(n, terms)
 
 
 def ambient_to_json(x: AmbientElement) -> Dict[str, Any]:

@@ -24,15 +24,17 @@ on a slot is one signed flip (``_monomial``): phi_v goes to v ^ d times
 (-1)^parity(v & mask) i^phase.  Composition rule: the factors act right
 to left, and a generator (f, m) applied after (d, mask, phase) reads its
 parity at v ^ d, so d ^= f, mask ^= m and phase += 2 parity(d & m) + 1
-(g1, odd generator) or + 2 (g2), the parity taken before d moves.  A
-slot action (``twisted._walk``) walks phi once per distinct flip d, and
-nothing of size 2^k x 2^k is built.  Coefficients are (int re, int im)
-pairs over one positive integer denominator per spinor, reduced by the
-content gcd after every public operation, so equal spinors have equal
-layouts; sums run in ints and a Fraction appears only in an output.
-``_entries()`` reads the layout back in wire order; the tuple-keyed
-``coeffs`` view is built from it on demand, and the wire encoders read it
-directly.
+(g1, odd generator) or + 2 (g2), the parity taken before d moves.  The
+products e_a e_b, a < b, have one table, ``_pair_acts``: each pair's
+flip with its sign folded into x = +-1, which induced forms, 2-forms and
+annihilator columns read.  A slot action (``twisted._walk``) walks phi
+once per distinct flip d, and nothing of size 2^k x 2^k is built.
+Coefficients are (int re, int im) pairs over one positive integer
+denominator per spinor, reduced by the content gcd after every public
+operation, so equal spinors have equal layouts; sums run in ints and a
+Fraction appears only in an output.  ``_entries()`` reads the layout back
+in wire order; the tuple-keyed ``coeffs`` view is built from it on
+demand, and the wire encoders read it directly.
 """
 
 from __future__ import annotations
@@ -322,28 +324,29 @@ def _monomial(dim: int, factors: Tuple[int, ...]) -> Tuple[int, int, int]:
     return d, mask, phase & 3
 
 
-PairEntry = Tuple[Tuple[int, int], int, int, bool]
+PairAct = Tuple[int, int, int, int]
 
 
 @cache  # a constant of dim <= MAX_N
-def _pair_patterns(dim: int) -> Tuple[Tuple[int, Tuple[PairEntry, ...]], ...]:
-    """The products e_a e_b (a < b) on a Delta_dim slot whose bits start at
-    0, grouped by the XOR pattern d = flip_a ^ flip_b.  An entry
-    ((a, b), mask, sign, mixed) reads
+def _pair_acts(dim: int) -> Dict[Tuple[int, int], PairAct]:
+    """The one table of the products e_a e_b (a < b) on a Delta_dim slot
+    whose bits start at 0, in b-major order: (a, b) -> (d, x, mask, mixed)
+    reads
 
-        (e_a e_b . phi)[v ^ d] = (-1)^(parity(v & mask) + sign) (i if mixed else 1) phi_v,
+        (e_a e_b . phi)[v ^ d] = (-1)^parity(v & mask) x (i if mixed else 1) phi_v,
 
-    which is ``_monomial(dim, (a, b))`` = (d, mask, 2 sign + mixed): mixed
-    says a and b are of different kinds (one unit i, one -1).  d = 0 holds
-    the k = dim // 2 pairs (2j-1, 2j), each two-bit d four pairs, and for
-    odd dim each one-bit d the two pairs with the last generator, which
-    flips nothing."""
-    patterns: Dict[int, List[PairEntry]] = {}
+    which is ``_monomial(dim, (a, b))`` = (d, mask, phase) with the sign of
+    i^phase folded into x = +-1 and mixed = phase & 1: a and b are of
+    different kinds (one unit i, one -1).  By d = flip_a ^ flip_b, d = 0
+    holds the k = dim // 2 pairs (2j-1, 2j), each two-bit d four pairs, and
+    for odd dim each one-bit d the two pairs with the last generator, which
+    flips nothing.  Read-only."""
+    acts: Dict[Tuple[int, int], PairAct] = {}
     for b in range(2, dim + 1):
         for a in range(1, b):
             d, mask, phase = _monomial(dim, (a, b))
-            patterns.setdefault(d, []).append(((a, b), mask, phase >> 1, bool(phase & 1)))
-    return tuple((d, tuple(group)) for d, group in patterns.items())
+            acts[(a, b)] = (d, -1 if phase & 2 else 1, mask, phase & 1)
+    return acts
 
 
 def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:

@@ -23,9 +23,11 @@ distinct flip; a twist bivector f_k f_l reads its acts on all m slots
 from a cache per (n, r, m, k, l) (``_twist_acts``); and
 ``_bivector_map`` is the one bivector action of spin(n) + spin(r) inside
 spin(n + r), f_k = e_(n+k), on integer terms {(i, j): x} over pairs
-i < j, through which a 2-form (``forms.form_action``) and a Lie-algebra
-element (``analysis.ambient_annihilates``) act.  None applies a
-generator.  A sesquilinear sum is an int sum over D1 * D2.
+i < j, through which a 2-form (``forms.form_action``), a Lie-algebra
+element (``analysis.ambient_annihilates``) and each column of the
+annihilator's system act; a spin pair is one read of the pair table
+``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum
+is an int sum over D1 * D2.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from .spinrep import (
     _generator_on_map,
     _merge,
     _monomial,
+    _pair_acts,
     _slot_unit,
-    _spin_generator,
+    _spin_generator,  # kept only for bench/tracing.py, which counts it as a slot action
     spinor_dim_exponent,
 )
 
@@ -131,16 +134,19 @@ def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
     spin(n + r) with f_k = e_(n+k), on an integer map of phi's shape, over
     the same denominator; the layout of ``AmbientElement._terms``.
 
-    A spin pair (j <= n) is the flip ``_monomial(n, (i, j))``; a twist pair
+    A spin pair (j <= n) is one read of the pair table
+    ``spinrep._pair_acts(n)``, its sign already folded; a twist pair
     (n + k, n + l) reads the acts of f_k f_l on all m slots
-    (``_twist_acts``).  The sign of each act is folded into x once, and
-    the acts are grouped by d for one ``_walk``."""
+    (``_twist_acts``).  Each act's sign times x is its integer, and the
+    acts are grouped by d for one ``_walk``."""
     n, acts = phi.n, {}
+    spin = _pair_acts(n)
     for (i, j), x in terms.items():
         if not x:
             continue
         if j <= n:
-            _add_act(acts, _monomial(n, (i, j)), x)
+            d, s, mask, mixed = spin[(i, j)]
+            acts.setdefault(d, []).append((s * x, mask, mixed))
         else:
             for d, entries in _twist_acts(n, phi.r, phi.m, i - n, j - n):
                 acts.setdefault(d, []).extend([(s * x, mask, mixed) for s, mask, mixed in entries])

@@ -40,6 +40,7 @@ from spinor_forge.errors import (
     RankTooSmall,
     ShapeMismatch,
     SpinorForgeError,
+    UnsupportedDimension,
     ZeroSpinor,
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
@@ -47,7 +48,9 @@ from spinor_forge.linalg import (
     RowReducer, givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import SpinorVector, all_basis_indices, basis_spinor, kappa_generator
+from spinor_forge.spinrep import (
+    MAX_R, SpinorVector, all_basis_indices, basis_spinor, kappa_generator,
+)
 from spinor_forge.twisted import (
     ScaledSpinor,
     tangent_action,
@@ -821,6 +824,23 @@ def test_equivariance_identity_and_random():
 def test_cl_dims_table(r, d, v):
     got = cl_dims(r)
     assert (got.d_r, got.v_r) == (d, v)
+
+
+@pytest.mark.parametrize("r,error", [
+    (17, UnsupportedDimension), (4 * 10 ** 8, UnsupportedDimension),
+    (10 ** 10, UnsupportedDimension), (0, ShapeMismatch), (-3, ShapeMismatch),
+    (2.5, InvalidValue), (4.0, InvalidValue), (True, InvalidValue), (F(4), InvalidValue),
+    ("4", InvalidValue), (None, InvalidValue),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v))
+def test_cl_dims_refuses_what_is_no_rank_promptly(r, error):
+    """A rank above MAX_R, below 1 or not an int is refused with a typed
+    error before any power of 2 is built; MAX_R itself is in the table."""
+    t0 = time.monotonic()
+    with pytest.raises(error):
+        cl_dims(r)
+    assert time.monotonic() - t0 < 0.1
+    assert issubclass(error, SpinorForgeError)
+    assert (cl_dims(MAX_R).d_r, cl_dims(MAX_R).v_r) == (2 ** 7, 2)
 
 
 def test_pure_spinor_module_constraint():

@@ -19,7 +19,7 @@ from spinor_forge.forms import (
     ImageTable,
     TwoForm,
     _endo,
-    _pairs_b_major,
+    _pattern_slots,
     _two_form,
     eta,
     eta_hat,
@@ -35,7 +35,7 @@ from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
     SpinorVector,
-    _pair_patterns,
+    _pair_acts,
     _slot_unit,
     all_basis_indices,
     basis_spinor,
@@ -199,25 +199,31 @@ def test_induced_forms_match_definition():
 
 
 def test_pair_patterns_partition_the_pairs():
-    """Every pair a < b sits in the one pattern flip_a ^ flip_b: k pairs at
-    d = 0, four at each two-bit d and, for odd n, two at each one-bit d."""
+    """Every pair a < b has one entry of the pair table, in b-major order,
+    at d = flip_a ^ flip_b.  Grouped by d (``_pattern_slots``): k pairs at
+    d = 0, four at each two-bit d and, for odd n, two at each one-bit d;
+    each slot is the pair's place in the table, with its mask, sign and kind."""
     for n in range(1, 33):
         k = n // 2
-        patterns = _pair_patterns(n)
-        found = {ab: d for d, group in patterns for ab, *_ in group}
-        assert len(found) == sum(len(group) for _, group in patterns)
-        assert sorted(found) == sorted(_pairs_b_major(n))
-        for (a, b), d in found.items():
+        table = _pair_acts(n)
+        assert list(table) == [(a, b) for b in range(2, n + 1) for a in range(1, b)]
+        for (a, b), (d, *_) in table.items():
             assert d == _slot_unit(0, n, a)[0] ^ _slot_unit(0, n, b)[0]
-        sizes = {d: len(group) for d, group in patterns}
+        entries, patterns = list(table.values()), _pattern_slots(n)
+        slots = [slot for group in patterns.values() for slot, *_ in group]
+        assert sorted(slots) == list(range(len(table)))
+        for d, group in patterns.items():
+            for slot, mask, neg, mixed in group:
+                assert entries[slot] == (d, -1 if neg else 1, mask, mixed), (n, slot)
+        sizes = {d: len(group) for d, group in patterns.items()}
         assert len(sizes) == (1 + k * (k - 1) // 2 + k * (n % 2) if n > 1 else 0)
         assert all(size == {0: k, 1: 2, 2: 4}[d.bit_count()] for d, size in sizes.items())
 
 
 def test_induced_forms_apply_no_spin_generator(monkeypatch):
-    """Induced forms, 2-form actions, Lie-algebra element actions and the
-    certificates read the pair table: with every generator application
-    refused they give the same results."""
+    """Induced forms, 2-form actions, Lie-algebra element actions, the
+    annihilator and the certificates read the pair table: with every
+    generator application refused they give the same results."""
     def refuse(*args):
         raise AssertionError("generator applied")
 
@@ -231,7 +237,7 @@ def test_induced_forms_apply_no_spin_generator(monkeypatch):
     verdicts = (check_pure(phi), check_pure(qk), check_reducing(phi))
     spinc_verdicts = (check_spinc_pure(psi), check_spinc_pure(spinc_pure))
     assert spinc_verdicts == (False, True)
-    stabilizer = annihilator([qk]).basis  # its spin columns apply generators
+    stabilizer = annihilator([qk]).basis
     moved = [AmbientElement(x.n, x.r, a={**x.a, (1, 2): x.a.get((1, 2), 0) + 1}, b=x.b)
              for x in stabilizer]
     for module in (spinrep, twisted):
@@ -243,6 +249,8 @@ def test_induced_forms_apply_no_spin_generator(monkeypatch):
     assert (check_pure(phi), check_pure(qk), check_reducing(phi)) == verdicts
     assert (check_spinc_pure(psi), check_spinc_pure(spinc_pure)) == spinc_verdicts
     assert all(ambient_annihilates(x, qk) for x in stabilizer) and len(stabilizer) == 13
+    assert [(x._den, x._terms) for x in annihilator([qk]).basis] == \
+        [(x._den, x._terms) for x in stabilizer]
     assert not any(ambient_annihilates(x, qk) for x in moved)
     assert catalog.eta13_recursion_check(2)
     assert verdicts[1].is_pure

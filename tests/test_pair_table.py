@@ -1,19 +1,21 @@
-"""The one sign table for e_a e_b, the signed flip of a Clifford monomial,
+"""The one pair table for e_a e_b, the signed flip of a Clifford monomial,
 and the kernels that read them, against a generator chain.
 
 ``spinrep._monomial`` folds a product of generators into one signed flip;
-``spinrep._pair_patterns`` is its table for the pairs a < b.  They serve
+``spinrep._pair_acts`` is its one table for the pairs a < b.  They serve
 induced forms (``ImageTable.induced_form``) and the one walk
 ``twisted._walk``, through which 2-forms (``forms.form_action``), twist
 bivectors (``twist_bivector_action``), Lie-algebra elements
-(``ambient_annihilates``) and every slot action (``tangent_action``,
-``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``) act.
-So none of those can serve as an oracle here.  The oracles apply single
+(``ambient_annihilates``), the annihilator's columns and every slot
+action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
+``twisted_group_action``) act.  So none of those can serve as an oracle
+here.  The oracles apply single
 generators one after the other (``chain``: ``_generator_on_map`` with
 ``_slot_unit``, and ``kappa_generator``) and pair with
 ``twisted_hermitian``; none of them reads the table.
 """
 
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations, product
@@ -25,13 +27,13 @@ from spinor_forge.analysis import AmbientElement, _ambient_pairs, ambient_annihi
 from spinor_forge.catalog import build_qk_pure, build_spin7_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch
 from spinor_forge.forms import ImageTable, form_action, two_form_from_terms
-from spinor_forge.linalg import random_unit_vector
+from spinor_forge.linalg import nullspace, random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
     _generator_on_map,
     _monomial,
-    _pair_patterns,
+    _pair_acts,
     _slot_unit,
     all_basis_indices,
     kappa_generator,
@@ -123,17 +125,19 @@ def test_monomial_matches_generator_chain():
 
 
 def test_pair_patterns_are_the_monomials_of_pairs():
-    """Each entry ((a, b), mask, sign, mixed) at pattern d is
-    ``_monomial(dim, (a, b))`` = (d, mask, 2 sign + mixed), and every pair
-    a < b has one entry, for dim 1..32."""
+    """Each entry (a, b) -> (d, x, mask, mixed) is ``_monomial(dim, (a, b))``
+    = (d, mask, phase) with the sign of i^phase folded into x = +-1 and
+    mixed = phase & 1, d = flip_a ^ flip_b, and every pair a < b has one
+    entry, in b-major order, for dim 1..32."""
     for dim in range(1, 33):
-        found = []
-        for d, group in _pair_patterns(dim):
-            for (a, b), mask, sign, mixed in group:
-                assert type(mixed) is bool and sign in (0, 1)
-                assert _monomial(dim, (a, b)) == (d, mask, 2 * sign + mixed), (dim, a, b)
-                found.append((a, b))
-        assert sorted(found) == list(combinations(range(1, dim + 1), 2))
+        table = _pair_acts(dim)
+        assert list(table) == [(a, b) for b in range(2, dim + 1) for a in range(1, b)]
+        for (a, b), (d, x, mask, mixed) in table.items():
+            assert x in (1, -1) and mixed in (0, 1)
+            flip, flip_mask, phase = _monomial(dim, (a, b))
+            assert (d, mask, x, mixed) == (flip, flip_mask, (-1) ** (phase >> 1), phase & 1), \
+                (dim, a, b)
+            assert d == _slot_unit(0, dim, a)[0] ^ _slot_unit(0, dim, b)[0]
 
 
 def test_slot_actions_apply_no_generator(monkeypatch):
@@ -184,26 +188,25 @@ def test_slot_actions_apply_no_generator(monkeypatch):
 
 
 def test_table_entries_match_two_generators():
-    """Each entry ((a, b), mask, sign, mixed) at pattern d, for dim <= 32,
-    against e_b then e_a applied by ``_generator_on_map`` to one basis
-    vector, on a slot at offset 0 and at offset 3 with bits set below and
-    above the slot; a coefficient 3 + 5i tells every unit of Z[i] apart."""
+    """Each entry (a, b) -> (d, x, mask, mixed), for dim <= 32, against e_b
+    then e_a applied by ``_generator_on_map`` to one basis vector, on a
+    slot at offset 0 and at offset 3 with bits set below and above the
+    slot; a coefficient 3 + 5i tells every unit of Z[i] apart."""
     rng = random.Random(1701)
     for dim in range(1, 33):
         k = dim // 2
         indices = range(2 ** k) if k <= 4 else [0, 2 ** k - 1] + rng.sample(range(2 ** k), 14)
-        for d, group in _pair_patterns(dim):
-            for (a, b), mask, sign, mixed in group:
-                for offset in (0, 3):
-                    outside = 0b101 | (0b11 << (offset + k)) if offset else 0
-                    for v in indices:
-                        idx = v << offset | outside
-                        got = _generator_on_map({idx: (3, 5)}, *_slot_unit(offset, dim, b))
-                        got = _generator_on_map(got, *_slot_unit(offset, dim, a))
-                        re, im = (-5, 3) if mixed else (3, 5)
-                        if ((v & mask).bit_count() + sign) & 1:
-                            re, im = -re, -im
-                        assert got == {idx ^ d << offset: (re, im)}, (dim, a, b, offset, v)
+        for (a, b), (d, x, mask, mixed) in _pair_acts(dim).items():
+            for offset in (0, 3):
+                outside = 0b101 | (0b11 << (offset + k)) if offset else 0
+                for v in indices:
+                    idx = v << offset | outside
+                    got = _generator_on_map({idx: (3, 5)}, *_slot_unit(offset, dim, b))
+                    got = _generator_on_map(got, *_slot_unit(offset, dim, a))
+                    re, im = (-5 * x, 3 * x) if mixed else (3 * x, 5 * x)
+                    if (v & mask).bit_count() & 1:
+                        re, im = -re, -im
+                    assert got == {idx ^ d << offset: (re, im)}, (dim, a, b, offset, v)
 
 
 @pytest.mark.parametrize("n,r,m", SHAPES)
@@ -349,3 +352,52 @@ def test_annihilator_basis_kills_its_spinors(label, spinors):
             for p in _ambient_pairs(x.n, x.r):
                 y = perturbed(x, p)
                 assert not any(ambient_annihilates(y, phi) for phi in phis), (label, p)
+
+
+def chain_annihilator(phis):
+    """The annihilator's basis as (den, terms), reduced, from columns built
+    by the generator chain (``slot_oracle`` of each basis pair, written
+    over phi's denominator): the re and im rows of each output index in
+    ascending order, solved by ``linalg.nullspace``; reads no table."""
+    n, r, _ = phis[0].shape()
+    keys = _ambient_pairs(n, r)
+    rows = []
+    for phi in phis:
+        cols = []
+        for p in keys:
+            col = slot_oracle({p: 1}, phi)
+            q, rem = divmod(phi._den, col._den)
+            assert rem == 0
+            cols.append({idx: (q * re, q * im) for idx, (re, im) in col._data.items()})
+        for idx in sorted(set().union(*cols)):
+            for part in (0, 1):
+                row = {j: col[idx][part] for j, col in enumerate(cols)
+                       if idx in col and col[idx][part]}
+                if row:
+                    rows.append(row)
+    basis = []
+    for den, vec in nullspace(rows, len(keys)):
+        g = math.gcd(den, *vec.values())
+        basis.append((den // g, {keys[c]: v // g for c, v in vec.items() if v}))
+    return basis
+
+
+ORACLE_SHAPES = [(n, 2 + (n + m) % 4, m) for n in range(1, 10) for m in range(4)]
+
+
+@pytest.mark.parametrize("n,r,m", ORACLE_SHAPES)
+def test_annihilator_matches_generator_chain_oracle(n, r, m):
+    """Seeded spinors with small supports, one and two at a time (odd n
+    and m = 0 included): the same basis as the generator-chain columns."""
+    rng = random.Random(500 * n + 10 * r + m)
+    cases = [[rational_spinor(n, r, m, rng, terms)] for terms in (1, 2, 4)]
+    cases.append([rational_spinor(n, r, m, rng, 2) for _ in range(2)])
+    for phis in cases:
+        got = [(x._den, x._terms) for x in annihilator(phis).basis]
+        assert got == chain_annihilator(phis), (n, r, m, [phi._data for phi in phis])
+
+
+def test_annihilator_of_the_spin7_pair_matches_generator_chain_oracle():
+    phis = [build_spin7_pure().spinor, build_spin7_reducing().spinor]
+    got = [(x._den, x._terms) for x in annihilator(phis).basis]
+    assert len(got) == 14 and got == chain_annihilator(phis)

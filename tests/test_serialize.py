@@ -21,7 +21,6 @@ from spinor_forge.serialize import (
     scaled_spinor_to_json,
     spinor_from_json,
     spinor_to_json,
-    two_form_from_json,
     two_form_to_json,
 )
 from spinor_forge.spinrep import ScaledSpinor, all_basis_indices, basis_spinor
@@ -122,13 +121,16 @@ def test_encoders_match_sorted_coeffs_oracle(shape):
                 assert json.dumps(spinor_to_json(flat)) == json.dumps(want)
 
 
-def test_two_form_round_trip():
-    phi = build_qk_pure(1).spinor
-    form = eta(phi, 1, 2)
-    back = two_form_from_json(two_form_to_json(form))
-    assert back.mat == form.mat
-    # a < b only on the wire
-    assert all(t["a"] < t["b"] for t in two_form_to_json(form)["terms"])
+def test_two_form_to_json_matches_literal():
+    """Terms a < b ascending, each coefficient one "p/q" string; a (b, a)
+    term is negated onto (a, b) and a zero term is left out."""
+    form = eta(build_qk_pure(1).spinor, 1, 2)
+    assert json.dumps(two_form_to_json(form)) == json.dumps({"n": 4, "terms": [
+        {"a": 1, "b": 2, "coeff": "1"}, {"a": 3, "b": 4, "coeff": "1"}]})
+    form = two_form_from_terms(5, {(4, 5): F(6, 4), (3, 1): F(1, 2), (2, 4): -3, (1, 2): 0})
+    assert json.dumps(two_form_to_json(form)) == json.dumps({"n": 5, "terms": [
+        {"a": 1, "b": 3, "coeff": "-1/2"}, {"a": 2, "b": 4, "coeff": "-3"},
+        {"a": 4, "b": 5, "coeff": "3/2"}]})
 
 
 def test_bad_inputs_rejected():
@@ -161,8 +163,6 @@ _TWISTED = {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [_ENTRY]}
     (spinor_from_json, {"n": 4, "coeffs": None}),
     (spinor_from_json, {"n": 4.7, "coeffs": []}),
     (spinor_from_json, {"n": 4, "coeffs": [{"eps": [True, 1], "re": "1", "im": "0"}]}),
-    (two_form_from_json, {"n": 4, "terms": [{"a": 1}]}),
-    (two_form_from_json, {"n": 4, "terms": [1]}),
 ])
 def test_malformed_wire_objects_raise_typed_errors(decode, obj):
     with pytest.raises(MalformedInput) as info:
@@ -171,30 +171,25 @@ def test_malformed_wire_objects_raise_typed_errors(decode, obj):
 
 
 def test_repeated_index_on_the_wire_is_refused():
-    """A repeated basis index or 2-form term would silently replace the
-    earlier entry; each decoder refuses it and names the index.  The same
-    entries without the repeat decode."""
+    """A repeated basis index would silently replace the earlier entry;
+    each decoder refuses it and names the index.  The same entries without
+    the repeat decode."""
     entry = {"spin": [1, 1], "twist": [[1]], "re": "1", "im": "0"}
     twisted = [entry, {**entry, "spin": [1, -1]}, {**entry, "re": "-1"}]
     untwisted = [{"eps": [1, -1], "re": "1", "im": "0"}, {"eps": [1, 1], "re": "2", "im": "0"},
                  {"eps": [1, -1], "re": "0", "im": "3"}]
-    form = [{"a": 1, "b": 2, "coeff": "1"}, {"a": 2, "b": 3, "coeff": "1"},
-            {"a": 1, "b": 2, "coeff": "-1"}]
-    for decode, obj, field, index in (
-            (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": "1"}, "coeffs",
+    for decode, obj, entries, index in (
+            (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": "1"}, twisted,
              "((1, 1), ((1,),))"),
-            (spinor_from_json, {"n": 4}, "coeffs", "(1, -1)"),
-            (two_form_from_json, {"n": 4}, "terms", "(1, 2)")):
-        entries = {"coeffs": twisted if decode is scaled_spinor_from_json else untwisted,
-                   "terms": form}[field]
-        decode({**obj, field: entries[:2]})
+            (spinor_from_json, {"n": 4}, untwisted, "(1, -1)")):
+        decode({**obj, "coeffs": entries[:2]})
         with pytest.raises(MalformedInput, match="repeated .*" + re.escape(index)):
-            decode({**obj, field: entries})
+            decode({**obj, "coeffs": entries})
 
 
 # Arbitrary JSON trees, and objects whose fields are usually well typed so
 # that the decoders get past their first checks.  Dimensions range past the
-# caps (a 2-form with a huge n is refused before its n x n matrix exists),
+# caps (a spinor with a huge n is refused before anything of its size exists),
 # and rationals include an exponent string that Fraction would expand.
 _RATIONALS = st.sampled_from(("1", "-2/3", "1/0", "0", "1.5", "", "x", "3/4",
                               "1e999999999")) | st.text(max_size=4)
@@ -222,20 +217,16 @@ _GAUSSIAN = {"re": _field(_RATIONALS), "im": _field(_RATIONALS)}
 _TWISTED_ENTRY = _object({"spin": _field(_SIGN_LIST),
                           "twist": _field(st.lists(_SIGN_LIST, max_size=2))}, **_GAUSSIAN)
 _UNTWISTED_ENTRY = _object({"eps": _field(_SIGN_LIST)}, **_GAUSSIAN)
-_TERM = _object({"a": _field(st.integers(-1, 7)), "b": _field(st.integers(-1, 7)),
-                 "coeff": _field(_RATIONALS)})
 _DIM = _field(st.integers(-2, 7) | st.integers(30, 10 ** 12))
 _TWISTED = _object({"n": _DIM, "r": _field(st.integers(-1, 5) | st.integers(15, 10 ** 12)),
                     "m": _field(st.integers(-1, 2) | st.integers(7, 10 ** 12)),
                     "scale2": _field(_RATIONALS),
                     "coeffs": _field(st.lists(_TWISTED_ENTRY, max_size=4))})
 _UNTWISTED = _object({"n": _DIM, "coeffs": _field(st.lists(_UNTWISTED_ENTRY, max_size=4))})
-_TWO_FORM = _object({"n": _DIM, "terms": _field(st.lists(_TERM, max_size=4))})
 
 
 @pytest.mark.parametrize("decode,own", [(scaled_spinor_from_json, _TWISTED),
-                                        (spinor_from_json, _UNTWISTED),
-                                        (two_form_from_json, _TWO_FORM)])
+                                        (spinor_from_json, _UNTWISTED)])
 @settings(derandomize=True, max_examples=150, database=None, deadline=None)
 @given(data=st.data())
 def test_decoders_raise_only_typed_errors_on_arbitrary_json(decode, own, data):
@@ -265,7 +256,6 @@ _HUGE = "1e999999999"
     (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 1, "scale2": "1", "coeffs": [
         {"spin": [1, 1], "twist": [[1]], "re": _HUGE, "im": "0"}]}),
     (spinor_from_json, {"n": 4, "coeffs": [{"eps": [1, 1], "re": "1", "im": "-2E9"}]}),
-    (two_form_from_json, {"n": 4, "terms": [{"a": 1, "b": 2, "coeff": _HUGE}]}),
 ])
 def test_exponent_strings_refused_promptly(decode, obj):
     t0 = time.monotonic()
@@ -279,7 +269,6 @@ def test_exponent_strings_refused_promptly(decode, obj):
     (scaled_spinor_from_json, {"n": 4, "r": 17, "m": 1, "scale2": "1", "coeffs": []}, "r"),
     (scaled_spinor_from_json, {"n": 4, "r": 3, "m": 9, "scale2": "1", "coeffs": []}, "m"),
     (spinor_from_json, {"n": 33, "coeffs": []}, "n"),
-    (two_form_from_json, {"n": 2000, "terms": []}, "n"),
 ])
 def test_decoders_refuse_dimensions_above_the_caps(decode, obj, field):
     t0 = time.monotonic()

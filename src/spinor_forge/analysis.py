@@ -27,8 +27,7 @@ from .errors import (
 )
 from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_action, form_lincomb, spinc_form
 from .linalg import (
-    Matrix, RowReducer, SparseRow, _back_substitute, _clear_denominators, check_special_orthogonal,
-    nullspace,
+    Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
 from .spinrep import MAX_R, IntCoeffMap, _lincomb
@@ -152,74 +151,39 @@ def bracket(x: AmbientElement, y: AmbientElement) -> AmbientElement:
 
 @dataclass(frozen=True)
 class LieSubalgebra:
+    """The span of ``basis`` in spin(n) + spin(r).  ``dim`` is the rank of
+    the span and may be less than ``len(basis)``; ``open_pair`` is the first
+    (i, j), in ``combinations`` order, whose bracket leaves the span, and
+    None when it is closed."""
+
     basis: List[AmbientElement]
     dim: int
     closed: bool
-    # structure constants [x_i, x_j] = sum_k c[(i, j)][k] x_k, present iff the
-    # span is closed and the basis independent ({} for the zero algebra)
-    structure: Optional[Dict[Pair, List[Fraction]]] = None
-    # the first (i, j) whose bracket leaves the span; None when closed
     open_pair: Optional[Pair] = None
 
 
 def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
-    """Check bracket closure of the span of ``basis``; structure constants
-    (over the given basis) are reported only when closed and independent.
+    """Check bracket closure of the span of ``basis``.
 
-    Each x_i is the integer row X_i = d_i x_i of its layout, and the rows
-    [X_i | e_i] are brought once to reduced echelon form: a row with pivot
-    q_k in the X part is R_k = sum_i t_ki X_i, equal to lead_k on q_k and 0
-    on the other pivots.  So z = [X_i, X_j] = d_i d_j [x_i, x_j] lies in the
-    span iff L z = sum_k z[q_k] (L / lead_k) R_k, with L the lcm of the
-    leads, and the same sum over the t_ki d_i gives its coordinates: each
-    bracket is read off in integers, with no elimination."""
+    The integer rows of the basis, over the pairs of spin(n + r) as
+    columns, go once into one ``RowReducer``; each bracket [X_i, X_j] of
+    the integer terms is a multiple of [x_i, x_j] and is reduced against
+    them, in integers."""
     if not basis:
         raise EmptyInput("empty basis")
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
     # the brackets are taken in spin(n + r), whose pairs in order are the flat columns
-    n, r = shape
-    keys = _ambient_pairs(n, r)
-    col = {p: c for c, p in enumerate(keys)}
-    offset, size = len(keys), len(basis)
-    ints = [x._terms for x in basis]
-    dens = [x._den for x in basis]
+    col = {p: c for c, p in enumerate(_ambient_pairs(*shape))}
     red = RowReducer()
-    for i, x in enumerate(ints):
-        red.add({**{col[p]: v for p, v in x.items()}, offset + i: 1})
-    span = {q: row for q, row in _back_substitute(red.pivots).items() if q < offset}
-    dim = len(span)
-    independent = dim == size
-    lcm = math.lcm(*(row[q] for q, row in span.items()))
-    # (L / lead_k) R_k, and its coordinates (L / lead_k) t_km d_m over the x_m
-    read = {keys[q]: ({keys[c]: v * (lcm // row[q]) for c, v in row.items() if c < offset},
-                      {c - offset: v * (lcm // row[q]) * dens[c - offset]
-                       for c, v in row.items() if c >= offset})
-            for q, row in span.items()}
-    zero = Fraction(0)
-    structure: Dict[Pair, List[Fraction]] = {}
-    for i, j in combinations(range(size), 2):
-        z = _bivector_bracket(ints[i], ints[j])
-        rest = {p: -lcm * v for p, v in z.items()}
-        coords: Dict[int, int] = {}
-        for q in z.keys() & read.keys():
-            v = z[q]
-            part, coord = read[q]
-            for p, w in part.items():
-                rest[p] = rest.get(p, 0) + v * w
-            for m, w in coord.items():
-                coords[m] = coords.get(m, 0) + v * w
-        if any(rest.values()):
-            return LieSubalgebra(list(basis), dim, closed=False, open_pair=(i, j))
-        if independent:
-            consts = [zero] * size
-            for m, v in coords.items():
-                if v:
-                    consts[m] = Fraction(v, lcm * dens[i] * dens[j])
-            structure[(i, j)] = consts
-    return LieSubalgebra(list(basis), dim, closed=True,
-                         structure=structure if independent else None)
+    for x in basis:
+        red.add({col[p]: v for p, v in x._terms.items()})
+    for i, j in combinations(range(len(basis)), 2):
+        z = _bivector_bracket(basis[i]._terms, basis[j]._terms)
+        if not red.contains({col[p]: v for p, v in z.items()}):
+            return LieSubalgebra(list(basis), red.rank, closed=False, open_pair=(i, j))
+    return LieSubalgebra(list(basis), red.rank, closed=True)
 
 
 # -- purity / reducing certificates -------------------------------------------
@@ -449,7 +413,7 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
              for den, vec in nullspace(rows, len(keys))]
     if not basis:
-        return LieSubalgebra(basis=[], dim=0, closed=True, structure={})
+        return LieSubalgebra(basis=[], dim=0, closed=True)
     return lie_closure_report(basis)
 
 

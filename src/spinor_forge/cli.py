@@ -15,10 +15,10 @@ import sys
 from typing import Any, List, Optional
 
 from . import __version__, catalog
-from .analysis import annihilator, check_pure, check_reducing, check_spinc_pure, commutant, frame_rotation_check
+from .analysis import _certify, annihilator, check_pure, check_reducing, check_spinc_pure, commutant
 from .errors import SpinorForgeError
 from .forms import eta, eta_hat, etas
-from .linalg import random_so_matrix
+from .linalg import check_special_orthogonal, random_so_matrix
 from .report import report_all
 from .serialize import (
     render_ambient,
@@ -172,10 +172,12 @@ def cmd_frame_test(args: argparse.Namespace) -> int:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
     ent = _catalog_entry(args)
     rng = random.Random(args.seed)
+    frames = [check_special_orthogonal(random_so_matrix(ent.spinor.r, rng, bound=2))
+              for _ in range(args.trials)]
+    (base, _), *rotated = _certify(ent.spinor, ent.kind, [None, *frames])
     ok = True
-    for t in range(args.trials):
-        a = random_so_matrix(ent.spinor.r, rng, bound=2)
-        good = frame_rotation_check(ent.spinor, a, ent.kind)
+    for t, (verdict, _) in enumerate(rotated):
+        good = verdict == base
         print(f"trial {t + 1}: {'ok' if good else 'FAIL'}")
         ok = ok and good
     print("all invariant" if ok else "verdict changed under rotation")

@@ -17,6 +17,7 @@ from typing import Callable, Dict, List
 from . import catalog
 from .analysis import (
     AmbientElement,
+    _certify,
     ambient_annihilates,
     annihilator,
     check_pure,
@@ -25,11 +26,12 @@ from .analysis import (
     cl_dims,
     commutant,
     even_clifford_verify,
-    frame_rotation_check,
     pairs,
 )
 from .forms import eta_hat, etas, spinc_form, two_form_from_terms
-from .linalg import RowReducer, random_so_matrix, random_unit_vector, spans_equal
+from .linalg import (
+    RowReducer, check_special_orthogonal, random_so_matrix, random_unit_vector, spans_equal,
+)
 from .scalars import gr
 from .spinrep import FormTerm, all_basis_indices, basis_spinor
 from .twisted import (
@@ -262,12 +264,11 @@ def criterion_frame_equivariance() -> CriterionRow:
     equi_count = 0
     for label, phi in (("spin7_pure", catalog.build_spin7_pure().spinor),
                        ("qk m=1", catalog.build_qk_pure(1).spinor)):
-        for _ in range(10):
-            a = random_so_matrix(phi.r, rng, bound=2)
-            if not frame_rotation_check(phi, a, "pure"):
-                ok = False
-            rot_count += 1
-        base = check_pure(phi).is_pure
+        frames = [check_special_orthogonal(random_so_matrix(phi.r, rng, bound=2))
+                  for _ in range(10)]
+        (base, _), *rotated = _certify(phi, "pure", [None, *frames])
+        ok = ok and all(verdict == base for verdict, _ in rotated)
+        rot_count += len(rotated)
         for _ in range(5):
             g = [random_unit_vector(phi.n, rng) for _ in range(2)]
             h = [random_unit_vector(phi.r, rng) for _ in range(2)]

@@ -8,7 +8,7 @@ stated runtime budgets are timed.
 import time
 
 import spinor_forge.catalog as catalog
-from spinor_forge import report
+from spinor_forge import analysis, report
 from spinor_forge.analysis import ClDims
 from spinor_forge.report import (
     criterion_frame_equivariance,
@@ -76,6 +76,36 @@ def test_criterion_08_hat_commutator_identities():
 
 def test_criterion_09_frame_and_equivariance():
     _check(criterion_frame_equivariance())
+
+
+def test_frame_row_certifies_each_spinor_once(monkeypatch):
+    """The ten rotations of a spinor share one certificate call with its
+    standard frame: one call per spinor plus one per moved spinor."""
+    calls = []
+    real = analysis._certify
+
+    def counted(*args):
+        calls.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_certify", counted)
+    monkeypatch.setattr(report, "_certify", counted)
+    assert criterion_frame_equivariance().passed
+    assert calls == ["pure"] * 12
+
+
+def test_frame_row_reads_the_base_verdict_from_the_standard_frame(monkeypatch):
+    """A certificate whose verdict differs only in the standard frame fails
+    the row, so the rotated frames are compared against that frame."""
+    real = analysis._certify
+
+    def flipped(phi, kind, frames=(None,)):
+        (ok, per), *rest = real(phi, kind, frames)
+        return [(not ok, per), *rest]
+
+    monkeypatch.setattr(report, "_certify", flipped)
+    row = criterion_frame_equivariance()
+    assert not row.passed and row.computed.endswith("invariant=False")
 
 
 def test_criterion_10_spinc_special_case():

@@ -45,7 +45,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
-    RowReducer, givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
+    givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -346,9 +346,9 @@ def test_ambient_element_layout():
 def test_lie_closure_so3():
     basis = [AmbientElement(3, 3, {p: F(1)}, {}) for p in pairs(3)]
     rep = lie_closure_report(basis)
-    assert rep.closed and rep.dim == 3
-    # structure constants: [e1e2, e1e3] = 2 e2e3 etc.
-    assert rep.structure[(0, 1)] == [F(0), F(0), F(2)]
+    assert rep.closed and rep.dim == 3 and rep.open_pair is None
+    # [e1e2, e1e3] = 2 e2e3
+    assert bracket(basis[0], basis[1]) == AmbientElement(3, 3, {(2, 3): F(2)}, {})
 
 
 def test_lie_closure_rescaled_and_dependent_bases():
@@ -358,11 +358,10 @@ def test_lie_closure_rescaled_and_dependent_bases():
     # [e1e2, e1e3] = 2 e2e3 = (1/2) (4 e2e3)
     rep = lie_closure_report([e({(1, 2): F(1)}), e({(1, 3): F(1)}), e({(2, 3): F(4)})])
     assert rep.closed and rep.dim == 3
-    assert rep.structure[(0, 1)] == [F(0), F(0), F(1, 2)]
     dependent = [e({(1, 2): F(1)}), e({(1, 3): F(1)}), e({(2, 3): F(1)}),
                  e({(1, 2): F(1), (2, 3): F(1)})]
     rep = lie_closure_report(dependent)
-    assert rep.dim == 3 and rep.closed and rep.structure is None
+    assert rep.dim == 3 and rep.closed
 
 
 def test_lie_closure_abelian_and_open():
@@ -383,50 +382,46 @@ def test_lie_closure_names_the_first_open_pair():
 
     # e56 commutes with e12 and e13, whose bracket 2 e23 leaves the span
     rep = lie_closure_report([e(5, 6), e(1, 2), e(1, 3)])
-    assert (rep.closed, rep.dim, rep.structure, rep.open_pair) == (False, 3, None, (1, 2))
+    assert (rep.closed, rep.dim, rep.open_pair) == (False, 3, (1, 2))
     rep = lie_closure_report([e(5, 6), e(1, 2), e(1, 3), e(2, 3)])
     assert rep.closed and rep.open_pair is None
     assert annihilator([build_qk_pure(1).spinor]).open_pair is None
 
 
+def _rref(rows):
+    """Dense Gauss-Jordan over Fraction: [(pivot column, row)] with each row
+    1 on its own pivot column and 0 on the others."""
+    out = []
+    for row in rows:
+        row = list(row)
+        for q, piv in out:
+            c = row[q]
+            if c:
+                row = [x - c * y for x, y in zip(row, piv)]
+        q = next((k for k, x in enumerate(row) if x), None)
+        if q is None:
+            continue
+        row = [x / row[q] for x in row]
+        out = [(p, [x - r[q] * y for x, y in zip(r, row)]) for p, r in out]
+        out.append((q, row))
+    return out
+
+
 def _closure_oracle(basis):
-    """The eliminating closure check: rows [x_i | e_i | 0]; a bracket enters
-    as [z | 0 | 1] and reduces to [0 | c | s] exactly when
-    z = -sum (c_i / s) x_i lies in the span.  Returns (dim, closed,
-    structure, first open pair)."""
-    n, r = basis[0].n, basis[0].r
-    a_col = {p: i for i, p in enumerate(pairs(n))}
-    b_col = {p: len(a_col) + i for i, p in enumerate(pairs(r))}
-    offset = len(a_col) + len(b_col)
-
-    def sparse_row(x):
-        row = {a_col[p]: c for p, c in x.a.items()}
-        row.update({b_col[p]: c for p, c in x.b.items()})
-        return row
-
-    size = len(basis)
-    last = offset + size
-    red = RowReducer()
-    for i, x in enumerate(basis):
-        row = sparse_row(x)
-        row[offset + i] = F(1)
-        red.add(row)
-    dim = sum(1 for c in red.pivots if c < offset)
-    independent = dim == size
-    structure = {}
-    for i, j in combinations(range(size), 2):
-        z = sparse_row(bracket(basis[i], basis[j]))
-        z[last] = F(1)
-        row = red.reduce(z)
-        if min(row) < offset:
-            return dim, False, None, (i, j)
-        if independent:
-            consts = [F(0)] * size
-            for c, v in row.items():
-                if c < last:
-                    consts[c - offset] = F(-v, row[last])
-            structure[(i, j)] = consts
-    return dim, True, structure if independent else None, None
+    """Closure by dense Fraction elimination: the basis is brought once to
+    reduced echelon form, and a bracket z lies in the span iff it equals
+    sum_k z[q_k] R_k over the pivot columns q_k.  Returns (dim, closed,
+    first open pair)."""
+    echelon = _rref(x.flat() for x in basis)
+    for i, j in combinations(range(len(basis)), 2):
+        z = bracket(basis[i], basis[j]).flat()
+        for q, row in echelon:
+            c = z[q]
+            if c:
+                z = [x - c * y for x, y in zip(z, row)]
+        if any(z):
+            return len(echelon), False, (i, j)
+    return len(echelon), True, None
 
 
 _VALUES = (F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2, 3))
@@ -491,20 +486,17 @@ def _random_span(rng):
 
 
 def test_lie_closure_matches_the_eliminating_oracle():
-    """dim, closed, structure (Fraction for Fraction) and the first open pair
-    agree with one elimination per bracket on seeded random small bases."""
+    """dim, closed and the first open pair agree with a dense Fraction
+    elimination on seeded random small bases."""
     rng = random.Random(20261018)
-    seen = {"structure": 0, "closed_dependent": 0, "open_later": 0, "b_only": 0}
+    seen = {"closed_independent": 0, "closed_dependent": 0, "open_later": 0, "b_only": 0}
     for _ in range(600):
         basis = _random_span(rng)
         rep = lie_closure_report(basis)
-        dim, closed, structure, open_pair = _closure_oracle(basis)
+        dim, closed, open_pair = _closure_oracle(basis)
         assert (rep.dim, rep.closed, rep.open_pair) == (dim, closed, open_pair), basis
-        assert rep.structure == structure, basis
-        if structure:
-            assert all(type(c) is F for consts in rep.structure.values() for c in consts)
-            seen["structure"] += any(any(cs) for cs in structure.values())
-        seen["closed_dependent"] += closed and structure is None
+        seen["closed_independent"] += closed and dim == len(basis) > 1
+        seen["closed_dependent"] += closed and dim < len(basis)
         seen["open_later"] += not closed and open_pair[0] > 0
         seen["b_only"] += closed and all(not x.a for x in basis) and dim > 1
     assert min(seen.values()) >= 10, seen
@@ -512,23 +504,32 @@ def test_lie_closure_matches_the_eliminating_oracle():
 
 @pytest.mark.parametrize("label", ["qk(2)", "qk(3)", "spin7_pure", "spin7_pair", "generic(5)"])
 def test_structure_constants_rebuild_every_bracket(label):
-    """[x_i, x_j] from the public bracket equals sum_k c_ij[k] x_k, summed
-    as Fraction maps, for every i < j of the annihilator basis."""
+    """On the annihilator basis the dense Fraction elimination gives the
+    same dim and closure, and its coordinates c_ij rebuild every bracket:
+    [x_i, x_j] = sum_k c_ij[k] x_k, read off the reduced rows [x_i | e_i]."""
     spinors = {"qk(2)": [build_qk_pure(2).spinor], "qk(3)": [build_qk_pure(3).spinor],
                "spin7_pure": [build_spin7_pure().spinor],
                "spin7_pair": [build_spin7_pure().spinor, build_spin7_reducing().spinor],
                "generic(5)": [build_generic_reducing(5).spinor]}[label]
     alg = annihilator(spinors)
     basis = alg.basis
-    assert alg.closed and alg.open_pair is None
-    assert sorted(alg.structure) == list(combinations(range(len(basis)), 2))
-    for (i, j), consts in alg.structure.items():
-        a, b = {}, {}
-        for c, x in zip(consts, basis):
-            for part, terms in ((a, x.a), (b, x.b)):
-                for p, v in terms.items():
-                    part[p] = part.get(p, F(0)) + c * v
-        assert bracket(basis[i], basis[j]) == AmbientElement(basis[0].n, basis[0].r, a, b), (i, j)
+    assert _closure_oracle(basis) == (alg.dim, True, None)
+    assert alg.closed and alg.open_pair is None and alg.dim == len(basis)
+    size, width = len(basis), len(basis[0].flat())
+    echelon = _rref(x.flat() + [F(i == k) for k in range(size)] for i, x in enumerate(basis))
+    coords = {q: {k: row[width + k] for k in range(size) if row[width + k]} for q, row in echelon}
+    terms = [{col: v for col, v in enumerate(x.flat()) if v} for x in basis]
+    for i, j in combinations(range(size), 2):
+        z = {col: v for col, v in enumerate(bracket(basis[i], basis[j]).flat()) if v}
+        consts = {}
+        for q in z.keys() & coords.keys():
+            for k, t in coords[q].items():
+                consts[k] = consts.get(k, 0) + z[q] * t
+        rebuilt = {}
+        for k, c in consts.items():
+            for col, v in terms[k].items():
+                rebuilt[col] = rebuilt.get(col, 0) + c * v
+        assert {col: v for col, v in rebuilt.items() if v} == z, (i, j)
 
 
 # -- annihilators ----------------------------------------------------------------

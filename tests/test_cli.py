@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from spinor_forge import cli
 from spinor_forge.cli import main
 from spinor_forge.serialize import spinor_to_json
 from spinor_forge.spinrep import SpinorVector, basis_spinor
@@ -158,6 +159,23 @@ def test_frame_test_verb(capsys):
                        "--seed", "1", "--trials", "2")
     assert code == 0
     assert out.count("trial") == 2 and "all invariant" in out
+
+
+def test_frame_test_compares_each_trial_with_the_standard_frame(capsys, monkeypatch):
+    """A certificate whose verdict differs only in the standard frame fails
+    every trial."""
+    real = cli._certify
+
+    def flipped(phi, kind, frames=(None,)):
+        (ok, per), *rest = real(phi, kind, frames)
+        return [(not ok, per), *rest]
+
+    monkeypatch.setattr(cli, "_certify", flipped)
+    code, out, _ = run(capsys, "frame-test", "--catalog", "spin7_reducing",
+                       "--seed", "3", "--trials", "3")
+    assert code == 1
+    assert out.splitlines() == [f"trial {t}: FAIL" for t in (1, 2, 3)] + [
+        "verdict changed under rotation"]
 
 
 def test_frame_test_refuses_fewer_than_one_trial(capsys):

@@ -22,7 +22,6 @@ from .errors import (
     NotOrthogonal,
     RankTooSmall,
     ShapeMismatch,
-    UnsupportedDimension,
     ZeroSpinor,
 )
 from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_action, form_lincomb, spinc_form
@@ -30,7 +29,7 @@ from .linalg import (
     Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import MAX_R, IntCoeffMap, _lincomb
+from .spinrep import IntCoeffMap, _lincomb, check_dimensions
 from .twisted import ScaledSpinor, _bivector_map, _norm2, twist_bivector_action, twisted_group_action
 
 Pair = Tuple[int, int]
@@ -59,6 +58,7 @@ class AmbientElement:
     b: Mapping[Pair, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        check_dimensions(self.n, self.r)
         n, a, b = self.n, vars(self).pop("a"), vars(self).pop("b")
         for (i, j) in a:
             if not 1 <= i < j <= n:
@@ -240,7 +240,7 @@ def _certify(phi: ScaledSpinor, kind: str,
     for (s, t) in pairs(phi.r):
         w = twist_bivector_action(s, t, phi)
         form = images.induced_form(w)
-        action = (phi._den * form._den, _bivector_map(phi, form._terms, phi._data))
+        action = (phi._den * form._den, _bivector_map(phi, form._terms))
         table[(s, t)] = (form, *_lincomb([(1, *action), (c, w._den, w._data)]))
     forms, d_dens, d_maps = zip(*table.values()) if table else ((), (), ())
     combine = form_lincomb(phi.n, forms)
@@ -386,9 +386,11 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     acting on phi through the one bivector action ``twisted._bivector_map``
     (a spin pair one read of the pair table, a twist pair the cached acts
     of f_k f_l), over phi's one denominator; no generator is applied.  The
-    real and the imaginary part of each basis coefficient of the action
-    give one sparse integer row each, gathered in one walk over each
-    column's map."""
+    real and the imaginary part of each basis coefficient idx of the action
+    give one sparse integer row each, keyed 2 idx and 2 idx + 1 in one map
+    per spinor and gathered in one walk over each column's map;
+    ``nullspace`` reads its basis off the reduced row echelon form, so the
+    rows need no order."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
@@ -398,18 +400,14 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     keys = _ambient_pairs(n, r)  # a-major: the columns are labelled in this order
     rows: List[Dict[int, int]] = []
     for phi in spinors:
-        re_rows: Dict[int, Dict[int, int]] = {}
-        im_rows: Dict[int, Dict[int, int]] = {}
+        out: Dict[int, Dict[int, int]] = {}
         for j, p in enumerate(keys):
-            for idx, (re, im) in _bivector_map(phi, {p: 1}, phi._data).items():
+            for idx, (re, im) in _bivector_map(phi, {p: 1}).items():
                 if re:
-                    re_rows.setdefault(idx, {})[j] = re
+                    out.setdefault(2 * idx, {})[j] = re
                 if im:
-                    im_rows.setdefault(idx, {})[j] = im
-        for idx in sorted(re_rows.keys() | im_rows.keys()):
-            for part in (re_rows, im_rows):
-                if idx in part:
-                    rows.append(part[idx])
+                    out.setdefault(2 * idx + 1, {})[j] = im
+        rows.extend(out.values())
     basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
              for den, vec in nullspace(rows, len(keys))]
     if not basis:
@@ -424,7 +422,7 @@ def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
     pattern, and no generator.  Its denominator does not change the answer."""
     if (x.n, x.r) != (phi.n, phi.r):
         raise ShapeMismatch("ambient element and spinor shapes differ")
-    return not _bivector_map(phi, x._terms, phi._data)
+    return not _bivector_map(phi, x._terms)
 
 
 def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo]]:
@@ -509,13 +507,11 @@ class ClDims:
 def cl_dims(r: int) -> ClDims:
     """Dimension of an irreducible real module of the even Clifford algebra
     of rank r, and the number of distinct irreducibles, by r mod 8.  r is
-    an int in 1..MAX_R, checked before any power is taken."""
-    if type(r) is not int:  # a bool, a float or a Fraction is no rank
-        raise InvalidValue(f"rank must be an int, got {r!r}")
+    an int in 1..MAX_R (``check_dimensions``), checked before any power is
+    taken."""
+    check_dimensions(0, r)
     if r < 1:
         raise ShapeMismatch("rank must be >= 1")
-    if r > MAX_R:
-        raise UnsupportedDimension(f"r must be <= {MAX_R}, got {r}")
     residue = ((r - 1) % 8) + 1
     shift = {3: 1, 5: 1, 8: -1}.get(residue, 0)  # d_r = 2^(floor(r/2) + shift)
     return ClDims(r=r, d_r=2 ** (r // 2 + shift), v_r=2 if residue in (4, 8) else 1)

@@ -285,7 +285,7 @@ def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
     ``twisted._bivector_map``, in one walk over supp phi per pattern."""
     if omega.n != phi.n:
         raise ShapeMismatch(f"2-form on R^{omega.n} acting on a spinor of Delta_{phi.n}")
-    return phi._with(phi._den * omega._den, _bivector_map(phi, omega._terms, phi._data))
+    return phi._with(phi._den * omega._den, _bivector_map(phi, omega._terms))
 
 
 def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:

@@ -38,10 +38,13 @@ Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
 
 def _sparse_int_row(row: Row) -> SparseRow:
     """The nonzero entries of ``row`` times the lcm of their denominators,
-    divided by the gcd of the results: a primitive integer row."""
+    divided by the gcd of the results: a primitive integer row.  Entries
+    other than ints are read through ``exact_rational``, so a float or a
+    bool raises ``InexactScalar``."""
     items = row.items() if type(row) is dict or isinstance(row, Mapping) else enumerate(row)
     out = {col: x for col, x in items if x}
     if any(type(x) is not int for x in out.values()):
+        out = {col: x if type(x) is Fraction else exact_rational(x) for col, x in out.items()}
         den = math.lcm(*(x.denominator for x in out.values()))
         out = {col: x.numerator * (den // x.denominator) for col, x in out.items()}
     g = math.gcd(*out.values())
@@ -242,6 +245,7 @@ def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
     """Rotation by (c, s) with c^2 + s^2 = 1 in the (i, j) plane, 1-based."""
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise IndexOutOfRange(f"rotation plane ({i},{j}) is not two distinct indices in 1..{n}")
+    c, s = exact_rational(c), exact_rational(s)
     if c * c + s * s != 1:
         raise NotOrthogonal(f"({c}, {s}) is not on the unit circle")
     g = identity(n)
@@ -254,6 +258,7 @@ def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
 
 def rational_cos_sin(t: Fraction) -> Tuple[Fraction, Fraction]:
     """The rational point ((1-t^2)/(1+t^2), 2t/(1+t^2)) on the unit circle."""
+    t = exact_rational(t)
     d = 1 + t * t
     return (1 - t * t) / d, 2 * t / d
 

@@ -19,16 +19,15 @@ bits below j-1:
     e_(2j-1): c -> (-1)^p i c        e_(2j): c -> -(-1)^(p + bit j-1) c
 
 and the odd-dimension generator flips nothing and gives (-1)^p i c with p
-the parity of the whole slot.  So every Clifford monomial e_(i1)...e_(is)
-on a slot is one signed flip (``_monomial``): phi_v goes to v ^ d times
-(-1)^parity(v & mask) i^phase.  Composition rule: the factors act right
-to left, and a generator (f, m) applied after (d, mask, phase) reads its
-parity at v ^ d, so d ^= f, mask ^= m and phase += 2 parity(d & m) + 1
-(g1, odd generator) or + 2 (g2), the parity taken before d moves.  The
-products e_a e_b, a < b, have one table, ``_pair_acts``: each pair's
-flip with its sign folded into x = +-1, which induced forms, 2-forms and
-annihilator columns read.  A slot action (``twisted._walk``) walks phi
-once per distinct flip d, and nothing of size 2^k x 2^k is built.
+the parity of the whole slot.  Each is one signed flip (d, x, mask,
+mixed) (``_slot_unit``): phi_v goes to v ^ d times (-1)^parity(v & mask)
+x, times i if mixed, with x = +-1.  A product of generators folds into
+one such record (``_monomial``, the one place their phases add up), the
+products e_a e_b, a < b, have one table of them, ``_pair_acts``, and a
+twist slot shifts d and mask to its bits.  Induced forms, 2-forms,
+annihilator columns and every slot action read these records; a walk
+(``twisted._walk``) goes over phi once per distinct d, and nothing of
+size 2^k x 2^k is built.
 Coefficients are (int re, int im) pairs over one positive integer
 denominator per spinor, reduced by the content gcd after every public
 operation, so equal spinors have equal layouts; sums run in ints and a
@@ -46,7 +45,9 @@ from functools import cache, lru_cache
 from types import MappingProxyType
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import IndexOutOfRange, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension
+from .errors import (
+    IndexOutOfRange, InvalidValue, NotUnitVector, OddLength, ShapeMismatch, UnsupportedDimension,
+)
 from .scalars import GaussianRational, Rational, exact_rational, gr
 
 BasisIndex = Tuple[int, ...]
@@ -64,11 +65,15 @@ MAX_M = 8
 
 
 def check_dimensions(n: int, r: int = 0, m: int = 0) -> None:
-    """Refuse negative dimensions (ShapeMismatch) and dimensions above the
-    caps MAX_N, MAX_R, MAX_M (UnsupportedDimension)."""
-    if 0 <= n <= MAX_N and 0 <= r <= MAX_R and 0 <= m <= MAX_M:
+    """Refuse each of n, r, m that is not an int, bools included
+    (InvalidValue, before it is compared), is negative (ShapeMismatch) or
+    is above its cap MAX_N, MAX_R, MAX_M (UnsupportedDimension)."""
+    if (type(n) is type(r) is type(m) is int
+            and 0 <= n <= MAX_N and 0 <= r <= MAX_R and 0 <= m <= MAX_M):
         return
     for name, value, cap in (("n", n, MAX_N), ("r", r, MAX_R), ("m", m, MAX_M)):
+        if type(value) is not int:  # a bool, a float or a Fraction is no dimension
+            raise InvalidValue(f"{name} must be an int, got {value!r}")
         if value < 0:
             raise ShapeMismatch(f"{name} must be >= 0, got {value}")
         if value > cap:
@@ -253,7 +258,10 @@ class ScaledSpinor:
         return self._with(*_lincomb([(1, self._den, self._data),
                                      (factor, other._den, other._data)]))
 
-    def scale(self, c: GaussianRational) -> ScaledSpinor:
+    def scale(self, c: Union[GaussianRational, Rational]) -> ScaledSpinor:
+        """This spinor times c; an int or a Fraction is read through ``gr``."""
+        if not isinstance(c, GaussianRational):
+            c = gr(c)
         den = math.lcm(c.re.denominator, c.im.denominator)
         p, q = c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
         return self._with(self._den * den, {idx: (re * p - im * q, re * q + im * p)
@@ -270,83 +278,70 @@ def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
     return SpinorVector(n, {tuple(eps): GaussianRational(Fraction(1))})
 
 
-def _slot_unit(offset: int, dim: int, i: int) -> Tuple[int, int, bool]:
-    """(flip, mask, imaginary) of generator i of a Delta_dim slot whose bits
-    start at ``offset``, for ``_generator_on_map``."""
+# One signed flip: (d, x, mask, mixed) sends phi_v to v ^ d times
+# (-1)^parity(v & mask) x, times i if mixed; x = +-1.
+Flip = Tuple[int, int, int, int]
+
+
+def _slot_unit(offset: int, dim: int, i: int) -> Flip:
+    """The signed flip (d, x, mask, mixed) of generator i of a Delta_dim
+    slot whose bits start at ``offset``: (bit, 1, tail, 1) for g1, (bit,
+    -1, tail | bit, 0) for g2 and (0, 1, slot mask, 1) for the odd-n
+    generator."""
     if not 1 <= i <= dim:
         raise IndexOutOfRange(f"generator index {i} outside 1..{dim}")
     k = spinor_dim_exponent(dim)
     if dim % 2 == 1 and i == dim:  # i * (T x ... x T): parity of the whole slot
-        return 0, ((1 << k) - 1) << offset, True
+        return 0, 1, ((1 << k) - 1) << offset, 1
     bit = 1 << (offset + (i + 1) // 2 - 1)
     tail = bit - (1 << offset)  # the slot's bits below the flipped one
-    return (bit, tail, True) if i % 2 == 1 else (bit, tail | bit, False)
+    return (bit, 1, tail, 1) if i % 2 == 1 else (bit, -1, tail | bit, 0)
 
 
-def _generator_on_map(data: IntCoeffMap, flip: int, mask: int, imaginary: bool) -> IntCoeffMap:
-    """One slot generator on an integer coefficient map: index idx goes to
-    idx ^ flip, with p the parity of idx & mask, and the coefficient is
-    multiplied by (-1)^p i (imaginary, g1 and the odd-n generator) or by
-    -(-1)^p (g2, whose mask includes the flipped bit).  A unit multiple of
-    a nonzero coefficient is nonzero, so nothing is dropped."""
+def _generator_on_map(data: IntCoeffMap, d: int, x: int, mask: int, mixed: int) -> IntCoeffMap:
+    """One signed flip of ``_slot_unit`` on an integer coefficient map; a
+    unit multiple of a nonzero coefficient is nonzero, so nothing is dropped."""
     out: IntCoeffMap = {}
-    if imaginary:
+    neg = x < 0  # x = -1 adds one to every parity
+    if mixed:  # i (re + i im) = (-im, re)
         for idx, (re, im) in data.items():
-            out[idx ^ flip] = (im, -re) if (idx & mask).bit_count() & 1 else (-im, re)
+            out[idx ^ d] = (im, -re) if ((idx & mask).bit_count() + neg) & 1 else (-im, re)
     else:
         for idx, (re, im) in data.items():
-            out[idx ^ flip] = (re, im) if (idx & mask).bit_count() & 1 else (-re, -im)
+            out[idx ^ d] = (-re, -im) if ((idx & mask).bit_count() + neg) & 1 else (re, im)
     return out
 
 
 @lru_cache(maxsize=1 << 14)  # bounded: a caller may pass any of 2^dim products
-def _monomial(dim: int, factors: Tuple[int, ...]) -> Tuple[int, int, int]:
-    """(d, mask, phase) of the Clifford product e_(i1)...e_(is) of
-    ``factors`` (any order, repeats allowed) on a Delta_dim slot whose bits
-    start at 0: one signed flip,
-
-        (e_(i1)...e_(is) . phi)[v ^ d] = (-1)^parity(v & mask) i^phase phi_v.
-
-    Composition rule: the factors act right to left, each the signed flip
-    (f, m, imaginary) of ``_slot_unit``.  A generator applied after (d,
-    mask, phase) reads its parity at v ^ d, and parity((v ^ d) & m) =
-    parity(v & m) + parity(d & m); so phase += 2 parity(d & m) + (1 if
-    imaginary else 2), with d taken before the flip (i for g1 and the odd
-    generator, -1 = i^2 for g2), then d ^= f and mask ^= m.  The empty
-    product is (0, 0, 0), and e_j e_j gives (0, 0, 2) = -1.  A slot whose
-    bits start at offset o shifts d and mask left by o."""
+def _monomial(dim: int, factors: Tuple[int, ...]) -> Flip:
+    """The signed flip (d, x, mask, mixed) of the Clifford product
+    e_(i1)...e_(is) of ``factors`` (any order, repeats allowed) on a
+    Delta_dim slot whose bits start at 0.  The factors act right to left,
+    each the flip (f, y, m, mixed) of ``_slot_unit``, its unit y i^mixed =
+    i^(2 [y < 0] + mixed).  A factor applied after (d, mask) reads its
+    parity at v ^ d, which adds parity(d & m) to parity(v & m); so the
+    phase gains 2 parity(d & m) + 2 [y < 0] + mixed, with d taken before
+    the flip, and then d ^= f and mask ^= m.  x = i^(phase & 2) and mixed
+    = phase & 1; e_j e_j is (0, -1, 0, 0) = -1.  At slot offset o, d and
+    mask shift left by o."""
     d = mask = phase = 0
     for i in reversed(factors):
-        f, m, imaginary = _slot_unit(0, dim, i)
-        phase += 2 * ((d & m).bit_count() & 1) + (1 if imaginary else 2)
+        f, y, m, mixed = _slot_unit(0, dim, i)
+        phase += 2 * ((d & m).bit_count() + (y < 0)) + mixed
         d ^= f
         mask ^= m
-    return d, mask, phase & 3
-
-
-PairAct = Tuple[int, int, int, int]
+    return d, -1 if phase & 2 else 1, mask, phase & 1
 
 
 @cache  # a constant of dim <= MAX_N
-def _pair_acts(dim: int) -> Dict[Tuple[int, int], PairAct]:
+def _pair_acts(dim: int) -> Dict[Tuple[int, int], Flip]:
     """The one table of the products e_a e_b (a < b) on a Delta_dim slot
-    whose bits start at 0, in b-major order: (a, b) -> (d, x, mask, mixed)
-    reads
-
-        (e_a e_b . phi)[v ^ d] = (-1)^parity(v & mask) x (i if mixed else 1) phi_v,
-
-    which is ``_monomial(dim, (a, b))`` = (d, mask, phase) with the sign of
-    i^phase folded into x = +-1 and mixed = phase & 1: a and b are of
-    different kinds (one unit i, one -1).  By d = flip_a ^ flip_b, d = 0
-    holds the k = dim // 2 pairs (2j-1, 2j), each two-bit d four pairs, and
-    for odd dim each one-bit d the two pairs with the last generator, which
-    flips nothing.  Read-only."""
-    acts: Dict[Tuple[int, int], PairAct] = {}
-    for b in range(2, dim + 1):
-        for a in range(1, b):
-            d, mask, phase = _monomial(dim, (a, b))
-            acts[(a, b)] = (d, -1 if phase & 2 else 1, mask, phase & 1)
-    return acts
+    whose bits start at 0, in b-major order: (a, b) -> ``_monomial(dim,
+    (a, b))``.  mixed says a and b are of different kinds (one unit i,
+    one -1).  By d = flip_a ^ flip_b, d = 0 holds the k = dim // 2 pairs
+    (2j-1, 2j), each two-bit d four pairs, and for odd dim each one-bit d
+    the two pairs with the last generator, which flips nothing.  Read-only."""
+    return {(a, b): _monomial(dim, (a, b)) for b in range(2, dim + 1) for a in range(1, b)}
 
 
 def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:

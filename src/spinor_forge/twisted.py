@@ -11,13 +11,12 @@ multiplied by scale2; purely linear operations leave it untouched.
 Everything here runs on the kernel layout of ``spinrep``: an int index per
 basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 +1) and int (re, im) pairs over one denominator D per spinor.  Every
-Clifford monomial on a slot is one signed flip, ``spinrep._monomial``:
-(d, mask, phase), folded right to left from the generators' flips, with
-phi_v going to v ^ d times (-1)^parity(v & mask) i^phase; a twist slot
-shifts d and mask to its bits.  ``_walk`` is the one kernel: it takes the
-flips grouped by d, each sign folded into an integer coefficient, and
-walks phi once per distinct d.  A slot action (``tangent_action``,
-``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``)
+Clifford monomial on a slot is one signed flip (d, x, mask, mixed),
+``spinrep._monomial``, with phi_v going to v ^ d times (-1)^parity(v &
+mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
+``_walk`` is the one kernel: it takes the flips grouped by d, each x
+times its integer coefficient, and walks phi once per distinct d.  A
+slot action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``)
 clears its rational coefficients to integers and makes one walk per
 distinct flip; a twist bivector f_k f_l reads its acts on all m slots
 from a cache per (n, r, m, k, l) (``_twist_acts``); and
@@ -40,6 +39,7 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
 from .scalars import GaussianRational, Rational, exact_rational
 from .spinrep import (
+    Flip,
     FormTerm,
     IntCoeffMap,
     ScaledSpinor,
@@ -63,18 +63,17 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) ->
     return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
 
 
-# One signed flip in a walk: (x, mask, mixed) sends phi_v to v ^ d times
-# (-1)^parity(v & mask) x, times i if mixed; x is an int with the sign of
-# i^phase folded in.  Acts are grouped by d, as (d, acts) pairs.
+# One signed flip in a walk, grouped by its d: (x, mask, mixed) sends phi_v
+# to v ^ d times (-1)^parity(v & mask) x, times i if mixed; x is any int.
 Act = Tuple[int, int, int]
 Acts = Iterable[Tuple[int, Sequence[Act]]]
 
 
-def _add_act(acts: Dict[int, List[Act]], flip: Tuple[int, int, int], x: int, off: int = 0) -> None:
-    """Add x times the signed flip (d, mask, phase) of ``_monomial``, on a
-    slot whose bits start at ``off``, to acts."""
-    d, mask, phase = flip
-    acts.setdefault(d << off, []).append((-x if phase & 2 else x, mask << off, phase & 1))
+def _add_act(acts: Dict[int, List[Act]], flip: Flip, c: int, off: int = 0) -> None:
+    """Add c times the signed flip (d, x, mask, mixed) of ``_monomial``, on
+    a slot whose bits start at ``off``, to acts."""
+    d, x, mask, mixed = flip
+    acts.setdefault(d << off, []).append((c * x, mask << off, mixed))
 
 
 def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
@@ -120,7 +119,7 @@ def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
 def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Tuple[int, Tuple[Act, ...]], ...]:
     """The acts of f_k f_l (any k, l in 1..r) on all m twist slots of shape
     (n, r, m): ``_monomial(r, (k, l))`` with d and mask shifted to each
-    slot's bits, its sign folded into x = +-1."""
+    slot's bits."""
     ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
     acts: Dict[int, List[Act]] = {}
     for a in range(m):
@@ -128,14 +127,13 @@ def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Tuple[int, Tupl
     return tuple((d, tuple(entries)) for d, entries in acts.items())
 
 
-def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
-                  data: IntCoeffMap) -> IntCoeffMap:
-    """sum x e_i e_j over the integer terms {(i, j): x}, i < j pairs of
-    spin(n + r) with f_k = e_(n+k), on an integer map of phi's shape, over
-    the same denominator; the layout of ``AmbientElement._terms``.
+def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int]) -> IntCoeffMap:
+    """sum x e_i e_j . phi over the integer terms {(i, j): x}, i < j pairs
+    of spin(n + r) with f_k = e_(n+k), as an integer map over phi's
+    denominator; the layout of ``AmbientElement._terms``.
 
     A spin pair (j <= n) is one read of the pair table
-    ``spinrep._pair_acts(n)``, its sign already folded; a twist pair
+    ``spinrep._pair_acts(n)``; a twist pair
     (n + k, n + l) reads the acts of f_k f_l on all m slots
     (``_twist_acts``).  Each act's sign times x is its integer, and the
     acts are grouped by d for one ``_walk``."""
@@ -150,7 +148,7 @@ def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int],
         else:
             for d, entries in _twist_acts(n, phi.r, phi.m, i - n, j - n):
                 acts.setdefault(d, []).extend([(s * x, mask, mixed) for s, mask, mixed in entries])
-    return _walk(acts.items(), data)
+    return _walk(acts.items(), phi._data)
 
 
 def _on_slot(phi: ScaledSpinor, slot: int,

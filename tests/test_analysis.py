@@ -7,9 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from spinor_forge import analysis
 from spinor_forge.analysis import (
     AmbientElement,
     _ambient,
+    _ambient_pairs,
     _certify,
     ambient_annihilates,
     annihilator,
@@ -45,7 +47,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
-    givens, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
+    givens, nullspace, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -53,6 +55,7 @@ from spinor_forge.spinrep import (
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
+    _bivector_map,
     tangent_action,
     twist_bivector_action,
     twisted_group_action,
@@ -321,6 +324,20 @@ def test_bracket_matches_operator_commutator():
         assert act(bracket(x, y), phi) == act(x, act(y, phi)) - act(y, act(x, phi)), (n, r, m, x, y)
 
 
+@pytest.mark.parametrize("n,r,a,error", [
+    (-1, 3, {}, ShapeMismatch), (4, -2, {}, ShapeMismatch),
+    (2.5, 3, {(1, 2): 1}, InvalidValue), (4, True, {}, InvalidValue), (F(4), 3, {}, InvalidValue),
+    (2000, 3, {}, UnsupportedDimension), (4, 10 ** 9, {}, UnsupportedDimension),
+], ids=repr)
+def test_ambient_element_refuses_hostile_dimensions(n, r, a, error):
+    """The dimensions pass ``check_dimensions`` before anything is read or
+    allocated: ``AmbientElement(2000, 3).flat()`` would hold 1 999 003 entries."""
+    t0 = time.monotonic()
+    with pytest.raises(error):
+        AmbientElement(n, r, a)
+    assert time.monotonic() - t0 < 0.1
+
+
 def test_ambient_element_layout():
     """Integer terms over one positive denominator, reduced by the content
     gcd, keyed by the pairs of spin(n + r) with f_k = e_(n+k); ``==``
@@ -568,6 +585,48 @@ def test_annihilator_qk_m5_within_budget():
     elapsed = time.monotonic() - t0
     assert (alg.dim, alg.closed, len(alg.basis)) == (58, True, 58)
     assert elapsed < 6.0, f"qk(5) annihilator took {elapsed:.2f}s, budget 6s"
+
+
+def _annihilator_basis_by_split_rows(spinors):
+    """The annihilator's basis from a separate copy of the builder with one
+    map of real and one of imaginary rows per spinor, emitted in sorted
+    basis-index order with each index's real row first."""
+    n, r, _ = spinors[0].shape()
+    keys = _ambient_pairs(n, r)
+    rows = []
+    for phi in spinors:
+        re_rows, im_rows = {}, {}
+        for j, p in enumerate(keys):
+            for idx, (re, im) in _bivector_map(phi, {p: 1}).items():
+                if re:
+                    re_rows.setdefault(idx, {})[j] = re
+                if im:
+                    im_rows.setdefault(idx, {})[j] = im
+        for idx in sorted(re_rows.keys() | im_rows.keys()):
+            rows += [part[idx] for part in (re_rows, im_rows) if idx in part]
+    return [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
+            for den, vec in nullspace(rows, len(keys))]
+
+
+def test_annihilator_rows_need_no_order(monkeypatch):
+    """The one row map per spinor, keyed 2 idx + part and handed to
+    ``nullspace`` unsorted, gives the basis of the split, sorted rows: on
+    qk(1..5), the spin7 pair, generic(2..8), and qk(3) and qk(4) moved by
+    a product of two unit vectors with full support (seeds 5 and 7)."""
+    monkeypatch.setattr(analysis, "lie_closure_report", lambda basis: basis)  # the basis alone
+    cases = [[build_qk_pure(m).spinor] for m in range(1, 6)]
+    cases += [[build_spin7_pure().spinor, build_spin7_reducing().spinor]]
+    cases += [[build_generic_reducing(n).spinor] for n in range(2, 9)]
+    for m in (3, 4):
+        for seed in (5, 7):
+            rng = random.Random(seed)
+            g = [random_unit_vector(4 * m, rng, support=4 * m) for _ in range(2)]
+            cases.append([twisted_group_action(g, [], build_qk_pure(m).spinor)])
+    t0 = time.monotonic()
+    for spinors in cases:
+        basis = annihilator(spinors)
+        assert basis and basis == _annihilator_basis_by_split_rows(spinors), spinors[0].shape()
+    assert time.monotonic() - t0 < 3.0
 
 
 def test_annihilator_validates_input():

@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from spinor_forge import linalg
-from spinor_forge.errors import IndexOutOfRange, NotOrthogonal, NotUnitVector
+from spinor_forge.errors import IndexOutOfRange, InexactScalar, NotOrthogonal, NotUnitVector
 from spinor_forge.linalg import (
     RowReducer,
     cayley_so,
@@ -317,6 +317,32 @@ def test_check_special_orthogonal_refuses_a_shear_of_determinant_one():
         assert plain_det(a) == 1
         with pytest.raises(NotOrthogonal, match=r"^A\^T A != Id$"):
             check_special_orthogonal(a)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: rank([[0.5]]),
+    lambda: rank([[True]]),
+    lambda: rank([{0: F(1), 1: 0.25}]),
+    lambda: nullspace([{0: 0.5}], 1),
+    lambda: span_contains([[F(1)]], [1.0]),
+    lambda: cayley_so([[0, 0.5], [-0.5, 0]]),
+    lambda: givens(2, 1, 2, 0.6, 0.8),
+    lambda: givens(2, 1, 2, True, 0),
+    lambda: rational_cos_sin(0.5),
+    lambda: rational_cos_sin(True),
+], ids=["rank float", "rank bool", "rank mixed map", "nullspace float", "span float",
+        "cayley float", "givens float", "givens bool", "cos_sin float", "cos_sin bool"])
+def test_inexact_entries_raise_inexact_scalar(call):
+    """A float or a bool where an exact rational belongs raises InexactScalar,
+    not an AttributeError, and is never read as a number."""
+    with pytest.raises(InexactScalar):
+        call()
+
+
+def test_exact_entries_still_read():
+    assert rank([[1, F(1, 2)], [2, 1]]) == 1 and rank([{0: 2, 3: F(-1, 3)}]) == 1
+    assert givens(2, 1, 2, 0, 1) == [[0, -1], [1, 0]]
+    assert rational_cos_sin(1) == (0, 1) and rational_cos_sin(F(1, 2)) == (F(3, 5), F(4, 5))
 
 
 def test_givens_refuses_bad_planes():

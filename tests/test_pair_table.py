@@ -95,7 +95,7 @@ def vector_terms(x):
 
 
 def test_monomial_matches_generator_chain():
-    """(d, mask, phase) of every factor tuple of length <= 4 for dim <= 9
+    """(d, x, mask, mixed) of every factor tuple of length <= 4 for dim <= 9
     (any order, repeats included) and of seeded tuples up to dim 32,
     against the generator chain on one basis vector with coefficient
     3 + 5i, on a slot at offset 0 and at offset 3 with bits set below and
@@ -107,12 +107,10 @@ def test_monomial_matches_generator_chain():
               for dim in range(10, 33) for _ in range(40)]
     for dim, factors in cases:
         k = dim // 2
-        d, mask, phase = _monomial(dim, factors)
-        assert 0 <= phase < 4 and d < 2 ** k and mask < 2 ** k, (dim, factors)
+        d, x, mask, mixed = _monomial(dim, factors)
+        assert x in (1, -1) and mixed in (0, 1) and d < 2 ** k and mask < 2 ** k, (dim, factors)
         v = rng.randrange(2 ** k)
-        re, im = 3, 5
-        for _ in range(phase):  # times i
-            re, im = -im, re
+        re, im = (-5 * x, 3 * x) if mixed else (3 * x, 5 * x)  # x i^mixed (3 + 5i)
         if (v & mask).bit_count() & 1:
             re, im = -re, -im
         for offset in (0, 3):
@@ -126,17 +124,14 @@ def test_monomial_matches_generator_chain():
 
 def test_pair_patterns_are_the_monomials_of_pairs():
     """Each entry (a, b) -> (d, x, mask, mixed) is ``_monomial(dim, (a, b))``
-    = (d, mask, phase) with the sign of i^phase folded into x = +-1 and
-    mixed = phase & 1, d = flip_a ^ flip_b, and every pair a < b has one
-    entry, in b-major order, for dim 1..32."""
+    with x = +-1, mixed in {0, 1} and d = flip_a ^ flip_b, and every pair
+    a < b has one entry, in b-major order, for dim 1..32."""
     for dim in range(1, 33):
         table = _pair_acts(dim)
         assert list(table) == [(a, b) for b in range(2, dim + 1) for a in range(1, b)]
         for (a, b), (d, x, mask, mixed) in table.items():
             assert x in (1, -1) and mixed in (0, 1)
-            flip, flip_mask, phase = _monomial(dim, (a, b))
-            assert (d, mask, x, mixed) == (flip, flip_mask, (-1) ** (phase >> 1), phase & 1), \
-                (dim, a, b)
+            assert table[(a, b)] == _monomial(dim, (a, b)), (dim, a, b)
             assert d == _slot_unit(0, dim, a)[0] ^ _slot_unit(0, dim, b)[0]
 
 
@@ -317,10 +312,10 @@ def test_bivector_map_matches_slot_oracles(n, r, m):
             x = random_element_terms(n, r, rng, density)
             for part in (x, {p: v for p, v in x.items() if p[1] <= n},
                          {p: v for p, v in x.items() if p[1] > n}):
-                got = _bivector_map(phi, part, phi._data)
+                got = _bivector_map(phi, part)
                 assert all(re or im for re, im in got.values())
                 assert phi._with(phi._den, got) == slot_oracle(part, phi), (n, r, m, part)
-    assert _bivector_map(phi, {}, phi._data) == {}
+    assert _bivector_map(phi, {}) == {}
 
 
 def perturbed(x, p):

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from spinor_forge.errors import (
-    IndexOutOfRange, InexactScalar, NotUnitVector, OddLength, ShapeMismatch,
+    IndexOutOfRange, InexactScalar, InvalidValue, NotUnitVector, OddLength, ShapeMismatch,
     UnsupportedDimension,
 )
+from spinor_forge.forms import two_form_from_terms
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -15,6 +16,7 @@ from spinor_forge.spinrep import (
     SpinorVector,
     all_basis_indices,
     basis_spinor,
+    check_dimensions,
     gamma_apply,
     kappa_generator,
     spin_action_on_vector,
@@ -187,6 +189,18 @@ def test_clifford_action_examples():
     for g in (4, 3, 2, 1):
         byhand = kappa_generator(4, g, byhand)
     assert quad.coeffs == byhand.coeffs
+
+
+def test_scale_reads_its_factor_through_gr():
+    """An int or a Fraction factor scales like its ``gr``; a float or a
+    bool is refused with InexactScalar."""
+    psi = SpinorVector(4, {(1, 1): gr(F(1, 3), 2), (1, -1): gr(-1)})
+    for c in (2, F(1, 2), 0, -3):
+        assert psi.scale(c) == psi.scale(gr(c))
+    assert psi.scale(2).coeffs == {(k, ()): v * 2 for k, v in spin_coeffs(psi).items()}
+    for bad in (0.5, 2.0, True, 1j, None):
+        with pytest.raises(InexactScalar):
+            psi.scale(bad)
 
 
 @pytest.mark.parametrize("bad", [0.5, True])
@@ -372,6 +386,25 @@ def test_index_entries_must_be_signs():
 def test_dimension_caps_refuse_larger_spaces(shape, field):
     with pytest.raises(UnsupportedDimension, match=f"^{field} must be <= "):
         ScaledSpinor(*shape, {})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ScaledSpinor(2.5, 0, 0, {}),
+    lambda: ScaledSpinor(True, 3, 1, {}),
+    lambda: ScaledSpinor(4, 3.0, 1, {}),
+    lambda: ScaledSpinor(4, 3, F(1), {}),
+    lambda: ScaledSpinor(None, 3, 1, {}),
+    lambda: ScaledSpinor("4", 3, 1, {}),
+    lambda: SpinorVector(True, {}),
+    lambda: two_form_from_terms(2.5, {}),
+    lambda: check_dimensions(4, 3, False),
+], ids=["n=2.5", "n=True", "r=3.0", "m=Fraction", "n=None", "n='4'", "vector n=True",
+        "two-form n=2.5", "m=False"])
+def test_dimensions_must_be_ints(make):
+    """A dimension that is not an int, a bool included, is refused with
+    InvalidValue before it is compared with anything."""
+    with pytest.raises(InvalidValue, match="must be an int, got "):
+        make()
 
 
 def test_dimension_caps_admit_the_catalog():

@@ -29,8 +29,11 @@ from .linalg import (
     Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import IntCoeffMap, _lincomb, check_dimensions
-from .twisted import ScaledSpinor, _bivector_map, _norm2, twist_bivector_action, twisted_group_action
+from .spinrep import IntCoeffMap, _lincomb, _merge, _monomial, check_dimensions
+from .twisted import (
+    _IDENTITY, ScaledSpinor, _bivector_map, _norm2, _pair, _slot_acts, _twist_acts, _walk,
+    twist_bivector_action, twisted_group_action,
+)
 
 Pair = Tuple[int, int]
 
@@ -493,6 +496,54 @@ def equivariance_check(
     if kind == "pure":
         return check_pure(moved).is_pure == check_pure(phi).is_pure
     return check_reducing(moved).is_reducing == check_reducing(phi).is_reducing
+
+
+# -- vanishing identities -------------------------------------------------------
+
+def vanishing_identity_failures(
+    phi: ScaledSpinor,
+    x: Sequence[Rational],
+    y: Sequence[Rational],
+    quads: Sequence[Sequence[Tuple[int, int, int, int]]],
+) -> int:
+    """The number of failing instances of the reality identities of phi for
+    tangent vectors X, Y and each twist pair (k, l) of ``pairs(r)``, with
+    ``quads`` the quadruples of each pair in that order:
+    (1) Re<kappa(f_kl) phi, phi> = 0, (2) Re<X^Y phi, phi> = 0,
+    (3) Im<X^Y kappa(f_kl) phi, phi> = 0, (4) Re<X phi, Y phi> =
+    <X, Y>|phi|^2 and (5) Re<e_abcd kappa(f_kl) phi, phi> = 0.
+
+    Each is an integer ``twisted._pair`` of A applied to the left argument
+    against phi's integers, so no spinor and no Fraction is built per
+    instance.  X and Y are cleared to integers X', Y' over one d; then X^Y
+    phi = (X'Y' phi + <X', Y'> phi) / d^2, and every side of an identity
+    carries the same positive factor scale2 / (D d)^2, which drops out."""
+    n, r, m = phi.shape()
+    if len(x) != n or len(y) != n:
+        raise ShapeMismatch(f"vectors of lengths {len(x)}, {len(y)} in R^{n}")
+    if len(quads) != len(pairs(r)):
+        raise ShapeMismatch(f"{len(quads)} quadruple lists for {len(pairs(r))} twist pairs")
+    (xs, ys), _ = _clear_denominators([[exact_rational(c) for c in v] for v in (x, y)])
+    data = phi._data
+    ax = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(xs, 1)])[1].items()
+    ay = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(ys, 1)])[1].items()
+    x_phi, y_phi = _walk(ax, data), _walk(ay, data)
+    dot = sum(a * b for a, b in zip(xs, ys))
+    wedge = _walk(ax, y_phi)  # X^Y acts as X.Y + <X, Y>
+    if dot:
+        _merge(wedge, data, dot)
+    norm, _ = _pair(_IDENTITY, data, data)
+    failures = _pair(_IDENTITY, wedge, data)[0] != 0
+    failures += _pair(_IDENTITY, x_phi, y_phi)[0] != dot * norm
+    for (k, l), qs in zip(pairs(r), quads):
+        acts = _twist_acts(n, r, m, k, l)
+        failures += _pair(acts, data, data)[0] != 0
+        failures += _pair(acts, wedge, data)[1] != 0  # X^Y (spin slot) commutes with kappa(f_kl)
+        w = _walk(acts, data)
+        for quad in qs:
+            d, s, mask, mixed = _monomial(n, tuple(quad))
+            failures += _pair(((d, ((s, mask, mixed),)),), w, data)[0] != 0
+    return failures
 
 
 # -- representation-theory constants -------------------------------------------

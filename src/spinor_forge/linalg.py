@@ -34,19 +34,21 @@ IntRow = List[int]
 SparseRow = Dict[int, int]
 # A row as a dense sequence or as a {col: value} map of its nonzero entries.
 Row = Union[Sequence[Fraction], Mapping[int, Fraction]]
+_EXACT_TYPES = frozenset((int, Fraction))  # entries whose zeros are dropped unread
 
 
 def _sparse_int_row(row: Row) -> SparseRow:
     """The nonzero entries of ``row`` times the lcm of their denominators,
-    divided by the gcd of the results: a primitive integer row.  Entries
-    other than ints are read through ``exact_rational``, so a float or a
-    bool raises ``InexactScalar``."""
+    divided by the gcd of the results: a primitive integer row.  Only int
+    and Fraction zeros are dropped unread; every other entry, zero or not,
+    goes through ``exact_rational``, so a float or a bool raises
+    ``InexactScalar``.  An int row never goes through it."""
     items = row.items() if type(row) is dict or isinstance(row, Mapping) else enumerate(row)
-    out = {col: x for col, x in items if x}
+    out = {col: x for col, x in items if x or type(x) not in _EXACT_TYPES}
     if any(type(x) is not int for x in out.values()):
         out = {col: x if type(x) is Fraction else exact_rational(x) for col, x in out.items()}
         den = math.lcm(*(x.denominator for x in out.values()))
-        out = {col: x.numerator * (den // x.denominator) for col, x in out.items()}
+        out = {col: v for col, x in out.items() if (v := x.numerator * (den // x.denominator))}
     g = math.gcd(*out.values())
     if g > 1:
         out = {col: v // g for col, v in out.items()}
@@ -226,11 +228,12 @@ def check_special_orthogonal(a: Matrix) -> Matrix:
 def cayley_so(skew: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I for skew S: always in SO(n),
     rational in S.  Row k of the reduced [I + S | I] is lead_k [e_k | row k
-    of (I + S)^(-1)]."""
+    of (I + S)^(-1)].  Each entry of S is read through ``exact_rational``
+    before I is added, so a float or a bool raises ``InexactScalar``."""
     n = len(skew)
     red = RowReducer()
     for i, row in enumerate(skew):
-        red.add({**{j: int(i == j) + x for j, x in enumerate(row)}, n + i: 1})
+        red.add({**{j: (i == j) + exact_rational(x) for j, x in enumerate(row)}, n + i: 1})
     reduced = _back_substitute(red.pivots)
     if any(k not in reduced for k in range(n)):
         raise ZeroDivisionError("I + S is singular")

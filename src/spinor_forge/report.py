@@ -27,6 +27,7 @@ from .analysis import (
     commutant,
     even_clifford_verify,
     pairs,
+    vanishing_identity_failures,
 )
 from .forms import eta_hat, etas, spinc_form, two_form_from_terms
 from .linalg import (
@@ -37,10 +38,8 @@ from .spinrep import FormTerm, all_basis_indices, basis_spinor
 from .twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
-    tangent_action,
     twist_bivector_action,
     twisted_group_action,
-    twisted_hermitian,
 )
 
 
@@ -201,31 +200,9 @@ def criterion_vanishing_identities() -> CriterionRow:
             phi = _random_spinor(n, r, m, rng)
             x = _random_vector(n, rng)
             y = _random_vector(n, rng)
-            xy_dot = sum(a * b for a, b in zip(x, y))
-            x_phi = tangent_action(x, phi)
-            y_phi = tangent_action(y, phi)
-            # X ^ Y acts as X.Y + <X,Y>
-            xy_phi = tangent_action(x, y_phi) + phi.scale(gr(xy_dot))
-            norm = twisted_hermitian(phi, phi).re
-            # (2) Re<X^Y phi, phi> = 0 ; (4) Re<X phi, Y phi> = <X,Y>|phi|^2
-            if twisted_hermitian(xy_phi, phi).re != 0:
-                failures += 1
-            if twisted_hermitian(x_phi, y_phi).re != xy_dot * norm:
-                failures += 1
-            for (k, l) in pairs(r):
-                fphi = twist_bivector_action(k, l, phi)
-                # (1) Re<kappa(f_kl) phi, phi> = 0
-                if twisted_hermitian(fphi, phi).re != 0:
-                    failures += 1
-                # (3) Im<X^Y kappa(f_kl) phi, phi> = 0; X^Y (spin slot) commutes with kappa(f_kl)
-                xy_f_phi = twist_bivector_action(k, l, xy_phi)
-                if twisted_hermitian(xy_f_phi, phi).im != 0:
-                    failures += 1
-                # (5) Re<e_abcd kappa(f_kl) phi, phi> = 0 on sampled quadruples
-                for quad in rng.sample(quads, k=min(3, len(quads))):
-                    e4 = form_action_on_spin_slot([FormTerm(quad)], fphi)
-                    if twisted_hermitian(e4, phi).re != 0:
-                        failures += 1
+            # sampled quadruples for (5), one draw per twist pair in order
+            sampled = [rng.sample(quads, k=min(3, len(quads))) for _ in pairs(r)]
+            failures += vanishing_identity_failures(phi, x, y, sampled)
             checked += 1
     return _row(
         "vanishing_identity_suite",

@@ -14,8 +14,11 @@ basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 Clifford monomial on a slot is one signed flip (d, x, mask, mixed),
 ``spinrep._monomial``, with phi_v going to v ^ d times (-1)^parity(v &
 mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
-``_walk`` is the one kernel: it takes the flips grouped by d, each x
-times its integer coefficient, and walks phi once per distinct d.  A
+``_walk`` is the one kernel that builds: it takes the flips grouped by d,
+each x times its integer coefficient, and walks phi once per distinct d.
+``_pair`` is the one kernel that pairs: from the same acts it sums the
+integer <A.a, b>, each a_v against b_(v ^ d), with no image built; every
+sesquilinear sum (``twisted_hermitian`` is its identity act) runs on it.  A
 slot action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``)
 clears its rational coefficients to integers and makes one walk per
 distinct flip; a twist bivector f_k f_l reads its acts on all m slots
@@ -115,6 +118,41 @@ def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
     return acc
 
 
+# The identity as acts: d = 0, x = 1, no mask, not mixed.
+_IDENTITY: Tuple[Tuple[int, Tuple[Act, ...]], ...] = ((0, ((1, 0, 0),)),)
+
+
+def _pair(acts: Acts, a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, int]:
+    """The integer <A.a, b> = sum_u (A a)_u conj(b_u), over the two maps'
+    denominators, for the acts A (d, [(x, mask, mixed), ...]) of ``_walk``.
+    (A a)_(v ^ d) is a_v times (-1)^parity(v & mask) x, times i if mixed,
+    so each act sums the signed a_v conj(b_(v ^ d)) = (pr qr + pi qi) +
+    i (pi qr - pr qi) and multiplies the sum by x, or i x, once; no image
+    of a is built."""
+    re = im = 0
+    get = b.get
+    for d, entries in acts:
+        for x, mask, mixed in entries:
+            sr = si = 0
+            for v, (pr, pi) in a.items():
+                o = get(v ^ d)
+                if o is not None:
+                    qr, qi = o
+                    if mask and (v & mask).bit_count() & 1:
+                        sr -= pr * qr + pi * qi
+                        si -= pi * qr - pr * qi
+                    else:
+                        sr += pr * qr + pi * qi
+                        si += pi * qr - pr * qi
+            if mixed:  # i x (sr + i si)
+                re -= x * si
+                im += x * sr
+            else:
+                re += x * sr
+                im += x * si
+    return re, im
+
+
 @lru_cache(maxsize=1 << 12)  # per shape and pair; f_k f_k = -1 on every slot
 def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Tuple[int, Tuple[Act, ...]], ...]:
     """The acts of f_k f_l (any k, l in 1..r) on all m twist slots of shape
@@ -154,9 +192,18 @@ def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int]) -> In
 def _on_slot(phi: ScaledSpinor, slot: int,
              terms: Iterable[Tuple[Tuple[int, ...], Rational]]) -> ScaledSpinor:
     """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
-    (0 = Delta_n): each product is the signed flip ``_monomial``, shifted
-    to the slot's bits, and the coefficients are cleared to integers over
-    their lcm; then one ``_walk`` over phi per distinct flip d."""
+    (0 = Delta_n): one ``_walk`` over phi per distinct flip d of
+    ``_slot_acts``."""
+    den, acts = _slot_acts(phi, slot, terms)
+    return phi._with(phi._den * den, _walk(acts.items(), phi._data))
+
+
+def _slot_acts(phi: ScaledSpinor, slot: int, terms: Iterable[Tuple[Tuple[int, ...], Rational]]
+               ) -> Tuple[int, Dict[int, List[Act]]]:
+    """(den, acts) of sum c e_(i1)...e_(is) over (factors, c) terms on slot
+    ``slot`` of phi's shape: each product is the signed flip ``_monomial``,
+    shifted to the slot's bits, and each c is cleared to an integer over
+    den, the lcm of the denominators."""
     dim = phi.r if slot else phi.n
     off = spinor_dim_exponent(phi.n) + (slot - 1) * spinor_dim_exponent(phi.r) if slot else 0
     parts = []
@@ -169,7 +216,7 @@ def _on_slot(phi: ScaledSpinor, slot: int,
     acts: Dict[int, List[Act]] = {}
     for factors, c in parts:
         _add_act(acts, _monomial(dim, tuple(factors)), c.numerator * (den // c.denominator), off)
-    return phi._with(phi._den * den, _walk(acts.items(), phi._data))
+    return den, acts
 
 
 def _vector_terms(X: Sequence[Rational]) -> list:
@@ -236,7 +283,8 @@ _ZERO = Fraction(0)
 
 def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRational:
     """<phi1, phi2> including the sqrt(scale2_1 * scale2_2) prefactor, which
-    must be rational (always true for equal scales)."""
+    must be rational (always true for equal scales); the sum is ``_pair``
+    of the identity act."""
     if phi1.shape() != phi2.shape():
         raise ShapeMismatch(f"shapes {phi1.shape()} and {phi2.shape()} differ")
     if phi1.scale2 == phi2.scale2:
@@ -246,14 +294,7 @@ def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRationa
         if pref is None:
             raise ScaleMismatch(
                 f"sqrt({phi1.scale2} * {phi2.scale2}) is irrational")
-    # sum c1 * conj(c2) = sum (a1 a2 + b1 b2) + i (b1 a2 - a1 b2)
-    re = im = 0
-    other = phi2._data
-    for idx, (a1, b1) in phi1._data.items():
-        o = other.get(idx)
-        if o is not None:
-            re += a1 * o[0] + b1 * o[1]
-            im += b1 * o[0] - a1 * o[1]
+    re, im = _pair(_IDENTITY, phi1._data, phi2._data)
     den = pref.denominator * phi1._den * phi2._den
     return GaussianRational(Fraction(pref.numerator * re, den) if re else _ZERO,
                             Fraction(pref.numerator * im, den) if im else _ZERO)

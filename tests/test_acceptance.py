@@ -70,6 +70,36 @@ def test_criterion_07_vanishing_identity_suite():
     _check(criterion_vanishing_identities())
 
 
+def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
+    """Each identity instance is one integer pairing: per spinor |phi|^2,
+    (2) and (4), and per twist pair (1), (3) and one (5) per sampled
+    quadruple.  50 spinors of each shape give 50 * (12 + 18 + 108 + 18)."""
+    calls = []
+    real = analysis._pair
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(analysis, "_pair", counted)
+    assert criterion_vanishing_identities().passed
+    assert len(calls) == 7800
+
+
+def test_vanishing_row_fails_on_a_pairing_without_parity(monkeypatch):
+    """A pairing that drops every act's parity mask fails the row with a
+    nonzero failure count, so the row reads the pairing's values."""
+    real = analysis._pair
+
+    def no_parity(acts, a, b):
+        return real([(d, [(x, 0, mixed) for x, _, mixed in entries]) for d, entries in acts], a, b)
+
+    monkeypatch.setattr(analysis, "_pair", no_parity)
+    row = criterion_vanishing_identities()
+    failures = int(row.computed.split(", ")[1].split()[0])
+    assert not row.passed and failures > 0
+
+
 def test_criterion_08_hat_commutator_identities():
     _check(criterion_hat_commutators())
 

@@ -26,6 +26,7 @@ from spinor_forge.analysis import (
     frame_rotation_check,
     lie_closure_report,
     pairs,
+    vanishing_identity_failures,
 )
 from spinor_forge.catalog import (
     build,
@@ -910,3 +911,19 @@ def test_pure_spinor_module_constraint():
         assert check_pure(phi).is_pure
         assert phi.n % 2 == 0
         assert phi.n % cl_dims(phi.r).d_r == 0
+
+
+def test_vanishing_identity_harness_holds_on_the_catalog_and_checks_its_shapes():
+    """Every identity instance holds on catalog spinors, for int and
+    rational vectors; vectors of the wrong length and a quadruple list per
+    twist pair short are refused, not truncated."""
+    for phi in (build_spin7_pure().spinor, build_qk_pure(2).spinor):
+        n, r = phi.n, phi.r
+        x = [F(j - 3, j) for j in range(1, n + 1)]
+        y = list(range(n, 0, -1))
+        quads = [[(1, 2, 3, 4), (2, 3, 5, 8)][: (k + l) % 3] for k, l in pairs(r)]
+        assert vanishing_identity_failures(phi, x, y, quads) == 0
+        with pytest.raises(ShapeMismatch):
+            vanishing_identity_failures(phi, x[:-1], y, quads)
+        with pytest.raises(ShapeMismatch):
+            vanishing_identity_failures(phi, x, y, quads[:-1])

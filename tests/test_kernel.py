@@ -7,6 +7,7 @@ nothing of bit indices, tail masks or denominators, so a wrong bit offset or
 sign rule in any slot changes a result.
 """
 
+import itertools
 import json
 import math
 import random
@@ -17,9 +18,14 @@ import pytest
 
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_from_json, scaled_spinor_to_json
-from spinor_forge.spinrep import FormTerm, all_basis_indices, spinor_dim_exponent
+from spinor_forge.spinrep import FormTerm, _monomial, all_basis_indices, spinor_dim_exponent
 from spinor_forge.twisted import (
+    _IDENTITY,
     ScaledSpinor,
+    _add_act,
+    _pair,
+    _twist_acts,
+    _walk,
     mu_slot,
     tangent_action,
     twist_bivector_action,
@@ -169,6 +175,59 @@ def test_twisted_hermitian_matches_dense_oracle(shape):
         want = sum((x * y.conj() for x, y in zip(va, vb)), gr(0)) * (pref * phi.scale2 / norm)
         assert twisted_hermitian(a, b) == want
     assert twisted_hermitian(phi, other).im != 0
+
+
+# -- the pairing <A.a, b> ---------------------------------------------------------
+
+# (n, r, m): even and odd n and r, two twist slots, three twist slots.
+PAIR_SHAPES = [(4, 3, 1), (5, 4, 1), (6, 3, 2), (8, 7, 1), (5, 3, 3)]
+
+
+def pair_cases(phi, rng):
+    """(label, acts, terms) on phi's shape: the acts in ``_walk``'s grouped
+    layout and the same operator as (slot, dim, factors, c) terms for the
+    dense oracle.  The identity, twist pairs on every slot at once, spin
+    quadruples, and one mixed act: vectors, spin pairs that share a flip d
+    and twist products with their own coefficient on each slot."""
+    n, r, m = phi.shape()
+    ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
+    yield "identity", _IDENTITY, [(0, n, (), 1)]
+    for k, l in rng.sample([(k, l) for k in range(1, r + 1) for l in range(1, r + 1) if k != l], 3):
+        yield f"f{k}f{l}", _twist_acts(n, r, m, k, l), [(a, r, (k, l), 1) for a in range(1, m + 1)]
+    quads = list(itertools.combinations(range(1, n + 1), 4))
+    for quad in rng.sample(quads, min(3, len(quads))):
+        d, x, mask, mixed = _monomial(n, quad)
+        yield f"e{quad}", ((d, ((x, mask, mixed),)),), [(0, n, quad, 1)]
+    terms = [(0, n, (j,), rng.choice([-3, -1, 2, 5])) for j in range(1, n + 1)]
+    terms += [(0, n, f, c) for f, c in (((1, 2), 3), ((3, 4), -2), ((1, 3), 5), ((2, 4), 1))]
+    terms += [(a, r, (1, 2, 3)[:r], a + 1) for a in range(1, m + 1)]
+    terms += [(a, r, (2, r), -a) for a in range(1, m + 1)]
+    acts = {}
+    for slot, dim, factors, c in terms:
+        _add_act(acts, _monomial(dim, factors), c, ks + (slot - 1) * kt if slot else 0)
+    assert any(len(e) > 1 for e in acts.values()) and any(a[2] for e in acts.values() for a in e)
+    yield "mixed", list(acts.items()), terms
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_pair_matches_dense_oracle(shape):
+    """_pair(acts, a, b) is the integer <A.a, b> over a's and b's
+    denominators: both parts equal the dense sum of (A a)_i conj(b_i),
+    compared as values.  b overlaps A.a with a complex factor, so neither
+    part is 0."""
+    (phi, psi), rng = spinors(shape, 7)
+    ds, v = dims(phi), dense(phi)
+    norm = 2 ** sum(spinor_dim_exponent(d) for d in [phi.n] + [phi.r] * phi.m)
+    for label, acts, terms in pair_cases(phi, rng):
+        image = add(*(scaled(c, product(v, ds, slot, dim, factors))
+                      for slot, dim, factors, c in terms))
+        b = (phi._with(phi._den, _walk(acts, phi._data)).scale(gr(F(2, 3), F(-5, 7)))
+             + replace(psi, scale2=phi.scale2))
+        want = sum((x * y.conj() for x, y in zip(image, dense(b))), gr(0))
+        want = want * F(phi._den * b._den, norm)
+        got = _pair(acts, phi._data, b._data)
+        assert (F(got[0]), F(got[1])) == (want.re, want.im), (shape, label)
+        assert got[0] and got[1], (shape, label)
 
 
 # -- canonical form ---------------------------------------------------------------

@@ -330,17 +330,39 @@ def test_check_special_orthogonal_refuses_a_shear_of_determinant_one():
     lambda: givens(2, 1, 2, True, 0),
     lambda: rational_cos_sin(0.5),
     lambda: rational_cos_sin(True),
+    lambda: rank([[0.0]]),
+    lambda: rank([[False, 1]]),
+    lambda: nullspace([{0: 0.0, 1: 1}], 2),
+    lambda: span_contains([[1, 0]], [1, 0.0]),
+    lambda: cayley_so([[0, True], [-True, 0]]),
 ], ids=["rank float", "rank bool", "rank mixed map", "nullspace float", "span float",
-        "cayley float", "givens float", "givens bool", "cos_sin float", "cos_sin bool"])
+        "cayley float", "givens float", "givens bool", "cos_sin float", "cos_sin bool",
+        "rank zero float", "rank false", "nullspace zero float", "span zero float",
+        "cayley bool"])
 def test_inexact_entries_raise_inexact_scalar(call):
     """A float or a bool where an exact rational belongs raises InexactScalar,
-    not an AttributeError, and is never read as a number."""
+    not an AttributeError, and is never read as a number; a zero float or
+    False is refused too, not dropped as a zero."""
     with pytest.raises(InexactScalar):
         call()
 
 
+def test_int_rows_do_not_go_through_exact_rational(monkeypatch):
+    """The type check reads ints directly: with ``exact_rational`` raising,
+    dense and sparse int rows, zeros included, still reduce."""
+    def refuse(x):
+        raise AssertionError(f"exact_rational({x!r}) on an int row")
+
+    monkeypatch.setattr(linalg, "exact_rational", refuse)
+    assert rank([[1, 0, 2], [2, 0, 4], [0, 0, 3]]) == 2
+    assert nullspace([{0: 1, 1: -1}, {1: 2, 2: 0}], 3) == [(1, {2: 1})]
+    assert span_contains([[1, 0], [0, 3]], [5, 0])
+
+
 def test_exact_entries_still_read():
     assert rank([[1, F(1, 2)], [2, 1]]) == 1 and rank([{0: 2, 3: F(-1, 3)}]) == 1
+    # an exact zero of another type is read, then dropped like an int zero
+    assert rank([["0"]]) == 0 and nullspace([{0: "0", 1: 1}], 2) == [(1, {0: 1})]
     assert givens(2, 1, 2, 0, 1) == [[0, -1], [1, 0]]
     assert rational_cos_sin(1) == (0, 1) and rational_cos_sin(F(1, 2)) == (F(3, 5), F(4, 5))
 

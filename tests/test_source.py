@@ -56,3 +56,18 @@ def test_boundary_modules_do_not_name_the_lie_element_layout():
     ``analysis`` alone."""
     found = _boundary_uses({"_terms"})
     assert not found, found
+
+
+# The signed-flip kernel: the walk, the pairing and the flip records they
+# read.  Only the kernel modules and ``analysis`` call them.
+KERNEL_NAMES = {"_walk", "_pair", "_twist_acts", "_monomial", "_pair_acts", "_bivector_map",
+                "_slot_unit", "_generator_on_map"}
+
+
+def test_boundary_modules_do_not_name_the_flip_kernel():
+    """The boundary modules reach the signed-flip kernel through public
+    operations and the harnesses of ``analysis`` (such as
+    ``vanishing_identity_failures``), never by naming a walk, the pairing
+    or a flip record, so the kernel can change behind them."""
+    found = _boundary_uses(KERNEL_NAMES)
+    assert not found, found

@@ -24,15 +24,15 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, ImageTable, TwoForm, _endo, eta_hat, form_action, form_lincomb, spinc_form
+from .forms import Endo, _endo, eta_hat, etas, form_action, form_lincomb, spinc_form
 from .linalg import (
     Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import IntCoeffMap, _lincomb, _merge, _monomial, check_dimensions
+from .spinrep import _lincomb, _merge, _monomial, check_dimensions
 from .twisted import (
     _IDENTITY, ScaledSpinor, _bivector_map, _norm2, _pair, _slot_acts, _twist_acts, _walk,
-    twist_bivector_action, twisted_group_action,
+    twisted_group_action,
 )
 
 Pair = Tuple[int, int]
@@ -168,23 +168,21 @@ class LieSubalgebra:
 def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``.
 
-    The integer rows of the basis, over the pairs of spin(n + r) as
-    columns, go once into one ``RowReducer``; each bracket [X_i, X_j] of
+    The integer terms of the basis, rows keyed by the pairs of spin(n + r)
+    as they are, go once into one ``RowReducer``; each bracket [X_i, X_j] of
     the integer terms is a multiple of [x_i, x_j] and is reduced against
-    them, in integers."""
+    them, in integers.  The pairs sort as the flat columns do (the pairs of
+    spin(n), then each (n + k, n + l)), so the pivots are the same."""
     if not basis:
         raise EmptyInput("empty basis")
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
-    # the brackets are taken in spin(n + r), whose pairs in order are the flat columns
-    col = {p: c for c, p in enumerate(_ambient_pairs(*shape))}
     red = RowReducer()
     for x in basis:
-        red.add({col[p]: v for p, v in x._terms.items()})
+        red.add(x._terms)
     for i, j in combinations(range(len(basis)), 2):
-        z = _bivector_bracket(basis[i]._terms, basis[j]._terms)
-        if not red.contains({col[p]: v for p, v in z.items()}):
+        if not red.contains(_bivector_bracket(basis[i]._terms, basis[j]._terms)):
             return LieSubalgebra(list(basis), red.rank, closed=False, open_pair=(i, j))
     return LieSubalgebra(list(basis), red.rank, closed=True)
 
@@ -224,27 +222,24 @@ def _certify(phi: ScaledSpinor, kind: str,
     """Verdict and per-pair witnesses of ``kind`` in each frame (the rows of
     an SO(r) matrix; None is the standard frame).
 
-    One ``forms.ImageTable`` of phi serves every pair: with w_st = kappa(f_st) . phi
-    it gives eta_st by XOR-pattern pairing, and D_st = eta_st . phi + c w_st
-    (c = 2 "pure", 1 "reducing").  w_st is one walk of the cached acts of
-    f_s f_t and eta_st . phi the one bivector action
-    ``twisted._bivector_map`` on eta_st's integer terms, over phi's
-    denominator times eta_st's; all three read the signed flips of
-    ``spinrep._monomial``, so no generator is applied.  eta_hat^2 = -Id is
-    checked row by row (``Endo.squares_to_minus_identity``), stopping at
-    the first failing row.  Both are linear in
-    f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st = a_ks a_lt - a_kt a_ls is an
-    integer over d^2 once A is an integer matrix over d: a rotated pair is one
-    ``forms.form_lincomb`` sum of the eta_st and one ``_lincomb`` of the D_st."""
+    eta_st comes from ``forms.etas``, and the defect D_st = (eta_st + c f_s
+    f_t) . phi (c = 2 "pure", 1 "reducing") is the action of one element of
+    spin(n) + spin(r), the element the report's qk row tests: eta_st's
+    integer terms plus the twist pair (n + s, n + t) at c times eta_st's
+    denominator, in one call of the bivector action
+    ``twisted._bivector_map``, over phi's denominator times eta_st's.  No
+    generator is applied.  eta_hat^2 = -Id is checked row by row
+    (``Endo.squares_to_minus_identity``), stopping at the first failing
+    row.  Both are linear in f'_k f'_l = sum_(s<t) c_st f_s f_t, and c_st =
+    a_ks a_lt - a_kt a_ls is an integer over d^2 once A is an integer matrix
+    over d: a rotated pair is one ``forms.form_lincomb`` sum of the eta_st
+    and one ``_lincomb`` of the D_st.  The standard frame reads its table
+    directly, which spares failing certificates a copy of every defect."""
     _check_kind(kind)
-    c = _DEFECT_COEFFICIENT[kind]
-    images = ImageTable(phi)
-    table: Dict[Pair, Tuple[TwoForm, int, IntCoeffMap]] = {}
-    for (s, t) in pairs(phi.r):
-        w = twist_bivector_action(s, t, phi)
-        form = images.induced_form(w)
-        action = (phi._den * form._den, _bivector_map(phi, form._terms))
-        table[(s, t)] = (form, *_lincomb([(1, *action), (c, w._den, w._data)]))
+    c, n = _DEFECT_COEFFICIENT[kind], phi.n
+    table = {(s, t): (form, phi._den * form._den,
+                      _bivector_map(phi, {**form._terms, (n + s, n + t): c * form._den}))
+             for (s, t), form in etas(phi).items()}
     forms, d_dens, d_maps = zip(*table.values()) if table else ((), (), ())
     combine = form_lincomb(phi.n, forms)
     out = []

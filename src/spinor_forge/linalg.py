@@ -25,7 +25,7 @@ import random
 from fractions import Fraction
 from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
-from .errors import IndexOutOfRange, NotOrthogonal, NotUnitVector
+from .errors import IndexOutOfRange, InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
 
 Vector = List[Fraction]
@@ -227,16 +227,19 @@ def check_special_orthogonal(a: Matrix) -> Matrix:
 
 def cayley_so(skew: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I for skew S: always in SO(n),
-    rational in S.  Row k of the reduced [I + S | I] is lead_k [e_k | row k
-    of (I + S)^(-1)].  Each entry of S is read through ``exact_rational``
-    before I is added, so a float or a bool raises ``InexactScalar``."""
-    n = len(skew)
+    rational in S, and x^T (I + S) x = |x|^2, so I + S is invertible.  Row k
+    of the reduced [I + S | I] is lead_k [e_k | row k of (I + S)^(-1)].
+    Before anything is reduced, a float or a bool entry raises
+    ``InexactScalar`` and an S that is not square and skew ``NotOrthogonal``."""
+    s = [[exact_rational(x) for x in row] for row in skew]
+    n = len(s)
+    if any(len(row) != n for row in s) or any(
+            s[i][j] != -s[j][i] for i in range(n) for j in range(i, n)):
+        raise NotOrthogonal("S is not a square skew matrix")
     red = RowReducer()
-    for i, row in enumerate(skew):
-        red.add({**{j: (i == j) + exact_rational(x) for j, x in enumerate(row)}, n + i: 1})
+    for i, row in enumerate(s):
+        red.add({**{j: (i == j) + x for j, x in enumerate(row)}, n + i: 1})
     reduced = _back_substitute(red.pivots)
-    if any(k not in reduced for k in range(n)):
-        raise ZeroDivisionError("I + S is singular")
     out: Matrix = []
     for k in range(n):
         row, lead = reduced[k], reduced[k][k]
@@ -267,6 +270,8 @@ def rational_cos_sin(t: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def random_skew(n: int, rng: random.Random, bound: int = 3) -> Matrix:
+    if bound < 1:
+        raise InvalidValue(f"entry bound must be >= 1, got {bound}")
     s = [[Fraction(0)] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -283,6 +288,8 @@ def random_so_matrix(n: int, rng: random.Random, bound: int = 3) -> Matrix:
 def random_unit_vector(n: int, rng: random.Random, support: int = 3) -> Vector:
     """Exact unit vector built by chaining rational plane rotations onto a
     basis vector.  Support is kept small so denominators stay moderate."""
+    if n < 1 or support < 1:
+        raise InvalidValue(f"need dimension and support >= 1, got {n} and {support}")
     coords = rng.sample(range(n), k=min(support, n))
     v: Vector = [Fraction(0)] * n
     v[coords[0]] = Fraction(1)

@@ -34,13 +34,8 @@ from .linalg import (
     RowReducer, check_special_orthogonal, random_so_matrix, random_unit_vector, spans_equal,
 )
 from .scalars import gr
-from .spinrep import FormTerm, all_basis_indices, basis_spinor
-from .twisted import (
-    ScaledSpinor,
-    form_action_on_spin_slot,
-    twist_bivector_action,
-    twisted_group_action,
-)
+from .spinrep import all_basis_indices, basis_spinor
+from .twisted import ScaledSpinor, twisted_group_action
 
 
 @dataclass(frozen=True)
@@ -151,8 +146,8 @@ def criterion_generic_reducing() -> CriterionRow:
         want = Fraction(2 ** (n // 2)) * phi.scale2
         forms = etas(phi)
         eta_ok = all([form.terms() == [(p, q, want)] for (p, q), form in forms.items()])
-        eq_ok = all([(form_action_on_spin_slot([FormTerm(pair)], phi)
-                      + twist_bivector_action(*pair, phi)).is_zero() for pair in forms])
+        eq_ok = all([ambient_annihilates(AmbientElement(phi.n, phi.r, {pair: 1}, {pair: 1}), phi)
+                     for pair in forms])
         ok = ok and eta_ok and eq_ok
         notes.append(f"n={n}:{'ok' if (eta_ok and eq_ok) else 'FAIL'}")
     return _row(

@@ -26,7 +26,8 @@ from a cache per (n, r, m, k, l) (``_twist_acts``); and
 ``_bivector_map`` is the one bivector action of spin(n) + spin(r) inside
 spin(n + r), f_k = e_(n+k), on integer terms {(i, j): x} over pairs
 i < j, through which a 2-form (``forms.form_action``), a Lie-algebra
-element (``analysis.ambient_annihilates``) and each column of the
+element (``analysis.ambient_annihilates``), each certificate defect
+(eta_kl + c f_kl) . phi (``analysis._certify``) and each column of the
 annihilator's system act; a spin pair is one read of the pair table
 ``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum
 is an int sum over D1 * D2.

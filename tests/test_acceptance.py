@@ -9,7 +9,7 @@ import time
 
 import spinor_forge.catalog as catalog
 from spinor_forge import analysis, report
-from spinor_forge.analysis import ClDims
+from spinor_forge.analysis import AmbientElement, ClDims, ambient_annihilates, pairs
 from spinor_forge.report import (
     criterion_frame_equivariance,
     criterion_g2_recovery,
@@ -64,6 +64,22 @@ def test_criterion_05_qk_stabilizer_algebra():
 
 def test_criterion_06_generic_reducing_family():
     _check(criterion_generic_reducing())
+
+
+def test_generic_row_element_annihilates_with_the_plus_sign():
+    """The generic row's reducing check, e_p e_q + f_p f_q in ann(phi), holds
+    for every p < q of generic(n), n = 2..8; the minus sign fails."""
+    for n in range(2, 9):
+        phi = catalog.build_generic_reducing(n).spinor
+        for pq in pairs(n):
+            assert ambient_annihilates(AmbientElement(n, n, {pq: 1}, {pq: 1}), phi), (n, pq)
+            assert not ambient_annihilates(AmbientElement(n, n, {pq: 1}, {pq: -1}), phi), (n, pq)
+
+
+def test_generic_row_fails_when_nothing_annihilates(monkeypatch):
+    monkeypatch.setattr(report, "ambient_annihilates", lambda x, phi: False)
+    row = criterion_generic_reducing()
+    assert "FAIL" in row.computed and not row.passed
 
 
 def test_criterion_07_vanishing_identity_suite():

@@ -46,13 +46,14 @@ from spinor_forge.errors import (
     UnsupportedDimension,
     ZeroSpinor,
 )
-from spinor_forge.forms import eta, eta_hat, phi_extend, two_form_from_terms
+from spinor_forge.forms import TwoForm, eta, eta_hat, etas, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
     givens, nullspace, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
+    transpose,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
-    MAX_R, SpinorVector, all_basis_indices, basis_spinor, kappa_generator,
+    MAX_R, SpinorVector, all_basis_indices, basis_spinor, kappa_generator, spin_action_on_vector,
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
@@ -873,6 +874,55 @@ def test_equivariance_identity_and_random():
     g2v = [random_unit_vector(4, rng) for _ in range(2)]
     h = [[F(1), F(0), F(0)], [F(0), F(1), F(0)]]  # f1, f2
     assert equivariance_check(qk, g2v, h, "pure")
+
+
+def _rotation(dim, vectors):
+    """A[i][j] = <e_i, g.e_j> for g = the product of the unit vectors."""
+    return transpose([spin_action_on_vector(dim, vectors, [F(int(i == j)) for i in range(dim)])
+                      for j in range(dim)])
+
+
+def test_induced_forms_and_certificates_are_equivariant():
+    """Metamorphic oracle under Spin(n) x Spin(r), with g and h products of
+    two exact unit vectors of full support (3-sparse g on qk(5)):
+    eta_kl(g.phi) = A eta_kl(phi) A^T with A[i][j] = <e_i, g.e_j> (the
+    transposed convention fails at qk(2)); eta_kl(h.phi) = sum_(s<t)
+    (a_ks a_lt - a_kt a_ls) eta_st(phi) with a_ij = <e_i, h.e_j>; every
+    defect norm of ``check_pure`` and ``check_reducing`` is unchanged by g,
+    and both verdicts by h."""
+    t0 = time.monotonic()
+    rng = random.Random(5)
+    cases = [(f"qk({m})", build_qk_pure(m).spinor, None) for m in (2, 3, 4)]
+    cases.append(("qk(5)", build_qk_pure(5).spinor, 3))  # full support costs 2.7 s here
+    cases += [("spin7_pure", build_spin7_pure().spinor, None),
+              ("spin7_reducing", build_spin7_reducing().spinor, None)]
+    cases += [(f"random{shape}", random_scaled(*shape, rng, terms=6), None)
+              for shape in ((8, 3, 2), (6, 4, 1), (5, 3, 2))]
+    verdicts = set()
+    for label, phi, support in cases:
+        n, r, _ = phi.shape()
+        g = [random_unit_vector(n, rng, support=support or n) for _ in range(2)]
+        h = [random_unit_vector(r, rng, support=r) for _ in range(2)]
+        a, b = _rotation(n, g), _rotation(r, h)
+        g_phi, h_phi = twisted_group_action(g, [], phi), twisted_group_action([], h, phi)
+        base = etas(phi)
+        for (k, l), form in etas(g_phi).items():
+            want = naive_mat_mul(naive_mat_mul(a, base[(k, l)].mat), transpose(a))
+            assert form == TwoForm(n, want), (label, "g", (k, l))
+        for (k, l), form in etas(h_phi).items():
+            want = [[F(0)] * n for _ in range(n)]
+            for (s, t), eta_st in base.items():
+                c = b[k - 1][s - 1] * b[l - 1][t - 1] - b[k - 1][t - 1] * b[l - 1][s - 1]
+                want = [[x + c * y for x, y in zip(u, v)] for u, v in zip(want, eta_st.mat)]
+            assert form == TwoForm(n, want), (label, "h", (k, l))
+        for check, verdict in ((check_pure, "is_pure"), (check_reducing, "is_reducing")):
+            here, moved = check(phi), check(g_phi)
+            assert {p: v.defect_norm2 for p, v in moved.per_pair.items()} == \
+                {p: v.defect_norm2 for p, v in here.per_pair.items()}, (label, verdict)
+            assert getattr(check(h_phi), verdict) == getattr(here, verdict), (label, verdict)
+            verdicts.add((verdict, getattr(here, verdict)))
+    assert verdicts == {(v, x) for v in ("is_pure", "is_reducing") for x in (True, False)}
+    assert time.monotonic() - t0 < 5.0
 
 
 # -- representation-theory constants ---------------------------------------------

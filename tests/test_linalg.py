@@ -8,7 +8,9 @@ from types import MappingProxyType
 import pytest
 
 from spinor_forge import linalg
-from spinor_forge.errors import IndexOutOfRange, InexactScalar, NotOrthogonal, NotUnitVector
+from spinor_forge.errors import (
+    IndexOutOfRange, InexactScalar, InvalidValue, NotOrthogonal, NotUnitVector,
+)
 from spinor_forge.linalg import (
     RowReducer,
     cayley_so,
@@ -227,6 +229,31 @@ def test_cayley_transform_lands_in_so():
     for n in (2, 3, 5, 7):
         a = cayley_so(random_skew(n, rng))
         check_special_orthogonal(a)
+
+
+@pytest.mark.parametrize("s", [
+    [[0, 1, 5], [-1, 0, 7]],
+    [[0, 1], [2, 0]],
+    [[1, 0], [0, 1]],
+], ids=["not square", "not skew", "identity"])
+def test_cayley_refuses_what_is_not_square_and_skew(s, monkeypatch):
+    """The Cayley formula would read each off as a matrix outside SO(n), so
+    it is refused before any row is reduced."""
+    monkeypatch.setattr(linalg, "RowReducer", None)
+    with pytest.raises(NotOrthogonal, match="square skew"):
+        cayley_so(s)
+
+
+@pytest.mark.parametrize("call", [
+    lambda rng: random_unit_vector(3, rng, support=0),
+    lambda rng: random_unit_vector(0, rng),
+    lambda rng: random_skew(3, rng, bound=0),
+    lambda rng: random_so_matrix(3, rng, bound=0),
+], ids=["unit vector support 0", "unit vector dim 0", "skew bound 0", "so bound 0"])
+def test_random_generators_refuse_empty_ranges(call):
+    """A typed InvalidValue, not an IndexError or a bare ValueError from randint."""
+    with pytest.raises(InvalidValue):
+        call(random.Random(0))
 
 
 def test_givens_and_pythagorean_pairs():

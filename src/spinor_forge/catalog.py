@@ -12,6 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .analysis import AmbientElement
 from .errors import InvalidValue, UnsupportedDimension
 from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
@@ -231,11 +232,9 @@ _G2_ROWS: List[List[Tuple[int, int, int]]] = [
 ]
 
 
-def g2_generators() -> List["AmbientElement"]:
+def g2_generators() -> List[AmbientElement]:
     """The 14 elements of spin(8) + spin(7) spanning the common annihilator
     of the two rank-7 catalog spinors."""
-    from .analysis import AmbientElement  # local import to avoid a cycle
-
     out = []
     for rows in _G2_ROWS:
         a = {(i, j): Fraction(s) for i, j, s in rows}

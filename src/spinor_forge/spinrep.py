@@ -26,7 +26,8 @@ one such record (``_monomial``, the one place their phases add up), the
 products e_a e_b, a < b, have one table of them, ``_pair_acts``, and a
 twist slot shifts d and mask to its bits.  Induced forms, 2-forms,
 annihilator columns and every slot action read these records; a walk
-(``twisted._walk``) goes over phi once per distinct d, and nothing of
+(``twisted._walk``) takes them as they are, x times a coefficient, groups
+them by d itself and goes over phi once per distinct d, and nothing of
 size 2^k x 2^k is built.
 Coefficients are (int re, int im) pairs over one positive integer
 denominator per spinor, reduced by the content gcd after every public
@@ -279,7 +280,8 @@ def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
 
 
 # One signed flip: (d, x, mask, mixed) sends phi_v to v ^ d times
-# (-1)^parity(v & mask) x, times i if mixed; x = +-1.
+# (-1)^parity(v & mask) x, times i if mixed; x = +-1 for a monomial, and
+# any int once a walk's coefficient scales it.
 Flip = Tuple[int, int, int, int]
 
 

@@ -14,23 +14,25 @@ basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 Clifford monomial on a slot is one signed flip (d, x, mask, mixed),
 ``spinrep._monomial``, with phi_v going to v ^ d times (-1)^parity(v &
 mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
-``_walk`` is the one kernel that builds: it takes the flips grouped by d,
-each x times its integer coefficient, and walks phi once per distinct d.
-``_pair`` is the one kernel that pairs: from the same acts it sums the
-integer <A.a, b>, each a_v against b_(v ^ d), with no image built; every
-sesquilinear sum (``twisted_hermitian`` is its identity act) runs on it.  A
-slot action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``, ``twisted_group_action``)
-clears its rational coefficients to integers and makes one walk per
-distinct flip; a twist bivector f_k f_l reads its acts on all m slots
-from a cache per (n, r, m, k, l) (``_twist_acts``); and
-``_bivector_map`` is the one bivector action of spin(n) + spin(r) inside
-spin(n + r), f_k = e_(n+k), on integer terms {(i, j): x} over pairs
-i < j, through which a 2-form (``forms.form_action``), a Lie-algebra
-element (``analysis.ambient_annihilates``), each certificate defect
-(eta_kl + c f_kl) . phi (``analysis._certify``) and each column of the
-annihilator's system act; a spin pair is one read of the pair table
-``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum
-is an int sum over D1 * D2.
+That record, with x times an integer coefficient, is the one input of
+both kernels.  ``_walk`` is the one kernel that builds: it groups the
+flips by d itself and walks phi once per distinct d.  ``_pair`` is the
+one kernel that pairs: from the same flips it sums the integer <A.a, b>,
+each a_v against b_(v ^ d), with no image built; every sesquilinear sum
+(``twisted_hermitian`` is its identity flip) runs on it.  A slot action
+(``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
+``twisted_group_action``) clears its rational coefficients to integers
+and walks its flips once (``_slot_acts``); a twist bivector f_k f_l reads
+its m flips, one per slot, from a cache per (n, r, m, k, l)
+(``_twist_acts``); and ``_bivector_map`` is the one bivector action of
+spin(n) + spin(r) inside spin(n + r), f_k = e_(n+k), on integer terms
+{(i, j): x} over pairs i < j, through which a 2-form
+(``forms.form_action``), a Lie-algebra element
+(``analysis.ambient_annihilates``), each certificate defect (eta_kl + c
+f_kl) . phi (``analysis._certify``) and each column of the annihilator's
+system act; a spin pair is one read of the pair table
+``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum is
+an int sum over D1 * D2.
 """
 
 from __future__ import annotations
@@ -67,31 +69,29 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) ->
     return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
 
 
-# One signed flip in a walk, grouped by its d: (x, mask, mixed) sends phi_v
-# to v ^ d times (-1)^parity(v & mask) x, times i if mixed; x is any int.
-Act = Tuple[int, int, int]
-Acts = Iterable[Tuple[int, Sequence[Act]]]
-
-
-def _add_act(acts: Dict[int, List[Act]], flip: Flip, c: int, off: int = 0) -> None:
-    """Add c times the signed flip (d, x, mask, mixed) of ``_monomial``, on
-    a slot whose bits start at ``off``, to acts."""
+def _shifted(flip: Flip, c: int, off: int) -> Flip:
+    """c times the signed flip (d, x, mask, mixed) on a slot whose bits
+    start at ``off``."""
     d, x, mask, mixed = flip
-    acts.setdefault(d << off, []).append((c * x, mask << off, mixed))
+    return d << off, c * x, mask << off, mixed
 
 
-def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
-    """The one kernel: sum over the acts (d, [(x, mask, mixed), ...]) on an
-    integer map, over the same denominator.  One walk over data per d: the
-    signed x of d's acts sum to cr + i ci, and (cr + i ci) data_v goes to
-    v ^ d (a lone act is a unit multiple of x, so nothing cancels in it).
-    v -> v ^ d is one-to-one, so the first d's image is the sum so far, and
-    each later one is merged in; cancelled entries are dropped.  No
-    generator is applied."""
+def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
+    """The one kernel: sum over the signed flips (d, x, mask, mixed), x any
+    int, on an integer map, over the same denominator.  The flips are
+    grouped by d, and data is walked once per d: the signed x of d's flips
+    sum to cr + i ci, and (cr + i ci) data_v goes to v ^ d (a lone flip is
+    a unit multiple of x, so nothing cancels in it).  v -> v ^ d is
+    one-to-one, so the first d's image is the sum so far, and each later
+    one is merged in; cancelled entries are dropped.  No generator is
+    applied."""
+    groups: Dict[int, List[Flip]] = {}
+    for flip in flips:
+        groups.setdefault(flip[0], []).append(flip)
     acc: IntCoeffMap = {}
-    for d, entries in acts:
-        if len(entries) == 1:
-            [(x, mask, mixed)] = entries
+    for d, group in groups.items():
+        if len(group) == 1:
+            [(_, x, mask, mixed)] = group
             neg = -x
             if mixed:  # i x (pr + i pi) = (-x pi, x pr)
                 img = {v ^ d: (x * pi, neg * pr) if (v & mask).bit_count() & 1
@@ -103,7 +103,7 @@ def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
             img = {}
             for v, (pr, pi) in data.items():
                 cr = ci = 0
-                for x, mask, mixed in entries:
+                for _, x, mask, mixed in group:
                     if (v & mask).bit_count() & 1:
                         x = -x
                     if mixed:
@@ -119,51 +119,48 @@ def _walk(acts: Acts, data: IntCoeffMap) -> IntCoeffMap:
     return acc
 
 
-# The identity as acts: d = 0, x = 1, no mask, not mixed.
-_IDENTITY: Tuple[Tuple[int, Tuple[Act, ...]], ...] = ((0, ((1, 0, 0),)),)
+# The identity as one signed flip: d = 0, x = 1, no mask, not mixed.
+_IDENTITY: Tuple[Flip, ...] = ((0, 1, 0, 0),)
 
 
-def _pair(acts: Acts, a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, int]:
+def _pair(flips: Iterable[Flip], a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, int]:
     """The integer <A.a, b> = sum_u (A a)_u conj(b_u), over the two maps'
-    denominators, for the acts A (d, [(x, mask, mixed), ...]) of ``_walk``.
+    denominators, for the signed flips A (d, x, mask, mixed) of ``_walk``.
     (A a)_(v ^ d) is a_v times (-1)^parity(v & mask) x, times i if mixed,
-    so each act sums the signed a_v conj(b_(v ^ d)) = (pr qr + pi qi) +
+    so each flip sums the signed a_v conj(b_(v ^ d)) = (pr qr + pi qi) +
     i (pi qr - pr qi) and multiplies the sum by x, or i x, once; no image
     of a is built."""
     re = im = 0
     get = b.get
-    for d, entries in acts:
-        for x, mask, mixed in entries:
-            sr = si = 0
-            for v, (pr, pi) in a.items():
-                o = get(v ^ d)
-                if o is not None:
-                    qr, qi = o
-                    if mask and (v & mask).bit_count() & 1:
-                        sr -= pr * qr + pi * qi
-                        si -= pi * qr - pr * qi
-                    else:
-                        sr += pr * qr + pi * qi
-                        si += pi * qr - pr * qi
-            if mixed:  # i x (sr + i si)
-                re -= x * si
-                im += x * sr
-            else:
-                re += x * sr
-                im += x * si
+    for d, x, mask, mixed in flips:
+        sr = si = 0
+        for v, (pr, pi) in a.items():
+            o = get(v ^ d)
+            if o is not None:
+                qr, qi = o
+                if mask and (v & mask).bit_count() & 1:
+                    sr -= pr * qr + pi * qi
+                    si -= pi * qr - pr * qi
+                else:
+                    sr += pr * qr + pi * qi
+                    si += pi * qr - pr * qi
+        if mixed:  # i x (sr + i si)
+            re -= x * si
+            im += x * sr
+        else:
+            re += x * sr
+            im += x * si
     return re, im
 
 
 @lru_cache(maxsize=1 << 12)  # per shape and pair; f_k f_k = -1 on every slot
-def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Tuple[int, Tuple[Act, ...]], ...]:
-    """The acts of f_k f_l (any k, l in 1..r) on all m twist slots of shape
-    (n, r, m): ``_monomial(r, (k, l))`` with d and mask shifted to each
-    slot's bits."""
+def _twist_acts(n: int, r: int, m: int, k: int, l: int) -> Tuple[Flip, ...]:
+    """The m signed flips of f_k f_l (any k, l in 1..r) on the twist slots
+    of shape (n, r, m): ``_monomial(r, (k, l))`` with d and mask shifted to
+    each slot's bits."""
     ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
-    acts: Dict[int, List[Act]] = {}
-    for a in range(m):
-        _add_act(acts, _monomial(r, (k, l)), 1, ks + a * kt)
-    return tuple((d, tuple(entries)) for d, entries in acts.items())
+    flip = _monomial(r, (k, l))
+    return tuple(_shifted(flip, 1, ks + a * kt) for a in range(m))
 
 
 def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int]) -> IntCoeffMap:
@@ -172,36 +169,34 @@ def _bivector_map(phi: ScaledSpinor, terms: Mapping[Tuple[int, int], int]) -> In
     denominator; the layout of ``AmbientElement._terms``.
 
     A spin pair (j <= n) is one read of the pair table
-    ``spinrep._pair_acts(n)``; a twist pair
-    (n + k, n + l) reads the acts of f_k f_l on all m slots
-    (``_twist_acts``).  Each act's sign times x is its integer, and the
-    acts are grouped by d for one ``_walk``."""
-    n, acts = phi.n, {}
+    ``spinrep._pair_acts(n)``; a twist pair (n + k, n + l) reads the m
+    signed flips of f_k f_l (``_twist_acts``).  Each flip's sign times x
+    is its integer, and all the flips go to one ``_walk``."""
+    n, flips = phi.n, []
     spin = _pair_acts(n)
     for (i, j), x in terms.items():
         if not x:
             continue
         if j <= n:
             d, s, mask, mixed = spin[(i, j)]
-            acts.setdefault(d, []).append((s * x, mask, mixed))
+            flips.append((d, s * x, mask, mixed))
         else:
-            for d, entries in _twist_acts(n, phi.r, phi.m, i - n, j - n):
-                acts.setdefault(d, []).extend([(s * x, mask, mixed) for s, mask, mixed in entries])
-    return _walk(acts.items(), phi._data)
+            flips.extend([(d, s * x, mask, mixed)
+                          for d, s, mask, mixed in _twist_acts(n, phi.r, phi.m, i - n, j - n)])
+    return _walk(flips, phi._data)
 
 
 def _on_slot(phi: ScaledSpinor, slot: int,
              terms: Iterable[Tuple[Tuple[int, ...], Rational]]) -> ScaledSpinor:
     """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
-    (0 = Delta_n): one ``_walk`` over phi per distinct flip d of
-    ``_slot_acts``."""
-    den, acts = _slot_acts(phi, slot, terms)
-    return phi._with(phi._den * den, _walk(acts.items(), phi._data))
+    (0 = Delta_n): one ``_walk`` of the flips of ``_slot_acts``."""
+    den, flips = _slot_acts(phi, slot, terms)
+    return phi._with(phi._den * den, _walk(flips, phi._data))
 
 
 def _slot_acts(phi: ScaledSpinor, slot: int, terms: Iterable[Tuple[Tuple[int, ...], Rational]]
-               ) -> Tuple[int, Dict[int, List[Act]]]:
-    """(den, acts) of sum c e_(i1)...e_(is) over (factors, c) terms on slot
+               ) -> Tuple[int, List[Flip]]:
+    """(den, flips) of sum c e_(i1)...e_(is) over (factors, c) terms on slot
     ``slot`` of phi's shape: each product is the signed flip ``_monomial``,
     shifted to the slot's bits, and each c is cleared to an integer over
     den, the lcm of the denominators."""
@@ -214,10 +209,8 @@ def _slot_acts(phi: ScaledSpinor, slot: int, terms: Iterable[Tuple[Tuple[int, ..
         if c:
             parts.append((factors, c))
     den = math.lcm(*(c.denominator for _, c in parts))
-    acts: Dict[int, List[Act]] = {}
-    for factors, c in parts:
-        _add_act(acts, _monomial(dim, tuple(factors)), c.numerator * (den // c.denominator), off)
-    return den, acts
+    return den, [_shifted(_monomial(dim, tuple(factors)), c.numerator * (den // c.denominator), off)
+                 for factors, c in parts]
 
 
 def _vector_terms(X: Sequence[Rational]) -> list:
@@ -246,7 +239,7 @@ def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpino
 
 def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
     """The bivector f_k f_l acting as the sum of its m slot actions, from
-    the cached acts ``_twist_acts``: f_k f_l = -f_l f_k, and f_k f_k = -1
+    the cached flips ``_twist_acts``: f_k f_l = -f_l f_k, and f_k f_k = -1
     on every slot."""
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
@@ -285,7 +278,7 @@ _ZERO = Fraction(0)
 def twisted_hermitian(phi1: ScaledSpinor, phi2: ScaledSpinor) -> GaussianRational:
     """<phi1, phi2> including the sqrt(scale2_1 * scale2_2) prefactor, which
     must be rational (always true for equal scales); the sum is ``_pair``
-    of the identity act."""
+    of the identity flip."""
     if phi1.shape() != phi2.shape():
         raise ShapeMismatch(f"shapes {phi1.shape()} and {phi2.shape()} differ")
     if phi1.scale2 == phi2.scale2:

@@ -1,0 +1,141 @@
+"""Mutation gate for the kernel: every listed mutant must fail its tests.
+
+Run from the repository root (stdlib only; pytest runs the tests):
+
+    python tests/mutation_gate.py          # every mutant
+    python tests/mutation_gate.py --list   # the mutants and their tests
+
+Each mutant is (name, file under src/spinor_forge, exact old text, new
+text, the tests expected to kill it).  The gate first runs every named test
+on an unmutated copy of ``src/``, which must pass.  Then, for each mutant,
+it copies ``src/`` to a temporary directory, requires the old text to occur
+exactly once in the file, replaces it, and runs the mutant's tests against
+the copy.  A mutant is killed when one of its tests fails; a mutant whose
+tests all pass has survived, and one whose tests cannot run (it breaks an
+import, or a test name is stale) counts as neither.  The gate exits 1
+unless the baseline passes and every old text matches exactly once and
+every mutant is killed, so a refactor that moves mutated code must update
+this list.
+
+The file is not named ``test_*.py``, so pytest does not collect it; Tier-1
+does not run it.  Mutation testing after DeMillo, Lipton & Sayward, "Hints
+on test data selection", IEEE Computer 1978.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+KERNEL = "tests/test_kernel.py::"
+RECORDS = KERNEL + "test_walk_and_pair_are_sums_over_their_records"
+EQUIVARIANT = "tests/test_analysis.py::test_annihilator_is_equivariant"
+
+MUTANTS = [
+    ("_walk keeps one record per d", "twisted.py",
+     "groups.setdefault(flip[0], []).append(flip)",
+     "groups[flip[0]] = [flip]",
+     [RECORDS]),
+    ("_walk's multi-record path ignores the mask parity", "twisted.py",
+     "                    if (v & mask).bit_count() & 1:\n                        x = -x",
+     "                    if False:\n                        x = -x",
+     [RECORDS]),
+    ("_walk's lone path ignores mixed", "twisted.py",
+     "            if mixed:  # i x (pr + i pi) = (-x pi, x pr)",
+     "            if False:  # i x (pr + i pi) = (-x pi, x pr)",
+     [RECORDS, KERNEL + "test_tangent_action_matches_dense_oracle"]),
+    ("_pair drops the mask parity", "twisted.py",
+     "                if mask and (v & mask).bit_count() & 1:",
+     "                if False:",
+     [RECORDS, KERNEL + "test_pair_matches_dense_oracle"]),
+    ("_bivector_map leaves twist records unscaled by x", "twisted.py",
+     "            flips.extend([(d, s * x, mask, mixed)",
+     "            flips.extend([(d, s, mask, mixed)",
+     ["tests/test_pair_table.py::test_bivector_map_matches_slot_oracles"]),
+    ("_pair_acts negates x at (2, 5)", "spinrep.py",
+     "    return {(a, b): _monomial(dim, (a, b)) for b in range(2, dim + 1) for a in range(1, b)}",
+     "    return {(a, b): (lambda d, x, m, c: (d, -x if (a, b) == (2, 5) else x, m, c))("
+     "*_monomial(dim, (a, b))) for b in range(2, dim + 1) for a in range(1, b)}",
+     [EQUIVARIANT]),
+    ("_twist_acts negates x at (1, 3)", "twisted.py",
+     "    flip = _monomial(r, (k, l))\n",
+     "    flip = _monomial(r, (k, l))\n"
+     "    flip = (flip[0], -flip[1], *flip[2:]) if (k, l) == (1, 3) else flip\n",
+     [EQUIVARIANT]),
+    ("lie_closure_report accepts every bracket", "analysis.py",
+     "        if not red.contains(_bivector_bracket(",
+     "        if False and not red.contains(_bivector_bracket(",
+     ["tests/test_analysis.py::test_lie_closure_names_the_first_open_pair"]),
+    ("_certify keys the twist pair as (s, t)", "analysis.py",
+     "(n + s, n + t): c * form._den}",
+     "(s, t): c * form._den}",
+     ["tests/test_analysis.py::test_check_pure_catalog_verdicts"]),
+]
+
+
+def run_tests(src: Path, tests) -> int:
+    """pytest's exit code for the tests against the package under ``src``:
+    0 if they pass, 1 if one fails, 2 and up if they cannot run (a
+    collection error, an unknown test)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=ROOT, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def mutate(src: Path, file: str, old: str, new: str) -> int:
+    """Replace old by new in src/spinor_forge/file if it occurs exactly once;
+    return the number of occurrences."""
+    path = src / "spinor_forge" / file
+    text = path.read_text()
+    count = text.count(old)
+    if count == 1:
+        path.write_text(text.replace(old, new))
+    return count
+
+
+def main(argv) -> int:
+    if "--list" in argv:
+        for name, file, _, _, tests in MUTANTS:
+            print(f"{file}: {name}\n    " + "\n    ".join(tests))
+        return 0
+    bad = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        env = dict(os.environ, PYTHONPATH=str(src))
+        where = subprocess.run([sys.executable, "-c", "import spinor_forge; print(spinor_forge.__file__)"],
+                               env=env, capture_output=True, text=True).stdout.strip()
+        if not where.startswith(str(src)):
+            print(f"the copy is not the package imported: {where!r}")
+            return 1
+        baseline = sorted({t for *_, tests in MUTANTS for t in tests})
+        if run_tests(src, baseline):
+            print("baseline: the named tests fail on the unmutated source")
+            return 1
+        for name, file, old, new, tests in MUTANTS:
+            shutil.rmtree(src)
+            shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+            t0 = time.monotonic()
+            count = mutate(src, file, old, new)
+            code = run_tests(src, tests) if count == 1 else None
+            if code == 1:
+                verdict = "killed"
+            else:
+                bad += 1
+                verdict = {None: f"old text occurs {count} times", 0: "SURVIVED"}.get(
+                    code, f"tests cannot run (exit {code})")
+            print(f"{verdict:>24}  {time.monotonic() - t0:5.1f} s  {file}: {name}", flush=True)
+    print(f"{len(MUTANTS) - bad} of {len(MUTANTS)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -103,12 +103,12 @@ def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
 
 
 def test_vanishing_row_fails_on_a_pairing_without_parity(monkeypatch):
-    """A pairing that drops every act's parity mask fails the row with a
+    """A pairing that drops every flip's parity mask fails the row with a
     nonzero failure count, so the row reads the pairing's values."""
     real = analysis._pair
 
-    def no_parity(acts, a, b):
-        return real([(d, [(x, 0, mixed) for x, _, mixed in entries]) for d, entries in acts], a, b)
+    def no_parity(flips, a, b):
+        return real([(d, x, 0, mixed) for d, x, _, mixed in flips], a, b)
 
     monkeypatch.setattr(analysis, "_pair", no_parity)
     row = criterion_vanishing_identities()

@@ -433,14 +433,19 @@ def _closure_oracle(basis):
     first open pair)."""
     echelon = _rref(x.flat() for x in basis)
     for i, j in combinations(range(len(basis)), 2):
-        z = bracket(basis[i], basis[j]).flat()
-        for q, row in echelon:
-            c = z[q]
-            if c:
-                z = [x - c * y for x, y in zip(z, row)]
-        if any(z):
+        if any(_residue(bracket(basis[i], basis[j]).flat(), echelon)):
             return len(echelon), False, (i, j)
     return len(echelon), True, None
+
+
+def _residue(z, echelon):
+    """z minus sum_k z[q_k] R_k over the rows R_k of ``_rref``: zero iff z
+    lies in their span."""
+    for q, row in echelon:
+        c = z[q]
+        if c:
+            z = [x - c * y for x, y in zip(z, row)]
+    return z
 
 
 _VALUES = (F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2, 3), F(-2, 3))
@@ -922,6 +927,47 @@ def test_induced_forms_and_certificates_are_equivariant():
             assert getattr(check(h_phi), verdict) == getattr(here, verdict), (label, verdict)
             verdicts.add((verdict, getattr(here, verdict)))
     assert verdicts == {(v, x) for v in ("is_pure", "is_reducing") for x in (True, False)}
+    assert time.monotonic() - t0 < 5.0
+
+
+def _adjoint(x, a, b):
+    """Ad_(g,h) x for A[i][j] = <e_i, g.e_j> and B the same with h: the
+    skew matrix S of x's a-part goes to A S A^T, whose upper triangle is
+    a'_pq = sum_(i<j) a_ij (A_pi A_qj - A_pj A_qi), and the b-part's to
+    B S B^T."""
+    def move(part, mat, dim):
+        out = {}
+        for (i, j), c in part.items():
+            for p, q in pairs(dim):
+                v = mat[p - 1][i - 1] * mat[q - 1][j - 1] - mat[p - 1][j - 1] * mat[q - 1][i - 1]
+                out[(p, q)] = out.get((p, q), 0) + c * v
+        return {pq: c for pq, c in out.items() if c}
+    return AmbientElement(x.n, x.r, a=move(x.a, a, x.n), b=move(x.b, b, x.r))
+
+
+def test_annihilator_is_equivariant():
+    """ann((g, h).phi) = Ad_(g,h) ann(phi) as spans, with the same dimension
+    and closure, for g and h products of two exact unit vectors of full
+    support.  Ad_(g,h) is injective, so equal dimensions and each Ad_(g,h) x
+    in the moved span, tested by a dense Fraction RREF and not by
+    ``linalg``, give equal spans.  The moved spinors have large
+    denominators, so a sign that the catalog's frame hides shows here."""
+    t0 = time.monotonic()
+    rng = random.Random(5)
+    cases = [(f"qk({m})", [build_qk_pure(m).spinor]) for m in (2, 3)]
+    cases += [("spin7_pair", [build_spin7_pure().spinor, build_spin7_reducing().spinor]),
+              ("generic(4)", [build_generic_reducing(4).spinor])]
+    for label, spinors in cases:
+        n, r, _ = spinors[0].shape()
+        g = [random_unit_vector(n, rng, support=n) for _ in range(2)]
+        h = [random_unit_vector(r, rng, support=r) for _ in range(2)]
+        here = annihilator(spinors)
+        moved = annihilator([twisted_group_action(g, h, phi) for phi in spinors])
+        assert here.closed and (moved.dim, moved.closed) == (here.dim, here.closed), label
+        a, b = _rotation(n, g), _rotation(r, h)
+        echelon = _rref(x.flat() for x in moved.basis)
+        for x in here.basis:
+            assert not any(_residue(_adjoint(x, a, b).flat(), echelon)), label
     assert time.monotonic() - t0 < 5.0
 
 

@@ -18,11 +18,12 @@ import pytest
 
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_from_json, scaled_spinor_to_json
-from spinor_forge.spinrep import FormTerm, _monomial, all_basis_indices, spinor_dim_exponent
+from spinor_forge.spinrep import (
+    FormTerm, _monomial, _pair_acts, all_basis_indices, spinor_dim_exponent,
+)
 from spinor_forge.twisted import (
     _IDENTITY,
     ScaledSpinor,
-    _add_act,
     _pair,
     _twist_acts,
     _walk,
@@ -184,11 +185,12 @@ PAIR_SHAPES = [(4, 3, 1), (5, 4, 1), (6, 3, 2), (8, 7, 1), (5, 3, 3)]
 
 
 def pair_cases(phi, rng):
-    """(label, acts, terms) on phi's shape: the acts in ``_walk``'s grouped
-    layout and the same operator as (slot, dim, factors, c) terms for the
-    dense oracle.  The identity, twist pairs on every slot at once, spin
-    quadruples, and one mixed act: vectors, spin pairs that share a flip d
-    and twist products with their own coefficient on each slot."""
+    """(label, flips, terms) on phi's shape: the signed flips (d, x, mask,
+    mixed) of ``_walk`` and the same operator as (slot, dim, factors, c)
+    terms for the dense oracle.  The identity, twist pairs on every slot at
+    once, spin quadruples, and one mixed list: vectors, spin pairs that
+    share a flip d and twist products with their own coefficient on each
+    slot."""
     n, r, m = phi.shape()
     ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
     yield "identity", _IDENTITY, [(0, n, (), 1)]
@@ -196,38 +198,101 @@ def pair_cases(phi, rng):
         yield f"f{k}f{l}", _twist_acts(n, r, m, k, l), [(a, r, (k, l), 1) for a in range(1, m + 1)]
     quads = list(itertools.combinations(range(1, n + 1), 4))
     for quad in rng.sample(quads, min(3, len(quads))):
-        d, x, mask, mixed = _monomial(n, quad)
-        yield f"e{quad}", ((d, ((x, mask, mixed),)),), [(0, n, quad, 1)]
+        yield f"e{quad}", (_monomial(n, quad),), [(0, n, quad, 1)]
     terms = [(0, n, (j,), rng.choice([-3, -1, 2, 5])) for j in range(1, n + 1)]
     terms += [(0, n, f, c) for f, c in (((1, 2), 3), ((3, 4), -2), ((1, 3), 5), ((2, 4), 1))]
     terms += [(a, r, (1, 2, 3)[:r], a + 1) for a in range(1, m + 1)]
     terms += [(a, r, (2, r), -a) for a in range(1, m + 1)]
-    acts = {}
-    for slot, dim, factors, c in terms:
-        _add_act(acts, _monomial(dim, factors), c, ks + (slot - 1) * kt if slot else 0)
-    assert any(len(e) > 1 for e in acts.values()) and any(a[2] for e in acts.values() for a in e)
-    yield "mixed", list(acts.items()), terms
+    flips = [shifted(_monomial(dim, factors), c, ks + (slot - 1) * kt if slot else 0)
+             for slot, dim, factors, c in terms]
+    ds = [d for d, _, _, _ in flips]
+    assert len(set(ds)) < len(ds) and any(mixed for _, _, _, mixed in flips)
+    yield "mixed", flips, terms
+
+
+def shifted(flip, c, off):
+    """c times a signed flip on a slot whose bits start at ``off``."""
+    d, x, mask, mixed = flip
+    return d << off, c * x, mask << off, mixed
 
 
 @pytest.mark.parametrize("shape", PAIR_SHAPES)
 def test_pair_matches_dense_oracle(shape):
-    """_pair(acts, a, b) is the integer <A.a, b> over a's and b's
+    """_pair(flips, a, b) is the integer <A.a, b> over a's and b's
     denominators: both parts equal the dense sum of (A a)_i conj(b_i),
     compared as values.  b overlaps A.a with a complex factor, so neither
     part is 0."""
     (phi, psi), rng = spinors(shape, 7)
     ds, v = dims(phi), dense(phi)
     norm = 2 ** sum(spinor_dim_exponent(d) for d in [phi.n] + [phi.r] * phi.m)
-    for label, acts, terms in pair_cases(phi, rng):
+    for label, flips, terms in pair_cases(phi, rng):
         image = add(*(scaled(c, product(v, ds, slot, dim, factors))
                       for slot, dim, factors, c in terms))
-        b = (phi._with(phi._den, _walk(acts, phi._data)).scale(gr(F(2, 3), F(-5, 7)))
+        b = (phi._with(phi._den, _walk(flips, phi._data)).scale(gr(F(2, 3), F(-5, 7)))
              + replace(psi, scale2=phi.scale2))
         want = sum((x * y.conj() for x, y in zip(image, dense(b))), gr(0))
         want = want * F(phi._den * b._den, norm)
-        got = _pair(acts, phi._data, b._data)
+        got = _pair(flips, phi._data, b._data)
         assert (F(got[0]), F(got[1])) == (want.re, want.im), (shape, label)
         assert got[0] and got[1], (shape, label)
+
+
+# -- the record contract ----------------------------------------------------------
+
+def contract_flips(phi, rng):
+    """Signed flips on phi's shape with repeated d, nonzero masks and mixed
+    records in one d: every spin pair and every twist pair of each slot,
+    each with its own integer coefficient, and the spin vectors."""
+    n, r, m = phi.shape()
+    ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
+    cs = [-3, -1, 2, 5]
+    flips = [shifted(f, rng.choice(cs), 0) for f in _pair_acts(n).values()]
+    flips += [shifted(f, rng.choice(cs), ks + a * kt)
+              for a in range(m) for f in _pair_acts(r).values()]
+    flips += [shifted(_monomial(n, (j,)), rng.choice(cs), 0) for j in range(1, n + 1)]
+    groups = {}
+    for d, _, mask, mixed in flips:
+        groups.setdefault(d, []).append((mask, mixed))
+    shared = [g for g in groups.values() if len(g) > 1]
+    assert any(len({mixed for _, mixed in g}) == 2 for g in shared)
+    assert any(mask for g in shared for mask, _ in g)
+    return flips
+
+
+def summed(maps):
+    """The entrywise sum of integer coefficient maps, zeros dropped."""
+    out = {}
+    for data in maps:
+        for v, (re, im) in data.items():
+            a, b = out.get(v, (0, 0))
+            out[v] = (a + re, b + im)
+    return {v: c for v, c in out.items() if c != (0, 0)}
+
+
+@pytest.mark.parametrize("shape", PAIR_SHAPES)
+def test_walk_and_pair_are_sums_over_their_records(shape):
+    """``_walk`` and ``_pair`` take a plain list of signed flips (d, x, mask,
+    mixed), and both are sums over it: the walk of a shuffled list is the
+    walk of the list and the merged sum of its single-record walks, and
+    the pairing is the sum of the single-record pairings and the identity
+    pairing of the walk.  A walk that keeps one record per d, or a path
+    that misreads a record's mask or mixed flag, breaks one of them."""
+    (phi, psi), rng = spinors(shape, 9)
+    flips = contract_flips(phi, rng)
+    data = phi._data
+    walked = _walk(flips, data)
+    # (2 + 3i) times the walk plus psi: both parts of the pairing are nonzero
+    other = summed([{v: (2 * re - 3 * im, 3 * re + 2 * im) for v, (re, im) in walked.items()},
+                    psi._data])
+    assert walked == summed(_walk([f], data) for f in flips)
+    for _ in range(3):
+        shuffled = rng.sample(flips, len(flips))
+        assert _walk(shuffled, data) == walked, shape
+    paired = _pair(flips, data, other)
+    singles = [_pair([f], data, other) for f in flips]
+    assert paired == (sum(re for re, _ in singles), sum(im for _, im in singles))
+    assert paired == _pair(_IDENTITY, walked, other)
+    assert paired[0] and paired[1], shape
 
 
 # -- canonical form ---------------------------------------------------------------

@@ -29,7 +29,7 @@ from .linalg import (
     Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import _lincomb, _merge, _monomial, check_dimensions
+from .spinrep import _lincomb, _merge, _monomial, check_dimensions, index_pair
 from .twisted import (
     _IDENTITY, ScaledSpinor, _bivector_map, _norm2, _pair, _slot_acts, _twist_acts, _walk,
     twisted_group_action,
@@ -63,10 +63,12 @@ class AmbientElement:
     def __post_init__(self) -> None:
         check_dimensions(self.n, self.r)
         n, a, b = self.n, vars(self).pop("a"), vars(self).pop("b")
-        for (i, j) in a:
+        for key in a:
+            i, j = index_pair("a-part index", key)
             if not 1 <= i < j <= n:
                 raise ShapeMismatch(f"a-part index ({i},{j}) outside 1..{n}")
-        for (k, l) in b:
+        for key in b:
+            k, l = index_pair("b-part index", key)
             if not 1 <= k < l <= self.r:
                 raise ShapeMismatch(f"b-part index ({k},{l}) outside 1..{self.r}")
         exact = [(p, exact_rational(c)) for p, c in a.items()]

@@ -73,4 +73,5 @@ class MalformedInput(SpinorForgeError, ValueError):
 class InvalidValue(SpinorForgeError, ValueError):
     """An argument outside its finite set of allowed values: a certificate
     kind other than 'pure' or 'reducing', a sign entry other than +-1, a
-    rank that is not an int.  Still a ``ValueError``."""
+    rank, a dimension or an index that is not an int, a key that is not a
+    pair of indices.  Still a ``ValueError``."""

@@ -43,7 +43,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import ScaledSpinor, _pair_acts, check_dimensions
+from .spinrep import ScaledSpinor, _pair_acts, check_dimensions, check_indices, index_pair
 from .twisted import _bivector_map, twist_bivector_action
 
 
@@ -221,7 +221,8 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     n is checked against the cap MAX_N; only the upper triangle is stored."""
     check_dimensions(n)
     upper: Dict[Tuple[int, int], Fraction] = {}
-    for (a, b), c in terms.items():
+    for pair, c in terms.items():
+        a, b = index_pair("2-form index", pair)
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise IndexOutOfRange(f"bad 2-form term indices ({a},{b})")
         key, c = ((a, b), exact_rational(c)) if a < b else ((b, a), -exact_rational(c))
@@ -289,6 +290,7 @@ def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
 
 
 def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:
+    check_indices("twist index", k, l)
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
 

@@ -27,6 +27,7 @@ from typing import Dict, List, Mapping, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
+from .spinrep import check_indices
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -249,6 +250,7 @@ def cayley_so(skew: Matrix) -> Matrix:
 
 def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
     """Rotation by (c, s) with c^2 + s^2 = 1 in the (i, j) plane, 1-based."""
+    check_indices("rotation index", i, j)
     if not (1 <= i <= n and 1 <= j <= n) or i == j:
         raise IndexOutOfRange(f"rotation plane ({i},{j}) is not two distinct indices in 1..{n}")
     c, s = exact_rational(c), exact_rational(s)

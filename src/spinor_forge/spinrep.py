@@ -81,6 +81,22 @@ def check_dimensions(n: int, r: int = 0, m: int = 0) -> None:
             raise UnsupportedDimension(f"{name} must be <= {cap}, got {value}")
 
 
+def check_indices(what: str, *indices: object) -> None:
+    """Refuse each index that is not an int, bools included, with
+    InvalidValue before it is compared, as ``check_dimensions`` does."""
+    for i in indices:
+        if type(i) is not int:
+            raise InvalidValue(f"{what} must be an int, got {i!r}")
+
+
+def index_pair(what: str, key: object) -> Tuple[int, int]:
+    """key as a pair of int indices; anything else is refused with InvalidValue."""
+    if type(key) is not tuple or len(key) != 2:
+        raise InvalidValue(f"{what} must be a pair of ints, got {key!r}")
+    check_indices(what, *key)
+    return key
+
+
 def spinor_dim_exponent(n: int) -> int:
     """k = floor(n/2); Delta_n has dimension 2^k."""
     return n // 2
@@ -369,6 +385,7 @@ class FormTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.coeff, Fraction):
             object.__setattr__(self, "coeff", exact_rational(self.coeff))
+        check_indices("factor", *self.factors)
         if list(self.factors) != sorted(set(self.factors)):
             raise IndexOutOfRange(f"factors {self.factors} not strictly increasing")
 

@@ -56,6 +56,7 @@ from .spinrep import (
     _pair_acts,
     _slot_unit,
     _spin_generator,  # kept only for bench/tracing.py, which counts it as a slot action
+    check_indices,
     spinor_dim_exponent,
 )
 
@@ -232,6 +233,7 @@ def form_action_on_spin_slot(terms: Iterable[FormTerm], phi: ScaledSpinor) -> Sc
 
 def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpinor:
     """Clifford multiplication by omega in twist slot a only."""
+    check_indices("twist slot", a)
     if not 1 <= a <= phi.m:
         raise IndexOutOfRange(f"twist slot {a} outside 1..{phi.m}")
     return _on_slot(phi, a, ((t.factors, t.coeff) for t in omega))

@@ -1,4 +1,4 @@
-"""Mutation gate for the kernel: every listed mutant must fail its tests.
+"""Mutation gate for the library: every listed mutant must fail its tests.
 
 Run from the repository root (stdlib only; pytest runs the tests):
 
@@ -77,6 +77,48 @@ MUTANTS = [
      "(n + s, n + t): c * form._den}",
      "(s, t): c * form._den}",
      ["tests/test_analysis.py::test_check_pure_catalog_verdicts"]),
+    ("lie_closure_report counts the basis as its dim", "analysis.py",
+     "    return LieSubalgebra(list(basis), red.rank, closed=True)",
+     "    return LieSubalgebra(list(basis), len(basis), closed=True)",
+     ["tests/test_analysis.py::test_lie_closure_rescaled_and_dependent_bases"]),
+    ("annihilator keys the imaginary row with the real one", "analysis.py",
+     "out.setdefault(2 * idx + 1, {})[j] = im",
+     "out.setdefault(2 * idx, {})[j] = im",
+     ["tests/test_pair_table.py::test_annihilator_matches_generator_chain_oracle"]),
+    ("_pattern_slots reads the sign as x > 0", "forms.py",
+     "append((slot, mask, x < 0, mixed))",
+     "append((slot, mask, x > 0, mixed))",
+     ["tests/test_forms.py::test_eta_matches_dense_oracle"]),
+    ("squares_to_minus_identity stops before the last row", "forms.py",
+     "        for i, row in enumerate(rows):\n            acc: SparseRow = {}",
+     "        for i, row in enumerate(rows[:-1]):\n            acc: SparseRow = {}",
+     ["tests/test_forms.py::test_square_check_row_by_row_matches_compose"]),
+    ("_back_substitute clears the first pivot first", "linalg.py",
+     "    for col in sorted(pivots, reverse=True):",
+     "    for col in sorted(pivots):",
+     ["tests/test_linalg.py::test_nullspace_is_the_canonical_basis_of_a_plain_rref_oracle"]),
+    ("_sparse_int_row drops a zero float unread", "linalg.py",
+     "for col, x in items if x or type(x) not in _EXACT_TYPES}",
+     "for col, x in items if x}",
+     ["tests/test_linalg.py::test_inexact_entries_raise_inexact_scalar"]),
+    ("_slot_unit gives g2 x = +1", "spinrep.py",
+     "(bit, -1, tail | bit, 0)",
+     "(bit, 1, tail | bit, 0)",
+     ["tests/test_spinrep.py::test_lazy_generator_matches_dense_oracle",
+      KERNEL + "test_tangent_action_matches_dense_oracle"]),
+    ("_monomial drops the parity of d & m", "spinrep.py",
+     "phase += 2 * ((d & m).bit_count() + (y < 0)) + mixed",
+     "phase += 2 * (y < 0) + mixed",
+     [KERNEL + "test_pair_matches_dense_oracle",
+      "tests/test_pair_table.py::test_monomial_matches_generator_chain"]),
+    ("check_indices reads a bool as an int", "spinrep.py",
+     "    for i in indices:\n        if type(i) is not int:",
+     "    for i in indices:\n        if not isinstance(i, int):",
+     ["tests/test_spinrep.py::test_indices_must_be_ints"]),
+    ("the decoders accept a repeated basis index", "serialize.py",
+     "    if key in seen:\n        raise MalformedInput",
+     "    if False:\n        raise MalformedInput",
+     ["tests/test_serialize.py::test_repeated_index_on_the_wire_is_refused"]),
 ]
 
 

@@ -64,10 +64,8 @@ from spinor_forge.twisted import (
     twisted_hermitian,
 )
 
-from .test_forms import _apply, dense_operators
-from .test_linalg import naive_mat_mul
-from .test_pair_table import chain
-from .test_twisted import random_scaled
+from . import oracle
+from .helpers import chain, naive_mat_mul, random_scaled
 
 
 # -- purity / reducing certificates -------------------------------------------
@@ -748,46 +746,29 @@ def test_rotated_pair_table_matches_direct_action(label, kind):
 
 def _dense_certificates(phi, frames):
     """For each frame (the rows of an SO(r) matrix A), {kind: {(k, l):
-    (defect_norm2, square_ok or eta_nonzero)}} from dense Kronecker
-    operators: f'_k = sum_s a_ks f_s on each twist slot, w = sum over slots
+    (defect_norm2, square_ok or eta_nonzero)}} from the dense oracle:
+    f'_k = sum_s a_ks f_s on each twist slot, w = sum over slots
     f'_k f'_l phi, eta_ab = scale2 Re<e_a e_b w, phi>, and the defect
     sum_(a<b) eta_ab e_a e_b phi + c w with c = 2 (pure) or 1 (reducing)."""
-    n, r, m = phi.shape()
-    vec, gens, twists, norm = dense_operators(phi)
-    zero = [gr(0)] * len(vec)
-
-    def add(u, v, c=1):
-        return [x + c * y for x, y in zip(u, v)]
-
-    def frame_vector(a, slot, k, v):
-        out = zero
-        for s in range(1, r + 1):
-            if a[k - 1][s - 1]:
-                out = add(out, _apply(twists[(slot, s)], v), a[k - 1][s - 1])
-        return out
-
-    pair_images = {(x, y): _apply(gens[x - 1], _apply(gens[y - 1], vec)) for (x, y) in pairs(n)}
+    shape, n, r = phi.shape(), phi.n, phi.r
+    vec, norm = oracle.vector(phi), oracle.norm(shape)
     results = []
     for a in frames:
         out = {"pure": {}, "reducing": {}}
         for (k, l) in pairs(r):
-            w = zero
-            for slot in range(1, m + 1):
-                w = add(w, frame_vector(a, slot, k, frame_vector(a, slot, l, vec)))
-            mat = [[F(0)] * n for _ in range(n)]
-            eta_phi = zero
-            for (x, y) in pairs(n):
-                xy_w = _apply(gens[x - 1], _apply(gens[y - 1], w))
-                val = sum((p * q.conj() for p, q in zip(xy_w, vec)), gr(0))
-                entry = phi.scale2 * val.re / norm
-                mat[x - 1][y - 1], mat[y - 1][x - 1] = entry, -entry
-                eta_phi = add(eta_phi, pair_images[(x, y)], entry)
+            w = [gr(0)] * len(vec)
+            for slot in range(1, phi.m + 1):
+                fl = oracle.act(shape, [(slot, (s,), a[l - 1][s - 1]) for s in range(1, r + 1)], vec)
+                w = oracle.add(w, oracle.act(shape, [(slot, (s,), a[k - 1][s - 1])
+                                                     for s in range(1, r + 1)], fl))
+            mat = oracle.form(phi, w)
+            eta_phi = oracle.act(shape, [(0, (x, y), mat[x - 1][y - 1]) for (x, y) in pairs(n)], vec)
             sq = naive_mat_mul(mat, mat)
             square_ok = all(sq[i][j] == (-1 if i == j else 0) for i in range(n) for j in range(n))
             for kind, c, flag in (("pure", 2, square_ok),
                                   ("reducing", 1, any(x for row in mat for x in row))):
-                defect = add(eta_phi, w, c)
-                dn2 = phi.scale2 * sum((v.norm2() for v in defect), F(0)) / norm
+                defect = oracle.add(eta_phi, w, c)
+                dn2 = phi.scale2 * oracle.inner(defect, defect).re / norm
                 out[kind][(k, l)] = (dn2, flag)
         results.append(out)
     return results

@@ -41,7 +41,6 @@ from spinor_forge.spinrep import (
     basis_spinor,
     kappa_generator,
     spin_action_on_vector,
-    spinor_dim_exponent,
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
@@ -49,12 +48,10 @@ from spinor_forge.twisted import (
     tangent_action,
     twist_bivector_action,
     twisted_group_action,
-    twisted_hermitian,
 )
 
-from .test_linalg import naive_mat_mul, random_matrix
-from .test_spinrep import dense_generator, random_gaussian, u_raw_correct
-from .test_twisted import random_scaled
+from . import oracle
+from .helpers import definition_form, naive_mat_mul, random_gaussian, random_matrix, random_scaled
 
 
 def test_eta_diagonal_pair_is_zero():
@@ -75,67 +72,6 @@ def test_eta_antisymmetric_in_pair_and_matrix():
             assert a.mat[i][j] == -a.mat[j][i]
 
 
-def _slot_operator(dims, slot, mat):
-    """mat on tensor factor ``slot`` of C^dims[0] (x) C^dims[1] (x) ..., as the
-    Kronecker product of mat and identities, stored as the nonzero entries
-    of each row and taken factor by factor on those entries."""
-    out = [[(0, gr(1))]]
-    for s, d in enumerate(dims):
-        block = ([[(j, x) for j, x in enumerate(row) if x] for row in mat] if s == slot
-                 else [[(i, gr(1))] for i in range(d)])
-        out = [[(j * d + jj, x * y) for j, x in row for jj, y in brow]
-               for row in out for brow in block]
-    return out
-
-
-def _apply(rows, vec):
-    return [sum((x * vec[j] for j, x in row), gr(0)) for row in rows]
-
-
-def dense_operators(phi):
-    """phi's coefficient vector, the spin generators [e_1 .. e_n] and the
-    twist generators {(slot, i): f_i on that slot}, each a dense Kronecker
-    product of 2x2 blocks on Delta_n (x) Delta_r^(x m), and the squared
-    norm 2^(kn + m kr) of a raw basis vector."""
-    n, r, m = phi.shape()
-    kn, kr = spinor_dim_exponent(n), spinor_dim_exponent(r)
-    dims = [2 ** kn] + [2 ** kr] * m
-    vec = [gr(0)] * (2 ** (kn + m * kr))
-    for (spin, twist), c in phi.coeffs.items():
-        u = u_raw_correct(spin)
-        for t in twist:
-            u = [x * y for x in u for y in u_raw_correct(t)]
-        vec = [v + c * x for v, x in zip(vec, u)]
-    gens = [_slot_operator(dims, 0, dense_generator(n, a)) for a in range(1, n + 1)]
-    twists = {(slot, i): _slot_operator(dims, slot, dense_generator(r, i))
-              for slot in range(1, m + 1) for i in range(1, r + 1)}
-    return vec, gens, twists, 2 ** (kn + m * kr)
-
-
-def dense_etas(phi):
-    """{(k, l): scale2 * Re< e_a e_b kappa(f_kl) phi, phi >} for k < l, with
-    every operator a dense Kronecker product of 2x2 blocks on
-    Delta_n (x) Delta_r^(x m)."""
-    n, r, m = phi.shape()
-    vec, gens, twists, norm = dense_operators(phi)
-    out = {}
-    for k in range(1, r + 1):
-        for l in range(k + 1, r + 1):
-            w = [gr(0)] * len(vec)
-            for slot in range(1, m + 1):
-                fkl = _apply(twists[(slot, k)], _apply(twists[(slot, l)], vec))
-                w = [x + y for x, y in zip(w, fkl)]
-            mat = [[F(0)] * n for _ in range(n)]
-            for a in range(1, n + 1):
-                for b in range(a + 1, n + 1):
-                    x = _apply(gens[a - 1], _apply(gens[b - 1], w))
-                    val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
-                    entry = phi.scale2 * val.re / norm
-                    mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
-            out[(k, l)] = mat
-    return out
-
-
 def _sparse_and_full(n, r, m, rng):
     """A spinor of shape (n, r, m) on three random basis vectors and one on
     every basis vector, with general Gaussian rational coefficients."""
@@ -152,7 +88,7 @@ def test_eta_matches_dense_oracle(n, r):
     coeffs = {(rng.choice(spin_idx), (rng.choice(twist_idx), rng.choice(twist_idx))):
               random_gaussian(rng) for _ in range(8)}
     phi = ScaledSpinor(n, r, 2, coeffs, F(3, 5))
-    want = dense_etas(phi)
+    want = oracle.etas(phi)
     assert any(x for mat in want.values() for row in mat for x in row)
     for (k, l), mat in want.items():
         assert eta(phi, k, l).mat == mat, (k, l)
@@ -167,21 +103,13 @@ def test_eta_matches_dense_oracle_for_every_small_n(n, m):
     r = 2 if m == 3 else 3
     rng = random.Random(n * 10 + m)
     for sample, phi in enumerate(_sparse_and_full(n, r, m, rng)):
-        want = dense_etas(phi)
+        want = oracle.etas(phi)
         if sample and m and n > 1:
             assert any(x for mat in want.values() for row in mat for x in row)
         for (k, l), mat in want.items():
             assert eta(phi, k, l).mat == mat, (k, l)
         if m == 0:  # eta vanishes untwisted; the rank-2 form pairs i . phi instead
-            assert ImageTable(phi).induced_form(phi.scale(gr(0, 1))).mat == dense_spinc_form(phi)
-
-
-def _definition_form(w, phi):
-    """-scale2 Re< e_b . w, e_a . phi >, a < b, from the generators one by one."""
-    n = phi.n
-    return two_form_from_terms(n, {
-        (a, b): -twisted_hermitian(kappa_generator(n, b, w), kappa_generator(n, a, phi)).re
-        for a in range(1, n + 1) for b in range(a + 1, n + 1)})
+            assert ImageTable(phi).induced_form(phi.scale(gr(0, 1))).mat == oracle.spinc_form(phi)
 
 
 def test_induced_forms_match_definition():
@@ -190,12 +118,12 @@ def test_induced_forms_match_definition():
         for r, m in ((2, 1), (3, 2), (5, 1)):
             phi = random_scaled(n, r, m, rng, terms=rng.choice((1, 6, 40)))
             for k, l in combinations(range(1, r + 1), 2):
-                want = _definition_form(twist_bivector_action(k, l, phi), phi)
+                want = definition_form(twist_bivector_action(k, l, phi), phi)
                 got = eta(phi, k, l)
                 assert (got._den, got._terms) == (want._den, want._terms), (n, r, m, k, l)
         if n % 2 == 0:
             psi = random_scaled(n, 0, 0, rng, terms=rng.choice((1, 6, 40)))
-            assert spinc_form(psi) == _definition_form(psi.scale(gr(0, 1)), psi)
+            assert spinc_form(psi) == definition_form(psi.scale(gr(0, 1)), psi)
 
 
 def test_pair_patterns_partition_the_pairs():
@@ -632,21 +560,6 @@ def test_spinc_form_wrong_rank():
         spinc_form(phi)
 
 
-def dense_spinc_form(psi):
-    """Re( i * <e_a e_b psi, psi> ) for an untwisted spinor, with every
-    generator a dense Kronecker product of 2x2 blocks on Delta_n."""
-    n = psi.n
-    vec, gens, _, norm = dense_operators(psi)
-    mat = [[F(0)] * n for _ in range(n)]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            x = _apply(gens[a - 1], _apply(gens[b - 1], vec))
-            val = sum((p * q.conj() for p, q in zip(x, vec)), gr(0))
-            entry = -psi.scale2 * val.im / norm  # Re(i * val) = -Im(val)
-            mat[a - 1][b - 1], mat[b - 1][a - 1] = entry, -entry
-    return mat
-
-
 @pytest.mark.parametrize("n", [2, 4, 6, 8])
 def test_untwisted_spinc_form_matches_dense_oracle(n):
     rng = random.Random(100 + n)
@@ -657,7 +570,7 @@ def test_untwisted_spinc_form_matches_dense_oracle(n):
         samples.append(SpinorVector(n, {eps: random_gaussian(rng) for eps in picks}))
     samples.append(ScaledSpinor(n, 0, 0, samples[-1].coeffs, F(3, 5)))
     for psi in samples:
-        want = dense_spinc_form(psi)
+        want = oracle.spinc_form(psi)
         assert any(x for row in want for x in row)
         assert spinc_form(psi).mat == want
 

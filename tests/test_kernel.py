@@ -1,15 +1,13 @@
-"""The bitmask kernel against a dense Kronecker oracle, and its canonical form.
+"""The bitmask kernel against the dense Kronecker oracle, and its canonical form.
 
-The oracle holds a spinor of Delta_n (x) Delta_r^(x m) as a dense vector in
-standard coordinates and applies each generator as its 2x2-block Kronecker
-matrix (``test_spinrep.dense_generator``) on one tensor factor.  It knows
-nothing of bit indices, tail masks or denominators, so a wrong bit offset or
-sign rule in any slot changes a result.
+The oracle (``oracle.py``) holds a spinor of Delta_n (x) Delta_r^(x m) as a
+dense vector in standard coordinates and applies each generator as its
+2x2-block Kronecker matrix on one tensor factor.  It knows nothing of bit
+indices, tail masks or denominators, so a wrong bit offset or sign rule in
+any slot changes a result.
 """
-
 import itertools
 import json
-import math
 import random
 from dataclasses import replace
 from fractions import Fraction as F
@@ -33,70 +31,10 @@ from spinor_forge.twisted import (
     twisted_hermitian,
 )
 
-from .test_spinrep import dense_generator, u_raw_correct
+from . import oracle
 
 # (n, r, m): odd n, odd r with one and with two twist bits, even r.
 SHAPES = [(5, 3, 3), (3, 5, 3), (3, 4, 3)]
-
-
-def dims(phi):
-    return [2 ** spinor_dim_exponent(phi.n)] + [2 ** spinor_dim_exponent(phi.r)] * phi.m
-
-
-def apply_factor(mat, vec, dims, slot):
-    """mat on tensor factor ``slot`` of a dense vector over the factors
-    ``dims``, leftmost factor most significant (the Kronecker order)."""
-    inner = 1
-    for d in dims[slot + 1:]:
-        inner *= d
-    d = dims[slot]
-    out = [gr(0)] * len(vec)
-    for base in range(len(vec)):
-        i = base // inner % d
-        if i:
-            continue
-        for row in range(d):
-            acc = gr(0)
-            for col in range(d):
-                if mat[row][col]:
-                    acc = acc + mat[row][col] * vec[base + col * inner]
-            out[base + row * inner] = acc
-    return out
-
-
-def dense(phi):
-    """sqrt(2)^K times phi in standard coordinates, K the number of tensor
-    factors C^2: the coefficient array with each slot mapped through the
-    matrix whose columns are the raw basis vectors u_eps."""
-    ds = dims(phi)
-    slots = [all_basis_indices(phi.n)] + [all_basis_indices(phi.r)] * phi.m
-    pos = [{eps: j for j, eps in enumerate(s)} for s in slots]
-    vec = [gr(0)] * math.prod(ds)
-    for (spin, twist), c in phi.coeffs.items():
-        flat = 0
-        for p, t in zip(pos, (spin, *twist)):
-            flat = flat * len(p) + p[t]
-        vec[flat] = c
-    for slot, s in enumerate(slots):
-        basis = [u_raw_correct(eps) for eps in s]
-        mat = [[basis[j][i] for j in range(len(s))] for i in range(len(s))]
-        vec = apply_factor(mat, vec, ds, slot)
-    return vec
-
-
-def add(*vecs):
-    return [sum(xs, gr(0)) for xs in zip(*vecs)]
-
-
-def scaled(c, vec):
-    return [gr(c) * x for x in vec]
-
-
-def product(vec, ds, slot, dim, factors):
-    """e_(i1) ... e_(is) on tensor factor ``slot`` of Delta_dim."""
-    for i in reversed(factors):
-        vec = apply_factor(dense_generator(dim, i), vec, ds, slot)
-    return vec
 
 
 def coprime_gaussian(rng):
@@ -120,60 +58,57 @@ def spinors(shape, seed):
 @pytest.mark.parametrize("shape", SHAPES)
 def test_tangent_action_matches_dense_oracle(shape):
     (phi, _), rng = spinors(shape, 1)
-    n = phi.n
-    ds, v = dims(phi), dense(phi)
+    n, v = phi.n, oracle.vector(phi)
     for j in range(1, n + 1):  # every spin generator alone
         x = [F(0)] * n
         x[j - 1] = F(1)
-        assert dense(tangent_action(x, phi)) == product(v, ds, 0, n, (j,)), (shape, j)
+        want = oracle.act(shape, [(0, (j,), 1)], v)
+        assert oracle.vector(tangent_action(x, phi)) == want, (shape, j)
     x = [F(rng.randint(-3, 3), rng.randint(1, 5)) for _ in range(n)]
-    want = add(*(scaled(c, product(v, ds, 0, n, (j,))) for j, c in enumerate(x, 1)))
+    want = oracle.act(shape, [(0, (j,), c) for j, c in enumerate(x, 1)], v)
     got = tangent_action(x, phi)
-    assert any(want) and dense(got) == want and got.scale2 == phi.scale2
+    assert any(want) and oracle.vector(got) == want and got.scale2 == phi.scale2
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_mu_slot_matches_dense_oracle_on_every_slot(shape):
     (phi, _), rng = spinors(shape, 2)
-    r = phi.r
-    ds, v = dims(phi), dense(phi)
+    r, v = phi.r, oracle.vector(phi)
     for a in range(1, phi.m + 1):
         for i in range(1, r + 1):
-            got = dense(mu_slot(a, [FormTerm((i,))], phi))
-            assert got == product(v, ds, a, r, (i,)), (shape, a, i)
+            got = oracle.vector(mu_slot(a, [FormTerm((i,))], phi))
+            assert got == oracle.act(shape, [(a, (i,), 1)], v), (shape, a, i)
         # a two-factor product with a rational coefficient, plus the identity
         i, j = sorted(rng.sample(range(1, r + 1), 2))
         c = F(rng.randint(1, 4), rng.randint(2, 5))
-        got = dense(mu_slot(a, [FormTerm((i, j), c), FormTerm((), F(-1, 3))], phi))
-        want = add(scaled(c, product(v, ds, a, r, (i, j))), scaled(F(-1, 3), v))
+        got = oracle.vector(mu_slot(a, [FormTerm((i, j), c), FormTerm((), F(-1, 3))], phi))
+        want = oracle.act(shape, [(a, (i, j), c), (a, (), F(-1, 3))], v)
         assert got == want, (shape, a, i, j)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_twist_bivector_action_matches_dense_oracle(shape):
     (phi, _), _ = spinors(shape, 3)
-    r = phi.r
-    ds, v = dims(phi), dense(phi)
+    r, v = phi.r, oracle.vector(phi)
     for k in range(1, r + 1):
         for l in range(1, r + 1):
             if k == l:
                 continue
-            want = add(*(product(v, ds, a, r, (k, l)) for a in range(1, phi.m + 1)))
-            assert dense(twist_bivector_action(k, l, phi)) == want, (shape, k, l)
+            want = oracle.act(shape, [(a, (k, l), 1) for a in range(1, phi.m + 1)], v)
+            assert oracle.vector(twist_bivector_action(k, l, phi)) == want, (shape, k, l)
 
 
 @pytest.mark.parametrize("shape", SHAPES)
 def test_twisted_hermitian_matches_dense_oracle(shape):
     (phi, psi), _ = spinors(shape, 4)
-    norm = 2 ** sum(spinor_dim_exponent(d) for d in [phi.n] + [phi.r] * phi.m)
+    norm = oracle.norm(shape)
     # overlapping phi, with its own denominators: phi moved by f_1 f_2 on
     # the last slot, plus psi at phi's scale
     other = mu_slot(phi.m, [FormTerm((1, 2))], phi) + replace(psi, scale2=phi.scale2)
     far = replace(other, scale2=4 * phi.scale2)  # prefactor sqrt(s * 4s) = 2s
     for a, b, pref in ((phi, phi, 1), (phi, other, 1), (other, phi, 1), (other, other, 1),
                        (phi, far, 2), (far, phi, 2)):
-        va, vb = dense(a), dense(b)
-        want = sum((x * y.conj() for x, y in zip(va, vb)), gr(0)) * (pref * phi.scale2 / norm)
+        want = oracle.inner(oracle.vector(a), oracle.vector(b)) * (pref * phi.scale2 / norm)
         assert twisted_hermitian(a, b) == want
     assert twisted_hermitian(phi, other).im != 0
 
@@ -223,15 +158,12 @@ def test_pair_matches_dense_oracle(shape):
     compared as values.  b overlaps A.a with a complex factor, so neither
     part is 0."""
     (phi, psi), rng = spinors(shape, 7)
-    ds, v = dims(phi), dense(phi)
-    norm = 2 ** sum(spinor_dim_exponent(d) for d in [phi.n] + [phi.r] * phi.m)
+    v, norm = oracle.vector(phi), oracle.norm(shape)
     for label, flips, terms in pair_cases(phi, rng):
-        image = add(*(scaled(c, product(v, ds, slot, dim, factors))
-                      for slot, dim, factors, c in terms))
+        image = oracle.act(shape, [(slot, factors, c) for slot, _, factors, c in terms], v)
         b = (phi._with(phi._den, _walk(flips, phi._data)).scale(gr(F(2, 3), F(-5, 7)))
              + replace(psi, scale2=phi.scale2))
-        want = sum((x * y.conj() for x, y in zip(image, dense(b))), gr(0))
-        want = want * F(phi._den * b._den, norm)
+        want = oracle.inner(image, oracle.vector(b)) * F(phi._den * b._den, norm)
         got = _pair(flips, phi._data, b._data)
         assert (F(got[0]), F(got[1])) == (want.re, want.im), (shape, label)
         assert got[0] and got[1], (shape, label)

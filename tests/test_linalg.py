@@ -28,10 +28,7 @@ from spinor_forge.linalg import (
     transpose,
 )
 
-
-def random_matrix(rows, cols, rng, bound=4):
-    return [[F(rng.randint(-bound, bound), rng.randint(1, 3)) for _ in range(cols)]
-            for _ in range(rows)]
+from .helpers import naive_mat_mul, random_matrix
 
 
 def plain_rref(rows, n_cols):
@@ -197,12 +194,6 @@ def test_row_reducer_pivots_away_from_column_zero():
     assert not red.contains({3: F(7)})
     assert red.add({3: F(7)}) and red.rank == 3
     assert red.contains([F(0), F(0), F(0), F(-1, 9)])
-
-
-def naive_mat_mul(a, b):
-    """Independent product oracle: the plain Fraction triple loop."""
-    return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
-             for j in range(len(b[0]))] for i in range(len(a))]
 
 
 def plain_det(a):

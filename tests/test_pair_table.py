@@ -9,10 +9,12 @@ bivectors (``twist_bivector_action``), Lie-algebra elements
 (``ambient_annihilates``), the annihilator's columns and every slot
 action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
 ``twisted_group_action``) act.  So none of those can serve as an oracle
-here.  The oracles apply single
-generators one after the other (``chain``: ``_generator_on_map`` with
-``_slot_unit``, and ``kappa_generator``) and pair with
-``twisted_hermitian``; none of them reads the table.
+here.  The oracles of ``helpers.py`` apply single generators one after the
+other: ``chain`` (``_generator_on_map`` with ``_slot_unit``), and the
+induced form by its definition, ``definition_form`` (``kappa_generator``
+paired by ``twisted_hermitian``).  None of them reads the table.  The
+dense Kronecker model of ``oracle.py`` checks the same kernels from outside
+the library in ``test_kernel``, ``test_forms`` and ``test_analysis``.
 """
 
 import math
@@ -46,10 +48,9 @@ from spinor_forge.twisted import (
     tangent_action,
     twist_bivector_action,
     twisted_group_action,
-    twisted_hermitian,
 )
 
-from .test_spinrep import random_gaussian
+from .helpers import chain, definition_form, random_gaussian
 
 # n = 1..12 (both parities), r cycling through 2..9, m = 0..3
 SHAPES = [(n, 2 + (n + m) % 8, m) for n in range(1, 13) for m in range(4)]
@@ -73,21 +74,6 @@ def rational_form(n, rng, density):
     return two_form_from_terms(n, {
         (a, b): F(rng.randint(-7, 7), rng.randint(1, 5))
         for a, b in combinations(range(1, n + 1), 2) if rng.random() < density})
-
-
-def chain(phi, slot, terms):
-    """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
-    (0 = Delta_n, a = twist slot a), one generator at a time by
-    ``_generator_on_map``, rightmost first; reads no table."""
-    dim = phi.r if slot else phi.n
-    offset = phi.n // 2 + (slot - 1) * (phi.r // 2) if slot else 0
-    out = phi.scale(gr(0))
-    for factors, c in terms:
-        data = phi._data
-        for i in reversed(factors):
-            data = _generator_on_map(data, *_slot_unit(offset, dim, i))
-        out = out + phi._with(phi._den, data).scale(gr(c))
-    return out
 
 
 def vector_terms(x):
@@ -217,15 +203,6 @@ def test_form_action_matches_generator_path(n, r, m):
         form_action(rational_form(n + 1, rng, 1.0), phi)
 
 
-def generator_form(w, phi):
-    """-scale2 Re< e_b . w, e_a . phi >, a < b, from single generators."""
-    n = phi.n
-    left = [kappa_generator(n, b, w) for b in range(1, n + 1)]
-    right = [kappa_generator(n, a, phi) for a in range(1, n + 1)]
-    return two_form_from_terms(n, {(a, b): -twisted_hermitian(left[b - 1], right[a - 1]).re
-                                   for a, b in combinations(range(1, n + 1), 2)})
-
-
 @pytest.mark.parametrize("n,r,m", SHAPES)
 def test_induced_form_matches_generator_path(n, r, m):
     """Arbitrary w of phi's shape, twist-bivector images among them, and
@@ -238,7 +215,7 @@ def test_induced_form_matches_generator_path(n, r, m):
         if m and r >= 2:
             ws.append(twist_bivector_action(1, 2, phi))
         for w in ws:
-            got, want = table.induced_form(w), generator_form(w, phi)
+            got, want = table.induced_form(w), definition_form(w, phi)
             assert (got._den, got._terms) == (want._den, want._terms), (n, r, m, terms)
 
 

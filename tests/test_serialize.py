@@ -26,7 +26,7 @@ from spinor_forge.serialize import (
 from spinor_forge.spinrep import ScaledSpinor, all_basis_indices, basis_spinor
 from spinor_forge.twisted import tangent_action, twist_bivector_action
 
-from .test_twisted import random_scaled
+from .helpers import random_scaled
 
 
 def test_gaussian_round_trip():

@@ -71,3 +71,52 @@ def test_boundary_modules_do_not_name_the_flip_kernel():
     or a flip record, so the kernel can change behind them."""
     found = _boundary_uses(KERNEL_NAMES)
     assert not found, found
+
+
+# The tests' one dense model of the spinor space, and the building blocks
+# that no test module may define again.
+TESTS = Path(__file__).resolve().parent
+DENSE_NAMES = {"kron", "dense_generator", "apply_factor", "_slot_operator"}
+
+
+def _imports(tree):
+    """(lineno, dotted name, relative) of each name imported: ``import p``
+    gives p, ``from p import x`` gives p.x, which may be a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from ((node.lineno, alias.name, False) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield from ((node.lineno, f"{node.module or ''}.{alias.name}".lstrip("."), node.level > 0)
+                        for alias in node.names)
+
+
+def test_the_oracle_is_independent_of_the_kernel():
+    """``tests/oracle.py`` imports no module of ``spinor_forge`` but
+    ``scalars``, and nothing of the tests package, so it cannot restate the
+    kernel it checks."""
+    found = [f"oracle.py:{line}:{name}"
+             for line, name, relative in _imports(ast.parse((TESTS / "oracle.py").read_text()))
+             if relative or (name.split(".")[0] == "spinor_forge"
+                             and name.split(".")[:2] != ["spinor_forge", "scalars"])]
+    assert not found, found
+
+
+def test_test_modules_share_no_dense_model():
+    """No ``test_*.py`` defines a dense building block (``kron``,
+    ``dense_generator``, ``apply_factor``, ``_slot_operator``) or imports a
+    helper from another ``test_*.py``: the dense model is ``oracle.py``,
+    shared draws are ``helpers.py``."""
+    files = sorted(TESTS.glob("test_*.py"))
+    assert len(files) > 10
+    found = []
+    for path in files:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in DENSE_NAMES:
+                found.append(f"{path.name}:{node.lineno}: defines {node.name}")
+            if isinstance(node, ast.Assign):
+                found += [f"{path.name}:{node.lineno}: defines {t.id}" for t in node.targets
+                          if isinstance(t, ast.Name) and t.id in DENSE_NAMES]
+        found += [f"{path.name}:{line}: imports {name}" for line, name, _ in _imports(tree)
+                  if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, found

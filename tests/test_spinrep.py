@@ -8,8 +8,9 @@ from spinor_forge.errors import (
     IndexOutOfRange, InexactScalar, InvalidValue, NotUnitVector, OddLength, ShapeMismatch,
     UnsupportedDimension,
 )
-from spinor_forge.forms import two_form_from_terms
-from spinor_forge.linalg import random_unit_vector
+from spinor_forge.analysis import AmbientElement
+from spinor_forge.forms import eta, two_form_from_terms
+from spinor_forge.linalg import givens, random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
@@ -20,107 +21,23 @@ from spinor_forge.spinrep import (
     gamma_apply,
     kappa_generator,
     spin_action_on_vector,
-    spinor_dim_exponent,
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
     form_action_on_spin_slot,
+    mu_slot,
     twisted_group_action,
     twisted_hermitian,
 )
+
+from . import oracle
+from .helpers import random_gaussian
 
 
 def spin_coeffs(psi):
     """{eps: c} of an untwisted (m = 0) spinor, whose indices are (eps, ())."""
     assert psi.m == 0
     return {eps: c for (eps, _), c in psi.coeffs.items()}
-
-
-# ---------------------------------------------------------------------------
-# Dense Kronecker oracle.  Independent of the lazy walker: materializes the
-# generator matrices from the 2x2 blocks and works in standard coordinates,
-# using the unnormalized basis vectors (1, -i) and (1, i) so everything stays
-# in Q(i).
-
-ID = [[gr(1), gr(0)], [gr(0), gr(1)]]
-G1 = [[gr(0, 1), gr(0)], [gr(0), gr(0, -1)]]
-G2 = [[gr(0), gr(0, 1)], [gr(0, 1), gr(0)]]
-T = [[gr(0), gr(0, -1)], [gr(0, 1), gr(0)]]
-
-
-def kron(a, b):
-    na, nb = len(a), len(b)
-    return [
-        [a[i // nb][j // nb] * b[i % nb][j % nb] for j in range(na * nb)]
-        for i in range(na * nb)
-    ]
-
-
-def dense_generator(n, i):
-    k = spinor_dim_exponent(n)
-    if n % 2 == 1 and i == n:
-        mat = [[gr(1)]]
-        for _ in range(k):
-            mat = kron(mat, T)
-        return [[gr(0, 1) * x for x in row] for row in mat]
-    j = (i + 1) // 2
-    factors = [ID] * (k - j) + [G1 if i % 2 == 1 else G2] + [T] * (j - 1)
-    mat = [[gr(1)]]
-    for f in factors:
-        mat = kron(mat, f)
-    return mat
-
-
-def u_raw(eps):
-    """sqrt(2)^k * u_eps in standard coordinates; entries in Z[i]."""
-    vec = [gr(1)]
-    for s in eps:
-        last = gr(0, -s)  # -i for +1, +i for -1
-        vec = [c * x for c in vec for x in (gr(1), last)]
-    # careful: kron of vectors: (v (x) w)_ij = v_i w_j, index i*2+j
-    return vec
-
-
-def u_raw_correct(eps):
-    vec = [gr(1)]
-    for s in eps:
-        w = [gr(1), gr(0, -s)]
-        vec = [a * b for a in vec for b in w]
-    return vec
-
-
-def dense_apply(mat, vec):
-    return [sum((mat[i][j] * vec[j] for j in range(len(vec))), gr(0))
-            for i in range(len(vec))]
-
-
-def dense_to_sparse(n, vec):
-    """Expand a standard-coordinates vector over the unnormalized basis."""
-    k = spinor_dim_exponent(n)
-    coeffs = {}
-    for eps in all_basis_indices(n):
-        ue = u_raw_correct(eps)
-        val = sum((a * b.conj() for a, b in zip(vec, ue)), gr(0))
-        c = val * F(1, 2 ** k)
-        if c:
-            coeffs[eps] = c
-    return coeffs
-
-
-def dense_from_sparse(n, coeffs):
-    """sqrt(2)^k times the spinor with these coefficients, in standard
-    coordinates; dense_to_sparse inverts it."""
-    vec = [gr(0)] * 2 ** spinor_dim_exponent(n)
-    for eps, c in coeffs.items():
-        vec = [v + c * u for v, u in zip(vec, u_raw_correct(eps))]
-    return vec
-
-
-def random_gaussian(rng):
-    """p/q + (p'/q')i; a general coefficient tells every unit of Z[i] and
-    every swap of real and imaginary part apart, which coefficient 1 cannot."""
-    return gr(F(rng.randint(-5, 5), rng.randint(1, 6)),
-              F(rng.randint(-5, 5), rng.randint(1, 6)))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7])
@@ -131,10 +48,9 @@ def test_lazy_generator_matches_dense_oracle(n):
     spinors += [SpinorVector(n, {eps: random_gaussian(rng) for eps in basis})
                 for _ in range(3)]
     for i in range(1, n + 1):
-        mat = dense_generator(n, i)
         for psi in spinors:
             got = spin_coeffs(kappa_generator(n, i, psi))
-            want = dense_to_sparse(n, dense_apply(mat, dense_from_sparse(n, spin_coeffs(psi))))
+            want = oracle.coefficients(n, oracle.act((n, 0, 0), [(0, (i,), 1)], oracle.vector(psi)))
             assert got == want, (n, i, psi)
 
 
@@ -404,6 +320,32 @@ def test_dimensions_must_be_ints(make):
     """A dimension that is not an int, a bool included, is refused with
     InvalidValue before it is compared with anything."""
     with pytest.raises(InvalidValue, match="must be an int, got "):
+        make()
+
+
+TWISTED = ScaledSpinor(4, 3, 1, {((1, 1), ((1,),)): gr(1)})
+
+
+@pytest.mark.parametrize("make", [
+    lambda: two_form_from_terms(4, {(1.0, 2): 1}),
+    lambda: two_form_from_terms(4, {(True, 2): 1}),
+    lambda: two_form_from_terms(4, {(1, 2, 3): 1}),
+    lambda: AmbientElement(4, 3, {(1.0, 2): 1}),
+    lambda: AmbientElement(4, 3, {(1,): 1}),
+    lambda: AmbientElement(4, 3, b={(True, 2): 1}),
+    lambda: eta(TWISTED, 1.0, 2),
+    lambda: eta(TWISTED, True, 2),
+    lambda: FormTerm((1.0, 2)),
+    lambda: mu_slot(True, [FormTerm((1,))], TWISTED),
+    lambda: givens(3, True, 2, F(3, 5), F(4, 5)),
+], ids=["2-form a=1.0", "2-form a=True", "2-form triple", "ambient a=1.0", "ambient (1,)",
+        "ambient b k=True", "eta k=1.0", "eta k=True", "FormTerm 1.0", "mu_slot a=True",
+        "givens i=True"])
+def test_indices_must_be_ints(make):
+    """An index that is not an int, a bool included, or a pair key that is
+    not a pair is refused with InvalidValue at the public entry, before it
+    is compared, shifted or written out."""
+    with pytest.raises(InvalidValue, match=r" must be (an int|a pair of ints), got "):
         make()
 
 

@@ -18,18 +18,7 @@ from spinor_forge.twisted import (
     twisted_hermitian,
 )
 
-
-def random_scaled(n, r, m, rng, terms=4, scale2=None):
-    spin_idx = all_basis_indices(n)
-    twist_idx = all_basis_indices(r)
-    coeffs = {}
-    while not coeffs:
-        for _ in range(terms):
-            key = (rng.choice(spin_idx), tuple(rng.choice(twist_idx) for _ in range(m)))
-            coeffs[key] = gr(rng.randint(-3, 3), rng.randint(-3, 3))
-        coeffs = {k: v for k, v in coeffs.items() if v}
-    s2 = scale2 if scale2 is not None else F(rng.randint(1, 5), rng.randint(1, 5))
-    return ScaledSpinor(n, r, m, coeffs, s2)
+from .helpers import random_scaled
 
 
 def dot(x, y):

@@ -24,9 +24,10 @@ from .errors import (
     ShapeMismatch,
     ZeroSpinor,
 )
-from .forms import Endo, _endo, eta_hat, etas, form_action, form_lincomb, spinc_form
+from .forms import Endo, _endo, _mul_rows, eta_hat, etas, form_action, form_lincomb, spinc_form
 from .linalg import (
-    Matrix, RowReducer, SparseRow, _clear_denominators, check_special_orthogonal, nullspace,
+    Matrix, _back_substitute, _clear_denominators, _reduced, canonical_basis,
+    check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
 from .spinrep import _lincomb, _merge, _monomial, check_dimensions, index_pair
@@ -117,32 +118,30 @@ def _ambient_pairs(n: int, r: int) -> List[Pair]:
     return pairs(n) + [(n + k, n + l) for (k, l) in pairs(r)]
 
 
-def _bivector_bracket(x: Dict[Pair, int], y: Dict[Pair, int]) -> Dict[Pair, int]:
-    """[sum x e_ie_j, sum y e_ke_l] inside the bivector space, using
+def _index(terms: Dict[Pair, int]) -> Dict[int, List[Tuple[int, int]]]:
+    """The terms c e_ie_j of an element by vector index, each oriented from
+    it: i -> (j, c) and j -> (i, -c), as e_je_i = -e_ie_j."""
+    out: Dict[int, List[Tuple[int, int]]] = {}
+    for (i, j), c in terms.items():
+        out.setdefault(i, []).append((j, c))
+        out.setdefault(j, []).append((i, -c))
+    return out
 
-        [e_ie_j, e_ke_l] = 2( d_ik e_je_l + d_jl e_ie_k
-                              - d_jk e_ie_l - d_il e_je_k ).
-    """
+
+def _bracket(x: Dict[int, List[Tuple[int, int]]],
+             y: Dict[int, List[Tuple[int, int]]]) -> Dict[Pair, int]:
+    """[x, y] of two ``_index``ed elements in the bivector space: by
+    [e_ie_j, e_ke_l] = 2(d_ik e_je_l + d_jl e_ie_k - d_jk e_ie_l - d_il e_je_k),
+    terms e_se_a and e_se_b sharing only s give 2 e_ae_b, met once, at s;
+    terms sharing no index or both commute."""
     out: Dict[Pair, int] = {}
-
-    def put(p: int, q: int, c: int) -> None:
-        if p == q or not c:
-            return
-        if p > q:
-            p, q, c = q, p, -c
-        out[(p, q)] = out.get((p, q), 0) + c
-
-    for (i, j), ci in x.items():
-        for (k, l), cj in y.items():
-            c = 2 * ci * cj
-            if i == k:
-                put(j, l, c)
-            if j == l:
-                put(i, k, c)
-            if j == k:
-                put(i, l, -c)
-            if i == l:
-                put(j, k, -c)
+    for s, xs in x.items():
+        for b, d in y.get(s, ()):
+            for a, c in xs:
+                if a < b:
+                    out[(a, b)] = out.get((a, b), 0) + 2 * c * d
+                elif a > b:
+                    out[(b, a)] = out.get((b, a), 0) - 2 * c * d
     return {p: c for p, c in out.items() if c}
 
 
@@ -151,7 +150,7 @@ def bracket(x: AmbientElement, y: AmbientElement) -> AmbientElement:
     in spin(n + r), where the two blocks commute."""
     if (x.n, x.r) != (y.n, y.r):
         raise ShapeMismatch("bracket across different ambient shapes")
-    return _ambient(x.n, x.r, x._den * y._den, _bivector_bracket(x._terms, y._terms))
+    return _ambient(x.n, x.r, x._den * y._den, _bracket(_index(x._terms), _index(y._terms)))
 
 
 @dataclass(frozen=True)
@@ -170,21 +169,28 @@ class LieSubalgebra:
 def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``.
 
-    The integer terms of the basis, rows keyed by the pairs of spin(n + r)
-    as they are, go once into one ``RowReducer``; each bracket [X_i, X_j] of
-    the integer terms is a multiple of [x_i, x_j] and is reduced against
-    them, in integers.  The pairs sort as the flat columns do (the pairs of
-    spin(n), then each (n + k, n + l)), so the pivots are the same."""
+    The integer terms of the basis, keyed by the pairs of spin(n + r) as
+    they are, are reduced and back-substituted once, so row_p is zero on
+    the other pivots.  A bracket y of the ``_index``ed terms (a multiple of
+    the elements' bracket) lies in the span iff L y - sum_p y_p (L /
+    lead_p) row_p = 0, L the lcm of the leads: one pass per bracket."""
     if not basis:
         raise EmptyInput("empty basis")
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
-    red = RowReducer()
-    for x in basis:
-        red.add(x._terms)
+    red = _reduced([x._terms for x in basis])
+    rows = _back_substitute(red.pivots)
+    lcm = math.lcm(*(row[p] for p, row in rows.items()))
+    index = [_index(x._terms) for x in basis]
     for i, j in combinations(range(len(basis)), 2):
-        if not red.contains(_bivector_bracket(basis[i]._terms, basis[j]._terms)):
+        y = _bracket(index[i], index[j])
+        acc = {c: lcm * v for c, v in y.items()}
+        for p in y.keys() & rows.keys():
+            q = y[p] * (lcm // rows[p][p])
+            for c, v in rows[p].items():
+                acc[c] = acc.get(c, 0) - q * v
+        if any(acc.values()):
             return LieSubalgebra(list(basis), red.rank, closed=False, open_pair=(i, j))
     return LieSubalgebra(list(basis), red.rank, closed=True)
 
@@ -427,47 +433,37 @@ def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
 
 def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo]]:
     """All X with [X, h] = 0 for every h in the family (optionally skew X),
-    as an exact nullspace over the n^2 matrix entries: one sparse row per
-    nonzero entry of [X, h], built from the nonzero entries of h."""
+    by successive restriction: from a basis of all n x n matrices (of the
+    E_pq - E_qp when skew), integer maps over the entries p n + q, each h
+    keeps the combinations of the current basis B_1..B_d whose commutator
+    with h vanishes, one ``nullspace`` of width d over the entries of the
+    [B_j, h].  No n^2-wide system is built, and ``canonical_basis`` gives
+    the last basis as that system's ``nullspace`` would."""
     if not etas:
         raise EmptyInput("empty family")
     n = etas[0].n
     if any(h.n != n for h in etas):
         raise ShapeMismatch("mixed dimensions in family")
-    width = n * n
-
-    def var(p: int, q: int) -> int:
-        return p * n + q
-
-    rows: List[Dict[int, int]] = []
+    basis = ([{p * n + q: 1, q * n + p: -1} for p, q in combinations(range(n), 2)]
+             if restrict_skew else [{k: 1} for k in range(n * n)])
     for h in etas:
-        # (X M - M X)[a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b], with
-        # M = h's integer rows (its denominator scales every row alike)
-        in_col = [[(c, row[b]) for c, row in enumerate(h._rows) if b in row] for b in range(n)]
-        for a, in_row in enumerate(h._rows):
-            for b in range(n):
-                row = {var(a, c): x for c, x in in_col[b]}
-                for c, x in in_row.items():
-                    k = var(c, b)
-                    v = row.get(k, 0) - x
-                    if v:
-                        row[k] = v
-                    else:
-                        row.pop(k, None)
-                if row:
-                    rows.append(row)
-    if restrict_skew:
-        for p in range(n):
-            rows.append({var(p, p): 1})
-            for q in range(p + 1, n):
-                rows.append({var(p, q): 1, var(q, p): 1})
-    basis = []
-    for den, vec in nullspace(rows, width):
-        entries: List[SparseRow] = [{} for _ in range(n)]
-        for k, v in vec.items():
-            entries[k // n][k % n] = v
-        basis.append(_endo(n, den, entries))
-    return len(basis), basis
+        # [X, M][a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b], with M =
+        # h's integer rows (its denominator scales every row alike)
+        cols = [[(a, row[c]) for a, row in enumerate(h._rows) if c in row] for c in range(n)]
+        entries: Dict[int, Dict[int, int]] = {}
+        for j, x in enumerate(basis):
+            for k, v in x.items():
+                p, q = divmod(k, n)
+                for b, y in h._rows[q].items():
+                    row = entries.setdefault(p * n + b, {})
+                    row[j] = row.get(j, 0) + v * y
+                for a, y in cols[p]:
+                    row = entries.setdefault(a * n + q, {})
+                    row[j] = row.get(j, 0) - y * v
+        basis = _mul_rows([vec for _, vec in nullspace(list(entries.values()), len(basis))], basis)
+    out = [_endo(n, den, [{k - p * n: v for k, v in vec.items() if k // n == p} for p in range(n)])
+           for den, vec in canonical_basis(basis, n * n)]
+    return len(out), out
 
 
 # -- frame independence and equivariance ---------------------------------------

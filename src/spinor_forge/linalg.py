@@ -191,6 +191,21 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
     return [(den, vec) for vec in basis.values()]
 
 
+def canonical_basis(vectors: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
+    """The basis ``nullspace`` gives for the kernel that ``vectors`` span, in
+    any order, scale or dependence, as integer forms (den, vec) with
+    vec[f] = den.  Its free columns are the last columns on which the span
+    projects one-to-one, so one ``RowReducer`` pass over the reversed
+    columns (c read as width - 1 - c) pivots on exactly them, and
+    ``_back_substitute`` leaves the row of free column f zero on the others."""
+    red, last = RowReducer(), width - 1
+    for vec in vectors:
+        red._add({last - c: v for c, v in _sparse_int_row(vec).items()})
+    reduced = _back_substitute(red.pivots)
+    return [(reduced[p][p], {last - c: v for c, v in reduced[p].items()})
+            for p in sorted(reduced, reverse=True)]
+
+
 # -- dense Fraction matrices ------------------------------------------------
 
 def identity(n: int) -> Matrix:

@@ -59,7 +59,7 @@ CoeffMap = Dict[BasisIndex, GaussianRational]
 # admit every catalog entry (qk(m) for m <= 8 at (4m, 3, m), spin7 at
 # (8, 7, 1), generic(n) for n <= 8) and refuse a hostile wire dimension
 # before anything of its size is built, such as eta's n x n matrix or the
-# n^2-wide rows of a commutant.
+# n^2 entries of a commutant basis.
 MAX_N = 32
 MAX_R = 16
 MAX_M = 8
@@ -369,6 +369,7 @@ def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap
 
 def kappa_generator(n: int, i: int, psi: ScaledSpinor) -> ScaledSpinor:
     """Clifford action of the i-th orthonormal generator on the Delta_n slot."""
+    check_indices("generator index", i)
     if psi.n != n:
         raise ShapeMismatch(f"spinor lives in Delta_{psi.n}, not Delta_{n}")
     return psi._with(psi._den, _spin_generator(psi, i, psi._data))

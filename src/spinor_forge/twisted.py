@@ -243,6 +243,7 @@ def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
     """The bivector f_k f_l acting as the sum of its m slot actions, from
     the cached flips ``_twist_acts``: f_k f_l = -f_l f_k, and f_k f_k = -1
     on every slot."""
+    check_indices("bivector index", k, l)
     if not (1 <= k <= phi.r and 1 <= l <= phi.r):
         raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
     return phi._with(phi._den, _walk(_twist_acts(phi.n, phi.r, phi.m, k, l), phi._data))

@@ -1,9 +1,12 @@
 """Seeded draws and small exact helpers that several test modules share.
 
 The dense model of the spinor space is in ``oracle.py``; this module holds
-what is not part of it, the generator chain and the definition of an
-induced form among them, which read the library's own generators.  No
-``test_*.py`` module imports from another.
+what is not part of it: the generator chain and the definition of an
+induced form, which read the library's own generators, and the plain
+Fraction Gauss-Jordan oracle of ``linalg`` (``plain_rref``,
+``plain_nullspace``), which ``test_linalg`` and the commutant's wide-system
+oracle in ``test_analysis`` share.  No ``test_*.py`` module imports from
+another.
 """
 
 from fractions import Fraction as F
@@ -46,6 +49,48 @@ def naive_mat_mul(a, b):
     """Independent product oracle: the plain Fraction triple loop."""
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def plain_rref(rows, n_cols):
+    """Independent oracle: straightforward Gauss-Jordan over Fraction.
+    Returns the nonzero rows of the reduced row echelon form and their
+    pivot columns."""
+    m = [list(r) for r in rows]
+    n_rows = len(m)
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        if r == n_rows:
+            break
+        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    return m[:r], pivots
+
+
+def plain_nullspace(rows, n_cols):
+    """The canonical kernel basis: for each free column f, the vector with
+    x_f = 1, zero on the other free columns, from the oracle's RREF."""
+    rref, pivots = plain_rref(rows, n_cols)
+    basis = []
+    for f in range(n_cols):
+        if f in pivots:
+            continue
+        vec = [F(0)] * n_cols
+        vec[f] = F(1)
+        for row, p in zip(rref, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
 
 
 def definition_form(w, phi):

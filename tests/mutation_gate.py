@@ -70,9 +70,17 @@ MUTANTS = [
      "    flip = (flip[0], -flip[1], *flip[2:]) if (k, l) == (1, 3) else flip\n",
      [EQUIVARIANT]),
     ("lie_closure_report accepts every bracket", "analysis.py",
-     "        if not red.contains(_bivector_bracket(",
-     "        if False and not red.contains(_bivector_bracket(",
+     "        if any(acc.values()):",
+     "        if False and any(acc.values()):",
      ["tests/test_analysis.py::test_lie_closure_names_the_first_open_pair"]),
+    ("commutant's restriction skips the last family member", "analysis.py",
+     "    for h in etas:\n        # [X, M]",
+     "    for h in etas[:-1]:\n        # [X, M]",
+     ["tests/test_analysis.py::test_commutant_matches_the_wide_system_oracle_on_random_families"]),
+    ("canonical_basis skips the back-substitution", "linalg.py",
+     "    reduced = _back_substitute(red.pivots)\n    return [(reduced[p][p]",
+     "    reduced = red.pivots\n    return [(reduced[p][p]",
+     ["tests/test_linalg.py::test_canonical_basis_is_nullspace_of_any_spanning_set"]),
     ("_certify keys the twist pair as (s, t)", "analysis.py",
      "(n + s, n + t): c * form._den}",
      "(s, t): c * form._den}",

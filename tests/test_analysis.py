@@ -46,7 +46,7 @@ from spinor_forge.errors import (
     UnsupportedDimension,
     ZeroSpinor,
 )
-from spinor_forge.forms import TwoForm, eta, eta_hat, etas, phi_extend, two_form_from_terms
+from spinor_forge.forms import Endo, TwoForm, eta, eta_hat, etas, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
     givens, nullspace, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
     transpose,
@@ -65,7 +65,7 @@ from spinor_forge.twisted import (
 )
 
 from . import oracle
-from .helpers import chain, naive_mat_mul, random_scaled
+from .helpers import chain, naive_mat_mul, plain_nullspace, random_scaled
 
 
 # -- purity / reducing certificates -------------------------------------------
@@ -674,6 +674,89 @@ def test_commutant_elements_commute():
     for b in basis:
         for h in fam:
             assert b.commutator(h).mat == [[F(0)] * 4 for _ in range(4)]
+
+
+def _commutant_oracle(family, restrict_skew):
+    """The commutant as one n^2-wide system, solved by the plain Fraction
+    RREF: for each h and each entry (a, b), the row of
+    (X h - h X)[a][b] = sum_c X[a][c] h[c][b] - h[a][c] X[c][b] over the
+    entries X[p][q] (column p n + q), then X[p][p] = 0 and X[p][q] +
+    X[q][p] = 0 when skew.  Returns the canonical basis as dense matrices."""
+    n = family[0].n
+    rows = []
+    for h in family:
+        mat = h.mat
+        for a in range(n):
+            for b in range(n):
+                row = [F(0)] * (n * n)
+                for c in range(n):
+                    row[a * n + c] += mat[c][b]
+                    row[c * n + b] -= mat[a][c]
+                if any(row):
+                    rows.append(row)
+    if restrict_skew:
+        for p in range(n):
+            for q in range(p, n):
+                row = [F(0)] * (n * n)
+                row[p * n + q] += 1
+                row[q * n + p] += 1
+                rows.append(row)
+    unique = list({tuple(row): row for row in rows}.values())
+    return [[vec[p * n:(p + 1) * n] for p in range(n)] for vec in plain_nullspace(unique, n * n)]
+
+
+def _moved_qk2_family():
+    """The hat(eta) of qk(2) moved by g, a product of two full-support exact
+    unit vectors of R^8: every member a dense matrix."""
+    rng = random.Random(5)
+    g = [random_unit_vector(8, rng, 8) for _ in range(2)]
+    return _hat_family(twisted_group_action(g, [], build_qk_pure(2).spinor))
+
+
+_COMMUTANT_FAMILIES = {
+    "spin7_pure": lambda: _hat_family(build_spin7_pure().spinor),
+    "spin7_reducing": lambda: _hat_family(build_spin7_reducing().spinor),
+    **{f"qk({m})": lambda m=m: _hat_family(build_qk_pure(m).spinor) for m in (1, 2, 3)},
+    **{f"generic({n})": lambda n=n: _hat_family(build_generic_reducing(n).spinor)
+       for n in (4, 5, 6)},
+    "moved qk(2)": _moved_qk2_family,
+}
+
+
+@pytest.mark.parametrize("label", list(_COMMUTANT_FAMILIES))
+def test_commutant_matches_the_wide_system_oracle(label):
+    """Successive restriction gives, Endo for Endo, the canonical basis of
+    the one n^2-wide system, with and without the skew restriction."""
+    family = list(_COMMUTANT_FAMILIES[label]().values())
+    if label == "moved qk(2)":  # every entry off the diagonal is nonzero
+        assert all(sum(map(len, h._rows)) == 56 for h in family)
+    for skew in (True, False):
+        dim, basis = commutant(family, skew)
+        want = _commutant_oracle(family, skew)
+        assert dim == len(basis) == len(want)
+        assert [b.mat for b in basis] == want, (label, skew)
+
+
+def test_commutant_matches_the_wide_system_oracle_on_random_families():
+    """Seeded random rational families, one member or several, some sparse
+    and some dense: the same basis as the wide system, and the draws reach
+    a zero skew commutant, a one-member family and a commutant of several
+    dimensions between 0 and n^2."""
+    rng = random.Random(27)
+    seen = {"zero": 0, "one member": 0, "between": 0}
+    for _ in range(40):
+        n = rng.randint(1, 5)
+        density = rng.choice((0.2, 0.5, 1.0))
+        family = [Endo(n, [[F(rng.randint(-3, 3), rng.randint(1, 3)) if rng.random() < density
+                            else F(0) for _ in range(n)] for _ in range(n)])
+                  for _ in range(rng.choice((1, 1, 2, 3)))]
+        for skew in (True, False):
+            dim, basis = commutant(family, skew)
+            assert [b.mat for b in basis] == _commutant_oracle(family, skew), (family, skew)
+            seen["zero"] += dim == 0
+            seen["between"] += 1 < dim < n * n - 1
+        seen["one member"] += len(family) == 1
+    assert min(seen.values()) >= 5, seen
 
 
 # -- frame independence and equivariance -----------------------------------------

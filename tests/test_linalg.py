@@ -13,6 +13,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.linalg import (
     RowReducer,
+    canonical_basis,
     cayley_so,
     check_special_orthogonal,
     givens,
@@ -28,54 +29,12 @@ from spinor_forge.linalg import (
     transpose,
 )
 
-from .helpers import naive_mat_mul, random_matrix
-
-
-def plain_rref(rows, n_cols):
-    """Independent oracle: straightforward Gauss-Jordan over Fraction.
-    Returns the nonzero rows of the reduced row echelon form and their
-    pivot columns."""
-    m = [list(r) for r in rows]
-    n_rows = len(m)
-    pivots = []
-    r = 0
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        piv = next((i for i in range(r, n_rows) if m[i][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-    return m[:r], pivots
+from .helpers import naive_mat_mul, plain_nullspace, plain_rref, random_matrix
 
 
 def plain_gauss_rank(rows):
     """Independent rank oracle."""
     return len(plain_rref(rows, len(rows[0]) if rows else 0)[1])
-
-
-def plain_nullspace(rows, n_cols):
-    """The canonical kernel basis: for each free column f, the vector with
-    x_f = 1, zero on the other free columns, from the oracle's RREF."""
-    rref, pivots = plain_rref(rows, n_cols)
-    basis = []
-    for f in range(n_cols):
-        if f in pivots:
-            continue
-        vec = [F(0)] * n_cols
-        vec[f] = F(1)
-        for row, p in zip(rref, pivots):
-            vec[p] = -row[f]
-        basis.append(vec)
-    return basis
 
 
 def dense_nullspace(rows, n_cols):
@@ -164,6 +123,50 @@ def test_nullspace_of_structured_systems():
     assert dense_nullspace(rows, 4) == [[F(-2), F(1, 3), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
     with pytest.raises(ValueError):
         nullspace([{5: F(1)}], 4)
+
+
+def _dense_forms(forms, free, n_cols):
+    """Integer forms (den, vec) read back as dense Fraction vectors, after
+    checking that den > 0, that the entries are nonzero ints in range, and
+    that vec[f] = den on its free column f, ``free`` ascending."""
+    assert len(forms) == len(free)
+    out = []
+    for f, (den, vec) in zip(free, forms):
+        assert type(den) is int and den > 0 and vec[f] == den
+        assert all(type(v) is int and v and 0 <= c < n_cols for c, v in vec.items())
+        out.append([F(vec.get(c, 0), den) for c in range(n_cols)])
+    return out
+
+
+def test_canonical_basis_is_nullspace_of_any_spanning_set():
+    """Any spanning set of a kernel, shuffled, rescaled, with zero vectors
+    and dependent combinations, dense or as int maps, gives ``nullspace``'s
+    basis, vector for vector, on the oracle's free columns."""
+    rng = random.Random(11)
+    seen = {"empty": 0, "full": 0, "dependent": 0}
+    for _ in range(150):
+        n_cols = rng.randint(1, 9)
+        rows = _mixed_system(rng, rng.randint(0, 8), n_cols)
+        free = [c for c in range(n_cols) if c not in plain_rref(rows, n_cols)[1]]
+        want = _dense_forms(nullspace(rows, n_cols), free, n_cols)
+        span = [[x * c for x in v] for v in want
+                for c in [F(rng.choice((-1, 1)) * rng.randint(1, 5), rng.randint(1, 4))]]
+        for _ in range(rng.randint(0, 3) if want else 0):
+            u, w = rng.choice(want), rng.choice(want)
+            c = F(rng.randint(-3, 3), rng.randint(1, 3))
+            span.append([x + c * y for x, y in zip(u, w)])
+            seen["dependent"] += 1
+        if rng.random() < 0.3:
+            span.append([F(0)] * n_cols)
+        rng.shuffle(span)
+        assert _dense_forms(canonical_basis(span, n_cols), free, n_cols) == want
+        ints = [{c: int(x * math.lcm(*(y.denominator for y in v))) for c, x in enumerate(v) if x}
+                for v in span]
+        assert _dense_forms(canonical_basis(ints, n_cols), free, n_cols) == want
+        seen["empty"] += not want
+        seen["full"] += len(want) == n_cols
+    assert min(seen.values()) >= 5, seen
+    assert canonical_basis([], 3) == []
 
 
 def test_span_membership_and_equality():

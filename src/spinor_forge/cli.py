@@ -2,15 +2,17 @@
 
 Exit codes: 0 = success / claim verified, 1 = a mathematical claim failed
 verification, 2 = usage or input error.  Any unreadable, malformed, too
-deeply nested or out-of-range input file exits 2 with one ``error:`` line on
-stderr; ``main`` is the one place that prints it.  Output is deterministic
-for a given input; JSON mode never includes timestamps.
+deeply nested or out-of-range input file, and a closed stdout, exits 2 with
+one ``error:`` line on stderr; ``main`` is the one place that prints it.
+Output is deterministic for a given input; JSON mode never includes
+timestamps.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Any, List, Optional
 
@@ -275,9 +277,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        if sys.stdout is not None:  # None when started with fd 1 closed
+            sys.stdout.flush()  # the last write may fail here, inside the boundary
+        return code
     except (UsageError, SpinorForgeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError as exc:  # fd 1 goes to devnull, so the flush at exit is quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"error: cannot write to stdout: {exc.strerror}", file=sys.stderr)
         return 2
 
 

@@ -217,8 +217,9 @@ def criterion_hat_commutators() -> CriterionRow:
         fam = {pair: eta_hat(form) for pair, form in etas(phi).items()}
         rel = even_clifford_verify(fam)
         full = {**fam, **{(l, k): -h for (k, l), h in fam.items()}}
+        # the mirror (k, j, i) negates both sides: [h_kj, h_ji] = -[h_ij, h_jk], -2 h_ki = 2 h_ik
         comm_ok = all(full[(i, j)].commutator(full[(j, k)]) == full[(i, k)].scale(Fraction(-2))
-                      for i, j, k in permutations(range(1, phi.r + 1), 3))
+                      for i, j, k in permutations(range(1, phi.r + 1), 3) if i < k)
         ok = ok and rel.ok and comm_ok
         notes.append(f"{label}: relations={rel.ok} commutators={comm_ok}")
     return _row(

@@ -5,14 +5,18 @@ what is not part of it: the generator chain and the definition of an
 induced form, which read the library's own generators, and the plain
 Fraction Gauss-Jordan oracle of ``linalg`` (``plain_rref``,
 ``plain_nullspace``), which ``test_linalg`` and the commutant's wide-system
-oracle in ``test_analysis`` share.  No ``test_*.py`` module imports from
+oracle in ``test_analysis`` share, and the exhaustive even-Clifford check
+``reference_even_clifford_verify``.  No ``test_*.py`` module imports from
 another.
 """
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
+from typing import Dict
 
-from spinor_forge.forms import two_form_from_terms
+from spinor_forge.analysis import RelationReport, pairs
+from spinor_forge.errors import EmptyInput, IndexOutOfRange, MissingPair, ShapeMismatch
+from spinor_forge.forms import Endo, two_form_from_terms
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     ScaledSpinor, _generator_on_map, _slot_unit, all_basis_indices, kappa_generator,
@@ -116,3 +120,62 @@ def chain(phi, slot, terms):
             data = _generator_on_map(data, *_slot_unit(offset, dim, i))
         out = out + phi._with(phi._den, data).scale(gr(c))
     return out
+
+
+def reference_even_clifford_verify(etas: Dict[tuple, Endo]) -> RelationReport:
+    """Reference for ``analysis.even_clifford_verify``: every relation in
+    every order.  Squares are -Id, every ordered disjoint pair commutes,
+    every permutation (i, j, k) anticommutes with product -eta_hat_ik, and
+    the alternating four-index product chain holds; the first failure in
+    that order names the violation."""
+    if not etas:
+        raise EmptyInput("empty family")
+    bad = [(k, l) for (k, l) in etas if not 1 <= k < l]
+    if bad:
+        raise IndexOutOfRange(f"pair {bad[0]} is not 1 <= k < l")
+    r = max(max(p) for p in etas)
+    n = next(iter(etas.values())).n
+    full: Dict[tuple, Endo] = {}
+    for (k, l) in pairs(r):
+        h = etas.get((k, l))
+        if h is None:
+            raise MissingPair(f"missing pair ({k},{l})")
+        if h.n != n:
+            raise ShapeMismatch("mixed dimensions in family")
+        full[(k, l)] = h
+        full[(l, k)] = -h
+
+    for (k, l) in pairs(r):
+        h = full[(k, l)]
+        if not h.squares_to_minus_identity():
+            return RelationReport(False, f"square(({k},{l})) != -Id")
+
+    for (i, j) in pairs(r):
+        for (k, l) in pairs(r):
+            if {i, j} & {k, l}:
+                continue
+            a, b = full[(i, j)], full[(k, l)]
+            if a.compose(b) != b.compose(a):
+                return RelationReport(False, f"disjoint ({i},{j}),({k},{l}) do not commute")
+
+    for i, j, k in permutations(range(1, r + 1), 3):
+        ab = full[(i, j)].compose(full[(j, k)])
+        ba = full[(j, k)].compose(full[(i, j)])
+        if ab != -ba:
+            return RelationReport(False, f"chained ({i},{j}),({j},{k}) do not anticommute")
+        if ab != -full[(i, k)]:
+            return RelationReport(False, f"product ({i},{j})({j},{k}) != -({i},{k})")
+
+    for (i, j, k, l) in combinations(range(1, r + 1), 4):
+        lhs = full[(i, j)].compose(full[(k, l)])
+        chain = [
+            (-full[(i, k)].compose(full[(j, l)]), f"-({i},{k})({j},{l})"),
+            (-full[(j, l)].compose(full[(i, k)]), f"-({j},{l})({i},{k})"),
+            (full[(k, l)].compose(full[(i, j)]), f"({k},{l})({i},{j})"),
+            (full[(j, k)].compose(full[(i, l)]), f"({j},{k})({i},{l})"),
+            (full[(i, l)].compose(full[(j, k)]), f"({i},{l})({j},{k})"),
+        ]
+        for rhs, label in chain:
+            if lhs != rhs:
+                return RelationReport(False, f"product chain ({i},{j})({k},{l}) != {label}")
+    return RelationReport(True)

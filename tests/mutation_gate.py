@@ -37,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 KERNEL = "tests/test_kernel.py::"
 RECORDS = KERNEL + "test_walk_and_pair_are_sums_over_their_records"
 EQUIVARIANT = "tests/test_analysis.py::test_annihilator_is_equivariant"
+FIRST_VIOLATION = "tests/test_analysis.py::test_even_clifford_names_the_first_violation"
+CLIFFORD_REFERENCE = "tests/test_analysis.py::test_even_clifford_matches_the_exhaustive_reference"
 
 MUTANTS = [
     ("_walk keeps one record per d", "twisted.py",
@@ -81,6 +83,18 @@ MUTANTS = [
      "    reduced = _back_substitute(red.pivots)\n    return [(reduced[p][p]",
      "    reduced = red.pivots\n    return [(reduced[p][p]",
      ["tests/test_linalg.py::test_canonical_basis_is_nullspace_of_any_spanning_set"]),
+    ("even_clifford_verify visits the mirrored triples i > k", "analysis.py",
+     "        if i > k:\n            continue",
+     "        if i < k:\n            continue",
+     [FIRST_VIOLATION, CLIFFORD_REFERENCE]),
+    ("even_clifford_verify skips the disjoint pairs", "analysis.py",
+     "        if a.compose(b) != b.compose(a):",
+     "        if False:",
+     [FIRST_VIOLATION, CLIFFORD_REFERENCE]),
+    ("even_clifford_verify skips the chained product", "analysis.py",
+     "        if ab != -full[(i, k)]:",
+     "        if False:",
+     [FIRST_VIOLATION, CLIFFORD_REFERENCE]),
     ("_certify keys the twist pair as (s, t)", "analysis.py",
      "(n + s, n + t): c * form._den}",
      "(s, t): c * form._den}",

@@ -65,7 +65,9 @@ from spinor_forge.twisted import (
 )
 
 from . import oracle
-from .helpers import chain, naive_mat_mul, plain_nullspace, random_scaled
+from .helpers import (
+    chain, naive_mat_mul, plain_nullspace, random_scaled, reference_even_clifford_verify,
+)
 
 
 # -- purity / reducing certificates -------------------------------------------
@@ -223,6 +225,43 @@ def test_even_clifford_names_the_first_violation():
     assert right[0].compose(right[0]).is_minus_identity()
     rep = even_clifford_verify({**qk1, (1, 2): right[0]})
     assert (rep.ok, rep.violation) == (False, "chained (1,2),(2,3) do not anticommute")
+
+
+def test_even_clifford_matches_the_exhaustive_reference(monkeypatch):
+    """Each relation decided once gives the verdict and the first violation
+    of the reference that checks every ordered pair, every permutation and
+    the four-index chain, on catalog families with one member corrupted at
+    a time; and spends 420 products on spin7_pure (1050 in the reference)
+    and 6 on qk(2) (12)."""
+    rng = random.Random(28)
+    entries = [build_spin7_pure(), build_spin7_reducing(),
+               *(build_qk_pure(m) for m in (1, 2, 3)),
+               *(build_generic_reducing(n) for n in (3, 4, 5, 6))]
+    checked = 0
+    for ent in entries:
+        fam = _hat_family(ent.spinor)
+        keys = list(fam)
+        n = fam[keys[0]].n
+        for p in keys:
+            q = rng.choice([k for k in keys if k != p])
+            noise = Endo(n, [[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)])
+            for bad in ({**fam, p: -fam[p]}, {**fam, p: fam[p].scale(2)},
+                        {**fam, p: fam[q]}, {**fam, p: fam[q], q: fam[p]},
+                        {**fam, p: noise}, {**fam, p: fam[p].compose(fam[q])}):
+                got, want = even_clifford_verify(bad), reference_even_clifford_verify(bad)
+                assert (got.ok, got.violation) == (want.ok, want.violation), (ent.name, p, q)
+                checked += 1
+        assert even_clifford_verify(fam) == reference_even_clifford_verify(fam)
+    assert checked >= 500
+
+    calls = []
+    compose = Endo.compose
+    monkeypatch.setattr(Endo, "compose", lambda a, b: calls.append(1) or compose(a, b))
+    for phi, want in ((build_spin7_pure().spinor, 420), (build_qk_pure(2).spinor, 6)):
+        fam = _hat_family(phi)
+        calls.clear()
+        assert even_clifford_verify(fam).ok
+        assert len(calls) == want
 
 
 def test_even_clifford_rejects_rank2_blocks():

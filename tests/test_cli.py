@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -230,6 +234,29 @@ def test_catalog_emit_to_unwritable_path_exits_2(tmp_path, capsys):
         code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "1",
                            "-o", str(target))
         assert code == 2 and err.startswith("error: cannot write") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("commutant", "--catalog", "spin7_pure", "--json"), True),  # print meets the pipe
+    (("frame-test", "--catalog", "qk", "--m", "1", "--trials", "2"), False),  # the last flush
+])
+def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
+    """A reader that has gone away is an output error, not a failed claim:
+    exit 2 and one ``error:`` line, no traceback."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "spinor_forge.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE, text=True, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: cannot write to stdout: Broken pipe"]
 
 
 def test_exponent_rational_exits_2(tmp_path, capsys):

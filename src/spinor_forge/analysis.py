@@ -30,11 +30,8 @@ from .linalg import (
     check_special_orthogonal, nullspace,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import _lincomb, _merge, _monomial, check_dimensions, index_pair
-from .twisted import (
-    _IDENTITY, ScaledSpinor, _bivector_map, _norm2, _pair, _slot_acts, _twist_acts, _walk,
-    twisted_group_action,
-)
+from .spinrep import _lincomb, check_dimensions, index_pair
+from .twisted import ScaledSpinor, _bivector_map, _norm2, twisted_group_action
 
 Pair = Tuple[int, int]
 
@@ -118,7 +115,7 @@ def _ambient_pairs(n: int, r: int) -> List[Pair]:
     return pairs(n) + [(n + k, n + l) for (k, l) in pairs(r)]
 
 
-def _index(terms: Dict[Pair, int]) -> Dict[int, List[Tuple[int, int]]]:
+def _by_vector(terms: Dict[Pair, int]) -> Dict[int, List[Tuple[int, int]]]:
     """The terms c e_ie_j of an element by vector index, each oriented from
     it: i -> (j, c) and j -> (i, -c), as e_je_i = -e_ie_j."""
     out: Dict[int, List[Tuple[int, int]]] = {}
@@ -130,7 +127,7 @@ def _index(terms: Dict[Pair, int]) -> Dict[int, List[Tuple[int, int]]]:
 
 def _bracket(x: Dict[int, List[Tuple[int, int]]],
              y: Dict[int, List[Tuple[int, int]]]) -> Dict[Pair, int]:
-    """[x, y] of two ``_index``ed elements in the bivector space: by
+    """[x, y] of two elements by vector index (``_by_vector``): by
     [e_ie_j, e_ke_l] = 2(d_ik e_je_l + d_jl e_ie_k - d_jk e_ie_l - d_il e_je_k),
     terms e_se_a and e_se_b sharing only s give 2 e_ae_b, met once, at s;
     terms sharing no index or both commute."""
@@ -150,7 +147,8 @@ def bracket(x: AmbientElement, y: AmbientElement) -> AmbientElement:
     in spin(n + r), where the two blocks commute."""
     if (x.n, x.r) != (y.n, y.r):
         raise ShapeMismatch("bracket across different ambient shapes")
-    return _ambient(x.n, x.r, x._den * y._den, _bracket(_index(x._terms), _index(y._terms)))
+    return _ambient(x.n, x.r, x._den * y._den,
+                    _bracket(_by_vector(x._terms), _by_vector(y._terms)))
 
 
 @dataclass(frozen=True)
@@ -171,8 +169,8 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
 
     The integer terms of the basis, keyed by the pairs of spin(n + r) as
     they are, are reduced and back-substituted once, so row_p is zero on
-    the other pivots.  A bracket y of the ``_index``ed terms (a multiple of
-    the elements' bracket) lies in the span iff L y - sum_p y_p (L /
+    the other pivots.  A bracket y of the terms by vector index (a multiple
+    of the elements' bracket) lies in the span iff L y - sum_p y_p (L /
     lead_p) row_p = 0, L the lcm of the leads: one pass per bracket."""
     if not basis:
         raise EmptyInput("empty basis")
@@ -182,9 +180,9 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     red = _reduced([x._terms for x in basis])
     rows = _back_substitute(red.pivots)
     lcm = math.lcm(*(row[p] for p, row in rows.items()))
-    index = [_index(x._terms) for x in basis]
+    by_vector = [_by_vector(x._terms) for x in basis]
     for i, j in combinations(range(len(basis)), 2):
-        y = _bracket(index[i], index[j])
+        y = _bracket(by_vector[i], by_vector[j])
         acc = {c: lcm * v for c, v in y.items()}
         for p in y.keys() & rows.keys():
             q = y[p] * (lcm // rows[p][p])
@@ -478,53 +476,6 @@ def equivariance_check(
     if kind == "pure":
         return check_pure(moved).is_pure == check_pure(phi).is_pure
     return check_reducing(moved).is_reducing == check_reducing(phi).is_reducing
-
-
-# -- vanishing identities -------------------------------------------------------
-
-def vanishing_identity_failures(
-    phi: ScaledSpinor,
-    x: Sequence[Rational],
-    y: Sequence[Rational],
-    quads: Sequence[Sequence[Tuple[int, int, int, int]]],
-) -> int:
-    """The number of failing instances of the reality identities of phi for
-    tangent vectors X, Y and each twist pair (k, l) of ``pairs(r)``, with
-    ``quads`` the quadruples of each pair in that order:
-    (1) Re<kappa(f_kl) phi, phi> = 0, (2) Re<X^Y phi, phi> = 0,
-    (3) Im<X^Y kappa(f_kl) phi, phi> = 0, (4) Re<X phi, Y phi> =
-    <X, Y>|phi|^2 and (5) Re<e_abcd kappa(f_kl) phi, phi> = 0.
-
-    Each is an integer ``twisted._pair`` of A applied to the left argument
-    against phi's integers, so no spinor and no Fraction is built per
-    instance.  X and Y are cleared to integers X', Y' over one d; then X^Y
-    phi = (X'Y' phi + <X', Y'> phi) / d^2, and every side of an identity
-    carries the same positive factor scale2 / (D d)^2, which drops out."""
-    n, r, m = phi.shape()
-    if len(x) != n or len(y) != n:
-        raise ShapeMismatch(f"vectors of lengths {len(x)}, {len(y)} in R^{n}")
-    if len(quads) != len(pairs(r)):
-        raise ShapeMismatch(f"{len(quads)} quadruple lists for {len(pairs(r))} twist pairs")
-    (xs, ys), _ = _clear_denominators([[exact_rational(c) for c in v] for v in (x, y)])
-    data = phi._data
-    ax = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(xs, 1)])[1]
-    ay = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(ys, 1)])[1]
-    x_phi, y_phi = _walk(ax, data), _walk(ay, data)
-    dot = sum(a * b for a, b in zip(xs, ys))
-    wedge = _walk(ax, y_phi)  # X^Y acts as X.Y + <X, Y>
-    if dot:
-        _merge(wedge, data, dot)
-    norm, _ = _pair(_IDENTITY, data, data)
-    failures = _pair(_IDENTITY, wedge, data)[0] != 0
-    failures += _pair(_IDENTITY, x_phi, y_phi)[0] != dot * norm
-    for (k, l), qs in zip(pairs(r), quads):
-        flips = _twist_acts(n, r, m, k, l)
-        failures += _pair(flips, data, data)[0] != 0
-        failures += _pair(flips, wedge, data)[1] != 0  # X^Y (spin slot) commutes with kappa(f_kl)
-        w = _walk(flips, data)
-        for quad in qs:
-            failures += _pair((_monomial(n, tuple(quad)),), w, data)[0] != 0
-    return failures
 
 
 # -- representation-theory constants -------------------------------------------

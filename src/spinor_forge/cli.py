@@ -2,8 +2,9 @@
 
 Exit codes: 0 = success / claim verified, 1 = a mathematical claim failed
 verification, 2 = usage or input error.  Any unreadable, malformed, too
-deeply nested or out-of-range input file, and a closed stdout, exits 2 with
-one ``error:`` line on stderr; ``main`` is the one place that prints it.
+deeply nested or out-of-range input file, and a closed stdout (also fd 1
+closed at start, but for ``catalog emit -o``), exits 2 with one ``error:``
+line on stderr; ``main`` is the one place that prints it.
 Output is deterministic for a given input; JSON mode never includes
 timestamps.
 """
@@ -277,8 +278,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors already; normalize other codes
         return 2 if exc.code not in (0,) else 0
     try:
+        if sys.stdout is None and not getattr(args, "outfile", None):  # fd 1 closed at start
+            raise UsageError("cannot write to stdout: it is closed")
         code = args.func(args)
-        if sys.stdout is not None:  # None when started with fd 1 closed
+        if sys.stdout is not None:  # None for catalog emit -o FILE with fd 1 closed
             sys.stdout.flush()  # the last write may fail here, inside the boundary
         return code
     except (UsageError, SpinorForgeError) as exc:

@@ -7,22 +7,9 @@ w = kappa(f_kl) . phi the entry for a < b is
 
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, phi > = -scale2 * Re< w, e_a e_b . phi >.
 
-In the kernel's layout (``spinrep``: int index, spin bits lowest and a set
-bit +1; (re, im) numerators over the spinor's one denominator D) e_a e_b
-sends phi_v to v ^ d, d = f_a ^ f_b, times a unit signed by a parity of v:
-the one pair table ``spinrep._pair_acts``, grouped by d (d = 0 holds the
-k = n // 2 pairs (2j-1, 2j), each two-bit d four pairs, and for odd n
-each one-bit d the two pairs with the last generator, which flips
-nothing), and eta_ab = -scale2 * Re< w, e_a e_b . phi > pairs w at u
-only with phi at v = u ^ d.  A pattern flips spin bits only, so
-``ImageTable`` groups supp phi by the bits above the spin slot; for each u
-in supp w it walks u's group, and each v whose u ^ v is a pattern adds
-the signed real or imaginary part of w_u conj(phi_v) to every pair of that
-pattern.  A 2-form acts (``form_action``) through the one bivector action
-of spin(n) + spin(r), ``twisted._bivector_map``, on its integer terms:
-per pattern d that omega uses, one walk over supp phi, in which the signed
-omega_ab of the pattern's pairs sum to one Gaussian integer that
-multiplies phi_v into v ^ d.  Neither applies a generator.
+The integer sums Re< w, e_a e_b . phi > are the kernel's pairing
+``twisted._induced``; a 2-form acts (``form_action``) through its bivector
+action ``twisted._bivector_map``.  Neither applies a generator.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . phi.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
@@ -36,15 +23,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import ScaledSpinor, _pair_acts, check_dimensions, check_indices, index_pair
-from .twisted import _bivector_map, twist_bivector_action
+from .spinrep import ScaledSpinor, check_dimensions, check_indices, index_pair
+from .twisted import _bivector_map, _induced, twist_bivector_action
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,53 +217,15 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return _two_form(n, den, {ab: c.numerator * (den // c.denominator) for ab, c in upper.items()})
 
 
-@cache
-def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, bool, int], ...]]:
-    """``spinrep._pair_acts(n)`` grouped by d, as {d: ((slot, mask, neg,
-    mixed), ...)}: slot the place of (a, b) in the table's b-major order,
-    and neg says x = -1."""
-    groups: Dict[int, List[Tuple[int, int, bool, int]]] = {}
-    for slot, (d, x, mask, mixed) in enumerate(_pair_acts(n).values()):
-        groups.setdefault(d, []).append((slot, mask, x < 0, mixed))
-    return {d: tuple(group) for d, group in groups.items()}
+def _induced_form(phi: ScaledSpinor) -> Callable[[ScaledSpinor], TwoForm]:
+    """The map w -> the 2-form -scale2 * Re< w, e_a e_b . phi >, a < b, for
+    w of phi's shape, from the integer sums of ``twisted._induced``."""
+    n, num, q, induced = phi.n, -phi.scale2.numerator, phi.scale2.denominator, _induced(phi)
 
-
-class ImageTable:
-    """One spinor's side of its induced forms, read off the one pair table
-    ``spinrep._pair_acts`` grouped by d; no generator is applied.
-
-    A pattern flips only spin bits, so phi is grouped once by the bits
-    above the spin slot (``idx >> (n // 2)``): ``induced_form`` walks, for
-    each u in supp w, only the v of u's group, and looks u ^ v up among the
-    patterns.  A 2-form acts on phi through ``form_action``, not here."""
-
-    def __init__(self, phi: ScaledSpinor) -> None:
-        self.phi = phi
-        self.groups: Dict[int, List[Tuple[int, int, int]]] = {}
-        k = phi.n // 2
-        for v, (re, im) in phi._data.items():
-            self.groups.setdefault(v >> k, []).append((v, re, im))
-
-    def induced_form(self, w: ScaledSpinor) -> TwoForm:
-        """The 2-form with entries -scale2 * Re< w, e_a e_b . phi >, a < b,
-        for w of phi's shape, summed in ints over D_phi * D_w."""
-        n, s2, k = self.phi.n, self.phi.scale2, self.phi.n // 2
-        acc = [0] * (n * (n - 1) // 2)
-        pattern, group = _pattern_slots(n).get, self.groups.get
-        for u, (wr, wi) in w._data.items():
-            for v, pr, pi in group(u >> k, ()):
-                entries = pattern(u ^ v)
-                if entries is None:
-                    continue
-                z = (wr * pr + wi * pi, wi * pr - wr * pi)  # w_u conj(phi_v)
-                for slot, mask, neg, mixed in entries:  # Re of conj(i) z is Im z
-                    if ((v & mask).bit_count() + neg) & 1:
-                        acc[slot] -= z[mixed]
-                    else:
-                        acc[slot] += z[mixed]
-        num = -s2.numerator
-        out = {ab: num * x for ab, x in zip(_pair_acts(n), acc) if x}
-        return _two_form(n, s2.denominator * self.phi._den * w._den, out)
+    def form(w: ScaledSpinor) -> TwoForm:
+        den, sums = induced(w)
+        return _two_form(n, q * den, {ab: num * x for ab, x in sums.items()})
+    return form
 
 
 def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
@@ -301,13 +249,13 @@ def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
     _check_pair(phi, k, l)
     if k == l:
         return _two_form(phi.n, 1, {})
-    return ImageTable(phi).induced_form(twist_bivector_action(k, l, phi))
+    return _induced_form(phi)(twist_bivector_action(k, l, phi))
 
 
 def etas(phi: ScaledSpinor) -> Dict[Tuple[int, int], TwoForm]:
-    """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``ImageTable``."""
-    images = ImageTable(phi)
-    return {(k, l): images.induced_form(twist_bivector_action(k, l, phi))
+    """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``_induced_form``."""
+    form = _induced_form(phi)
+    return {(k, l): form(twist_bivector_action(k, l, phi))
             for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)}
 
 
@@ -345,7 +293,7 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        return ImageTable(phi).induced_form(phi.scale(GR_I))
+        return _induced_form(phi)(phi.scale(GR_I))
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

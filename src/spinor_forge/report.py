@@ -27,7 +27,6 @@ from .analysis import (
     commutant,
     even_clifford_verify,
     pairs,
-    vanishing_identity_failures,
 )
 from .forms import eta_hat, etas, spinc_form, two_form_from_terms
 from .linalg import (
@@ -35,7 +34,7 @@ from .linalg import (
 )
 from .scalars import gr
 from .spinrep import all_basis_indices, basis_spinor
-from .twisted import ScaledSpinor, twisted_group_action
+from .twisted import ScaledSpinor, twisted_group_action, vanishing_identity_failures
 
 
 @dataclass(frozen=True)
@@ -46,15 +45,11 @@ class CriterionRow:
     passed: bool
 
 
-def _row(name: str, expected: str, computed: str, passed: bool) -> CriterionRow:
-    return CriterionRow(name=name, expected=expected, computed=computed, passed=passed)
-
-
 def criterion_spin7_eta_table() -> CriterionRow:
     ent = catalog.build_spin7_pure()
     forms = etas(ent.spinor)
     good = sum(1 for pair, expect in ent.expected_etas.items() if forms[pair] == expect)
-    return _row(
+    return CriterionRow(
         "spin7_eta_table",
         "21/21 rows exactly equal",
         f"{good}/21 rows exactly equal",
@@ -73,7 +68,7 @@ def criterion_purity_certificates() -> CriterionRow:
         results[f"reducing(generic n={n})"] = check_reducing(
             catalog.build_generic_reducing(n).spinor).is_reducing
     bad = [k for k, v in results.items() if not v]
-    return _row(
+    return CriterionRow(
         "purity_certificates",
         "12/12 certificates true",
         f"{len(results) - len(bad)}/12 true" + (f"; failed: {bad}" if bad else ""),
@@ -87,7 +82,7 @@ def criterion_g2_recovery() -> CriterionRow:
     alg = annihilator([phi1, phi2])
     gens = catalog.g2_generators()
     span_ok = spans_equal([x.flat() for x in alg.basis], [x.flat() for x in gens])
-    return _row(
+    return CriterionRow(
         "g2_recovery",
         "dim=14, closed, span equals the 14 listed generators",
         f"dim={alg.dim}, closed={alg.closed}, span_equal={span_ok}",
@@ -98,7 +93,7 @@ def criterion_g2_recovery() -> CriterionRow:
 def criterion_spin7_annihilators() -> CriterionRow:
     a1 = annihilator([catalog.build_spin7_pure().spinor])
     a2 = annihilator([catalog.build_spin7_reducing().spinor])
-    return _row(
+    return CriterionRow(
         "spin7_annihilators",
         "both dim=21 and closed",
         f"pure: dim={a1.dim} closed={a1.closed}; "
@@ -128,7 +123,7 @@ def criterion_qk_stabilizer() -> CriterionRow:
         ok = ok and alg.dim == want and alg.closed and betas_ok and etas_ok
         parts.append(f"m={m}: dim={alg.dim}/{want} closed={alg.closed} "
                      f"betas={betas_ok} eta+2f={etas_ok}")
-    return _row(
+    return CriterionRow(
         "qk_stabilizer_algebra",
         "dims 6/13/24, closed, contain all beta forms and all (eta_kl + 2 f_kl)",
         "; ".join(parts),
@@ -150,7 +145,7 @@ def criterion_generic_reducing() -> CriterionRow:
                      for pair in forms])
         ok = ok and eta_ok and eq_ok
         notes.append(f"n={n}:{'ok' if (eta_ok and eq_ok) else 'FAIL'}")
-    return _row(
+    return CriterionRow(
         "generic_reducing_family",
         "raw eta_pq = 2^floor(n/2) e_p^e_q and e_pe_q.phi + kappa(f_pq).phi = 0, n=2..8",
         " ".join(notes),
@@ -199,7 +194,7 @@ def criterion_vanishing_identities() -> CriterionRow:
             sampled = [rng.sample(quads, k=min(3, len(quads))) for _ in pairs(r)]
             failures += vanishing_identity_failures(phi, x, y, sampled)
             checked += 1
-    return _row(
+    return CriterionRow(
         "vanishing_identity_suite",
         f"5 identities exact on >= 200 random spinors (got {checked})",
         f"{checked} spinors checked, {failures} identity failures",
@@ -222,7 +217,7 @@ def criterion_hat_commutators() -> CriterionRow:
                       for i, j, k in permutations(range(1, phi.r + 1), 3) if i < k)
         ok = ok and rel.ok and comm_ok
         notes.append(f"{label}: relations={rel.ok} commutators={comm_ok}")
-    return _row(
+    return CriterionRow(
         "hat_commutator_identities",
         "[h_ij, h_jk] = -2 h_ik, disjoint commute, chained anticommute, product chain",
         "; ".join(notes),
@@ -248,7 +243,7 @@ def criterion_frame_equivariance() -> CriterionRow:
             if check_pure(twisted_group_action(g, h, phi)).is_pure != base:
                 ok = False
             equi_count += 1
-    return _row(
+    return CriterionRow(
         "frame_and_equivariance",
         "verdicts invariant under 20 frame rotations and 10 group elements",
         f"{rot_count} rotations and {equi_count} group elements, invariant={ok}",
@@ -268,7 +263,7 @@ def criterion_spinc_case() -> CriterionRow:
             n, {(2 * a + 1, 2 * a + 2): -1 for a in range(half)}))
         ok = ok and verdict and j0_ok
         notes.append(f"n={half}: check={verdict} hat=-J0:{j0_ok}")
-    return _row(
+    return CriterionRow(
         "spinc_special_case",
         "(eta + n sqrt(-1)).phi = 0 and hat = -J0 for the top basis spinor, n=2,3",
         "; ".join(notes),
@@ -298,7 +293,7 @@ def criterion_rep_constants() -> CriterionRow:
     qk = catalog.build_qk_pure(1).spinor
     d2, _ = commutant([eta_hat(form) for form in etas(qk).values()], True)
     ok = table_ok and d1 == 0 and d2 == 3
-    return _row(
+    return CriterionRow(
         "representation_constants",
         "dimension table rows r=1..16; skew commutant dims 0 (rank 7) and 3 (qk m=1)",
         f"table={table_ok}, commutant(spin7)={d1}, commutant(qk m=1)={d2}",
@@ -308,7 +303,7 @@ def criterion_rep_constants() -> CriterionRow:
 
 def criterion_qk_recursion() -> CriterionRow:
     results = {m: catalog.eta13_recursion_check(m) for m in (1, 2, 3)}
-    return _row(
+    return CriterionRow(
         "qk_ladder_recursion",
         "eta13 . psi_j = -2[(j+1) psi_(j+1) + (j-1-m) psi_(j-1)] for m=1,2,3",
         ", ".join(f"m={m}:{v}" for m, v in results.items()),

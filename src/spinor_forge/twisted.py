@@ -17,9 +17,10 @@ mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
 That record, with x times an integer coefficient, is the one input of
 both kernels.  ``_walk`` is the one kernel that builds: it groups the
 flips by d itself and walks phi once per distinct d.  ``_pair`` is the
-one kernel that pairs: from the same flips it sums the integer <A.a, b>,
-each a_v against b_(v ^ d), with no image built; every sesquilinear sum
-(``twisted_hermitian`` is its identity flip) runs on it.  A slot action
+general kernel that pairs: from the same flips it sums the integer
+<A.a, b>, each a_v against b_(v ^ d), with no image built;
+``twisted_hermitian`` (its identity flip) and the reality identities of
+phi (``vanishing_identity_failures``) run on it.  A slot action
 (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
 ``twisted_group_action``) clears its rational coefficients to integers
 and walks its flips once (``_slot_acts``); a twist bivector f_k f_l reads
@@ -33,16 +34,27 @@ f_kl) . phi (``analysis._certify``) and each column of the annihilator's
 system act; a spin pair is one read of the pair table
 ``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum is
 an int sum over D1 * D2.
+
+``_induced`` is the second pairing: the sums Re< w, e_a e_b . phi > of
+the induced forms (``forms``).  The pair table grouped by d = f_a ^ f_b
+(``_pattern_slots``) holds at d = 0 the k = n // 2 pairs (2j-1, 2j), four
+pairs at each two-bit d and, for odd n, two at each one-bit d.  A pattern
+flips spin bits only, so supp phi is grouped once by the bits above the
+spin slot (``_twist_groups``), and each u in supp w walks only u's group:
+each v whose u ^ v is a pattern adds the signed real or imaginary part of
+w_u conj(phi_v) to every pair of that pattern.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from functools import cache, lru_cache
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
+from .linalg import _clear_denominators
 from .scalars import GaussianRational, Rational, exact_rational
 from .spinrep import (
     Flip,
@@ -152,6 +164,51 @@ def _pair(flips: Iterable[Flip], a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, i
             re += x * sr
             im += x * si
     return re, im
+
+
+@cache
+def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, bool, int], ...]]:
+    """``spinrep._pair_acts(n)`` grouped by d, as {d: ((slot, mask, neg,
+    mixed), ...)}: slot the place of (a, b) in the table's b-major order,
+    and neg says x = -1."""
+    groups: Dict[int, List[Tuple[int, int, bool, int]]] = {}
+    for slot, (d, x, mask, mixed) in enumerate(_pair_acts(n).values()):
+        groups.setdefault(d, []).append((slot, mask, x < 0, mixed))
+    return {d: tuple(group) for d, group in groups.items()}
+
+
+def _twist_groups(phi: ScaledSpinor) -> Dict[int, List[Tuple[int, int, int]]]:
+    """supp phi as (v, re, im), grouped by the bits above the spin slot,
+    which no pattern of ``_pattern_slots`` flips."""
+    groups: Dict[int, List[Tuple[int, int, int]]] = {}
+    k = phi.n // 2
+    for v, (re, im) in phi._data.items():
+        groups.setdefault(v >> k, []).append((v, re, im))
+    return groups
+
+
+def _induced(phi: ScaledSpinor) -> Callable[[ScaledSpinor], Tuple[int, Dict[Tuple[int, int], int]]]:
+    """The map w -> (D_phi * D_w, the nonzero integer sums Re< w, e_a e_b .
+    phi > over it, keyed (a, b), a < b) for w of phi's shape, with supp phi
+    grouped once; each v of u's group is looked up by u ^ v among the patterns."""
+    n, k = phi.n, phi.n // 2
+    keys, pattern, group = _pair_acts(n), _pattern_slots(n).get, _twist_groups(phi).get
+
+    def sums(w: ScaledSpinor) -> Tuple[int, Dict[Tuple[int, int], int]]:
+        acc = [0] * len(keys)
+        for u, (wr, wi) in w._data.items():
+            for v, pr, pi in group(u >> k, ()):
+                entries = pattern(u ^ v)
+                if entries is None:
+                    continue
+                z = (wr * pr + wi * pi, wi * pr - wr * pi)  # w_u conj(phi_v)
+                for slot, mask, neg, mixed in entries:  # Re of conj(i) z is Im z
+                    if ((v & mask).bit_count() + neg) & 1:
+                        acc[slot] -= z[mixed]
+                    else:
+                        acc[slot] += z[mixed]
+        return phi._den * w._den, {ab: x for ab, x in zip(keys, acc) if x}
+    return sums
 
 
 @lru_cache(maxsize=1 << 12)  # per shape and pair; f_k f_k = -1 on every slot
@@ -306,3 +363,47 @@ def _norm2(scale2: Fraction, den: int, data: IntCoeffMap) -> Fraction:
     return Fraction(scale2.numerator * sum(re * re + im * im for re, im in data.values()),
                     scale2.denominator * den * den)
 
+
+def vanishing_identity_failures(
+    phi: ScaledSpinor,
+    x: Sequence[Rational],
+    y: Sequence[Rational],
+    quads: Sequence[Sequence[Tuple[int, int, int, int]]],
+) -> int:
+    """The number of failing instances of the reality identities of phi for
+    tangent vectors X, Y and each twist pair k < l, in ``combinations``
+    order, with ``quads`` the quadruples of each pair in that order:
+    (1) Re<kappa(f_kl) phi, phi> = 0, (2) Re<X^Y phi, phi> = 0,
+    (3) Im<X^Y kappa(f_kl) phi, phi> = 0, (4) Re<X phi, Y phi> =
+    <X, Y>|phi|^2 and (5) Re<e_abcd kappa(f_kl) phi, phi> = 0.
+
+    Each is an integer ``_pair`` of A applied to the left argument against
+    phi's integers, so no spinor and no Fraction is built per instance.  X
+    and Y are cleared to integers X', Y' over one d; then X^Y phi = (X'Y'
+    phi + <X', Y'> phi) / d^2, and every side of an identity carries the
+    same positive factor scale2 / (D d)^2, which drops out."""
+    n, r, m = phi.shape()
+    if len(x) != n or len(y) != n:
+        raise ShapeMismatch(f"vectors of lengths {len(x)}, {len(y)} in R^{n}")
+    if len(quads) != r * (r - 1) // 2:
+        raise ShapeMismatch(f"{len(quads)} quadruple lists for {r * (r - 1) // 2} twist pairs")
+    (xs, ys), _ = _clear_denominators([[exact_rational(c) for c in v] for v in (x, y)])
+    data = phi._data
+    ax = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(xs, 1)])[1]
+    ay = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(ys, 1)])[1]
+    x_phi, y_phi = _walk(ax, data), _walk(ay, data)
+    dot = sum(a * b for a, b in zip(xs, ys))
+    wedge = _walk(ax, y_phi)  # X^Y acts as X.Y + <X, Y>
+    if dot:
+        _merge(wedge, data, dot)
+    norm, _ = _pair(_IDENTITY, data, data)
+    failures = _pair(_IDENTITY, wedge, data)[0] != 0
+    failures += _pair(_IDENTITY, x_phi, y_phi)[0] != dot * norm
+    for (k, l), qs in zip(combinations(range(1, r + 1), 2), quads):
+        flips = _twist_acts(n, r, m, k, l)
+        failures += _pair(flips, data, data)[0] != 0
+        failures += _pair(flips, wedge, data)[1] != 0  # X^Y (spin slot) commutes with kappa(f_kl)
+        w = _walk(flips, data)
+        for quad in qs:
+            failures += _pair((_monomial(n, tuple(quad)),), w, data)[0] != 0
+    return failures

@@ -66,6 +66,12 @@ MUTANTS = [
      "    return {(a, b): (lambda d, x, m, c: (d, -x if (a, b) == (2, 5) else x, m, c))("
      "*_monomial(dim, (a, b))) for b in range(2, dim + 1) for a in range(1, b)}",
      [EQUIVARIANT]),
+    ("vanishing_identity_failures reads identity (3) as a real part", "twisted.py",
+     "_pair(flips, wedge, data)[1] != 0",
+     "_pair(flips, wedge, data)[0] != 0",
+     ["tests/test_acceptance.py::test_criterion_07_vanishing_identity_suite",
+      "tests/test_analysis.py::"
+      "test_vanishing_identity_harness_holds_on_the_catalog_and_checks_its_shapes"]),
     ("_twist_acts negates x at (1, 3)", "twisted.py",
      "    flip = _monomial(r, (k, l))\n",
      "    flip = _monomial(r, (k, l))\n"
@@ -107,7 +113,7 @@ MUTANTS = [
      "out.setdefault(2 * idx + 1, {})[j] = im",
      "out.setdefault(2 * idx, {})[j] = im",
      ["tests/test_pair_table.py::test_annihilator_matches_generator_chain_oracle"]),
-    ("_pattern_slots reads the sign as x > 0", "forms.py",
+    ("_pattern_slots reads the sign as x > 0", "twisted.py",
      "append((slot, mask, x < 0, mixed))",
      "append((slot, mask, x > 0, mixed))",
      ["tests/test_forms.py::test_eta_matches_dense_oracle"]),

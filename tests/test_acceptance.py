@@ -8,7 +8,7 @@ stated runtime budgets are timed.
 import time
 
 import spinor_forge.catalog as catalog
-from spinor_forge import analysis, report
+from spinor_forge import analysis, report, twisted
 from spinor_forge.analysis import AmbientElement, ClDims, ambient_annihilates, pairs
 from spinor_forge.report import (
     criterion_frame_equivariance,
@@ -91,13 +91,13 @@ def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
     (2) and (4), and per twist pair (1), (3) and one (5) per sampled
     quadruple.  50 spinors of each shape give 50 * (12 + 18 + 108 + 18)."""
     calls = []
-    real = analysis._pair
+    real = twisted._pair
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(analysis, "_pair", counted)
+    monkeypatch.setattr(twisted, "_pair", counted)
     assert criterion_vanishing_identities().passed
     assert len(calls) == 7800
 
@@ -105,12 +105,12 @@ def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
 def test_vanishing_row_fails_on_a_pairing_without_parity(monkeypatch):
     """A pairing that drops every flip's parity mask fails the row with a
     nonzero failure count, so the row reads the pairing's values."""
-    real = analysis._pair
+    real = twisted._pair
 
     def no_parity(flips, a, b):
         return real([(d, x, 0, mixed) for d, x, _, mixed in flips], a, b)
 
-    monkeypatch.setattr(analysis, "_pair", no_parity)
+    monkeypatch.setattr(twisted, "_pair", no_parity)
     row = criterion_vanishing_identities()
     failures = int(row.computed.split(", ")[1].split()[0])
     assert not row.passed and failures > 0

@@ -26,7 +26,6 @@ from spinor_forge.analysis import (
     frame_rotation_check,
     lie_closure_report,
     pairs,
-    vanishing_identity_failures,
 )
 from spinor_forge.catalog import (
     build,
@@ -62,6 +61,7 @@ from spinor_forge.twisted import (
     twist_bivector_action,
     twisted_group_action,
     twisted_hermitian,
+    vanishing_identity_failures,
 )
 
 from . import oracle

@@ -259,6 +259,39 @@ def test_closed_stdout_exits_2_with_one_error_line(argv, unbuffered):
     assert proc.stderr.splitlines() == ["error: cannot write to stdout: Broken pipe"]
 
 
+def _run_with_fd1_closed(*argv):
+    """The CLI in a subprocess whose fd 1 is closed before it starts, so
+    Python sets ``sys.stdout`` to None."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-m", "spinor_forge.cli", *argv],
+                           preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                           text=True, env=env)
+
+
+@pytest.mark.parametrize("argv", [
+    ("commutant", "--catalog", "spin7_pure", "--json"),  # would exit 0
+    ("verify", "pure", "--catalog", "spin7_reducing"),  # would exit 1
+    ("frame-test", "--catalog", "spin7_reducing", "--trials", "1"),  # would exit 0
+])
+def test_stdout_closed_at_start_exits_2_with_one_error_line(argv):
+    """A verdict that can be written nowhere is refused before any work:
+    exit 2 and one ``error:`` line, no traceback."""
+    proc = _run_with_fd1_closed(*argv)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: cannot write to stdout: it is closed"]
+
+
+def test_catalog_emit_to_a_file_runs_with_stdout_closed(tmp_path):
+    """``catalog emit -o FILE`` writes nothing to stdout, so a closed fd 1
+    does not stop it: exit 0 and the pinned bytes in the file."""
+    out = tmp_path / "qk1.json"
+    proc = _run_with_fd1_closed("catalog", "emit", "--name", "qk", "--m", "1", "-o", str(out))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    data = out.read_bytes()
+    assert (["qk", "--m", "1"], len(data), hashlib.sha256(data).hexdigest()) in EMIT_DIGESTS
+
+
 def test_exponent_rational_exits_2(tmp_path, capsys):
     bad = tmp_path / "exponent.json"
     bad.write_text(json.dumps({"n": 4, "r": 3, "m": 1, "scale2": "1e999999999", "coeffs": []}))

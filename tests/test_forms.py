@@ -16,10 +16,9 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import (
     Endo,
-    ImageTable,
     TwoForm,
     _endo,
-    _pattern_slots,
+    _induced_form,
     _two_form,
     eta,
     eta_hat,
@@ -44,6 +43,7 @@ from spinor_forge.spinrep import (
 )
 from spinor_forge.twisted import (
     ScaledSpinor,
+    _pattern_slots,
     form_action_on_spin_slot,
     tangent_action,
     twist_bivector_action,
@@ -109,7 +109,7 @@ def test_eta_matches_dense_oracle_for_every_small_n(n, m):
         for (k, l), mat in want.items():
             assert eta(phi, k, l).mat == mat, (k, l)
         if m == 0:  # eta vanishes untwisted; the rank-2 form pairs i . phi instead
-            assert ImageTable(phi).induced_form(phi.scale(gr(0, 1))).mat == oracle.spinc_form(phi)
+            assert _induced_form(phi)(phi.scale(gr(0, 1))).mat == oracle.spinc_form(phi)
 
 
 def test_induced_forms_match_definition():

@@ -3,7 +3,9 @@ and the kernels that read them, against a generator chain.
 
 ``spinrep._monomial`` folds a product of generators into one signed flip;
 ``spinrep._pair_acts`` is its one table for the pairs a < b.  They serve
-induced forms (``ImageTable.induced_form``) and the one walk
+the induced-form pairing ``twisted._induced`` (through
+``forms._induced_form``, with supp phi grouped by ``twisted._twist_groups``)
+and the one walk
 ``twisted._walk``, through which 2-forms (``forms.form_action``), twist
 bivectors (``twist_bivector_action``), Lie-algebra elements
 (``ambient_annihilates``), the annihilator's columns and every slot
@@ -28,7 +30,7 @@ from spinor_forge import spinrep, twisted
 from spinor_forge.analysis import AmbientElement, _ambient_pairs, ambient_annihilates, annihilator
 from spinor_forge.catalog import build_qk_pure, build_spin7_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch
-from spinor_forge.forms import ImageTable, form_action, two_form_from_terms
+from spinor_forge.forms import _induced_form, form_action, two_form_from_terms
 from spinor_forge.linalg import nullspace, random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -43,6 +45,7 @@ from spinor_forge.spinrep import (
 from spinor_forge.twisted import (
     ScaledSpinor,
     _bivector_map,
+    _twist_groups,
     form_action_on_spin_slot,
     mu_slot,
     tangent_action,
@@ -210,12 +213,12 @@ def test_induced_form_matches_generator_path(n, r, m):
     rng = random.Random(200 * n + 10 * r + m)
     for terms in (3, 40):
         phi = rational_spinor(n, r, m, rng, terms)
-        table = ImageTable(phi)
+        table = _induced_form(phi)
         ws = [rational_spinor(n, r, m, rng, terms, phi.scale2), phi, phi.scale(gr(0, 1))]
         if m and r >= 2:
             ws.append(twist_bivector_action(1, 2, phi))
         for w in ws:
-            got, want = table.induced_form(w), definition_form(w, phi)
+            got, want = table(w), definition_form(w, phi)
             assert (got._den, got._terms) == (want._den, want._terms), (n, r, m, terms)
 
 
@@ -225,7 +228,7 @@ def test_image_table_groups_support_by_twist_bits():
     rng = random.Random(33)
     for n, r, m in ((4, 3, 3), (5, 4, 2), (8, 7, 1), (3, 2, 2)):
         phi = rational_spinor(n, r, m, rng, 60)
-        groups = ImageTable(phi).groups
+        groups = _twist_groups(phi)
         assert sorted(v for group in groups.values() for v, _, _ in group) == sorted(phi._data)
         for (spin, twist), c in phi.coeffs.items():
             v = phi._index(spin, twist)

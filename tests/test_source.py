@@ -20,6 +20,9 @@ def test_library_has_no_assert_statements():
 # The kernel's bit layout: the coefficient map, the tuple-to-bits index and
 # the per-slot conversions.  Only the kernel modules read it.
 LAYOUT_NAMES = {"_data", "_index", "_slot_bits", "_slot_tuple"}
+KERNEL_MODULES = ("spinrep", "twisted")
+OUTSIDE_KERNEL = tuple(sorted(path.stem for path in SRC.glob("*.py")
+                              if path.stem not in KERNEL_MODULES))
 BOUNDARY_MODULES = ("serialize", "catalog", "report", "cli")
 
 
@@ -35,17 +38,19 @@ def _identifier(node):
     return None
 
 
-def _boundary_uses(names):
-    return [f"{name}.py:{node.lineno}:{_identifier(node)}" for name in BOUNDARY_MODULES
+def _uses(modules, names):
+    return [f"{name}.py:{node.lineno}:{_identifier(node)}" for name in modules
             for node in ast.walk(ast.parse((SRC / f"{name}.py").read_text()))
             if _identifier(node) in names]
 
 
-def test_boundary_modules_do_not_name_the_bit_layout():
-    """``serialize``, ``catalog``, ``report`` and ``cli`` see a spinor through
-    its constructor, ``coeffs`` and ``_entries()``, never through the bit
-    layout, so that layout can change inside the kernel modules alone."""
-    found = _boundary_uses(LAYOUT_NAMES)
+def test_only_the_kernel_modules_name_the_bit_layout():
+    """Every module but ``spinrep`` and ``twisted`` sees a spinor through
+    its constructor, ``coeffs``, ``_entries()`` and the kernel's integer
+    maps, never through the bit layout, so that layout can change inside
+    the kernel modules alone."""
+    assert {"forms", "analysis", "serialize", "cli"} <= set(OUTSIDE_KERNEL)
+    found = _uses(OUTSIDE_KERNEL, LAYOUT_NAMES)
     assert not found, found
 
 
@@ -54,22 +59,31 @@ def test_boundary_modules_do_not_name_the_lie_element_layout():
     through its constructor, the ``a`` and ``b`` views and ``flat()``, never
     through its integer ``_terms``, so that layout can change inside
     ``analysis`` alone."""
-    found = _boundary_uses({"_terms"})
+    found = _uses(BOUNDARY_MODULES, {"_terms"})
     assert not found, found
 
 
-# The signed-flip kernel: the walk, the pairing and the flip records they
-# read.  Only the kernel modules and ``analysis`` call them.
+# The signed-flip kernel: the walk, the pairing, the flip records they read,
+# the tables and caches of records and the grouping of supp phi by bits.
+# Only the kernel modules name them, but for ``_bivector_map``, which
+# ``forms`` and ``analysis`` may call.
 KERNEL_NAMES = {"_walk", "_pair", "_twist_acts", "_monomial", "_pair_acts", "_bivector_map",
-                "_slot_unit", "_generator_on_map"}
+                "_slot_unit", "_generator_on_map", "_slot_acts", "_IDENTITY", "_merge",
+                "_pattern_slots", "_twist_groups"}
+BIVECTOR_USERS = ("forms", "analysis")
 
 
-def test_boundary_modules_do_not_name_the_flip_kernel():
-    """The boundary modules reach the signed-flip kernel through public
-    operations and the harnesses of ``analysis`` (such as
-    ``vanishing_identity_failures``), never by naming a walk, the pairing
-    or a flip record, so the kernel can change behind them."""
-    found = _boundary_uses(KERNEL_NAMES)
+def test_only_the_kernel_modules_name_the_flip_kernel():
+    """Every module but ``spinrep`` and ``twisted`` reaches the signed-flip
+    kernel through public operations, the harness
+    ``vanishing_identity_failures``, the induced-form sums
+    (``twisted._induced``) and the integer-map interface (``_bivector_map``,
+    in ``forms`` and ``analysis`` only, ``_norm2`` and ``_lincomb``), never
+    by naming the walk, ``_pair`` or a flip record, so the kernel can change
+    behind them."""
+    found = _uses(OUTSIDE_KERNEL, KERNEL_NAMES)
+    found = [use for use in found
+             if not (use.endswith(":_bivector_map") and use.split(".py")[0] in BIVECTOR_USERS)]
     assert not found, found
 
 

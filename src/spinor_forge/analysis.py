@@ -331,7 +331,7 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
     checked; the three imply the four-index chain h_ab h_cd = -h_ac h_bd."""
     if not etas:
         raise EmptyInput("empty family")
-    bad = [(k, l) for (k, l) in etas if not 1 <= k < l]
+    bad = [(k, l) for k, l in (index_pair("family key", key) for key in etas) if not 1 <= k < l]
     if bad:
         raise IndexOutOfRange(f"pair {bad[0]} is not 1 <= k < l")
     r = max(max(p) for p in etas)

@@ -7,7 +7,7 @@ verdicts themselves are always re-derived by the certifiers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -16,7 +16,10 @@ from .analysis import AmbientElement
 from .errors import InvalidValue, UnsupportedDimension
 from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
-from .spinrep import MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices
+from .spinrep import (
+    MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, basis_spinor,
+    gamma_apply,
+)
 
 Pair = Tuple[int, int]
 
@@ -28,7 +31,6 @@ class CatalogEntry:
     spinor: ScaledSpinor
     expected_etas: Optional[Dict[Pair, TwoForm]] = None
     expected_annihilator_dim: Optional[int] = None
-    metadata: Dict[str, Fraction] = field(default_factory=dict)
 
 
 def maps_G_H(eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
@@ -87,25 +89,13 @@ def build_qk_pure(m: int) -> CatalogEntry:
     )
 
 
-# The two rank-7 spinors in Delta_8 (x) Delta_7 share their eight index pairs
-# up to the swap of the u-indices in terms 4 and 5.
+# The rank-7 pure spinor's eight terms (sign, u-index, twist index).
 _SPIN7_PURE_TERMS: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = [
     (+1, (-1, -1, -1, -1), (1, 1, 1)),
     (-1, (1, -1, -1, 1), (1, 1, -1)),
     (+1, (1, -1, 1, -1), (1, -1, 1)),
     (-1, (1, 1, -1, -1), (1, -1, -1)),
     (-1, (-1, -1, 1, 1), (-1, 1, 1)),
-    (+1, (-1, 1, -1, 1), (-1, 1, -1)),
-    (-1, (-1, 1, 1, -1), (-1, -1, 1)),
-    (+1, (1, 1, 1, 1), (-1, -1, -1)),
-]
-
-_SPIN7_REDUCING_TERMS: List[Tuple[int, Tuple[int, ...], Tuple[int, ...]]] = [
-    (+1, (-1, -1, -1, -1), (1, 1, 1)),
-    (-1, (1, -1, -1, 1), (1, 1, -1)),
-    (+1, (1, -1, 1, -1), (1, -1, 1)),
-    (-1, (-1, -1, 1, 1), (1, -1, -1)),
-    (-1, (1, 1, -1, -1), (-1, 1, 1)),
     (+1, (-1, 1, -1, 1), (-1, 1, -1)),
     (-1, (-1, 1, 1, -1), (-1, -1, 1)),
     (+1, (1, 1, 1, 1), (-1, -1, -1)),
@@ -138,18 +128,17 @@ _SPIN7_PURE_ETAS: Dict[Pair, List[Tuple[int, int, int]]] = {
 }
 
 
-def _terms_to_spinor(terms, n, r, m, coeff_num: Fraction, scale2: Fraction) -> ScaledSpinor:
-    coeffs: TwistedCoeffMap = {}
-    for sign, spin, twist in terms:
-        coeffs[(spin, (twist,))] = gr(sign * coeff_num)
-    return ScaledSpinor(n, r, m, coeffs, scale2)
+def _terms_to_spinor(terms, coeff: Fraction, scale2: Fraction) -> ScaledSpinor:
+    """The spinor sum sign * coeff * u_spin (x) u_twist in Delta_8 (x) Delta_7."""
+    coeffs = {(spin, (twist,)): gr(sign * coeff) for sign, spin, twist in terms}
+    return ScaledSpinor(8, 7, 1, coeffs, scale2)
 
 
 def build_spin7_pure() -> CatalogEntry:
     """The rank-7 pure spinor in Delta_8 (x) Delta_7: eight terms with
     coefficients +-1/2 and scale2 = 1 (squared norm 2, the unique positive
     scale at which both purity conditions hold; pinned by regression test)."""
-    phi = _terms_to_spinor(_SPIN7_PURE_TERMS, 8, 7, 1, Fraction(1, 2), Fraction(1))
+    phi = _terms_to_spinor(_SPIN7_PURE_TERMS, Fraction(1, 2), Fraction(1))
     expected = {
         pair: two_form_from_terms(8, {(a, b): Fraction(c) for a, b, c in rows})
         for pair, rows in _SPIN7_PURE_ETAS.items()
@@ -165,8 +154,12 @@ def build_spin7_pure() -> CatalogEntry:
 
 def build_spin7_reducing() -> CatalogEntry:
     """The rank-7 reducing spinor: eight terms +-1 with scale2 = 1/8 (unit
-    norm); every induced 2-form is the basic e_k ^ e_l."""
-    phi = _terms_to_spinor(_SPIN7_REDUCING_TERMS, 8, 7, 1, Fraction(1), Fraction(1, 8))
+    norm); every induced 2-form is the basic e_k ^ e_l.  Its terms are the
+    pure spinor's with the u-indices of terms 4 and 5 swapped."""
+    terms = list(_SPIN7_PURE_TERMS)
+    (s4, u4, v4), (s5, u5, v5) = terms[3:5]
+    terms[3:5] = [(s4, u5, v4), (s5, u4, v5)]
+    phi = _terms_to_spinor(terms, Fraction(1), Fraction(1, 8))
     expected = {
         (k, l): two_form_from_terms(8, {(k, l): Fraction(1)})
         for k in range(1, 8) for l in range(k + 1, 8)
@@ -181,22 +174,18 @@ def build_spin7_reducing() -> CatalogEntry:
 
 
 def build_generic_reducing(n: int) -> CatalogEntry:
-    """The rank-n reducing spinor sum_eps u_eps (x) gamma_n(u_eps) in
-    Delta_n (x) Delta_n, stored at unit norm (scale2 = 2^-floor(n/2)); the
-    raw coefficient vector induces 2-forms 2^floor(n/2) e_p ^ e_q, the
+    """The rank-n reducing spinor sum_eps u_eps (x) gamma(u_eps) in
+    Delta_n (x) Delta_n, gamma the real/quaternionic structure of
+    ``spinrep.gamma_apply``, stored at unit norm (scale2 = 2^-floor(n/2));
+    the raw coefficient vector induces 2-forms 2^floor(n/2) e_p ^ e_q, the
     normalized spinor the basic ones."""
     if not 2 <= n <= 8:
         raise UnsupportedDimension(f"supported range is 2 <= n <= 8, got {n}")
-    k = n // 2
     coeffs: TwistedCoeffMap = {}
     for eps in all_basis_indices(n):
-        # gamma(u_eps) = c u_(-eps), c the product of -eps_t * i over the
-        # alpha positions t = 0, 2, 4, ... (see spinrep.gamma_apply)
-        c = gr(1)
-        for t in range(0, k, 2):
-            c = c * gr(0, -eps[t])
-        coeffs[(eps, (tuple(-s for s in eps),))] = c
-    phi = ScaledSpinor(n, n, 1, coeffs, Fraction(1, 2 ** k))
+        ((target, _), c), = gamma_apply(basis_spinor(n, eps)).coeffs.items()
+        coeffs[(eps, (target,))] = c
+    phi = ScaledSpinor(n, n, 1, coeffs, Fraction(1, 2 ** (n // 2)))
     expected = {
         (p, q): two_form_from_terms(n, {(p, q): Fraction(1)})
         for p in range(1, n + 1) for q in range(p + 1, n + 1)
@@ -206,7 +195,6 @@ def build_generic_reducing(n: int) -> CatalogEntry:
         kind="reducing",
         spinor=phi,
         expected_etas=expected,
-        metadata={"unnormalized_eta_factor": Fraction(2 ** k)},
     )
 
 
@@ -243,14 +231,24 @@ def g2_generators() -> List[AmbientElement]:
     return out
 
 
-def beta_forms(m: int) -> List[TwoForm]:
-    """The quaternionic-block 2-forms on R^(4m), four per index pair
-    1 <= i <= j <= m.
+# The quaternion units 1, i, j, k as signed 4x4 matrices, rows (a, b, sign).
+_QUATERNION_UNITS: List[List[Tuple[int, int, int]]] = [
+    [(1, 1, 1), (2, 2, 1), (3, 3, 1), (4, 4, 1)],
+    [(1, 2, 1), (2, 1, -1), (3, 4, -1), (4, 3, 1)],
+    [(1, 3, 1), (2, 4, 1), (3, 1, -1), (4, 2, -1)],
+    [(1, 4, 1), (2, 3, -1), (3, 2, 1), (4, 1, -1)],
+]
 
-    Diagonal pairs (i = j) give the three block complex structures plus a
-    degenerate zero form; off-diagonal pairs give the four-term coupling
-    forms (each is the real matrix of one quaternionic unit acting between
-    blocks i and j, so each individually annihilates the rank-3 spinor)."""
+
+def beta_forms(m: int) -> List[TwoForm]:
+    """The quaternionic-block 2-forms on R^(4m), one per quaternion unit
+    1, i, j, k and index pair 1 <= i <= j <= m.
+
+    An off-diagonal pair i < j takes each unit whole, as the real matrix of
+    that unit acting between blocks i and j, so each form individually
+    annihilates the rank-3 spinor.  A diagonal pair keeps the entries a < b:
+    the unit 1 gives the degenerate zero form and i, j, k the three block
+    complex structures."""
     if m < 1:
         raise UnsupportedDimension("need m >= 1")
     n = 4 * m
@@ -258,26 +256,9 @@ def beta_forms(m: int) -> List[TwoForm]:
     for i in range(1, m + 1):
         for j in range(i, m + 1):
             p, q = 4 * i - 4, 4 * j - 4
-            if i == j:
-                variants = [
-                    [],
-                    [(p + 1, q + 2, 1), (p + 3, q + 4, -1)],
-                    [(p + 1, q + 3, 1), (p + 2, q + 4, 1)],
-                    [(p + 1, q + 4, 1), (p + 2, q + 3, -1)],
-                ]
-            else:
-                variants = [
-                    [(p + 1, q + 1, 1), (p + 2, q + 2, 1),
-                     (p + 3, q + 3, 1), (p + 4, q + 4, 1)],
-                    [(p + 1, q + 2, 1), (p + 2, q + 1, -1),
-                     (p + 3, q + 4, -1), (p + 4, q + 3, 1)],
-                    [(p + 1, q + 3, 1), (p + 2, q + 4, 1),
-                     (p + 3, q + 1, -1), (p + 4, q + 2, -1)],
-                    [(p + 1, q + 4, 1), (p + 2, q + 3, -1),
-                     (p + 3, q + 2, 1), (p + 4, q + 1, -1)],
-                ]
-            out += [two_form_from_terms(n, {(a, b): Fraction(s) for a, b, s in rows})
-                    for rows in variants]
+            out += [two_form_from_terms(n, {(p + a, q + b): Fraction(s)
+                                            for a, b, s in unit if i < j or a < b})
+                    for unit in _QUATERNION_UNITS]
     return out
 
 

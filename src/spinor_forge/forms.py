@@ -271,12 +271,14 @@ def eta_hat(omega: TwoForm) -> Endo:
 
 
 def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoForm:
-    """Linear extension over twist bivectors: sum c_kl eta(phi, k, l)."""
+    """Linear extension over twist bivectors: sum c_kl eta(phi, k, l).  Every
+    key is checked as eta checks its pair, also where c_kl is zero or k = l."""
     parts: List[Tuple[Tuple[int, int], Fraction]] = []
-    for (k, l), c in beta.items():
+    for key, c in beta.items():
+        k, l = index_pair("twist index", key)
+        _check_pair(phi, k, l)
         c = exact_rational(c)
         if c and k != l:
-            _check_pair(phi, k, l)
             parts.append(((k, l), c) if k < l else ((l, k), -c))
     table = etas(phi) if parts else {}
     q = math.lcm(*(c.denominator for _, c in parts))

@@ -91,14 +91,15 @@ def criterion_g2_recovery() -> CriterionRow:
 
 
 def criterion_spin7_annihilators() -> CriterionRow:
-    a1 = annihilator([catalog.build_spin7_pure().spinor])
-    a2 = annihilator([catalog.build_spin7_reducing().spinor])
+    pure, red = catalog.build_spin7_pure(), catalog.build_spin7_reducing()
+    a1, a2 = annihilator([pure.spinor]), annihilator([red.spinor])
     return CriterionRow(
         "spin7_annihilators",
         "both dim=21 and closed",
         f"pure: dim={a1.dim} closed={a1.closed}; "
         f"reducing: dim={a2.dim} closed={a2.closed}",
-        a1.dim == 21 and a1.closed and a2.dim == 21 and a2.closed,
+        a1.dim == pure.expected_annihilator_dim and a1.closed
+        and a2.dim == red.expected_annihilator_dim and a2.closed,
     )
 
 
@@ -112,7 +113,7 @@ def criterion_qk_stabilizer() -> CriterionRow:
         span = RowReducer()
         for x in alg.basis:
             span.add(x.flat())
-        want = m * (2 * m + 1) + 3
+        want = ent.expected_annihilator_dim
 
         def member(form, twist_part) -> bool:  # annihilates phi and lies in the algebra
             amb = AmbientElement(phi.n, 3, {(a, b): c for a, b, c in form.terms()}, twist_part)
@@ -137,10 +138,8 @@ def criterion_generic_reducing() -> CriterionRow:
     for n in range(2, 9):
         ent = catalog.build_generic_reducing(n)
         phi = ent.spinor
-        # eta is scale2 times the raw coefficient vector's form
-        want = Fraction(2 ** (n // 2)) * phi.scale2
         forms = etas(phi)
-        eta_ok = all([form.terms() == [(p, q, want)] for (p, q), form in forms.items()])
+        eta_ok = forms == ent.expected_etas
         eq_ok = all([ambient_annihilates(AmbientElement(phi.n, phi.r, {pair: 1}, {pair: 1}), phi)
                      for pair in forms])
         ok = ok and eta_ok and eq_ok

@@ -147,6 +147,18 @@ MUTANTS = [
      "    if key in seen:\n        raise MalformedInput",
      "    if False:\n        raise MalformedInput",
      ["tests/test_serialize.py::test_repeated_index_on_the_wire_is_refused"]),
+    ("build_spin7_reducing drops the swap of terms 4 and 5", "catalog.py",
+     "    terms[3:5] = [(s4, u5, v4), (s5, u4, v5)]\n",
+     "    terms[3:5] = [(s4, u4, v4), (s5, u5, v5)]\n",
+     ["tests/test_cli.py::test_catalog_emit_bytes_are_pinned[spin7_reducing]"]),
+    ("the quaternion unit j flips the sign of one entry", "catalog.py",
+     "    [(1, 3, 1), (2, 4, 1), (3, 1, -1), (4, 2, -1)],",
+     "    [(1, 3, 1), (2, 4, -1), (3, 1, -1), (4, 2, -1)],",
+     ["tests/test_catalog.py::test_beta_forms_are_the_pinned_lists"]),
+    ("even_clifford_verify reads its keys unchecked", "analysis.py",
+     '(index_pair("family key", key) for key in etas)',
+     "(key for key in etas)",
+     ["tests/test_analysis.py::test_even_clifford_refuses_keys_that_are_not_int_pairs"]),
 ]
 
 

@@ -301,6 +301,18 @@ def test_even_clifford_refuses_pairs_it_cannot_index():
             even_clifford_verify(fam)
 
 
+@pytest.mark.parametrize("key", [(True, 2), (1, False), (1.0, 2.0), ("1", "2"), 2, (1, 2, 3), (1,)],
+                         ids=repr)
+def test_even_clifford_refuses_keys_that_are_not_int_pairs(key):
+    """A family key that is not a pair of ints, a bool included, is refused
+    with InvalidValue before its range is read."""
+    j = _hat_family(build_qk_pure(1).spinor)[(1, 2)]
+    with pytest.raises(InvalidValue, match="family key"):
+        even_clifford_verify({key: j})
+    with pytest.raises(InvalidValue, match="family key"):
+        even_clifford_verify({(2, 3): j, key: j})
+
+
 def test_pure_hat_commutator_identities():
     # [h_ij, h_jk] = -2 h_ik for the rank-7 pure spinor
     fam = _hat_family(build_spin7_pure().spinor)

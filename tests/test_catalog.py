@@ -98,7 +98,7 @@ def test_generic_reducing_n2_explicit():
         ((1,), ((-1,),)): gr(0, -1),
         ((-1,), ((1,),)): gr(0, 1),
     }
-    assert ent.metadata["unnormalized_eta_factor"] == 2
+    assert ent.spinor.scale2 == F(1, 2)
 
 
 _PRINTED_PHASES = {2: gr(1), 3: gr(1), 8: gr(1),
@@ -176,6 +176,65 @@ def test_beta_forms_annihilate_qk():
         for tf in beta_forms(m):
             amb = AmbientElement(phi.n, 3, {(a, b): c for a, b, c in tf.terms()}, {})
             assert ambient_annihilates(amb, phi)
+
+
+# beta_forms(m) for m = 1..3 as explicit lists of terms (a, b, sign), in order:
+# per block pair (i, j), the units 1, i, j, k.
+_BETA_FORMS = {
+    1: [
+        [],
+        [(1, 2, 1), (3, 4, -1)],
+        [(1, 3, 1), (2, 4, 1)],
+        [(1, 4, 1), (2, 3, -1)],
+    ],
+    2: [
+        [],
+        [(1, 2, 1), (3, 4, -1)],
+        [(1, 3, 1), (2, 4, 1)],
+        [(1, 4, 1), (2, 3, -1)],
+        [(1, 5, 1), (2, 6, 1), (3, 7, 1), (4, 8, 1)],
+        [(1, 6, 1), (2, 5, -1), (3, 8, -1), (4, 7, 1)],
+        [(1, 7, 1), (2, 8, 1), (3, 5, -1), (4, 6, -1)],
+        [(1, 8, 1), (2, 7, -1), (3, 6, 1), (4, 5, -1)],
+        [],
+        [(5, 6, 1), (7, 8, -1)],
+        [(5, 7, 1), (6, 8, 1)],
+        [(5, 8, 1), (6, 7, -1)],
+    ],
+    3: [
+        [],
+        [(1, 2, 1), (3, 4, -1)],
+        [(1, 3, 1), (2, 4, 1)],
+        [(1, 4, 1), (2, 3, -1)],
+        [(1, 5, 1), (2, 6, 1), (3, 7, 1), (4, 8, 1)],
+        [(1, 6, 1), (2, 5, -1), (3, 8, -1), (4, 7, 1)],
+        [(1, 7, 1), (2, 8, 1), (3, 5, -1), (4, 6, -1)],
+        [(1, 8, 1), (2, 7, -1), (3, 6, 1), (4, 5, -1)],
+        [(1, 9, 1), (2, 10, 1), (3, 11, 1), (4, 12, 1)],
+        [(1, 10, 1), (2, 9, -1), (3, 12, -1), (4, 11, 1)],
+        [(1, 11, 1), (2, 12, 1), (3, 9, -1), (4, 10, -1)],
+        [(1, 12, 1), (2, 11, -1), (3, 10, 1), (4, 9, -1)],
+        [],
+        [(5, 6, 1), (7, 8, -1)],
+        [(5, 7, 1), (6, 8, 1)],
+        [(5, 8, 1), (6, 7, -1)],
+        [(5, 9, 1), (6, 10, 1), (7, 11, 1), (8, 12, 1)],
+        [(5, 10, 1), (6, 9, -1), (7, 12, -1), (8, 11, 1)],
+        [(5, 11, 1), (6, 12, 1), (7, 9, -1), (8, 10, -1)],
+        [(5, 12, 1), (6, 11, -1), (7, 10, 1), (8, 9, -1)],
+        [],
+        [(9, 10, 1), (11, 12, -1)],
+        [(9, 11, 1), (10, 12, 1)],
+        [(9, 12, 1), (10, 11, -1)],
+    ],
+}
+
+
+@pytest.mark.parametrize("m", sorted(_BETA_FORMS))
+def test_beta_forms_are_the_pinned_lists(m):
+    """Every beta form, its sign included, entry by entry."""
+    assert [tf.terms() for tf in beta_forms(m)] == \
+        [[(a, b, F(s)) for a, b, s in rows] for rows in _BETA_FORMS[m]]
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])

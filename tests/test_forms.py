@@ -12,7 +12,8 @@ from spinor_forge.analysis import (
     check_spinc_pure, frame_rotation_check,
 )
 from spinor_forge.errors import (
-    IndexOutOfRange, InexactScalar, ShapeMismatch, UnsupportedDimension, WrongRank, ZeroSpinor,
+    IndexOutOfRange, InexactScalar, InvalidValue, ShapeMismatch, UnsupportedDimension, WrongRank,
+    ZeroSpinor,
 )
 from spinor_forge.forms import (
     Endo,
@@ -483,11 +484,18 @@ def test_etas_equals_eta_per_pair():
         assert all(form.mat == eta(phi, *pair).mat for pair, form in table.items())
 
 
-def test_phi_extend_range_checks_nonzero_terms_only():
+def test_phi_extend_checks_every_key():
+    """Every key is checked as eta checks its pair, also one whose term is
+    zero or diagonal; only then are those terms skipped."""
     phi = random_scaled(4, 3, 1, random.Random(8))
-    assert phi_extend(phi, {(1, 4): F(0), (5, 5): F(1)}).is_zero()
-    with pytest.raises(IndexOutOfRange):
-        phi_extend(phi, {(1, 4): F(1)})
+    for beta in ({(1, 4): F(0)}, {(5, 5): F(1)}, {(99, 99): 1}, {(99, 100): 0}, {(1, 4): F(1)},
+                 {(1, 2): F(1), (0, 0): F(0)}):
+        with pytest.raises(IndexOutOfRange):
+            phi_extend(phi, beta)
+    for beta in ({(1.5, 1.5): 1}, {(True, 2): 1}, {(1, 2, 3): 1}, {2: 1}, {(1, 2): 1, "12": 0}):
+        with pytest.raises(InvalidValue):
+            phi_extend(phi, beta)
+    assert phi_extend(phi, {(1, 1): F(1), (2, 3): F(0)}).is_zero()
     assert phi_extend(phi, {(3, 1): F(2)}).mat == eta(phi, 1, 3).scale(-2).mat
 
 

@@ -27,7 +27,7 @@ from .errors import (
 from .forms import Endo, _endo, _mul_rows, eta_hat, etas, form_action, form_lincomb, spinc_form
 from .linalg import (
     Matrix, _back_substitute, _clear_denominators, _reduced, canonical_basis,
-    check_special_orthogonal, nullspace,
+    check_special_orthogonal, nullspace_of_columns,
 )
 from .scalars import Rational, exact_rational, gr
 from .spinrep import _lincomb, check_dimensions, index_pair
@@ -378,12 +378,9 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     (a_ij; b_kl).  Column j is the pair keys[j] of ``_ambient_pairs``
     acting on phi through the one bivector action ``twisted._bivector_map``
     (a spin pair one read of the pair table, a twist pair the cached flips
-    of f_k f_l), over phi's one denominator; no generator is applied.  The
-    real and the imaginary part of each basis coefficient idx of the action
-    give one sparse integer row each, keyed 2 idx and 2 idx + 1 in one map
-    per spinor and gathered in one walk over each column's map;
-    ``nullspace`` reads its basis off the reduced row echelon form, so the
-    rows need no order."""
+    of f_k f_l), over phi's one denominator; no generator is applied.  Its
+    entries are the real and imaginary parts of the action, labelled
+    (spinor, basis index, part), and ``nullspace_of_columns`` solves it."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
@@ -391,21 +388,17 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
     keys = _ambient_pairs(n, r)  # a-major: the columns are labelled in this order
-    rows: List[Dict[int, int]] = []
-    for phi in spinors:
-        out: Dict[int, Dict[int, int]] = {}
-        for j, p in enumerate(keys):
+    columns: List[Dict[Tuple[int, int, int], int]] = [{} for _ in keys]
+    for s, phi in enumerate(spinors):
+        for col, p in zip(columns, keys):
             for idx, (re, im) in _bivector_map(phi, {p: 1}).items():
                 if re:
-                    out.setdefault(2 * idx, {})[j] = re
+                    col[s, idx, 0] = re
                 if im:
-                    out.setdefault(2 * idx + 1, {})[j] = im
-        rows.extend(out.values())
+                    col[s, idx, 1] = im
     basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
-             for den, vec in nullspace(rows, len(keys))]
-    if not basis:
-        return LieSubalgebra(basis=[], dim=0, closed=True)
-    return lie_closure_report(basis)
+             for den, vec in nullspace_of_columns(columns)]
+    return lie_closure_report(basis) if basis else LieSubalgebra(basis=[], dim=0, closed=True)
 
 
 def ambient_annihilates(x: AmbientElement, phi: ScaledSpinor) -> bool:
@@ -423,7 +416,7 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
     by successive restriction: from a basis of all n x n matrices (of the
     E_pq - E_qp when skew), integer maps over the entries p n + q, each h
     keeps the combinations of the current basis B_1..B_d whose commutator
-    with h vanishes, one ``nullspace`` of width d over the entries of the
+    with h vanishes, by ``nullspace_of_columns`` on the entry maps of the
     [B_j, h].  No n^2-wide system is built, and ``canonical_basis`` gives
     the last basis as that system's ``nullspace`` would."""
     if not etas:
@@ -437,17 +430,15 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
         # [X, M][a][b] = sum_c X[a][c] M[c][b] - M[a][c] X[c][b], with M =
         # h's integer rows (its denominator scales every row alike)
         cols = [[(a, row[c]) for a, row in enumerate(h._rows) if c in row] for c in range(n)]
-        entries: Dict[int, Dict[int, int]] = {}
-        for j, x in enumerate(basis):
+        columns: List[Dict[int, int]] = [{} for _ in basis]
+        for col, x in zip(columns, basis):
             for k, v in x.items():
                 p, q = divmod(k, n)
                 for b, y in h._rows[q].items():
-                    row = entries.setdefault(p * n + b, {})
-                    row[j] = row.get(j, 0) + v * y
+                    col[p * n + b] = col.get(p * n + b, 0) + v * y
                 for a, y in cols[p]:
-                    row = entries.setdefault(a * n + q, {})
-                    row[j] = row.get(j, 0) - y * v
-        basis = _mul_rows([vec for _, vec in nullspace(list(entries.values()), len(basis))], basis)
+                    col[a * n + q] = col.get(a * n + q, 0) - y * v
+        basis = _mul_rows([vec for _, vec in nullspace_of_columns(columns)], basis)
     out = [_endo(n, den, [{k - p * n: v for k, v in vec.items() if k // n == p} for p in range(n)])
            for den, vec in canonical_basis(basis, n * n)]
     return len(out), out

@@ -18,7 +18,7 @@ from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
 from .spinrep import (
     MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, basis_spinor,
-    gamma_apply,
+    check_dimensions, check_indices, gamma_apply,
 )
 
 Pair = Tuple[int, int]
@@ -51,6 +51,8 @@ def sign_tuples(m: int, minus_count: Optional[int] = None) -> List[Tuple[int, ..
 def psi_level(m: int, j: int) -> ScaledSpinor:
     """Sum of u_G(eps) over eps with exactly j entries -1; an element of
     Delta_{4m} (an m = 0 spinor).  Zero outside 0 <= j <= m."""
+    check_indices("psi_level index", m, j)
+    check_dimensions(4 * m)
     if j < 0 or j > m:
         return SpinorVector(4 * m, {})
     coeffs = {maps_G_H(eps)[0]: gr(1) for eps in sign_tuples(m, j)}
@@ -59,6 +61,7 @@ def psi_level(m: int, j: int) -> ScaledSpinor:
 
 def build_qk_pure(m: int) -> CatalogEntry:
     """The n = 4m, r = 3 pure spinor of the quaternion-Kaehler family."""
+    check_indices("m", m)
     if m < 1:
         raise UnsupportedDimension("need m >= 1")
     if m > MAX_M:
@@ -179,6 +182,7 @@ def build_generic_reducing(n: int) -> CatalogEntry:
     ``spinrep.gamma_apply``, stored at unit norm (scale2 = 2^-floor(n/2));
     the raw coefficient vector induces 2-forms 2^floor(n/2) e_p ^ e_q, the
     normalized spinor the basic ones."""
+    check_indices("n", n)
     if not 2 <= n <= 8:
         raise UnsupportedDimension(f"supported range is 2 <= n <= 8, got {n}")
     coeffs: TwistedCoeffMap = {}
@@ -249,8 +253,9 @@ def beta_forms(m: int) -> List[TwoForm]:
     annihilates the rank-3 spinor.  A diagonal pair keeps the entries a < b:
     the unit 1 gives the degenerate zero form and i, j, k the three block
     complex structures."""
-    if m < 1:
-        raise UnsupportedDimension("need m >= 1")
+    check_indices("m", m)
+    if not 1 <= m <= MAX_M:
+        raise UnsupportedDimension(f"need 1 <= m <= {MAX_M}, got {m}")
     n = 4 * m
     out: List[TwoForm] = []
     for i in range(1, m + 1):
@@ -292,4 +297,4 @@ def build(name: str, *, m: Optional[int] = None, n: Optional[int] = None) -> Cat
         if n is None:
             raise UnsupportedDimension("generic needs --n")
         return build_generic_reducing(n)
-    raise KeyError(f"unknown catalog name {name!r}")
+    raise InvalidValue(f"unknown catalog name {name!r}")

@@ -50,17 +50,10 @@ def _load(path: str) -> Any:
         raise UsageError(str(exc)) from None
 
 
-def _catalog_entry(args: argparse.Namespace) -> catalog.CatalogEntry:
-    try:
-        return catalog.build(args.catalog, m=args.m, n=args.n)
-    except KeyError as exc:
-        raise UsageError(exc.args[0]) from None
-
-
 def _spinor_arg(args: argparse.Namespace):
     """Resolve (--catalog NAME | --in FILE) to a twisted spinor."""
     if args.catalog:
-        return _catalog_entry(args).spinor
+        return catalog.build(args.catalog, m=args.m, n=args.n).spinor
     if args.infile:
         return scaled_spinor_from_json(_load(args.infile))
     raise UsageError("need --catalog NAME or --in FILE")
@@ -79,7 +72,7 @@ def cmd_catalog(args: argparse.Namespace) -> int:
             extra = {"qk": "  (requires --m)", "generic": "  (requires --n)"}.get(name, "")
             print(name + extra)
         return 0
-    ent = _catalog_entry(args)
+    ent = catalog.build(args.catalog, m=args.m, n=args.n)
     payload = scaled_spinor_to_json(ent.spinor)
     out = json.dumps(payload, indent=2)
     if args.outfile:
@@ -173,7 +166,7 @@ def cmd_frame_test(args: argparse.Namespace) -> int:
 
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
-    ent = _catalog_entry(args)
+    ent = catalog.build(args.catalog, m=args.m, n=args.n)
     rng = random.Random(args.seed)
     frames = [check_special_orthogonal(random_so_matrix(ent.spinor.r, rng, bound=2))
               for _ in range(args.trials)]

@@ -23,7 +23,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import IndexOutOfRange, InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
@@ -189,6 +189,16 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
             if c != col:
                 basis[c][col] = -v * q
     return [(den, vec) for vec in basis.values()]
+
+
+def nullspace_of_columns(columns: Sequence[Mapping[Hashable, int]]) -> List[Tuple[int, SparseRow]]:
+    """``nullspace`` of the matrix whose column j is the integer map ``columns[j]``
+    {row label: value}; the rows are made in the order their labels are first met."""
+    rows: Dict[Hashable, SparseRow] = {}
+    for j, col in enumerate(columns):
+        for label, v in col.items():
+            rows.setdefault(label, {})[j] = v
+    return nullspace(list(rows.values()), len(columns))
 
 
 def canonical_basis(vectors: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:

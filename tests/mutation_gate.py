@@ -85,6 +85,10 @@ MUTANTS = [
      "    for h in etas:\n        # [X, M]",
      "    for h in etas[:-1]:\n        # [X, M]",
      ["tests/test_analysis.py::test_commutant_matches_the_wide_system_oracle_on_random_families"]),
+    ("nullspace_of_columns keys its rows by the column index", "linalg.py",
+     "rows.setdefault(label, {})[j] = v",
+     "rows.setdefault(j, {})[j] = v",
+     ["tests/test_linalg.py::test_nullspace_of_columns_is_nullspace_of_the_hand_transposed_rows"]),
     ("canonical_basis skips the back-substitution", "linalg.py",
      "    reduced = _back_substitute(red.pivots)\n    return [(reduced[p][p]",
      "    reduced = red.pivots\n    return [(reduced[p][p]",
@@ -110,8 +114,8 @@ MUTANTS = [
      "    return LieSubalgebra(list(basis), len(basis), closed=True)",
      ["tests/test_analysis.py::test_lie_closure_rescaled_and_dependent_bases"]),
     ("annihilator keys the imaginary row with the real one", "analysis.py",
-     "out.setdefault(2 * idx + 1, {})[j] = im",
-     "out.setdefault(2 * idx, {})[j] = im",
+     "col[s, idx, 1] = im",
+     "col[s, idx, 0] = im",
      ["tests/test_pair_table.py::test_annihilator_matches_generator_chain_oracle"]),
     ("_pattern_slots reads the sign as x > 0", "twisted.py",
      "append((slot, mask, x < 0, mixed))",

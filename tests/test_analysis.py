@@ -1,3 +1,6 @@
+import contextlib
+import hashlib
+import io
 import json
 import random
 import time
@@ -35,6 +38,7 @@ from spinor_forge.catalog import (
     build_spin7_reducing,
     g2_generators,
 )
+from spinor_forge.cli import main as cli_main
 from spinor_forge.errors import (
     EmptyInput,
     InvalidValue,
@@ -51,6 +55,7 @@ from spinor_forge.linalg import (
     transpose,
 )
 from spinor_forge.scalars import gr
+from spinor_forge.serialize import scaled_spinor_to_json, subalgebra_to_json
 from spinor_forge.spinrep import (
     MAX_R, SpinorVector, all_basis_indices, basis_spinor, kappa_generator, spin_action_on_vector,
 )
@@ -665,8 +670,9 @@ def _annihilator_basis_by_split_rows(spinors):
 
 
 def test_annihilator_rows_need_no_order(monkeypatch):
-    """The one row map per spinor, keyed 2 idx + part and handed to
-    ``nullspace`` unsorted, gives the basis of the split, sorted rows: on
+    """The columns labelled (spinor, basis index, part), turned into rows
+    by ``nullspace_of_columns`` in first-met order, give the basis of the
+    split, sorted rows: on
     qk(1..5), the spin7 pair, generic(2..8), and qk(3) and qk(4) moved by
     a product of two unit vectors with full support (seeds 5 and 7)."""
     monkeypatch.setattr(analysis, "lie_closure_report", lambda basis: basis)  # the basis alone
@@ -808,6 +814,53 @@ def test_commutant_matches_the_wide_system_oracle_on_random_families():
             seen["between"] += 1 < dim < n * n - 1
         seen["one member"] += len(family) == 1
     assert min(seen.values()) >= 5, seen
+
+
+# -- pinned Lie bases ------------------------------------------------------------
+
+def _moved_qk():
+    """qk(2) and qk(3), each moved by g, a product of two full-support exact
+    unit vectors, drawn in turn from one random.Random(5)."""
+    rng = random.Random(5)
+    moved = {}
+    for m in (2, 3):
+        g = [random_unit_vector(4 * m, rng, support=4 * m) for _ in range(2)]
+        moved[m] = twisted_group_action(g, [], build_qk_pure(m).spinor)
+    return moved
+
+
+def _lie_digests(tmp):
+    """sha256 of ``subalgebra_to_json(annihilator(...))`` (as the CLI prints
+    it, indent 2) and of the ``commutant --json`` stdout, skew and full, by
+    case label; ``tmp`` is a directory for the moved qk(2) wire file."""
+    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+    moved = _moved_qk()
+    spin7 = [build_spin7_pure().spinor, build_spin7_reducing().spinor]
+    cases = {**{f"qk({m})": [build_qk_pure(m).spinor] for m in range(1, 6)},
+             **{f"generic({n})": [build_generic_reducing(n).spinor] for n in range(2, 9)},
+             "spin7_pure": spin7[:1], "spin7_reducing": spin7[1:], "spin7 pair": spin7,
+             "moved qk(2)": [moved[2]], "moved qk(3)": [moved[3]]}
+    digests = {f"annihilator {label}": sha(json.dumps(subalgebra_to_json(annihilator(spinors)),
+                                                      indent=2))
+               for label, spinors in cases.items()}
+    wire = Path(tmp) / "moved_qk2.json"
+    wire.write_text(json.dumps(scaled_spinor_to_json(moved[2])))
+    sources = {**{f"qk({m})": ["--catalog", "qk", "--m", str(m)] for m in (1, 2, 3)},
+               "spin7_pure": ["--catalog", "spin7_pure"], "moved qk(2)": ["--in", str(wire)]}
+    for label, source in sources.items():
+        for mode, flags in (("skew", ["--skew"]), ("full", [])):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli_main(["commutant", *source, *flags, "--json"]) == 0
+            digests[f"commutant {label} {mode}"] = sha(out.getvalue())
+    return digests
+
+
+def test_lie_bases_are_pinned(tmp_path):
+    """Every annihilator and commutant basis of the catalog and of the
+    moved qk(2) and qk(3), byte for byte as pinned in ``lie_pins.json``."""
+    want = json.loads((Path(__file__).parent / "data" / "lie_pins.json").read_text())
+    assert _lie_digests(tmp_path) == want
 
 
 # -- frame independence and equivariance -----------------------------------------

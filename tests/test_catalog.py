@@ -16,10 +16,10 @@ from spinor_forge.catalog import (
     psi_level,
     sign_tuples,
 )
-from spinor_forge.errors import InvalidValue, UnsupportedDimension
+from spinor_forge.errors import InvalidValue, SpinorForgeError, UnsupportedDimension
 from spinor_forge.forms import eta
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import FormTerm, all_basis_indices, basis_spinor, gamma_apply
+from spinor_forge.spinrep import MAX_M, FormTerm, all_basis_indices, basis_spinor, gamma_apply
 from spinor_forge.twisted import ScaledSpinor, form_action_on_spin_slot, norm2, twist_bivector_action
 
 
@@ -271,11 +271,28 @@ def test_twist_ladder_expansion(m):
         assert lhs.coeffs == rhs.coeffs
 
 
+@pytest.mark.parametrize("bad", [1.0, 2.5, True, None, "x", -1, MAX_M + 1])
+def test_catalog_refuses_bad_dimensions_with_typed_errors(bad):
+    """A float, a bool, None, a string, a negative or an over-cap dimension
+    raises a SpinorForgeError subclass before anything is built; a level j
+    outside 0..m is the zero level, so only a j that is no int is refused."""
+    calls = [build_qk_pure, build_generic_reducing, beta_forms, eta13_recursion_check,
+             lambda m: psi_level(m, 0)]
+    if type(bad) is not int:
+        calls.append(lambda j: psi_level(1, j))
+    for call in calls:
+        with pytest.raises(SpinorForgeError):
+            call(bad)
+    if bad == MAX_M + 1:  # by beta_forms' own cap, not by the first 2-form it builds
+        with pytest.raises(UnsupportedDimension, match=f"need 1 <= m <= {MAX_M}, got {bad}"):
+            beta_forms(bad)
+
+
 def test_build_dispatch():
     assert build("qk", m=1).name == "qk(m=1)"
     assert build("spin7_pure").name == "spin7_pure"
     assert build("generic", n=3).name == "generic(n=3)"
-    with pytest.raises(KeyError):
+    with pytest.raises(InvalidValue, match="unknown catalog name 'nope'"):
         build("nope")
     with pytest.raises(UnsupportedDimension):
         build("qk")

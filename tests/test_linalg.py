@@ -169,6 +169,42 @@ def test_canonical_basis_is_nullspace_of_any_spanning_set():
     assert canonical_basis([], 3) == []
 
 
+def test_nullspace_of_columns_is_nullspace_of_the_hand_transposed_rows(monkeypatch):
+    """Seeded sparse integer columns keyed by tuple and int labels, some
+    columns zero and some rows repeated (one label's entries copied to
+    another): the basis of the rows transposed by hand, and the kernel hands
+    ``nullspace`` its rows in the order their labels are first met."""
+    rng = random.Random(31)
+    pool = [(s, idx, part) for s in range(2) for idx in range(4) for part in range(2)] + [7, -1]
+    seen = {"zero column": 0, "repeated row": 0, "nonzero kernel": 0}
+    handed = []
+    real = linalg.nullspace
+    monkeypatch.setattr(linalg, "nullspace", lambda rows, width: handed.append(rows) or
+                        real(rows, width))
+    for _ in range(80):
+        columns = []
+        for _ in range(rng.randint(1, 7)):
+            labels = [] if rng.random() < 0.15 else rng.sample(pool, rng.randint(1, 5))
+            columns.append({lab: rng.choice((-3, -2, -1, 1, 2, 3)) for lab in labels})
+            seen["zero column"] += not labels
+        if rng.random() < 0.5:
+            a, b = rng.sample(pool, 2)
+            for col in columns:
+                col.pop(b, None)
+                if a in col:
+                    col[b] = col[a]
+                    seen["repeated row"] += 1
+        order = list(dict.fromkeys(lab for col in columns for lab in col))
+        hand = [{j: col[lab] for j, col in enumerate(columns) if lab in col} for lab in order]
+        handed.clear()
+        got = linalg.nullspace_of_columns(columns)
+        assert handed == [hand]
+        assert got == real(sorted(hand, key=lambda row: sorted(row.items())), len(columns))
+        seen["nonzero kernel"] += bool(got)
+    assert min(seen.values()) >= 5, seen
+    assert linalg.nullspace_of_columns([]) == []
+
+
 def test_span_membership_and_equality():
     a = [[F(1), F(0), F(1)], [F(0), F(1), F(1)]]
     b = [[F(1), F(1), F(2)], [F(1), F(-1), F(0)]]

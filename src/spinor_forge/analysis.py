@@ -379,8 +379,8 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
     acting on phi through the one bivector action ``twisted._bivector_map``
     (a spin pair one read of the pair table, a twist pair the cached flips
     of f_k f_l), over phi's one denominator; no generator is applied.  Its
-    entries are the real and imaginary parts of the action, labelled
-    (spinor, basis index, part), and ``nullspace_of_columns`` solves it."""
+    entries are the real and imaginary parts p of the action on spinor s at
+    index v, in row 2 (v len(spinors) + s) + p; ``nullspace_of_columns`` solves it."""
     if not spinors:
         raise EmptyInput("need at least one spinor")
     shape = spinors[0].shape()
@@ -388,14 +388,16 @@ def annihilator(spinors: Sequence[ScaledSpinor]) -> LieSubalgebra:
         raise ShapeMismatch("annihilator spinors must share (n, r, m)")
     n, r, _ = shape
     keys = _ambient_pairs(n, r)  # a-major: the columns are labelled in this order
-    columns: List[Dict[Tuple[int, int, int], int]] = [{} for _ in keys]
+    columns: List[Dict[int, int]] = [{} for _ in keys]
+    count = len(spinors)
     for s, phi in enumerate(spinors):
         for col, p in zip(columns, keys):
             for idx, (re, im) in _bivector_map(phi, {p: 1}).items():
+                label = 2 * (idx * count + s)
                 if re:
-                    col[s, idx, 0] = re
+                    col[label] = re
                 if im:
-                    col[s, idx, 1] = im
+                    col[label + 1] = im
     basis = [_ambient(n, r, den, {keys[c]: v for c, v in vec.items()})
              for den, vec in nullspace_of_columns(columns)]
     return lie_closure_report(basis) if basis else LieSubalgebra(basis=[], dim=0, closed=True)

@@ -101,19 +101,14 @@ class RowReducer:
         self.pivots[col] = r
         return True
 
-    def reduce(self, row: Row) -> SparseRow:
-        """Clear ``row`` to integers and reduce it by the pivot rows.  The
-        result is a positive multiple of ``row`` minus an integer combination
-        of the pivot rows, as a {col: int} map; it is empty iff ``row`` lies
-        in the row space."""
-        return self._reduce(_sparse_int_row(row))
-
     def add(self, row: Row) -> bool:
         """Insert a row; returns True if it enlarged the row space."""
         return self._add(_sparse_int_row(row))
 
     def contains(self, row: Row) -> bool:
-        return not self.reduce(row)
+        """Does ``row`` lie in the row space?  Exactly when reducing it,
+        cleared to integers, by the pivot rows leaves nothing."""
+        return not self._reduce(_sparse_int_row(row))
 
     @property
     def rank(self) -> int:

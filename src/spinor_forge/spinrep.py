@@ -152,15 +152,14 @@ def _merge(acc: IntCoeffMap, inc: IntCoeffMap, factor: int = 1) -> None:
             del acc[idx]
 
 
-def _lincomb(terms: Iterable[Tuple[Union[int, Fraction], int, IntCoeffMap]]
-             ) -> Tuple[int, IntCoeffMap]:
-    """sum x * data / den over the (x, den, data) terms, as (D, an integer
-    map over D), D the lcm of the x.denominator * den; not reduced."""
+def _lincomb(terms: Iterable[Tuple[int, int, IntCoeffMap]]) -> Tuple[int, IntCoeffMap]:
+    """sum x * data / den over the (x, den, data) terms, x an int, as (D, an
+    integer map over D), D the lcm of the dens of the nonzero x; not reduced."""
     terms = [(x, d, data) for x, d, data in terms if x]
-    den = math.lcm(*(x.denominator * d for x, d, _ in terms))
+    den = math.lcm(*(d for _, d, _ in terms))
     acc: IntCoeffMap = {}
     for x, d, data in terms:
-        _merge(acc, data, x.numerator * (den // (x.denominator * d)))
+        _merge(acc, data, x * (den // d))
     return den, acc
 
 

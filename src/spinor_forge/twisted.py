@@ -14,14 +14,12 @@ basis vector (spin bits lowest, then each twist slot's, a set bit meaning
 Clifford monomial on a slot is one signed flip (d, x, mask, mixed),
 ``spinrep._monomial``, with phi_v going to v ^ d times (-1)^parity(v &
 mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
-That record, with x times an integer coefficient, is the one input of
-both kernels.  ``_walk`` is the one kernel that builds: it groups the
-flips by d itself and walks phi once per distinct d.  ``_pair`` is the
-general kernel that pairs: from the same flips it sums the integer
-<A.a, b>, each a_v against b_(v ^ d), with no image built;
-``twisted_hermitian`` (its identity flip) and the reality identities of
-phi (``vanishing_identity_failures``) run on it.  A slot action
-(``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
+``_walk`` is the one kernel that builds: it groups a list of these
+records, x times an integer coefficient, by d and walks phi once per
+distinct d.  ``_pair`` pairs one record: it sums the integer <A.a, b>,
+each a_v against b_(v ^ d), with no image built; ``twisted_hermitian``
+and the reality identities (``vanishing_identity_failures``) run on it.
+A slot action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
 ``twisted_group_action``) clears its rational coefficients to integers
 and walks its flips once (``_slot_acts``); a twist bivector f_k f_l reads
 its m flips, one per slot, from a cache per (n, r, m, k, l)
@@ -35,8 +33,9 @@ system act; a spin pair is one read of the pair table
 ``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum is
 an int sum over D1 * D2.
 
-``_induced`` is the second pairing: the sums Re< w, e_a e_b . phi > of
-the induced forms (``forms``).  The pair table grouped by d = f_a ^ f_b
+``_induced`` is the other pairing, with its own grouping (a general one
+measured slower on eta): the sums Re< w, e_a e_b . phi > of the induced
+forms (``forms``).  The pair table grouped by d = f_a ^ f_b
 (``_pattern_slots``) holds at d = 0 the k = n // 2 pairs (2j-1, 2j), four
 pairs at each two-bit d and, for odd n, two at each one-bit d.  A pattern
 flips spin bits only, so supp phi is grouped once by the bits above the
@@ -133,37 +132,32 @@ def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
 
 
 # The identity as one signed flip: d = 0, x = 1, no mask, not mixed.
-_IDENTITY: Tuple[Flip, ...] = ((0, 1, 0, 0),)
+_IDENTITY: Flip = (0, 1, 0, 0)
 
 
-def _pair(flips: Iterable[Flip], a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, int]:
+def _pair(flip: Flip, a: IntCoeffMap, b: IntCoeffMap) -> Tuple[int, int]:
     """The integer <A.a, b> = sum_u (A a)_u conj(b_u), over the two maps'
-    denominators, for the signed flips A (d, x, mask, mixed) of ``_walk``.
+    denominators, for one signed flip A = (d, x, mask, mixed) of ``_walk``.
     (A a)_(v ^ d) is a_v times (-1)^parity(v & mask) x, times i if mixed,
-    so each flip sums the signed a_v conj(b_(v ^ d)) = (pr qr + pi qi) +
-    i (pi qr - pr qi) and multiplies the sum by x, or i x, once; no image
-    of a is built."""
-    re = im = 0
+    so the signed a_v conj(b_(v ^ d)) = (pr qr + pi qi) + i (pi qr - pr qi)
+    are summed and the sum is multiplied by x, or i x, once; no image of a
+    is built; a sum of flips pairs as their ``_walk`` against the identity."""
+    d, x, mask, mixed = flip
+    sr = si = 0
     get = b.get
-    for d, x, mask, mixed in flips:
-        sr = si = 0
-        for v, (pr, pi) in a.items():
-            o = get(v ^ d)
-            if o is not None:
-                qr, qi = o
-                if mask and (v & mask).bit_count() & 1:
-                    sr -= pr * qr + pi * qi
-                    si -= pi * qr - pr * qi
-                else:
-                    sr += pr * qr + pi * qi
-                    si += pi * qr - pr * qi
-        if mixed:  # i x (sr + i si)
-            re -= x * si
-            im += x * sr
-        else:
-            re += x * sr
-            im += x * si
-    return re, im
+    for v, (pr, pi) in a.items():
+        o = get(v ^ d)
+        if o is not None:
+            qr, qi = o
+            if mask and (v & mask).bit_count() & 1:
+                sr -= pr * qr + pi * qi
+                si -= pi * qr - pr * qi
+            else:
+                sr += pr * qr + pi * qi
+                si += pi * qr - pr * qi
+    if mixed:  # i x (sr + i si)
+        return -x * si, x * sr
+    return x * sr, x * si
 
 
 @cache
@@ -372,21 +366,28 @@ def vanishing_identity_failures(
 ) -> int:
     """The number of failing instances of the reality identities of phi for
     tangent vectors X, Y and each twist pair k < l, in ``combinations``
-    order, with ``quads`` the quadruples of each pair in that order:
-    (1) Re<kappa(f_kl) phi, phi> = 0, (2) Re<X^Y phi, phi> = 0,
-    (3) Im<X^Y kappa(f_kl) phi, phi> = 0, (4) Re<X phi, Y phi> =
+    order, with ``quads`` the quadruples 1 <= a < b < c < d <= n of each
+    pair in that order: (1) Re<kappa(f_kl) phi, phi> = 0, (2) Re<X^Y phi,
+    phi> = 0, (3) Im<X^Y kappa(f_kl) phi, phi> = 0, (4) Re<X phi, Y phi> =
     <X, Y>|phi|^2 and (5) Re<e_abcd kappa(f_kl) phi, phi> = 0.
 
-    Each is an integer ``_pair`` of A applied to the left argument against
-    phi's integers, so no spinor and no Fraction is built per instance.  X
-    and Y are cleared to integers X', Y' over one d; then X^Y phi = (X'Y'
-    phi + <X', Y'> phi) / d^2, and every side of an identity carries the
-    same positive factor scale2 / (D d)^2, which drops out."""
+    Each is one integer ``_pair`` of one flip, so no spinor and no Fraction
+    is built per instance.  X and Y are cleared to integers X', Y' over one
+    d; then X^Y phi = (X'Y' phi + <X', Y'> phi) / d^2, and every side of an
+    identity carries the same positive factor scale2 / (D d)^2, which drops
+    out.  Each twist pair walks w = kappa(f_kl) phi once: (1) is Re<w, phi>,
+    and since kappa(f_kl) is skew-adjoint and commutes with X^Y (spin slot),
+    (3) is -Im<X^Y phi, w>."""
     n, r, m = phi.shape()
     if len(x) != n or len(y) != n:
         raise ShapeMismatch(f"vectors of lengths {len(x)}, {len(y)} in R^{n}")
     if len(quads) != r * (r - 1) // 2:
         raise ShapeMismatch(f"{len(quads)} quadruple lists for {r * (r - 1) // 2} twist pairs")
+    for qs in quads:
+        for quad in qs:
+            check_indices("quadruple index", *quad)
+            if len(quad) != 4 or not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= n:
+                raise IndexOutOfRange(f"quadruple {tuple(quad)} is not 1 <= a < b < c < d <= {n}")
     (xs, ys), _ = _clear_denominators([[exact_rational(c) for c in v] for v in (x, y)])
     data = phi._data
     ax = _slot_acts(phi, 0, [((j,), c) for j, c in enumerate(xs, 1)])[1]
@@ -400,10 +401,9 @@ def vanishing_identity_failures(
     failures = _pair(_IDENTITY, wedge, data)[0] != 0
     failures += _pair(_IDENTITY, x_phi, y_phi)[0] != dot * norm
     for (k, l), qs in zip(combinations(range(1, r + 1), 2), quads):
-        flips = _twist_acts(n, r, m, k, l)
-        failures += _pair(flips, data, data)[0] != 0
-        failures += _pair(flips, wedge, data)[1] != 0  # X^Y (spin slot) commutes with kappa(f_kl)
-        w = _walk(flips, data)
+        w = _walk(_twist_acts(n, r, m, k, l), data)
+        failures += _pair(_IDENTITY, w, data)[0] != 0
+        failures += _pair(_IDENTITY, wedge, w)[1] != 0
         for quad in qs:
-            failures += _pair((_monomial(n, tuple(quad)),), w, data)[0] != 0
+            failures += _pair(_monomial(n, tuple(quad)), w, data)[0] != 0
     return failures

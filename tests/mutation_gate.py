@@ -54,8 +54,12 @@ MUTANTS = [
      "            if False:  # i x (pr + i pi) = (-x pi, x pr)",
      [RECORDS, KERNEL + "test_tangent_action_matches_dense_oracle"]),
     ("_pair drops the mask parity", "twisted.py",
-     "                if mask and (v & mask).bit_count() & 1:",
-     "                if False:",
+     "            if mask and (v & mask).bit_count() & 1:",
+     "            if False:",
+     [RECORDS, KERNEL + "test_pair_matches_dense_oracle"]),
+    ("_pair ignores mixed", "twisted.py",
+     "    if mixed:  # i x (sr + i si)",
+     "    if False:  # i x (sr + i si)",
      [RECORDS, KERNEL + "test_pair_matches_dense_oracle"]),
     ("_bivector_map leaves twist records unscaled by x", "twisted.py",
      "            flips.extend([(d, s * x, mask, mixed)",
@@ -67,11 +71,15 @@ MUTANTS = [
      "*_monomial(dim, (a, b))) for b in range(2, dim + 1) for a in range(1, b)}",
      [EQUIVARIANT]),
     ("vanishing_identity_failures reads identity (3) as a real part", "twisted.py",
-     "_pair(flips, wedge, data)[1] != 0",
-     "_pair(flips, wedge, data)[0] != 0",
+     "_pair(_IDENTITY, wedge, w)[1] != 0",
+     "_pair(_IDENTITY, wedge, w)[0] != 0",
      ["tests/test_acceptance.py::test_criterion_07_vanishing_identity_suite",
       "tests/test_analysis.py::"
       "test_vanishing_identity_harness_holds_on_the_catalog_and_checks_its_shapes"]),
+    ("vanishing_identity_failures accepts a repeated quadruple index", "twisted.py",
+     "not 1 <= quad[0] < quad[1]",
+     "not 1 <= quad[0] <= quad[1]",
+     ["tests/test_analysis.py::test_vanishing_identity_harness_refuses_bad_quadruples"]),
     ("_twist_acts negates x at (1, 3)", "twisted.py",
      "    flip = _monomial(r, (k, l))\n",
      "    flip = _monomial(r, (k, l))\n"
@@ -114,9 +122,13 @@ MUTANTS = [
      "    return LieSubalgebra(list(basis), len(basis), closed=True)",
      ["tests/test_analysis.py::test_lie_closure_rescaled_and_dependent_bases"]),
     ("annihilator keys the imaginary row with the real one", "analysis.py",
-     "col[s, idx, 1] = im",
-     "col[s, idx, 0] = im",
+     "col[label + 1] = im",
+     "col[label] = im",
      ["tests/test_pair_table.py::test_annihilator_matches_generator_chain_oracle"]),
+    ("annihilator drops s from the row label", "analysis.py",
+     "label = 2 * (idx * count + s)",
+     "label = 2 * idx",
+     ["tests/test_analysis.py::test_annihilator_of_a_repeated_spinor_is_unchanged"]),
     ("_pattern_slots reads the sign as x > 0", "twisted.py",
      "append((slot, mask, x < 0, mixed))",
      "append((slot, mask, x > 0, mixed))",

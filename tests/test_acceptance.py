@@ -87,9 +87,10 @@ def test_criterion_07_vanishing_identity_suite():
 
 
 def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
-    """Each identity instance is one integer pairing: per spinor |phi|^2,
-    (2) and (4), and per twist pair (1), (3) and one (5) per sampled
-    quadruple.  50 spinors of each shape give 50 * (12 + 18 + 108 + 18)."""
+    """Each identity instance is one integer pairing of one flip record:
+    per spinor |phi|^2, (2) and (4), and per twist pair (1), (3) and one
+    (5) per sampled quadruple.  50 spinors of each shape give
+    50 * (12 + 18 + 108 + 18)."""
     calls = []
     real = twisted._pair
 
@@ -100,15 +101,18 @@ def test_vanishing_row_pairs_every_identity_instance(monkeypatch):
     monkeypatch.setattr(twisted, "_pair", counted)
     assert criterion_vanishing_identities().passed
     assert len(calls) == 7800
+    assert all(len(flip) == 4 and all(type(v) is int for v in flip) for flip, _, _ in calls)
 
 
 def test_vanishing_row_fails_on_a_pairing_without_parity(monkeypatch):
-    """A pairing that drops every flip's parity mask fails the row with a
-    nonzero failure count, so the row reads the pairing's values."""
+    """A pairing that drops the parity mask of the flip it is given fails
+    the row with a nonzero failure count, so the row reads the pairing's
+    values."""
     real = twisted._pair
 
-    def no_parity(flips, a, b):
-        return real([(d, x, 0, mixed) for d, x, _, mixed in flips], a, b)
+    def no_parity(flip, a, b):
+        d, x, _, mixed = flip
+        return real((d, x, 0, mixed), a, b)
 
     monkeypatch.setattr(twisted, "_pair", no_parity)
     row = criterion_vanishing_identities()

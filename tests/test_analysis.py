@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spinor_forge import analysis
+from spinor_forge import analysis, twisted
 from spinor_forge.analysis import (
     AmbientElement,
     _ambient,
@@ -41,6 +41,7 @@ from spinor_forge.catalog import (
 from spinor_forge.cli import main as cli_main
 from spinor_forge.errors import (
     EmptyInput,
+    IndexOutOfRange,
     InvalidValue,
     NotOrthogonal,
     RankTooSmall,
@@ -670,11 +671,11 @@ def _annihilator_basis_by_split_rows(spinors):
 
 
 def test_annihilator_rows_need_no_order(monkeypatch):
-    """The columns labelled (spinor, basis index, part), turned into rows
-    by ``nullspace_of_columns`` in first-met order, give the basis of the
-    split, sorted rows: on
-    qk(1..5), the spin7 pair, generic(2..8), and qk(3) and qk(4) moved by
-    a product of two unit vectors with full support (seeds 5 and 7)."""
+    """The columns labelled by one int per (spinor, basis index, part),
+    turned into rows by ``nullspace_of_columns`` in first-met order, give
+    the basis of the split, sorted rows: on qk(1..5), the spin7 pair,
+    generic(2..8), and qk(3) and qk(4) moved by a product of two unit
+    vectors with full support (seeds 5 and 7)."""
     monkeypatch.setattr(analysis, "lie_closure_report", lambda basis: basis)  # the basis alone
     cases = [[build_qk_pure(m).spinor] for m in range(1, 6)]
     cases += [[build_spin7_pure().spinor, build_spin7_reducing().spinor]]
@@ -689,6 +690,17 @@ def test_annihilator_rows_need_no_order(monkeypatch):
         basis = annihilator(spinors)
         assert basis and basis == _annihilator_basis_by_split_rows(spinors), spinors[0].shape()
     assert time.monotonic() - t0 < 3.0
+
+
+def test_annihilator_of_a_repeated_spinor_is_unchanged():
+    """A spinor listed twice adds only rows it already gave, so the spin7
+    pair's basis from [a, b, a] is the one from [a, b]: the row labels
+    keep the spinors apart."""
+    a, b = build_spin7_pure().spinor, build_spin7_reducing().spinor
+    pair = annihilator([a, b])
+    assert pair.dim == 14 and pair.closed
+    again = annihilator([a, b, a])
+    assert (again.dim, again.closed, again.basis) == (pair.dim, pair.closed, pair.basis)
 
 
 def test_annihilator_validates_input():
@@ -1191,3 +1203,28 @@ def test_vanishing_identity_harness_holds_on_the_catalog_and_checks_its_shapes()
             vanishing_identity_failures(phi, x[:-1], y, quads)
         with pytest.raises(ShapeMismatch):
             vanishing_identity_failures(phi, x, y, quads[:-1])
+
+
+@pytest.mark.parametrize("quad, error", [
+    ((True, 2, 3, 4), InvalidValue), ((1, 2, 3, 4.0), InvalidValue), ((1, "2", 3, 4), InvalidValue),
+    ((1, 1, 2, 3), IndexOutOfRange), ((0, 1, 2, 3), IndexOutOfRange),
+    ((4, 3, 2, 1), IndexOutOfRange), ((1, 2, 3, 9), IndexOutOfRange),
+    ((1, 2, 3), IndexOutOfRange), ((1, 2, 3, 4, 5), IndexOutOfRange),
+])
+def test_vanishing_identity_harness_refuses_bad_quadruples(monkeypatch, quad, error):
+    """A quadruple entry that is not an int raises InvalidValue, and a
+    quadruple that is not 1 <= a < b < c < d <= n raises IndexOutOfRange,
+    before anything is walked: (True, 2, 3, 4) is not read as (1, 2, 3, 4),
+    nor (1, 1, 2, 3) as e_2 e_3."""
+    phi = build_spin7_pure().spinor  # n = 8
+    x, y = list(range(1, 9)), list(range(8, 0, -1))
+    quads = [[(1, 2, 3, 4)] for _ in pairs(phi.r)]
+    assert vanishing_identity_failures(phi, x, y, quads) == 0
+    quads[-1] = [(2, 3, 5, 8), quad]
+
+    def walk(*args):
+        raise AssertionError("walked before the quadruples were checked")
+
+    monkeypatch.setattr(twisted, "_walk", walk)
+    with pytest.raises(error):
+        vanishing_identity_failures(phi, x, y, quads)

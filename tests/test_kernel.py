@@ -120,20 +120,20 @@ PAIR_SHAPES = [(4, 3, 1), (5, 4, 1), (6, 3, 2), (8, 7, 1), (5, 3, 3)]
 
 
 def pair_cases(phi, rng):
-    """(label, flips, terms) on phi's shape: the signed flips (d, x, mask,
-    mixed) of ``_walk`` and the same operator as (slot, dim, factors, c)
-    terms for the dense oracle.  The identity, twist pairs on every slot at
+    """(label, flips, terms) on phi's shape: a list of signed flips (d, x,
+    mask, mixed) of ``_walk`` and the same operator as (slot, dim, factors,
+    c) terms for the dense oracle.  The identity, twist pairs on every slot at
     once, spin quadruples, and one mixed list: vectors, spin pairs that
     share a flip d and twist products with their own coefficient on each
     slot."""
     n, r, m = phi.shape()
     ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
-    yield "identity", _IDENTITY, [(0, n, (), 1)]
+    yield "identity", [_IDENTITY], [(0, n, (), 1)]
     for k, l in rng.sample([(k, l) for k in range(1, r + 1) for l in range(1, r + 1) if k != l], 3):
-        yield f"f{k}f{l}", _twist_acts(n, r, m, k, l), [(a, r, (k, l), 1) for a in range(1, m + 1)]
+        yield f"f{k}f{l}", list(_twist_acts(n, r, m, k, l)), [(a, r, (k, l), 1) for a in range(1, m + 1)]
     quads = list(itertools.combinations(range(1, n + 1), 4))
     for quad in rng.sample(quads, min(3, len(quads))):
-        yield f"e{quad}", (_monomial(n, quad),), [(0, n, quad, 1)]
+        yield f"e{quad}", [_monomial(n, quad)], [(0, n, quad, 1)]
     terms = [(0, n, (j,), rng.choice([-3, -1, 2, 5])) for j in range(1, n + 1)]
     terms += [(0, n, f, c) for f, c in (((1, 2), 3), ((3, 4), -2), ((1, 3), 5), ((2, 4), 1))]
     terms += [(a, r, (1, 2, 3)[:r], a + 1) for a in range(1, m + 1)]
@@ -153,9 +153,11 @@ def shifted(flip, c, off):
 
 @pytest.mark.parametrize("shape", PAIR_SHAPES)
 def test_pair_matches_dense_oracle(shape):
-    """_pair(flips, a, b) is the integer <A.a, b> over a's and b's
-    denominators: both parts equal the dense sum of (A a)_i conj(b_i),
-    compared as values.  b overlaps A.a with a complex factor, so neither
+    """_pair(flip, a, b) is the integer <A.a, b> over a's and b's
+    denominators for one record A: both parts equal the dense sum of
+    (A a)_i conj(b_i), compared as values.  A list of records is paired
+    both as the sum of its single-record pairings and as the identity
+    pairing of its walk.  b overlaps A.a with a complex factor, so neither
     part is 0."""
     (phi, psi), rng = spinors(shape, 7)
     v, norm = oracle.vector(phi), oracle.norm(shape)
@@ -164,9 +166,12 @@ def test_pair_matches_dense_oracle(shape):
         b = (phi._with(phi._den, _walk(flips, phi._data)).scale(gr(F(2, 3), F(-5, 7)))
              + replace(psi, scale2=phi.scale2))
         want = oracle.inner(image, oracle.vector(b)) * F(phi._den * b._den, norm)
-        got = _pair(flips, phi._data, b._data)
-        assert (F(got[0]), F(got[1])) == (want.re, want.im), (shape, label)
-        assert got[0] and got[1], (shape, label)
+        singles = [_pair(f, phi._data, b._data) for f in flips]
+        summed_pairs = (sum(re for re, _ in singles), sum(im for _, im in singles))
+        walked = _pair(_IDENTITY, _walk(flips, phi._data), b._data)
+        for got in (summed_pairs, walked):
+            assert (F(got[0]), F(got[1])) == (want.re, want.im), (shape, label)
+            assert got[0] and got[1], (shape, label)
 
 
 # -- the record contract ----------------------------------------------------------
@@ -203,10 +208,10 @@ def summed(maps):
 
 @pytest.mark.parametrize("shape", PAIR_SHAPES)
 def test_walk_and_pair_are_sums_over_their_records(shape):
-    """``_walk`` and ``_pair`` take a plain list of signed flips (d, x, mask,
-    mixed), and both are sums over it: the walk of a shuffled list is the
-    walk of the list and the merged sum of its single-record walks, and
-    the pairing is the sum of the single-record pairings and the identity
+    """``_walk`` takes a plain list of signed flips (d, x, mask, mixed) and
+    is a sum over it: the walk of a shuffled list is the walk of the list
+    and the merged sum of its single-record walks.  ``_pair`` takes one
+    record, and the sum of the single-record pairings is the identity
     pairing of the walk.  A walk that keeps one record per d, or a path
     that misreads a record's mask or mixed flag, breaks one of them."""
     (phi, psi), rng = spinors(shape, 9)
@@ -220,9 +225,8 @@ def test_walk_and_pair_are_sums_over_their_records(shape):
     for _ in range(3):
         shuffled = rng.sample(flips, len(flips))
         assert _walk(shuffled, data) == walked, shape
-    paired = _pair(flips, data, other)
-    singles = [_pair([f], data, other) for f in flips]
-    assert paired == (sum(re for re, _ in singles), sum(im for _, im in singles))
+    singles = [_pair(f, data, other) for f in flips]
+    paired = (sum(re for re, _ in singles), sum(im for _, im in singles))
     assert paired == _pair(_IDENTITY, walked, other)
     assert paired[0] and paired[1], shape
 

@@ -38,13 +38,11 @@ from .catalog import (
     maps_G_H,
 )
 from .forms import Endo, TwoForm, eta, eta_hat, etas, phi_extend, spinc_form
-from .scalars import GaussianRational, Rational, gr
+from .scalars import GaussianRational, gr
 from .spinrep import (
-    BasisIndex,
     FormTerm,
     ScaledSpinor,
     SpinorVector,
-    TwistedIndex,
     basis_spinor,
     gamma_apply,
     kappa_generator,
@@ -61,7 +59,6 @@ from .twisted import (
 
 __all__ = [
     "AmbientElement",
-    "BasisIndex",
     "CatalogEntry",
     "ClDims",
     "Endo",
@@ -69,11 +66,9 @@ __all__ = [
     "GaussianRational",
     "LieSubalgebra",
     "PurityReport",
-    "Rational",
     "ReducingReport",
     "ScaledSpinor",
     "SpinorVector",
-    "TwistedIndex",
     "TwoForm",
     "ambient_annihilates",
     "annihilator",

@@ -30,7 +30,7 @@ from .linalg import (
     check_special_orthogonal, nullspace_of_columns,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import _lincomb, check_dimensions, index_pair
+from .spinrep import _lincomb, check_dimensions, check_mapping, check_sequence, index_pair
 from .twisted import ScaledSpinor, _bivector_map, _norm2, twisted_group_action
 
 Pair = Tuple[int, int]
@@ -60,7 +60,9 @@ class AmbientElement:
 
     def __post_init__(self) -> None:
         check_dimensions(self.n, self.r)
-        n, a, b = self.n, vars(self).pop("a"), vars(self).pop("b")
+        n = self.n
+        a = check_mapping("a-part", vars(self).pop("a"))
+        b = check_mapping("b-part", vars(self).pop("b"))
         for key in a:
             i, j = index_pair("a-part index", key)
             if not 1 <= i < j <= n:
@@ -329,12 +331,13 @@ def even_clifford_verify(etas: Dict[Pair, Endo]) -> RelationReport:
     pairs commute, and chained pairs anticommute with h_ij h_jk = -h_ik.
     A mirrored triple (k, j, i) gives the same two equations, so only i < k is
     checked; the three imply the four-index chain h_ab h_cd = -h_ac h_bd."""
-    if not etas:
+    if not check_mapping("family", etas):
         raise EmptyInput("empty family")
     bad = [(k, l) for k, l in (index_pair("family key", key) for key in etas) if not 1 <= k < l]
     if bad:
         raise IndexOutOfRange(f"pair {bad[0]} is not 1 <= k < l")
     r = max(max(p) for p in etas)
+    check_dimensions(0, r)  # before any pair of a hostile rank is built
     n = next(iter(etas.values())).n
     full: Dict[Pair, Endo] = {}
     for (k, l) in pairs(r):
@@ -451,7 +454,7 @@ def commutant(etas: Sequence[Endo], restrict_skew: bool) -> Tuple[int, List[Endo
 def frame_rotation_check(phi: ScaledSpinor, a: Matrix, kind: str = "pure") -> bool:
     """Does the pure (or reducing) verdict survive replacing the twist frame
     by the rows of the exact special-orthogonal matrix A?"""
-    if len(a) != phi.r:
+    if len(check_sequence("frame", a)) != phi.r:
         raise NotOrthogonal(f"need an SO({phi.r}) matrix")
     (base, _), (rotated, _) = _certify(phi, kind, (None, check_special_orthogonal(a)))
     return base == rotated

@@ -18,7 +18,7 @@ from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
 from .spinrep import (
     MAX_M, ScaledSpinor, SpinorVector, TwistedCoeffMap, all_basis_indices, basis_spinor,
-    check_dimensions, check_indices, gamma_apply,
+    check_dimensions, check_indices, check_sequence, gamma_apply,
 )
 
 Pair = Tuple[int, int]
@@ -36,16 +36,15 @@ class CatalogEntry:
 def maps_G_H(eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
     """Entry doubling G(eps) = (e1, e1, ..., em, em) and the count H(eps) of
     -1 entries."""
-    for e in eps:
-        if e not in (1, -1):
-            raise InvalidValue(f"entries must be +-1, got {e}")
+    for e in check_sequence("eps", eps):
+        if type(e) is not int or e not in (1, -1):  # a bool is not read as +-1
+            raise InvalidValue(f"entries must be +-1, got {e!r}")
     return tuple(e for e in eps for _ in (0, 1)), sum(1 for e in eps if e == -1)
 
 
-def sign_tuples(m: int, minus_count: Optional[int] = None) -> List[Tuple[int, ...]]:
-    """All {+1,-1}^m tuples, optionally restricted to a given -1 count."""
-    out = all_basis_indices(2 * m)
-    return out if minus_count is None else [t for t in out if t.count(-1) == minus_count]
+def sign_tuples(m: int, minus_count: int) -> List[Tuple[int, ...]]:
+    """The {+1,-1}^m tuples with minus_count entries -1."""
+    return [t for t in all_basis_indices(2 * m) if t.count(-1) == minus_count]
 
 
 def psi_level(m: int, j: int) -> ScaledSpinor:

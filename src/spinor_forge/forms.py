@@ -29,8 +29,20 @@ from typing import Callable, Dict, List, Sequence, Tuple
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import ScaledSpinor, check_dimensions, check_indices, index_pair
+from .spinrep import (
+    ScaledSpinor, check_dimensions, check_indices, check_mapping, check_sequence, index_pair,
+)
 from .twisted import _bivector_map, _induced, twist_bivector_action
+
+
+def _square(n: int, mat: Matrix, what: str) -> Matrix:
+    """mat as an n x n matrix of Fractions: a matrix or a row that is not a
+    sequence raises InvalidValue, a wrong shape ShapeMismatch and an entry
+    that is not an exact rational InexactScalar."""
+    rows = [check_sequence(what, row) for row in check_sequence(what, mat)]
+    if len(rows) != n or any(len(row) != n for row in rows):
+        raise ShapeMismatch(f"{what} has wrong shape")
+    return [[x if type(x) is Fraction else exact_rational(x) for x in row] for row in rows]
 
 
 @dataclass(frozen=True, eq=False)
@@ -45,9 +57,7 @@ class TwoForm:
     mat: Matrix
 
     def __post_init__(self) -> None:
-        if len(self.mat) != self.n or any(len(row) != self.n for row in self.mat):
-            raise ShapeMismatch("2-form matrix has wrong shape")
-        view = [[x if type(x) is Fraction else exact_rational(x) for x in row] for row in self.mat]
+        view = _square(self.n, self.mat, "2-form matrix")
         if any(view[a][b] != -view[b][a] for a in range(self.n) for b in range(a, self.n)):
             raise ShapeMismatch("2-form matrix is not antisymmetric")
         upper = {(a + 1, b + 1): row[b] for a, row in enumerate(view) for b in range(a + 1, self.n)}
@@ -123,9 +133,7 @@ class Endo:
     mat: Matrix
 
     def __post_init__(self) -> None:
-        if len(self.mat) != self.n or any(len(row) != self.n for row in self.mat):
-            raise ShapeMismatch("endomorphism matrix has wrong shape")
-        view = [[x if type(x) is Fraction else exact_rational(x) for x in row] for row in self.mat]
+        view = _square(self.n, self.mat, "endomorphism matrix")
         den = math.lcm(*(x.denominator for row in view for x in row))
         # over the lcm of the reduced denominators the content is already 1
         vars(self).update(mat=view, _den=den, _rows=[
@@ -274,7 +282,7 @@ def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoF
     """Linear extension over twist bivectors: sum c_kl eta(phi, k, l).  Every
     key is checked as eta checks its pair, also where c_kl is zero or k = l."""
     parts: List[Tuple[Tuple[int, int], Fraction]] = []
-    for key, c in beta.items():
+    for key, c in check_mapping("beta", beta).items():
         k, l = index_pair("twist index", key)
         _check_pair(phi, k, l)
         c = exact_rational(c)

@@ -9,12 +9,11 @@ integers and reads its basis from the canonical reduced row echelon form,
 so it does not depend on the order or the scale of the rows; each basis
 vector comes out as integers over one denominator, with no rational built.
 
-Rational SO(n) comes from Givens rotations of Pythagorean pairs and from
-Cayley transforms: for skew S, (I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I, read
-off the reduced rows [I + S | I].  A = A'/d passes the SO(n) check when
-A'^T A' = d^2 I in integers; an orthogonal A is normal, so then
-det A = (-1)^dim ker(A + I), read off the rank of A' + d I.  Also houses the
-exact unit vectors used by the group tests.
+Rational SO(n) comes from Cayley transforms: for skew S, (I - S)(I + S)^(-1)
+= 2 (I + S)^(-1) - I, read off the reduced rows [I + S | I].  A = A'/d
+passes the SO(n) check when A'^T A' = d^2 I in integers; an orthogonal A is
+normal, so then det A = (-1)^dim ker(A + I), read off the rank of A' + d I.
+Also houses the exact unit vectors used by the group tests.
 """
 
 from __future__ import annotations
@@ -25,9 +24,9 @@ import random
 from fractions import Fraction
 from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
-from .errors import IndexOutOfRange, InvalidValue, NotOrthogonal, NotUnitVector
+from .errors import InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
-from .spinrep import check_indices
+from .spinrep import check_sequence
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -213,10 +212,6 @@ def canonical_basis(vectors: Sequence[Row], width: int) -> List[Tuple[int, Spars
 
 # -- dense Fraction matrices ------------------------------------------------
 
-def identity(n: int) -> Matrix:
-    return [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
 def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
     """(A', d) with A' = d * A an integer matrix, d the lcm of A's denominators."""
     d = math.lcm(*(x.denominator for row in a for x in row))
@@ -229,8 +224,8 @@ def transpose(a: Matrix) -> Matrix:
 
 def check_special_orthogonal(a: Matrix) -> Matrix:
     """A as an exact Fraction matrix, after checking it lies in SO(n)."""
-    n = len(a)
-    if any(len(row) != n for row in a):
+    n = len(check_sequence("matrix", a))
+    if any(len(check_sequence("matrix row", row)) != n for row in a):
         raise NotOrthogonal("matrix is not square")
     a = [[exact_rational(x) for x in row] for row in a]
     ia, d = _clear_denominators(a)
@@ -266,22 +261,6 @@ def cayley_so(skew: Matrix) -> Matrix:
         row, lead = reduced[k], reduced[k][k]
         out.append([Fraction(2 * row.get(n + j, 0) - lead * (j == k), lead) for j in range(n)])
     return out
-
-
-def givens(n: int, i: int, j: int, c: Fraction, s: Fraction) -> Matrix:
-    """Rotation by (c, s) with c^2 + s^2 = 1 in the (i, j) plane, 1-based."""
-    check_indices("rotation index", i, j)
-    if not (1 <= i <= n and 1 <= j <= n) or i == j:
-        raise IndexOutOfRange(f"rotation plane ({i},{j}) is not two distinct indices in 1..{n}")
-    c, s = exact_rational(c), exact_rational(s)
-    if c * c + s * s != 1:
-        raise NotOrthogonal(f"({c}, {s}) is not on the unit circle")
-    g = identity(n)
-    g[i - 1][i - 1] = c
-    g[j - 1][j - 1] = c
-    g[i - 1][j - 1] = -s
-    g[j - 1][i - 1] = s
-    return g
 
 
 def rational_cos_sin(t: Fraction) -> Tuple[Fraction, Fraction]:

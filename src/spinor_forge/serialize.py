@@ -12,9 +12,9 @@ renderings are only encoded: nothing reads them back.
 There is one spinor type, ``ScaledSpinor``, and two spinor formats: the
 twisted one {"n", "r", "m", "scale2", "coeffs": [{"spin", "twist", "re",
 "im"}]} and the untwisted one {"n", "coeffs": [{"eps", "re", "im"}]}, which
-decodes to an m = 0 spinor with scale2 = 1 and can encode nothing else.
-Both encoders write ``ScaledSpinor._entries()``: keys in tuple order, each
-part as "p/q" over the spinor's one denominator, one string per numerator.
+is only decoded, to an m = 0 spinor with scale2 = 1.  The encoder writes
+``ScaledSpinor._entries()``: keys in tuple order, each part as "p/q" over
+the spinor's one denominator, one string per numerator.
 """
 
 from __future__ import annotations
@@ -90,17 +90,6 @@ def _coeff_strings(phi: ScaledSpinor) -> List[Tuple[TwistedIndex, str, str]]:
     gcds = {x: math.gcd(x, den) for x in {v for _, re, im in entries for v in (re, im)}}
     text = {x: f"{x // g}/{den // g}" if g != den else str(x // g) for x, g in gcds.items()}
     return [(key, text[re], text[im]) for key, re, im in entries]
-
-
-def spinor_to_json(psi: ScaledSpinor) -> Dict[str, Any]:
-    if psi.m or psi.scale2 != 1:
-        raise MalformedInput("the untwisted wire format holds only m = 0 spinors with "
-                         f"scale2 = 1, got m = {psi.m}, scale2 = {psi.scale2}")
-    return {
-        "n": psi.n,
-        "coeffs": [{"eps": list(eps), "re": re, "im": im}
-                   for (eps, _), re, im in _coeff_strings(psi)],
-    }
 
 
 def spinor_from_json(obj: Any) -> ScaledSpinor:

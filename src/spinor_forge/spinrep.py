@@ -34,12 +34,13 @@ denominator per spinor, reduced by the content gcd after every public
 operation, so equal spinors have equal layouts; sums run in ints and a
 Fraction appears only in an output.  ``_entries()`` reads the layout back
 in wire order; the tuple-keyed ``coeffs`` view is built from it on
-demand, and the wire encoders read it directly.
+demand, and the wire encoder reads it directly.
 """
 
 from __future__ import annotations
 
 import math
+from collections import abc
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, lru_cache
@@ -87,6 +88,23 @@ def check_indices(what: str, *indices: object) -> None:
     for i in indices:
         if type(i) is not int:
             raise InvalidValue(f"{what} must be an int, got {i!r}")
+
+
+def check_sequence(what: str, value: object) -> Sequence:
+    """value if it is a sequence other than a string; anything else is
+    refused with InvalidValue before it is measured or iterated.  A list or
+    a tuple is let through before the slower abstract check."""
+    if type(value) is list or type(value) is tuple or (
+            isinstance(value, abc.Sequence) and not isinstance(value, str)):
+        return value
+    raise InvalidValue(f"{what} must be a sequence, got {value!r}")
+
+
+def check_mapping(what: str, value: object) -> Mapping:
+    """value if it is a mapping; anything else is refused with InvalidValue."""
+    if type(value) is dict or isinstance(value, abc.Mapping):
+        return value
+    raise InvalidValue(f"{what} must be a mapping, got {value!r}")
 
 
 def index_pair(what: str, key: object) -> Tuple[int, int]:
@@ -185,8 +203,12 @@ class ScaledSpinor:
             object.__setattr__(self, "scale2", exact_rational(self.scale2))
         if self.scale2 <= 0:
             raise ShapeMismatch("scale2 must be a positive rational")
-        coeffs = vars(self).pop("coeffs")  # the view is built from _data when read
-        indices = [self._index(*key) for key in coeffs]  # every key, zero or not
+        coeffs = check_mapping("coeffs", vars(self).pop("coeffs"))  # the view is built from _data
+        try:
+            indices = [self._index(*key) for key in coeffs]  # every key, zero or not
+        except TypeError:  # a key that is not a (spin, twist) pair of tuples
+            raise ShapeMismatch("a coefficient key is not a (spin, twist) pair of sign tuples "
+                                f"of shape (n={self.n}, r={self.r}, m={self.m})") from None
         values = [c if isinstance(c, GaussianRational) else gr(c) for c in coeffs.values()]
         entries = [(idx, c.re, c.im) for idx, c in zip(indices, values) if c]
         den = math.lcm(*(x.denominator for _, re, im in entries for x in (re, im)))
@@ -287,11 +309,12 @@ class ScaledSpinor:
 def SpinorVector(n: int, coeffs: CoeffMap) -> ScaledSpinor:
     """The untwisted spinor sum c_eps u_eps of Delta_n, from {eps: c}: an
     m = 0 ``ScaledSpinor`` with scale2 = 1."""
+    coeffs = check_mapping("coeffs", coeffs)
     return ScaledSpinor(n, 0, 0, {(eps, ()): c for eps, c in coeffs.items()})
 
 
 def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
-    return SpinorVector(n, {tuple(eps): GaussianRational(Fraction(1))})
+    return SpinorVector(n, {tuple(check_sequence("eps", eps)): GaussianRational(Fraction(1))})
 
 
 # One signed flip: (d, x, mask, mixed) sends phi_v to v ^ d times
@@ -385,7 +408,7 @@ class FormTerm:
     def __post_init__(self) -> None:
         if not isinstance(self.coeff, Fraction):
             object.__setattr__(self, "coeff", exact_rational(self.coeff))
-        check_indices("factor", *self.factors)
+        check_indices("factor", *check_sequence("factors", self.factors))
         if list(self.factors) != sorted(set(self.factors)):
             raise IndexOutOfRange(f"factors {self.factors} not strictly increasing")
 
@@ -422,11 +445,11 @@ RationalVector = List[Fraction]
 
 
 def _check_unit_vectors(n: int, vectors: Sequence[Sequence[Rational]]) -> List[RationalVector]:
-    if len(vectors) % 2 != 0:
+    if len(check_sequence("vectors", vectors)) % 2 != 0:
         raise OddLength("group elements are even products of unit vectors")
     clean: List[RationalVector] = []
     for x in vectors:
-        v = [exact_rational(c) for c in x]
+        v = [exact_rational(c) for c in check_sequence("vector", x)]
         if len(v) != n:
             raise ShapeMismatch(f"vector of length {len(v)} in R^{n}")
         if sum(c * c for c in v) != 1:
@@ -446,7 +469,7 @@ def spin_action_on_vector(
     """The SO(n) image of v under the covering of x_1 ... x_2l: the
     composition of the 2l reflections, rightmost first."""
     clean = _check_unit_vectors(n, vectors)
-    out = [exact_rational(c) for c in v]
+    out = [exact_rational(c) for c in check_sequence("vector", v)]
     if len(out) != n:
         raise ShapeMismatch(f"vector of length {len(out)} in R^{n}")
     for x in reversed(clean):

@@ -68,6 +68,7 @@ from .spinrep import (
     _slot_unit,
     _spin_generator,  # kept only for bench/tracing.py, which counts it as a slot action
     check_indices,
+    check_sequence,
     spinor_dim_exponent,
 )
 
@@ -272,7 +273,7 @@ def _vector_terms(X: Sequence[Rational]) -> list:
 
 def tangent_action(X: Sequence[Rational], phi: ScaledSpinor) -> ScaledSpinor:
     """Clifford action of the tangent vector sum(X_j e_j) on the Delta_n slot."""
-    if len(X) != phi.n:
+    if len(check_sequence("vector", X)) != phi.n:
         raise ShapeMismatch(f"vector of length {len(X)} in R^{phi.n}")
     return _on_slot(phi, 0, _vector_terms(X))
 
@@ -379,13 +380,13 @@ def vanishing_identity_failures(
     and since kappa(f_kl) is skew-adjoint and commutes with X^Y (spin slot),
     (3) is -Im<X^Y phi, w>."""
     n, r, m = phi.shape()
-    if len(x) != n or len(y) != n:
+    if len(check_sequence("vector", x)) != n or len(check_sequence("vector", y)) != n:
         raise ShapeMismatch(f"vectors of lengths {len(x)}, {len(y)} in R^{n}")
-    if len(quads) != r * (r - 1) // 2:
+    if len(check_sequence("quadruple lists", quads)) != r * (r - 1) // 2:
         raise ShapeMismatch(f"{len(quads)} quadruple lists for {r * (r - 1) // 2} twist pairs")
     for qs in quads:
-        for quad in qs:
-            check_indices("quadruple index", *quad)
+        for quad in check_sequence("quadruple list", qs):
+            check_indices("quadruple index", *check_sequence("quadruple", quad))
             if len(quad) != 4 or not 1 <= quad[0] < quad[1] < quad[2] < quad[3] <= n:
                 raise IndexOutOfRange(f"quadruple {tuple(quad)} is not 1 <= a < b < c < d <= {n}")
     (xs, ys), _ = _clear_denominators([[exact_rational(c) for c in v] for v in (x, y)])

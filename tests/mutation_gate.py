@@ -175,6 +175,19 @@ MUTANTS = [
      '(index_pair("family key", key) for key in etas)',
      "(key for key in etas)",
      ["tests/test_analysis.py::test_even_clifford_refuses_keys_that_are_not_int_pairs"]),
+    ("even_clifford_verify drops the rank cap", "analysis.py",
+     "    check_dimensions(0, r)  # before any pair of a hostile rank is built\n",
+     "",
+     ["tests/test_analysis.py::test_even_clifford_refuses_a_rank_over_the_cap",
+      "tests/test_contract.py::test_hostile_values_raise_only_typed_errors[even_clifford_verify]"]),
+    ("maps_G_H accepts bools", "catalog.py",
+     "if type(e) is not int or e not in (1, -1):",
+     "if e not in (1, -1):",
+     ["tests/test_catalog.py::test_maps_G_H"]),
+    ("the vanishing harness skips the sequence check", "twisted.py",
+     'check_indices("quadruple index", *check_sequence("quadruple", quad))',
+     'check_indices("quadruple index", *quad)',
+     ["tests/test_analysis.py::test_vanishing_identity_harness_refuses_bad_quadruples"]),
 ]
 
 

@@ -52,8 +52,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import Endo, TwoForm, eta, eta_hat, etas, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
-    givens, nullspace, random_so_matrix, random_unit_vector, rational_cos_sin, spans_equal,
-    transpose,
+    cayley_so, nullspace, random_so_matrix, random_unit_vector, spans_equal, transpose,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_to_json, subalgebra_to_json
@@ -72,7 +71,8 @@ from spinor_forge.twisted import (
 
 from . import oracle
 from .helpers import (
-    chain, naive_mat_mul, plain_nullspace, random_scaled, reference_even_clifford_verify,
+    chain, naive_mat_mul, plain_nullspace, plain_rref, random_scaled,
+    reference_even_clifford_verify,
 )
 
 
@@ -291,14 +291,28 @@ def test_even_clifford_missing_pair():
         even_clifford_verify(fam)
 
 
+def test_even_clifford_refuses_a_rank_over_the_cap(monkeypatch):
+    """The rank r is the largest index of the keys; r > MAX_R raises
+    UnsupportedDimension before any pair of that rank is built, not
+    MissingPair after all of them are."""
+    from spinor_forge.spinrep import MAX_R
+
+    def no_pairs(upper):
+        raise AssertionError(f"built the pairs of rank {upper}")
+
+    j = _hat_family(build_qk_pure(1).spinor)[(1, 2)]
+    monkeypatch.setattr(analysis, "pairs", no_pairs)
+    with pytest.raises(UnsupportedDimension, match=f"r must be <= {MAX_R}"):
+        even_clifford_verify({(1, MAX_R + 1): j})
+
+
 def test_even_clifford_refuses_pairs_it_cannot_index():
     """A key outside 1 <= k < l is refused, not read as a smaller rank or
     silently dropped."""
     from spinor_forge.errors import IndexOutOfRange
     from spinor_forge.forms import Endo
-    from spinor_forge.linalg import identity
 
-    ident = Endo(4, identity(4))
+    ident = Endo(4, [[int(i == j) for j in range(4)] for i in range(4)])
     j = _hat_family(build_qk_pure(1).spinor)[(1, 2)]
     assert even_clifford_verify({(1, 2): j}).ok
     for fam in ({(0, 1): ident}, {(1, 1): ident},
@@ -462,23 +476,10 @@ def test_lie_closure_names_the_first_open_pair():
     assert annihilator([build_qk_pure(1).spinor]).open_pair is None
 
 
-def _rref(rows):
-    """Dense Gauss-Jordan over Fraction: [(pivot column, row)] with each row
-    1 on its own pivot column and 0 on the others."""
-    out = []
-    for row in rows:
-        row = list(row)
-        for q, piv in out:
-            c = row[q]
-            if c:
-                row = [x - c * y for x, y in zip(row, piv)]
-        q = next((k for k, x in enumerate(row) if x), None)
-        if q is None:
-            continue
-        row = [x / row[q] for x in row]
-        out = [(p, [x - r[q] * y for x, y in zip(r, row)]) for p, r in out]
-        out.append((q, row))
-    return out
+def _flat_rref(basis):
+    """``plain_rref`` of the flat coefficient rows of ``basis``."""
+    rows = [x.flat() for x in basis]
+    return plain_rref(rows, len(rows[0]) if rows else 0)
 
 
 def _closure_oracle(basis):
@@ -486,17 +487,18 @@ def _closure_oracle(basis):
     reduced echelon form, and a bracket z lies in the span iff it equals
     sum_k z[q_k] R_k over the pivot columns q_k.  Returns (dim, closed,
     first open pair)."""
-    echelon = _rref(x.flat() for x in basis)
+    rref = _flat_rref(basis)
     for i, j in combinations(range(len(basis)), 2):
-        if any(_residue(bracket(basis[i], basis[j]).flat(), echelon)):
-            return len(echelon), False, (i, j)
-    return len(echelon), True, None
+        if any(_residue(bracket(basis[i], basis[j]).flat(), rref)):
+            return len(rref[1]), False, (i, j)
+    return len(rref[1]), True, None
 
 
-def _residue(z, echelon):
-    """z minus sum_k z[q_k] R_k over the rows R_k of ``_rref``: zero iff z
-    lies in their span."""
-    for q, row in echelon:
+def _residue(z, rref):
+    """z minus sum_k z[q_k] R_k over the rows R_k and pivot columns q_k of
+    ``plain_rref``: zero iff z lies in their span."""
+    rows, pivots = rref
+    for q, row in zip(pivots, rows):
         c = z[q]
         if c:
             z = [x - c * y for x, y in zip(z, row)]
@@ -595,8 +597,10 @@ def test_structure_constants_rebuild_every_bracket(label):
     assert _closure_oracle(basis) == (alg.dim, True, None)
     assert alg.closed and alg.open_pair is None and alg.dim == len(basis)
     size, width = len(basis), len(basis[0].flat())
-    echelon = _rref(x.flat() + [F(i == k) for k in range(size)] for i, x in enumerate(basis))
-    coords = {q: {k: row[width + k] for k in range(size) if row[width + k]} for q, row in echelon}
+    rows, pivots = plain_rref([x.flat() + [F(i == k) for k in range(size)]
+                               for i, x in enumerate(basis)], width + size)
+    coords = {q: {k: row[width + k] for k in range(size) if row[width + k]}
+              for q, row in zip(pivots, rows)}
     terms = [{col: v for col, v in enumerate(x.flat()) if v} for x in basis]
     for i, j in combinations(range(size), 2):
         z = {col: v for col, v in enumerate(bracket(basis[i], basis[j]).flat()) if v}
@@ -877,15 +881,18 @@ def test_lie_bases_are_pinned(tmp_path):
 
 # -- frame independence and equivariance -----------------------------------------
 
-def test_frame_rotation_identity():
-    from spinor_forge.linalg import identity
+IDENTITY3 = [[F(1), F(0), F(0)], [F(0), F(1), F(0)], [F(0), F(0), F(1)]]
 
+
+def test_frame_rotation_identity():
     phi = build_qk_pure(1).spinor
-    assert frame_rotation_check(phi, identity(3), "pure")
+    assert frame_rotation_check(phi, IDENTITY3, "pure")
 
 
 def test_frame_rotation_givens_on_spin7():
-    g = givens(7, 1, 2, F(3, 5), F(4, 5))
+    """The Pythagorean rotation (3/5, 4/5) of the (1, 2) plane of R^7."""
+    g = [[F(int(i == j)) for j in range(7)] for i in range(7)]
+    g[0][0], g[0][1], g[1][0], g[1][1] = F(3, 5), F(-4, 5), F(4, 5), F(3, 5)
     assert frame_rotation_check(build_spin7_pure().spinor, g, "pure")
 
 
@@ -977,12 +984,14 @@ def _dense_certificates(phi, frames):
 def test_certificates_match_dense_oracle(label):
     """Per-pair witnesses of the image-table certificate against dense
     operators, in the standard frame (through check_pure / check_reducing)
-    and in two rotated ones: a random one and a product of Givens rotations
-    over the coprime denominators 5 and 13, so A clears to an integer matrix
-    over 65 and each c_st to an integer over 65^2.  Real and imaginary parts
-    carry different, coprime denominators, so a common denominator taken
-    from one part alone is wrong.  qk1_moved is qk(1) moved by a twist
-    rotation: still pure, with eta_st over the denominators 25, 1 and 25."""
+    and in two rotated ones: a random one and a product of two plane
+    rotations, the Cayley transforms of t = 1/2 in the (1, 2) plane and of
+    t = 2/3 in the (2, r) plane, over the coprime denominators 5 and 13, so
+    A clears to an integer matrix over 65 and each c_st to an integer over
+    65^2.  Real and imaginary parts carry different, coprime denominators,
+    so a common denominator taken from one part alone is wrong.  qk1_moved
+    is qk(1) moved by a twist rotation: still pure, with eta_st over the
+    denominators 25, 1 and 25."""
     rng = random.Random(label)
     if label == "qk1":
         phi = build_qk_pure(1).spinor
@@ -999,8 +1008,10 @@ def test_certificates_match_dense_oracle(label):
         phi = ScaledSpinor(n, r, 2, coeffs, F(3, 5))
     identity = [[F(int(i == j)) for j in range(phi.r)] for i in range(phi.r)]
     rotation = random_so_matrix(phi.r, rng, bound=2)
-    (c1, s1), (c2, s2) = rational_cos_sin(F(1, 2)), rational_cos_sin(F(2, 3))
-    coprime = naive_mat_mul(givens(phi.r, 1, 2, c1, s1), givens(phi.r, 2, phi.r, c2, s2))
+    skews = [[[F(0)] * phi.r for _ in range(phi.r)] for _ in range(2)]
+    for skew, (i, j), t in zip(skews, ((0, 1), (1, phi.r - 1)), (F(1, 2), F(2, 3))):
+        skew[i][j], skew[j][i] = t, -t
+    coprime = naive_mat_mul(*(cayley_so(skew) for skew in skews))
     assert {x.denominator for row in coprime for x in row} == {1, 5, 13, 65}
     frames = (rotation, coprime)
     want_standard, *want_rotated = _dense_certificates(phi, (identity, *frames))
@@ -1013,6 +1024,44 @@ def test_certificates_match_dense_oracle(label):
                 assert all(dn2 for dn2, _ in want[kind].values())
     if label.startswith("qk1"):
         assert all(want["pure"] == {p: (F(0), True) for p in pairs(3)} for want in want_rotated)
+
+
+def _dense_verdict(certificate):
+    """True iff every pair of a ``_dense_certificates`` entry passes."""
+    return all(dn2 == 0 and flag for dn2, flag in certificate.values())
+
+
+@pytest.mark.parametrize("label", ["qk1", "generic4", "random"])
+def test_frame_and_equivariance_harnesses_match_the_dense_certificates(label):
+    """``frame_rotation_check`` is True exactly when the dense oracle's
+    verdict in the rotated frame equals the one in the standard frame, and
+    ``equivariance_check`` exactly when the dense verdict of phi moved by
+    [g, h] (g x1 x2 on the spin slot, h on every twist slot, each product
+    applied right to left in dense operators) equals phi's, in both kinds,
+    for a pure, a reducing and a random spinor."""
+    rng = random.Random(12)
+    phi = {"qk1": build_qk_pure(1).spinor, "generic4": build_generic_reducing(4).spinor,
+           "random": random_scaled(4, 3, 2, rng, terms=5)}[label]
+    shape, n, r = phi.shape(), phi.n, phi.r
+    identity = [[F(int(i == j)) for j in range(r)] for i in range(r)]
+    a = random_so_matrix(r, rng, bound=1)
+    g = [random_unit_vector(n, rng) for _ in range(2)]
+    h = [random_unit_vector(r, rng) for _ in range(2)]
+    moved = oracle.vector(phi)
+    for slot, vectors in [(0, g)] + [(slot, h) for slot in range(1, phi.m + 1)]:
+        for x in reversed(vectors):
+            moved = oracle.act(shape, [(slot, (j,), c) for j, c in enumerate(x, 1)], moved)
+    moved_phi = twisted_group_action(g, h, phi)
+    assert oracle.vector(moved_phi) == moved
+    standard, rotated = _dense_certificates(phi, (identity, a))
+    [at_moved] = _dense_certificates(moved_phi, (identity,))
+    verdicts = set()
+    for kind in ("pure", "reducing"):
+        base = _dense_verdict(standard[kind])
+        verdicts.add(base)
+        assert frame_rotation_check(phi, a, kind) is (_dense_verdict(rotated[kind]) == base)
+        assert equivariance_check(phi, g, h, kind) is (_dense_verdict(at_moved[kind]) == base)
+    assert verdicts == {"qk1": {True, False}, "generic4": {False, True}, "random": {False}}[label]
 
 
 def test_frame_rotation_on_non_pure_spinor():
@@ -1032,11 +1081,9 @@ def test_frame_rotation_without_twist_pairs():
 
 
 def test_frame_and_equivariance_reject_unknown_kind():
-    from spinor_forge.linalg import identity
-
     phi = build_qk_pure(1).spinor
     with pytest.raises(InvalidValue, match="purest"):
-        frame_rotation_check(phi, identity(3), "purest")
+        frame_rotation_check(phi, IDENTITY3, "purest")
     with pytest.raises(InvalidValue, match="purest"):
         equivariance_check(phi, [], [], "purest")
     assert issubclass(InvalidValue, SpinorForgeError) and issubclass(InvalidValue, ValueError)
@@ -1145,9 +1192,9 @@ def test_annihilator_is_equivariant():
         moved = annihilator([twisted_group_action(g, h, phi) for phi in spinors])
         assert here.closed and (moved.dim, moved.closed) == (here.dim, here.closed), label
         a, b = _rotation(n, g), _rotation(r, h)
-        echelon = _rref(x.flat() for x in moved.basis)
+        rref = _flat_rref(moved.basis)
         for x in here.basis:
-            assert not any(_residue(_adjoint(x, a, b).flat(), echelon)), label
+            assert not any(_residue(_adjoint(x, a, b).flat(), rref)), label
     assert time.monotonic() - t0 < 5.0
 
 
@@ -1210,17 +1257,21 @@ def test_vanishing_identity_harness_holds_on_the_catalog_and_checks_its_shapes()
     ((1, 1, 2, 3), IndexOutOfRange), ((0, 1, 2, 3), IndexOutOfRange),
     ((4, 3, 2, 1), IndexOutOfRange), ((1, 2, 3, 9), IndexOutOfRange),
     ((1, 2, 3), IndexOutOfRange), ((1, 2, 3, 4, 5), IndexOutOfRange),
+    pytest.param([5], InvalidValue, id="list [5]"), pytest.param(5, InvalidValue, id="list 5"),
+    pytest.param(None, InvalidValue, id="list None"),
 ])
 def test_vanishing_identity_harness_refuses_bad_quadruples(monkeypatch, quad, error):
-    """A quadruple entry that is not an int raises InvalidValue, and a
-    quadruple that is not 1 <= a < b < c < d <= n raises IndexOutOfRange,
-    before anything is walked: (True, 2, 3, 4) is not read as (1, 2, 3, 4),
-    nor (1, 1, 2, 3) as e_2 e_3."""
+    """A quadruple entry that is not an int, or a quadruple or a list of
+    them that is not a sequence, raises InvalidValue, and a quadruple that
+    is not 1 <= a < b < c < d <= n raises IndexOutOfRange, before anything
+    is walked: (True, 2, 3, 4) is not read as (1, 2, 3, 4), nor (1, 1, 2, 3)
+    as e_2 e_3.  A tuple is one quadruple after a good one; anything else
+    is the last twist pair's whole list."""
     phi = build_spin7_pure().spinor  # n = 8
     x, y = list(range(1, 9)), list(range(8, 0, -1))
     quads = [[(1, 2, 3, 4)] for _ in pairs(phi.r)]
     assert vanishing_identity_failures(phi, x, y, quads) == 0
-    quads[-1] = [(2, 3, 5, 8), quad]
+    quads[-1] = [(2, 3, 5, 8), quad] if type(quad) is tuple else quad
 
     def walk(*args):
         raise AssertionError("walked before the quadruples were checked")

@@ -26,7 +26,7 @@ from spinor_forge.twisted import ScaledSpinor, form_action_on_spin_slot, norm2, 
 def test_maps_G_H():
     assert maps_G_H((1, -1)) == ((1, 1, -1, -1), 1)
     assert maps_G_H((1, 1, 1)) == ((1, 1, 1, 1, 1, 1), 0)
-    for bad in ((0,), (1, 2), (1, -1, 3)):
+    for bad in ((0,), (1, 2), (1, -1, 3), [True], (1, -1.0)):  # a bool is not read as +1
         with pytest.raises(InvalidValue, match="entries must be"):
             maps_G_H(bad)
     # level sizes follow binomials; total 2^m

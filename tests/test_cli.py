@@ -9,8 +9,6 @@ import pytest
 
 from spinor_forge import cli
 from spinor_forge.cli import main
-from spinor_forge.serialize import spinor_to_json
-from spinor_forge.spinrep import SpinorVector, basis_spinor
 
 
 def run(capsys, *argv):
@@ -87,7 +85,7 @@ def test_catalog_emit_and_annihilator(tmp_path, capsys):
 
 def test_verify_spinc_file(tmp_path, capsys):
     proto = tmp_path / "proto.json"
-    proto.write_text(json.dumps(spinor_to_json(basis_spinor(4, (1, 1)))))
+    proto.write_text(json.dumps({"n": 4, "coeffs": [{"eps": [1, 1], "re": "1", "im": "0"}]}))
     code, out, _ = run(capsys, "verify", "spinc", "--in", str(proto))
     assert code == 0 and "true" in out
 
@@ -99,7 +97,7 @@ def test_verify_spinc_rejects_catalog(capsys):
 
 def test_zero_spinor_rejected(tmp_path, capsys):
     zero = tmp_path / "zero.json"
-    zero.write_text(json.dumps(spinor_to_json(SpinorVector(4, {}))))
+    zero.write_text(json.dumps({"n": 4, "coeffs": []}))
     code, _, err = run(capsys, "verify", "spinc", "--in", str(zero))
     assert code == 2 and "zero" in err.lower()
 

@@ -1,9 +1,11 @@
 """Rules on the library source itself."""
 
 import ast
+import re
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "spinor_forge"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "spinor_forge"
 
 
 def test_library_has_no_assert_statements():
@@ -90,7 +92,7 @@ def test_only_the_kernel_modules_name_the_flip_kernel():
 # The tests' one dense model of the spinor space, and the building blocks
 # that no test module may define again.
 TESTS = Path(__file__).resolve().parent
-DENSE_NAMES = {"kron", "dense_generator", "apply_factor", "_slot_operator"}
+DENSE_NAMES = {"kron", "dense_generator", "apply_factor", "_slot_operator", "_rref"}
 
 
 def _imports(tree):
@@ -117,9 +119,10 @@ def test_the_oracle_is_independent_of_the_kernel():
 
 def test_test_modules_share_no_dense_model():
     """No ``test_*.py`` defines a dense building block (``kron``,
-    ``dense_generator``, ``apply_factor``, ``_slot_operator``) or imports a
-    helper from another ``test_*.py``: the dense model is ``oracle.py``,
-    shared draws are ``helpers.py``."""
+    ``dense_generator``, ``apply_factor``, ``_slot_operator``) or a second
+    reduced row echelon form (``_rref``), or imports a helper from another
+    ``test_*.py``: the dense model is ``oracle.py``, shared draws and the
+    one Fraction RREF (``plain_rref``) are ``helpers.py``."""
     files = sorted(TESTS.glob("test_*.py"))
     assert len(files) > 10
     found = []
@@ -133,4 +136,36 @@ def test_test_modules_share_no_dense_model():
                           if isinstance(t, ast.Name) and t.id in DENSE_NAMES]
         found += [f"{path.name}:{line}: imports {name}" for line, name, _ in _imports(tree)
                   if any(part.startswith("test_") for part in name.split("."))]
+    assert not found, found
+
+
+def _public_names_of_all(tree):
+    [names] = [ast.literal_eval(node.value) for node in tree.body if isinstance(node, ast.Assign)
+               and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)]
+    return set(names)
+
+
+def test_every_public_name_has_a_caller():
+    """Every module-level function or class of ``src/`` without a leading
+    underscore is named in the code of another line of ``src/`` (a name or
+    an attribute, not a docstring), is in ``__all__``, or is named in a file
+    under ``bench/``, which calls some functions by module.  There is no
+    allow-list: once ``bench/`` stops naming a function, this flags it."""
+    trees = {path: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    exported = _public_names_of_all(trees[SRC / "__init__.py"])
+    named = [(path, node.lineno, _identifier(node)) for path, tree in trees.items()
+             for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))]
+    bench = {word for path in sorted((ROOT / "bench").rglob("*.py"))
+             for word in re.findall(r"\w+", path.read_text())}
+    found = []
+    for path, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            own = range(node.lineno, node.end_lineno + 1)  # its own lines, recursion included
+            called = any(name == node.name and not (where == path and line in own)
+                         for where, line, name in named)
+            if not (called or node.name in exported or node.name in bench):
+                found.append(f"{path.name}:{node.lineno}:{node.name}")
     assert not found, found

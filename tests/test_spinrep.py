@@ -10,7 +10,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.analysis import AmbientElement
 from spinor_forge.forms import eta, two_form_from_terms
-from spinor_forge.linalg import givens, random_unit_vector
+from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
@@ -338,7 +338,6 @@ TWISTED = ScaledSpinor(4, 3, 1, {((1, 1), ((1,),)): gr(1)})
     lambda: eta(TWISTED, True, 2),
     lambda: FormTerm((1.0, 2)),
     lambda: mu_slot(True, [FormTerm((1,))], TWISTED),
-    lambda: givens(3, True, 2, F(3, 5), F(4, 5)),
     lambda: twist_bivector_action(True, 2, TWISTED),
     lambda: twist_bivector_action(1.0, 2, TWISTED),
     lambda: twist_bivector_action(1, 2.0, TWISTED),
@@ -346,7 +345,7 @@ TWISTED = ScaledSpinor(4, 3, 1, {((1, 1), ((1,),)): gr(1)})
     lambda: kappa_generator(4, 1.0, TWISTED),
 ], ids=["2-form a=1.0", "2-form a=True", "2-form triple", "ambient a=1.0", "ambient (1,)",
         "ambient b k=True", "eta k=1.0", "eta k=True", "FormTerm 1.0", "mu_slot a=True",
-        "givens i=True", "twist bivector k=True", "twist bivector k=1.0",
+        "twist bivector k=True", "twist bivector k=1.0",
         "twist bivector l=2.0", "generator i=True", "generator i=1.0"])
 def test_indices_must_be_ints(make):
     """An index that is not an int, a bool included, or a pair key that is

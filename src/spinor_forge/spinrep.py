@@ -25,10 +25,12 @@ x, times i if mixed, with x = +-1.  A product of generators folds into
 one such record (``_monomial``, the one place their phases add up), the
 products e_a e_b, a < b, have one table of them, ``_pair_acts``, and a
 twist slot shifts d and mask to its bits.  Induced forms, 2-forms,
-annihilator columns and every slot action read these records; a walk
-(``twisted._walk``) takes them as they are, x times a coefficient, groups
-them by d itself and goes over phi once per distinct d, and nothing of
-size 2^k x 2^k is built.
+annihilator columns and every slot action read these records.  ``_walk``
+is the one code that applies them: it takes a list of records as they
+are, x times a coefficient, groups them by d itself and goes over phi
+once per distinct d, and nothing of size 2^k x 2^k is built; a lone
+generator (``_generator_on_map``) and gamma (``gamma_apply``) are walks
+of one record.
 Coefficients are (int re, int im) pairs over one positive integer
 denominator per spinor, reduced by the content gcd after every public
 operation, so equal spinors have equal layouts; sums run in ints and a
@@ -323,33 +325,68 @@ def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
 Flip = Tuple[int, int, int, int]
 
 
-def _slot_unit(offset: int, dim: int, i: int) -> Flip:
+def _slot_unit(dim: int, i: int) -> Flip:
     """The signed flip (d, x, mask, mixed) of generator i of a Delta_dim
-    slot whose bits start at ``offset``: (bit, 1, tail, 1) for g1, (bit,
-    -1, tail | bit, 0) for g2 and (0, 1, slot mask, 1) for the odd-n
-    generator."""
+    slot whose bits start at 0: (bit, 1, tail, 1) for g1, (bit, -1, tail |
+    bit, 0) for g2 and (0, 1, slot mask, 1) for the odd-n generator."""
     if not 1 <= i <= dim:
         raise IndexOutOfRange(f"generator index {i} outside 1..{dim}")
     k = spinor_dim_exponent(dim)
     if dim % 2 == 1 and i == dim:  # i * (T x ... x T): parity of the whole slot
-        return 0, 1, ((1 << k) - 1) << offset, 1
-    bit = 1 << (offset + (i + 1) // 2 - 1)
-    tail = bit - (1 << offset)  # the slot's bits below the flipped one
+        return 0, 1, (1 << k) - 1, 1
+    bit = 1 << ((i + 1) // 2 - 1)
+    tail = bit - 1  # the slot's bits below the flipped one
     return (bit, 1, tail, 1) if i % 2 == 1 else (bit, -1, tail | bit, 0)
 
 
+def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
+    """The one kernel: sum over the signed flips (d, x, mask, mixed), x any
+    int, on an integer map, over the same denominator.  The flips are
+    grouped by d, and data is walked once per d: the signed x of d's flips
+    sum to cr + i ci, and (cr + i ci) data_v goes to v ^ d (a lone flip is
+    a unit multiple of x, so nothing cancels in it).  v -> v ^ d is
+    one-to-one, so the first d's image is the sum so far, and each later
+    one is merged in; cancelled entries are dropped.  No generator is
+    applied."""
+    groups: Dict[int, List[Flip]] = {}
+    for flip in flips:
+        groups.setdefault(flip[0], []).append(flip)
+    acc: IntCoeffMap = {}
+    for d, group in groups.items():
+        if len(group) == 1:
+            [(_, x, mask, mixed)] = group
+            neg = -x
+            if mixed:  # i x (pr + i pi) = (-x pi, x pr)
+                img = {v ^ d: (x * pi, neg * pr) if (v & mask).bit_count() & 1
+                       else (neg * pi, x * pr) for v, (pr, pi) in data.items()}
+            else:
+                img = {v ^ d: (neg * pr, neg * pi) if (v & mask).bit_count() & 1
+                       else (x * pr, x * pi) for v, (pr, pi) in data.items()}
+        else:
+            img = {}
+            for v, (pr, pi) in data.items():
+                cr = ci = 0
+                for _, x, mask, mixed in group:
+                    if (v & mask).bit_count() & 1:
+                        x = -x
+                    if mixed:
+                        ci += x
+                    else:
+                        cr += x
+                if cr or ci:
+                    img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
+        if acc:
+            _merge(acc, img)
+        else:
+            acc = img
+    return acc
+
+
 def _generator_on_map(data: IntCoeffMap, d: int, x: int, mask: int, mixed: int) -> IntCoeffMap:
-    """One signed flip of ``_slot_unit`` on an integer coefficient map; a
-    unit multiple of a nonzero coefficient is nonzero, so nothing is dropped."""
-    out: IntCoeffMap = {}
-    neg = x < 0  # x = -1 adds one to every parity
-    if mixed:  # i (re + i im) = (-im, re)
-        for idx, (re, im) in data.items():
-            out[idx ^ d] = (im, -re) if ((idx & mask).bit_count() + neg) & 1 else (-im, re)
-    else:
-        for idx, (re, im) in data.items():
-            out[idx ^ d] = (-re, -im) if ((idx & mask).bit_count() + neg) & 1 else (re, im)
-    return out
+    """One signed flip of ``_slot_unit`` on an integer coefficient map: a
+    ``_walk`` of the one record.  Nothing in ``src/`` calls it but the
+    generator path that ``bench/`` counts and times."""
+    return _walk(((d, x, mask, mixed),), data)
 
 
 @lru_cache(maxsize=1 << 14)  # bounded: a caller may pass any of 2^dim products
@@ -366,7 +403,7 @@ def _monomial(dim: int, factors: Tuple[int, ...]) -> Flip:
     mask shift left by o."""
     d = mask = phase = 0
     for i in reversed(factors):
-        f, y, m, mixed = _slot_unit(0, dim, i)
+        f, y, m, mixed = _slot_unit(dim, i)
         phase += 2 * ((d & m).bit_count() + (y < 0)) + mixed
         d ^= f
         mask ^= m
@@ -386,7 +423,7 @@ def _pair_acts(dim: int) -> Dict[Tuple[int, int], Flip]:
 
 def _spin_generator(phi: ScaledSpinor, i: int, data: IntCoeffMap) -> IntCoeffMap:
     """kappa(e_i) on the Delta_n slot of an integer coefficient map of phi's shape."""
-    return _generator_on_map(data, *_slot_unit(0, phi.n, i))
+    return _generator_on_map(data, *_slot_unit(phi.n, i))
 
 
 def kappa_generator(n: int, i: int, psi: ScaledSpinor) -> ScaledSpinor:
@@ -422,23 +459,18 @@ def gamma_apply(psi: ScaledSpinor) -> ScaledSpinor:
     vectors: alpha.u_eps = -eps*i*u_(-eps), beta.u_eps = u_(-eps), so the whole
     map flips every tuple entry (every bit), conjugates the coefficient and
     multiplies by i^A (-1)^p, A the number of alpha positions and p the
-    parity of the +1 entries at them.  gamma^2 = +Id for n = 0,1,6,7 (mod 8)
-    and -Id for n = 2,3,4,5 (mod 8).
+    parity of the +1 entries at them: one ``_walk`` of the record (all k
+    bits, x, the alpha bits, mixed), x i^mixed = i^A, on the conjugated
+    coefficients.  gamma^2 = +Id for n = 0,1,6,7 (mod 8) and -Id for
+    n = 2,3,4,5 (mod 8).
     """
     if psi.m:
         raise ShapeMismatch(f"gamma acts on Delta_n alone, got m = {psi.m}")
     k = spinor_dim_exponent(psi.n)
+    turns = (k + 1) // 2  # A; i^A is x = -1 when A & 2, times i when A & 1
     alpha = sum(1 << (k - 1 - t) for t in range(0, k, 2))
-    turns = ((k + 1) // 2) % 4
-    out: IntCoeffMap = {}
-    for idx, (re, im) in psi._data.items():
-        im = -im
-        for _ in range(turns):  # times i
-            re, im = -im, re
-        if (idx & alpha).bit_count() & 1:
-            re, im = -re, -im
-        out[idx ^ ((1 << k) - 1)] = (re, im)
-    return psi._with(psi._den, out)
+    conj = {idx: (re, -im) for idx, (re, im) in psi._data.items()}
+    return psi._with(psi._den, _walk((((1 << k) - 1, -1 if turns & 2 else 1, alpha, turns & 1),), conj))
 
 
 RationalVector = List[Fraction]
@@ -468,6 +500,7 @@ def spin_action_on_vector(
 ) -> RationalVector:
     """The SO(n) image of v under the covering of x_1 ... x_2l: the
     composition of the 2l reflections, rightmost first."""
+    check_dimensions(n)
     clean = _check_unit_vectors(n, vectors)
     out = [exact_rational(c) for c in check_sequence("vector", v)]
     if len(out) != n:

@@ -8,17 +8,12 @@ coefficient vector, which keeps all arithmetic inside Q(i) while representing
 irrational global normalizations exactly.  Every sesquilinear quantity is
 multiplied by scale2; purely linear operations leave it untouched.
 
-Everything here runs on the kernel layout of ``spinrep``: an int index per
-basis vector (spin bits lowest, then each twist slot's, a set bit meaning
-+1) and int (re, im) pairs over one denominator D per spinor.  Every
-Clifford monomial on a slot is one signed flip (d, x, mask, mixed),
-``spinrep._monomial``, with phi_v going to v ^ d times (-1)^parity(v &
-mask) x, times i if mixed; a twist slot shifts d and mask to its bits.
-``_walk`` is the one kernel that builds: it groups a list of these
-records, x times an integer coefficient, by d and walks phi once per
-distinct d.  ``_pair`` pairs one record: it sums the integer <A.a, b>,
-each a_v against b_(v ^ d), with no image built; ``twisted_hermitian``
-and the reality identities (``vanishing_identity_failures``) run on it.
+Everything here runs on the kernel layout and the signed flip records
+(d, x, mask, mixed) that the ``spinrep`` docstring states, and builds
+through its one walk ``spinrep._walk``.  ``_pair`` pairs one record: it
+sums the integer <A.a, b>, each a_v against b_(v ^ d), with no image
+built; ``twisted_hermitian`` and the reality identities
+(``vanishing_identity_failures``) run on it.
 A slot action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
 ``twisted_group_action``) clears its rational coefficients to integers
 and walks its flips once (``_slot_acts``); a twist bivector f_k f_l reads
@@ -67,6 +62,7 @@ from .spinrep import (
     _pair_acts,
     _slot_unit,
     _spin_generator,  # kept only for bench/tracing.py, which counts it as a slot action
+    _walk,
     check_indices,
     check_sequence,
     spinor_dim_exponent,
@@ -79,7 +75,7 @@ def _twist_generator(phi: ScaledSpinor, slot: int, i: int, data: IntCoeffMap) ->
     action is a signed-flip walk (``_walk``).  It stays because
     ``bench/tracing.py`` counts it among the slot actions."""
     ks, kt = spinor_dim_exponent(phi.n), spinor_dim_exponent(phi.r)
-    return _generator_on_map(data, *_slot_unit(ks + (slot - 1) * kt, phi.r, i))
+    return _generator_on_map(data, *_shifted(_slot_unit(phi.r, i), 1, ks + (slot - 1) * kt))
 
 
 def _shifted(flip: Flip, c: int, off: int) -> Flip:
@@ -87,49 +83,6 @@ def _shifted(flip: Flip, c: int, off: int) -> Flip:
     start at ``off``."""
     d, x, mask, mixed = flip
     return d << off, c * x, mask << off, mixed
-
-
-def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
-    """The one kernel: sum over the signed flips (d, x, mask, mixed), x any
-    int, on an integer map, over the same denominator.  The flips are
-    grouped by d, and data is walked once per d: the signed x of d's flips
-    sum to cr + i ci, and (cr + i ci) data_v goes to v ^ d (a lone flip is
-    a unit multiple of x, so nothing cancels in it).  v -> v ^ d is
-    one-to-one, so the first d's image is the sum so far, and each later
-    one is merged in; cancelled entries are dropped.  No generator is
-    applied."""
-    groups: Dict[int, List[Flip]] = {}
-    for flip in flips:
-        groups.setdefault(flip[0], []).append(flip)
-    acc: IntCoeffMap = {}
-    for d, group in groups.items():
-        if len(group) == 1:
-            [(_, x, mask, mixed)] = group
-            neg = -x
-            if mixed:  # i x (pr + i pi) = (-x pi, x pr)
-                img = {v ^ d: (x * pi, neg * pr) if (v & mask).bit_count() & 1
-                       else (neg * pi, x * pr) for v, (pr, pi) in data.items()}
-            else:
-                img = {v ^ d: (neg * pr, neg * pi) if (v & mask).bit_count() & 1
-                       else (x * pr, x * pi) for v, (pr, pi) in data.items()}
-        else:
-            img = {}
-            for v, (pr, pi) in data.items():
-                cr = ci = 0
-                for _, x, mask, mixed in group:
-                    if (v & mask).bit_count() & 1:
-                        x = -x
-                    if mixed:
-                        ci += x
-                    else:
-                        cr += x
-                if cr or ci:
-                    img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
-        if acc:
-            _merge(acc, img)
-        else:
-            acc = img
-    return acc
 
 
 # The identity as one signed flip: d = 0, x = 1, no mask, not mixed.

@@ -1,8 +1,9 @@
 """Seeded draws and small exact helpers that several test modules share.
 
 The dense model of the spinor space is in ``oracle.py``; this module holds
-what is not part of it: the generator chain and the definition of an
-induced form, which read the library's own generators, and the plain
+what is not part of it: the generator chain, which steps by the oracle's
+sparse generators, the definition of an induced form, which reads the
+library's own generators, and the plain
 Fraction Gauss-Jordan oracle of ``linalg`` (``plain_rref``,
 ``plain_nullspace``), which ``test_linalg`` and the commutant's wide-system
 oracle in ``test_analysis`` share, and the exhaustive even-Clifford check
@@ -10,6 +11,7 @@ oracle in ``test_analysis`` share, and the exhaustive even-Clifford check
 another.
 """
 
+import math
 from fractions import Fraction as F
 from itertools import combinations, permutations
 from typing import Dict
@@ -18,10 +20,10 @@ from spinor_forge.analysis import RelationReport, pairs
 from spinor_forge.errors import EmptyInput, IndexOutOfRange, MissingPair, ShapeMismatch
 from spinor_forge.forms import Endo, two_form_from_terms
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import (
-    ScaledSpinor, _generator_on_map, _slot_unit, all_basis_indices, kappa_generator,
-)
+from spinor_forge.spinrep import ScaledSpinor, all_basis_indices, kappa_generator
 from spinor_forge.twisted import twisted_hermitian
+
+from . import oracle
 
 
 def random_gaussian(rng):
@@ -109,17 +111,23 @@ def definition_form(w, phi):
 
 def chain(phi, slot, terms):
     """sum c e_(i1)...e_(is) . phi over (factors, c) terms on slot ``slot``
-    (0 = Delta_n, a = twist slot a), one generator at a time by
-    ``_generator_on_map``, rightmost first; reads no table."""
-    dim = phi.r if slot else phi.n
-    offset = phi.n // 2 + (slot - 1) * (phi.r // 2) if slot else 0
-    out = phi.scale(gr(0))
+    (0 = Delta_n, a = twist slot a), one generator at a time by the oracle's
+    sparse step ``oracle.monomial_on_basis``, rightmost first; reads no
+    table and no flip record of the library.  The sums run in ints over
+    D * E, D phi's denominator and E the lcm of the c's."""
+    terms = [(factors, F(c)) for factors, c in terms]
+    den = math.lcm(*(c.denominator for _, c in terms))
+    ints = {key: (re, im) for key, re, im in phi._entries()}
+    acc = {}
     for factors, c in terms:
-        data = phi._data
-        for i in reversed(factors):
-            data = _generator_on_map(data, *_slot_unit(offset, dim, i))
-        out = out + phi._with(phi._den, data).scale(gr(c))
-    return out
+        c = c.numerator * (den // c.denominator)
+        for key, (image, p) in oracle.monomial_on_basis(phi.shape(), slot, factors, ints).items():
+            re, im = ints[key]
+            for _ in range(p):  # times i
+                re, im = -im, re
+            s = acc.get(image, (0, 0))
+            acc[image] = (s[0] + c * re, s[1] + c * im)
+    return phi._with(phi._den * den, {phi._index(*key): z for key, z in acc.items() if any(z)})
 
 
 def reference_even_clifford_verify(etas: Dict[tuple, Endo]) -> RelationReport:

@@ -39,17 +39,18 @@ RECORDS = KERNEL + "test_walk_and_pair_are_sums_over_their_records"
 EQUIVARIANT = "tests/test_analysis.py::test_annihilator_is_equivariant"
 FIRST_VIOLATION = "tests/test_analysis.py::test_even_clifford_names_the_first_violation"
 CLIFFORD_REFERENCE = "tests/test_analysis.py::test_even_clifford_matches_the_exhaustive_reference"
+GAMMA = "tests/test_spinrep.py::test_gamma_matches_dense_oracle"
 
 MUTANTS = [
-    ("_walk keeps one record per d", "twisted.py",
+    ("_walk keeps one record per d", "spinrep.py",
      "groups.setdefault(flip[0], []).append(flip)",
      "groups[flip[0]] = [flip]",
      [RECORDS]),
-    ("_walk's multi-record path ignores the mask parity", "twisted.py",
+    ("_walk's multi-record path ignores the mask parity", "spinrep.py",
      "                    if (v & mask).bit_count() & 1:\n                        x = -x",
      "                    if False:\n                        x = -x",
      [RECORDS]),
-    ("_walk's lone path ignores mixed", "twisted.py",
+    ("_walk's lone path ignores mixed", "spinrep.py",
      "            if mixed:  # i x (pr + i pi) = (-x pi, x pr)",
      "            if False:  # i x (pr + i pi) = (-x pi, x pr)",
      [RECORDS, KERNEL + "test_tangent_action_matches_dense_oracle"]),
@@ -61,6 +62,10 @@ MUTANTS = [
      "    if mixed:  # i x (sr + i si)",
      "    if False:  # i x (sr + i si)",
      [RECORDS, KERNEL + "test_pair_matches_dense_oracle"]),
+    ("_twist_generator drops the spin slot's offset", "twisted.py",
+     "_shifted(_slot_unit(phi.r, i), 1, ks + (slot - 1) * kt)",
+     "_shifted(_slot_unit(phi.r, i), 1, (slot - 1) * kt)",
+     ["tests/test_pair_table.py::test_twist_generator_matches_the_dense_oracle"]),
     ("_bivector_map leaves twist records unscaled by x", "twisted.py",
      "            flips.extend([(d, s * x, mask, mixed)",
      "            flips.extend([(d, s, mask, mixed)",
@@ -180,6 +185,14 @@ MUTANTS = [
      "",
      ["tests/test_analysis.py::test_even_clifford_refuses_a_rank_over_the_cap",
       "tests/test_contract.py::test_hostile_values_raise_only_typed_errors[even_clifford_verify]"]),
+    ("gamma_apply skips the conjugation", "spinrep.py",
+     "conj = {idx: (re, -im) for idx",
+     "conj = {idx: (re, im) for idx",
+     [GAMMA]),
+    ("gamma_apply drops the alpha mask", "spinrep.py",
+     "    alpha = sum(1 << (k - 1 - t) for t in range(0, k, 2))\n",
+     "    alpha = 0\n",
+     [GAMMA]),
     ("maps_G_H accepts bools", "catalog.py",
      "if type(e) is not int or e not in (1, -1):",
      "if e not in (1, -1):",

@@ -19,6 +19,13 @@ in Z[i], so ``vector(phi)`` is sqrt(2)^K times phi's coefficient vector, K
 the number of C^2 factors, and ``norm(shape)`` = 2^K is the squared length
 of one such vector.
 
+``monomial_on_basis`` applies the same generators to the basis u_eps
+without a dense vector: carried through ``_raw`` to the basis u_+, u_- of
+its C^2 factor, each block is a unit times a permutation, so a product of
+generators sends u_eps to a power of i times another basis vector, and
+shapes too large for ``vector`` are served.  ``gamma`` is the real or
+quaternionic structure of Delta_n, from its antilinear 2x2 blocks.
+
 A spinor is read only through ``shape()``, ``scale2`` and ``coeffs``, and
 nothing of ``spinor_forge`` but its scalar type is imported.
 """
@@ -52,15 +59,21 @@ def _identity(size):
     return tuple((i, gr(1)) for i in range(size))
 
 
-def generator(dim, i):
-    """e_i on Delta_dim."""
+def _blocks(dim, i):
+    """(scalar, blocks): e_i on Delta_dim is the scalar times the Kronecker
+    product of the 2x2 blocks, leftmost factor first."""
     k = dim // 2
     if dim % 2 and i == dim:
-        op, factors = ((0, _I),), [T] * k
-    else:
-        j = (i + 1) // 2
-        op, factors = ((0, gr(1)),), [ID] * (k - j) + [G1 if i % 2 else G2] + [T] * (j - 1)
-    for f in factors:
+        return _I, [T] * k
+    j = (i + 1) // 2
+    return gr(1), [ID] * (k - j) + [G1 if i % 2 else G2] + [T] * (j - 1)
+
+
+def generator(dim, i):
+    """e_i on Delta_dim."""
+    scalar, blocks = _blocks(dim, i)
+    op = ((0, scalar),)
+    for f in blocks:
         op = kron(op, f)
     return op
 
@@ -99,6 +112,60 @@ def act(shape, terms, vec):
     return out
 
 
+_UNITS = (gr(1), _I, gr(-1), -_I)  # i^p, p = 0..3
+
+
+def _in_sign_basis(block):
+    """{s: (t, p)}: ``block`` sends u_s to i^p u_t, in the basis u_+, u_- of
+    one C^2 factor (``_raw``); each block of a generator is a unit times a
+    permutation in that basis too, and unpacking the one nonzero image
+    checks it."""
+    out = {}
+    for s, unit in ((1, (gr(1), gr(0))), (-1, (gr(0), gr(1)))):
+        image = zip((1, -1), _unraw(*apply(block, list(_raw(*unit)))))
+        [(t, z)] = [(t, z) for t, z in image if z]
+        out[s] = (t, _UNITS.index(z))
+    return out
+
+
+@cache
+def _sign_generator(dim, i):
+    """e_i on Delta_dim in the basis u_eps: (p, ((t, block), ...)), e_i
+    = i^p times ``_blocks``' blocks carried to the sign basis, each at its
+    factor t from the leftmost; the identity blocks are left out."""
+    scalar, blocks = _blocks(dim, i)
+    return _UNITS.index(scalar), tuple((t, _in_sign_basis(b)) for t, b in enumerate(blocks)
+                                       if b != ID)
+
+
+def monomial_on_basis(shape, slot, factors, keys):
+    """{key: (image, p)}: e_(i1) ... e_(is) on tensor factor ``slot`` (0 =
+    Delta_n, a = twist slot a) of the space of ``shape`` sends the basis
+    vector u_key, key = (spin, twist), to i^p u_image, p in 0..3.  The
+    generators act one at a time, rightmost first, each ``generator``'s
+    blocks carried factor by factor to the sign basis
+    (``_in_sign_basis``).  No dense vector is built, so it serves shapes
+    too large for ``vector``."""
+    n, r, _ = shape
+    steps = [_sign_generator(r if slot else n, i) for i in reversed(factors)]
+    moves = {}  # the slot's signs -> (image signs, p)
+    for start in {(spin, *twist)[slot] for spin, twist in keys}:
+        signs, p = list(start), 0
+        for q, blocks in steps:
+            p += q
+            for t, block in blocks:
+                signs[t], q = block[signs[t]]
+                p += q
+        moves[start] = tuple(signs), p % 4
+    if not slot:
+        return {(spin, twist): ((moves[spin][0], twist), moves[spin][1]) for spin, twist in keys}
+    out = {}
+    for spin, twist in keys:
+        signs, p = moves[twist[slot - 1]]
+        out[(spin, twist)] = (spin, twist[:slot - 1] + (signs,) + twist[slot:]), p
+    return out
+
+
 def norm(shape):
     """2^K, the squared length of the dense vector of one basis index of
     shape, K = n // 2 + m * (r // 2) the number of C^2 factors."""
@@ -106,14 +173,16 @@ def norm(shape):
     return 2 ** (n // 2 + m * (r // 2))
 
 
-def _each_factor(vec, block):
-    """vec with the 2x2 map ``block`` on each of its C^2 factors."""
-    vec, stride = list(vec), len(vec) // 2
+def _each_factor(vec, *blocks):
+    """vec with the 2x2 maps ``blocks`` on its C^2 factors, in turn from the
+    leftmost: one block acts on every factor, two alternate."""
+    vec, stride, t = list(vec), len(vec) // 2, 0
     while stride:
+        block = blocks[t % len(blocks)]
         for base in range(len(vec)):
             if not base & stride:
                 vec[base], vec[base + stride] = block(vec[base], vec[base + stride])
-        stride //= 2
+        stride, t = stride // 2, t + 1
     return vec
 
 
@@ -139,6 +208,26 @@ def vector(phi):
             flat = 2 * flat + (s < 0)
         out[flat] = c
     return _each_factor(out, _raw)
+
+
+def _alpha(z1, z2):
+    return -z2.conj(), z1.conj()
+
+
+def _beta(z1, z2):
+    return z1.conj(), z2.conj()
+
+
+def gamma(vec):
+    """The real or quaternionic structure on a dense vector of Delta_n: the
+    tensor product of the antilinear 2x2 blocks alpha(z1, z2) = (-conj z2,
+    conj z1) and beta(z1, z2) = (conj z1, conj z2), alternating alpha,
+    beta, ... from the leftmost factor, in standard coordinates.  A tensor
+    product of antilinear maps conjugates once, after the product of their
+    linear parts z -> block(conj z), so the linear parts act factor by
+    factor and the entries are conjugated at the end."""
+    linear = [lambda z1, z2, block=block: block(z1.conj(), z2.conj()) for block in (_alpha, _beta)]
+    return [z.conj() for z in _each_factor(vec, *linear)]
 
 
 def inner(u, v):

@@ -180,6 +180,7 @@ CONTRACT = {
     "phi_extend": [("beta", mapping((1, 2)), lambda v: phi_extend(PHI, v))],
     "spin_action_on_vector": [
         ("n", SCALARS, lambda v: spin_action_on_vector(v, [], [1, 0, 0, 0])),
+        ("n", size(MAX_N), lambda v: spin_action_on_vector(v, [], [1])),
         ("vectors", matrix(2, 4), lambda v: spin_action_on_vector(4, v, [1, 0, 0, 0])),
         ("v", vector(4), lambda v: spin_action_on_vector(4, [], v)),
     ],

@@ -137,7 +137,7 @@ def test_pair_patterns_partition_the_pairs():
         table = _pair_acts(n)
         assert list(table) == [(a, b) for b in range(2, n + 1) for a in range(1, b)]
         for (a, b), (d, *_) in table.items():
-            assert d == _slot_unit(0, n, a)[0] ^ _slot_unit(0, n, b)[0]
+            assert d == _slot_unit(n, a)[0] ^ _slot_unit(n, b)[0]
         entries, patterns = list(table.values()), _pattern_slots(n)
         slots = [slot for group in patterns.values() for slot, *_ in group]
         assert sorted(slots) == list(range(len(table)))

@@ -17,14 +17,13 @@ import pytest
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_from_json, scaled_spinor_to_json
 from spinor_forge.spinrep import (
-    FormTerm, _monomial, _pair_acts, all_basis_indices, spinor_dim_exponent,
+    FormTerm, _monomial, _pair_acts, _walk, all_basis_indices, spinor_dim_exponent,
 )
 from spinor_forge.twisted import (
     _IDENTITY,
     ScaledSpinor,
     _pair,
     _twist_acts,
-    _walk,
     mu_slot,
     tangent_action,
     twist_bivector_action,

@@ -6,22 +6,26 @@ and the kernels that read them, against a generator chain.
 the induced-form pairing ``twisted._induced`` (through
 ``forms._induced_form``, with supp phi grouped by ``twisted._twist_groups``)
 and the one walk
-``twisted._walk``, through which 2-forms (``forms.form_action``), twist
+``spinrep._walk``, through which 2-forms (``forms.form_action``), twist
 bivectors (``twist_bivector_action``), Lie-algebra elements
 (``ambient_annihilates``), the annihilator's columns and every slot
 action (``tangent_action``, ``form_action_on_spin_slot``, ``mu_slot``,
 ``twisted_group_action``) act.  So none of those can serve as an oracle
-here.  The oracles of ``helpers.py`` apply single generators one after the
-other: ``chain`` (``_generator_on_map`` with ``_slot_unit``), and the
-induced form by its definition, ``definition_form`` (``kappa_generator``
-paired by ``twisted_hermitian``).  None of them reads the table.  The
-dense Kronecker model of ``oracle.py`` checks the same kernels from outside
-the library in ``test_kernel``, ``test_forms`` and ``test_analysis``.
+here.  The records themselves are checked against the oracle's sparse
+generators (``oracle.monomial_on_basis``), which read no bit and no
+record.  The oracles of ``helpers.py`` apply single generators one after
+the other: ``chain`` (the same sparse step, itself checked against the
+dense model here), and the induced form by its definition,
+``definition_form`` (``kappa_generator`` paired by ``twisted_hermitian``).
+None of them reads the table.  The dense Kronecker model of ``oracle.py``
+checks the same kernels from outside the library in ``test_kernel``,
+``test_forms`` and ``test_analysis``.
 """
 
 import math
 import random
 from fractions import Fraction as F
+from functools import cache
 from itertools import combinations, product
 
 import pytest
@@ -35,7 +39,6 @@ from spinor_forge.linalg import nullspace, random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
-    _generator_on_map,
     _monomial,
     _pair_acts,
     _slot_unit,
@@ -45,6 +48,7 @@ from spinor_forge.spinrep import (
 from spinor_forge.twisted import (
     ScaledSpinor,
     _bivector_map,
+    _twist_generator,
     _twist_groups,
     form_action_on_spin_slot,
     mu_slot,
@@ -53,6 +57,7 @@ from spinor_forge.twisted import (
     twisted_group_action,
 )
 
+from . import oracle
 from .helpers import chain, definition_form, random_gaussian
 
 # n = 1..12 (both parities), r cycling through 2..9, m = 0..3
@@ -83,12 +88,32 @@ def vector_terms(x):
     return [((j,), c) for j, c in enumerate(x, start=1) if c]
 
 
+@cache
+def signs(v, k):
+    """The sign tuple of the slot bits v: the last entry is the lowest bit,
+    and a set bit means +1."""
+    return tuple(1 if v >> (k - 1 - t) & 1 else -1 for t in range(k))
+
+
+def assert_record_is_the_oracle_step(dim, factors, record, vs):
+    """The signed flip (d, x, mask, mixed) of e_(i1)...e_(is) sends the
+    basis vector of slot bits v to v ^ d times (-1)^parity(v & mask) x,
+    times i if mixed: checked against the oracle's generators one at a
+    time, on each v of vs, on the spin slot of (dim, 0, 0)."""
+    d, x, mask, mixed = record
+    k = dim // 2
+    got = oracle.monomial_on_basis((dim, 0, 0), 0, factors, [(signs(v, k), ()) for v in vs])
+    want = {(signs(v, k), ()): ((signs(v ^ d, k), ()),
+                                (mixed + 2 * ((x < 0) + (v & mask).bit_count())) % 4)
+            for v in vs}
+    assert got == want, (dim, factors)
+
+
 def test_monomial_matches_generator_chain():
     """(d, x, mask, mixed) of every factor tuple of length <= 4 for dim <= 9
     (any order, repeats included) and of seeded tuples up to dim 32,
-    against the generator chain on one basis vector with coefficient
-    3 + 5i, on a slot at offset 0 and at offset 3 with bits set below and
-    above the slot."""
+    against the oracle's generators applied one at a time to a seeded
+    basis vector."""
     rng = random.Random(1902)
     cases = [(dim, f) for dim in range(1, 10) for s in range(5)
              for f in product(range(1, dim + 1), repeat=s)]
@@ -96,19 +121,9 @@ def test_monomial_matches_generator_chain():
               for dim in range(10, 33) for _ in range(40)]
     for dim, factors in cases:
         k = dim // 2
-        d, x, mask, mixed = _monomial(dim, factors)
+        d, x, mask, mixed = record = _monomial(dim, factors)
         assert x in (1, -1) and mixed in (0, 1) and d < 2 ** k and mask < 2 ** k, (dim, factors)
-        v = rng.randrange(2 ** k)
-        re, im = (-5 * x, 3 * x) if mixed else (3 * x, 5 * x)  # x i^mixed (3 + 5i)
-        if (v & mask).bit_count() & 1:
-            re, im = -re, -im
-        for offset in (0, 3):
-            outside = 0b101 | (0b11 << (offset + k)) if offset else 0
-            idx = v << offset | outside
-            got = {idx: (3, 5)}
-            for i in reversed(factors):
-                got = _generator_on_map(got, *_slot_unit(offset, dim, i))
-            assert got == {idx ^ d << offset: (re, im)}, (dim, factors, offset, v)
+        assert_record_is_the_oracle_step(dim, factors, record, [rng.randrange(2 ** k)])
 
 
 def test_pair_patterns_are_the_monomials_of_pairs():
@@ -121,7 +136,7 @@ def test_pair_patterns_are_the_monomials_of_pairs():
         for (a, b), (d, x, mask, mixed) in table.items():
             assert x in (1, -1) and mixed in (0, 1)
             assert table[(a, b)] == _monomial(dim, (a, b)), (dim, a, b)
-            assert d == _slot_unit(0, dim, a)[0] ^ _slot_unit(0, dim, b)[0]
+            assert d == _slot_unit(dim, a)[0] ^ _slot_unit(dim, b)[0]
 
 
 def test_slot_actions_apply_no_generator(monkeypatch):
@@ -173,24 +188,45 @@ def test_slot_actions_apply_no_generator(monkeypatch):
 
 def test_table_entries_match_two_generators():
     """Each entry (a, b) -> (d, x, mask, mixed), for dim <= 32, against e_b
-    then e_a applied by ``_generator_on_map`` to one basis vector, on a
-    slot at offset 0 and at offset 3 with bits set below and above the
-    slot; a coefficient 3 + 5i tells every unit of Z[i] apart."""
+    then e_a by the oracle's generators, on every basis vector of a slot of
+    at most 4 bits and on 16 seeded ones of a wider slot."""
     rng = random.Random(1701)
     for dim in range(1, 33):
         k = dim // 2
-        indices = range(2 ** k) if k <= 4 else [0, 2 ** k - 1] + rng.sample(range(2 ** k), 14)
-        for (a, b), (d, x, mask, mixed) in _pair_acts(dim).items():
-            for offset in (0, 3):
-                outside = 0b101 | (0b11 << (offset + k)) if offset else 0
-                for v in indices:
-                    idx = v << offset | outside
-                    got = _generator_on_map({idx: (3, 5)}, *_slot_unit(offset, dim, b))
-                    got = _generator_on_map(got, *_slot_unit(offset, dim, a))
-                    re, im = (-5 * x, 3 * x) if mixed else (3 * x, 5 * x)
-                    if (v & mask).bit_count() & 1:
-                        re, im = -re, -im
-                    assert got == {idx ^ d << offset: (re, im)}, (dim, a, b, offset, v)
+        vs = range(2 ** k) if k <= 4 else [0, 2 ** k - 1] + rng.sample(range(2 ** k), 14)
+        for (a, b), record in _pair_acts(dim).items():
+            assert_record_is_the_oracle_step(dim, (a, b), record, vs)
+
+
+@pytest.mark.parametrize("n,r,m", [(1, 2, 1), (2, 3, 2), (3, 2, 2), (4, 3, 1), (5, 4, 1), (4, 1, 3)])
+def test_chain_matches_the_dense_oracle(n, r, m):
+    """``chain``, the tests' sparse generator path, against the dense
+    model's operators on every slot: rational sums of products of up to
+    three generators, repeats included, on seeded spinors."""
+    rng = random.Random(1703 + 10 * n + m)
+    shape = (n, r, m)
+    for slot in range(m + 1):
+        dim = r if slot else n
+        for _ in range(4):
+            phi = rational_spinor(n, r, m, rng, 6)
+            terms = [(tuple(rng.randint(1, dim) for _ in range(rng.randint(0, 3))),
+                      F(rng.randint(-5, 5), rng.randint(1, 4))) for _ in range(3)]
+            want = oracle.act(shape, [(slot, f, c) for f, c in terms], oracle.vector(phi))
+            assert oracle.vector(chain(phi, slot, terms)) == want, (shape, slot, terms)
+
+
+@pytest.mark.parametrize("n,r,m", [(1, 2, 1), (2, 3, 2), (3, 2, 2), (4, 3, 3), (5, 4, 2)])
+def test_twist_generator_matches_the_dense_oracle(n, r, m):
+    """``_twist_generator``, the slot-0 record shifted past the spin slot
+    and the twist slots before it, against the dense model's f_i on every
+    twist slot and every i, on seeded spinors."""
+    rng = random.Random(1709 + 10 * n + m)
+    for slot in range(1, m + 1):
+        for i in range(1, r + 1):
+            phi = rational_spinor(n, r, m, rng, 6)
+            got = phi._with(phi._den, _twist_generator(phi, slot, i, phi._data))
+            want = oracle.act((n, r, m), [(slot, (i,), 1)], oracle.vector(phi))
+            assert oracle.vector(got) == want, (n, r, m, slot, i)
 
 
 @pytest.mark.parametrize("n,r,m", SHAPES)

@@ -89,6 +89,38 @@ def test_only_the_kernel_modules_name_the_flip_kernel():
     assert not found, found
 
 
+def _has_xor(node):
+    return any(isinstance(x, ast.BinOp) and isinstance(x.op, ast.BitXor) for x in ast.walk(node))
+
+
+def test_only_the_walk_applies_a_flip():
+    """No function of ``src/`` but ``_walk`` stores at an XOR-ed index, by
+    a subscript assignment or a dict-comprehension key that holds ``^``,
+    and ``_walk`` is defined once, in ``spinrep``: every signed flip is
+    applied by the one walk, and a lone record (a generator, gamma) is a
+    walk of one record.  Each store is charged to its innermost function;
+    there is no allow-list."""
+    found, walks = [], []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [f for f in ast.walk(tree) if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        walks += [path.stem for f in functions if f.name == "_walk"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store):
+                index = node.slice
+            elif isinstance(node, ast.DictComp):
+                index = node.key
+            else:
+                continue
+            owner = max((f for f in functions if f.lineno <= node.lineno <= f.end_lineno),
+                        key=lambda f: f.lineno, default=None)
+            name = owner.name if owner else "<module>"
+            if _has_xor(index) and name != "_walk":
+                found.append(f"{path.name}:{node.lineno}:{name}")
+    assert not found, found
+    assert walks == ["spinrep"], walks
+
+
 # The tests' one dense model of the spinor space, and the building blocks
 # that no test module may define again.
 TESTS = Path(__file__).resolve().parent

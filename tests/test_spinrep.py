@@ -196,6 +196,19 @@ def test_gamma_antilinear():
         gamma_apply(basis_spinor(4, (1, -1))).scale(c.conj()).coeffs
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_gamma_matches_dense_oracle(n):
+    """gamma against ``oracle.gamma``, its antilinear 2x2 blocks in standard
+    coordinates, on every basis spinor and on seeded random spinors whose
+    general coefficients tell conjugation apart."""
+    rng = random.Random(70 + n)
+    basis = all_basis_indices(n)
+    spinors = [basis_spinor(n, eps) for eps in basis]
+    spinors += [SpinorVector(n, {eps: random_gaussian(rng) for eps in basis}) for _ in range(3)]
+    for psi in spinors:
+        assert oracle.vector(gamma_apply(psi)) == oracle.gamma(oracle.vector(psi)), (n, psi)
+
+
 @pytest.mark.parametrize("n,sign", [
     (1, 1), (2, -1), (3, -1), (4, -1), (5, -1),
     (6, 1), (7, 1), (8, 1), (9, 1), (10, -1),
@@ -315,8 +328,10 @@ def test_dimension_caps_refuse_larger_spaces(shape, field):
     lambda: SpinorVector(True, {}),
     lambda: two_form_from_terms(2.5, {}),
     lambda: check_dimensions(4, 3, False),
+    lambda: spin_action_on_vector(True, [], [1]),
+    lambda: spin_action_on_vector(1.0, [], [1]),
 ], ids=["n=2.5", "n=True", "r=3.0", "m=Fraction", "n=None", "n='4'", "vector n=True",
-        "two-form n=2.5", "m=False"])
+        "two-form n=2.5", "m=False", "SO(n) action n=True", "SO(n) action n=1.0"])
 def test_dimensions_must_be_ints(make):
     """A dimension that is not an int, a bool included, is refused with
     InvalidValue before it is compared with anything."""

@@ -161,11 +161,18 @@ def cmd_commutant(args: argparse.Namespace) -> int:
     return 0
 
 
+# The most frame-test trials: every exact frame is drawn before the first
+# is certified, so the count is refused before anything is drawn.
+MAX_TRIALS = 1000
+
+
 def cmd_frame_test(args: argparse.Namespace) -> int:
     import random
 
     if args.trials < 1:
         raise UsageError(f"--trials must be at least 1, got {args.trials}")
+    if args.trials > MAX_TRIALS:
+        raise UsageError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     ent = catalog.build(args.catalog, m=args.m, n=args.n)
     rng = random.Random(args.seed)
     frames = [check_special_orthogonal(random_so_matrix(ent.spinor.r, rng, bound=2))

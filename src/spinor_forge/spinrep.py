@@ -28,9 +28,13 @@ twist slot shifts d and mask to its bits.  Induced forms, 2-forms,
 annihilator columns and every slot action read these records.  ``_walk``
 is the one code that applies them: it takes a list of records as they
 are, x times a coefficient, groups them by d itself and goes over phi
-once per distinct d, and nothing of size 2^k x 2^k is built; a lone
-generator (``_generator_on_map``) and gamma (``gamma_apply``) are walks
-of one record.
+once per distinct d, and nothing of size 2^k x 2^k is built.  Records of
+one d differ in their masks only in the bits of their spread, so a group
+of at least 3 records whose sign-class table (``_sign_classes``: 2^s
+entries, s the spread's bit count) has 2 * 2^s <= |supp phi| reads each
+coefficient's sum off the table with one parity; a smaller group sums
+its records per coefficient.  A lone generator (``_generator_on_map``)
+and gamma (``gamma_apply``) are walks of one record.
 Coefficients are (int re, int im) pairs over one positive integer
 denominator per spinor, reduced by the content gcd after every public
 operation, so equal spinors have equal layouts; sums run in ints and a
@@ -339,12 +343,42 @@ def _slot_unit(dim: int, i: int) -> Flip:
     return (bit, 1, tail, 1) if i % 2 == 1 else (bit, -1, tail | bit, 0)
 
 
+def _sign_classes(group: List[Flip], base: int, spread: int) -> Dict[int, Tuple[int, int]]:
+    """The sign-class table of records that share d: sub -> (cr, ci) for
+    every subset sub of spread, the sum of each record's x i^mixed signed
+    by (-1)^parity(sub & (mask ^ base)).  Every mask ^ base lies in spread,
+    so parity(v & mask) = parity(v & base) + parity(v & spread & (mask ^
+    base)): the records' sum at v is the entry at v & spread, negated when
+    parity(v & base) is odd."""
+    table = {}
+    sub = 0
+    while True:
+        cr = ci = 0
+        for _, x, mask, mixed in group:
+            if (sub & (mask ^ base)).bit_count() & 1:
+                x = -x
+            if mixed:
+                ci += x
+            else:
+                cr += x
+        table[sub] = (cr, ci)
+        if sub == spread:
+            return table
+        sub = (sub - spread) & spread  # the next subset of spread, in increasing order
+
+
 def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
     """The one kernel: sum over the signed flips (d, x, mask, mixed), x any
     int, on an integer map, over the same denominator.  The flips are
     grouped by d, and data is walked once per d: the signed x of d's flips
     sum to cr + i ci, and (cr + i ci) data_v goes to v ^ d (a lone flip is
-    a unit multiple of x, so nothing cancels in it).  v -> v ^ d is
+    a unit multiple of x, so nothing cancels in it).  With base the first
+    record's mask and spread the OR of mask ^ base, a group of at least 3
+    records with 2 << spread.bit_count() <= len(data) builds its
+    sign-class table once, and each coefficient costs one parity of v &
+    base and one lookup of v & spread; any other group sums its records
+    per coefficient, where a table would cost more than it saves.  The
+    sums are the same ints either way.  v -> v ^ d is
     one-to-one, so the first d's image is the sum so far, and each later
     one is merged in; cancelled entries are dropped.  No generator is
     applied."""
@@ -363,18 +397,29 @@ def _walk(flips: Iterable[Flip], data: IntCoeffMap) -> IntCoeffMap:
                 img = {v ^ d: (neg * pr, neg * pi) if (v & mask).bit_count() & 1
                        else (x * pr, x * pi) for v, (pr, pi) in data.items()}
         else:
+            base, spread = group[0][2], 0
+            for _, _, mask, _ in group:
+                spread |= mask ^ base
             img = {}
-            for v, (pr, pi) in data.items():
-                cr = ci = 0
-                for _, x, mask, mixed in group:
-                    if (v & mask).bit_count() & 1:
-                        x = -x
-                    if mixed:
-                        ci += x
-                    else:
-                        cr += x
-                if cr or ci:
-                    img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
+            if len(group) >= 3 and 2 << spread.bit_count() <= len(data):
+                even = _sign_classes(group, base, spread)
+                odd = {sub: (-cr, -ci) for sub, (cr, ci) in even.items()}
+                for v, (pr, pi) in data.items():
+                    cr, ci = (odd if (v & base).bit_count() & 1 else even)[v & spread]
+                    if cr or ci:
+                        img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
+            else:
+                for v, (pr, pi) in data.items():
+                    cr = ci = 0
+                    for _, x, mask, mixed in group:
+                        if (v & mask).bit_count() & 1:
+                            x = -x
+                        if mixed:
+                            ci += x
+                        else:
+                            cr += x
+                    if cr or ci:
+                        img[v ^ d] = (cr * pr - ci * pi, cr * pi + ci * pr)
         if acc:
             _merge(acc, img)
         else:

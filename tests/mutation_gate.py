@@ -36,6 +36,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 KERNEL = "tests/test_kernel.py::"
 RECORDS = KERNEL + "test_walk_and_pair_are_sums_over_their_records"
+WALK_ORACLE = KERNEL + "test_walk_matches_the_oracle_on_both_multi_record_paths"
 EQUIVARIANT = "tests/test_analysis.py::test_annihilator_is_equivariant"
 FIRST_VIOLATION = "tests/test_analysis.py::test_even_clifford_names_the_first_violation"
 CLIFFORD_REFERENCE = "tests/test_analysis.py::test_even_clifford_matches_the_exhaustive_reference"
@@ -47,9 +48,17 @@ MUTANTS = [
      "groups[flip[0]] = [flip]",
      [RECORDS]),
     ("_walk's multi-record path ignores the mask parity", "spinrep.py",
-     "                    if (v & mask).bit_count() & 1:\n                        x = -x",
-     "                    if False:\n                        x = -x",
-     [RECORDS]),
+     "                        if (v & mask).bit_count() & 1:\n                            x = -x",
+     "                        if False:\n                            x = -x",
+     [RECORDS, WALK_ORACLE]),
+    ("the sign-class table drops the base parity", "spinrep.py",
+     "cr, ci = (odd if (v & base).bit_count() & 1 else even)[v & spread]",
+     "cr, ci = even[v & spread]",
+     [RECORDS, WALK_ORACLE]),
+    ("the sign-class subset enumeration stops before spread", "spinrep.py",
+     "        if sub == spread:\n            return table",
+     "        if (sub - spread) & spread == spread:\n            return table",
+     [RECORDS, WALK_ORACLE]),
     ("_walk's lone path ignores mixed", "spinrep.py",
      "            if mixed:  # i x (pr + i pi) = (-x pi, x pr)",
      "            if False:  # i x (pr + i pi) = (-x pi, x pr)",

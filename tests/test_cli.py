@@ -47,6 +47,18 @@ def test_verify_pure_qk_near_the_cap(capsys, m):
                                 for pair in ("1,2", "1,3", "2,3")}
 
 
+@pytest.mark.parametrize("kind", ["pure", "reducing"])
+def test_verify_dense_wire_matches_its_golden_file(capsys, kind):
+    """A (12, 3, 2) wire with 64 coefficients over denominators up to 12:
+    both certificates fail, and each pair's exact defect_norm2 is the
+    pinned one."""
+    data = Path(__file__).parent / "data"
+    code, out, _ = run(capsys, "verify", kind, "--in", str(data / "dense_12_3_2.json"),
+                       "--format", "json")
+    assert code == 1
+    assert out == (data / f"dense_12_3_2_{kind}.json").read_text()
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "reducing", "--catalog", "generic",
                        "--n", "3", "--format", "json")
@@ -187,6 +199,20 @@ def test_frame_test_refuses_fewer_than_one_trial(capsys):
                              "--trials", trials)
         assert code == 2 and out == ""
         assert err == f"error: --trials must be at least 1, got {trials}\n"
+
+
+def test_frame_test_refuses_more_than_the_cap_before_any_draw(capsys, monkeypatch):
+    """Every frame is drawn before the first is certified, so a count over
+    ``MAX_TRIALS`` is refused with exit 2 before the catalog entry is built
+    or any frame is drawn."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("built before the trial count was checked")
+    monkeypatch.setattr(cli.catalog, "build", refuse)
+    monkeypatch.setattr(cli, "random_so_matrix", refuse)
+    trials = str(cli.MAX_TRIALS + 1)
+    code, out, err = run(capsys, "frame-test", "--catalog", "qk", "--m", "1", "--trials", trials)
+    assert code == 2 and out == ""
+    assert err == f"error: --trials must be at most {cli.MAX_TRIALS}, got {trials}\n"
 
 
 def test_eta_output_deterministic(capsys):

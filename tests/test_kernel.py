@@ -14,6 +14,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from spinor_forge import spinrep
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_from_json, scaled_spinor_to_json
 from spinor_forge.spinrep import (
@@ -31,6 +32,7 @@ from spinor_forge.twisted import (
 )
 
 from . import oracle
+from .helpers import chain
 
 # (n, r, m): odd n, odd r with one and with two twist bits, even r.
 SHAPES = [(5, 3, 3), (3, 5, 3), (3, 4, 3)]
@@ -205,29 +207,91 @@ def summed(maps):
     return {v: c for v, c in out.items() if c != (0, 0)}
 
 
+def dense_spinor(n, r, m, rng):
+    """A spinor with a coefficient at every basis index."""
+    twists = list(itertools.product(all_basis_indices(r), repeat=m))
+    coeffs = {(spin, twist): coprime_gaussian(rng) for spin in all_basis_indices(n) for twist in twists}
+    return ScaledSpinor(n, r, m, coeffs, F(rng.randint(1, 7), rng.randint(1, 7)))
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """The spreads of the sign-class tables that ``_walk`` builds."""
+    spreads = []
+    real = spinrep._sign_classes
+
+    def spy(group, base, spread):
+        spreads.append(spread)
+        return real(group, base, spread)
+    monkeypatch.setattr(spinrep, "_sign_classes", spy)
+    return spreads
+
+
 @pytest.mark.parametrize("shape", PAIR_SHAPES)
-def test_walk_and_pair_are_sums_over_their_records(shape):
+def test_walk_and_pair_are_sums_over_their_records(shape, tables):
     """``_walk`` takes a plain list of signed flips (d, x, mask, mixed) and
     is a sum over it: the walk of a shuffled list is the walk of the list
     and the merged sum of its single-record walks.  ``_pair`` takes one
     record, and the sum of the single-record pairings is the identity
-    pairing of the walk.  A walk that keeps one record per d, or a path
-    that misreads a record's mask or mixed flag, breaks one of them."""
+    pairing of the walk, both on a sparse spinor and on one with a
+    coefficient at every basis index, which reaches the sign-class tables.
+    A walk that keeps one record per d, or a path that misreads a record's
+    mask or mixed flag, breaks one of them."""
     (phi, psi), rng = spinors(shape, 9)
     flips = contract_flips(phi, rng)
-    data = phi._data
-    walked = _walk(flips, data)
-    # (2 + 3i) times the walk plus psi: both parts of the pairing are nonzero
-    other = summed([{v: (2 * re - 3 * im, 3 * re + 2 * im) for v, (re, im) in walked.items()},
-                    psi._data])
-    assert walked == summed(_walk([f], data) for f in flips)
-    for _ in range(3):
-        shuffled = rng.sample(flips, len(flips))
-        assert _walk(shuffled, data) == walked, shape
-    singles = [_pair(f, data, other) for f in flips]
-    paired = (sum(re for re, _ in singles), sum(im for _, im in singles))
-    assert paired == _pair(_IDENTITY, walked, other)
-    assert paired[0] and paired[1], shape
+    for data, dense in ((phi._data, False), (dense_spinor(*shape, rng)._data, True)):
+        tables.clear()
+        walked = _walk(flips, data)
+        assert tables or not dense, shape
+        # (2 + 3i) times the walk plus psi: both parts of the pairing are nonzero
+        other = summed([{v: (2 * re - 3 * im, 3 * re + 2 * im) for v, (re, im) in walked.items()},
+                        psi._data])
+        assert walked == summed(_walk([f], data) for f in flips)
+        for _ in range(3):
+            shuffled = rng.sample(flips, len(flips))
+            assert _walk(shuffled, data) == walked, shape
+        singles = [_pair(f, data, other) for f in flips]
+        paired = (sum(re for re, _ in singles), sum(im for _, im in singles))
+        assert paired == _pair(_IDENTITY, walked, other)
+        assert paired[0] and paired[1], shape
+
+
+# (n, r, m): odd n, with odd and even r and one to three twist slots.
+WALK_SHAPES = [(5, 3, 3), (7, 4, 2), (3, 5, 3), (7, 3, 1)]
+
+
+@pytest.mark.parametrize("shape", WALK_SHAPES)
+def test_walk_matches_the_oracle_on_both_multi_record_paths(shape, tables):
+    """The walk of every spin pair, every twist pair on each slot and the
+    spin vectors, each with its own coefficient, is the sum of the oracle's
+    monomial images (``helpers.chain``).  The two-bit d of a pair table
+    and d = 0, where the spin vectors of odd n meet the pairs (2j-1, 2j)
+    of every slot, hold three or more records each.  Distinct records of
+    one d differ in their masks, so a table needs a support of at least 2
+    << 1 = 4: on 3 coefficients every d takes the per-coefficient loop, and
+    on a coefficient at every basis index some take the sign-class table,
+    so both paths are checked against the oracle."""
+    n, r, m = shape
+    ks, kt = spinor_dim_exponent(n), spinor_dim_exponent(r)
+    rng = random.Random(11)
+    cs = [-3, -1, 2, 5]
+    terms = [(0, n, factors, rng.choice(cs)) for factors in _pair_acts(n)]
+    terms += [(0, n, (j,), rng.choice(cs)) for j in range(1, n + 1)]
+    terms += [(a, r, factors, rng.choice(cs)) for a in range(1, m + 1) for factors in _pair_acts(r)]
+    flips = [shifted(_monomial(dim, factors), c, ks + (slot - 1) * kt if slot else 0)
+             for slot, dim, factors, c in terms]
+    sizes = {}
+    for d, *_ in flips:
+        sizes[d] = sizes.get(d, 0) + 1
+    assert sizes[0] >= 3 and sum(size >= 3 for size in sizes.values()) >= 2, shape
+    for phi, dense in ((random_spinor(*shape, rng, terms=3), False), (dense_spinor(*shape, rng), True)):
+        tables.clear()
+        got = phi._with(phi._den, _walk(flips, phi._data))
+        assert bool(tables) is dense, shape
+        want = phi.scale(gr(0))
+        for slot in range(m + 1):
+            want += chain(phi, slot, [(factors, c) for a, _, factors, c in terms if a == slot])
+        assert got == want, (shape, dense)
 
 
 # -- canonical form ---------------------------------------------------------------

@@ -216,12 +216,12 @@ class ReducingReport:
     per_pair: Dict[Pair, PairVerdict]
 
 
-_DEFECT_COEFFICIENT = {"pure": 2, "reducing": 1}
-
-
-def _check_kind(kind: str) -> None:
-    if kind not in _DEFECT_COEFFICIENT:
-        raise InvalidValue(f"kind must be 'pure' or 'reducing', got {kind!r}")
+# kind -> (defect coefficient c, least rank r, zero-spinor and low-rank refusals)
+_KINDS = {
+    "pure": (2, 3, "purity is defined for nonzero spinors", "purity needs twisting rank r >= 3"),
+    "reducing": (1, 2, "the reducing property is defined for nonzero spinors",
+                 "reducing needs twisting rank r >= 2"),  # the generic family starts at r = 2
+}
 
 
 def _certify(phi: ScaledSpinor, kind: str,
@@ -242,9 +242,18 @@ def _certify(phi: ScaledSpinor, kind: str,
     a_ks a_lt - a_kt a_ls is an integer over d^2 once A is an integer matrix
     over d: a rotated pair is one ``forms.form_lincomb`` sum of the eta_st
     and one ``_lincomb`` of the D_st.  The standard frame reads its table
-    directly, which spares failing certificates a copy of every defect."""
-    _check_kind(kind)
-    c, n = _DEFECT_COEFFICIENT[kind], phi.n
+    directly, which spares failing certificates a copy of every defect.
+    Before any eta, a kind that is not a key of ``_KINDS`` (its type tested
+    first) raises InvalidValue, the zero spinor ZeroSpinor and a rank below
+    the kind's least RankTooSmall: every certificate's one entry."""
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise InvalidValue(f"kind must be 'pure' or 'reducing', got {kind!r}")
+    c, least, zero, low = _KINDS[kind]
+    if phi.is_zero():
+        raise ZeroSpinor(zero)
+    if phi.r < least:
+        raise RankTooSmall(low)
+    n = phi.n
     table = {(s, t): (form, phi._den * form._den,
                       _bivector_map(phi, {**form._terms, (n + s, n + t): c * form._den}))
              for (s, t), form in etas(phi).items()}
@@ -280,39 +289,24 @@ def _certify(phi: ScaledSpinor, kind: str,
 
 def check_pure(phi: ScaledSpinor) -> PurityReport:
     """Certify the two purity conditions for every twist pair k < l."""
-    if phi.is_zero():
-        raise ZeroSpinor("purity is defined for nonzero spinors")
-    if phi.r < 3:
-        raise RankTooSmall("purity needs twisting rank r >= 3")
     [(ok, per)] = _certify(phi, "pure")
     return PurityReport(is_pure=ok, per_pair=per)
 
 
 def check_reducing(phi: ScaledSpinor) -> ReducingReport:
-    """Certify the reducing conditions (defect coefficient 1, eta != 0).
-
-    Rank 2 is accepted: the defining equations make sense there and the
-    rank-n generic family includes n = 2."""
-    if phi.is_zero():
-        raise ZeroSpinor("the reducing property is defined for nonzero spinors")
-    if phi.r < 2:
-        raise RankTooSmall("reducing needs twisting rank r >= 2")
+    """Certify the reducing conditions (defect coefficient 1, eta != 0)."""
     [(ok, per)] = _certify(phi, "reducing")
     return ReducingReport(is_reducing=ok, per_pair=per)
 
 
 def check_spinc_pure(psi: ScaledSpinor) -> bool:
     """Rank-2 analogue for an untwisted (m = 0) spinor in Delta_(2n): the
-    induced form must satisfy (eta + n*sqrt(-1)) . psi = 0 and square to -Id."""
+    induced form must satisfy (eta + n*sqrt(-1)) . psi = 0 and square to -Id.
+    ``spinc_form`` refuses an odd n and the zero spinor."""
     if psi.m:
         raise ShapeMismatch(f"spinc purity needs an untwisted (m = 0) spinor, got m = {psi.m}")
-    if psi.is_zero():
-        raise ZeroSpinor("zero spinor")
-    if psi.n % 2 != 0:
-        raise ShapeMismatch("need an even-dimensional spinor space")
-    half = psi.n // 2
     form = spinc_form(psi)
-    d = form_action(form, psi) + psi.scale(gr(0, half))
+    d = form_action(form, psi) + psi.scale(gr(0, psi.n // 2))
     h = eta_hat(form)
     return d.is_zero() and h.squares_to_minus_identity()
 
@@ -467,11 +461,9 @@ def equivariance_check(
     kind: str = "pure",
 ) -> bool:
     """Does the verdict survive the twisted group action [g, h]?"""
-    _check_kind(kind)
-    moved = twisted_group_action(g_vectors, h_vectors, phi)
-    if kind == "pure":
-        return check_pure(moved).is_pure == check_pure(phi).is_pure
-    return check_reducing(moved).is_reducing == check_reducing(phi).is_reducing
+    [(verdict, _)] = _certify(phi, kind)
+    [(moved, _)] = _certify(twisted_group_action(g_vectors, h_vectors, phi), kind)
+    return moved == verdict
 
 
 # -- representation-theory constants -------------------------------------------

@@ -18,7 +18,7 @@ import sys
 from typing import Any, List, Optional
 
 from . import __version__, catalog
-from .analysis import _certify, annihilator, check_pure, check_reducing, check_spinc_pure, commutant
+from .analysis import _certify, annihilator, check_spinc_pure, commutant
 from .errors import SpinorForgeError
 from .forms import eta, eta_hat, etas
 from .linalg import check_special_orthogonal, random_so_matrix
@@ -99,16 +99,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         _emit(args, {"kind": "spinc", "verified": verdict},
               f"spinc pure: {str(verdict).lower()}")
         return 0 if verdict else 1
-    phi = _spinor_arg(args)
-    if kind == "pure":
-        rep, flag = check_pure(phi), "square_ok"
-        verdict = rep.is_pure
-    else:
-        rep, flag = check_reducing(phi), "eta_nonzero"
-        verdict = rep.is_reducing
-    detail = {
-        f"{k},{l}": {"defect_norm2": str(v.defect_norm2), flag: getattr(v, flag)}
-        for (k, l), v in sorted(rep.per_pair.items())
+    [(verdict, per)] = _certify(_spinor_arg(args), kind)
+    detail = {  # each pair's norm and its kind's one flag, square_ok or eta_nonzero
+        f"{k},{l}": {"defect_norm2": str(v.defect_norm2),
+                     **{f: x for f, x in vars(v).items() if type(x) is bool}}
+        for (k, l), v in sorted(per.items())
     }
     _emit(args, {"kind": kind, "verified": verdict, "pairs": detail},
           f"{kind}: {str(verdict).lower()}")

@@ -36,9 +36,10 @@ from .twisted import _bivector_map, _induced, twist_bivector_action
 
 
 def _square(n: int, mat: Matrix, what: str) -> Matrix:
-    """mat as an n x n matrix of Fractions: a matrix or a row that is not a
-    sequence raises InvalidValue, a wrong shape ShapeMismatch and an entry
-    that is not an exact rational InexactScalar."""
+    """mat as an n x n matrix of Fractions: n is checked first, a matrix or
+    a row that is not a sequence raises InvalidValue, a wrong shape
+    ShapeMismatch and an entry that is not an exact rational InexactScalar."""
+    check_dimensions(n)
     rows = [check_sequence(what, row) for row in check_sequence(what, mat)]
     if len(rows) != n or any(len(row) != n for row in rows):
         raise ShapeMismatch(f"{what} has wrong shape")

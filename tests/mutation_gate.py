@@ -41,6 +41,9 @@ EQUIVARIANT = "tests/test_analysis.py::test_annihilator_is_equivariant"
 FIRST_VIOLATION = "tests/test_analysis.py::test_even_clifford_names_the_first_violation"
 CLIFFORD_REFERENCE = "tests/test_analysis.py::test_even_clifford_matches_the_exhaustive_reference"
 GAMMA = "tests/test_spinrep.py::test_gamma_matches_dense_oracle"
+REFUSALS = "tests/test_analysis.py::test_checkers_reject_zero_and_small_rank"
+NO_TWIST_PAIRS = "tests/test_analysis.py::test_frame_rotation_without_twist_pairs"
+CONTRACT = "tests/test_contract.py::test_hostile_values_raise_only_typed_errors"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -210,6 +213,23 @@ MUTANTS = [
      'check_indices("quadruple index", *check_sequence("quadruple", quad))',
      'check_indices("quadruple index", *quad)',
      ["tests/test_analysis.py::test_vanishing_identity_harness_refuses_bad_quadruples"]),
+    ("_certify skips the zero-spinor refusal", "analysis.py",
+     "    if phi.is_zero():\n        raise ZeroSpinor(zero)",
+     "    if False:\n        raise ZeroSpinor(zero)",
+     [REFUSALS, NO_TWIST_PAIRS]),
+    ("_certify's least rank is one lower", "analysis.py",
+     "    if phi.r < least:",
+     "    if phi.r < least - 1:",
+     [REFUSALS, NO_TWIST_PAIRS]),
+    ("_certify tests kind membership before its type", "analysis.py",
+     "not isinstance(kind, str) or kind not in _KINDS",
+     "kind not in _KINDS or not isinstance(kind, str)",
+     [CONTRACT + "[frame_rotation_check]", CONTRACT + "[equivariance_check]"]),
+    ("_square drops the dimension check", "forms.py",
+     "    check_dimensions(n)\n    rows = ",
+     "    rows = ",
+     ["tests/test_forms.py::test_dense_constructors_check_n_before_any_entry",
+      CONTRACT + "[Endo]"]),
 ]
 
 

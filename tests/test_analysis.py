@@ -1074,10 +1074,19 @@ def test_frame_rotation_on_non_pure_spinor():
 
 
 def test_frame_rotation_without_twist_pairs():
-    """r = 1 has no pair k < l: every frame gives the empty, passing verdict."""
+    """r = 1 has no pair k < l, and no certificate is defined there: the
+    frame harness refuses it as ``check_reducing`` does, and so it refuses
+    the zero spinor and rank 2 in pure mode, which ``check_pure`` refuses."""
     phi = random_scaled(4, 1, 1, random.Random(9))
-    assert _certify(phi, "reducing", (None, [[F(1)]])) == [(True, {}), (True, {})]
-    assert frame_rotation_check(phi, [[1]], "reducing")
+    with pytest.raises(RankTooSmall):
+        _certify(phi, "reducing", (None, [[F(1)]]))
+    with pytest.raises(RankTooSmall):
+        frame_rotation_check(phi, [[1]], "reducing")
+    with pytest.raises(ZeroSpinor):
+        frame_rotation_check(ScaledSpinor(4, 3, 1, {}), IDENTITY3, "pure")
+    rank2 = ScaledSpinor(2, 2, 1, {((1,), ((1,),)): gr(1)})
+    with pytest.raises(RankTooSmall):
+        frame_rotation_check(rank2, [[1, 0], [0, 1]], "pure")
 
 
 def test_frame_and_equivariance_reject_unknown_kind():

@@ -37,6 +37,8 @@ INPUTS = {
         {"spin": [1], "twist": [[]] * 9, "re": "1", "im": "0"}]}).encode(),
     "zero.json": json.dumps({**_TWISTED, "coeffs": []}).encode(),
     "zero_untwisted.json": json.dumps({"n": 4, "coeffs": []}).encode(),
+    "odd_untwisted.json": json.dumps({"n": 3, "coeffs": [
+        {"eps": [1], "re": "1", "im": "0"}]}).encode(),
     "r1.json": json.dumps({"n": 4, "r": 1, "m": 1, "scale2": "1", "coeffs": [
         {"spin": [1, 1], "twist": [[]], "re": "1", "im": "0"}]}).encode(),
     "proto.json": json.dumps({"n": 4, "coeffs": [
@@ -97,6 +99,7 @@ MATRIX = [
     # well-formed inputs a certificate refuses
     ["verify", "pure", "--in", "<tmp>/zero.json"],
     ["verify", "spinc", "--in", "<tmp>/zero_untwisted.json"],
+    ["verify", "spinc", "--in", "<tmp>/odd_untwisted.json"],
     ["verify", "reducing", "--in", "<tmp>/r1.json"],
     ["eta", "--in", "<tmp>/r1.json", "--pair", "1,2"],
     ["commutant", "--in", "<tmp>/r1.json"],

@@ -9,8 +9,10 @@ of scalars (a dimension, an index, a coefficient, a vector, a matrix, a key,
 a kind string), either works or raises a ``SpinorForgeError`` on any value.
 A parameter that takes a library object (a spinor, a form, an ``Endo``, an
 element) is not covered, so a name whose parameters are all such objects
-has an empty entry.  A size is probed at -1 and at its cap + 1 and never
-beyond, so a missing cap fails by its error type and builds nothing large.
+has an empty entry.  The hostile values are wrong scalars, also inside a
+sequence or mapping, and unhashable containers passed as a whole argument.
+A size is probed at -1 and at its cap + 1 and never beyond, so a missing
+cap fails by its error type and builds nothing large.
 """
 
 import re
@@ -41,6 +43,8 @@ IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 # Scalars that are not what a parameter wants: no large int among them.
 SCALARS = (None, True, False, 2.5, float("nan"), 1j, "x", "", -1, 0, F(1, 2), object())
+# ... and unhashable containers, each passed as a whole argument.
+HOSTILE = SCALARS + ([], {}, set(), [1])
 
 
 class Hostile(tuple):
@@ -54,13 +58,13 @@ class Hostile(tuple):
 
 
 def size(cap):
-    return Hostile(SCALARS, over=(cap + 1,))
+    return Hostile(HOSTILE, over=(cap + 1,))
 
 
 def vector(length):
     """Non-sequences, a string, and sequences of the right length with one
     hostile scalar throughout."""
-    return SCALARS + tuple([v] * length for v in SCALARS) + ([1] * (length + 1),)
+    return HOSTILE + tuple([v] * length for v in SCALARS) + ([1] * (length + 1),)
 
 
 def matrix(rows, cols):
@@ -74,7 +78,7 @@ def mapping(key, value=1, values=True):
     if isinstance(key, tuple):
         keys += [key[:i] + (v,) + key[i + 1:] for i in range(len(key)) for v in SCALARS]
         keys += [key[:-1], key + key[-1:]]
-    out = SCALARS + tuple({k: value} for k in keys)
+    out = HOSTILE + tuple({k: value} for k in keys)
     return out + tuple({key: v} for v in SCALARS) if values else out
 
 
@@ -87,43 +91,43 @@ CONTRACT = {
         ("b", mapping((1, 2)), lambda v: AmbientElement(4, 3, {}, v)),
     ],
     "CatalogEntry": [  # a record: its fields are stored as given
-        ("name", SCALARS, lambda v: CatalogEntry(v, "pure", PHI)),
-        ("kind", SCALARS, lambda v: CatalogEntry("qk", v, PHI)),
-        ("expected_annihilator_dim", SCALARS, lambda v: CatalogEntry("qk", "pure", PHI, None, v)),
+        ("name", HOSTILE, lambda v: CatalogEntry(v, "pure", PHI)),
+        ("kind", HOSTILE, lambda v: CatalogEntry("qk", v, PHI)),
+        ("expected_annihilator_dim", HOSTILE, lambda v: CatalogEntry("qk", "pure", PHI, None, v)),
     ],
-    "ClDims": [("r", SCALARS, lambda v: ClDims(v, v, v))],
+    "ClDims": [("r", HOSTILE, lambda v: ClDims(v, v, v))],
     "Endo": [
-        ("n", SCALARS, lambda v: Endo(v, [[0] * 4] * 4)),
+        ("n", size(MAX_N), lambda v: Endo(v, [[0] * 4] * 4)),
         ("mat", matrix(4, 4), lambda v: Endo(4, v)),
     ],
     "FormTerm": [
         ("factors", vector(2), lambda v: FormTerm(v)),
-        ("coeff", SCALARS, lambda v: FormTerm((1, 2), v)),
+        ("coeff", HOSTILE, lambda v: FormTerm((1, 2), v)),
     ],
     "GaussianRational": [
-        ("re", SCALARS, lambda v: GaussianRational(v)),
-        ("im", SCALARS, lambda v: GaussianRational(0, v)),
+        ("re", HOSTILE, lambda v: GaussianRational(v)),
+        ("im", HOSTILE, lambda v: GaussianRational(0, v)),
     ],
     "LieSubalgebra": [  # a record
-        ("dim", SCALARS, lambda v: LieSubalgebra([], v, True)),
-        ("closed", SCALARS, lambda v: LieSubalgebra([], 0, v)),
-        ("open_pair", SCALARS, lambda v: LieSubalgebra([], 0, False, v)),
+        ("dim", HOSTILE, lambda v: LieSubalgebra([], v, True)),
+        ("closed", HOSTILE, lambda v: LieSubalgebra([], 0, v)),
+        ("open_pair", HOSTILE, lambda v: LieSubalgebra([], 0, False, v)),
     ],
-    "PurityReport": [("is_pure", SCALARS, lambda v: PurityReport(v, {}))],  # a record
-    "ReducingReport": [("is_reducing", SCALARS, lambda v: ReducingReport(v, {}))],  # a record
+    "PurityReport": [("is_pure", HOSTILE, lambda v: PurityReport(v, {}))],  # a record
+    "ReducingReport": [("is_reducing", HOSTILE, lambda v: ReducingReport(v, {}))],  # a record
     "ScaledSpinor": [
         ("n", size(MAX_N), lambda v: ScaledSpinor(v, 3, 1)),
         ("r", size(MAX_R), lambda v: ScaledSpinor(4, v, 1)),
         ("m", size(MAX_M), lambda v: ScaledSpinor(4, 3, v)),
         ("coeffs", mapping(KEY), lambda v: ScaledSpinor(4, 3, 1, v)),
-        ("scale2", SCALARS, lambda v: ScaledSpinor(4, 3, 1, {}, v)),
+        ("scale2", HOSTILE, lambda v: ScaledSpinor(4, 3, 1, {}, v)),
     ],
     "SpinorVector": [
         ("n", size(MAX_N), lambda v: SpinorVector(v, {})),
         ("coeffs", mapping((1, 1)), lambda v: SpinorVector(4, v)),
     ],
     "TwoForm": [
-        ("n", SCALARS, lambda v: TwoForm(v, [[0] * 4] * 4)),
+        ("n", size(MAX_N), lambda v: TwoForm(v, [[0] * 4] * 4)),
         ("mat", matrix(4, 4), lambda v: TwoForm(4, v)),
     ],
     "ambient_annihilates": [],
@@ -142,15 +146,15 @@ CONTRACT = {
     "check_reducing": [],
     "check_spinc_pure": [],
     "cl_dims": [("r", size(MAX_R), cl_dims)],
-    "commutant": [("restrict_skew", SCALARS, lambda v: commutant(HATS, v))],
+    "commutant": [("restrict_skew", HOSTILE, lambda v: commutant(HATS, v))],
     "equivariance_check": [
         ("g_vectors", matrix(2, 4), lambda v: equivariance_check(PHI, v, [])),
         ("h_vectors", matrix(2, 3), lambda v: equivariance_check(PHI, [], v)),
-        ("kind", SCALARS, lambda v: equivariance_check(PHI, [], [], v)),
+        ("kind", HOSTILE, lambda v: equivariance_check(PHI, [], [], v)),
     ],
     "eta": [
-        ("k", SCALARS, lambda v: eta(PHI, v, 2)),
-        ("l", SCALARS, lambda v: eta(PHI, 1, v)),
+        ("k", HOSTILE, lambda v: eta(PHI, v, 2)),
+        ("l", HOSTILE, lambda v: eta(PHI, 1, v)),
     ],
     "eta13_recursion_check": [("m", size(MAX_M), eta13_recursion_check)],
     "eta_hat": [],
@@ -161,25 +165,25 @@ CONTRACT = {
     ],
     "frame_rotation_check": [
         ("a", matrix(3, 3), lambda v: frame_rotation_check(PHI, v)),
-        ("kind", SCALARS, lambda v: frame_rotation_check(PHI, IDENTITY3, v)),
+        ("kind", HOSTILE, lambda v: frame_rotation_check(PHI, IDENTITY3, v)),
     ],
     "g2_generators": [],
     "gamma_apply": [],
     "gr": [
-        ("re", SCALARS, lambda v: gr(v)),
-        ("im", SCALARS, lambda v: gr(0, v)),
+        ("re", HOSTILE, lambda v: gr(v)),
+        ("im", HOSTILE, lambda v: gr(0, v)),
     ],
     "kappa_generator": [
-        ("n", SCALARS, lambda v: kappa_generator(v, 1, PHI)),
-        ("i", SCALARS, lambda v: kappa_generator(4, v, PHI)),
+        ("n", HOSTILE, lambda v: kappa_generator(v, 1, PHI)),
+        ("i", HOSTILE, lambda v: kappa_generator(4, v, PHI)),
     ],
     "lie_closure_report": [],
     "maps_G_H": [("eps", vector(2), maps_G_H)],
-    "mu_slot": [("a", SCALARS, lambda v: mu_slot(v, [FormTerm((1,))], PHI))],
+    "mu_slot": [("a", HOSTILE, lambda v: mu_slot(v, [FormTerm((1,))], PHI))],
     "norm2": [],
     "phi_extend": [("beta", mapping((1, 2)), lambda v: phi_extend(PHI, v))],
     "spin_action_on_vector": [
-        ("n", SCALARS, lambda v: spin_action_on_vector(v, [], [1, 0, 0, 0])),
+        ("n", HOSTILE, lambda v: spin_action_on_vector(v, [], [1, 0, 0, 0])),
         ("n", size(MAX_N), lambda v: spin_action_on_vector(v, [], [1])),
         ("vectors", matrix(2, 4), lambda v: spin_action_on_vector(4, v, [1, 0, 0, 0])),
         ("v", vector(4), lambda v: spin_action_on_vector(4, [], v)),
@@ -187,8 +191,8 @@ CONTRACT = {
     "spinc_form": [],
     "tangent_action": [("X", vector(4), lambda v: tangent_action(v, PHI))],
     "twist_bivector_action": [
-        ("k", SCALARS, lambda v: twist_bivector_action(v, 2, PHI)),
-        ("l", SCALARS, lambda v: twist_bivector_action(1, v, PHI)),
+        ("k", HOSTILE, lambda v: twist_bivector_action(v, 2, PHI)),
+        ("l", HOSTILE, lambda v: twist_bivector_action(1, v, PHI)),
     ],
     "twisted_group_action": [
         ("g_vectors", matrix(2, 4), lambda v: twisted_group_action(v, [], PHI)),

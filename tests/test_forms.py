@@ -598,3 +598,15 @@ def test_two_form_dimension_cap():
     # the dense constructor stores its terms through two_form_from_terms, cap included
     with pytest.raises(UnsupportedDimension, match="^n must be <= 32"):
         TwoForm(33, [[F(0)] * 33 for _ in range(33)])
+
+
+def test_dense_constructors_check_n_before_any_entry():
+    """``Endo`` and ``TwoForm`` refuse an n that is no dimension before any
+    row is read: a bool or a float that would match a 1 x 1 matrix, and an
+    n over the cap, here with no matrix at all."""
+    for cls in (Endo, TwoForm):
+        for n in (True, 1.0):
+            with pytest.raises(InvalidValue, match=f"^n must be an int, got {n!r}$"):
+                cls(n, [[0]])
+        with pytest.raises(UnsupportedDimension, match="^n must be <= 32"):
+            cls(33, None)

@@ -7,9 +7,11 @@ w = kappa(f_kl) . phi the entry for a < b is
 
     eta_kl(e_a, e_b) = scale2 * Re< e_a e_b . w, phi > = -scale2 * Re< w, e_a e_b . phi >.
 
-The integer sums Re< w, e_a e_b . phi > are the kernel's pairing
-``twisted._induced``; a 2-form acts (``form_action``) through its bivector
-action ``twisted._bivector_map``.  Neither applies a generator.
+The integer sums Re< w, e_a e_b . phi > of every image w come from one call
+of the kernel's induced-form pass ``twisted._induced`` (``_induced_forms``,
+called once by each of ``eta``, ``etas``, ``spinc_form`` and ``phi_extend``);
+a twist pair is checked once, by ``twisted._check_twist_pair``.  A 2-form acts
+(``form_action``) through ``twisted._bivector_map``.  Neither applies a generator.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . phi.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
@@ -24,15 +26,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, List, Sequence, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
 from .linalg import Matrix, SparseRow, transpose
 from .scalars import GR_I, Rational, exact_rational
-from .spinrep import (
-    ScaledSpinor, check_dimensions, check_indices, check_mapping, check_sequence, index_pair,
-)
-from .twisted import _bivector_map, _induced, twist_bivector_action
+from .spinrep import ScaledSpinor, check_dimensions, check_mapping, check_sequence, index_pair
+from .twisted import _bivector_map, _check_twist_pair, _induced, twist_bivector_action
 
 
 def _square(n: int, mat: Matrix, what: str) -> Matrix:
@@ -226,15 +227,12 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     return _two_form(n, den, {ab: c.numerator * (den // c.denominator) for ab, c in upper.items()})
 
 
-def _induced_form(phi: ScaledSpinor) -> Callable[[ScaledSpinor], TwoForm]:
-    """The map w -> the 2-form -scale2 * Re< w, e_a e_b . phi >, a < b, for
-    w of phi's shape, from the integer sums of ``twisted._induced``."""
-    n, num, q, induced = phi.n, -phi.scale2.numerator, phi.scale2.denominator, _induced(phi)
-
-    def form(w: ScaledSpinor) -> TwoForm:
-        den, sums = induced(w)
-        return _two_form(n, q * den, {ab: num * x for ab, x in sums.items()})
-    return form
+def _induced_forms(phi: ScaledSpinor, images: Iterable[ScaledSpinor]) -> List[TwoForm]:
+    """The 2-form -scale2 * Re< w, e_a e_b . phi >, a < b, for each w of
+    phi's shape in ``images``, from one pass of ``twisted._induced``."""
+    num, q = -phi.scale2.numerator, phi.scale2.denominator
+    return [_two_form(phi.n, q * den, {ab: num * x for ab, x in sums.items()})
+            for den, sums in _induced(phi, images)]
 
 
 def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
@@ -246,26 +244,18 @@ def form_action(omega: TwoForm, phi: ScaledSpinor) -> ScaledSpinor:
     return phi._with(phi._den * omega._den, _bivector_map(phi, omega._terms))
 
 
-def _check_pair(phi: ScaledSpinor, k: int, l: int) -> None:
-    check_indices("twist index", k, l)
-    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
-        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
-
-
 def eta(phi: ScaledSpinor, k: int, l: int) -> TwoForm:
     """The induced 2-form for the twist bivector f_k f_l: the induced form
-    of w = kappa(f_kl) . phi."""
-    _check_pair(phi, k, l)
-    if k == l:
-        return _two_form(phi.n, 1, {})
-    return _induced_form(phi)(twist_bivector_action(k, l, phi))
+    of w = kappa(f_kl) . phi, the pair checked by ``twist_bivector_action``.
+    At k = l, w = -m phi, and the form is zero: e_a e_b is skew-adjoint."""
+    return _induced_forms(phi, [twist_bivector_action(k, l, phi)])[0]
 
 
 def etas(phi: ScaledSpinor) -> Dict[Tuple[int, int], TwoForm]:
-    """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``_induced_form``."""
-    form = _induced_form(phi)
-    return {(k, l): form(twist_bivector_action(k, l, phi))
-            for k in range(1, phi.r + 1) for l in range(k + 1, phi.r + 1)}
+    """{(k, l): eta(phi, k, l)} for all k < l, ascending, from one ``_induced_forms``."""
+    pairs = list(combinations(range(1, phi.r + 1), 2))
+    return dict(zip(pairs, _induced_forms(phi, (twist_bivector_action(k, l, phi)
+                                                for k, l in pairs))))
 
 
 def eta_hat(omega: TwoForm) -> Endo:
@@ -280,19 +270,20 @@ def eta_hat(omega: TwoForm) -> Endo:
 
 
 def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoForm:
-    """Linear extension over twist bivectors: sum c_kl eta(phi, k, l).  Every
-    key is checked as eta checks its pair, also where c_kl is zero or k = l."""
+    """Linear extension over twist bivectors: sum c_kl eta(phi, k, l), from
+    one ``_induced_forms`` pass over the pairs with c_kl != 0 and k != l.
+    Every key is checked as eta checks its pair, also where c_kl is zero or
+    k = l."""
     parts: List[Tuple[Tuple[int, int], Fraction]] = []
     for key, c in check_mapping("beta", beta).items():
         k, l = index_pair("twist index", key)
-        _check_pair(phi, k, l)
+        _check_twist_pair(phi, k, l)
         c = exact_rational(c)
         if c and k != l:
-            parts.append(((k, l), c) if k < l else ((l, k), -c))
-    table = etas(phi) if parts else {}
+            parts.append(((k, l), c))
     q = math.lcm(*(c.denominator for _, c in parts))
-    return form_lincomb(phi.n, [table[kl] for kl, _ in parts])(
-        [c.numerator * (q // c.denominator) for _, c in parts], q)
+    forms = _induced_forms(phi, (twist_bivector_action(k, l, phi) for (k, l), _ in parts))
+    return form_lincomb(phi.n, forms)([c.numerator * (q // c.denominator) for _, c in parts], q)
 
 
 def spinc_form(phi: ScaledSpinor) -> TwoForm:
@@ -304,7 +295,7 @@ def spinc_form(phi: ScaledSpinor) -> TwoForm:
             raise ShapeMismatch("untwisted rank-2 form needs even dimension")
         if phi.is_zero():
             raise ZeroSpinor("zero spinor")
-        return _induced_form(phi)(phi.scale(GR_I))
+        return _induced_forms(phi, [phi.scale(GR_I)])[0]
     if phi.r != 2 or phi.m != 1:
         raise WrongRank(f"rank-2 form needs (r, m) = (2, 1) or m = 0, got ({phi.r}, {phi.m})")
     return eta(phi, 1, 2)

@@ -320,7 +320,10 @@ def SpinorVector(n: int, coeffs: CoeffMap) -> ScaledSpinor:
 
 
 def basis_spinor(n: int, eps: Sequence[int]) -> ScaledSpinor:
-    return SpinorVector(n, {tuple(check_sequence("eps", eps)): GaussianRational(Fraction(1))})
+    """The basis spinor u_eps of Delta_n; each sign is an int, bools refused."""
+    eps = tuple(check_sequence("eps", eps))
+    check_indices("sign", *eps)
+    return SpinorVector(n, {eps: GaussianRational(Fraction(1))})
 
 
 # One signed flip: (d, x, mask, mixed) sends phi_v to v ^ d times

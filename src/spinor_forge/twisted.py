@@ -28,15 +28,18 @@ system act; a spin pair is one read of the pair table
 ``spinrep._pair_acts``.  None applies a generator.  A sesquilinear sum is
 an int sum over D1 * D2.
 
-``_induced`` is the other pairing, with its own grouping (a general one
-measured slower on eta): the sums Re< w, e_a e_b . phi > of the induced
-forms (``forms``).  The pair table grouped by d = f_a ^ f_b
+``_induced(phi, images)`` is the other pairing and the one induced-form
+pass, with its own grouping (a general one measured slower on eta): the
+sums Re< w, e_a e_b . phi > of the induced forms (``forms``) for every
+image w of one call.  The pair table grouped by d = f_a ^ f_b
 (``_pattern_slots``) holds at d = 0 the k = n // 2 pairs (2j-1, 2j), four
 pairs at each two-bit d and, for odd n, two at each one-bit d.  A pattern
-flips spin bits only, so supp phi is grouped once by the bits above the
-spin slot (``_twist_groups``), and each u in supp w walks only u's group:
-each v whose u ^ v is a pattern adds the signed real or imaginary part of
-w_u conj(phi_v) to every pair of that pattern.
+flips spin bits only, so supp phi is grouped once per call by the bits
+above the spin slot, and each u in supp w walks only u's group: each v
+whose u ^ v is a pattern adds the signed real or imaginary part of
+w_u conj(phi_v) to every pair of that pattern.  A twist pair (k, l) is
+checked in one place, ``_check_twist_pair``, for ``twist_bivector_action``
+(and through it ``forms.eta``) and for ``forms.phi_extend``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import math
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ScaleMismatch, ShapeMismatch
 from .linalg import _clear_denominators
@@ -125,24 +128,20 @@ def _pattern_slots(n: int) -> Dict[int, Tuple[Tuple[int, int, bool, int], ...]]:
     return {d: tuple(group) for d, group in groups.items()}
 
 
-def _twist_groups(phi: ScaledSpinor) -> Dict[int, List[Tuple[int, int, int]]]:
-    """supp phi as (v, re, im), grouped by the bits above the spin slot,
-    which no pattern of ``_pattern_slots`` flips."""
-    groups: Dict[int, List[Tuple[int, int, int]]] = {}
-    k = phi.n // 2
-    for v, (re, im) in phi._data.items():
-        groups.setdefault(v >> k, []).append((v, re, im))
-    return groups
-
-
-def _induced(phi: ScaledSpinor) -> Callable[[ScaledSpinor], Tuple[int, Dict[Tuple[int, int], int]]]:
-    """The map w -> (D_phi * D_w, the nonzero integer sums Re< w, e_a e_b .
-    phi > over it, keyed (a, b), a < b) for w of phi's shape, with supp phi
-    grouped once; each v of u's group is looked up by u ^ v among the patterns."""
+def _induced(phi: ScaledSpinor, images: Iterable[ScaledSpinor]
+             ) -> List[Tuple[int, Dict[Tuple[int, int], int]]]:
+    """(D_phi * D_w, the nonzero integer sums Re< w, e_a e_b . phi > over it,
+    keyed (a, b), a < b) for each w of phi's shape in ``images``: supp phi
+    is grouped once by the bits above the spin slot, which no pattern of
+    ``_pattern_slots`` flips, and each v of u's group is looked up by u ^ v
+    among the patterns."""
     n, k = phi.n, phi.n // 2
-    keys, pattern, group = _pair_acts(n), _pattern_slots(n).get, _twist_groups(phi).get
-
-    def sums(w: ScaledSpinor) -> Tuple[int, Dict[Tuple[int, int], int]]:
+    keys, pattern = _pair_acts(n), _pattern_slots(n).get
+    groups: Dict[int, List[Tuple[int, int, int]]] = {}
+    for v, (pr, pi) in phi._data.items():
+        groups.setdefault(v >> k, []).append((v, pr, pi))
+    group, out = groups.get, []
+    for w in images:
         acc = [0] * len(keys)
         for u, (wr, wi) in w._data.items():
             for v, pr, pi in group(u >> k, ()):
@@ -155,8 +154,8 @@ def _induced(phi: ScaledSpinor) -> Callable[[ScaledSpinor], Tuple[int, Dict[Tupl
                         acc[slot] -= z[mixed]
                     else:
                         acc[slot] += z[mixed]
-        return phi._den * w._den, {ab: x for ab, x in zip(keys, acc) if x}
-    return sums
+        out.append((phi._den * w._den, {ab: x for ab, x in zip(keys, acc) if x}))
+    return out
 
 
 @lru_cache(maxsize=1 << 12)  # per shape and pair; f_k f_k = -1 on every slot
@@ -244,13 +243,18 @@ def mu_slot(a: int, omega: Iterable[FormTerm], phi: ScaledSpinor) -> ScaledSpino
     return _on_slot(phi, a, ((t.factors, t.coeff) for t in omega))
 
 
+def _check_twist_pair(phi: ScaledSpinor, k: int, l: int) -> None:
+    """The one check of a twist pair: k and l ints (bools refused) in 1..r."""
+    check_indices("twist index", k, l)
+    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
+        raise IndexOutOfRange(f"twist indices ({k},{l}) outside 1..{phi.r}")
+
+
 def twist_bivector_action(k: int, l: int, phi: ScaledSpinor) -> ScaledSpinor:
     """The bivector f_k f_l acting as the sum of its m slot actions, from
     the cached flips ``_twist_acts``: f_k f_l = -f_l f_k, and f_k f_k = -1
     on every slot."""
-    check_indices("bivector index", k, l)
-    if not (1 <= k <= phi.r and 1 <= l <= phi.r):
-        raise IndexOutOfRange(f"bivector indices ({k},{l}) outside 1..{phi.r}")
+    _check_twist_pair(phi, k, l)
     return phi._with(phi._den, _walk(_twist_acts(phi.n, phi.r, phi.m, k, l), phi._data))
 
 

@@ -44,6 +44,7 @@ GAMMA = "tests/test_spinrep.py::test_gamma_matches_dense_oracle"
 REFUSALS = "tests/test_analysis.py::test_checkers_reject_zero_and_small_rank"
 NO_TWIST_PAIRS = "tests/test_analysis.py::test_frame_rotation_without_twist_pairs"
 CONTRACT = "tests/test_contract.py::test_hostile_values_raise_only_typed_errors"
+INDUCED = "tests/test_pair_table.py::test_induced_form_matches_generator_path"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -225,6 +226,20 @@ MUTANTS = [
      "not isinstance(kind, str) or kind not in _KINDS",
      "kind not in _KINDS or not isinstance(kind, str)",
      [CONTRACT + "[frame_rotation_check]", CONTRACT + "[equivariance_check]"]),
+    ("the η pass keeps one accumulator across images", "twisted.py",
+     "    for w in images:\n        acc = [0] * len(keys)\n",
+     "    acc = [0] * len(keys)\n    for w in images:\n",
+     [INDUCED, "tests/test_forms.py::test_etas_equals_eta_per_pair"]),
+    ("the η pass groups supp φ by the spin bits", "twisted.py",
+     "groups.setdefault(v >> k, [])",
+     "groups.setdefault(v & ((1 << k) - 1), [])",
+     [INDUCED, "tests/test_cli.py::test_eta_of_the_dense_wire_matches_its_golden_file"]),
+    ("the twist-pair check admits l = r + 1", "twisted.py",
+     "1 <= l <= phi.r):",
+     "1 <= l <= phi.r + 1):",
+     ["tests/test_forms.py::test_phi_extend_checks_every_key",
+      "tests/test_forms.py::test_eta_index_range",
+      "tests/test_twisted.py::test_twist_bivector_index_range"]),
     ("_square drops the dimension check", "forms.py",
      "    check_dimensions(n)\n    rows = ",
      "    rows = ",

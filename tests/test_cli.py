@@ -59,6 +59,15 @@ def test_verify_dense_wire_matches_its_golden_file(capsys, kind):
     assert out == (data / f"dense_12_3_2_{kind}.json").read_text()
 
 
+def test_eta_of_the_dense_wire_matches_its_golden_file(capsys):
+    """All three eta of the dense (12, 3, 2) wire, whose 64 coefficients
+    fall into 4 groups by their twist bits, pinned exactly."""
+    data = Path(__file__).parent / "data"
+    code, out, _ = run(capsys, "eta", "--in", str(data / "dense_12_3_2.json"), "--format", "json")
+    assert code == 0
+    assert out == (data / "dense_12_3_2_eta.json").read_text()
+
+
 def test_verify_json_format(capsys):
     code, out, _ = run(capsys, "verify", "reducing", "--catalog", "generic",
                        "--n", "3", "--format", "json")

@@ -9,8 +9,9 @@ of scalars (a dimension, an index, a coefficient, a vector, a matrix, a key,
 a kind string), either works or raises a ``SpinorForgeError`` on any value.
 A parameter that takes a library object (a spinor, a form, an ``Endo``, an
 element) is not covered, so a name whose parameters are all such objects
-has an empty entry.  The hostile values are wrong scalars, also inside a
-sequence or mapping, and unhashable containers passed as a whole argument.
+has an empty entry.  The hostile values are wrong scalars and unhashable
+containers, as a whole argument, as entries of a sequence and as values of
+a mapping; the keys of a mapping are probed with the scalars alone.
 A size is probed at -1 and at its cap + 1 and never beyond, so a missing
 cap fails by its error type and builds nothing large.
 """
@@ -43,7 +44,7 @@ IDENTITY3 = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 # Scalars that are not what a parameter wants: no large int among them.
 SCALARS = (None, True, False, 2.5, float("nan"), 1j, "x", "", -1, 0, F(1, 2), object())
-# ... and unhashable containers, each passed as a whole argument.
+# ... and unhashable containers, which cannot be part of a mapping key.
 HOSTILE = SCALARS + ([], {}, set(), [1])
 
 
@@ -63,23 +64,24 @@ def size(cap):
 
 def vector(length):
     """Non-sequences, a string, and sequences of the right length with one
-    hostile scalar throughout."""
-    return HOSTILE + tuple([v] * length for v in SCALARS) + ([1] * (length + 1),)
+    hostile value, a container included, throughout."""
+    return HOSTILE + tuple([v] * length for v in HOSTILE) + ([1] * (length + 1),)
 
 
 def matrix(rows, cols):
-    return vector(rows) + tuple([[v] * cols] * rows for v in SCALARS)
+    return vector(rows) + tuple([[v] * cols] * rows for v in HOSTILE)
 
 
 def mapping(key, value=1, values=True):
-    """Non-mappings, hostile keys (a hostile entry in each place of a tuple
-    key) and, unless the values are library objects, hostile values."""
+    """Non-mappings, hostile keys (a hostile scalar in each place of a tuple
+    key; a container cannot be part of a key) and, unless the values are
+    library objects, hostile values, containers included."""
     keys = list(SCALARS)
     if isinstance(key, tuple):
         keys += [key[:i] + (v,) + key[i + 1:] for i in range(len(key)) for v in SCALARS]
         keys += [key[:-1], key + key[-1:]]
     out = HOSTILE + tuple({k: value} for k in keys)
-    return out + tuple({key: v} for v in SCALARS) if values else out
+    return out + tuple({key: v} for v in HOSTILE) if values else out
 
 
 # name -> [(parameter, hostile values, call)]

@@ -6,7 +6,7 @@ from itertools import combinations, product
 
 import pytest
 
-from spinor_forge import catalog, spinrep, twisted
+from spinor_forge import catalog, forms, spinrep, twisted
 from spinor_forge.analysis import (
     AmbientElement, ambient_annihilates, annihilator, check_pure, check_reducing,
     check_spinc_pure, frame_rotation_check,
@@ -19,7 +19,7 @@ from spinor_forge.forms import (
     Endo,
     TwoForm,
     _endo,
-    _induced_form,
+    _induced_forms,
     _two_form,
     eta,
     eta_hat,
@@ -110,7 +110,7 @@ def test_eta_matches_dense_oracle_for_every_small_n(n, m):
         for (k, l), mat in want.items():
             assert eta(phi, k, l).mat == mat, (k, l)
         if m == 0:  # eta vanishes untwisted; the rank-2 form pairs i . phi instead
-            assert _induced_form(phi)(phi.scale(gr(0, 1))).mat == oracle.spinc_form(phi)
+            assert _induced_forms(phi, [phi.scale(gr(0, 1))])[0].mat == oracle.spinc_form(phi)
 
 
 def test_induced_forms_match_definition():
@@ -189,10 +189,38 @@ def test_induced_forms_apply_no_spin_generator(monkeypatch):
 
 
 def test_eta_index_range():
+    """eta checks its pair by the one twist-pair check, so its texts are
+    those of ``twist_bivector_action`` and ``phi_extend``."""
     rng = random.Random(2)
     phi = random_scaled(4, 3, 1, rng)
-    with pytest.raises(IndexOutOfRange):
-        eta(phi, 0, 2)
+    for k, l in ((0, 2), (1, 4), (4, 4), (-1, 1)):
+        with pytest.raises(IndexOutOfRange, match=re.escape(f"twist indices ({k},{l}) outside 1..3")):
+            eta(phi, k, l)
+    with pytest.raises(InvalidValue, match="twist index must be an int"):
+        eta(phi, True, 2)
+
+
+def test_each_induced_form_entry_makes_one_pass(monkeypatch):
+    """eta, etas, spinc_form (both routes) and phi_extend each pair all
+    their images in one call of the induced-form pass."""
+    calls = []
+
+    def spy(phi, images):
+        images = list(images)
+        calls.append(len(images))
+        return induced(phi, images)
+
+    induced = forms._induced
+    monkeypatch.setattr(forms, "_induced", spy)
+    rng = random.Random(21)
+    phi = random_scaled(5, 4, 2, rng, terms=12)
+    for call, images in ((lambda: eta(phi, 1, 3), 1), (lambda: etas(phi), 6),
+                         (lambda: spinc_form(random_scaled(4, 0, 0, rng, terms=4)), 1),
+                         (lambda: spinc_form(random_scaled(4, 2, 1, rng, terms=4)), 1),
+                         (lambda: phi_extend(phi, {(1, 2): 1, (4, 3): F(1, 2)}), 2)):
+        calls.clear()
+        call()
+        assert calls == [images]
 
 
 def test_eta_unit_scaling_invariance():
@@ -497,6 +525,36 @@ def test_phi_extend_checks_every_key():
             phi_extend(phi, beta)
     assert phi_extend(phi, {(1, 1): F(1), (2, 3): F(0)}).is_zero()
     assert phi_extend(phi, {(3, 1): F(2)}).mat == eta(phi, 1, 3).scale(-2).mat
+
+
+def test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs(monkeypatch):
+    """phi_extend equals sum c_kl eta(phi, k, l), with (l, k) keys read as
+    -f_k f_l, zero coefficients and diagonal keys adding nothing; only the
+    pairs with c_kl != 0 and k != l are walked, each once, in key order."""
+    walked = []
+
+    def spy(k, l, phi):
+        walked.append((k, l))
+        return action(k, l, phi)
+
+    action = forms.twist_bivector_action
+    monkeypatch.setattr(forms, "twist_bivector_action", spy)
+    rng = random.Random(22)
+    for shape in ((4, 3, 1), (5, 4, 2), (6, 5, 1), (3, 3, 3)):
+        phi = random_scaled(*shape, rng, terms=10)
+        r = phi.r
+        keys = [(k, l) for k in range(1, r + 1) for l in range(1, r + 1)]
+        beta = {key: rng.choice((0, 0, 1, -2, F(3, 4), F(-5, 6))) for key in rng.sample(keys, 6)}
+        beta[(r, 1)] = F(1, 3)  # an (l, k) key
+        beta[(2, 2)] = 5  # a diagonal key
+        beta[(1, 2)] = 0  # a zero coefficient
+        want = two_form_from_terms(phi.n, {})
+        for (k, l), c in beta.items():
+            want = want + eta(phi, k, l).scale(c)
+        walked.clear()
+        got = phi_extend(phi, beta)
+        assert walked == [(k, l) for (k, l), c in beta.items() if c and k != l]
+        assert (got._den, got._terms) == (want._den, want._terms), shape
 
 
 def test_phi_extend_basis_and_cancellation():

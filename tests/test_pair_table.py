@@ -3,9 +3,9 @@ and the kernels that read them, against a generator chain.
 
 ``spinrep._monomial`` folds a product of generators into one signed flip;
 ``spinrep._pair_acts`` is its one table for the pairs a < b.  They serve
-the induced-form pairing ``twisted._induced`` (through
-``forms._induced_form``, with supp phi grouped by ``twisted._twist_groups``)
-and the one walk
+the one induced-form pass ``twisted._induced`` (through
+``forms._induced_forms``, with supp phi grouped once per call by its twist
+bits) and the one walk
 ``spinrep._walk``, through which 2-forms (``forms.form_action``), twist
 bivectors (``twist_bivector_action``), Lie-algebra elements
 (``ambient_annihilates``), the annihilator's columns and every slot
@@ -34,7 +34,7 @@ from spinor_forge import spinrep, twisted
 from spinor_forge.analysis import AmbientElement, _ambient_pairs, ambient_annihilates, annihilator
 from spinor_forge.catalog import build_qk_pure, build_spin7_pure, build_spin7_reducing
 from spinor_forge.errors import ShapeMismatch
-from spinor_forge.forms import _induced_form, form_action, two_form_from_terms
+from spinor_forge.forms import _induced_forms, eta, form_action, two_form_from_terms
 from spinor_forge.linalg import nullspace, random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
@@ -49,7 +49,6 @@ from spinor_forge.twisted import (
     ScaledSpinor,
     _bivector_map,
     _twist_generator,
-    _twist_groups,
     form_action_on_spin_slot,
     mu_slot,
     tangent_action,
@@ -245,33 +244,29 @@ def test_form_action_matches_generator_path(n, r, m):
 @pytest.mark.parametrize("n,r,m", SHAPES)
 def test_induced_form_matches_generator_path(n, r, m):
     """Arbitrary w of phi's shape, twist-bivector images among them, and
-    sparse and dense supports, so that groups hold one or many candidates."""
+    sparse and dense supports, so that groups hold one or many candidates;
+    every w of a support size is paired in one ``_induced_forms`` call."""
     rng = random.Random(200 * n + 10 * r + m)
     for terms in (3, 40):
         phi = rational_spinor(n, r, m, rng, terms)
-        table = _induced_form(phi)
         ws = [rational_spinor(n, r, m, rng, terms, phi.scale2), phi, phi.scale(gr(0, 1))]
         if m and r >= 2:
             ws.append(twist_bivector_action(1, 2, phi))
-        for w in ws:
-            got, want = table(w), definition_form(w, phi)
+        for w, got in zip(ws, _induced_forms(phi, ws), strict=True):
+            want = definition_form(w, phi)
             assert (got._den, got._terms) == (want._den, want._terms), (n, r, m, terms)
 
 
-def test_image_table_groups_support_by_twist_bits():
-    """supp phi is grouped by the bits above the spin slot, so a pattern
-    (spin bits only) finds its candidates in one group."""
-    rng = random.Random(33)
-    for n, r, m in ((4, 3, 3), (5, 4, 2), (8, 7, 1), (3, 2, 2)):
-        phi = rational_spinor(n, r, m, rng, 60)
-        groups = _twist_groups(phi)
-        assert sorted(v for group in groups.values() for v, _, _ in group) == sorted(phi._data)
-        for (spin, twist), c in phi.coeffs.items():
-            v = phi._index(spin, twist)
-            key = phi._index((-1,) * (n // 2), twist)  # the twist bits alone
-            assert key >> (n // 2) in groups
-            assert (v, *phi._data[v]) in groups[key >> (n // 2)]
-        assert len(groups) == len({twist for _, twist in phi.coeffs})
+@pytest.mark.parametrize("n,r,m", SHAPES)
+def test_eta_of_a_diagonal_pair_is_the_zero_form(n, r, m):
+    """kappa(f_k f_k) = -1 on every slot, so eta(phi, k, k) pairs -m phi
+    against phi and the one pass gives the zero form over denominator 1."""
+    rng = random.Random(400 * n + 10 * r + m)
+    for terms in (3, 40):
+        phi = rational_spinor(n, r, m, rng, terms)
+        for k in range(1, r + 1):
+            form = eta(phi, k, k)
+            assert (form.n, form._den, form._terms) == (n, 1, {}), (n, r, m, k)
 
 
 def slot_sum(phi, apply):

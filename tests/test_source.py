@@ -71,7 +71,7 @@ def test_boundary_modules_do_not_name_the_lie_element_layout():
 # ``forms`` and ``analysis`` may call.
 KERNEL_NAMES = {"_walk", "_pair", "_twist_acts", "_monomial", "_pair_acts", "_bivector_map",
                 "_slot_unit", "_generator_on_map", "_slot_acts", "_IDENTITY", "_merge",
-                "_pattern_slots", "_twist_groups", "_sign_classes"}
+                "_pattern_slots", "_sign_classes"}
 BIVECTOR_USERS = ("forms", "analysis")
 
 

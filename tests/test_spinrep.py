@@ -358,10 +358,14 @@ TWISTED = ScaledSpinor(4, 3, 1, {((1, 1), ((1,),)): gr(1)})
     lambda: twist_bivector_action(1, 2.0, TWISTED),
     lambda: kappa_generator(4, True, TWISTED),
     lambda: kappa_generator(4, 1.0, TWISTED),
+    lambda: basis_spinor(4, (True, 1)),
+    lambda: basis_spinor(4, (1, 1.0)),
+    lambda: basis_spinor(4, ([], [])),
 ], ids=["2-form a=1.0", "2-form a=True", "2-form triple", "ambient a=1.0", "ambient (1,)",
         "ambient b k=True", "eta k=1.0", "eta k=True", "FormTerm 1.0", "mu_slot a=True",
         "twist bivector k=True", "twist bivector k=1.0",
-        "twist bivector l=2.0", "generator i=True", "generator i=1.0"])
+        "twist bivector l=2.0", "generator i=True", "generator i=1.0", "basis sign True",
+        "basis sign 1.0", "basis sign []"])
 def test_indices_must_be_ints(make):
     """An index that is not an int, a bool included, or a pair key that is
     not a pair is refused with InvalidValue at the public entry, before it

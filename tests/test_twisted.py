@@ -1,9 +1,12 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
-from spinor_forge.errors import IndexOutOfRange, InexactScalar, ScaleMismatch, ShapeMismatch
+from spinor_forge.errors import (
+    IndexOutOfRange, InexactScalar, InvalidValue, ScaleMismatch, ShapeMismatch,
+)
 from spinor_forge.linalg import random_unit_vector
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import FormTerm, all_basis_indices, spin_action_on_vector
@@ -84,8 +87,10 @@ def test_twist_bivector_antisymmetry():
 def test_twist_bivector_index_range():
     rng = random.Random(5)
     phi = random_scaled(4, 3, 1, rng)
-    with pytest.raises(IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange, match=re.escape("twist indices (1,4) outside 1..3")):
         twist_bivector_action(1, 4, phi)
+    with pytest.raises(InvalidValue, match="twist index must be an int"):
+        twist_bivector_action(1, True, phi)
 
 
 def test_mu_slot_identity_and_single_slot():

@@ -216,11 +216,14 @@ class ReducingReport:
     per_pair: Dict[Pair, PairVerdict]
 
 
-# kind -> (defect coefficient c, least rank r, zero-spinor and low-rank refusals)
+# kind -> (defect coefficient c, least rank r, zero-spinor and low-rank refusals,
+#          the PairVerdict flag and its test of eta_kl)
 _KINDS = {
-    "pure": (2, 3, "purity is defined for nonzero spinors", "purity needs twisting rank r >= 3"),
+    "pure": (2, 3, "purity is defined for nonzero spinors", "purity needs twisting rank r >= 3",
+             "square_ok", lambda form: eta_hat(form).squares_to_minus_identity()),
     "reducing": (1, 2, "the reducing property is defined for nonzero spinors",
-                 "reducing needs twisting rank r >= 2"),  # the generic family starts at r = 2
+                 "reducing needs twisting rank r >= 2",  # the generic family starts at r = 2
+                 "eta_nonzero", lambda form: not form.is_zero()),
 }
 
 
@@ -248,7 +251,7 @@ def _certify(phi: ScaledSpinor, kind: str,
     the kind's least RankTooSmall: every certificate's one entry."""
     if not isinstance(kind, str) or kind not in _KINDS:
         raise InvalidValue(f"kind must be 'pure' or 'reducing', got {kind!r}")
-    c, least, zero, low = _KINDS[kind]
+    c, least, zero, low, flag_name, test = _KINDS[kind]
     if phi.is_zero():
         raise ZeroSpinor(zero)
     if phi.r < least:
@@ -275,13 +278,8 @@ def _certify(phi: ScaledSpinor, kind: str,
                 den, defect = _lincomb(zip(cs, d_dens, d_maps))
                 den *= d * d
             dn2 = _norm2(phi.scale2, den, defect)
-            if kind == "pure":
-                h = eta_hat(form)
-                flag = h.squares_to_minus_identity()
-                per[(k, l)] = PairVerdict(defect_norm2=dn2, square_ok=flag)
-            else:
-                flag = not form.is_zero()
-                per[(k, l)] = PairVerdict(defect_norm2=dn2, eta_nonzero=flag)
+            flag = test(form)
+            per[(k, l)] = PairVerdict(defect_norm2=dn2, **{flag_name: flag})
             ok = ok and flag and dn2 == 0
         out.append((ok, per))
     return out

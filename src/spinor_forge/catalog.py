@@ -279,21 +279,21 @@ def eta13_recursion_check(m: int) -> bool:
     return True
 
 
-CATALOG_NAMES = ("qk", "spin7_pure", "spin7_reducing", "generic")
+# name -> (builder, the dimension it takes: "m", "n" or None)
+ENTRIES = {
+    "qk": (build_qk_pure, "m"),
+    "spin7_pure": (build_spin7_pure, None),
+    "spin7_reducing": (build_spin7_reducing, None),
+    "generic": (build_generic_reducing, "n"),
+}
 
 
 def build(name: str, *, m: Optional[int] = None, n: Optional[int] = None) -> CatalogEntry:
     """Build a catalog entry by name; qk needs m, generic needs n."""
-    if name == "qk":
-        if m is None:
-            raise UnsupportedDimension("qk needs --m")
-        return build_qk_pure(m)
-    if name == "spin7_pure":
-        return build_spin7_pure()
-    if name == "spin7_reducing":
-        return build_spin7_reducing()
-    if name == "generic":
-        if n is None:
-            raise UnsupportedDimension("generic needs --n")
-        return build_generic_reducing(n)
-    raise InvalidValue(f"unknown catalog name {name!r}")
+    if not isinstance(name, str) or name not in ENTRIES:
+        raise InvalidValue(f"unknown catalog name {name!r}")
+    builder, dim = ENTRIES[name]
+    value = {"m": m, "n": n}.get(dim)
+    if dim and value is None:
+        raise UnsupportedDimension(f"{name} needs --{dim}")
+    return builder(value) if dim else builder()

@@ -15,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Any, List, Optional
+from typing import Any, Callable, List, Optional
 
 from . import __version__, catalog
 from .analysis import _certify, annihilator, check_spinc_pure, commutant
@@ -59,22 +59,22 @@ def _spinor_arg(args: argparse.Namespace):
     raise UsageError("need --catalog NAME or --in FILE")
 
 
-def _emit(args: argparse.Namespace, payload: Any, text: str) -> None:
+def _emit(args: argparse.Namespace, payload: Callable[[], Any], text: Callable[[], str]) -> None:
+    """The one writer of every verb with a text and a JSON form: it builds
+    only the rendering asked for (``--format json`` or ``--json``)."""
     if getattr(args, "format", "text") == "json" or getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        print(text)
+        print(text())
 
 
 def cmd_catalog(args: argparse.Namespace) -> int:
     if args.catalog_verb == "list":
-        for name in catalog.CATALOG_NAMES:
-            extra = {"qk": "  (requires --m)", "generic": "  (requires --n)"}.get(name, "")
-            print(name + extra)
+        for name, (_, dim) in catalog.ENTRIES.items():
+            print(name + (f"  (requires --{dim})" if dim else ""))
         return 0
     ent = catalog.build(args.catalog, m=args.m, n=args.n)
-    payload = scaled_spinor_to_json(ent.spinor)
-    out = json.dumps(payload, indent=2)
+    out = json.dumps(scaled_spinor_to_json(ent.spinor), indent=2)
     if args.outfile:
         try:
             with open(args.outfile, "w", encoding="utf-8") as fh:
@@ -96,17 +96,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not args.infile:
             raise UsageError("verify spinc needs --in FILE")
         verdict = check_spinc_pure(spinor_from_json(_load(args.infile)))
-        _emit(args, {"kind": "spinc", "verified": verdict},
-              f"spinc pure: {str(verdict).lower()}")
+        _emit(args, lambda: {"kind": "spinc", "verified": verdict},
+              lambda: f"spinc pure: {str(verdict).lower()}")
         return 0 if verdict else 1
     [(verdict, per)] = _certify(_spinor_arg(args), kind)
-    detail = {  # each pair's norm and its kind's one flag, square_ok or eta_nonzero
+    _emit(args, lambda: {"kind": kind, "verified": verdict, "pairs": {
+        # each pair's norm and its kind's one flag, square_ok or eta_nonzero
         f"{k},{l}": {"defect_norm2": str(v.defect_norm2),
                      **{f: x for f, x in vars(v).items() if type(x) is bool}}
-        for (k, l), v in sorted(per.items())
-    }
-    _emit(args, {"kind": kind, "verified": verdict, "pairs": detail},
-          f"{kind}: {str(verdict).lower()}")
+        for (k, l), v in sorted(per.items())}},
+          lambda: f"{kind}: {str(verdict).lower()}")
     return 0 if verdict else 1
 
 
@@ -118,12 +117,12 @@ def cmd_eta(args: argparse.Namespace) -> int:
         except ValueError:
             raise UsageError(f"bad --pair {args.pair!r}; expected k,l") from None
         form = eta(phi, k, l)
-        _emit(args, two_form_to_json(form), render_two_form(form))
+        _emit(args, lambda: two_form_to_json(form), lambda: render_two_form(form))
     else:
         forms = etas(phi)
-        payload = {f"{k},{l}": two_form_to_json(f) for (k, l), f in forms.items()}
-        text = "\n".join(f"eta[{k},{l}] = {render_two_form(f)}" for (k, l), f in forms.items())
-        _emit(args, payload, text)
+        _emit(args, lambda: {f"{k},{l}": two_form_to_json(f) for (k, l), f in forms.items()},
+              lambda: "\n".join(f"eta[{k},{l}] = {render_two_form(f)}"
+                                for (k, l), f in forms.items()))
     return 0
 
 
@@ -131,13 +130,9 @@ def cmd_annihilator(args: argparse.Namespace) -> int:
     if not args.infiles:
         raise UsageError("need at least one --in FILE")
     alg = annihilator([scaled_spinor_from_json(_load(p)) for p in args.infiles])
-    if args.json:
-        print(json.dumps(subalgebra_to_json(alg), indent=2))
-    else:
-        print(f"dim = {alg.dim}")
-        print(f"closed = {str(alg.closed).lower()}")
-        for x in alg.basis:
-            print(render_ambient(x))
+    _emit(args, lambda: subalgebra_to_json(alg),
+          lambda: "\n".join([f"dim = {alg.dim}", f"closed = {str(alg.closed).lower()}",
+                             *map(render_ambient, alg.basis)]))
     return 0
 
 
@@ -145,14 +140,9 @@ def cmd_commutant(args: argparse.Namespace) -> int:
     phi = _spinor_arg(args)
     fam = [eta_hat(form) for form in etas(phi).values()]
     dim, basis = commutant(fam, restrict_skew=args.skew)
-    if args.json:
-        payload = {
-            "dim": dim,
-            "basis": [[[str(x) for x in row] for row in b.mat] for b in basis],
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"dim = {dim}")
+    _emit(args, lambda: {"dim": dim,
+                         "basis": [[[str(x) for x in row] for row in b.mat] for b in basis]},
+          lambda: f"dim = {dim}")
     return 0
 
 
@@ -184,22 +174,17 @@ def cmd_frame_test(args: argparse.Namespace) -> int:
 
 def cmd_report(args: argparse.Namespace) -> int:
     rows = report_all()
-    ok = all(r.passed for r in rows)
-    if args.json:
-        payload = [
-            {"name": r.name, "expected": r.expected, "computed": r.computed,
-             "pass": r.passed}
-            for r in rows
-        ]
-        print(json.dumps(payload, indent=2))
-    else:
-        if not args.plain:
-            print(f"spinor-forge {__version__}")
+
+    def text() -> str:
         width = max(len(r.name) for r in rows)
-        for r in rows:
-            print(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.computed}")
-        print(f"{sum(r.passed for r in rows)}/{len(rows)} criteria passed")
-    return 0 if ok else 1
+        return "\n".join([*([] if args.plain else [f"spinor-forge {__version__}"]),
+                          *(f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  {r.computed}"
+                            for r in rows),
+                          f"{sum(r.passed for r in rows)}/{len(rows)} criteria passed"])
+
+    _emit(args, lambda: [{"name": r.name, "expected": r.expected, "computed": r.computed,
+                          "pass": r.passed} for r in rows], text)
+    return 0 if all(r.passed for r in rows) else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -213,18 +198,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_cat = sub.add_parser("catalog", help="list or emit reference spinors")
     cat_sub = p_cat.add_subparsers(dest="catalog_verb", required=True)
     cat_sub.add_parser("list", help="list catalog names")
-    p_emit = cat_sub.add_parser("emit", help="write a catalog spinor as JSON")
+    # the catalog dimensions [--m M] [--n N], shared by every verb that builds an entry
+    dims = argparse.ArgumentParser(add_help=False)
+    dims.add_argument("--m", type=int)
+    dims.add_argument("--n", type=int)
+    p_emit = cat_sub.add_parser("emit", parents=[dims], help="write a catalog spinor as JSON")
     p_emit.add_argument("--name", dest="catalog", required=True)
-    p_emit.add_argument("--m", type=int)
-    p_emit.add_argument("--n", type=int)
     p_emit.add_argument("-o", "--out", dest="outfile")
     p_cat.set_defaults(func=cmd_catalog)
 
     # --catalog NAME [--m M] [--n N] | --in FILE, shared by the one-spinor verbs
-    spinor_source = argparse.ArgumentParser(add_help=False)
+    spinor_source = argparse.ArgumentParser(add_help=False, parents=[dims])
     spinor_source.add_argument("--catalog")
-    spinor_source.add_argument("--m", type=int)
-    spinor_source.add_argument("--n", type=int)
     spinor_source.add_argument("--in", dest="infile")
 
     p_verify = sub.add_parser("verify", parents=[spinor_source],
@@ -249,10 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_comm.add_argument("--json", action="store_true")
     p_comm.set_defaults(func=cmd_commutant)
 
-    p_frame = sub.add_parser("frame-test", help="random exact frame rotations")
+    p_frame = sub.add_parser("frame-test", parents=[dims], help="random exact frame rotations")
     p_frame.add_argument("--catalog", required=True)
-    p_frame.add_argument("--m", type=int)
-    p_frame.add_argument("--n", type=int)
     p_frame.add_argument("--seed", type=int, default=0)
     p_frame.add_argument("--trials", type=int, default=5)
     p_frame.set_defaults(func=cmd_frame_test)

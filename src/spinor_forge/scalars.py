@@ -58,13 +58,14 @@ class GaussianRational:
     def __neg__(self) -> GaussianRational:
         return GaussianRational(-self.re, -self.im)
 
-    def __mul__(self, other: Union[GaussianRational, RationalLike]) -> GaussianRational:
+    def __mul__(self, other: Union[GaussianRational, RationalLike, str]) -> GaussianRational:
         if isinstance(other, GaussianRational):
             return GaussianRational(
                 self.re * other.re - self.im * other.im,
                 self.re * other.im + self.im * other.re,
             )
-        return GaussianRational(self.re * other, self.im * other)
+        x = exact_rational(other)  # as gr reads it: a bool or None is refused
+        return GaussianRational(self.re * x, self.im * x)
 
     __rmul__ = __mul__
 

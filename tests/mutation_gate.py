@@ -45,6 +45,7 @@ REFUSALS = "tests/test_analysis.py::test_checkers_reject_zero_and_small_rank"
 NO_TWIST_PAIRS = "tests/test_analysis.py::test_frame_rotation_without_twist_pairs"
 CONTRACT = "tests/test_contract.py::test_hostile_values_raise_only_typed_errors"
 INDUCED = "tests/test_pair_table.py::test_induced_form_matches_generator_path"
+TRANSCRIPT = "tests/test_cli_transcript.py::test_cli_transcript_matches_golden"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -245,6 +246,22 @@ MUTANTS = [
      "    rows = ",
      ["tests/test_forms.py::test_dense_constructors_check_n_before_any_entry",
       CONTRACT + "[Endo]"]),
+    ("the catalog table gives generic the dimension m", "catalog.py",
+     '"generic": (build_generic_reducing, "n"),',
+     '"generic": (build_generic_reducing, "m"),',
+     ["tests/test_catalog.py::test_build_dispatch",
+      "tests/test_cli.py::test_catalog_emit_bytes_are_pinned[generic_2]", TRANSCRIPT]),
+    ("_emit ignores --json", "cli.py",
+     ' == "json" or getattr(args, "json", False):',
+     ' == "json":',
+     ["tests/test_cli.py::test_report_matches_its_golden_file[json]",
+      "tests/test_cli.py::test_each_mode_builds_only_its_own_rendering[json-annihilator]",
+      TRANSCRIPT]),
+    ("pure's flag skips the η̂² test", "analysis.py",
+     '"square_ok", lambda form: eta_hat(form).squares_to_minus_identity()),',
+     '"square_ok", lambda form: not form.is_zero()),',
+     ["tests/test_analysis.py::test_certificates_match_dense_oracle[n5r3]",
+      "tests/test_cli.py::test_verify_dense_wire_matches_its_golden_file[pure]", TRANSCRIPT]),
 ]
 
 

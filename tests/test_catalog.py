@@ -4,6 +4,7 @@ import pytest
 
 from spinor_forge.analysis import AmbientElement, ambient_annihilates, pairs
 from spinor_forge.catalog import (
+    ENTRIES,
     beta_forms,
     build,
     build_generic_reducing,
@@ -289,10 +290,24 @@ def test_catalog_refuses_bad_dimensions_with_typed_errors(bad):
 
 
 def test_build_dispatch():
+    """``ENTRIES`` names each builder and the one dimension it takes; build
+    passes that dimension alone, refuses its absence with the entry's own
+    text and refuses an unknown or unhashable name with InvalidValue."""
+    assert {name: dim for name, (_, dim) in ENTRIES.items()} == {
+        "qk": "m", "spin7_pure": None, "spin7_reducing": None, "generic": "n"}
     assert build("qk", m=1).name == "qk(m=1)"
     assert build("spin7_pure").name == "spin7_pure"
     assert build("generic", n=3).name == "generic(n=3)"
+    assert build("qk", m=2, n=5).name == "qk(m=2)"
+    assert build("generic", m=2, n=5).name == "generic(n=5)"
+    assert build("spin7_reducing", m=2, n=5).name == "spin7_reducing"
     with pytest.raises(InvalidValue, match="unknown catalog name 'nope'"):
         build("nope")
+    for bad in ([], {}, 5, None, "QK"):
+        with pytest.raises(InvalidValue, match="^unknown catalog name "):
+            build(bad)
     with pytest.raises(UnsupportedDimension):
         build("qk")
+    for name, dim, other in (("qk", "m", {"n": 3}), ("generic", "n", {"m": 3})):
+        with pytest.raises(UnsupportedDimension, match=f"^{name} needs --{dim}$"):
+            build(name, **other)

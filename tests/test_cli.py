@@ -262,6 +262,62 @@ def test_report_text_banner_and_plain(capsys, monkeypatch):
     assert code == 0 and out.startswith("PASS")
 
 
+@pytest.mark.parametrize("flag, golden", [("--plain", "report_plain.txt"), ("--json", "report.json")],
+                         ids=["plain", "json"])
+def test_report_matches_its_golden_file(capsys, flag, golden):
+    """The full report through the one writer, byte for byte: every row's
+    name, width and computed text, and the closing count."""
+    code, out, _ = run(capsys, "report", flag)
+    assert (code, out) == (0, (Path(__file__).parent / "data" / golden).read_text())
+
+
+# What each rendering may not build: JSON mode renders no text, and text
+# mode builds no JSON payload and no dense commutant matrix.
+_TEXT_ONLY = ("render_ambient", "render_two_form")
+_JSON_ONLY = ("subalgebra_to_json", "two_form_to_json")
+
+
+@pytest.mark.parametrize("argv", [
+    ("annihilator", "--in", "<sp7>"),
+    ("eta", "--catalog", "qk", "--m", "1"),
+    ("eta", "--catalog", "qk", "--m", "1", "--pair", "1,3"),
+    ("commutant", "--catalog", "qk", "--m", "1"),
+    ("commutant", "--catalog", "qk", "--m", "1", "--skew"),
+    ("verify", "pure", "--catalog", "spin7_pure"),
+    ("report", "--plain"),
+], ids=["annihilator", "eta", "eta_pair", "commutant", "commutant_skew", "verify", "report"])
+@pytest.mark.parametrize("json_mode", [False, True], ids=["text", "json"])
+def test_each_mode_builds_only_its_own_rendering(tmp_path, capsys, monkeypatch, argv, json_mode):
+    sp7 = tmp_path / "sp7.json"
+    assert run(capsys, "catalog", "emit", "--name", "spin7_pure", "-o", str(sp7))[0] == 0
+    called, commutant_bases = [], []
+    for name in _TEXT_ONLY + _JSON_ONLY:
+        monkeypatch.setattr(cli, name, lambda *a, _f=getattr(cli, name), _n=name:
+                            called.append(_n) or _f(*a))
+
+    def spy_commutant(*a, _f=cli.commutant, **kw):
+        dim, basis = _f(*a, **kw)
+        commutant_bases.append(basis)
+        return dim, basis
+
+    monkeypatch.setattr(cli, "commutant", spy_commutant)
+    if argv[0] == "report":  # one cheap row keeps the report test quick
+        from spinor_forge import report as report_mod
+        monkeypatch.setattr(report_mod, "CRITERIA",
+                            [lambda: report_mod.CriterionRow("alpha", "x", "y", True)])
+    argv = [str(sp7) if a == "<sp7>" else a for a in argv]
+    if json_mode:
+        argv += ["--format", "json"] if argv[0] in ("eta", "verify") else ["--json"]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out
+    assert not set(called) & set(_TEXT_ONLY if json_mode else _JSON_ONLY), called
+    if argv[0] in ("annihilator", "eta"):
+        assert called, "the spies see the rendering asked for"
+    assert len(commutant_bases) == (argv[0] == "commutant")
+    for basis in commutant_bases:
+        assert basis and all(("mat" in vars(b)) is json_mode for b in basis)
+
+
 def test_catalog_emit_to_unwritable_path_exits_2(tmp_path, capsys):
     for target in (tmp_path / "missing" / "x.json", tmp_path):
         code, _, err = run(capsys, "catalog", "emit", "--name", "qk", "--m", "1",

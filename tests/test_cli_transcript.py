@@ -3,9 +3,9 @@
 ``tests/data/cli_transcript.json`` holds the exit code, stdout and stderr of
 every invocation in ``MATRIX``, with the temporary directory written as
 ``<tmp>``.  The matrix covers every verb but ``report`` (pinned by
-``tests/data/report.json``) in text and JSON formats, and every family of
-bad input: unknown names, hostile dimensions, unreadable files, malformed
-JSON and malformed wire objects.
+``tests/data/report.json`` and ``tests/data/report_plain.txt``) in text
+and JSON formats, and every family of bad input: unknown names, hostile
+dimensions, unreadable files, malformed JSON and malformed wire objects.
 
 The module needs only the standard library, so the replay, ``replay(tmp_dir)
 == json.loads(GOLDEN.read_text())``, also runs under interpreters without
@@ -60,9 +60,12 @@ MATRIX = [
     ["eta", "--catalog", "spin7_reducing", "--pair", "1,2"],
     ["eta", "--in", "<tmp>/qk1.json"],
     ["eta", "--catalog", "qk", "--m", "1", "--format", "json"],
+    ["eta", "--catalog", "qk", "--m", "1", "--pair", "1,3", "--format", "json"],
     ["annihilator", "--in", "<tmp>/qk1.json"],
+    ["annihilator", "--in", "<tmp>/sp7.json"],
     ["annihilator", "--in", "<tmp>/sp7.json", "--json"],
     ["commutant", "--catalog", "qk", "--m", "1", "--skew"],
+    ["commutant", "--catalog", "qk", "--m", "1"],
     ["commutant", "--in", "<tmp>/qk1.json", "--json"],
     ["frame-test", "--catalog", "qk", "--m", "1", "--seed", "1", "--trials", "2"],
     # bad arguments
@@ -71,6 +74,7 @@ MATRIX = [
     ["verify", "pure", "--catalog", "qk"],
     ["verify", "pure", "--catalog", "qk", "--m", "9"],
     ["catalog", "emit", "--name", "qk", "--m", "9"],
+    ["catalog", "emit", "--name", "generic"],
     ["eta", "--catalog", "spin7_pure", "--pair", "xy"],
     ["verify", "pure"],
     ["eta"],

@@ -66,3 +66,21 @@ def test_gaussian_rational_rejects_floats_and_bools(bad):
         GaussianRational(bad)
     with pytest.raises(InexactScalar):
         GaussianRational(F(1), bad)
+
+
+@pytest.mark.parametrize("bad", [True, False, None, [1], 0.5])
+def test_products_refuse_a_factor_gr_refuses(bad):
+    """A factor that is no GaussianRational is read as ``gr`` reads it, on
+    either side of ``*``: a bool is not read as 0 or 1, and None or a list
+    is refused with InexactScalar rather than a bare TypeError."""
+    with pytest.raises(InexactScalar):
+        gr(1, 1) * bad
+    with pytest.raises(InexactScalar):
+        bad * gr(1, 1)
+
+
+@pytest.mark.parametrize("factor, want", [(2, gr(2, 2)), (F(1, 3), gr(F(1, 3), F(1, 3))),
+                                          ("-3/4", gr(F(-3, 4), F(-3, 4)))])
+def test_products_read_the_rationals_gr_reads(factor, want):
+    assert gr(1, 1) * factor == want
+    assert factor * gr(1, 1) == want

@@ -30,13 +30,15 @@ from .linalg import (
     check_special_orthogonal, nullspace_of_columns,
 )
 from .scalars import Rational, exact_rational, gr
-from .spinrep import _lincomb, check_dimensions, check_mapping, check_sequence, index_pair
+from .spinrep import (
+    _lincomb, check_dimensions, check_indices, check_mapping, check_sequence, index_pair)
 from .twisted import ScaledSpinor, _bivector_map, _norm2, twisted_group_action
 
 Pair = Tuple[int, int]
 
 
 def pairs(upper: int) -> List[Pair]:
+    check_indices("pair bound", upper)
     return list(combinations(range(1, upper + 1), 2))
 
 
@@ -60,21 +62,15 @@ class AmbientElement:
 
     def __post_init__(self) -> None:
         check_dimensions(self.n, self.r)
-        n = self.n
-        a = check_mapping("a-part", vars(self).pop("a"))
-        b = check_mapping("b-part", vars(self).pop("b"))
-        for key in a:
-            i, j = index_pair("a-part index", key)
-            if not 1 <= i < j <= n:
-                raise ShapeMismatch(f"a-part index ({i},{j}) outside 1..{n}")
-        for key in b:
-            k, l = index_pair("b-part index", key)
-            if not 1 <= k < l <= self.r:
-                raise ShapeMismatch(f"b-part index ({k},{l}) outside 1..{self.r}")
-        exact = [(p, exact_rational(c)) for p, c in a.items()]
-        exact += [((n + k, n + l), exact_rational(c)) for (k, l), c in b.items()]
+        exact = []
+        for part, dim, off in (("a", self.n, 0), ("b", self.r, self.n)):
+            for key, c in check_mapping(f"{part}-part", vars(self).pop(part)).items():
+                i, j = index_pair(f"{part}-part index", key)
+                if not 1 <= i < j <= dim:
+                    raise ShapeMismatch(f"{part}-part index ({i},{j}) outside 1..{dim}")
+                exact.append(((off + i, off + j), exact_rational(c)))
         den = math.lcm(*(c.denominator for _, c in exact))
-        vars(self).update(vars(_ambient(n, self.r, den, {
+        vars(self).update(vars(_ambient(self.n, self.r, den, {
             p: c.numerator * (den // c.denominator) for p, c in exact})))
 
     def __getattr__(self, name: str) -> Mapping[Pair, Fraction]:

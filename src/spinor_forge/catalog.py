@@ -44,6 +44,7 @@ def maps_G_H(eps: Sequence[int]) -> Tuple[Tuple[int, ...], int]:
 
 def sign_tuples(m: int, minus_count: int) -> List[Tuple[int, ...]]:
     """The {+1,-1}^m tuples with minus_count entries -1."""
+    check_indices("sign tuple count", m, minus_count)
     return [t for t in all_basis_indices(2 * m) if t.count(-1) == minus_count]
 
 
@@ -226,12 +227,8 @@ _G2_ROWS: List[List[Tuple[int, int, int]]] = [
 def g2_generators() -> List[AmbientElement]:
     """The 14 elements of spin(8) + spin(7) spanning the common annihilator
     of the two rank-7 catalog spinors."""
-    out = []
-    for rows in _G2_ROWS:
-        a = {(i, j): Fraction(s) for i, j, s in rows}
-        b = {(i, j): Fraction(s) for i, j, s in rows}
-        out.append(AmbientElement(n=8, r=7, a=a, b=b))
-    return out
+    maps = ({(i, j): Fraction(s) for i, j, s in rows} for rows in _G2_ROWS)
+    return [AmbientElement(n=8, r=7, a=x, b=x) for x in maps]
 
 
 # The quaternion units 1, i, j, k as signed 4x4 matrices, rows (a, b, sign).

@@ -9,9 +9,10 @@ w = kappa(f_kl) . phi the entry for a < b is
 
 The integer sums Re< w, e_a e_b . phi > of every image w come from one call
 of the kernel's induced-form pass ``twisted._induced`` (``_induced_forms``,
-called once by each of ``eta``, ``etas``, ``spinc_form`` and ``phi_extend``);
-a twist pair is checked once, by ``twisted._check_twist_pair``.  A 2-form acts
-(``form_action``) through ``twisted._bivector_map``.  Neither applies a generator.
+called once by each of ``eta``, ``etas``, ``spinc_form`` and ``phi_extend``,
+whose sum of etas is the form of one image); a twist pair is checked once,
+by ``twisted._check_twist_pair``.  A 2-form (``form_action``) and Phi's twist
+element act through ``twisted._bivector_map``; neither applies a generator.
 
 The rank-2 (spin^c) form of an untwisted spinor is the same kernel with
 w = i . phi.  The dual endomorphism eta_hat(e_a) = sum_b eta(e_a, e_b) e_b is
@@ -217,7 +218,7 @@ def two_form_from_terms(n: int, terms: Dict[Tuple[int, int], Rational]) -> TwoFo
     n is checked against the cap MAX_N; only the upper triangle is stored."""
     check_dimensions(n)
     upper: Dict[Tuple[int, int], Fraction] = {}
-    for pair, c in terms.items():
+    for pair, c in check_mapping("2-form terms", terms).items():
         a, b = index_pair("2-form index", pair)
         if not (1 <= a <= n and 1 <= b <= n) or a == b:
             raise IndexOutOfRange(f"bad 2-form term indices ({a},{b})")
@@ -270,20 +271,21 @@ def eta_hat(omega: TwoForm) -> Endo:
 
 
 def phi_extend(phi: ScaledSpinor, beta: Dict[Tuple[int, int], Rational]) -> TwoForm:
-    """Linear extension over twist bivectors: sum c_kl eta(phi, k, l), from
-    one ``_induced_forms`` pass over the pairs with c_kl != 0 and k != l.
-    Every key is checked as eta checks its pair, also where c_kl is zero or
-    k = l."""
-    parts: List[Tuple[Tuple[int, int], Fraction]] = []
+    """Linear extension sum c_kl eta(phi, k, l): the form is real-linear in
+    w, so it is the induced form of the one image of the twist element
+    {(n + k, n + l): c_kl}, c_kl != 0 and k != l, under ``_bivector_map``.
+    Every key is checked as eta checks its pair, and every c_kl read
+    exactly, also where c_kl is zero or k = l."""
+    n, parts = phi.n, {}
     for key, c in check_mapping("beta", beta).items():
         k, l = index_pair("twist index", key)
         _check_twist_pair(phi, k, l)
         c = exact_rational(c)
         if c and k != l:
-            parts.append(((k, l), c))
-    q = math.lcm(*(c.denominator for _, c in parts))
-    forms = _induced_forms(phi, (twist_bivector_action(k, l, phi) for (k, l), _ in parts))
-    return form_lincomb(phi.n, forms)([c.numerator * (q // c.denominator) for _, c in parts], q)
+            parts[(n + k, n + l)] = c
+    q = math.lcm(*(c.denominator for c in parts.values()))
+    w = _bivector_map(phi, {p: c.numerator * (q // c.denominator) for p, c in parts.items()})
+    return _induced_forms(phi, [phi._with(phi._den * q, w)])[0]
 
 
 def spinc_form(phi: ScaledSpinor) -> TwoForm:

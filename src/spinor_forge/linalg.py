@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
-from .spinrep import check_sequence
+from .spinrep import check_dimensions, check_indices, check_sequence
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -271,6 +271,8 @@ def rational_cos_sin(t: Fraction) -> Tuple[Fraction, Fraction]:
 
 
 def random_skew(n: int, rng: random.Random, bound: int = 3) -> Matrix:
+    check_indices("entry bound", bound)
+    check_dimensions(n)  # before the n x n matrix is allocated
     if bound < 1:
         raise InvalidValue(f"entry bound must be >= 1, got {bound}")
     s = [[Fraction(0)] * n for _ in range(n)]
@@ -289,6 +291,8 @@ def random_so_matrix(n: int, rng: random.Random, bound: int = 3) -> Matrix:
 def random_unit_vector(n: int, rng: random.Random, support: int = 3) -> Vector:
     """Exact unit vector built by chaining rational plane rotations onto a
     basis vector.  Support is kept small so denominators stay moderate."""
+    check_dimensions(n)
+    check_indices("support", support)
     if n < 1 or support < 1:
         raise InvalidValue(f"need dimension and support >= 1, got {n} and {support}")
     coords = rng.sample(range(n), k=min(support, n))

@@ -46,6 +46,8 @@ NO_TWIST_PAIRS = "tests/test_analysis.py::test_frame_rotation_without_twist_pair
 CONTRACT = "tests/test_contract.py::test_hostile_values_raise_only_typed_errors"
 INDUCED = "tests/test_pair_table.py::test_induced_form_matches_generator_path"
 TRANSCRIPT = "tests/test_cli_transcript.py::test_cli_transcript_matches_golden"
+PHI_TERMS = "tests/test_forms.py::test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs"
+AMBIENT_PARTS = "tests/test_analysis.py::test_ambient_element_reads_each_part_against_its_own_dimension"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -262,6 +264,22 @@ MUTANTS = [
      '"square_ok", lambda form: not form.is_zero()),',
      ["tests/test_analysis.py::test_certificates_match_dense_oracle[n5r3]",
       "tests/test_cli.py::test_verify_dense_wire_matches_its_golden_file[pure]", TRANSCRIPT]),
+    ("Φ's element takes (n + l, n + k)", "forms.py",
+     "parts[(n + k, n + l)] = c",
+     "parts[(n + l, n + k)] = c",
+     ["tests/test_forms.py::test_phi_extend_matches_the_dense_oracle", PHI_TERMS]),
+    ("Φ's element keeps the diagonal keys", "forms.py",  # the same forms: only the spy sees it
+     "        if c and k != l:\n            parts[",
+     "        if c:\n            parts[",
+     [PHI_TERMS]),
+    ("AmbientElement reads the b-part at offset 0", "analysis.py",
+     '("b", self.r, self.n)',
+     '("b", self.r, 0)',
+     [AMBIENT_PARTS, "tests/test_analysis.py::test_ambient_element_layout"]),
+    ("the one loop checks the b-part against n", "analysis.py",
+     '("b", self.r, self.n)',
+     '("b", self.n, self.n)',
+     [AMBIENT_PARTS]),
 ]
 
 

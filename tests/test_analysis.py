@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import random
+import re
 import time
 from fractions import Fraction as F
 from itertools import combinations
@@ -42,6 +43,7 @@ from spinor_forge.cli import main as cli_main
 from spinor_forge.errors import (
     EmptyInput,
     IndexOutOfRange,
+    InexactScalar,
     InvalidValue,
     NotOrthogonal,
     RankTooSmall,
@@ -429,6 +431,39 @@ def test_ambient_element_layout():
     for alg in (annihilator([build_qk_pure(2).spinor]), annihilator([build_spin7_reducing().spinor])):
         for x in alg.basis:
             assert x == AmbientElement(x.n, x.r, x.a, x.b) and x._den > 0
+
+
+@pytest.mark.parametrize("n,r,a,b,terms", [
+    (2, 3, {}, {(2, 3): 1}, {(4, 5): 1}),
+    (3, 4, {(2, 3): 1}, {(3, 4): F(1, 2)}, {(2, 3): 2, (6, 7): 1}),
+    (4, 3, {(3, 4): 1}, {(1, 3): -1}, {(3, 4): 1, (5, 7): -1}),
+    (4, 3, {}, {(3, 4): 1}, "b-part index (3,4) outside 1..3"),
+    (3, 4, {(3, 4): 1}, {}, "a-part index (3,4) outside 1..3"),
+    (2, 3, {(2, 3): 1}, {(2, 3): 1}, "a-part index (2,3) outside 1..2"),
+], ids=["r>n", "r>n both", "r<n", "b over r<n", "a over n<r", "a over n"])
+def test_ambient_element_reads_each_part_against_its_own_dimension(n, r, a, b, terms):
+    """The one loop over both parts checks the a-part against n and the
+    b-part against r, with r > n and r < n, and keys the b-pair (k, l) as
+    (n + k, n + l)."""
+    if isinstance(terms, str):
+        with pytest.raises(ShapeMismatch, match=re.escape(terms)):
+            AmbientElement(n, r, a, b)
+    else:
+        x = AmbientElement(n, r, a, b)
+        assert (x._terms, x.a, x.b) == (terms, a, b)
+
+
+def test_ambient_element_reads_each_key_with_its_value_a_part_first():
+    """Each key is checked and its value read before the next key, and the
+    whole a-part before the b-part is looked at."""
+    for a, b, error in (({(1, 2): 0.5}, "x", InexactScalar),
+                        ({(1, 2): 0.5, (9, 9): 1}, {}, InexactScalar),
+                        ({(9, 9): 1, (1, 2): 0.5}, {}, ShapeMismatch),
+                        ({(1, 2): 1}, "x", InvalidValue),
+                        ({"12": 1}, {(1, 2): 0.5}, InvalidValue),
+                        ({(1, 2): 1}, {(1, 2): 0.5, (3, 2): 1}, InexactScalar)):
+        with pytest.raises(error):
+            AmbientElement(4, 3, a, b)
 
 
 def test_lie_closure_so3():

@@ -16,6 +16,7 @@ A size is probed at -1 and at its cap + 1 and never beyond, so a missing
 cap fails by its error type and builds nothing large.
 """
 
+import random
 import re
 from fractions import Fraction as F
 from pathlib import Path
@@ -31,7 +32,11 @@ from spinor_forge import (
     kappa_generator, maps_G_H, mu_slot, phi_extend, spin_action_on_vector, tangent_action,
     twist_bivector_action, twisted_group_action,
 )
-from spinor_forge.errors import SpinorForgeError, UnsupportedDimension
+from spinor_forge.analysis import pairs
+from spinor_forge.catalog import sign_tuples
+from spinor_forge.errors import InvalidValue, SpinorForgeError, UnsupportedDimension
+from spinor_forge.forms import two_form_from_terms
+from spinor_forge.linalg import random_so_matrix, random_unit_vector
 from spinor_forge.spinrep import MAX_M, MAX_N, MAX_R
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -244,3 +249,41 @@ def test_every_public_name_has_one_readme_row():
     rows = _api_rows()
     assert len(rows) == len(set(rows)), rows
     assert sorted(rows) == sorted(spinor_forge.__all__)
+
+
+# Module helpers that the report, the CLI and CI reach by module: a bool is
+# not read as 1, a float is no index, and a dimension over MAX_N is refused
+# before anything is drawn or allocated.
+HELPER_CASES = {
+    "two_form_from_terms list": (lambda rng: two_form_from_terms(4, [1]), InvalidValue),
+    "two_form_from_terms None": (lambda rng: two_form_from_terms(4, None), InvalidValue),
+    "two_form_from_terms str": (lambda rng: two_form_from_terms(4, "ab"), InvalidValue),
+    "two_form_from_terms int": (lambda rng: two_form_from_terms(4, 5), InvalidValue),
+    "random_so_matrix n bool": (lambda rng: random_so_matrix(True, rng), InvalidValue),
+    "random_so_matrix n float": (lambda rng: random_so_matrix(2.5, rng), InvalidValue),
+    "random_so_matrix bound bool": (lambda rng: random_so_matrix(3, rng, bound=True), InvalidValue),
+    "random_so_matrix bound float": (lambda rng: random_so_matrix(3, rng, bound=2.5), InvalidValue),
+    "random_so_matrix n over cap": (lambda rng: random_so_matrix(MAX_N + 1, rng),
+                                    UnsupportedDimension),
+    "random_unit_vector n bool": (lambda rng: random_unit_vector(True, rng), InvalidValue),
+    "random_unit_vector n float": (lambda rng: random_unit_vector(2.5, rng), InvalidValue),
+    "random_unit_vector support bool": (lambda rng: random_unit_vector(3, rng, support=True),
+                                        InvalidValue),
+    "random_unit_vector support float": (lambda rng: random_unit_vector(3, rng, support=1.5),
+                                         InvalidValue),
+    "pairs bool": (lambda rng: pairs(True), InvalidValue),
+    "pairs float": (lambda rng: pairs(2.5), InvalidValue),
+    "sign_tuples m bool": (lambda rng: sign_tuples(True, 1), InvalidValue),
+    "sign_tuples m float": (lambda rng: sign_tuples(1.5, 1), InvalidValue),
+    "sign_tuples minus_count bool": (lambda rng: sign_tuples(2, True), InvalidValue),
+}
+
+
+@pytest.mark.parametrize("call,error", HELPER_CASES.values(), ids=HELPER_CASES)
+def test_module_helpers_refuse_bools_floats_and_hostile_terms(call, error):
+    """Each raises its typed error, and the generator's state is untouched."""
+    rng = random.Random(0)
+    state = rng.getstate()
+    with pytest.raises(error):
+        call(rng)
+    assert rng.getstate() == state

@@ -202,7 +202,9 @@ def test_eta_index_range():
 
 def test_each_induced_form_entry_makes_one_pass(monkeypatch):
     """eta, etas, spinc_form (both routes) and phi_extend each pair all
-    their images in one call of the induced-form pass."""
+    their images in one call of the induced-form pass; phi_extend's one
+    image is its twist element's, so it walks no twist bivector alone and
+    sums no forms."""
     calls = []
 
     def spy(phi, images):
@@ -210,17 +212,25 @@ def test_each_induced_form_entry_makes_one_pass(monkeypatch):
         calls.append(len(images))
         return induced(phi, images)
 
+    def refuse(*args):
+        raise AssertionError("called")
+
     induced = forms._induced
     monkeypatch.setattr(forms, "_induced", spy)
     rng = random.Random(21)
     phi = random_scaled(5, 4, 2, rng, terms=12)
     for call, images in ((lambda: eta(phi, 1, 3), 1), (lambda: etas(phi), 6),
                          (lambda: spinc_form(random_scaled(4, 0, 0, rng, terms=4)), 1),
-                         (lambda: spinc_form(random_scaled(4, 2, 1, rng, terms=4)), 1),
-                         (lambda: phi_extend(phi, {(1, 2): 1, (4, 3): F(1, 2)}), 2)):
+                         (lambda: spinc_form(random_scaled(4, 2, 1, rng, terms=4)), 1)):
         calls.clear()
         call()
         assert calls == [images]
+    monkeypatch.setattr(forms, "twist_bivector_action", refuse)
+    monkeypatch.setattr(forms, "form_lincomb", refuse)
+    for beta in ({(1, 2): 1, (4, 3): F(1, 2)}, {(1, 2): 1, (2, 1): 1}, {(3, 3): 2}, {}):
+        calls.clear()
+        phi_extend(phi, beta)
+        assert calls == [1], beta
 
 
 def test_eta_unit_scaling_invariance():
@@ -513,8 +523,9 @@ def test_etas_equals_eta_per_pair():
 
 
 def test_phi_extend_checks_every_key():
-    """Every key is checked as eta checks its pair, also one whose term is
-    zero or diagonal; only then are those terms skipped."""
+    """Every key is checked as eta checks its pair, and every coefficient
+    read exactly, also where the term is zero or diagonal; only then are
+    those terms skipped."""
     phi = random_scaled(4, 3, 1, random.Random(8))
     for beta in ({(1, 4): F(0)}, {(5, 5): F(1)}, {(99, 99): 1}, {(99, 100): 0}, {(1, 4): F(1)},
                  {(1, 2): F(1), (0, 0): F(0)}):
@@ -523,26 +534,31 @@ def test_phi_extend_checks_every_key():
     for beta in ({(1.5, 1.5): 1}, {(True, 2): 1}, {(1, 2, 3): 1}, {2: 1}, {(1, 2): 1, "12": 0}):
         with pytest.raises(InvalidValue):
             phi_extend(phi, beta)
+    for beta in ({(1, 1): 0.5}, {(2, 2): True}, {(2, 3): 0, (1, 1): 0.5}):
+        with pytest.raises(InexactScalar):  # read, though the term adds nothing
+            phi_extend(phi, beta)
     assert phi_extend(phi, {(1, 1): F(1), (2, 3): F(0)}).is_zero()
     assert phi_extend(phi, {(3, 1): F(2)}).mat == eta(phi, 1, 3).scale(-2).mat
 
 
 def test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs(monkeypatch):
     """phi_extend equals sum c_kl eta(phi, k, l), with (l, k) keys read as
-    -f_k f_l, zero coefficients and diagonal keys adding nothing; only the
-    pairs with c_kl != 0 and k != l are walked, each once, in key order."""
+    -f_k f_l, zero coefficients and diagonal keys adding nothing; its one
+    call of the bivector action gets exactly the terms with c_kl != 0 and
+    k != l, each (k, l) as the twist pair (n + k, n + l) of spin(n + r),
+    cleared to integers over the lcm of their denominators, in key order."""
     walked = []
 
-    def spy(k, l, phi):
-        walked.append((k, l))
-        return action(k, l, phi)
+    def spy(phi, terms):
+        walked.append(dict(terms))
+        return action(phi, terms)
 
-    action = forms.twist_bivector_action
-    monkeypatch.setattr(forms, "twist_bivector_action", spy)
+    action = forms._bivector_map
+    monkeypatch.setattr(forms, "_bivector_map", spy)
     rng = random.Random(22)
     for shape in ((4, 3, 1), (5, 4, 2), (6, 5, 1), (3, 3, 3)):
         phi = random_scaled(*shape, rng, terms=10)
-        r = phi.r
+        n, r = phi.n, phi.r
         keys = [(k, l) for k in range(1, r + 1) for l in range(1, r + 1)]
         beta = {key: rng.choice((0, 0, 1, -2, F(3, 4), F(-5, 6))) for key in rng.sample(keys, 6)}
         beta[(r, 1)] = F(1, 3)  # an (l, k) key
@@ -553,8 +569,39 @@ def test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs(monkeypa
             want = want + eta(phi, k, l).scale(c)
         walked.clear()
         got = phi_extend(phi, beta)
-        assert walked == [(k, l) for (k, l), c in beta.items() if c and k != l]
+        parts = {(n + k, n + l): F(c) for (k, l), c in beta.items() if c and k != l}
+        q = math.lcm(*(c.denominator for c in parts.values()))
+        assert walked == [{p: int(c * q) for p, c in parts.items()}], shape
+        assert list(walked[0]) == list(parts)
         assert (got._den, got._terms) == (want._den, want._terms), shape
+
+
+# n = 1..9 and r = 2..5, both parities, and m = 0..3, where the oracle's
+# dense space, of dimension 2^(n//2 + m (r//2)), has at most 128 entries
+PHI_EXTEND_SHAPES = [(n, r, m) for n in range(1, 10) for m in range(4)
+                     for r in (2 + (n + m) % 4,) if n // 2 + m * (r // 2) <= 7]
+
+
+@pytest.mark.parametrize("n,r,m", PHI_EXTEND_SHAPES)
+def test_phi_extend_matches_the_dense_oracle(n, r, m):
+    """phi_extend(phi, beta).mat is sum c_kl of the oracle's eta_kl, an
+    (l, k) key entering as -eta_kl and a k = l key as nothing, on a sparse
+    and a full spinor of each shape."""
+    rng = random.Random(700 * n + 10 * r + m)
+    for phi in _sparse_and_full(n, r, m, rng):
+        table = oracle.etas(phi)
+        beta = {(k, l) if rng.random() < 0.5 else (l, k):
+                F(rng.choice((-5, -2, 1, 3)), rng.randint(1, 4)) for k, l in table}
+        beta[(1, 1)] = F(7, 3)  # a diagonal key
+        want = [[F(0)] * n for _ in range(n)]
+        for (k, l), c in beta.items():
+            if k != l:
+                sign, mat = (1, table[(k, l)]) if k < l else (-1, table[(l, k)])
+                want = [[x + sign * c * y for x, y in zip(row, other)]
+                        for row, other in zip(want, mat)]
+        assert phi_extend(phi, beta).mat == want, (n, r, m, beta)
+    if m and n > 1:  # the full spinor's sum is not the zero form
+        assert any(x for row in want for x in row)
 
 
 def test_phi_extend_basis_and_cancellation():

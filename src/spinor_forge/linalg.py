@@ -42,8 +42,10 @@ def _sparse_int_row(row: Row) -> SparseRow:
     divided by the gcd of the results: a primitive integer row.  Only int
     and Fraction zeros are dropped unread; every other entry, zero or not,
     goes through ``exact_rational``, so a float or a bool raises
-    ``InexactScalar``.  An int row never goes through it."""
-    items = row.items() if type(row) is dict or isinstance(row, Mapping) else enumerate(row)
+    ``InexactScalar``, and a row that is no mapping and no sequence raises
+    ``InvalidValue``.  An int row never goes through ``exact_rational``."""
+    items = (row.items() if type(row) is dict or isinstance(row, Mapping)
+             else enumerate(check_sequence("row", row)))
     out = {col: x for col, x in items if x or type(x) not in _EXACT_TYPES}
     if any(type(x) is not int for x in out.values()):
         out = {col: x if type(x) is Fraction else exact_rational(x) for col, x in out.items()}
@@ -130,7 +132,7 @@ def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, SparseRow]:
 
 def _reduced(rows: Sequence[Row]) -> RowReducer:
     red = RowReducer()
-    for row in rows:
+    for row in check_sequence("rows", rows):
         red.add(row)
     return red
 
@@ -156,7 +158,7 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
     the lcm of the pivot leads, so vec[f] = den; it is not reduced."""
     red = RowReducer()
     raw_seen, seen = set(), set()
-    for row in rows:
+    for row in check_sequence("rows", rows):
         if type(row) is dict:  # a repeated map needs no clearing
             raw = tuple(row.items())
             if raw in raw_seen:
@@ -245,9 +247,10 @@ def cayley_so(skew: Matrix) -> Matrix:
     """(I - S)(I + S)^(-1) = 2 (I + S)^(-1) - I for skew S: always in SO(n),
     rational in S, and x^T (I + S) x = |x|^2, so I + S is invertible.  Row k
     of the reduced [I + S | I] is lead_k [e_k | row k of (I + S)^(-1)].
-    Before anything is reduced, a float or a bool entry raises
-    ``InexactScalar`` and an S that is not square and skew ``NotOrthogonal``."""
-    s = [[exact_rational(x) for x in row] for row in skew]
+    Before anything is reduced, a non-sequence S or row raises ``InvalidValue``,
+    a float or bool entry ``InexactScalar``, a non-square or non-skew S ``NotOrthogonal``."""
+    s = [[exact_rational(x) for x in check_sequence("matrix row", row)]
+         for row in check_sequence("matrix", skew)]
     n = len(s)
     if any(len(row) != n for row in s) or any(
             s[i][j] != -s[j][i] for i in range(n) for j in range(i, n)):

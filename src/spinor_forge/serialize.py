@@ -21,13 +21,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Any, Dict, Iterable, List, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Tuple
 
 from .analysis import AmbientElement, LieSubalgebra
 from .errors import MalformedInput
 from .forms import TwoForm
 from .scalars import GaussianRational
-from .spinrep import ScaledSpinor, SpinorVector, TwistedCoeffMap, TwistedIndex, check_dimensions
+from .spinrep import ScaledSpinor, SpinorVector, TwistedIndex, check_dimensions
 
 
 def rational_from_json(s: Any) -> Fraction:
@@ -76,11 +76,17 @@ def _eps_from_json(v: Any, what: str) -> tuple:
     return tuple(v)
 
 
-def _check_new(seen: Dict[Any, Any], key: Any, what: str) -> None:
-    """A key may appear once on the wire: a repeat would silently replace
-    the earlier entry, so it is refused."""
-    if key in seen:
-        raise MalformedInput(f"repeated {what} {key!r}")
+def _coeffs_from_json(entries: Any, fields: Tuple[str, ...], key: Callable) -> Dict[Any, Any]:
+    """The "coeffs" list of a spinor wire as {key(entry): value}, each entry
+    an object with the key ``fields``.  A basis index may appear once: a
+    repeat would silently replace the earlier entry, so it is refused."""
+    coeffs: Dict[Any, GaussianRational] = {}
+    for entry in _list_from_json(entries, "coeffs"):
+        index = key(_object_from_json(entry, fields, "coefficient entry"))
+        if index in coeffs:
+            raise MalformedInput(f"repeated basis index {index!r}")
+        coeffs[index] = gaussian_from_json(entry)
+    return coeffs
 
 
 def _coeff_strings(phi: ScaledSpinor) -> List[Tuple[TwistedIndex, str, str]]:
@@ -96,13 +102,8 @@ def spinor_from_json(obj: Any) -> ScaledSpinor:
     obj = _object_from_json(obj, ("n", "coeffs"), "spinor JSON")
     n = _int_from_json(obj["n"], "n")
     check_dimensions(n)
-    coeffs = {}
-    for entry in _list_from_json(obj["coeffs"], "coeffs"):
-        entry = _object_from_json(entry, ("eps",), "coefficient entry")
-        eps = _eps_from_json(entry["eps"], "eps")
-        _check_new(coeffs, eps, "basis index")
-        coeffs[eps] = gaussian_from_json(entry)
-    return SpinorVector(n, coeffs)
+    return SpinorVector(n, _coeffs_from_json(obj["coeffs"], ("eps",),
+                                             lambda entry: _eps_from_json(entry["eps"], "eps")))
 
 
 def scaled_spinor_to_json(phi: ScaledSpinor) -> Dict[str, Any]:
@@ -120,14 +121,9 @@ def scaled_spinor_from_json(obj: Any) -> ScaledSpinor:
     obj = _object_from_json(obj, ("n", "r", "m", "scale2", "coeffs"), "twisted spinor JSON")
     n, r, m = (_int_from_json(obj[f], f) for f in ("n", "r", "m"))
     check_dimensions(n, r, m)
-    coeffs: TwistedCoeffMap = {}
-    for entry in _list_from_json(obj["coeffs"], "coeffs"):
-        entry = _object_from_json(entry, ("spin", "twist"), "coefficient entry")
-        spin = _eps_from_json(entry["spin"], "spin")
-        twist = tuple(_eps_from_json(t, "twist slot")
-                      for t in _list_from_json(entry["twist"], "twist"))
-        _check_new(coeffs, (spin, twist), "basis index")
-        coeffs[(spin, twist)] = gaussian_from_json(entry)
+    coeffs = _coeffs_from_json(obj["coeffs"], ("spin", "twist"), lambda entry: (
+        _eps_from_json(entry["spin"], "spin"),
+        tuple(_eps_from_json(t, "twist slot") for t in _list_from_json(entry["twist"], "twist"))))
     return ScaledSpinor(n, r, m, coeffs, rational_from_json(obj["scale2"]))
 
 

@@ -48,6 +48,7 @@ INDUCED = "tests/test_pair_table.py::test_induced_form_matches_generator_path"
 TRANSCRIPT = "tests/test_cli_transcript.py::test_cli_transcript_matches_golden"
 PHI_TERMS = "tests/test_forms.py::test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs"
 AMBIENT_PARTS = "tests/test_analysis.py::test_ambient_element_reads_each_part_against_its_own_dimension"
+HELPERS = "tests/test_contract.py::test_module_helpers_refuse_bools_floats_and_hostile_terms"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -166,6 +167,15 @@ MUTANTS = [
      "for col, x in items if x or type(x) not in _EXACT_TYPES}",
      "for col, x in items if x}",
      ["tests/test_linalg.py::test_inexact_entries_raise_inexact_scalar"]),
+    ("_sparse_int_row iterates a row that is no sequence", "linalg.py",
+     'else enumerate(check_sequence("row", row)))',
+     "else enumerate(row))",
+     [HELPERS + "[rank int row]", HELPERS + "[span_contains int vec]"]),
+    ("cayley_so iterates a matrix that is no sequence", "linalg.py",
+     '    s = [[exact_rational(x) for x in check_sequence("matrix row", row)]\n'
+     '         for row in check_sequence("matrix", skew)]\n',
+     "    s = [[exact_rational(x) for x in row] for row in skew]\n",
+     [HELPERS + "[cayley_so int]", HELPERS + "[cayley_so int row]"]),
     ("_slot_unit gives g2 x = +1", "spinrep.py",
      "(bit, -1, tail | bit, 0)",
      "(bit, 1, tail | bit, 0)",
@@ -181,8 +191,8 @@ MUTANTS = [
      "    for i in indices:\n        if not isinstance(i, int):",
      ["tests/test_spinrep.py::test_indices_must_be_ints"]),
     ("the decoders accept a repeated basis index", "serialize.py",
-     "    if key in seen:\n        raise MalformedInput",
-     "    if False:\n        raise MalformedInput",
+     "        if index in coeffs:\n            raise MalformedInput",
+     "        if False:\n            raise MalformedInput",
      ["tests/test_serialize.py::test_repeated_index_on_the_wire_is_refused"]),
     ("build_spin7_reducing drops the swap of terms 4 and 5", "catalog.py",
      "    terms[3:5] = [(s4, u5, v4), (s5, u4, v5)]\n",

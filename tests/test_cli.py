@@ -184,6 +184,16 @@ def test_frame_test_verb(capsys):
     assert out.count("trial") == 2 and "all invariant" in out
 
 
+@pytest.mark.parametrize("args", [("--catalog", "spin7_reducing"), ("--catalog", "qk", "--m", "2")],
+                         ids=["spin7_reducing", "qk2"])
+def test_frame_test_verdicts_survive_frame_rotations(capsys, args):
+    """The reducing verdict of spin7_reducing and the pure verdict of qk(2)
+    are the same in three seeded rotated frames as in the standard one."""
+    code, out, _ = run(capsys, "frame-test", *args, "--seed", "3", "--trials", "3")
+    assert (code, out.splitlines()) == (
+        0, [f"trial {t}: ok" for t in (1, 2, 3)] + ["all invariant"])
+
+
 def test_frame_test_compares_each_trial_with_the_standard_frame(capsys, monkeypatch):
     """A certificate whose verdict differs only in the standard frame fails
     every trial."""

@@ -36,7 +36,10 @@ from spinor_forge.analysis import pairs
 from spinor_forge.catalog import sign_tuples
 from spinor_forge.errors import InvalidValue, SpinorForgeError, UnsupportedDimension
 from spinor_forge.forms import two_form_from_terms
-from spinor_forge.linalg import random_so_matrix, random_unit_vector
+from spinor_forge.linalg import (
+    RowReducer, cayley_so, nullspace, random_so_matrix, random_unit_vector, rank, span_contains,
+    spans_equal,
+)
 from spinor_forge.spinrep import MAX_M, MAX_N, MAX_R
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -252,8 +255,9 @@ def test_every_public_name_has_one_readme_row():
 
 
 # Module helpers that the report, the CLI and CI reach by module: a bool is
-# not read as 1, a float is no index, and a dimension over MAX_N is refused
-# before anything is drawn or allocated.
+# not read as 1, a float is no index, a dimension over MAX_N is refused
+# before anything is drawn or allocated, and a matrix, a row or a list of
+# rows that is no sequence (a string included) is refused as a value.
 HELPER_CASES = {
     "two_form_from_terms list": (lambda rng: two_form_from_terms(4, [1]), InvalidValue),
     "two_form_from_terms None": (lambda rng: two_form_from_terms(4, None), InvalidValue),
@@ -276,6 +280,17 @@ HELPER_CASES = {
     "sign_tuples m bool": (lambda rng: sign_tuples(True, 1), InvalidValue),
     "sign_tuples m float": (lambda rng: sign_tuples(1.5, 1), InvalidValue),
     "sign_tuples minus_count bool": (lambda rng: sign_tuples(2, True), InvalidValue),
+    "cayley_so int": (lambda rng: cayley_so(5), InvalidValue),
+    "cayley_so int row": (lambda rng: cayley_so([5]), InvalidValue),
+    "cayley_so str": (lambda rng: cayley_so("ab"), InvalidValue),
+    "rank int": (lambda rng: rank(5), InvalidValue),
+    "rank int row": (lambda rng: rank([5]), InvalidValue),
+    "rank str row": (lambda rng: rank(["ab"]), InvalidValue),
+    "RowReducer.add int row": (lambda rng: RowReducer().add(5), InvalidValue),
+    "spans_equal int row": (lambda rng: spans_equal([5], [[1]]), InvalidValue),
+    "span_contains int vec": (lambda rng: span_contains([[1]], 5), InvalidValue),
+    "nullspace int": (lambda rng: nullspace(5, 2), InvalidValue),
+    "nullspace int row": (lambda rng: nullspace([5], 2), InvalidValue),
 }
 
 

@@ -576,6 +576,24 @@ def test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs(monkeypa
         assert (got._den, got._terms) == (want._den, want._terms), shape
 
 
+def test_phi_extend_is_the_sum_of_its_etas_on_catalog_spinors():
+    """On qk(4), spin7_pure and generic(8), Phi(beta) of a seeded beta over
+    every pair k < l, plus one (r, 1) key read as -eta_1r and one diagonal
+    key read as nothing, is exactly sum c_kl eta_kl."""
+    rng = random.Random(39)
+    for name, dims in (("qk", {"m": 4}), ("spin7_pure", {}), ("generic", {"n": 8})):
+        phi = catalog.build(name, **dims).spinor
+        table = etas(phi)
+        beta = {pair: F(rng.randint(-9, 9), rng.randint(1, 6)) for pair in table}
+        beta[(phi.r, 1)] = F(rng.randint(1, 9), rng.randint(1, 6))
+        beta[(2, 2)] = F(rng.randint(1, 9))
+        want = two_form_from_terms(phi.n, {})
+        for (k, l), c in beta.items():
+            if k != l:
+                want = want + (table[(k, l)].scale(c) if k < l else -table[(l, k)].scale(c))
+        assert phi_extend(phi, beta) == want, name
+
+
 # n = 1..9 and r = 2..5, both parities, and m = 0..3, where the oracle's
 # dense space, of dimension 2^(n//2 + m (r//2)), has at most 128 entries
 PHI_EXTEND_SHAPES = [(n, r, m) for n in range(1, 10) for m in range(4)

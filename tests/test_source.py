@@ -8,14 +8,23 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spinor_forge"
 
 
+# Modules that pytest imports without rewriting their asserts: under
+# ``python -O`` an assert in them would vanish silently.
+UNREWRITTEN_TEST_MODULES = (ROOT / "tests" / "helpers.py", ROOT / "tests" / "oracle.py")
+
+
 def test_library_has_no_assert_statements():
-    """``python -O`` strips assert statements, so no check in the library may
-    rest on one: every module of the package parses without an ``assert``."""
+    """``python -O`` strips assert statements and sets ``__debug__`` to
+    False, so no check in the library may rest on either: every module of
+    the package parses without an ``assert`` and without the name
+    ``__debug__``.  The test helpers and the oracle hold no ``assert``
+    either, since pytest rewrites only the asserts of the test modules."""
     files = sorted(SRC.glob("*.py"))
     assert files
-    found = [f"{path.name}:{node.lineno}" for path in files
+    found = [f"{path.name}:{node.lineno}" for path in [*files, *UNREWRITTEN_TEST_MODULES]
              for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-             if isinstance(node, ast.Assert)]
+             if isinstance(node, ast.Assert)
+             or (path.parent == SRC and _identifier(node) == "__debug__")]
     assert not found, found
 
 

@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .analysis import AmbientElement
+from .analysis import AmbientElement, pairs
 from .errors import InvalidValue, UnsupportedDimension
 from .forms import TwoForm, form_action, two_form_from_terms
 from .scalars import gr
@@ -163,10 +163,7 @@ def build_spin7_reducing() -> CatalogEntry:
     (s4, u4, v4), (s5, u5, v5) = terms[3:5]
     terms[3:5] = [(s4, u5, v4), (s5, u4, v5)]
     phi = _terms_to_spinor(terms, Fraction(1), Fraction(1, 8))
-    expected = {
-        (k, l): two_form_from_terms(8, {(k, l): Fraction(1)})
-        for k in range(1, 8) for l in range(k + 1, 8)
-    }
+    expected = {pair: two_form_from_terms(8, {pair: Fraction(1)}) for pair in pairs(7)}
     return CatalogEntry(
         name="spin7_reducing",
         kind="reducing",
@@ -190,10 +187,7 @@ def build_generic_reducing(n: int) -> CatalogEntry:
         ((target, _), c), = gamma_apply(basis_spinor(n, eps)).coeffs.items()
         coeffs[(eps, (target,))] = c
     phi = ScaledSpinor(n, n, 1, coeffs, Fraction(1, 2 ** (n // 2)))
-    expected = {
-        (p, q): two_form_from_terms(n, {(p, q): Fraction(1)})
-        for p in range(1, n + 1) for q in range(p + 1, n + 1)
-    }
+    expected = {pair: two_form_from_terms(n, {pair: Fraction(1)}) for pair in pairs(n)}
     return CatalogEntry(
         name=f"generic(n={n})",
         kind="reducing",

@@ -26,7 +26,7 @@ from typing import Dict, Hashable, List, Mapping, Sequence, Tuple, Union
 
 from .errors import InvalidValue, NotOrthogonal, NotUnitVector
 from .scalars import exact_rational
-from .spinrep import check_dimensions, check_indices, check_sequence
+from .spinrep import check_dimensions, check_indices, check_mapping, check_sequence
 
 Vector = List[Fraction]
 Matrix = List[List[Fraction]]
@@ -152,10 +152,12 @@ def spans_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
 
 def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
     """Basis of {x : A x = 0} for the matrix with the given rows, dense or
-    {col: value} maps: one vector per free column f, ascending, with x_f = 1,
-    zero on the other free columns, read off the reduced row echelon form.
-    Each is an integer form (den, {col: int}) with x = vec / den, den > 0
-    the lcm of the pivot leads, so vec[f] = den; it is not reduced."""
+    {col: value} maps on columns 0..width - 1 (InvalidValue otherwise): one
+    vector per free column f, ascending, with x_f = 1, zero on the other free
+    columns, read off the reduced row echelon form.  Each is an integer form
+    (den, {col: int}) with x = vec / den, den > 0 the lcm of the pivot leads,
+    so vec[f] = den; it is not reduced."""
+    check_indices("width", width)
     red = RowReducer()
     raw_seen, seen = set(), set()
     for row in check_sequence("rows", rows):
@@ -174,7 +176,7 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
             continue
         seen.add(key)
         if min(r) < 0 or max(r) >= width:
-            raise ValueError(f"row has a column outside 0..{width - 1}")
+            raise InvalidValue(f"row has a column outside 0..{width - 1}")
         red._add(r)
     reduced = _back_substitute(red.pivots)
     den = math.lcm(*(row[col] for col, row in reduced.items()))
@@ -191,8 +193,8 @@ def nullspace_of_columns(columns: Sequence[Mapping[Hashable, int]]) -> List[Tupl
     """``nullspace`` of the matrix whose column j is the integer map ``columns[j]``
     {row label: value}; the rows are made in the order their labels are first met."""
     rows: Dict[Hashable, SparseRow] = {}
-    for j, col in enumerate(columns):
-        for label, v in col.items():
+    for j, col in enumerate(check_sequence("columns", columns)):
+        for label, v in check_mapping("column", col).items():
             rows.setdefault(label, {})[j] = v
     return nullspace(list(rows.values()), len(columns))
 
@@ -204,9 +206,13 @@ def canonical_basis(vectors: Sequence[Row], width: int) -> List[Tuple[int, Spars
     projects one-to-one, so one ``RowReducer`` pass over the reversed
     columns (c read as width - 1 - c) pivots on exactly them, and
     ``_back_substitute`` leaves the row of free column f zero on the others."""
+    check_indices("width", width)
     red, last = RowReducer(), width - 1
-    for vec in vectors:
-        red._add({last - c: v for c, v in _sparse_int_row(vec).items()})
+    for vec in check_sequence("vectors", vectors):
+        r = _sparse_int_row(vec)
+        if r and (min(r) < 0 or max(r) >= width):
+            raise InvalidValue(f"row has a column outside 0..{width - 1}")
+        red._add({last - c: v for c, v in r.items()})
     reduced = _back_substitute(red.pivots)
     return [(reduced[p][p], {last - c: v for c, v in reduced[p].items()})
             for p in sorted(reduced, reverse=True)]
@@ -221,7 +227,8 @@ def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
 
 
 def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*a)]
+    return [list(row) for row in zip(*(check_sequence("matrix row", row)
+                                       for row in check_sequence("matrix", a)))]
 
 
 def check_special_orthogonal(a: Matrix) -> Matrix:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 from typing import Callable, Dict, List
 
 from . import catalog
@@ -182,9 +182,7 @@ def criterion_vanishing_identities() -> CriterionRow:
     checked = 0
     failures = 0
     for (n, r, m) in shapes:
-        quads = [(a, b, c, d)
-                 for a in range(1, n + 1) for b in range(a + 1, n + 1)
-                 for c in range(b + 1, n + 1) for d in range(c + 1, n + 1)]
+        quads = list(combinations(range(1, n + 1), 4))
         for _ in range(per_shape):
             phi = _random_spinor(n, r, m, rng)
             x = _random_vector(n, rng)

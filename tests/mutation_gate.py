@@ -176,6 +176,40 @@ MUTANTS = [
      '         for row in check_sequence("matrix", skew)]\n',
      "    s = [[exact_rational(x) for x in row] for row in skew]\n",
      [HELPERS + "[cayley_so int]", HELPERS + "[cayley_so int row]"]),
+    ("nullspace reads a bool width as 1", "linalg.py",
+     '    check_indices("width", width)\n    red = RowReducer()\n',
+     "    red = RowReducer()\n",
+     [HELPERS + "[nullspace width bool]", HELPERS + "[nullspace width float]"]),
+    ("nullspace lets a column outside the width through", "linalg.py",
+     "        if min(r) < 0 or max(r) >= width:",
+     "        if False:",
+     [HELPERS + "[nullspace column outside width]",
+      "tests/test_linalg.py::test_nullspace_of_structured_systems"]),
+    ("nullspace_of_columns iterates columns that are no sequence", "linalg.py",
+     'enumerate(check_sequence("columns", columns))',
+     "enumerate(columns)",
+     [HELPERS + "[nullspace_of_columns int]"]),
+    ("nullspace_of_columns iterates a column that is no mapping", "linalg.py",
+     'check_mapping("column", col).items()',
+     "col.items()",
+     [HELPERS + "[nullspace_of_columns int column]"]),
+    ("canonical_basis reads a bool width as 1", "linalg.py",
+     '    check_indices("width", width)\n    red, last = RowReducer(), width - 1\n',
+     "    red, last = RowReducer(), width - 1\n",
+     [HELPERS + "[canonical_basis width bool]", HELPERS + "[canonical_basis width float]"]),
+    ("canonical_basis lets a column outside the width through", "linalg.py",
+     "        if r and (min(r) < 0 or max(r) >= width):",
+     "        if False:",
+     [HELPERS + "[canonical_basis column outside width]"]),
+    ("canonical_basis iterates vectors that are no sequence", "linalg.py",
+     'for vec in check_sequence("vectors", vectors):',
+     "for vec in vectors:",
+     [HELPERS + "[canonical_basis int]"]),
+    ("transpose iterates a matrix that is no sequence", "linalg.py",
+     'zip(*(check_sequence("matrix row", row)\n'
+     '                                       for row in check_sequence("matrix", a)))',
+     "zip(*a)",
+     [HELPERS + "[transpose int]", HELPERS + "[transpose int row]"]),
     ("_slot_unit gives g2 x = +1", "spinrep.py",
      "(bit, -1, tail | bit, 0)",
      "(bit, 1, tail | bit, 0)",

@@ -880,38 +880,77 @@ def _moved_qk():
     return moved
 
 
-def _lie_digests(tmp):
-    """sha256 of ``subalgebra_to_json(annihilator(...))`` (as the CLI prints
-    it, indent 2) and of the ``commutant --json`` stdout, skew and full, by
-    case label; ``tmp`` is a directory for the moved qk(2) wire file."""
-    sha = lambda text: hashlib.sha256(text.encode()).hexdigest()
+def _lie_payloads(tmp):
+    """The text of ``subalgebra_to_json(annihilator(...))`` (as the CLI
+    prints it, indent 2) and the ``commutant --json`` stdout, skew and full,
+    by case label; ``tmp`` is a directory for the moved qk(2) wire file."""
     moved = _moved_qk()
     spin7 = [build_spin7_pure().spinor, build_spin7_reducing().spinor]
-    cases = {**{f"qk({m})": [build_qk_pure(m).spinor] for m in range(1, 6)},
+    cases = {**{f"qk({m})": [build_qk_pure(m).spinor] for m in range(1, 7)},
              **{f"generic({n})": [build_generic_reducing(n).spinor] for n in range(2, 9)},
              "spin7_pure": spin7[:1], "spin7_reducing": spin7[1:], "spin7 pair": spin7,
              "moved qk(2)": [moved[2]], "moved qk(3)": [moved[3]]}
-    digests = {f"annihilator {label}": sha(json.dumps(subalgebra_to_json(annihilator(spinors)),
-                                                      indent=2))
-               for label, spinors in cases.items()}
+    payloads = {f"annihilator {label}": json.dumps(subalgebra_to_json(annihilator(spinors)),
+                                                   indent=2)
+                for label, spinors in cases.items()}
     wire = Path(tmp) / "moved_qk2.json"
     wire.write_text(json.dumps(scaled_spinor_to_json(moved[2])))
-    sources = {**{f"qk({m})": ["--catalog", "qk", "--m", str(m)] for m in (1, 2, 3)},
+    sources = {**{f"qk({m})": ["--catalog", "qk", "--m", str(m)] for m in range(1, 6)},
                "spin7_pure": ["--catalog", "spin7_pure"], "moved qk(2)": ["--in", str(wire)]}
     for label, source in sources.items():
         for mode, flags in (("skew", ["--skew"]), ("full", [])):
             out = io.StringIO()
             with contextlib.redirect_stdout(out):
                 assert cli_main(["commutant", *source, *flags, "--json"]) == 0
-            digests[f"commutant {label} {mode}"] = sha(out.getvalue())
-    return digests
+            payloads[f"commutant {label} {mode}"] = out.getvalue()
+    return payloads
 
 
-def test_lie_bases_are_pinned(tmp_path):
+@pytest.fixture(scope="module")
+def lie_payloads(tmp_path_factory):
+    """Every pinned Lie payload, computed once for the pin and the closed forms."""
+    return _lie_payloads(tmp_path_factory.mktemp("lie"))
+
+
+def test_lie_bases_are_pinned(lie_payloads):
     """Every annihilator and commutant basis of the catalog and of the
     moved qk(2) and qk(3), byte for byte as pinned in ``lie_pins.json``."""
     want = json.loads((Path(__file__).parent / "data" / "lie_pins.json").read_text())
-    assert _lie_digests(tmp_path) == want
+    assert {label: hashlib.sha256(text.encode()).hexdigest()
+            for label, text in lie_payloads.items()} == want
+
+
+def _sp(m):
+    """dim sp(m) = m(2m + 1)."""
+    return m * (2 * m + 1)
+
+
+# The dimension of every pinned basis in closed form: the annihilator of
+# qk(m), moved or not, is sp(m) + sp(1), of generic(n) so(n), of each
+# rank-7 spinor spin(7) and of the pair g2; the commutant of qk(m)'s hat(eta)
+# family is sp(m) skew and gl(m, H) full, and of spin7_pure's 0 and R.
+LIE_DIMS = {
+    **{f"annihilator qk({m})": _sp(m) + 3 for m in range(1, 7)},
+    **{f"annihilator generic({n})": n * (n - 1) // 2 for n in range(2, 9)},
+    "annihilator spin7_pure": 21, "annihilator spin7_reducing": 21, "annihilator spin7 pair": 14,
+    "annihilator moved qk(2)": _sp(2) + 3, "annihilator moved qk(3)": _sp(3) + 3,
+    **{f"commutant qk({m}) skew": _sp(m) for m in range(1, 6)},
+    **{f"commutant qk({m}) full": 4 * m * m for m in range(1, 6)},
+    "commutant spin7_pure skew": 0, "commutant spin7_pure full": 1,
+    "commutant moved qk(2) skew": _sp(2), "commutant moved qk(2) full": 4 * 2 * 2,
+}
+
+
+def test_lie_bases_have_their_closed_form_dimensions(lie_payloads):
+    """Each pinned payload has its closed-form dim and as many basis
+    elements, and an annihilator is closed; a commutant has no closed flag."""
+    assert lie_payloads.keys() == LIE_DIMS.keys()
+    for label, dim in LIE_DIMS.items():
+        payload = json.loads(lie_payloads[label])
+        want = {"dim": dim, "basis": dim}
+        if label.startswith("annihilator"):
+            want["closed"] = True
+        assert {**payload, "basis": len(payload["basis"])} == want, label
 
 
 # -- frame independence and equivariance -----------------------------------------

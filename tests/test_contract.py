@@ -37,8 +37,8 @@ from spinor_forge.catalog import sign_tuples
 from spinor_forge.errors import InvalidValue, SpinorForgeError, UnsupportedDimension
 from spinor_forge.forms import two_form_from_terms
 from spinor_forge.linalg import (
-    RowReducer, cayley_so, nullspace, random_so_matrix, random_unit_vector, rank, span_contains,
-    spans_equal,
+    RowReducer, canonical_basis, cayley_so, nullspace, nullspace_of_columns, random_so_matrix,
+    random_unit_vector, rank, span_contains, spans_equal, transpose,
 )
 from spinor_forge.spinrep import MAX_M, MAX_N, MAX_R
 
@@ -256,8 +256,9 @@ def test_every_public_name_has_one_readme_row():
 
 # Module helpers that the report, the CLI and CI reach by module: a bool is
 # not read as 1, a float is no index, a dimension over MAX_N is refused
-# before anything is drawn or allocated, and a matrix, a row or a list of
-# rows that is no sequence (a string included) is refused as a value.
+# before anything is drawn or allocated, a matrix, a row or a list of rows
+# that is no sequence (a string included) is refused as a value, and so is
+# a nullspace width that is no int or a column outside it.
 HELPER_CASES = {
     "two_form_from_terms list": (lambda rng: two_form_from_terms(4, [1]), InvalidValue),
     "two_form_from_terms None": (lambda rng: two_form_from_terms(4, None), InvalidValue),
@@ -291,6 +292,19 @@ HELPER_CASES = {
     "span_contains int vec": (lambda rng: span_contains([[1]], 5), InvalidValue),
     "nullspace int": (lambda rng: nullspace(5, 2), InvalidValue),
     "nullspace int row": (lambda rng: nullspace([5], 2), InvalidValue),
+    "nullspace width float": (lambda rng: nullspace([[1, 0]], 2.5), InvalidValue),
+    "nullspace width str": (lambda rng: nullspace([[1, 0]], "2"), InvalidValue),
+    "nullspace width bool": (lambda rng: nullspace([[1]], True), InvalidValue),
+    "nullspace column outside width": (lambda rng: nullspace([{5: 1}], 4), InvalidValue),
+    "nullspace_of_columns int": (lambda rng: nullspace_of_columns(5), InvalidValue),
+    "nullspace_of_columns int column": (lambda rng: nullspace_of_columns([5]), InvalidValue),
+    "canonical_basis int": (lambda rng: canonical_basis(5, 2), InvalidValue),
+    "canonical_basis width bool": (lambda rng: canonical_basis([[1]], True), InvalidValue),
+    "canonical_basis width float": (lambda rng: canonical_basis([[1]], 2.5), InvalidValue),
+    "canonical_basis column outside width": (lambda rng: canonical_basis([{5: 1}], 2),
+                                             InvalidValue),
+    "transpose int": (lambda rng: transpose(5), InvalidValue),
+    "transpose int row": (lambda rng: transpose([5]), InvalidValue),
 }
 
 

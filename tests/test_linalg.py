@@ -119,7 +119,7 @@ def test_nullspace_of_structured_systems():
     rows = [{0: F(-3), 2: F(-6)}, {1: F(3), 2: F(-1)}, {1: F(-1, 2), 2: F(1, 6)},
             {0: F(1, 5), 2: F(2, 5)}, {}]
     assert dense_nullspace(rows, 4) == [[F(-2), F(1, 3), F(1), F(0)], [F(0), F(0), F(0), F(1)]]
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidValue):
         nullspace([{5: F(1)}], 4)
 
 

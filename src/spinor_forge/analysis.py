@@ -26,8 +26,8 @@ from .errors import (
 )
 from .forms import Endo, _endo, _mul_rows, eta_hat, etas, form_action, form_lincomb, spinc_form
 from .linalg import (
-    Matrix, _back_substitute, _clear_denominators, _reduced, canonical_basis,
-    check_special_orthogonal, nullspace_of_columns,
+    Matrix, _clear_denominators, _reduced, canonical_basis, check_special_orthogonal,
+    nullspace_of_columns,
 )
 from .scalars import Rational, exact_rational, gr
 from .spinrep import (
@@ -166,27 +166,18 @@ def lie_closure_report(basis: Sequence[AmbientElement]) -> LieSubalgebra:
     """Check bracket closure of the span of ``basis``.
 
     The integer terms of the basis, keyed by the pairs of spin(n + r) as
-    they are, are reduced and back-substituted once, so row_p is zero on
-    the other pivots.  A bracket y of the terms by vector index (a multiple
-    of the elements' bracket) lies in the span iff L y - sum_p y_p (L /
-    lead_p) row_p = 0, L the lcm of the leads: one pass per bracket."""
+    they are, go into one ``RowReducer``.  A bracket of the terms by vector
+    index (a multiple of the elements' bracket) lies in the span iff the
+    reduced pivot rows clear it: one elimination per pivot pair it holds."""
     if not basis:
         raise EmptyInput("empty basis")
     shape = (basis[0].n, basis[0].r)
     if any((x.n, x.r) != shape for x in basis):
         raise ShapeMismatch("mixed ambient shapes in basis")
     red = _reduced([x._terms for x in basis])
-    rows = _back_substitute(red.pivots)
-    lcm = math.lcm(*(row[p] for p, row in rows.items()))
     by_vector = [_by_vector(x._terms) for x in basis]
     for i, j in combinations(range(len(basis)), 2):
-        y = _bracket(by_vector[i], by_vector[j])
-        acc = {c: lcm * v for c, v in y.items()}
-        for p in y.keys() & rows.keys():
-            q = y[p] * (lcm // rows[p][p])
-            for c, v in rows[p].items():
-                acc[c] = acc.get(c, 0) - q * v
-        if any(acc.values()):
+        if red._reduce(_bracket(by_vector[i], by_vector[j])):
             return LieSubalgebra(list(basis), red.rank, closed=False, open_pair=(i, j))
     return LieSubalgebra(list(basis), red.rank, closed=True)
 

@@ -4,10 +4,10 @@ Rank, span tests, the nullspace, the Cayley transform and the SO(n) check
 all run on it.  A row, dense or a ``{col: value}`` map, is cleared to a
 primitive ``{col: int}`` map over its nonzero entries, and elimination uses
 integer cross-multiples only, so no rational is built until a result is
-read off.  ``nullspace`` drops rows equal up to scale, back-substitutes in
-integers and reads its basis from the canonical reduced row echelon form,
-so it does not depend on the order or the scale of the rows; each basis
-vector comes out as integers over one denominator, with no rational built.
+read off.  The pivot rows are kept reduced as rows arrive, so ``nullspace``
+drops rows equal up to scale and reads its basis straight off the canonical
+reduced row echelon form: it does not depend on the order or the scale of
+the rows, and each basis vector comes out as integers over one denominator.
 
 Rational SO(n) comes from Cayley transforms: for skew S, (I - S)(I + S)^(-1)
 = 2 (I + S)^(-1) - I, read off the reduced rows [I + S | I].  A = A'/d
@@ -73,32 +73,38 @@ def _eliminate(row: SparseRow, piv: SparseRow, col: int) -> SparseRow:
 
 
 class RowReducer:
-    """Incremental integer row echelon form on sparse rows.  Each pivot row
-    is primitive with a positive leading entry, and its pivot column is its
-    smallest key."""
+    """Incremental reduced row echelon form on sparse integer rows.  Each
+    pivot row is primitive, positive at its pivot column, which is its
+    smallest key, and zero on every other pivot column.  A kept row whose
+    keys do not compare (ints and tuples, say) raises ``InvalidValue``."""
 
     def __init__(self) -> None:
         self.pivots: Dict[int, SparseRow] = {}  # pivot column -> reduced row
 
     def _reduce(self, row: SparseRow) -> SparseRow:
-        while row:
-            col = min(row)
-            piv = self.pivots.get(col)
-            if piv is None:
-                break
-            row = _eliminate(row, piv, col)
+        pivots = self.pivots  # reduced: each pivot column of row is eliminated once
+        for col in [c for c in row if c in pivots]:
+            row = _eliminate(row, pivots[col], col)
         return row
 
     def _add(self, row: SparseRow) -> bool:
         r = self._reduce(row)
         if not r:
             return False
+        try:
+            col = min(r)
+        except TypeError:
+            raise InvalidValue("row keys do not compare") from None
         g = math.gcd(*r.values())
-        col = min(r)
         if r[col] < 0:
             g = -g
         if g != 1:
             r = {c: v // g for c, v in r.items()}
+        for p, piv in self.pivots.items():  # clear col, keeping piv[p] > 0
+            if col in piv:
+                piv = _eliminate(piv, r, col)
+                g = math.gcd(*piv.values())
+                self.pivots[p] = {c: v // g for c, v in piv.items()} if g > 1 else piv
         self.pivots[col] = r
         return True
 
@@ -116,18 +122,16 @@ class RowReducer:
         return len(self.pivots)
 
 
-def _back_substitute(pivots: Dict[int, SparseRow]) -> Dict[int, SparseRow]:
-    """Integer back-substitution of an echelon form: clear every later pivot
-    column from each pivot row, last pivot first, so that reduced[col] is a
-    primitive positive multiple of the RREF row of col."""
-    reduced: Dict[int, SparseRow] = {}
-    for col in sorted(pivots, reverse=True):
-        row = pivots[col]
-        for k in [k for k in row if k != col and k in reduced]:
-            row = _eliminate(row, reduced[k], k)
-        g = math.gcd(*row.values())
-        reduced[col] = {c: v // g for c, v in row.items()} if g > 1 else row
-    return reduced
+def _lead(r: SparseRow, width: int) -> int:
+    """The first column of the nonzero row r; InvalidValue unless its keys
+    are columns 0..width - 1, keys that do not compare with ints included."""
+    try:
+        lead = min(r)
+        if lead >= 0 and max(r) < width:
+            return lead
+    except TypeError:
+        pass
+    raise InvalidValue(f"row has a column outside 0..{width - 1}")
 
 
 def _reduced(rows: Sequence[Row]) -> RowReducer:
@@ -154,7 +158,7 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
     """Basis of {x : A x = 0} for the matrix with the given rows, dense or
     {col: value} maps on columns 0..width - 1 (InvalidValue otherwise): one
     vector per free column f, ascending, with x_f = 1, zero on the other free
-    columns, read off the reduced row echelon form.  Each is an integer form
+    columns, read off the reduced pivot rows as they stand.  Each is an integer form
     (den, {col: int}) with x = vec / den, den > 0 the lcm of the pivot leads,
     so vec[f] = den; it is not reduced."""
     check_indices("width", width)
@@ -169,19 +173,15 @@ def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
         r = _sparse_int_row(row)
         if not r:
             continue
-        if r[min(r)] < 0:
+        if r[_lead(r, width)] < 0:
             r = {c: -v for c, v in r.items()}
         key = frozenset(r.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if min(r) < 0 or max(r) >= width:
-            raise InvalidValue(f"row has a column outside 0..{width - 1}")
-        red._add(r)
-    reduced = _back_substitute(red.pivots)
-    den = math.lcm(*(row[col] for col, row in reduced.items()))
-    basis = {f: {f: den} for f in range(width) if f not in reduced}
-    for col, row in reduced.items():
+        if key not in seen:
+            seen.add(key)
+            red._add(r)
+    den = math.lcm(*(row[col] for col, row in red.pivots.items()))
+    basis = {f: {f: den} for f in range(width) if f not in red.pivots}
+    for col, row in red.pivots.items():
         q = den // row[col]
         for c, v in row.items():
             if c != col:
@@ -204,18 +204,17 @@ def canonical_basis(vectors: Sequence[Row], width: int) -> List[Tuple[int, Spars
     any order, scale or dependence, as integer forms (den, vec) with
     vec[f] = den.  Its free columns are the last columns on which the span
     projects one-to-one, so one ``RowReducer`` pass over the reversed
-    columns (c read as width - 1 - c) pivots on exactly them, and
-    ``_back_substitute`` leaves the row of free column f zero on the others."""
+    columns (c read as width - 1 - c) pivots on exactly them, and the
+    reduced row of free column f is zero on the others."""
     check_indices("width", width)
     red, last = RowReducer(), width - 1
     for vec in check_sequence("vectors", vectors):
         r = _sparse_int_row(vec)
-        if r and (min(r) < 0 or max(r) >= width):
-            raise InvalidValue(f"row has a column outside 0..{width - 1}")
-        red._add({last - c: v for c, v in r.items()})
-    reduced = _back_substitute(red.pivots)
-    return [(reduced[p][p], {last - c: v for c, v in reduced[p].items()})
-            for p in sorted(reduced, reverse=True)]
+        if r:
+            _lead(r, width)
+            red._add({last - c: v for c, v in r.items()})
+    return [(red.pivots[p][p], {last - c: v for c, v in red.pivots[p].items()})
+            for p in sorted(red.pivots, reverse=True)]
 
 
 # -- dense Fraction matrices ------------------------------------------------
@@ -265,10 +264,9 @@ def cayley_so(skew: Matrix) -> Matrix:
     red = RowReducer()
     for i, row in enumerate(s):
         red.add({**{j: (i == j) + x for j, x in enumerate(row)}, n + i: 1})
-    reduced = _back_substitute(red.pivots)
     out: Matrix = []
     for k in range(n):
-        row, lead = reduced[k], reduced[k][k]
+        row, lead = red.pivots[k], red.pivots[k][k]
         out.append([Fraction(2 * row.get(n + j, 0) - lead * (j == k), lead) for j in range(n)])
     return out
 

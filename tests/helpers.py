@@ -2,11 +2,11 @@
 
 The dense model of the spinor space is in ``oracle.py``; this module holds
 what is not part of it: the generator chain, which steps by the oracle's
-sparse generators, the definition of an induced form, which reads the
-library's own generators, and the plain
-Fraction Gauss-Jordan oracle of ``linalg`` (``plain_rref``,
-``plain_nullspace``), which ``test_linalg`` and the commutant's wide-system
-oracle in ``test_analysis`` share, and the exhaustive even-Clifford check
+sparse generators, the definition of an induced form, which applies the
+chain and pairs in plain integers, and the plain Fraction Gauss-Jordan
+oracle of ``linalg`` (``plain_rref``, ``plain_nullspace``), which
+``test_linalg`` and the commutant's wide-system oracle in ``test_analysis``
+share, and the exhaustive even-Clifford check
 ``reference_even_clifford_verify``.  No ``test_*.py`` module imports from
 another.
 """
@@ -20,8 +20,7 @@ from spinor_forge.analysis import RelationReport, pairs
 from spinor_forge.errors import EmptyInput, IndexOutOfRange, MissingPair, ShapeMismatch
 from spinor_forge.forms import Endo, two_form_from_terms
 from spinor_forge.scalars import gr
-from spinor_forge.spinrep import ScaledSpinor, all_basis_indices, kappa_generator
-from spinor_forge.twisted import twisted_hermitian
+from spinor_forge.spinrep import ScaledSpinor, all_basis_indices
 
 from . import oracle
 
@@ -99,13 +98,23 @@ def plain_nullspace(rows, n_cols):
     return basis
 
 
+def _re_inner(x, y):
+    """Re sum x_k conj(y_k) over the coefficients of two spinors: an integer
+    sum over their ``_entries()``, over the product of their denominators."""
+    ys = {key: (re, im) for key, re, im in y._entries()}
+    return F(sum(re * ys[key][0] + im * ys[key][1] for key, re, im in x._entries() if key in ys),
+             x._den * y._den)
+
+
 def definition_form(w, phi):
-    """-scale2 Re< e_b . w, e_a . phi >, a < b, from single generators and
-    ``twisted_hermitian``: the induced form of w by its definition."""
+    """-scale2 Re< e_b . w, e_a . phi >, a < b, for w of phi's scale2: the
+    induced form of w by its definition, each e_a applied by ``chain`` and
+    the pairing summed in integers (``_re_inner``), so no generator and no
+    pairing of the library is read."""
     n = phi.n
-    left = [kappa_generator(n, b, w) for b in range(1, n + 1)]
-    right = [kappa_generator(n, a, phi) for a in range(1, n + 1)]
-    return two_form_from_terms(n, {(a, b): -twisted_hermitian(left[b - 1], right[a - 1]).re
+    left = [chain(w, 0, [((b,), 1)]) for b in range(1, n + 1)]
+    right = [chain(phi, 0, [((a,), 1)]) for a in range(1, n + 1)]
+    return two_form_from_terms(n, {(a, b): -phi.scale2 * _re_inner(left[b - 1], right[a - 1])
                                    for a, b in combinations(range(1, n + 1), 2)})
 
 

@@ -49,6 +49,7 @@ TRANSCRIPT = "tests/test_cli_transcript.py::test_cli_transcript_matches_golden"
 PHI_TERMS = "tests/test_forms.py::test_phi_extend_is_the_sum_of_its_etas_and_walks_only_nonzero_pairs"
 AMBIENT_PARTS = "tests/test_analysis.py::test_ambient_element_reads_each_part_against_its_own_dimension"
 HELPERS = "tests/test_contract.py::test_module_helpers_refuse_bools_floats_and_hostile_terms"
+REDUCED = "tests/test_linalg.py::test_row_reducer_keeps_its_pivot_rows_reduced"
 
 MUTANTS = [
     ("_walk keeps one record per d", "spinrep.py",
@@ -108,8 +109,8 @@ MUTANTS = [
      "    flip = (flip[0], -flip[1], *flip[2:]) if (k, l) == (1, 3) else flip\n",
      [EQUIVARIANT]),
     ("lie_closure_report accepts every bracket", "analysis.py",
-     "        if any(acc.values()):",
-     "        if False and any(acc.values()):",
+     "        if red._reduce(_bracket(",
+     "        if False and red._reduce(_bracket(",
      ["tests/test_analysis.py::test_lie_closure_names_the_first_open_pair"]),
     ("commutant's restriction skips the last family member", "analysis.py",
      "    for h in etas:\n        # [X, M]",
@@ -119,10 +120,15 @@ MUTANTS = [
      "rows.setdefault(label, {})[j] = v",
      "rows.setdefault(j, {})[j] = v",
      ["tests/test_linalg.py::test_nullspace_of_columns_is_nullspace_of_the_hand_transposed_rows"]),
-    ("canonical_basis skips the back-substitution", "linalg.py",
-     "    reduced = _back_substitute(red.pivots)\n    return [(reduced[p][p]",
-     "    reduced = red.pivots\n    return [(reduced[p][p]",
-     ["tests/test_linalg.py::test_canonical_basis_is_nullspace_of_any_spanning_set"]),
+    ("_add leaves the earlier pivot rows uncleared", "linalg.py",
+     "            if col in piv:",
+     "            if False and col in piv:",
+     ["tests/test_linalg.py::test_rank_matches_plain_gauss_oracle",
+      "tests/test_linalg.py::test_canonical_basis_is_nullspace_of_any_spanning_set"]),
+    ("_reduce eliminates only the first pivot column the row holds", "linalg.py",
+     "        for col in [c for c in row if c in pivots]:",
+     "        for col in [c for c in row if c in pivots][:1]:",
+     ["tests/test_linalg.py::test_rank_matches_plain_gauss_oracle"]),
     ("even_clifford_verify visits the mirrored triples i > k", "analysis.py",
      "        if i > k:\n            continue",
      "        if i < k:\n            continue",
@@ -159,10 +165,10 @@ MUTANTS = [
      "        for i, row in enumerate(rows):\n            acc: SparseRow = {}",
      "        for i, row in enumerate(rows[:-1]):\n            acc: SparseRow = {}",
      ["tests/test_forms.py::test_square_check_row_by_row_matches_compose"]),
-    ("_back_substitute clears the first pivot first", "linalg.py",
-     "    for col in sorted(pivots, reverse=True):",
-     "    for col in sorted(pivots):",
-     ["tests/test_linalg.py::test_nullspace_is_the_canonical_basis_of_a_plain_rref_oracle"]),
+    ("_add leaves a cleared pivot row unprimitive", "linalg.py",
+     "                self.pivots[p] = {c: v // g for c, v in piv.items()} if g > 1 else piv",
+     "                self.pivots[p] = piv",
+     [REDUCED]),
     ("_sparse_int_row drops a zero float unread", "linalg.py",
      "for col, x in items if x or type(x) not in _EXACT_TYPES}",
      "for col, x in items if x}",
@@ -181,8 +187,8 @@ MUTANTS = [
      "    red = RowReducer()\n",
      [HELPERS + "[nullspace width bool]", HELPERS + "[nullspace width float]"]),
     ("nullspace lets a column outside the width through", "linalg.py",
-     "        if min(r) < 0 or max(r) >= width:",
-     "        if False:",
+     "        if r[_lead(r, width)] < 0:",
+     "        if r[min(r)] < 0:",
      [HELPERS + "[nullspace column outside width]",
       "tests/test_linalg.py::test_nullspace_of_structured_systems"]),
     ("nullspace_of_columns iterates columns that are no sequence", "linalg.py",
@@ -198,9 +204,17 @@ MUTANTS = [
      "    red, last = RowReducer(), width - 1\n",
      [HELPERS + "[canonical_basis width bool]", HELPERS + "[canonical_basis width float]"]),
     ("canonical_basis lets a column outside the width through", "linalg.py",
-     "        if r and (min(r) < 0 or max(r) >= width):",
-     "        if False:",
+     "            _lead(r, width)\n",
+     "",
      [HELPERS + "[canonical_basis column outside width]"]),
+    ("_add lets keys that do not compare raise TypeError", "linalg.py",
+     "        except TypeError:\n            raise InvalidValue",
+     "        except ZeroDivisionError:\n            raise InvalidValue",
+     [HELPERS + "[rank mixed keys]"]),
+    ("_lead lets a column that does not compare with ints raise TypeError", "linalg.py",
+     "    except TypeError:\n        pass",
+     "    except ZeroDivisionError:\n        pass",
+     [HELPERS + "[nullspace str column]"]),
     ("canonical_basis iterates vectors that are no sequence", "linalg.py",
      'for vec in check_sequence("vectors", vectors):',
      "for vec in vectors:",

@@ -287,6 +287,7 @@ HELPER_CASES = {
     "rank int": (lambda rng: rank(5), InvalidValue),
     "rank int row": (lambda rng: rank([5]), InvalidValue),
     "rank str row": (lambda rng: rank(["ab"]), InvalidValue),
+    "rank mixed keys": (lambda rng: rank([{(1, 2): 1, 3: 1}]), InvalidValue),
     "RowReducer.add int row": (lambda rng: RowReducer().add(5), InvalidValue),
     "spans_equal int row": (lambda rng: spans_equal([5], [[1]]), InvalidValue),
     "span_contains int vec": (lambda rng: span_contains([[1]], 5), InvalidValue),
@@ -296,6 +297,7 @@ HELPER_CASES = {
     "nullspace width str": (lambda rng: nullspace([[1, 0]], "2"), InvalidValue),
     "nullspace width bool": (lambda rng: nullspace([[1]], True), InvalidValue),
     "nullspace column outside width": (lambda rng: nullspace([{5: 1}], 4), InvalidValue),
+    "nullspace str column": (lambda rng: nullspace([{"a": 1}], 2), InvalidValue),
     "nullspace_of_columns int": (lambda rng: nullspace_of_columns(5), InvalidValue),
     "nullspace_of_columns int column": (lambda rng: nullspace_of_columns([5]), InvalidValue),
     "canonical_basis int": (lambda rng: canonical_basis(5, 2), InvalidValue),

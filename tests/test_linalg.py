@@ -233,6 +233,36 @@ def test_row_reducer_pivots_away_from_column_zero():
     assert red.contains([F(0), F(0), F(0), F(-1, 9)])
 
 
+def test_row_reducer_keeps_its_pivot_rows_reduced():
+    """After every ``add``, each pivot row is primitive, positive at its
+    pivot column, which is its smallest key, zero on every other pivot
+    column, and its lead times the plain RREF row of that pivot: on dense
+    rows, on {col: value} maps and on the maps in reverse order."""
+    rng = random.Random(43)
+    cleared = 0
+    for _ in range(40):
+        n_cols = rng.randint(1, 9)
+        rows = _mixed_system(rng, rng.randint(1, 9), n_cols)
+        maps = [{c: x for c, x in enumerate(row) if x} for row in rows]
+        for system in (rows, maps, maps[::-1]):
+            red, dense = RowReducer(), []
+            for row in system:
+                before = dict(red.pivots)
+                red.add(row)
+                dense.append([row.get(c, F(0)) for c in range(n_cols)] if isinstance(row, dict)
+                             else row)
+                rref, pivots = plain_rref(dense, n_cols)
+                assert sorted(red.pivots) == pivots
+                for want, col in zip(rref, pivots):
+                    got = red.pivots[col]
+                    assert min(got) == col and got[col] > 0 and math.gcd(*got.values()) == 1
+                    assert all(type(v) is int and v for v in got.values())
+                    assert not (got.keys() - {col}) & red.pivots.keys()
+                    assert [F(got.get(c, 0), got[col]) for c in range(n_cols)] == want
+                cleared += sum(before[col] != red.pivots[col] for col in before)
+    assert cleared >= 20, cleared
+
+
 def plain_det(a):
     """Independent determinant oracle: Fraction Gaussian elimination with
     row swaps."""

@@ -16,8 +16,9 @@ generators (``oracle.monomial_on_basis``), which read no bit and no
 record.  The oracles of ``helpers.py`` apply single generators one after
 the other: ``chain`` (the same sparse step, itself checked against the
 dense model here), and the induced form by its definition,
-``definition_form`` (``kappa_generator`` paired by ``twisted_hermitian``).
-None of them reads the table.  The dense Kronecker model of ``oracle.py``
+``definition_form`` (each e_a by ``chain``, paired by a plain integer sum
+over ``_entries()``).  None of them reads the table, a library generator
+or a library pairing.  The dense Kronecker model of ``oracle.py``
 checks the same kernels from outside the library in ``test_kernel``,
 ``test_forms`` and ``test_analysis``.
 """

@@ -4,6 +4,8 @@ import ast
 import re
 from pathlib import Path
 
+from . import mutation_gate
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "spinor_forge"
 
@@ -209,4 +211,26 @@ def test_every_public_name_has_a_caller():
                          for where, line, name in named)
             if not (called or node.name in exported or node.name in bench):
                 found.append(f"{path.name}:{node.lineno}:{node.name}")
+    assert not found, found
+
+
+def test_every_mutant_of_the_gate_matches_the_source_and_names_real_tests():
+    """Each mutant of ``tests/mutation_gate.py`` (none is run here): its old
+    text occurs exactly once in its file, and each test it names, a
+    ``[param]`` suffix stripped, is a test function of its module, so a
+    refactor that moves mutated code or renames a test fails here, not only
+    in the gate."""
+    functions, found = {}, []
+    for name, file, old, _, tests in mutation_gate.MUTANTS:
+        count = (SRC / file).read_text().count(old)
+        if count != 1:
+            found.append(f"{name}: old text occurs {count} times in {file}")
+        for test in tests:
+            path, func = test.split("[")[0].split("::")
+            if path not in functions:
+                tree = ast.parse((ROOT / path).read_text(), filename=path)
+                functions[path] = {node.name for node in tree.body
+                                   if isinstance(node, ast.FunctionDef) and node.name.startswith("test_")}
+            if func not in functions[path]:
+                found.append(f"{name}: {test} is no test function")
     assert not found, found

@@ -31,7 +31,7 @@ from itertools import combinations
 from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from .errors import IndexOutOfRange, ShapeMismatch, WrongRank, ZeroSpinor
-from .linalg import Matrix, SparseRow, transpose
+from .linalg import Matrix, SparseRow
 from .scalars import GR_I, Rational, exact_rational
 from .spinrep import ScaledSpinor, check_dimensions, check_mapping, check_sequence, index_pair
 from .twisted import _bivector_map, _check_twist_pair, _induced, twist_bivector_action
@@ -69,7 +69,7 @@ class TwoForm:
     def __getattr__(self, name: str) -> Matrix:
         if name != "mat":  # the one lazy field: the dense Fraction view
             raise AttributeError(name)
-        view = vars(self)["mat"] = transpose(eta_hat(self).mat)
+        view = vars(self)["mat"] = (-eta_hat(self)).mat  # omega is skew, eta_hat its transpose
         return view
 
     def __eq__(self, other: object) -> bool:

@@ -4,10 +4,10 @@ Rank, span tests, the nullspace, the Cayley transform and the SO(n) check
 all run on it.  A row, dense or a ``{col: value}`` map, is cleared to a
 primitive ``{col: int}`` map over its nonzero entries, and elimination uses
 integer cross-multiples only, so no rational is built until a result is
-read off.  The pivot rows are kept reduced as rows arrive, so ``nullspace``
-drops rows equal up to scale and reads its basis straight off the canonical
-reduced row echelon form: it does not depend on the order or the scale of
-the rows, and each basis vector comes out as integers over one denominator.
+read off.  The pivot rows, kept reduced as rows arrive, are the canonical
+reduced row echelon form: spans are equal exactly when their pivot rows are,
+and ``nullspace`` drops rows equal up to scale and reads its basis off them,
+whatever the rows' order or scale, as integers over one denominator.
 
 Rational SO(n) comes from Cayley transforms: for skew S, (I - S)(I + S)^(-1)
 = 2 (I + S)^(-1) - I, read off the reduced rows [I + S | I].  A = A'/d
@@ -123,15 +123,15 @@ class RowReducer:
 
 
 def _lead(r: SparseRow, width: int) -> int:
-    """The first column of the nonzero row r; InvalidValue unless its keys
-    are columns 0..width - 1, keys that do not compare with ints included."""
+    """The first column of the nonzero row r; InvalidValue unless its keys are
+    int columns 0..width - 1 (a float or Fraction key makes their sum no int)."""
     try:
         lead = min(r)
-        if lead >= 0 and max(r) < width:
+        if lead >= 0 and max(r) < width and type(sum(r)) is int:
             return lead
     except TypeError:
         pass
-    raise InvalidValue(f"row has a column outside 0..{width - 1}")
+    raise InvalidValue(f"row has a column that is no int in 0..{width - 1}")
 
 
 def _reduced(rows: Sequence[Row]) -> RowReducer:
@@ -150,8 +150,8 @@ def span_contains(basis: Sequence[Row], vec: Row) -> bool:
 
 
 def spans_equal(a: Sequence[Row], b: Sequence[Row]) -> bool:
-    ra = _reduced(a)
-    return ra.rank == _reduced(b).rank and all(ra.contains(row) for row in b)
+    """Equal row spaces: equal canonical reduced forms, ``RowReducer``'s pivot rows."""
+    return _reduced(a).pivots == _reduced(b).pivots
 
 
 def nullspace(rows: Sequence[Row], width: int) -> List[Tuple[int, SparseRow]]:
@@ -223,11 +223,6 @@ def _clear_denominators(a: Matrix) -> Tuple[List[IntRow], int]:
     """(A', d) with A' = d * A an integer matrix, d the lcm of A's denominators."""
     d = math.lcm(*(x.denominator for row in a for x in row))
     return [[x.numerator * (d // x.denominator) for x in row] for row in a], d
-
-
-def transpose(a: Matrix) -> Matrix:
-    return [list(row) for row in zip(*(check_sequence("matrix row", row)
-                                       for row in check_sequence("matrix", a)))]
 
 
 def check_special_orthogonal(a: Matrix) -> Matrix:

@@ -6,9 +6,9 @@ sparse generators, the definition of an induced form, which applies the
 chain and pairs in plain integers, and the plain Fraction Gauss-Jordan
 oracle of ``linalg`` (``plain_rref``, ``plain_nullspace``), which
 ``test_linalg`` and the commutant's wide-system oracle in ``test_analysis``
-share, and the exhaustive even-Clifford check
-``reference_even_clifford_verify``.  No ``test_*.py`` module imports from
-another.
+share, the dense products ``naive_mat_mul`` and ``transpose``, and the
+exhaustive even-Clifford check ``reference_even_clifford_verify``.  No
+``test_*.py`` module imports from another.
 """
 
 import math
@@ -54,6 +54,10 @@ def naive_mat_mul(a, b):
     """Independent product oracle: the plain Fraction triple loop."""
     return [[sum((a[i][k] * b[k][j] for k in range(len(b))), F(0))
              for j in range(len(b[0]))] for i in range(len(a))]
+
+
+def transpose(a):
+    return [list(col) for col in zip(*a)]
 
 
 def plain_rref(rows, n_cols):

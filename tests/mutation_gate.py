@@ -219,11 +219,19 @@ MUTANTS = [
      'for vec in check_sequence("vectors", vectors):',
      "for vec in vectors:",
      [HELPERS + "[canonical_basis int]"]),
-    ("transpose iterates a matrix that is no sequence", "linalg.py",
-     'zip(*(check_sequence("matrix row", row)\n'
-     '                                       for row in check_sequence("matrix", a)))',
-     "zip(*a)",
-     [HELPERS + "[transpose int]", HELPERS + "[transpose int row]"]),
+    ("TwoForm.mat reads eta_hat's matrix without the sign", "forms.py",
+     '(-eta_hat(self)).mat',
+     "eta_hat(self).mat",
+     ["tests/test_forms.py::test_eta_matches_dense_oracle"]),
+    ("spans_equal compares ranks only", "linalg.py",
+     "return _reduced(a).pivots == _reduced(b).pivots",
+     "return _reduced(a).rank == _reduced(b).rank",
+     ["tests/test_linalg.py::test_spans_equal_matches_the_plain_rref_oracle"]),
+    ("_lead lets a float column through", "linalg.py",
+     " and type(sum(r)) is int:",
+     ":",
+     [HELPERS + "[nullspace float column]", HELPERS + "[nullspace float column after an int]",
+      HELPERS + "[nullspace Fraction column]", HELPERS + "[canonical_basis float column]"]),
     ("_slot_unit gives g2 x = +1", "spinrep.py",
      "(bit, -1, tail | bit, 0)",
      "(bit, 1, tail | bit, 0)",

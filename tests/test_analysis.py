@@ -54,7 +54,7 @@ from spinor_forge.errors import (
 )
 from spinor_forge.forms import Endo, TwoForm, eta, eta_hat, etas, phi_extend, two_form_from_terms
 from spinor_forge.linalg import (
-    cayley_so, nullspace, random_so_matrix, random_unit_vector, spans_equal, transpose,
+    cayley_so, nullspace, random_so_matrix, random_unit_vector, spans_equal,
 )
 from spinor_forge.scalars import gr
 from spinor_forge.serialize import scaled_spinor_to_json, subalgebra_to_json
@@ -74,7 +74,7 @@ from spinor_forge.twisted import (
 from . import oracle
 from .helpers import (
     chain, naive_mat_mul, plain_nullspace, plain_rref, random_scaled,
-    reference_even_clifford_verify,
+    reference_even_clifford_verify, transpose,
 )
 
 

@@ -38,7 +38,7 @@ from spinor_forge.errors import InvalidValue, SpinorForgeError, UnsupportedDimen
 from spinor_forge.forms import two_form_from_terms
 from spinor_forge.linalg import (
     RowReducer, canonical_basis, cayley_so, nullspace, nullspace_of_columns, random_so_matrix,
-    random_unit_vector, rank, span_contains, spans_equal, transpose,
+    random_unit_vector, rank, span_contains, spans_equal,
 )
 from spinor_forge.spinrep import MAX_M, MAX_N, MAX_R
 
@@ -258,7 +258,7 @@ def test_every_public_name_has_one_readme_row():
 # not read as 1, a float is no index, a dimension over MAX_N is refused
 # before anything is drawn or allocated, a matrix, a row or a list of rows
 # that is no sequence (a string included) is refused as a value, and so is
-# a nullspace width that is no int or a column outside it.
+# a nullspace width that is no int or a column that is no int inside it.
 HELPER_CASES = {
     "two_form_from_terms list": (lambda rng: two_form_from_terms(4, [1]), InvalidValue),
     "two_form_from_terms None": (lambda rng: two_form_from_terms(4, None), InvalidValue),
@@ -297,16 +297,22 @@ HELPER_CASES = {
     "nullspace width str": (lambda rng: nullspace([[1, 0]], "2"), InvalidValue),
     "nullspace width bool": (lambda rng: nullspace([[1]], True), InvalidValue),
     "nullspace column outside width": (lambda rng: nullspace([{5: 1}], 4), InvalidValue),
+    "nullspace width None": (lambda rng: nullspace([[1, 0]], None), InvalidValue),
     "nullspace str column": (lambda rng: nullspace([{"a": 1}], 2), InvalidValue),
+    "nullspace float column": (lambda rng: nullspace([{0.5: 1}], 2), InvalidValue),
+    "nullspace float column after an int": (lambda rng: nullspace([{0: 1, 0.5: 1}], 2),
+                                            InvalidValue),
+    "nullspace Fraction column": (lambda rng: nullspace([{F(1): 1}], 2), InvalidValue),
     "nullspace_of_columns int": (lambda rng: nullspace_of_columns(5), InvalidValue),
     "nullspace_of_columns int column": (lambda rng: nullspace_of_columns([5]), InvalidValue),
     "canonical_basis int": (lambda rng: canonical_basis(5, 2), InvalidValue),
     "canonical_basis width bool": (lambda rng: canonical_basis([[1]], True), InvalidValue),
     "canonical_basis width float": (lambda rng: canonical_basis([[1]], 2.5), InvalidValue),
+    "canonical_basis width str": (lambda rng: canonical_basis([[1]], "2"), InvalidValue),
+    "canonical_basis width None": (lambda rng: canonical_basis([[1]], None), InvalidValue),
+    "canonical_basis float column": (lambda rng: canonical_basis([{0.5: 1}], 2), InvalidValue),
     "canonical_basis column outside width": (lambda rng: canonical_basis([{5: 1}], 2),
                                              InvalidValue),
-    "transpose int": (lambda rng: transpose(5), InvalidValue),
-    "transpose int row": (lambda rng: transpose([5]), InvalidValue),
 }
 
 

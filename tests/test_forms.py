@@ -30,7 +30,7 @@ from spinor_forge.forms import (
     spinc_form,
     two_form_from_terms,
 )
-from spinor_forge.linalg import random_so_matrix, transpose
+from spinor_forge.linalg import random_so_matrix
 from spinor_forge.scalars import gr
 from spinor_forge.spinrep import (
     FormTerm,
@@ -52,7 +52,9 @@ from spinor_forge.twisted import (
 )
 
 from . import oracle
-from .helpers import definition_form, naive_mat_mul, random_gaussian, random_matrix, random_scaled
+from .helpers import (
+    definition_form, naive_mat_mul, random_gaussian, random_matrix, random_scaled, transpose,
+)
 
 
 def test_eta_diagonal_pair_is_zero():

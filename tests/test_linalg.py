@@ -24,10 +24,9 @@ from spinor_forge.linalg import (
     rational_cos_sin,
     span_contains,
     spans_equal,
-    transpose,
 )
 
-from .helpers import naive_mat_mul, plain_nullspace, plain_rref, random_matrix
+from .helpers import naive_mat_mul, plain_nullspace, plain_rref, random_matrix, transpose
 
 
 def plain_gauss_rank(rows):
@@ -210,6 +209,62 @@ def test_span_membership_and_equality():
     assert span_contains(a, [F(2), F(3), F(5)])
     assert not span_contains(a, [F(0), F(0), F(1)])
     assert not spans_equal(a, [[F(1), F(0), F(0)]])
+
+
+def test_spans_equal_matches_the_plain_rref_oracle():
+    """spans_equal(a, b) is True exactly when the plain Gauss-Jordan RREFs
+    of a and b agree, on 400 seeded pairs, read both ways.  b is a's rows
+    rescaled, plus combinations of them and zero rows, shuffled; or that
+    with one row redrawn (mostly a span of a's rank that differs); or
+    drawn afresh; or empty.  Each row goes in dense, dense with trailing
+    zeros, or as a {col: value} map of its nonzero entries."""
+    rng = random.Random(44)
+    seen = dict.fromkeys(("equal", "differ at equal rank", "differ in rank", "empty side",
+                          "map", "padded"), 0)
+
+    def shaped(row):
+        kind = rng.randrange(3)
+        if kind == 1:
+            seen["padded"] += 1
+            return row + [F(0)] * rng.randint(1, 2)
+        if kind == 2:
+            seen["map"] += 1
+            return {c: x for c, x in enumerate(row) if x}
+        return row
+
+    def dense(row, width):
+        return ([row.get(c, F(0)) for c in range(width)] if isinstance(row, dict)
+                else row + [F(0)] * (width - len(row)))
+
+    for _ in range(400):
+        w = rng.randint(1, 5)
+        a = random_matrix(rng.randint(0, 4), w, rng, bound=2)
+        kind = rng.choice(("same", "same", "redrawn", "redrawn", "fresh", "empty"))
+        if kind == "empty":
+            b = [[F(0)] * w for _ in range(rng.randint(0, 2))]
+        elif kind == "fresh":
+            b = random_matrix(rng.randint(0, 4), w, rng, bound=2)
+        else:
+            b = [[F(rng.choice((-3, -1, 2))) * x for x in row] for row in a]
+            for _ in range(rng.randint(0, 2)):
+                cs = [F(rng.randint(-2, 2)) for _ in a]
+                b.append([sum((c * row[j] for c, row in zip(cs, a)), F(0)) for j in range(w)])
+            b += [[F(0)] * w for _ in range(rng.randint(0, 1))]
+            rng.shuffle(b)
+            if kind == "redrawn" and b:
+                b[rng.randrange(len(b))] = random_matrix(1, w, rng, bound=2)[0]
+        sa, sb = [shaped(row) for row in a], [shaped(row) for row in b]
+        width = w + 2
+        ra = plain_rref([dense(row, width) for row in sa], width)
+        rb = plain_rref([dense(row, width) for row in sb], width)
+        want = ra == rb
+        assert spans_equal(sa, sb) is want and spans_equal(sb, sa) is want, (sa, sb)
+        if want:
+            seen["equal"] += 1
+        else:
+            seen["differ at equal rank" if len(ra[1]) == len(rb[1]) else "differ in rank"] += 1
+        seen["empty side"] += not ra[1] or not rb[1]
+    assert min(seen.values()) >= 30, seen
 
 
 def test_row_reducer_incremental():
